@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import GroundGrid
+from .geometry import GroundGrid, require_finite
 
 
 class UndefinedCoverRateError(ValueError):
@@ -115,31 +115,47 @@ def rasterize_density(frame: CrowdFrame, grid: GroundGrid,
     """
     if kernel_sigma_cells <= 0:
         raise ValueError("kernel_sigma_cells must be positive")
+    if mask is not None and mask.shape != grid.shape:
+        raise ValueError("mask shape does not match grid")
     h, w = grid.shape
-    values = np.zeros((h, w))
-    ox, oy = grid.origin
-    cs = grid.cell_size_m
+    pos = require_finite(frame.positions(), "person positions")
     radius = int(math.ceil(4.0 * kernel_sigma_cells))
     inv_two_sigma2 = 1.0 / (2.0 * kernel_sigma_cells ** 2)
-    for person in frame.persons:
-        px = (person.position[0] - ox) / cs - 0.5  # in cell-center units
-        py = (person.position[1] - oy) / cs - 0.5
-        j0, i0 = int(round(px)), int(round(py))
-        i_lo, i_hi = max(i0 - radius, 0), min(i0 + radius, h - 1)
-        j_lo, j_hi = max(j0 - radius, 0), min(j0 + radius, w - 1)
-        if i_lo > i_hi or j_lo > j_hi:
-            continue
-        ii = np.arange(i_lo, i_hi + 1)
-        jj = np.arange(j_lo, j_hi + 1)
-        d2 = ((ii - py) ** 2)[:, None] + ((jj - px) ** 2)[None, :]
-        kern = np.exp(-d2 * inv_two_sigma2)
-        kern[d2 > (4.0 * kernel_sigma_cells) ** 2] = 0.0
-        s = kern.sum()
-        if s > 0:
-            values[i_lo:i_hi + 1, j_lo:j_hi + 1] += kern / s
+    ox, oy = grid.origin
+    px = (pos[:, 0] - ox) / grid.cell_size_m - 0.5  # in cell-center units
+    py = (pos[:, 1] - oy) / grid.cell_size_m - 0.5
+    ci, cj = np.rint(py), np.rint(px)  # nearest cell center
+    # people whose window misses the grid add nothing
+    near = ((ci + radius >= 0) & (ci - radius < h)
+            & (cj + radius >= 0) & (cj - radius < w))
+    px, py = px[near], py[near]
+    i0, j0 = ci[near].astype(np.intp), cj[near].astype(np.intp)
+    # one (2r+1) x (2r+1) window per person, cells outside the grid included
+    off = np.arange(-radius, radius + 1)
+    ii = i0[:, None] + off  # (n, 2r+1)
+    jj = j0[:, None] + off
+    d2 = ((ii - py[:, None]) ** 2)[:, :, None] \
+        + ((jj - px[:, None]) ** 2)[:, None, :]
+    kern = np.exp(-d2 * inv_two_sigma2)
+    kern[d2 > (4.0 * kernel_sigma_cells) ** 2] = 0.0
+    row_in = (ii >= 0) & (ii < h)
+    col_in = (jj >= 0) & (jj < w)
+    # each kernel is normalized over its in-bounds window; the sum runs over
+    # that window as one contiguous block, the order a per-person sum uses
+    s = kern.reshape(len(kern), off.size ** 2).sum(axis=1)
+    for p in np.flatnonzero(~(row_in.all(axis=1) & col_in.all(axis=1))):
+        s[p] = np.ascontiguousarray(
+            kern[p][np.ix_(row_in[p], col_in[p])]).sum()
+    inside = row_in[:, :, None] & col_in[:, None, :] & (s > 0)[:, None, None]
+    s[s == 0] = 1.0  # such kernels add nothing; avoids dividing by zero
+    cells = ii[:, :, None] * w + jj[:, None, :]
+    # bincount adds in person order, as += per person would; given no
+    # people it returns integer zeros, hence the cast
+    values = np.bincount(cells[inside],
+                         weights=(kern / s[:, None, None])[inside],
+                         minlength=h * w).astype(float, copy=False)
+    values = values.reshape(h, w)
     if mask is not None:
-        if mask.shape != grid.shape:
-            raise ValueError("mask shape does not match grid")
         values[~mask] = 0.0
     return DensityMap(values=values)
 
@@ -149,12 +165,9 @@ def visible_persons(frame: CrowdFrame, visibility: np.ndarray,
     """People whose containing grid cell is visible (boundary clamps in-bounds)."""
     if visibility.shape != grid.shape:
         raise ValueError("visibility shape does not match grid")
-    out = []
-    for person in frame.persons:
-        i, j = grid.world_to_cell(*person.position)
-        if visibility[i, j]:
-            out.append(person)
-    return out
+    pos = frame.positions()
+    seen = visibility[grid.world_to_cell(pos[:, 0], pos[:, 1])]
+    return [frame.persons[k] for k in np.flatnonzero(seen)]
 
 
 def cover_rate(frames: list[CrowdFrame], visibility: np.ndarray,
@@ -177,6 +190,9 @@ def trace_to_csv(frames: list[CrowdFrame], path) -> None:
         writer = csv.writer(f)
         writer.writerow(["frame_id", "person_idx", "x_m", "y_m"])
         for frame in frames:
+            if not frame.persons:
+                # one row with empty person fields keeps the frame
+                writer.writerow([frame.frame_id, "", "", ""])
             for idx, person in enumerate(frame.persons):
                 writer.writerow([frame.frame_id, idx,
                                  repr(person.position[0]),
@@ -187,9 +203,10 @@ def trace_from_csv(path) -> list[CrowdFrame]:
     by_frame: dict[int, list[Person]] = {}
     with open(path, newline="") as f:
         for row in csv.DictReader(f):
-            fid = int(row["frame_id"])
-            by_frame.setdefault(fid, []).append(
-                Person(position=(float(row["x_m"]), float(row["y_m"]))))
+            persons = by_frame.setdefault(int(row["frame_id"]), [])
+            if row["person_idx"] != "":
+                persons.append(
+                    Person(position=(float(row["x_m"]), float(row["y_m"]))))
     return [CrowdFrame(frame_id=fid, persons=by_frame[fid])
             for fid in sorted(by_frame)]
 

@@ -23,6 +23,15 @@ class GridMismatchError(ValueError):
     """Mask dimensions do not match the grid they are combined on."""
 
 
+def require_finite(values, what: str) -> np.ndarray:
+    """values as a float array; raises ValueError if any entry is NaN or
+    infinite, which would otherwise land silently in some grid cell."""
+    arr = np.asarray(values, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} must be finite")
+    return arr
+
+
 @dataclass(frozen=True)
 class GroundGrid:
     """Metric ground-plane raster: h x w cells of cell_size_m meters."""
@@ -59,13 +68,19 @@ class GroundGrid:
         ys = oy + (np.arange(self.height_cells) + 0.5) * self.cell_size_m
         return np.meshgrid(xs, ys)
 
-    def world_to_cell(self, x: float, y: float) -> tuple[int, int]:
-        """Cell index (i, j) containing a world point, clamped in-bounds."""
+    def world_to_cell(self, x, y):
+        """Cell index (i, j) containing each world point, clamped in-bounds.
+
+        x and y are scalars or equally shaped arrays; i and j take their
+        shape. Non-finite coordinates raise ValueError.
+        """
+        x = require_finite(x, "x")
+        y = require_finite(y, "y")
         ox, oy = self.origin
-        j = int(math.floor((x - ox) / self.cell_size_m))
-        i = int(math.floor((y - oy) / self.cell_size_m))
-        i = min(max(i, 0), self.height_cells - 1)
-        j = min(max(j, 0), self.width_cells - 1)
+        j = np.clip(np.floor((x - ox) / self.cell_size_m),
+                    0, self.width_cells - 1).astype(np.intp)
+        i = np.clip(np.floor((y - oy) / self.cell_size_m),
+                    0, self.height_cells - 1).astype(np.intp)
         return i, j
 
     def to_config(self) -> dict:

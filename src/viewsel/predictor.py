@@ -112,7 +112,7 @@ def noisy_predict(frame: CrowdFrame, selected_visibility: np.ndarray,
     miss_p = np.full(n, config.miss_rate * resid)
     if selected_ids and n:
         pos = frame.positions()
-        rows, cols = zip(*(scene.grid.world_to_cell(x, y) for x, y in pos))
+        rows, cols = scene.grid.world_to_cell(pos[:, 0], pos[:, 1])
         # occlusion: misses concentrate where the crowd is dense
         local = rasterize_density(frame, scene.grid,
                                   config.kernel_sigma_cells).values[rows, cols]

@@ -242,18 +242,24 @@ def view_person_credit(scene: Scene, frames: list[CrowdFrame],
     return float(np.mean(fracs)) if fracs else 0.0
 
 
-def _epoch_credit(scene: Scene, frames: list[CrowdFrame],
+def _camera_credit(scene: Scene,
+                   frames: list[CrowdFrame]) -> dict[str, float]:
+    """view_person_credit of every camera; fixed for a run's frames."""
+    return {cid: view_person_credit(scene, frames, cid)
+            for cid in scene.camera_ids}
+
+
+def _epoch_credit(camera_credit: dict[str, float], f: int,
                   selected: tuple[str, ...], config: SelectionConfig,
                   stage: str) -> float:
-    """Per-epoch calibration credit in effective view-frames: labeled views
-    weighted by person coverage, plus fractional pseudo-label credit from
-    the unselected views the enabled pseudo stage mixes in."""
-    f = len(frames)
-    credit = f * sum(view_person_credit(scene, frames, cid) for cid in selected)
-    unselected = [cid for cid in scene.camera_ids if cid not in selected]
+    """Per-epoch calibration credit in effective view-frames over f frames:
+    labeled views weighted by person coverage (camera_credit, from
+    _camera_credit), plus fractional pseudo-label credit from the
+    unselected views the enabled pseudo stage mixes in."""
+    credit = f * sum(camera_credit[cid] for cid in selected)
+    unselected = [cid for cid in camera_credit if cid not in selected]
     if unselected and stage != "off":
-        mean_unsel = float(np.mean(
-            [view_person_credit(scene, frames, cid) for cid in unselected]))
+        mean_unsel = float(np.mean([camera_credit[cid] for cid in unselected]))
         if stage == "viewsel":
             n_pseudo_views = 1.0  # selected group plus one unselected view
         else:
@@ -314,21 +320,24 @@ def run_avs(scene: Scene, trace: list[CrowdFrame], config: SelectionConfig,
     k = min(config.k_max, len(scene.cameras))
     pseudo_viewsel = config.pseudo_stages in ("viewsel", "both")
     pseudo_modeltrain = config.pseudo_stages in ("modeltrain", "both")
+    camera_credit = _camera_credit(scene, frames)
+    f = len(frames)
 
     for _ in range(config.epochs):
-        if pseudo_viewsel and len(state.selected) < k:
-            stage = "viewsel"
-        elif pseudo_modeltrain and len(state.selected) >= k:
-            stage = "modeltrain"
-        else:
-            stage = "off"
-        credit = _epoch_credit(scene, frames, state.selected, config, stage)
+        if len(state.selected) >= k:
+            # the budget is reached: the training metric gates nothing
+            credit = _epoch_credit(camera_credit, f, state.selected, config,
+                                   "modeltrain" if pseudo_modeltrain
+                                   else "off")
+            predictor, _ = calibrate(predictor, credit)
+            continue
+        credit = _epoch_credit(camera_credit, f, state.selected, config,
+                               "viewsel" if pseudo_viewsel else "off")
         predictor, metric = calibrate(predictor, credit, scene=scene,
                                       frames=frames,
                                       visibility=state.combined_mask,
                                       selected_ids=list(state.selected))
-        if metric is not None and metric <= config.tau \
-                and len(state.selected) < k:
+        if metric is not None and metric <= config.tau:
             m_avg = mean_prediction(scene, frames, state.combined_mask,
                                     predictor, list(state.selected))
             state = add_view(
@@ -341,11 +350,9 @@ def run_avs(scene: Scene, trace: list[CrowdFrame], config: SelectionConfig,
     # once the budget is reached the downstream model is trained again on
     # the labeled views, so the active pipeline ends with a full training pass
     for _ in range(config.epochs):
-        credit = _epoch_credit(scene, frames, state.selected, config,
+        credit = _epoch_credit(camera_credit, f, state.selected, config,
                                "modeltrain" if pseudo_modeltrain else "off")
-        predictor, _ = calibrate(predictor, credit, scene=scene, frames=frames,
-                                 visibility=state.combined_mask,
-                                 selected_ids=list(state.selected))
+        predictor, _ = calibrate(predictor, credit)
     dataset = _build_dataset(scene, frames, state, predictor.kernel_sigma_cells)
     return state, dataset, predictor
 
@@ -358,12 +365,11 @@ def train_after_selection(scene: Scene, frames: list[CrowdFrame],
     pipelines: repeated calibration on the labeled budget, with pseudo-label
     credit when the modeltrain stage is enabled."""
     pseudo = config.pseudo_stages in ("modeltrain", "both")
+    camera_credit = _camera_credit(scene, frames)
     for _ in range(config.epochs):
-        credit = _epoch_credit(scene, frames, state.selected, config,
-                               "modeltrain" if pseudo else "off")
-        predictor, _ = calibrate(predictor, credit, scene=scene, frames=frames,
-                                 visibility=state.combined_mask,
-                                 selected_ids=list(state.selected))
+        credit = _epoch_credit(camera_credit, len(frames), state.selected,
+                               config, "modeltrain" if pseudo else "off")
+        predictor, _ = calibrate(predictor, credit)
     return predictor
 
 

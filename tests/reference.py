@@ -114,3 +114,52 @@ def ref_match_points(predicted, gt, threshold):
         if candidates:
             return k, min(candidates)
     return 0, 0.0
+
+
+def ref_world_to_cell(grid, x, y):
+    ox, oy = grid.origin
+    j = int(math.floor((x - ox) / grid.cell_size_m))
+    i = int(math.floor((y - oy) / grid.cell_size_m))
+    i = min(max(i, 0), grid.height_cells - 1)
+    j = min(max(j, 0), grid.width_cells - 1)
+    return i, j
+
+
+def ref_visible_persons(frame, visibility, grid):
+    """Per-person loop: keep the people whose clamped cell is visible."""
+    out = []
+    for person in frame.persons:
+        i, j = ref_world_to_cell(grid, *person.position)
+        if visibility[i, j]:
+            out.append(person)
+    return out
+
+
+def ref_rasterize_density(frame, grid, kernel_sigma_cells, mask=None):
+    """Per-person loop: add each truncated Gaussian, normalized over its
+    in-bounds window, to the raster in person order; returns the array."""
+    h, w = grid.shape
+    values = np.zeros((h, w))
+    ox, oy = grid.origin
+    cs = grid.cell_size_m
+    radius = int(math.ceil(4.0 * kernel_sigma_cells))
+    inv_two_sigma2 = 1.0 / (2.0 * kernel_sigma_cells ** 2)
+    for person in frame.persons:
+        px = (person.position[0] - ox) / cs - 0.5  # in cell-center units
+        py = (person.position[1] - oy) / cs - 0.5
+        j0, i0 = int(round(px)), int(round(py))
+        i_lo, i_hi = max(i0 - radius, 0), min(i0 + radius, h - 1)
+        j_lo, j_hi = max(j0 - radius, 0), min(j0 + radius, w - 1)
+        if i_lo > i_hi or j_lo > j_hi:
+            continue
+        ii = np.arange(i_lo, i_hi + 1)
+        jj = np.arange(j_lo, j_hi + 1)
+        d2 = ((ii - py) ** 2)[:, None] + ((jj - px) ** 2)[None, :]
+        kern = np.exp(-d2 * inv_two_sigma2)
+        kern[d2 > (4.0 * kernel_sigma_cells) ** 2] = 0.0
+        s = kern.sum()
+        if s > 0:
+            values[i_lo:i_hi + 1, j_lo:j_hi + 1] += kern / s
+    if mask is not None:
+        values[~mask] = 0.0
+    return values

@@ -148,6 +148,7 @@ def _ensemble_predictor(s: int) -> PredictorConfig:
 
 
 def test_criterion_4_strategy_ordering():
+    t0 = time.time()
     K, F, EPOCHS, TAU = 5, 5, 24, 30.0
     mae = {k: [] for k in ("random", "ivs", "mask", "density")}
     cov = {k: [] for k in ("random", "ivs", "mask", "density")}
@@ -188,12 +189,14 @@ def test_criterion_4_strategy_ordering():
     ok = (c["random"] <= c["ivs"]
           and m["random"] >= m["ivs"] >= m["mask"] >= m["density"]
           and m["density"] <= 0.85 * m["random"])
+    dt = time.time() - t0
     _report(4, ok,
             "mean MAE random {random:.2f} >= geometric {ivs:.2f} >= "
             "mask {mask:.2f} >= density {density:.2f}".format(**m)
             + f"; CoverRate random {c['random']:.3f} <= geometric "
               f"{c['ivs']:.3f}; density MAE <= 0.85x random "
-              f"({m['density']:.2f} vs {0.85 * m['random']:.2f})")
+              f"({m['density']:.2f} vs {0.85 * m['random']:.2f}) "
+              f"in {dt:.1f}s")
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,18 @@ def test_visible_persons_filters_by_cell(small_grid):
     assert seen[0].position == (2.0, 3.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_positions_rejected(small_grid, bad):
+    frame = _frame([(2.0, 3.0), (bad, 4.0), (5.0, 5.0)])
+    vis = np.ones(small_grid.shape, dtype=bool)
+    with pytest.raises(ValueError, match="finite"):
+        visible_persons(frame, vis, small_grid)
+    with pytest.raises(ValueError, match="finite"):
+        rasterize_density(frame, small_grid, 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        rasterize_density(_frame([(1.0, bad)]), small_grid, 1.0, mask=vis)
+
+
 def test_cover_rate_extremes(small_grid):
     frames = [_frame([(2.0, 3.0), (8.0, 8.0)]), _frame([(5.0, 5.0)], fid=1)]
     full = np.ones(small_grid.shape, dtype=bool)
@@ -109,6 +123,17 @@ def test_trace_csv_round_trip(small_grid, tmp_path):
     path = tmp_path / "trace.csv"
     trace_to_csv(trace, path)
     back = trace_from_csv(path)
+    assert trace_to_json(back) == trace_to_json(trace)
+
+
+def test_trace_csv_round_trip_keeps_empty_frames(tmp_path):
+    trace = [_frame([(1.0, 2.0)], fid=0), _frame([], fid=1),
+             _frame([(3.0, 4.0), (5.5, 6.5)], fid=2), _frame([], fid=3)]
+    path = tmp_path / "trace.csv"
+    trace_to_csv(trace, path)
+    assert path.read_text().splitlines()[2] == "1,,,"
+    back = trace_from_csv(path)
+    assert [f.frame_id for f in back] == [0, 1, 2, 3]
     assert trace_to_json(back) == trace_to_json(trace)
 
 

@@ -8,6 +8,8 @@ from viewsel import (CameraPose, DegenerateAxisError, GroundGrid, Scene,
                      project_footprint)
 from viewsel.geometry import GridMismatchError
 
+from reference import ref_world_to_cell
+
 
 def test_grid_basic_properties(small_grid):
     assert small_grid.shape == (40, 40)
@@ -35,6 +37,26 @@ def test_world_to_cell_clamps_out_of_bounds():
     grid = GroundGrid(height_cells=4, width_cells=4, cell_size_m=1.0)
     assert grid.world_to_cell(-5.0, -5.0) == (0, 0)
     assert grid.world_to_cell(99.0, 99.0) == (3, 3)
+
+
+def test_world_to_cell_arrays_match_scalars():
+    grid = GroundGrid(height_cells=7, width_cells=9, cell_size_m=0.5,
+                      origin=(3.0, -2.0))
+    rng = np.random.default_rng(4)
+    xy = rng.uniform(-3.0, 12.0, size=(200, 2))
+    i, j = grid.world_to_cell(xy[:, 0], xy[:, 1])
+    assert i.shape == j.shape == (200,)
+    assert [grid.world_to_cell(x, y) for x, y in xy] == list(zip(i, j))
+    assert [ref_world_to_cell(grid, x, y) for x, y in xy] == list(zip(i, j))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_world_to_cell_rejects_non_finite(bad):
+    grid = GroundGrid(height_cells=4, width_cells=4, cell_size_m=1.0)
+    with pytest.raises(ValueError, match="finite"):
+        grid.world_to_cell(bad, 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        grid.world_to_cell(np.array([1.0, 2.0]), np.array([1.0, bad]))
 
 
 def test_nadir_footprint_exact_area(nadir_camera):

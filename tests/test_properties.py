@@ -4,10 +4,12 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from viewsel import (CrowdFrame, DensityMap, Person, binarize_density,
-                     cover_rate, score_scene_coverage, score_view_diversity)
+                     cover_rate, rasterize_density, score_scene_coverage,
+                     score_view_diversity, visible_persons)
 from viewsel.geometry import GroundGrid
 
 from conftest import random_small_scene
+from reference import ref_rasterize_density, ref_visible_persons
 
 
 @st.composite
@@ -82,3 +84,46 @@ def test_binarize_region_shrinks_with_threshold(seed, t1, t2):
     dm = DensityMap(values=rng.random((12, 12)))
     lo, hi = sorted((t1, t2))
     assert (binarize_density(dm, hi) <= binarize_density(dm, lo)).all()
+
+
+@st.composite
+def crowd_frames(draw):
+    """A frame of 0..60 people on a small grid, some straddling the edge or
+    lying off the grid, with a random mask or none."""
+    h = draw(st.integers(1, 25))
+    w = draw(st.integers(1, 25))
+    grid = GroundGrid(height_cells=h, width_cells=w,
+                      cell_size_m=draw(st.sampled_from([0.5, 0.3, 1.0])),
+                      origin=(draw(st.floats(-5.0, 5.0)),
+                              draw(st.floats(-5.0, 5.0))))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31 - 1)))
+    n = draw(st.integers(0, 60))
+    ex, ey = grid.extent_m
+    margin = draw(st.sampled_from([0.0, 1.0, 8.0]))  # meters past the edge
+    ox, oy = grid.origin
+    pts = rng.uniform([ox - margin, oy - margin],
+                      [ox + ex + margin, oy + ey + margin], size=(n, 2))
+    frame = CrowdFrame(frame_id=0,
+                       persons=[Person(position=(float(x), float(y)))
+                                for x, y in pts])
+    mask = rng.random(grid.shape) < 0.6 if draw(st.booleans()) else None
+    return grid, frame, mask
+
+
+@given(crowd_frames(), st.sampled_from([0.2, 0.7, 1.0, 2.3]))
+@settings(max_examples=300, deadline=None)
+def test_rasterize_density_equals_loop_reference(data, sigma):
+    grid, frame, mask = data
+    fast = rasterize_density(frame, grid, sigma, mask=mask).values
+    assert fast.dtype == np.float64
+    assert np.array_equal(fast, ref_rasterize_density(frame, grid, sigma,
+                                                      mask=mask))
+
+
+@given(crowd_frames())
+@settings(max_examples=200, deadline=None)
+def test_visible_persons_equals_loop_reference(data):
+    grid, frame, mask = data
+    vis = mask if mask is not None else np.ones(grid.shape, dtype=bool)
+    assert visible_persons(frame, vis, grid) \
+        == ref_visible_persons(frame, vis, grid)

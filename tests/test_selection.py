@@ -6,6 +6,8 @@ from viewsel import (GroundGrid, PredictorConfig, SelectionConfig,
                      generate_crowd_trace, oracle_predict, random_select,
                      run_avs, run_ivs, score_geometric, select_first_view,
                      select_frames)
+from viewsel import predictor as predictor_module
+from viewsel import selection as selection_module
 from viewsel.selection import train_after_selection
 from viewsel.synth import generate_scene
 
@@ -197,6 +199,39 @@ def test_train_after_selection_improves_quality(demo_scene):
     longer = train_after_selection(demo_scene, trace[:4], state, cfg20,
                                    PredictorConfig(q_scale=100.0))
     assert longer.calibration.quality > trained.calibration.quality
+
+
+def _count_calls(monkeypatch, module, name, key=lambda *a, **k: None):
+    """Wrap module.name with a recorder; returns the list of call keys."""
+    calls = []
+    real = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(key(*args, **kwargs))
+        return real(*args, **kwargs)
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_simulated_training_call_counts(demo_scene, monkeypatch):
+    credit = _count_calls(monkeypatch, selection_module, "view_person_credit",
+                          key=lambda scene, frames, camera_id: camera_id)
+    predicted = [_count_calls(monkeypatch, module, "noisy_predict")
+                 for module in (predictor_module, selection_module)]
+    trace = _trace(demo_scene, n=8)
+    cfg = SelectionConfig(k_max=3, n_frames=4, strategy="density", tau=25.0,
+                          epochs=20, pseudo_stages="both")
+    pred = PredictorConfig(miss_rate=0.3, position_jitter_m=1.0,
+                           count_noise_rel=0.1, seed=3, q_scale=150.0)
+    state, _, _ = run_avs(demo_scene, trace, cfg, pred)
+    assert sorted(credit) == sorted(demo_scene.camera_ids)
+    assert all(predicted)  # the counters see the predictor's calls
+
+    for calls in [credit] + predicted:
+        calls.clear()
+    train_after_selection(demo_scene, trace[:4], state, cfg, pred)
+    assert sorted(credit) == sorted(demo_scene.camera_ids)
+    assert predicted == [[], []]
 
 
 def test_selection_config_round_trip():
