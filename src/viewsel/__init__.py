@@ -14,8 +14,8 @@ from .predictor import (CalibrationState, PredictorConfig, calibrate,
 from .pseudolabels import (PseudoPair, make_modeltrain_pair,
                            make_training_batch, make_viewsel_pair)
 from .scoring import (ScoreBreakdown, binarize_density, inverse_distance_field,
-                      score_average_distance, score_density, score_geometric,
-                      score_mask, score_scene_coverage, score_view_diversity)
+                      score, score_density, score_geometric, score_mask,
+                      score_scene_coverage, score_view_diversity)
 from .selection import (LabeledDataset, SelectionConfig, SelectionState,
                         add_view, brute_force_best, random_select, run_avs,
                         run_ivs, select_first_view, select_frames,

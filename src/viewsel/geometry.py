@@ -44,6 +44,8 @@ class GroundGrid:
     def __post_init__(self):
         if self.height_cells < 1 or self.width_cells < 1:
             raise ValueError("grid must have at least one cell per axis")
+        require_finite((self.cell_size_m, *self.origin),
+                       "cell_size_m and origin")
         if self.cell_size_m <= 0:
             raise ValueError("cell_size_m must be positive")
 
@@ -111,6 +113,8 @@ class CameraPose:
     max_range_m: float
 
     def __post_init__(self):
+        require_finite((*self.position_3d, self.yaw, self.pitch,
+                        self.max_range_m), f"camera {self.id} pose")
         if not (0.0 < self.horizontal_fov_rad < math.pi):
             raise ValueError(f"hfov out of (0, pi): {self.horizontal_fov_rad}")
         if not (0.0 < self.vertical_fov_rad < math.pi):

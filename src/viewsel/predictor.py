@@ -17,7 +17,7 @@ import numpy as np
 
 from .crowd import (CrowdFrame, DensityMap, Person, rasterize_density,
                     visible_persons)
-from .geometry import Scene
+from .geometry import Scene, require_finite
 
 
 @dataclass(frozen=True)
@@ -50,6 +50,10 @@ class PredictorConfig:
     def __post_init__(self):
         if not (0.0 <= self.miss_rate <= 1.0):
             raise ValueError("miss_rate must be in [0, 1]")
+        require_finite((self.position_jitter_m, self.count_noise_rel,
+                        self.kernel_sigma_cells, self.q_scale,
+                        self.distance_falloff_m, self.crowding_half),
+                       "predictor noise and scale parameters")
         if self.position_jitter_m < 0 or self.count_noise_rel < 0:
             raise ValueError("noise magnitudes must be nonnegative")
         if self.kernel_sigma_cells <= 0 or self.q_scale <= 0:

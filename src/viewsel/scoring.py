@@ -1,10 +1,15 @@
-"""View-selection scores: geometric terms and their prediction-driven variants.
+"""View-selection scores: one kernel over a scored region and a cell weight.
 
-The combined geometric score multiplies three factors: the visible-area
-ratio, the mean inverse camera distance over the scored region, and an
-exponential view-diversity penalty. The active variants swap the scored
-region for the binarized prediction, and optionally weight the distance
-field by the predicted density.
+Every score is the product of three factors: the scored region's share of
+the scene area (S_sc), the mean over that region of the inverse camera
+distance field (S_ad), and an exponential view-diversity penalty (S_vd).
+The variants differ only in the region and in the per-cell weight of the
+distance field:
+
+    variant     region                       weight
+    geometric   FOV union of the group       1
+    mask        binarized prediction         1
+    density     binarized prediction         predicted density
 """
 
 from __future__ import annotations
@@ -22,10 +27,6 @@ DEFAULT_LAMBDA = 0.1
 DEFAULT_EPSILON = 1e-10
 
 ALL_TERMS = ("sc", "ad", "vd")
-
-
-class EmptyRegionError(ValueError):
-    """A mean over the scored region was requested but the region is empty."""
 
 
 @dataclass(frozen=True)
@@ -48,49 +49,31 @@ def score_scene_coverage(visible: np.ndarray, grid: GroundGrid) -> float:
     return float(visible.sum()) / grid.n_cells
 
 
-def _distance_to(camera: CameraPose, grid: GroundGrid) -> np.ndarray:
-    """Metric distance from each cell center to the camera's ground position,
-    floored at half a cell to guard the inverse-distance singularity."""
-    X, Y = grid.cell_centers()
-    cx, cy = camera.ground_position
-    return np.maximum(np.hypot(X - cx, Y - cy), grid.cell_size_m / 2.0)
-
-
 def inverse_distance_field(selected: list[CameraPose],
                            footprints: list[FovFootprint],
-                           grid: GroundGrid) -> np.ndarray:
-    """Per-cell sum of inverse camera distances, each camera contributing
-    only inside its own footprint."""
+                           grid: GroundGrid,
+                           weight: np.ndarray | None = None) -> np.ndarray:
+    """Per-cell sum of weight / camera distance, each camera contributing
+    only inside its own footprint; weight None means unit weight.
+
+    Distances run from cell centers to the camera's ground position and are
+    floored at half a cell to guard the inverse-distance singularity.
+    """
     if not selected:
         raise ValueError("selected must be nonempty")
     if len(selected) != len(footprints):
         raise ValueError("one footprint per selected camera required")
+    if weight is not None and weight.shape != grid.shape:
+        raise ValueError("weight does not match grid")
+    X, Y = grid.cell_centers()
     field = np.zeros(grid.shape)
     for cam, fp in zip(selected, footprints):
-        field += fp.mask / _distance_to(cam, grid)
+        cells = fp.mask
+        cx, cy = cam.ground_position
+        d = np.maximum(np.hypot(X[cells] - cx, Y[cells] - cy),
+                       grid.cell_size_m / 2.0)
+        field[cells] += (1.0 if weight is None else weight[cells]) / d
     return field
-
-
-def density_weighted_field(selected: list[CameraPose],
-                           footprints: list[FovFootprint],
-                           grid: GroundGrid,
-                           density: DensityMap) -> np.ndarray:
-    """Inverse-distance field with each contribution weighted by the
-    predicted density at the cell."""
-    if density.values.shape != grid.shape:
-        raise ValueError("density does not match grid")
-    field = np.zeros(grid.shape)
-    for cam, fp in zip(selected, footprints):
-        field += fp.mask * density.values / _distance_to(cam, grid)
-    return field
-
-
-def score_average_distance(field: np.ndarray, visible: np.ndarray) -> float:
-    """Mean of the distance field over the visible region."""
-    n = int(visible.sum())
-    if n == 0:
-        raise EmptyRegionError("cannot average over an empty region")
-    return float(field[visible].sum()) / n
 
 
 def score_view_diversity(selected: list[CameraPose], lam: float = DEFAULT_LAMBDA,
@@ -124,40 +107,36 @@ def score_view_diversity(selected: list[CameraPose], lam: float = DEFAULT_LAMBDA
     return float(np.exp(-lam * acc))
 
 
-def _footprints_for(selected: list[CameraPose], scene: Scene) -> list[FovFootprint]:
-    return [scene.footprint(cam.id) for cam in selected]
+def score(selected: list[CameraPose], scene: Scene,
+          region: np.ndarray | None = None, weight: np.ndarray | None = None,
+          lam: float = DEFAULT_LAMBDA, eps: float = DEFAULT_EPSILON,
+          terms: tuple[str, ...] = ALL_TERMS,
+          variant: str = "geometric") -> ScoreBreakdown:
+    """S_sc * S_ad * S_vd of a camera group over a scored region (None: the
+    group's FOV union) with a per-cell distance-field weight (None: unit).
 
-
-def _combine(region: np.ndarray, field: np.ndarray, s_vd: float,
-             grid: GroundGrid, variant: str,
-             terms: tuple[str, ...]) -> ScoreBreakdown:
+    terms picks the factors multiplied into total; an empty region scores 0.
+    """
+    if not selected:
+        raise ValueError("selected must be nonempty")
+    footprints = [scene.footprint(cam.id) for cam in selected]
+    if region is None:
+        region = combined_visibility(footprints, scene.grid)
+    elif region.shape != scene.grid.shape:
+        raise ValueError("region does not match scene grid")
+    field = inverse_distance_field(selected, footprints, scene.grid, weight)
+    s_vd = score_view_diversity(selected, lam, eps)
     n_region = int(region.sum())
-    s_sc = n_region / grid.n_cells
+    s_sc = n_region / scene.grid.n_cells
     s_ad = float(field[region].sum()) / n_region if n_region else 0.0
     total = 1.0
-    if "sc" in terms:
-        total *= s_sc
-    if "ad" in terms:
-        total *= s_ad
-    if "vd" in terms:
-        total *= s_vd
+    for term, factor in (("sc", s_sc), ("ad", s_ad), ("vd", s_vd)):
+        if term in terms:
+            total *= factor
     if n_region == 0:
         total = 0.0
     return ScoreBreakdown(s_sc=s_sc, s_ad=s_ad, s_vd=s_vd, total=total,
                           variant=variant)
-
-
-def score_geometric(selected: list[CameraPose], scene: Scene,
-                    lam: float = DEFAULT_LAMBDA, eps: float = DEFAULT_EPSILON,
-                    terms: tuple[str, ...] = ALL_TERMS) -> ScoreBreakdown:
-    """Combined geometric score over the selected views' FOV union."""
-    if not selected:
-        raise ValueError("selected must be nonempty")
-    footprints = _footprints_for(selected, scene)
-    region = combined_visibility(footprints, scene.grid)
-    field = inverse_distance_field(selected, footprints, scene.grid)
-    s_vd = score_view_diversity(selected, lam, eps)
-    return _combine(region, field, s_vd, scene.grid, "geometric", terms)
 
 
 def binarize_density(density: DensityMap, sigma_mode) -> np.ndarray:
@@ -173,33 +152,26 @@ def binarize_density(density: DensityMap, sigma_mode) -> np.ndarray:
     return density.values > threshold
 
 
+def score_geometric(selected: list[CameraPose], scene: Scene,
+                    lam: float = DEFAULT_LAMBDA, eps: float = DEFAULT_EPSILON,
+                    terms: tuple[str, ...] = ALL_TERMS) -> ScoreBreakdown:
+    """Score over the selected views' FOV union with unit weight."""
+    return score(selected, scene, None, None, lam, eps, terms, "geometric")
+
+
 def score_mask(selected: list[CameraPose], scene: Scene,
                prediction: DensityMap, sigma_mode="mean",
                lam: float = DEFAULT_LAMBDA, eps: float = DEFAULT_EPSILON,
                terms: tuple[str, ...] = ALL_TERMS) -> ScoreBreakdown:
-    """Geometric score with the binarized prediction as the scored region."""
-    if not selected:
-        raise ValueError("selected must be nonempty")
-    if prediction.values.shape != scene.grid.shape:
-        raise ValueError("prediction does not match scene grid")
-    footprints = _footprints_for(selected, scene)
-    region = binarize_density(prediction, sigma_mode)
-    field = inverse_distance_field(selected, footprints, scene.grid)
-    s_vd = score_view_diversity(selected, lam, eps)
-    return _combine(region, field, s_vd, scene.grid, "mask", terms)
+    """Score over the binarized prediction with unit weight."""
+    return score(selected, scene, binarize_density(prediction, sigma_mode),
+                 None, lam, eps, terms, "mask")
 
 
 def score_density(selected: list[CameraPose], scene: Scene,
                   prediction: DensityMap, sigma_mode="mean",
                   lam: float = DEFAULT_LAMBDA, eps: float = DEFAULT_EPSILON,
                   terms: tuple[str, ...] = ALL_TERMS) -> ScoreBreakdown:
-    """Mask-region score with density-weighted inverse camera distances."""
-    if not selected:
-        raise ValueError("selected must be nonempty")
-    if prediction.values.shape != scene.grid.shape:
-        raise ValueError("prediction does not match scene grid")
-    footprints = _footprints_for(selected, scene)
-    region = binarize_density(prediction, sigma_mode)
-    field = density_weighted_field(selected, footprints, scene.grid, prediction)
-    s_vd = score_view_diversity(selected, lam, eps)
-    return _combine(region, field, s_vd, scene.grid, "density", terms)
+    """Score over the binarized prediction, weighted by the prediction."""
+    return score(selected, scene, binarize_density(prediction, sigma_mode),
+                 prediction.values, lam, eps, terms, "density")

@@ -14,8 +14,7 @@ from .crowd import CrowdFrame, DensityMap, cover_rate, rasterize_density, \
 from .geometry import Scene
 from .predictor import PredictorConfig, calibrate, noisy_predict, oracle_predict
 from .scoring import (ALL_TERMS, DEFAULT_EPSILON, DEFAULT_LAMBDA,
-                      ScoreBreakdown, score_density, score_geometric,
-                      score_mask)
+                      ScoreBreakdown, binarize_density, score)
 
 STRATEGIES = ("geometric", "mask", "density", "random")
 PSEUDO_STAGES = ("none", "viewsel", "modeltrain", "both")
@@ -99,12 +98,6 @@ class LabeledDataset:
     @property
     def budget_images(self) -> int:
         return len(self.frame_ids) * len(self.camera_ids)
-
-    def manifest(self) -> dict:
-        return {"frame_ids": list(self.frame_ids),
-                "camera_ids": list(self.camera_ids),
-                "pairs": [[f, c] for f, c in self.pairs],
-                "budget_images": self.budget_images}
 
 
 def _initial_state(scene: Scene, first_id: str) -> SelectionState:
@@ -192,6 +185,22 @@ def add_view(scene: Scene, state: SelectionState,
     return replace(state, selected=selected,
                    combined_mask=scene.visibility_of(list(selected)),
                    history=state.history + ((best_id, best_score),))
+
+
+def _score_fn(scene: Scene, config: SelectionConfig,
+              prediction: DensityMap | None = None):
+    """add_view's score_fn under config.strategy, which picks the scored
+    region and the distance-field weight: geometric scores the group's FOV
+    union with unit weight, mask the binarized prediction with unit weight,
+    density the binarized prediction weighted by the prediction."""
+    region = weight = None
+    if config.strategy in ("mask", "density"):
+        region = binarize_density(prediction, config.sigma_mode)
+    if config.strategy == "density":
+        weight = prediction.values
+    return lambda ids: score([scene.camera(c) for c in ids], scene, region,
+                             weight, config.lam, config.epsilon,
+                             config.terms, config.strategy)
 
 
 def _frames_by_id(trace: list[CrowdFrame], ids: list[int]) -> list[CrowdFrame]:
@@ -286,11 +295,7 @@ def run_ivs(scene: Scene, trace: list[CrowdFrame], config: SelectionConfig,
     state = _initial_state(scene, first)
     k = min(config.k_max, len(scene.cameras))
     while len(state.selected) < k:
-        state = add_view(
-            scene, state,
-            lambda ids: score_geometric([scene.camera(c) for c in ids], scene,
-                                        config.lam, config.epsilon,
-                                        config.terms))
+        state = add_view(scene, state, _score_fn(scene, config))
     dataset = _build_dataset(scene, frames, state, sigma)
     return state, dataset
 
@@ -308,7 +313,6 @@ def run_avs(scene: Scene, trace: list[CrowdFrame], config: SelectionConfig,
     """
     if config.strategy not in ("mask", "density"):
         raise ValueError("run_avs requires the mask or density strategy")
-    score_one = score_mask if config.strategy == "mask" else score_density
 
     def predict(frame, vis):
         return noisy_predict(frame, vis, scene, predictor)
@@ -340,11 +344,7 @@ def run_avs(scene: Scene, trace: list[CrowdFrame], config: SelectionConfig,
         if metric is not None and metric <= config.tau:
             m_avg = mean_prediction(scene, frames, state.combined_mask,
                                     predictor, list(state.selected))
-            state = add_view(
-                scene, state,
-                lambda ids: score_one([scene.camera(c) for c in ids], scene,
-                                      m_avg, config.sigma_mode, config.lam,
-                                      config.epsilon, config.terms))
+            state = add_view(scene, state, _score_fn(scene, config, m_avg))
     if len(state.selected) < k:
         state = replace(state, non_converged=True)
     # once the budget is reached the downstream model is trained again on
@@ -412,14 +412,14 @@ def brute_force_best(scene: Scene, trace: list[CrowdFrame], k: int,
     if n_subsets > budget:
         raise ValueError(f"{n_subsets} subsets exceed budget {budget}")
     ids = sorted(scene.camera_ids)
+    geometric = _score_fn(scene, SelectionConfig(lam=lam, epsilon=eps))
     best_set, best_val = None, -np.inf
     for subset in itertools.combinations(ids, k):
         if objective == "cover_rate":
             val = cover_rate(trace, scene.visibility_of(list(subset)),
                              scene.grid)
         elif objective == "geometric_score":
-            val = score_geometric([scene.camera(c) for c in subset], scene,
-                                  lam, eps).total
+            val = geometric(subset).total
         else:
             raise ValueError(f"unknown objective {objective!r}")
         if val > best_val:

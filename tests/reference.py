@@ -37,6 +37,18 @@ def ref_density_weighted(cams, masks, grid, density):
     return D
 
 
+def ref_full_grid_field(cams, footprints, grid, weight=None):
+    """Vectorized full-grid field: each camera's floored distance to every
+    cell center, added as fp.mask * w / d in group order."""
+    X, Y = grid.cell_centers()
+    field = np.zeros(grid.shape)
+    for cam, fp in zip(cams, footprints):
+        cx, cy = cam.ground_position
+        d = np.maximum(np.hypot(X - cx, Y - cy), grid.cell_size_m / 2.0)
+        field += (fp.mask if weight is None else fp.mask * weight) / d
+    return field
+
+
 def ref_diversity(cams, lam, eps):
     acc = 0.0
     for a in range(len(cams)):
@@ -61,7 +73,8 @@ def _ground_axis(cam):
     return (gx / n, gy / n)
 
 
-def _totals(region, D, s_vd, grid):
+def ref_totals(region, D, s_vd, grid):
+    """(s_sc, s_ad, s_vd, total) of a scored region and a distance field."""
     n = int(region.sum())
     s_sc = n / grid.n_cells
     s_ad = float(D[region].sum()) / n if n else 0.0
@@ -75,7 +88,7 @@ def ref_score_geometric(cams, scene, lam, eps):
     for m in masks:
         region |= m
     D = ref_inverse_distance(cams, masks, scene.grid)
-    return _totals(region, D, ref_diversity(cams, lam, eps), scene.grid)
+    return ref_totals(region, D, ref_diversity(cams, lam, eps), scene.grid)
 
 
 def ref_binarize(values, sigma_mode):
@@ -87,14 +100,14 @@ def ref_score_mask(cams, scene, prediction, sigma_mode, lam, eps):
     masks = [scene.footprint(c.id).mask for c in cams]
     region = ref_binarize(prediction, sigma_mode)
     D = ref_inverse_distance(cams, masks, scene.grid)
-    return _totals(region, D, ref_diversity(cams, lam, eps), scene.grid)
+    return ref_totals(region, D, ref_diversity(cams, lam, eps), scene.grid)
 
 
 def ref_score_density(cams, scene, prediction, sigma_mode, lam, eps):
     masks = [scene.footprint(c.id).mask for c in cams]
     region = ref_binarize(prediction, sigma_mode)
     D = ref_density_weighted(cams, masks, scene.grid, prediction)
-    return _totals(region, D, ref_diversity(cams, lam, eps), scene.grid)
+    return ref_totals(region, D, ref_diversity(cams, lam, eps), scene.grid)
 
 
 def ref_match_points(predicted, gt, threshold):

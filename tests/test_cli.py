@@ -159,6 +159,19 @@ def test_sweep_score_terms_axis(artifacts, tmp_path):
     assert all(",ok," in r for r in rows[1:])
 
 
+def test_select_rejects_nan_camera_coordinate(artifacts, tmp_path):
+    scene_path, trace_path = artifacts
+    cfg = json.loads(scene_path.read_text())
+    cfg["cameras"][0]["position"][0] = float("nan")
+    bad = tmp_path / "nan_scene.json"
+    bad.write_text(json.dumps(cfg))
+    assert "NaN" in bad.read_text()
+    assert run("select", "--scene", str(bad), "--trace", str(trace_path),
+               "--strategy", "geometric", "--k", "3", "--frames", "4",
+               "--out", str(tmp_path / "sel.json")) == EXIT_VALIDATION
+    assert not (tmp_path / "sel.json").exists()
+
+
 def test_bad_grid_spec_is_validation_error(tmp_path):
     code = run("scene-gen", "--cameras", "4", "--grid", "banana",
                "--out-dir", str(tmp_path))

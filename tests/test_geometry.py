@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from viewsel import (CameraPose, DegenerateAxisError, GroundGrid, Scene,
-                     combined_visibility, ground_axis_and_position,
-                     project_footprint)
+from viewsel import (CameraPose, DegenerateAxisError, GroundGrid,
+                     PredictorConfig, Scene, combined_visibility,
+                     ground_axis_and_position, project_footprint)
 from viewsel.geometry import GridMismatchError
 
 from reference import ref_world_to_cell
@@ -153,6 +153,37 @@ def test_camera_validation():
         CameraPose(id="c", position_3d=(0, 0, 5), yaw=0, pitch=-0.5,
                    horizontal_fov_rad=4.0, vertical_fov_rad=1.0,
                    max_range_m=10.0)
+
+
+def _camera(**overrides):
+    kw = dict(id="c", position_3d=(0.0, 0.0, 5.0), yaw=0.0, pitch=-0.5,
+              horizontal_fov_rad=1.0, vertical_fov_rad=1.0, max_range_m=10.0)
+    return CameraPose(**{**kw, **overrides})
+
+
+NON_FINITE_FIELDS = {
+    "grid.cell_size_m": lambda v: GroundGrid(4, 4, cell_size_m=v),
+    "grid.origin_x": lambda v: GroundGrid(4, 4, origin=(v, 0.0)),
+    "grid.origin_y": lambda v: GroundGrid(4, 4, origin=(0.0, v)),
+    "camera.x": lambda v: _camera(position_3d=(v, 0.0, 5.0)),
+    "camera.y": lambda v: _camera(position_3d=(0.0, v, 5.0)),
+    "camera.z": lambda v: _camera(position_3d=(0.0, 0.0, v)),
+    "camera.yaw": lambda v: _camera(yaw=v),
+    "camera.pitch": lambda v: _camera(pitch=v),
+    "camera.max_range_m": lambda v: _camera(max_range_m=v),
+    **{f"predictor.{name}": (lambda name: lambda v: PredictorConfig(
+        **{name: v}))(name)
+       for name in ("position_jitter_m", "count_noise_rel",
+                    "kernel_sigma_cells", "q_scale", "distance_falloff_m",
+                    "crowding_half")},
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", sorted(NON_FINITE_FIELDS))
+def test_non_finite_parameters_rejected(field, bad):
+    with pytest.raises(ValueError, match="finite"):
+        NON_FINITE_FIELDS[field](bad)
 
 
 def test_combined_visibility_is_union(demo_scene):

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from viewsel import (CameraPose, DensityMap, GroundGrid, Scene,
-                     binarize_density, inverse_distance_field,
-                     score_average_distance, score_density, score_geometric,
-                     score_mask, score_scene_coverage, score_view_diversity)
-from viewsel.scoring import EmptyRegionError, density_weighted_field
+                     binarize_density, inverse_distance_field, score,
+                     score_density, score_geometric, score_mask,
+                     score_scene_coverage, score_view_diversity)
 
 from conftest import random_small_scene
-from reference import (ref_score_density, ref_score_geometric, ref_score_mask)
+from reference import (ref_full_grid_field, ref_score_density,
+                       ref_score_geometric, ref_score_mask, ref_totals)
 
 LAM, EPS = 0.1, 1e-10
 
@@ -148,12 +148,6 @@ def test_empty_region_yields_zero_total(demo_scene):
     assert sb.total == 0.0
 
 
-def test_score_average_distance_empty_region_raises(small_grid):
-    with pytest.raises(EmptyRegionError):
-        score_average_distance(np.zeros(small_grid.shape),
-                               np.zeros(small_grid.shape, dtype=bool))
-
-
 def test_term_subset_drops_factors(demo_scene):
     cams = demo_scene.cameras[:3]
     full = score_geometric(cams, demo_scene)
@@ -179,8 +173,76 @@ def test_density_weighted_field_scales_with_prediction(demo_scene):
     fps = [demo_scene.footprint(c.id) for c in cams]
     base = np.abs(np.random.default_rng(3).normal(
         size=demo_scene.grid.shape))
-    one = density_weighted_field(cams, fps, demo_scene.grid,
-                                 DensityMap(values=base))
-    two = density_weighted_field(cams, fps, demo_scene.grid,
-                                 DensityMap(values=2.0 * base))
+    one = inverse_distance_field(cams, fps, demo_scene.grid, base)
+    two = inverse_distance_field(cams, fps, demo_scene.grid, 2.0 * base)
     assert np.allclose(two, 2.0 * one)
+
+
+def _edge_case_scene():
+    """A nadir camera straight above a cell center (the distance floor),
+    a camera whose footprint is empty, and two oblique cameras."""
+    grid = GroundGrid(height_cells=16, width_cells=20, cell_size_m=0.5)
+
+    def cam(cid, x, y, yaw, pitch, max_range=30.0):
+        return CameraPose(id=cid, position_3d=(x, y, 4.0), yaw=yaw,
+                          pitch=pitch, horizontal_fov_rad=1.2,
+                          vertical_fov_rad=1.0, max_range_m=max_range)
+
+    cams = [cam("nadir", 3.25, 2.75, 0.0, -math.pi / 2),
+            cam("away", -20.0, -20.0, math.pi * 1.25, -0.4, max_range=5.0),
+            cam("a", 0.0, 0.0, 0.6, -0.5),
+            cam("b", 10.0, 8.0, math.pi + 0.5, -0.7)]
+    return Scene(grid=grid, cameras=cams)
+
+
+def test_field_equals_full_grid_formula_exactly():
+    rng = np.random.default_rng(15)
+    edge = _edge_case_scene()
+    assert edge.footprint("away").area_cells == 0
+    assert edge.footprint("nadir").mask[5, 6]  # the cell under the camera
+    scenes = [edge] + [random_small_scene(rng) for _ in range(20)]
+    for scene in scenes:
+        k = int(rng.integers(1, len(scene.cameras) + 1))
+        cams = scene.cameras if scene is edge else [
+            scene.cameras[i] for i in rng.permutation(len(scene.cameras))[:k]]
+        fps = [scene.footprint(c.id) for c in cams]
+        weight = rng.uniform(0.0, 3.0, size=scene.grid.shape)
+        weight[rng.random(scene.grid.shape) < 0.3] = 0.0
+        for w in (None, weight):
+            assert np.array_equal(
+                inverse_distance_field(cams, fps, scene.grid, w),
+                ref_full_grid_field(cams, fps, scene.grid, w))
+
+
+def test_wrapper_totals_equal_full_grid_formula_exactly():
+    rng = np.random.default_rng(16)
+    scenes = [_edge_case_scene()] + [random_small_scene(rng)
+                                     for _ in range(20)]
+    for scene in scenes:
+        cams = scene.cameras[:int(rng.integers(1, len(scene.cameras) + 1))]
+        fps = [scene.footprint(c.id) for c in cams]
+        pred = _random_density(rng, scene.grid)
+        union = scene.visibility_of([c.id for c in cams])
+        crowd = binarize_density(pred, "mean")
+        for got, region, w in (
+                (score_geometric(cams, scene, LAM, EPS), union, None),
+                (score_mask(cams, scene, pred, "mean", LAM, EPS), crowd, None),
+                (score_density(cams, scene, pred, "mean", LAM, EPS), crowd,
+                 pred.values)):
+            field = ref_full_grid_field(cams, fps, scene.grid, w)
+            want = ref_totals(region, field, got.s_vd, scene.grid)
+            assert (got.s_sc, got.s_ad, got.total) == (want[0], want[1],
+                                                       want[3])
+
+
+def test_score_rejects_mismatched_inputs(demo_scene):
+    cams = demo_scene.cameras[:2]
+    wrong = np.ones((3, 3))
+    with pytest.raises(ValueError, match="nonempty"):
+        score([], demo_scene)
+    with pytest.raises(ValueError, match="region"):
+        score(cams, demo_scene, region=wrong > 0)
+    with pytest.raises(ValueError, match="weight"):
+        score(cams, demo_scene, weight=wrong)
+    with pytest.raises(ValueError, match="region"):
+        score_density(cams, demo_scene, DensityMap(values=wrong))
