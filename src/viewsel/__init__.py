@@ -10,9 +10,8 @@ from .geometry import (CameraPose, DegenerateAxisError, FovFootprint,
 from .metrics import (CountingReport, LocalizationReport, counting_metrics,
                       extract_peaks, localization_metrics, match_points)
 from .predictor import (CalibrationState, PredictorConfig, calibrate,
-                        noisy_predict, oracle_predict)
-from .pseudolabels import (PseudoPair, make_modeltrain_pair,
-                           make_training_batch, make_viewsel_pair)
+                        noisy_predict, oracle_predict, training_mae)
+from .pseudolabels import PseudoPair, make_modeltrain_pair, make_viewsel_pair
 from .scoring import (ScoreBreakdown, binarize_density, inverse_distance_field,
                       score, score_density, score_geometric, score_mask,
                       score_scene_coverage, score_view_diversity)

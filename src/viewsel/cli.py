@@ -16,6 +16,7 @@ import csv
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -38,10 +39,6 @@ EXIT_IO = 4
 SWEEP_AXES = ("K", "F", "ScoreTerms", "PseudoStages", "Strategy")
 
 
-class NonConvergenceError(RuntimeError):
-    """Raised when the active loop ends without reaching the view budget."""
-
-
 def _default_out_dir() -> str:
     return os.environ.get("VIEWSEL_OUT_DIR", ".")
 
@@ -62,20 +59,17 @@ def _parse_pair(text: str) -> tuple[int, int]:
         raise ValueError(f"bad range {text!r}, expected lo,hi")
 
 
-def _predictor_from_args(args) -> tuple[str, PredictorConfig]:
-    kind = args.predictor
-    if kind == "oracle":
-        cfg = PredictorConfig(kernel_sigma_cells=args.kernel_sigma,
-                              seed=args.pred_seed)
-    else:
-        cfg = PredictorConfig(miss_rate=args.miss_rate,
-                              position_jitter_m=args.jitter_m,
-                              count_noise_rel=args.count_noise,
-                              kernel_sigma_cells=args.kernel_sigma,
-                              seed=args.pred_seed, q_scale=args.q_scale,
-                              distance_falloff_m=args.falloff_m,
-                              crowding_half=args.crowding_half)
-    return kind, cfg
+def _predictor_from_args(args) -> PredictorConfig:
+    if args.predictor == "oracle":
+        return PredictorConfig(kernel_sigma_cells=args.kernel_sigma,
+                               seed=args.pred_seed)
+    return PredictorConfig(miss_rate=args.miss_rate,
+                           position_jitter_m=args.jitter_m,
+                           count_noise_rel=args.count_noise,
+                           kernel_sigma_cells=args.kernel_sigma,
+                           seed=args.pred_seed, q_scale=args.q_scale,
+                           distance_falloff_m=args.falloff_m,
+                           crowding_half=args.crowding_half)
 
 
 def _add_predictor_args(p: argparse.ArgumentParser) -> None:
@@ -174,7 +168,7 @@ def cmd_select(args) -> int:
     scene = _load_scene(args.scene)
     trace = trace_from_csv(args.trace)
     config = _selection_config_from_args(args)
-    _, predictor = _predictor_from_args(args)
+    predictor = _predictor_from_args(args)
     if config.strategy in ("mask", "density") and args.predictor == "oracle":
         raise ValueError("active strategies need --predictor noisy")
     state, trained = _run_selection(scene, trace, config, predictor)
@@ -200,7 +194,7 @@ def cmd_select(args) -> int:
 
 def _state_from_artifact(scene: Scene, data: dict) -> SelectionState:
     selected = [str(s) for s in data["selected"]]
-    return SelectionState(scene_id="scene", selected=tuple(selected),
+    return SelectionState(selected=tuple(selected),
                           combined_mask=scene.visibility_of(selected),
                           non_converged=bool(data.get("non_converged")))
 
@@ -218,7 +212,7 @@ def cmd_eval(args) -> int:
     if args.use_trained and "predictor_trained" in data:
         predictor = PredictorConfig.from_dict(data["predictor_trained"])
     else:
-        _, predictor = _predictor_from_args(args)
+        predictor = _predictor_from_args(args)
     report = evaluate(scene, trace, state, predictor,
                       threshold_m=args.threshold_m)
     out = report.to_dict()
@@ -267,19 +261,18 @@ def cmd_validate(args) -> int:
 
 def _axis_configs(base: SelectionConfig, axis: str, values: list[str]):
     """Yield (value-label, SelectionConfig) pairs for one sweep axis."""
-    from dataclasses import replace as _rep
     for v in values:
         if axis == "K":
-            yield v, _rep(base, k_max=int(v))
+            yield v, replace(base, k_max=int(v))
         elif axis == "F":
-            yield v, _rep(base, n_frames=int(v))
+            yield v, replace(base, n_frames=int(v))
         elif axis == "ScoreTerms":
             terms = tuple(t for t in v.split("+") if t)
-            yield v, _rep(base, terms=terms)
+            yield v, replace(base, terms=terms)
         elif axis == "PseudoStages":
-            yield v, _rep(base, pseudo_stages=v)
+            yield v, replace(base, pseudo_stages=v)
         elif axis == "Strategy":
-            yield v, _rep(base, strategy=v)
+            yield v, replace(base, strategy=v)
         else:
             raise ValueError(f"unknown sweep axis {axis!r}")
 
@@ -304,7 +297,7 @@ def cmd_sweep(args) -> int:
     scene = _load_scene(args.scene)
     trace = trace_from_csv(args.trace)
     base = _selection_config_from_args(args)
-    _, base_pred = _predictor_from_args(args)
+    base_pred = _predictor_from_args(args)
     values = [v for v in args.values.split(",") if v]
     if not values:
         raise ValueError("no sweep values given")
@@ -314,9 +307,8 @@ def cmd_sweep(args) -> int:
     rows = []
     for label, config in _axis_configs(base, args.axis, values):
         for rep in range(args.repeats):
-            from dataclasses import replace as _rep
-            cell_cfg = _rep(config, seed=config.seed + rep)
-            cell_pred = _rep(base_pred, seed=base_pred.seed + rep)
+            cell_cfg = replace(config, seed=config.seed + rep)
+            cell_pred = replace(base_pred, seed=base_pred.seed + rep)
             cell_spec = {"axis": args.axis, "value": label, "repeat": rep,
                          "selection": cell_cfg.to_dict(),
                          "predictor": cell_pred.to_dict(),

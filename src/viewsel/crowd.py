@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import csv
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -210,15 +209,3 @@ def trace_from_csv(path) -> list[CrowdFrame]:
     return [CrowdFrame(frame_id=fid, persons=by_frame[fid])
             for fid in sorted(by_frame)]
 
-
-def trace_to_json(frames: list[CrowdFrame]) -> list:
-    return [{"frame_id": f.frame_id,
-             "persons": [[p.position[0], p.position[1]] for p in f.persons]}
-            for f in frames]
-
-
-def trace_from_json(data: list) -> list[CrowdFrame]:
-    return [CrowdFrame(frame_id=int(f["frame_id"]),
-                       persons=[Person(position=(float(x), float(y)))
-                                for x, y in f["persons"]])
-            for f in data]

@@ -113,6 +113,8 @@ class CameraPose:
     max_range_m: float
 
     def __post_init__(self):
+        if len(self.position_3d) != 3:
+            raise ValueError(f"camera {self.id} position must have 3 entries")
         require_finite((*self.position_3d, self.yaw, self.pitch,
                         self.max_range_m), f"camera {self.id} pose")
         if not (0.0 < self.horizontal_fov_rad < math.pi):
@@ -212,6 +214,14 @@ def project_footprint(camera: CameraPose, grid: GroundGrid) -> FovFootprint:
             & (np.hypot(X - cx, Y - cy) <= camera.max_range_m))
     return FovFootprint(camera_id=camera.id, mask=mask,
                         area_cells=int(mask.sum()))
+
+
+def floored_distance(x, y, point: tuple[float, float],
+                     grid: GroundGrid) -> np.ndarray:
+    """Ground distance from each (x, y) to point, floored at half a cell to
+    guard inverse-distance terms against the singularity at the point."""
+    return np.maximum(np.hypot(x - point[0], y - point[1]),
+                      grid.cell_size_m / 2.0)
 
 
 def combined_visibility(footprints: list[FovFootprint],

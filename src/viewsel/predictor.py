@@ -4,8 +4,10 @@ The oracle variant returns the exact density of people visible under the
 selected views. The noisy variant degrades the oracle with person misses,
 position jitter, and count scale noise, all attenuated by a calibration
 quality that rises with training exposure. Calibration replaces neural
-training with an exponential learning curve so the active selection loop's
-train-then-add-view gating stays executable.
+training with an exponential learning curve, and `training_mae`, the
+predictor's count error on the labeled frames, stands in for the training
+metric, so the active selection loop's train-then-add-view gating stays
+executable.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from .crowd import (CrowdFrame, DensityMap, Person, rasterize_density,
                     visible_persons)
-from .geometry import Scene, require_finite
+from .geometry import Scene, floored_distance, require_finite
 
 
 @dataclass(frozen=True)
@@ -124,11 +126,10 @@ def noisy_predict(frame: CrowdFrame, selected_visibility: np.ndarray,
         # observation: each covering view contributes inverse-distance signal
         strength = np.zeros(n)
         for cid in selected_ids:
-            cam = scene.camera(cid)
             covered = scene.footprint(cid).mask[rows, cols]
-            d = np.maximum(np.hypot(pos[:, 0] - cam.ground_position[0],
-                                    pos[:, 1] - cam.ground_position[1]),
-                           scene.grid.cell_size_m / 2.0)
+            d = floored_distance(pos[:, 0], pos[:, 1],
+                                 scene.camera(cid).ground_position,
+                                 scene.grid)
             strength += covered / d
         miss_p *= crowding / (1.0 + config.distance_falloff_m * strength)
     keep = rng.random(n) >= miss_p
@@ -146,34 +147,31 @@ def noisy_predict(frame: CrowdFrame, selected_visibility: np.ndarray,
     return DensityMap(values=dm.values * scale)
 
 
-def calibrate(config: PredictorConfig, newly_labeled_view_frames: float,
-              scene: Scene | None = None,
-              frames: list[CrowdFrame] | None = None,
-              visibility: np.ndarray | None = None,
-              selected_ids: list[str] | None = None
-              ) -> tuple[PredictorConfig, float | None]:
-    """Credit training exposure and update quality on the learning curve.
-
-    quality = 1 - exp(-labeled_view_frames / q_scale). When scene context is
-    supplied, also returns the simulated training metric: the MAE of the
-    updated noisy predictor's counts against the training (selected-view)
-    GT counts over the given frames, i.e. against the people the supplied
-    visibility actually covers.
-    """
+def calibrate(config: PredictorConfig,
+              newly_labeled_view_frames: float) -> PredictorConfig:
+    """Credit training exposure and update quality on the learning curve:
+    quality = 1 - exp(-labeled_view_frames / q_scale)."""
     if newly_labeled_view_frames < 0:
         raise ValueError("newly_labeled_view_frames must be >= 0")
     labeled = config.calibration.labeled_view_frames + newly_labeled_view_frames
     quality = 1.0 - math.exp(-labeled / config.q_scale)
-    updated = replace(config,
-                      calibration=CalibrationState(labeled_view_frames=labeled,
-                                                   quality=quality))
-    metric = None
-    if scene is not None and frames is not None and visibility is not None:
-        errors = []
-        for frame in frames:
-            pred = noisy_predict(frame, visibility, scene, updated,
-                                 selected_ids=selected_ids)
-            covered = len(visible_persons(frame, visibility, scene.grid))
-            errors.append(abs(pred.total - covered))
-        metric = float(np.mean(errors)) if errors else None
-    return updated, metric
+    return replace(config,
+                   calibration=CalibrationState(labeled_view_frames=labeled,
+                                                quality=quality))
+
+
+def training_mae(scene: Scene, frames: list[CrowdFrame],
+                 visibility: np.ndarray, config: PredictorConfig,
+                 selected_ids: list[str]) -> float:
+    """The simulated training metric: the MAE of the noisy predictor's
+    counts against the training (selected-view) GT counts over the given
+    frames, i.e. against the people the visibility actually covers."""
+    if not frames:
+        raise ValueError("frames must be nonempty")
+    errors = []
+    for frame in frames:
+        pred = noisy_predict(frame, visibility, scene, config,
+                             selected_ids=selected_ids)
+        covered = len(visible_persons(frame, visibility, scene.grid))
+        errors.append(abs(pred.total - covered))
+    return float(np.mean(errors))

@@ -1,10 +1,15 @@
 """Pseudo-supervision pairs mixing selected and unselected views.
 
-Two kinds exist: view-selection-stage pairs (selected group plus one random
-unselected view, supervised inside the selected group's FOV union) and
-model-training-stage pairs (one selected plus K-1 unselected views,
-supervised inside the intersection of the selected union and the pseudo
-inputs' union).
+This module is the contract that a pseudo-label pair must meet; the
+selection pipelines do not build pairs. They model pseudo-label
+supervision as fractional view-frame credit (`selection._epoch_credit`).
+
+Two kinds of pair exist: view-selection-stage pairs (selected group plus
+one random unselected view, supervised inside the selected group's FOV
+union) and model-training-stage pairs (one selected plus K-1 unselected
+views, supervised inside the intersection of the selected union and the
+pseudo inputs' union). Either pair's ground truth is zero outside its loss
+mask.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ from .selection import SelectionState
 
 STAGE_VIEWSEL = "viewsel"
 STAGE_MODELTRAIN = "modeltrain"
-STAGE_REAL = "real"
 
 
 @dataclass(frozen=True)
@@ -34,11 +38,6 @@ class PseudoPair:
         if (self.gt_density.values[~self.loss_mask] != 0.0).any():
             raise ValueError("gt_density must be zero outside loss_mask")
 
-    def manifest_entry(self) -> dict:
-        return {"input_view_ids": list(self.input_view_ids),
-                "stage": self.stage,
-                "gt_sum": self.gt_density.total}
-
 
 def _selected_gt(state: SelectionState, scene: Scene, frame: CrowdFrame,
                  kernel_sigma_cells: float,
@@ -50,15 +49,13 @@ def _selected_gt(state: SelectionState, scene: Scene, frame: CrowdFrame,
 
 def make_viewsel_pair(state: SelectionState, scene: Scene, frame: CrowdFrame,
                       rng: np.random.Generator,
-                      kernel_sigma_cells: float = 1.0,
-                      exclude: set[str] | None = None) -> PseudoPair:
+                      kernel_sigma_cells: float = 1.0) -> PseudoPair:
     """Selected group plus one random unselected view; GT is the selected
     group's covered-crowd density, masked by the group's FOV union."""
     unselected = sorted(set(scene.camera_ids) - set(state.selected))
     if not unselected:
         raise ValueError("no unselected cameras available")
-    pool = [c for c in unselected if not exclude or c not in exclude] or unselected
-    extra = pool[int(rng.integers(len(pool)))]
+    extra = unselected[int(rng.integers(len(unselected)))]
     loss_mask = state.combined_mask
     gt = _selected_gt(state, scene, frame, kernel_sigma_cells, loss_mask)
     return PseudoPair(input_view_ids=tuple(state.selected) + (extra,),
@@ -67,8 +64,7 @@ def make_viewsel_pair(state: SelectionState, scene: Scene, frame: CrowdFrame,
 
 def make_modeltrain_pair(state: SelectionState, scene: Scene,
                          frame: CrowdFrame, rng: np.random.Generator,
-                         kernel_sigma_cells: float = 1.0,
-                         exclude: set[str] | None = None) -> PseudoPair:
+                         kernel_sigma_cells: float = 1.0) -> PseudoPair:
     """One random selected view plus K-1 random unselected views; GT is the
     K-selected-view density, masked by the intersection of the selected FOV
     union and the pseudo inputs' FOV union."""
@@ -77,44 +73,11 @@ def make_modeltrain_pair(state: SelectionState, scene: Scene,
     if len(unselected) < k - 1:
         raise ValueError(f"need {k - 1} unselected cameras, have {len(unselected)}")
     kept = state.selected[int(rng.integers(k))]
-    pool = [c for c in unselected if not exclude or c not in exclude]
-    if len(pool) < k - 1:
-        pool = unselected
-    picks = [pool[i] for i in rng.choice(len(pool), size=k - 1, replace=False)]
+    picks = [unselected[i]
+             for i in rng.choice(len(unselected), size=k - 1, replace=False)]
     inputs = (kept,) + tuple(picks)
     pseudo_union = scene.visibility_of(list(inputs))
     loss_mask = state.combined_mask & pseudo_union
     gt = _selected_gt(state, scene, frame, kernel_sigma_cells, loss_mask)
     return PseudoPair(input_view_ids=inputs, gt_density=gt,
                       loss_mask=loss_mask, stage=STAGE_MODELTRAIN)
-
-
-def make_training_batch(state: SelectionState, scene: Scene,
-                        frames: list[CrowdFrame], rng: np.random.Generator,
-                        ratio: tuple[int, int] = (1, 1),
-                        kernel_sigma_cells: float = 1.0) -> list[PseudoPair]:
-    """Interleave real labeled pairs and model-training pseudo pairs at the
-    given real:pseudo ratio, per frame. Unselected views already used for
-    pseudo inputs in this batch are avoided until the pool is exhausted."""
-    n_real, n_pseudo = ratio
-    if n_real < 0 or n_pseudo < 0:
-        raise ValueError("ratio parts must be nonnegative")
-    batch: list[PseudoPair] = []
-    used: set[str] = set()
-    n_unselected = len(scene.camera_ids) - len(state.selected)
-    for frame in frames:
-        for _ in range(n_real):
-            gt = _selected_gt(state, scene, frame, kernel_sigma_cells,
-                              state.combined_mask)
-            batch.append(PseudoPair(input_view_ids=tuple(state.selected),
-                                    gt_density=gt,
-                                    loss_mask=state.combined_mask,
-                                    stage=STAGE_REAL))
-        for _ in range(n_pseudo):
-            if n_unselected - len(used) < len(state.selected) - 1:
-                used = set()
-            pair = make_modeltrain_pair(state, scene, frame, rng,
-                                        kernel_sigma_cells, exclude=used)
-            used.update(set(pair.input_view_ids) - set(state.selected))
-            batch.append(pair)
-    return batch

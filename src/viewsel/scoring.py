@@ -21,7 +21,7 @@ import numpy as np
 from .crowd import DensityMap
 from .geometry import (CameraPose, DegenerateAxisError, FovFootprint,
                        GroundGrid, Scene, combined_visibility,
-                       ground_axis_and_position)
+                       floored_distance, ground_axis_and_position)
 
 DEFAULT_LAMBDA = 0.1
 DEFAULT_EPSILON = 1e-10
@@ -57,7 +57,7 @@ def inverse_distance_field(selected: list[CameraPose],
     only inside its own footprint; weight None means unit weight.
 
     Distances run from cell centers to the camera's ground position and are
-    floored at half a cell to guard the inverse-distance singularity.
+    floored at half a cell (geometry.floored_distance).
     """
     if not selected:
         raise ValueError("selected must be nonempty")
@@ -69,9 +69,7 @@ def inverse_distance_field(selected: list[CameraPose],
     field = np.zeros(grid.shape)
     for cam, fp in zip(selected, footprints):
         cells = fp.mask
-        cx, cy = cam.ground_position
-        d = np.maximum(np.hypot(X[cells] - cx, Y[cells] - cy),
-                       grid.cell_size_m / 2.0)
+        d = floored_distance(X[cells], Y[cells], cam.ground_position, grid)
         field[cells] += (1.0 if weight is None else weight[cells]) / d
     return field
 

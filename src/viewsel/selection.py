@@ -5,14 +5,14 @@ independent and active pipelines, random baselines, and a brute-force oracle.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .crowd import CrowdFrame, DensityMap, cover_rate, rasterize_density, \
-    visible_persons
+from .crowd import CrowdFrame, DensityMap, cover_rate, visible_persons
 from .geometry import Scene
-from .predictor import PredictorConfig, calibrate, noisy_predict, oracle_predict
+from .predictor import (PredictorConfig, calibrate, noisy_predict,
+                        oracle_predict, training_mae)
 from .scoring import (ALL_TERMS, DEFAULT_EPSILON, DEFAULT_LAMBDA,
                       ScoreBreakdown, binarize_density, score)
 
@@ -63,7 +63,6 @@ class SelectionConfig:
 class SelectionState:
     """Ordered selected-view group with its cached combined visibility."""
 
-    scene_id: str
     selected: tuple[str, ...]
     combined_mask: np.ndarray
     history: tuple[tuple[str, ScoreBreakdown | None], ...] = ()
@@ -75,7 +74,7 @@ class SelectionState:
             raise ValueError("selected views must be unique")
 
     def to_dict(self) -> dict:
-        return {"scene_id": self.scene_id, "selected": list(self.selected),
+        return {"selected": list(self.selected),
                 "non_converged": self.non_converged,
                 "history": [
                     {"added_id": cid,
@@ -85,15 +84,10 @@ class SelectionState:
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Manifest of labeled (frame, view) pairs plus selected-view GT rasters."""
+    """The labeled budget: every selected view on every selected frame."""
 
     frame_ids: tuple[int, ...]
     camera_ids: tuple[str, ...]
-    gt_density: dict[int, DensityMap] = field(default_factory=dict)
-
-    @property
-    def pairs(self) -> list[tuple[int, str]]:
-        return [(f, c) for f in self.frame_ids for c in self.camera_ids]
 
     @property
     def budget_images(self) -> int:
@@ -101,8 +95,7 @@ class LabeledDataset:
 
 
 def _initial_state(scene: Scene, first_id: str) -> SelectionState:
-    return SelectionState(scene_id="scene",
-                          selected=(first_id,),
+    return SelectionState(selected=(first_id,),
                           combined_mask=scene.visibility_of([first_id]),
                           history=((first_id, None),))
 
@@ -208,19 +201,6 @@ def _frames_by_id(trace: list[CrowdFrame], ids: list[int]) -> list[CrowdFrame]:
     return [by_id[i] for i in ids]
 
 
-def _build_dataset(scene: Scene, frames: list[CrowdFrame],
-                   state: SelectionState,
-                   kernel_sigma_cells: float) -> LabeledDataset:
-    gt = {}
-    for frame in frames:
-        vis = visible_persons(frame, state.combined_mask, scene.grid)
-        gt[frame.frame_id] = rasterize_density(
-            CrowdFrame(frame_id=frame.frame_id, persons=vis),
-            scene.grid, kernel_sigma_cells, mask=state.combined_mask)
-    return LabeledDataset(frame_ids=tuple(f.frame_id for f in frames),
-                          camera_ids=tuple(state.selected), gt_density=gt)
-
-
 def mean_prediction(scene: Scene, frames: list[CrowdFrame],
                     visibility: np.ndarray,
                     predictor: PredictorConfig,
@@ -296,8 +276,7 @@ def run_ivs(scene: Scene, trace: list[CrowdFrame], config: SelectionConfig,
     k = min(config.k_max, len(scene.cameras))
     while len(state.selected) < k:
         state = add_view(scene, state, _score_fn(scene, config))
-    dataset = _build_dataset(scene, frames, state, sigma)
-    return state, dataset
+    return state, LabeledDataset(tuple(frame_ids), state.selected)
 
 
 def run_avs(scene: Scene, trace: list[CrowdFrame], config: SelectionConfig,
@@ -333,15 +312,13 @@ def run_avs(scene: Scene, trace: list[CrowdFrame], config: SelectionConfig,
             credit = _epoch_credit(camera_credit, f, state.selected, config,
                                    "modeltrain" if pseudo_modeltrain
                                    else "off")
-            predictor, _ = calibrate(predictor, credit)
+            predictor = calibrate(predictor, credit)
             continue
         credit = _epoch_credit(camera_credit, f, state.selected, config,
                                "viewsel" if pseudo_viewsel else "off")
-        predictor, metric = calibrate(predictor, credit, scene=scene,
-                                      frames=frames,
-                                      visibility=state.combined_mask,
-                                      selected_ids=list(state.selected))
-        if metric is not None and metric <= config.tau:
+        predictor = calibrate(predictor, credit)
+        if training_mae(scene, frames, state.combined_mask, predictor,
+                        list(state.selected)) <= config.tau:
             m_avg = mean_prediction(scene, frames, state.combined_mask,
                                     predictor, list(state.selected))
             state = add_view(scene, state, _score_fn(scene, config, m_avg))
@@ -352,9 +329,8 @@ def run_avs(scene: Scene, trace: list[CrowdFrame], config: SelectionConfig,
     for _ in range(config.epochs):
         credit = _epoch_credit(camera_credit, f, state.selected, config,
                                "modeltrain" if pseudo_modeltrain else "off")
-        predictor, _ = calibrate(predictor, credit)
-    dataset = _build_dataset(scene, frames, state, predictor.kernel_sigma_cells)
-    return state, dataset, predictor
+        predictor = calibrate(predictor, credit)
+    return state, LabeledDataset(tuple(frame_ids), state.selected), predictor
 
 
 def train_after_selection(scene: Scene, frames: list[CrowdFrame],
@@ -369,59 +345,36 @@ def train_after_selection(scene: Scene, frames: list[CrowdFrame],
     for _ in range(config.epochs):
         credit = _epoch_credit(camera_credit, len(frames), state.selected,
                                config, "modeltrain" if pseudo else "off")
-        predictor, _ = calibrate(predictor, credit)
+        predictor = calibrate(predictor, credit)
     return predictor
 
 
-def random_select(scene: Scene, k: int, seed: int,
-                  mode: str = "at_once") -> SelectionState:
-    """Uniform random baseline; "at_once" samples a k-subset directly,
-    "one_by_one" draws views sequentially (same law, different draw path)."""
+def random_select(scene: Scene, k: int, seed: int) -> SelectionState:
+    """Uniform random baseline: a k-subset sampled at once."""
     if k > len(scene.cameras):
         raise ValueError("k exceeds camera count")
     rng = np.random.default_rng(seed)
-    ids = sorted(scene.camera_ids)
-    if mode == "at_once":
-        chosen = list(rng.choice(ids, size=k, replace=False))
-    elif mode == "one_by_one":
-        chosen = []
-        pool = list(ids)
-        for _ in range(k):
-            pick = pool[int(rng.integers(len(pool)))]
-            chosen.append(pick)
-            pool.remove(pick)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    chosen = [str(c) for c in chosen]
+    chosen = [str(c) for c in rng.choice(sorted(scene.camera_ids), size=k,
+                                         replace=False)]
     history = tuple((cid, None) for cid in chosen)
-    return SelectionState(scene_id="scene", selected=tuple(chosen),
+    return SelectionState(selected=tuple(chosen),
                           combined_mask=scene.visibility_of(chosen),
                           history=history)
 
 
 def brute_force_best(scene: Scene, trace: list[CrowdFrame], k: int,
-                     objective: str = "cover_rate",
-                     lam: float = DEFAULT_LAMBDA,
-                     eps: float = DEFAULT_EPSILON,
                      budget: int = 50_000) -> tuple[tuple[str, ...], float]:
-    """Exhaustive maximization over all k-subsets (ties by lexicographic id)."""
+    """Exhaustive maximization of the cover rate over all k-subsets (ties
+    by lexicographic id)."""
     n = len(scene.cameras)
     n_subsets = 1
     for i in range(k):
         n_subsets = n_subsets * (n - i) // (i + 1)
     if n_subsets > budget:
         raise ValueError(f"{n_subsets} subsets exceed budget {budget}")
-    ids = sorted(scene.camera_ids)
-    geometric = _score_fn(scene, SelectionConfig(lam=lam, epsilon=eps))
     best_set, best_val = None, -np.inf
-    for subset in itertools.combinations(ids, k):
-        if objective == "cover_rate":
-            val = cover_rate(trace, scene.visibility_of(list(subset)),
-                             scene.grid)
-        elif objective == "geometric_score":
-            val = geometric(subset).total
-        else:
-            raise ValueError(f"unknown objective {objective!r}")
+    for subset in itertools.combinations(sorted(scene.camera_ids), k):
+        val = cover_rate(trace, scene.visibility_of(list(subset)), scene.grid)
         if val > best_val:
             best_set, best_val = subset, val
     return best_set, float(best_val)

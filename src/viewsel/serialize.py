@@ -1,5 +1,5 @@
-"""Deterministic serialization helpers: canonical JSON, mask RLE, spec
-hashes, and PGM heatmaps."""
+"""Deterministic serialization helpers: canonical JSON, spec hashes, and
+PGM heatmaps."""
 
 from __future__ import annotations
 
@@ -28,30 +28,6 @@ def read_json(path):
 def spec_hash(obj) -> str:
     """Short stable hash of a serializable configuration object."""
     return hashlib.sha256(canonical_json(obj).encode()).hexdigest()[:16]
-
-
-def rle_encode(mask: np.ndarray) -> dict:
-    """Row-major run-length encoding of a boolean mask. The first run has the
-    value of `first`; runs alternate thereafter."""
-    flat = np.asarray(mask, dtype=bool).ravel()
-    if flat.size == 0:
-        return {"shape": list(mask.shape), "first": False, "runs": []}
-    changes = np.flatnonzero(flat[1:] != flat[:-1]) + 1
-    bounds = np.concatenate(([0], changes, [flat.size]))
-    runs = np.diff(bounds).tolist()
-    return {"shape": list(mask.shape), "first": bool(flat[0]), "runs": runs}
-
-
-def rle_decode(encoded: dict) -> np.ndarray:
-    shape = tuple(encoded["shape"])
-    flat = np.zeros(int(np.prod(shape)) if shape else 0, dtype=bool)
-    value = bool(encoded["first"])
-    pos = 0
-    for run in encoded["runs"]:
-        flat[pos:pos + run] = value
-        pos += run
-        value = not value
-    return flat.reshape(shape)
 
 
 def write_pgm(path, values: np.ndarray) -> None:

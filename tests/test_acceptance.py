@@ -119,8 +119,7 @@ def test_criterion_3_greedy_vs_brute_force():
         cfg = SelectionConfig(k_max=3, n_frames=3, strategy="geometric")
         state, _ = run_ivs(scene, trace, cfg)
         greedy_cr = cover_rate(trace, state.combined_mask, scene.grid)
-        _, best_cr = brute_force_best(scene, trace, k=3,
-                                      objective="cover_rate")
+        _, best_cr = brute_force_best(scene, trace, k=3)
         if greedy_cr >= 0.90 * best_cr:
             good += 1
     dt = time.time() - t0

@@ -172,6 +172,43 @@ def test_select_rejects_nan_camera_coordinate(artifacts, tmp_path):
     assert not (tmp_path / "sel.json").exists()
 
 
+@pytest.mark.parametrize("command", ["select", "validate"])
+def test_two_entry_camera_position_is_validation_error(artifacts, tmp_path,
+                                                        command):
+    scene_path, trace_path = artifacts
+    cfg = json.loads(scene_path.read_text())
+    del cfg["cameras"][0]["position"][2]
+    bad = tmp_path / "short_scene.json"
+    bad.write_text(json.dumps(cfg))
+    args = ["--scene", str(bad), "--trace", str(trace_path)]
+    if command == "select":
+        args += ["--k", "3", "--frames", "4",
+                 "--out", str(tmp_path / "sel.json")]
+    assert run(command, *args) == EXIT_VALIDATION
+
+
+def test_eval_and_validate_accept_artifact_with_scene_id(artifacts, tmp_path):
+    scene_path, trace_path = artifacts
+    sel = tmp_path / "sel.json"
+    assert run("select", "--scene", str(scene_path), "--trace",
+               str(trace_path), "--k", "3", "--frames", "4",
+               "--out", str(sel)) == EXIT_OK
+    data = json.loads(sel.read_text())
+    assert "scene_id" not in data
+    old = tmp_path / "old_sel.json"
+    old.write_text(json.dumps(dict(data, scene_id="scene")))
+    reports = []
+    for path in (sel, old):
+        report = tmp_path / f"report_{path.stem}.json"
+        assert run("eval", "--scene", str(scene_path), "--trace",
+                   str(trace_path), "--selection", str(path),
+                   "--use-trained", "--out", str(report)) == EXIT_OK
+        assert run("validate", "--scene", str(scene_path), "--trace",
+                   str(trace_path), "--selection", str(path)) == EXIT_OK
+        reports.append(report.read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_bad_grid_spec_is_validation_error(tmp_path):
     code = run("scene-gen", "--cameras", "4", "--grid", "banana",
                "--out-dir", str(tmp_path))

@@ -5,8 +5,7 @@ import pytest
 
 from viewsel import (CrowdFrame, DensityMap, Person, cover_rate,
                      generate_crowd_trace, rasterize_density, visible_persons)
-from viewsel.crowd import (UndefinedCoverRateError, trace_from_csv,
-                           trace_from_json, trace_to_csv, trace_to_json)
+from viewsel.crowd import UndefinedCoverRateError, trace_from_csv, trace_to_csv
 
 
 def _frame(points, fid=0):
@@ -18,7 +17,7 @@ def _frame(points, fid=0):
 def test_trace_is_deterministic(small_grid):
     a = generate_crowd_trace(small_grid, 5, (10, 30), 0.8, seed=3)
     b = generate_crowd_trace(small_grid, 5, (10, 30), 0.8, seed=3)
-    assert trace_to_json(a) == trace_to_json(b)
+    assert a == b
 
 
 def test_trace_counts_and_bounds(small_grid):
@@ -123,7 +122,7 @@ def test_trace_csv_round_trip(small_grid, tmp_path):
     path = tmp_path / "trace.csv"
     trace_to_csv(trace, path)
     back = trace_from_csv(path)
-    assert trace_to_json(back) == trace_to_json(trace)
+    assert back == trace
 
 
 def test_trace_csv_round_trip_keeps_empty_frames(tmp_path):
@@ -134,7 +133,7 @@ def test_trace_csv_round_trip_keeps_empty_frames(tmp_path):
     assert path.read_text().splitlines()[2] == "1,,,"
     back = trace_from_csv(path)
     assert [f.frame_id for f in back] == [0, 1, 2, 3]
-    assert trace_to_json(back) == trace_to_json(trace)
+    assert back == trace
 
 
 def test_trace_csv_is_byte_stable(small_grid, tmp_path):
@@ -143,9 +142,3 @@ def test_trace_csv_is_byte_stable(small_grid, tmp_path):
     trace_to_csv(trace, p1)
     trace_to_csv(trace, p2)
     assert p1.read_bytes() == p2.read_bytes()
-
-
-def test_trace_json_round_trip(small_grid):
-    trace = generate_crowd_trace(small_grid, 3, (0, 5), 0.0, seed=2)
-    assert trace_to_json(trace_from_json(trace_to_json(trace))) \
-        == trace_to_json(trace)

@@ -8,7 +8,7 @@ from viewsel.selection import SelectionState
 
 def _full_state(scene):
     sel = tuple(scene.camera_ids)
-    return SelectionState(scene_id="scene", selected=sel,
+    return SelectionState(selected=sel,
                           combined_mask=np.ones(scene.grid.shape, dtype=bool))
 
 
@@ -23,7 +23,7 @@ def test_oracle_full_coverage_near_zero_mae(demo_scene):
 def test_empty_visibility_mae_is_mean_count(demo_scene):
     trace = generate_crowd_trace(demo_scene.grid, 5, (20, 40), 0.6, seed=3)
     state = SelectionState(
-        scene_id="scene", selected=(demo_scene.camera_ids[0],),
+        selected=(demo_scene.camera_ids[0],),
         combined_mask=np.zeros(demo_scene.grid.shape, dtype=bool))
     report = evaluate(demo_scene, trace, state, PredictorConfig())
     mean_count = np.mean([len(f.persons) for f in trace])

@@ -153,6 +153,10 @@ def test_camera_validation():
         CameraPose(id="c", position_3d=(0, 0, 5), yaw=0, pitch=-0.5,
                    horizontal_fov_rad=4.0, vertical_fov_rad=1.0,
                    max_range_m=10.0)
+    with pytest.raises(ValueError, match="position must have 3 entries"):
+        CameraPose(id="c", position_3d=(0, 5), yaw=0, pitch=-0.5,
+                   horizontal_fov_rad=1.0, vertical_fov_rad=1.0,
+                   max_range_m=10.0)
 
 
 def _camera(**overrides):

@@ -3,7 +3,7 @@ import pytest
 
 from viewsel import (CalibrationState, CrowdFrame, Person, PredictorConfig,
                      calibrate, generate_crowd_trace, noisy_predict,
-                     oracle_predict, visible_persons)
+                     oracle_predict, training_mae, visible_persons)
 
 
 def _full(scene):
@@ -94,11 +94,10 @@ def test_observed_people_are_missed_less(demo_scene):
 
 def test_calibrate_learning_curve():
     cfg = PredictorConfig(miss_rate=0.5, q_scale=100.0)
-    cfg, metric = calibrate(cfg, 50.0)
-    assert metric is None
+    cfg = calibrate(cfg, 50.0)
     assert cfg.calibration.labeled_view_frames == 50.0
     assert cfg.calibration.quality == pytest.approx(1.0 - np.exp(-0.5))
-    cfg, _ = calibrate(cfg, 50.0)
+    cfg = calibrate(cfg, 50.0)
     assert cfg.calibration.quality == pytest.approx(1.0 - np.exp(-1.0))
 
 
@@ -106,7 +105,7 @@ def test_calibrate_quality_monotone_and_bounded():
     cfg = PredictorConfig(q_scale=30.0)
     last = 0.0
     for _ in range(20):
-        cfg, _ = calibrate(cfg, 10.0)
+        cfg = calibrate(cfg, 10.0)
         assert last <= cfg.calibration.quality < 1.0
         last = cfg.calibration.quality
 
@@ -116,11 +115,13 @@ def test_calibrate_metric_against_covered_people(demo_scene):
     vis = demo_scene.visibility_of(demo_scene.camera_ids[:3])
     cfg = PredictorConfig(miss_rate=0.0, count_noise_rel=0.0,
                           position_jitter_m=0.0)
-    _, metric = calibrate(cfg, 0.0, scene=demo_scene, frames=frames,
-                          visibility=vis)
+    metric = training_mae(demo_scene, frames, vis, cfg,
+                          demo_scene.camera_ids[:3])
     # noise-free predictor counts the covered people, up to kernel-tail
     # clipping at the visibility boundary
     assert metric == pytest.approx(0.0, abs=2.0)
+    with pytest.raises(ValueError):
+        training_mae(demo_scene, [], vis, cfg, demo_scene.camera_ids[:3])
 
 
 def test_calibrate_rejects_negative_credit():

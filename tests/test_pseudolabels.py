@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 
 from viewsel import (PredictorConfig, SelectionConfig, generate_crowd_trace,
-                     make_modeltrain_pair, make_training_batch,
-                     make_viewsel_pair, random_select)
-from viewsel.pseudolabels import (STAGE_MODELTRAIN, STAGE_REAL, STAGE_VIEWSEL,
-                                  PseudoPair)
+                     make_modeltrain_pair, make_viewsel_pair, random_select)
+from viewsel.pseudolabels import STAGE_MODELTRAIN, STAGE_VIEWSEL, PseudoPair
 from viewsel.crowd import DensityMap
 
 
@@ -48,7 +46,7 @@ def test_pair_rejects_gt_outside_mask(small_grid):
     gt = np.ones(small_grid.shape)
     with pytest.raises(ValueError):
         PseudoPair(input_view_ids=("a",), gt_density=DensityMap(values=gt),
-                   loss_mask=mask, stage=STAGE_REAL)
+                   loss_mask=mask, stage=STAGE_VIEWSEL)
 
 
 def test_viewsel_pair_needs_unselected(setup):
@@ -56,28 +54,6 @@ def test_viewsel_pair_needs_unselected(setup):
     full = random_select(scene, len(scene.cameras), seed=0)
     with pytest.raises(ValueError):
         make_viewsel_pair(full, scene, trace[0], np.random.default_rng(0))
-
-
-def test_training_batch_ratio_and_stages(setup):
-    scene, trace, state = setup
-    rng = np.random.default_rng(3)
-    batch = make_training_batch(state, scene, trace, rng, ratio=(2, 1))
-    assert len(batch) == len(trace) * 3
-    reals = [p for p in batch if p.stage == STAGE_REAL]
-    pseudos = [p for p in batch if p.stage == STAGE_MODELTRAIN]
-    assert len(reals) == len(trace) * 2
-    assert len(pseudos) == len(trace)
-    for p in reals:
-        assert p.input_view_ids == state.selected
-
-
-def test_training_batch_avoids_reusing_views_until_pool_exhausted(setup):
-    scene, trace, state = setup
-    rng = np.random.default_rng(4)
-    batch = make_training_batch(state, scene, trace[:1], rng, ratio=(0, 1))
-    used = [set(p.input_view_ids) - set(state.selected) for p in batch]
-    # a single pseudo pair per frame can always draw fresh views here
-    assert all(u for u in used)
 
 
 def test_pair_determinism(setup):

@@ -1,0 +1,89 @@
+"""Property-based round trips through the scene, trace and selection
+artifacts, each through its on-disk text form."""
+
+import json
+import math
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from viewsel import CameraPose, CrowdFrame, GroundGrid, Person, Scene
+from viewsel.cli import _state_from_artifact
+from viewsel.crowd import trace_from_csv, trace_to_csv
+from viewsel.selection import SelectionState
+from viewsel.serialize import canonical_json
+
+from conftest import random_small_scene
+
+finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def scenes(draw):
+    grid = GroundGrid(height_cells=draw(st.integers(1, 25)),
+                      width_cells=draw(st.integers(1, 25)),
+                      cell_size_m=draw(st.floats(0.05, 5.0)),
+                      origin=(draw(finite), draw(finite)))
+    ox, oy = grid.origin
+    ex, ey = grid.extent_m
+    cameras = [CameraPose(id=f"cam{i}",
+                          position_3d=(draw(st.floats(ox - 5, ox + ex + 5)),
+                                       draw(st.floats(oy - 5, oy + ey + 5)),
+                                       draw(st.floats(0.1, 50.0))),
+                          yaw=draw(st.floats(-math.pi, math.pi)),
+                          pitch=draw(st.floats(-math.pi / 2, 0.5)),
+                          horizontal_fov_rad=draw(st.floats(0.05, 3.0)),
+                          vertical_fov_rad=draw(st.floats(0.05, 3.0)),
+                          max_range_m=draw(st.floats(0.1, 100.0)))
+               for i in range(draw(st.integers(0, 5)))]
+    return Scene(grid=grid, cameras=cameras)
+
+
+@given(scenes())
+@settings(max_examples=100, deadline=None)
+def test_scene_config_round_trip(scene):
+    back = Scene.from_config(json.loads(canonical_json(scene.to_config())))
+    assert back.grid == scene.grid
+    assert back.cameras == scene.cameras
+    for a, b in zip(back.footprints, scene.footprints):
+        assert a.camera_id == b.camera_id
+        assert np.array_equal(a.mask, b.mask)
+
+
+frames = st.lists(
+    st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                       st.floats(allow_nan=False, allow_infinity=False)),
+             max_size=6),
+    max_size=6)
+
+
+@given(frames, st.integers(0, 1000))
+@settings(max_examples=100, deadline=None)
+def test_trace_csv_round_trip(people_per_frame, first_id):
+    trace = [CrowdFrame(frame_id=first_id + 3 * k,
+                        persons=[Person(position=p) for p in people])
+             for k, people in enumerate(people_per_frame)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.csv"
+        trace_to_csv(trace, path)
+        assert trace_from_csv(path) == trace
+
+
+@given(st.integers(0, 2 ** 31 - 1), st.data())
+@settings(max_examples=50, deadline=None)
+def test_selection_artifact_round_trip(seed, data):
+    scene = random_small_scene(np.random.default_rng(seed))
+    selected = data.draw(st.lists(st.sampled_from(scene.camera_ids),
+                                  min_size=1, unique=True))
+    state = SelectionState(selected=tuple(selected),
+                           combined_mask=scene.visibility_of(selected),
+                           non_converged=data.draw(st.booleans()))
+    artifact = json.loads(canonical_json(state.to_dict()))
+    if data.draw(st.booleans()):
+        artifact["scene_id"] = "scene"  # written by older versions
+    back = _state_from_artifact(scene, artifact)
+    assert back.selected == state.selected
+    assert back.non_converged == state.non_converged
+    assert np.array_equal(back.combined_mask, state.combined_mask)

@@ -113,16 +113,13 @@ def test_random_select_reproducible_and_valid(demo_scene):
     assert a.selected == b.selected
     assert len(set(a.selected)) == 3
     assert all(c in demo_scene.camera_ids for c in a.selected)
-    c = random_select(demo_scene, 3, seed=2, mode="one_by_one")
-    assert len(set(c.selected)) == 3
     with pytest.raises(ValueError):
         random_select(demo_scene, 99, seed=0)
 
 
 def test_brute_force_agrees_with_enumeration(demo_scene):
     trace = _trace(demo_scene, n=3)
-    subset, val = brute_force_best(demo_scene, trace, k=2,
-                                   objective="cover_rate")
+    subset, val = brute_force_best(demo_scene, trace, k=2)
     # verify optimality directly
     import itertools
     best = max(itertools.combinations(sorted(demo_scene.camera_ids), 2),

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from viewsel.serialize import (canonical_json, read_json, rle_decode,
-                               rle_encode, spec_hash, write_json, write_pgm)
+from viewsel.serialize import (canonical_json, read_json, spec_hash,
+                               write_json, write_pgm)
 
 
 def test_canonical_json_sorts_keys():
@@ -30,23 +30,6 @@ def test_spec_hash_stable_and_order_insensitive():
     b = spec_hash({"y": [2, 3], "x": 1})
     assert a == b and len(a) == 16
     assert spec_hash({"x": 2}) != a
-
-
-def test_rle_round_trip_random_masks():
-    rng = np.random.default_rng(8)
-    for _ in range(20):
-        shape = (int(rng.integers(1, 30)), int(rng.integers(1, 30)))
-        mask = rng.random(shape) < rng.uniform(0, 1)
-        enc = rle_encode(mask)
-        assert sum(enc["runs"]) == mask.size
-        assert (rle_decode(enc) == mask).all()
-
-
-def test_rle_uniform_masks():
-    ones = np.ones((4, 5), dtype=bool)
-    enc = rle_encode(ones)
-    assert enc["first"] is True and enc["runs"] == [20]
-    assert (rle_decode(enc) == ones).all()
 
 
 def test_pgm_header_and_scaling(tmp_path):
