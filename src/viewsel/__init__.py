@@ -10,11 +10,13 @@ from .geometry import (CameraPose, DegenerateAxisError, FovFootprint,
 from .metrics import (CountingReport, LocalizationReport, counting_metrics,
                       extract_peaks, localization_metrics, match_points)
 from .predictor import (CalibrationState, PredictorConfig, calibrate,
-                        noisy_predict, oracle_predict, training_mae)
+                        noisy_predict, oracle_predict, predict_frames,
+                        training_mae)
 from .pseudolabels import PseudoPair, make_modeltrain_pair, make_viewsel_pair
 from .scoring import (ScoreBreakdown, binarize_density, inverse_distance_field,
                       score, score_density, score_geometric, score_mask,
-                      score_scene_coverage, score_view_diversity)
+                      score_round, score_scene_coverage,
+                      score_view_diversity)
 from .selection import (LabeledDataset, SelectionConfig, SelectionState,
                         add_view, brute_force_best, random_select, run_avs,
                         run_ivs, select_first_view, select_frames,

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import os
 import sys
 from dataclasses import replace

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .crowd import CrowdFrame, cover_rate
 from .geometry import Scene
 from .metrics import (CountingReport, LocalizationReport, counting_metrics,

@@ -160,18 +160,23 @@ def calibrate(config: PredictorConfig,
                                                 quality=quality))
 
 
+def predict_frames(scene: Scene, frames: list[CrowdFrame],
+                   visibility: np.ndarray, config: PredictorConfig,
+                   selected_ids: list[str]) -> list[DensityMap]:
+    """noisy_predict of each frame under one visibility and camera set."""
+    return [noisy_predict(frame, visibility, scene, config,
+                          selected_ids=selected_ids) for frame in frames]
+
+
 def training_mae(scene: Scene, frames: list[CrowdFrame],
-                 visibility: np.ndarray, config: PredictorConfig,
-                 selected_ids: list[str]) -> float:
-    """The simulated training metric: the MAE of the noisy predictor's
-    counts against the training (selected-view) GT counts over the given
-    frames, i.e. against the people the visibility actually covers."""
+                 visibility: np.ndarray, predictions: list[DensityMap]) -> float:
+    """The simulated training metric: the MAE of the counts predicted for
+    the given frames (predict_frames) against the training (selected-view)
+    GT counts, i.e. against the people the visibility actually covers."""
     if not frames:
         raise ValueError("frames must be nonempty")
     errors = []
-    for frame in frames:
-        pred = noisy_predict(frame, visibility, scene, config,
-                             selected_ids=selected_ids)
+    for frame, pred in zip(frames, predictions, strict=True):
         covered = len(visible_persons(frame, visibility, scene.grid))
         errors.append(abs(pred.total - covered))
     return float(np.mean(errors))

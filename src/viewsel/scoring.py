@@ -68,10 +68,41 @@ def inverse_distance_field(selected: list[CameraPose],
     X, Y = grid.cell_centers()
     field = np.zeros(grid.shape)
     for cam, fp in zip(selected, footprints):
-        cells = fp.mask
-        d = floored_distance(X[cells], Y[cells], cam.ground_position, grid)
-        field[cells] += (1.0 if weight is None else weight[cells]) / d
+        _add_camera_term(field, cam, fp, X, Y, grid, weight)
     return field
+
+
+def _add_camera_term(field: np.ndarray, cam: CameraPose, fp: FovFootprint,
+                     X: np.ndarray, Y: np.ndarray, grid: GroundGrid,
+                     weight: np.ndarray | None) -> None:
+    """Add one camera's weight / floored distance on its footprint cells."""
+    cells = fp.mask
+    d = floored_distance(X[cells], Y[cells], cam.ground_position, grid)
+    field[cells] += (1.0 if weight is None else weight[cells]) / d
+
+
+def _axis_and_position(cam: CameraPose) -> tuple[np.ndarray | None, np.ndarray]:
+    """Ground axis (None for a straight-down camera) and ground position."""
+    try:
+        return ground_axis_and_position(cam)
+    except DegenerateAxisError:
+        return None, np.array(cam.ground_position)
+
+
+def _diversity(axes: list[tuple[np.ndarray | None, np.ndarray]], lam: float,
+               eps: float) -> float:
+    """S_vd from each camera's (_axis_and_position), summed pair by pair in
+    group order."""
+    if lam <= 0 or eps <= 0:
+        raise ValueError("lam and eps must be positive")
+    acc = 0.0
+    for i in range(len(axes)):
+        for j in range(i + 1, len(axes)):
+            (ai, pi), (aj, pj) = axes[i], axes[j]
+            if ai is None or aj is None:
+                continue
+            acc += float(ai @ aj) / (float(np.linalg.norm(pi - pj)) + eps)
+    return float(np.exp(-lam * acc))
 
 
 def score_view_diversity(selected: list[CameraPose], lam: float = DEFAULT_LAMBDA,
@@ -83,26 +114,51 @@ def score_view_diversity(selected: list[CameraPose], lam: float = DEFAULT_LAMBDA
     """
     if not selected:
         raise ValueError("selected must be nonempty")
-    if lam <= 0 or eps <= 0:
-        raise ValueError("lam and eps must be positive")
-    axes = []
-    positions = []
-    for cam in selected:
-        try:
-            axis, pos = ground_axis_and_position(cam)
-        except DegenerateAxisError:
-            axis, pos = None, np.array(cam.ground_position)
-        axes.append(axis)
-        positions.append(pos)
-    acc = 0.0
-    for i in range(len(selected)):
-        for j in range(i + 1, len(selected)):
-            if axes[i] is None or axes[j] is None:
-                continue
-            dot = float(axes[i] @ axes[j])
-            dist = float(np.linalg.norm(positions[i] - positions[j]))
-            acc += dot / (dist + eps)
-    return float(np.exp(-lam * acc))
+    return _diversity([_axis_and_position(cam) for cam in selected], lam, eps)
+
+
+def score_round(group: list[CameraPose], candidates: list[CameraPose],
+                scene: Scene, region: np.ndarray | None = None,
+                weight: np.ndarray | None = None,
+                lam: float = DEFAULT_LAMBDA, eps: float = DEFAULT_EPSILON,
+                terms: tuple[str, ...] = ALL_TERMS,
+                variant: str = "geometric") -> list[ScoreBreakdown]:
+    """S_sc * S_ad * S_vd of group + [c] for each candidate c over a scored
+    region (None: that group's FOV union) with a per-cell distance-field
+    weight (None: unit); terms picks the factors multiplied into total, and
+    an empty region scores 0. The group's field, union and axes are built
+    once, and c, last in its group, adds only its own terms, in the order a
+    from-scratch score of group + [c] adds them: the results are equal."""
+    grid = scene.grid
+    if region is not None and region.shape != grid.shape:
+        raise ValueError("region does not match scene grid")
+    if weight is not None and weight.shape != grid.shape:
+        raise ValueError("weight does not match grid")
+    footprints = [scene.footprint(cam.id) for cam in group]
+    group_field = (inverse_distance_field(group, footprints, grid, weight)
+                   if group else np.zeros(grid.shape))
+    union = combined_visibility(footprints, grid)
+    X, Y = grid.cell_centers()
+    axes = [_axis_and_position(cam) for cam in group]
+    breakdowns = []
+    for cam in candidates:
+        fp = scene.footprint(cam.id)
+        field = group_field.copy()
+        _add_camera_term(field, cam, fp, X, Y, grid, weight)
+        scored = union | fp.mask if region is None else region
+        s_vd = _diversity(axes + [_axis_and_position(cam)], lam, eps)
+        n_region = int(scored.sum())
+        s_sc = n_region / grid.n_cells
+        s_ad = float(field[scored].sum()) / n_region if n_region else 0.0
+        total = 1.0
+        for term, factor in (("sc", s_sc), ("ad", s_ad), ("vd", s_vd)):
+            if term in terms:
+                total *= factor
+        if n_region == 0:
+            total = 0.0
+        breakdowns.append(ScoreBreakdown(s_sc=s_sc, s_ad=s_ad, s_vd=s_vd,
+                                         total=total, variant=variant))
+    return breakdowns
 
 
 def score(selected: list[CameraPose], scene: Scene,
@@ -110,31 +166,12 @@ def score(selected: list[CameraPose], scene: Scene,
           lam: float = DEFAULT_LAMBDA, eps: float = DEFAULT_EPSILON,
           terms: tuple[str, ...] = ALL_TERMS,
           variant: str = "geometric") -> ScoreBreakdown:
-    """S_sc * S_ad * S_vd of a camera group over a scored region (None: the
-    group's FOV union) with a per-cell distance-field weight (None: unit).
-
-    terms picks the factors multiplied into total; an empty region scores 0.
-    """
+    """S_sc * S_ad * S_vd of one camera group (score_round with its last
+    camera as the only candidate)."""
     if not selected:
         raise ValueError("selected must be nonempty")
-    footprints = [scene.footprint(cam.id) for cam in selected]
-    if region is None:
-        region = combined_visibility(footprints, scene.grid)
-    elif region.shape != scene.grid.shape:
-        raise ValueError("region does not match scene grid")
-    field = inverse_distance_field(selected, footprints, scene.grid, weight)
-    s_vd = score_view_diversity(selected, lam, eps)
-    n_region = int(region.sum())
-    s_sc = n_region / scene.grid.n_cells
-    s_ad = float(field[region].sum()) / n_region if n_region else 0.0
-    total = 1.0
-    for term, factor in (("sc", s_sc), ("ad", s_ad), ("vd", s_vd)):
-        if term in terms:
-            total *= factor
-    if n_region == 0:
-        total = 0.0
-    return ScoreBreakdown(s_sc=s_sc, s_ad=s_ad, s_vd=s_vd, total=total,
-                          variant=variant)
+    return score_round(selected[:-1], selected[-1:], scene, region, weight,
+                       lam, eps, terms, variant)[0]
 
 
 def binarize_density(density: DensityMap, sigma_mode) -> np.ndarray:

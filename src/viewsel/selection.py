@@ -12,9 +12,9 @@ import numpy as np
 from .crowd import CrowdFrame, DensityMap, cover_rate, visible_persons
 from .geometry import Scene
 from .predictor import (PredictorConfig, calibrate, noisy_predict,
-                        oracle_predict, training_mae)
+                        oracle_predict, predict_frames, training_mae)
 from .scoring import (ALL_TERMS, DEFAULT_EPSILON, DEFAULT_LAMBDA,
-                      ScoreBreakdown, binarize_density, score)
+                      ScoreBreakdown, binarize_density, score_round)
 
 STRATEGIES = ("geometric", "mask", "density", "random")
 PSEUDO_STAGES = ("none", "viewsel", "modeltrain", "both")
@@ -164,16 +164,17 @@ def add_view(scene: Scene, state: SelectionState,
     """One round of greedy view addition: score every unselected candidate
     together with the current group, append the argmax (ties by camera id).
 
-    score_fn(candidate_ids: list[str]) -> ScoreBreakdown.
+    score_fn(group_ids: list[str], candidate_ids: list[str])
+    -> list[ScoreBreakdown], the score of group + [c] for each candidate c;
+    called once per round.
     """
-    unselected = [cid for cid in scene.camera_ids if cid not in state.selected]
+    unselected = sorted(set(scene.camera_ids) - set(state.selected))
     if not unselected:
         raise ValueError("no unselected cameras remain")
-    best_id, best_score = None, None
-    for cid in sorted(unselected):
-        sb = score_fn(list(state.selected) + [cid])
-        if best_score is None or sb.total > best_score.total:
-            best_id, best_score = cid, sb
+    scores = score_fn(list(state.selected), unselected)
+    # max keeps the first of equal maxima: the lowest camera id
+    best_id, best_score = max(zip(unselected, scores, strict=True),
+                              key=lambda pair: pair[1].total)
     selected = state.selected + (best_id,)
     return replace(state, selected=selected,
                    combined_mask=scene.visibility_of(list(selected)),
@@ -191,9 +192,10 @@ def _score_fn(scene: Scene, config: SelectionConfig,
         region = binarize_density(prediction, config.sigma_mode)
     if config.strategy == "density":
         weight = prediction.values
-    return lambda ids: score([scene.camera(c) for c in ids], scene, region,
-                             weight, config.lam, config.epsilon,
-                             config.terms, config.strategy)
+    return lambda group, candidates: score_round(
+        [scene.camera(c) for c in group],
+        [scene.camera(c) for c in candidates], scene, region, weight,
+        config.lam, config.epsilon, config.terms, config.strategy)
 
 
 def _frames_by_id(trace: list[CrowdFrame], ids: list[int]) -> list[CrowdFrame]:
@@ -201,17 +203,14 @@ def _frames_by_id(trace: list[CrowdFrame], ids: list[int]) -> list[CrowdFrame]:
     return [by_id[i] for i in ids]
 
 
-def mean_prediction(scene: Scene, frames: list[CrowdFrame],
-                    visibility: np.ndarray,
-                    predictor: PredictorConfig,
-                    selected_ids: list[str] | None = None) -> DensityMap:
-    """Per-frame noisy predictions for the current selected views, averaged
+def mean_prediction(predictions: list[DensityMap],
+                    shape: tuple[int, int]) -> DensityMap:
+    """The training gate's per-frame predictions, averaged in frame order
     into the single map consumed by the active scores."""
-    acc = np.zeros(scene.grid.shape)
-    for frame in frames:
-        acc += noisy_predict(frame, visibility, scene, predictor,
-                             selected_ids=selected_ids).values
-    return DensityMap(values=acc / max(len(frames), 1))
+    acc = np.zeros(shape)
+    for pred in predictions:
+        acc += pred.values
+    return DensityMap(values=acc / max(len(predictions), 1))
 
 
 def view_person_credit(scene: Scene, frames: list[CrowdFrame],
@@ -317,10 +316,11 @@ def run_avs(scene: Scene, trace: list[CrowdFrame], config: SelectionConfig,
         credit = _epoch_credit(camera_credit, f, state.selected, config,
                                "viewsel" if pseudo_viewsel else "off")
         predictor = calibrate(predictor, credit)
-        if training_mae(scene, frames, state.combined_mask, predictor,
-                        list(state.selected)) <= config.tau:
-            m_avg = mean_prediction(scene, frames, state.combined_mask,
-                                    predictor, list(state.selected))
+        preds = predict_frames(scene, frames, state.combined_mask, predictor,
+                               list(state.selected))
+        if training_mae(scene, frames, state.combined_mask,
+                        preds) <= config.tau:
+            m_avg = mean_prediction(preds, scene.grid.shape)
             state = add_view(scene, state, _score_fn(scene, config, m_avg))
     if len(state.selected) < k:
         state = replace(state, non_converged=True)

@@ -271,8 +271,9 @@ def test_criterion_6_monotonicity_suites():
         while len(state.selected) < k:
             state = add_view(
                 scene, state,
-                lambda ids: score_geometric(
-                    [scene.camera(c) for c in ids], scene, LAM, EPS))
+                lambda group, candidates: [score_geometric(
+                    [scene.camera(c) for c in group + [cid]], scene, LAM,
+                    EPS) for cid in candidates])
         return state.selected
 
     for _ in range(1000):

@@ -3,7 +3,8 @@ import pytest
 
 from viewsel import (CalibrationState, CrowdFrame, Person, PredictorConfig,
                      calibrate, generate_crowd_trace, noisy_predict,
-                     oracle_predict, training_mae, visible_persons)
+                     oracle_predict, predict_frames, training_mae,
+                     visible_persons)
 
 
 def _full(scene):
@@ -115,13 +116,14 @@ def test_calibrate_metric_against_covered_people(demo_scene):
     vis = demo_scene.visibility_of(demo_scene.camera_ids[:3])
     cfg = PredictorConfig(miss_rate=0.0, count_noise_rel=0.0,
                           position_jitter_m=0.0)
-    metric = training_mae(demo_scene, frames, vis, cfg,
-                          demo_scene.camera_ids[:3])
+    preds = predict_frames(demo_scene, frames, vis, cfg,
+                           demo_scene.camera_ids[:3])
+    metric = training_mae(demo_scene, frames, vis, preds)
     # noise-free predictor counts the covered people, up to kernel-tail
     # clipping at the visibility boundary
     assert metric == pytest.approx(0.0, abs=2.0)
     with pytest.raises(ValueError):
-        training_mae(demo_scene, [], vis, cfg, demo_scene.camera_ids[:3])
+        training_mae(demo_scene, [], vis, [])
 
 
 def test_calibrate_rejects_negative_credit():

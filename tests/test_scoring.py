@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from viewsel import (CameraPose, DensityMap, GroundGrid, Scene,
                      binarize_density, inverse_distance_field, score,
-                     score_density, score_geometric, score_mask,
+                     score_density, score_geometric, score_mask, score_round,
                      score_scene_coverage, score_view_diversity)
 
 from conftest import random_small_scene
@@ -233,6 +234,38 @@ def test_wrapper_totals_equal_full_grid_formula_exactly():
             want = ref_totals(region, field, got.s_vd, scene.grid)
             assert (got.s_sc, got.s_ad, got.total) == (want[0], want[1],
                                                        want[3])
+
+
+def test_round_equals_per_group_formula_exactly():
+    # every candidate's breakdown equals the from-scratch score of
+    # group + [candidate]: full-grid field, totals and diversity
+    rng = np.random.default_rng(17)
+    scenes = [_edge_case_scene()] + [random_small_scene(rng)
+                                     for _ in range(20)]
+    for scene in scenes:
+        order = [scene.cameras[i] for i in rng.permutation(len(scene.cameras))]
+        crowd = rng.random(scene.grid.shape) < 0.4
+        weight = rng.uniform(0.0, 3.0, size=scene.grid.shape)
+        weight[rng.random(scene.grid.shape) < 0.3] = 0.0
+        for k, (variant, region, w) in itertools.product(
+                (0, int(rng.integers(1, len(order)))),  # empty group too
+                (("geometric", None, None), ("mask", crowd, None),
+                 ("density", crowd, weight))):
+            group, candidates = order[:k], order[k:]
+            got = score_round(group, candidates, scene, region, w, LAM, EPS,
+                              variant=variant)
+            assert len(got) == len(candidates)
+            for cand, sb in zip(candidates, got):
+                cams = group + [cand]
+                fps = [scene.footprint(c.id) for c in cams]
+                scored = (scene.visibility_of([c.id for c in cams])
+                          if region is None else region)
+                want = ref_totals(scored,
+                                  ref_full_grid_field(cams, fps, scene.grid, w),
+                                  score_view_diversity(cams, LAM, EPS),
+                                  scene.grid)
+                assert (sb.s_sc, sb.s_ad, sb.s_vd, sb.total) == want
+                assert sb.variant == variant
 
 
 def test_score_rejects_mismatched_inputs(demo_scene):

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from viewsel import (GroundGrid, PredictorConfig, SelectionConfig,
-                     add_view, brute_force_best, cover_rate,
+from viewsel import (CameraPose, GroundGrid, PredictorConfig, Scene,
+                     SelectionConfig, add_view, brute_force_best, cover_rate,
                      generate_crowd_trace, oracle_predict, random_select,
                      run_avs, run_ivs, score_geometric, select_first_view,
                      select_frames)
 from viewsel import predictor as predictor_module
+from viewsel import scoring as scoring_module
 from viewsel import selection as selection_module
-from viewsel.selection import train_after_selection
+from viewsel.selection import (_initial_state, _score_fn,
+                               train_after_selection)
 from viewsel.synth import generate_scene
 
 
@@ -17,8 +19,10 @@ def _trace(scene, n=8, seed=0):
 
 
 def _geom_score_fn(scene):
-    def fn(ids):
-        return score_geometric([scene.camera(c) for c in ids], scene)
+    def fn(group, candidates):
+        return [score_geometric([scene.camera(c) for c in group + [cid]],
+                                scene)
+                for cid in candidates]
     return fn
 
 
@@ -229,6 +233,54 @@ def test_simulated_training_call_counts(demo_scene, monkeypatch):
     train_after_selection(demo_scene, trace[:4], state, cfg, pred)
     assert sorted(credit) == sorted(demo_scene.camera_ids)
     assert predicted == [[], []]
+
+
+def test_add_view_tie_goes_to_lowest_id():
+    # twin poses score exactly equal; the roster lists the higher id first
+    grid = GroundGrid(height_cells=30, width_cells=30, cell_size_m=0.5)
+
+    def cam(cid, x, yaw):
+        return CameraPose(id=cid, position_3d=(x, 0.0, 5.0), yaw=yaw,
+                          pitch=-0.5, horizontal_fov_rad=1.2,
+                          vertical_fov_rad=1.0, max_range_m=30.0)
+    scene = Scene(grid=grid, cameras=[cam("first", 0.0, 0.8),
+                                      cam("twin2", 15.0, 2.0),
+                                      cam("twin1", 15.0, 2.0)])
+    score_fn = _score_fn(scene, SelectionConfig(strategy="geometric"))
+    a, b = score_fn(["first"], ["twin1", "twin2"])
+    assert a == b and a.total > 0.0
+    state = add_view(scene, _initial_state(scene, "first"), score_fn)
+    assert state.selected == ("first", "twin1")
+
+
+def test_run_ivs_builds_one_group_field_per_round(demo_scene, monkeypatch):
+    fields = _count_calls(monkeypatch, scoring_module,
+                          "inverse_distance_field")
+    rounds = _count_calls(monkeypatch, selection_module, "score_round")
+    k = 5
+    cfg = SelectionConfig(k_max=k, n_frames=4, strategy="geometric")
+    state, _ = run_ivs(demo_scene, _trace(demo_scene), cfg)
+    assert len(state.selected) == k
+    # one field per greedy round, not one per candidate
+    assert len(fields) == len(rounds) == k - 1
+
+
+def test_run_avs_predicts_each_frame_once_per_gated_epoch(monkeypatch):
+    # the README library demo: 110 predictions when the gate and the
+    # averaged map each predicted the frames, 90 when they share them
+    predicted = [_count_calls(monkeypatch, module, "noisy_predict")
+                 for module in (predictor_module, selection_module)]
+    grid = GroundGrid(height_cells=80, width_cells=80, cell_size_m=0.5)
+    scene = generate_scene(12, grid, seed=1)
+    trace = generate_crowd_trace(grid, n_frames=10, count_range=(80, 140),
+                                 clustering=0.85, seed=2)
+    config = SelectionConfig(k_max=5, n_frames=5, strategy="density",
+                             tau=30.0)
+    predictor = PredictorConfig(miss_rate=0.9, position_jitter_m=1.5,
+                                count_noise_rel=0.2, q_scale=400.0)
+    state, _, _ = run_avs(scene, trace, config, predictor)
+    assert len(state.selected) == 5
+    assert sum(map(len, predicted)) == 90
 
 
 def test_selection_config_round_trip():

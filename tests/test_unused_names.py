@@ -1,6 +1,6 @@
-"""Guard against dead public code: every public module-level function or
-class in src/viewsel is either used somewhere in the package or exported
-by viewsel/__init__.py."""
+"""Guard against dead code: every public module-level function or class in
+src/viewsel is either used somewhere in the package or exported by
+viewsel/__init__.py, and every module-level import is read by its module."""
 
 import ast
 from pathlib import Path
@@ -32,5 +32,33 @@ def unused_public_names(package: Path) -> list[str]:
             if name not in used and name not in exported]
 
 
+def unused_imports(package: Path) -> list[str]:
+    """`module.name` of each name bound by a module-level import that its
+    module never reads; __init__.py re-exports and __future__ are exempt."""
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound = [(a.asname or a.name).split(".")[0]
+                         for a in node.names]
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module != "__future__"):
+                bound = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unused += [f"{path.stem}.{name}" for name in bound
+                       if name not in read]
+    return unused
+
+
 def test_every_public_name_is_used_or_exported():
     assert unused_public_names(PACKAGE) == []
+
+
+def test_every_module_level_import_is_read():
+    assert unused_imports(PACKAGE) == []
