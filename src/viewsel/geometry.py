@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -30,6 +31,14 @@ def require_finite(values, what: str) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError(f"{what} must be finite")
     return arr
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, each flagged read-only: a constant cached on a frozen
+    object must not change under a caller's write."""
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
 
 
 @dataclass(frozen=True)
@@ -64,11 +73,16 @@ class GroundGrid:
                 self.height_cells * self.cell_size_m)
 
     def cell_centers(self) -> tuple[np.ndarray, np.ndarray]:
-        """World coordinates (X, Y) of all cell centers, each shaped (h, w)."""
+        """World coordinates (X, Y) of all cell centers, each shaped (h, w);
+        computed once per grid and read-only."""
+        return self._cell_centers
+
+    @cached_property
+    def _cell_centers(self) -> tuple[np.ndarray, np.ndarray]:
         ox, oy = self.origin
         xs = ox + (np.arange(self.width_cells) + 0.5) * self.cell_size_m
         ys = oy + (np.arange(self.height_cells) + 0.5) * self.cell_size_m
-        return np.meshgrid(xs, ys)
+        return _read_only(*np.meshgrid(xs, ys))
 
     def world_to_cell(self, x, y):
         """Cell index (i, j) containing each world point, clamped in-bounds.
@@ -131,17 +145,22 @@ class CameraPose:
         return (self.position_3d[0], self.position_3d[1])
 
     def frame_axes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(forward, right, up) unit vectors of the camera frame.
+        """(forward, right, up) unit vectors of the camera frame; computed
+        once per pose and read-only.
 
         right is horizontal and derived from yaw alone, so the frame stays
         well defined for a straight-down camera.
         """
+        return self._frame_axes
+
+    @cached_property
+    def _frame_axes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         cy, sy = math.cos(self.yaw), math.sin(self.yaw)
         cp, sp = math.cos(self.pitch), math.sin(self.pitch)
         forward = np.array([cp * cy, cp * sy, sp])
         right = np.array([sy, -cy, 0.0])
         up = np.cross(right, forward)
-        return forward, right, up
+        return _read_only(forward, right, up)
 
     def to_config(self) -> dict:
         return {"id": self.id, "position": list(self.position_3d),
@@ -256,22 +275,18 @@ class Scene:
             raise ValueError("camera ids must be unique")
         if [f.camera_id for f in self.footprints] != cam_ids:
             raise ValueError("footprint ids must match camera ids in order")
+        object.__setattr__(self, "_by_id", {
+            c.id: (c, f) for c, f in zip(self.cameras, self.footprints)})
 
     @property
     def camera_ids(self) -> list[str]:
         return [c.id for c in self.cameras]
 
     def camera(self, camera_id: str) -> CameraPose:
-        for c in self.cameras:
-            if c.id == camera_id:
-                return c
-        raise KeyError(camera_id)
+        return self._by_id[camera_id][0]
 
     def footprint(self, camera_id: str) -> FovFootprint:
-        for f in self.footprints:
-            if f.camera_id == camera_id:
-                return f
-        raise KeyError(camera_id)
+        return self._by_id[camera_id][1]
 
     def visibility_of(self, camera_ids: list[str]) -> np.ndarray:
         return combined_visibility(

@@ -14,7 +14,7 @@ from .geometry import Scene
 from .predictor import (PredictorConfig, calibrate, noisy_predict,
                         oracle_predict, predict_frames, training_mae)
 from .scoring import (ALL_TERMS, DEFAULT_EPSILON, DEFAULT_LAMBDA,
-                      ScoreBreakdown, binarize_density, score_round)
+                      ScoreBreakdown, _RunMemo, binarize_density)
 
 STRATEGIES = ("geometric", "mask", "density", "random")
 PSEUDO_STAGES = ("none", "viewsel", "modeltrain", "both")
@@ -122,15 +122,24 @@ def select_frames(scene: Scene, trace: list[CrowdFrame], predict_fn,
 
     predict_fn(frame, visibility) -> DensityMap.
     """
+    return _select_frames(scene, trace, predict_fn, f)[0]
+
+
+def _select_frames(scene: Scene, trace: list[CrowdFrame], predict_fn,
+                   f: int) -> tuple[list[int], dict[tuple[str, int], float]]:
+    """select_frames, also returning the total of each prediction it made,
+    keyed by (camera id, frame id), for select_first_view to reuse."""
     if f > len(trace):
         raise ValueError(f"cannot select {f} frames from {len(trace)}")
     if not trace:
         raise ValueError("trace is empty")
     v_max = _largest_fov_camera(scene)
     fov = scene.footprint(v_max).mask
+    totals = {}
     features = {}
     for frame in trace:
         pred = predict_fn(frame, fov)
+        totals[v_max, frame.frame_id] = pred.total
         features[frame.frame_id] = pred.values[fov].ravel()
     ids = sorted(features)
     first = min(ids, key=lambda fid: (-features[fid].sum(), fid))
@@ -142,19 +151,30 @@ def select_frames(scene: Scene, trace: list[CrowdFrame], predict_fn,
                                         for c in chosen), fid))
         chosen.append(best)
         remaining.remove(best)
-    return chosen
+    return chosen, totals
 
 
 def select_first_view(scene: Scene, frames: list[CrowdFrame], predict_fn,
                       mode: str) -> str:
     """First view by footprint area ("largest_fov") or by predicted crowd
     count summed over the selected frames ("largest_predicted_count")."""
+    return _select_first_view(scene, frames, predict_fn, mode, {})
+
+
+def _select_first_view(scene: Scene, frames: list[CrowdFrame], predict_fn,
+                       mode: str, known: dict[tuple[str, int], float]) -> str:
+    """select_first_view, reusing the known prediction totals by (camera
+    id, frame id) instead of predicting those frames again."""
     if mode == "largest_fov":
         return _largest_fov_camera(scene)
     if mode == "largest_predicted_count":
+        def total(cid: str, frame: CrowdFrame) -> float:
+            if (cid, frame.frame_id) in known:
+                return known[cid, frame.frame_id]
+            return predict_fn(frame, scene.footprint(cid).mask).total
+
         def total_count(cid: str) -> float:
-            fov = scene.footprint(cid).mask
-            return sum(predict_fn(frame, fov).total for frame in frames)
+            return sum(total(cid, frame) for frame in frames)
         return min(scene.camera_ids, key=lambda cid: (-total_count(cid), cid))
     raise ValueError(f"unknown first-view mode {mode!r}")
 
@@ -182,19 +202,23 @@ def add_view(scene: Scene, state: SelectionState,
 
 
 def _score_fn(scene: Scene, config: SelectionConfig,
-              prediction: DensityMap | None = None):
+              prediction: DensityMap | None = None,
+              memo: _RunMemo | None = None):
     """add_view's score_fn under config.strategy, which picks the scored
     region and the distance-field weight: geometric scores the group's FOV
     union with unit weight, mask the binarized prediction with unit weight,
-    density the binarized prediction weighted by the prediction."""
+    density the binarized prediction weighted by the prediction. memo is
+    the run's store of per-camera and per-pair terms (None: a fresh one)."""
     region = weight = None
     if config.strategy in ("mask", "density"):
         region = binarize_density(prediction, config.sigma_mode)
     if config.strategy == "density":
         weight = prediction.values
-    return lambda group, candidates: score_round(
+    if memo is None:
+        memo = _RunMemo(scene)
+    return lambda group, candidates: memo.score_round(
         [scene.camera(c) for c in group],
-        [scene.camera(c) for c in candidates], scene, region, weight,
+        [scene.camera(c) for c in candidates], region, weight,
         config.lam, config.epsilon, config.terms, config.strategy)
 
 
@@ -273,8 +297,9 @@ def run_ivs(scene: Scene, trace: list[CrowdFrame], config: SelectionConfig,
     first = select_first_view(scene, frames, predict, "largest_fov")
     state = _initial_state(scene, first)
     k = min(config.k_max, len(scene.cameras))
+    score_fn = _score_fn(scene, config)
     while len(state.selected) < k:
-        state = add_view(scene, state, _score_fn(scene, config))
+        state = add_view(scene, state, score_fn)
     return state, LabeledDataset(tuple(frame_ids), state.selected)
 
 
@@ -295,11 +320,14 @@ def run_avs(scene: Scene, trace: list[CrowdFrame], config: SelectionConfig,
     def predict(frame, vis):
         return noisy_predict(frame, vis, scene, predictor)
 
-    frame_ids = select_frames(scene, trace, predict, config.n_frames)
+    frame_ids, totals = _select_frames(scene, trace, predict,
+                                       config.n_frames)
     frames = _frames_by_id(trace, frame_ids)
-    first = select_first_view(scene, frames, predict, "largest_predicted_count")
+    first = _select_first_view(scene, frames, predict,
+                               "largest_predicted_count", totals)
     state = _initial_state(scene, first)
     k = min(config.k_max, len(scene.cameras))
+    memo = _RunMemo(scene)
     pseudo_viewsel = config.pseudo_stages in ("viewsel", "both")
     pseudo_modeltrain = config.pseudo_stages in ("modeltrain", "both")
     camera_credit = _camera_credit(scene, frames)
@@ -321,7 +349,8 @@ def run_avs(scene: Scene, trace: list[CrowdFrame], config: SelectionConfig,
         if training_mae(scene, frames, state.combined_mask,
                         preds) <= config.tau:
             m_avg = mean_prediction(preds, scene.grid.shape)
-            state = add_view(scene, state, _score_fn(scene, config, m_avg))
+            state = add_view(scene, state,
+                             _score_fn(scene, config, m_avg, memo))
     if len(state.selected) < k:
         state = replace(state, non_converged=True)
     # once the budget is reached the downstream model is trained again on

@@ -129,6 +129,19 @@ def ref_match_points(predicted, gt, threshold):
     return 0, 0.0
 
 
+def ref_frame_axes(cam):
+    """(forward, right, up) of a pose, up written out as the cross product
+    right x forward component by component."""
+    cy, sy = math.cos(cam.yaw), math.sin(cam.yaw)
+    cp, sp = math.cos(cam.pitch), math.sin(cam.pitch)
+    f = (cp * cy, cp * sy, sp)
+    r = (sy, -cy, 0.0)
+    u = (r[1] * f[2] - r[2] * f[1],
+         r[2] * f[0] - r[0] * f[2],
+         r[0] * f[1] - r[1] * f[0])
+    return np.array(f), np.array(r), np.array(u)
+
+
 def ref_world_to_cell(grid, x, y):
     ox, oy = grid.origin
     j = int(math.floor((x - ox) / grid.cell_size_m))

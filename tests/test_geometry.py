@@ -8,7 +8,7 @@ from viewsel import (CameraPose, DegenerateAxisError, GroundGrid,
                      ground_axis_and_position, project_footprint)
 from viewsel.geometry import GridMismatchError
 
-from reference import ref_world_to_cell
+from reference import ref_frame_axes, ref_world_to_cell
 
 
 def test_grid_basic_properties(small_grid):
@@ -130,6 +130,44 @@ def test_frame_axes_orthonormal():
         assert abs(float(r @ u)) < 1e-12
 
 
+def test_frame_axes_equal_fresh_transcription(nadir_camera):
+    rng = np.random.default_rng(1)
+    cams = [nadir_camera] + [
+        CameraPose(id="c", position_3d=(0.0, 0.0, 5.0), yaw=yaw,
+                   pitch=float(rng.uniform(-1.55, 1.55)),
+                   horizontal_fov_rad=1.0, vertical_fov_rad=1.0,
+                   max_range_m=10.0)
+        for yaw in [math.pi, -math.pi] + list(rng.uniform(-4, 4, size=50))]
+    for cam in cams:
+        got = cam.frame_axes()
+        assert cam.frame_axes() is got  # computed once per pose
+        for g, want in zip(got, ref_frame_axes(cam), strict=True):
+            assert np.array_equal(g, want)
+
+
+def test_cell_centers_equal_fresh_meshgrid():
+    for h, w, cs, origin in ((7, 9, 0.5, (3.0, -2.0)),
+                             (1, 13, 0.3, (-1.7, 0.1)),
+                             (40, 25, 1.25, (1e3, -2e3))):
+        grid = GroundGrid(height_cells=h, width_cells=w, cell_size_m=cs,
+                          origin=origin)
+        xs = origin[0] + (np.arange(w) + 0.5) * cs
+        ys = origin[1] + (np.arange(h) + 0.5) * cs
+        got = grid.cell_centers()
+        assert grid.cell_centers() is got  # computed once per grid
+        for g, want in zip(got, np.meshgrid(xs, ys), strict=True):
+            assert np.array_equal(g, want)
+
+
+def test_cached_constants_are_read_only(small_grid, nadir_camera):
+    for arr in small_grid.cell_centers() + nadir_camera.frame_axes():
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    assert small_grid == GroundGrid(height_cells=40, width_cells=40,
+                                    cell_size_m=0.5)
+    assert hash(small_grid) == hash(GroundGrid(40, 40, 0.5))
+
+
 def test_ground_axis_points_along_yaw():
     cam = CameraPose(id="c", position_3d=(1.0, 2.0, 5.0), yaw=0.7,
                      pitch=-0.5, horizontal_fov_rad=1.0,
@@ -209,6 +247,16 @@ def test_combined_visibility_empty_and_mismatch(small_grid, demo_scene):
 def test_scene_rejects_duplicate_ids(small_grid, nadir_camera):
     with pytest.raises(ValueError):
         Scene(grid=small_grid, cameras=[nadir_camera, nadir_camera])
+
+
+def test_scene_lookup_by_id(demo_scene):
+    for cam, fp in zip(demo_scene.cameras, demo_scene.footprints):
+        assert demo_scene.camera(cam.id) is cam
+        assert demo_scene.footprint(cam.id) is fp
+    with pytest.raises(KeyError):
+        demo_scene.camera("no-such-camera")
+    with pytest.raises(KeyError):
+        demo_scene.footprint("no-such-camera")
 
 
 def test_scene_config_round_trip(demo_scene):

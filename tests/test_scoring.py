@@ -8,6 +8,7 @@ from viewsel import (CameraPose, DensityMap, GroundGrid, Scene,
                      binarize_density, inverse_distance_field, score,
                      score_density, score_geometric, score_mask, score_round,
                      score_scene_coverage, score_view_diversity)
+from viewsel.scoring import ALL_TERMS, _RunMemo
 
 from conftest import random_small_scene
 from reference import (ref_full_grid_field, ref_score_density,
@@ -266,6 +267,41 @@ def test_round_equals_per_group_formula_exactly():
                                   scene.grid)
                 assert (sb.s_sc, sb.s_ad, sb.s_vd, sb.total) == want
                 assert sb.variant == variant
+
+
+def test_rounds_sharing_one_memo_equal_per_group_formula_exactly():
+    # consecutive greedy rounds of one run share a memo of distances, axes
+    # and pair terms while the region and weight change between rounds, as
+    # in the active pipeline; every breakdown still equals the from-scratch
+    # full-grid formula
+    rng = np.random.default_rng(18)
+    scenes = [_edge_case_scene()] + [random_small_scene(rng)
+                                     for _ in range(10)]
+    for scene, variant in itertools.product(
+            scenes, ("geometric", "mask", "density")):
+        memo = _RunMemo(scene)
+        order = [scene.cameras[i] for i in rng.permutation(len(scene.cameras))]
+        for k in range(len(order)):
+            group, candidates = order[:k], order[k:]
+            region = weight = None
+            if variant != "geometric":
+                region = rng.random(scene.grid.shape) < 0.4
+            if variant == "density":
+                weight = rng.uniform(0.0, 3.0, size=scene.grid.shape)
+            got = memo.score_round(group, candidates, region, weight, LAM,
+                                   EPS, ALL_TERMS, variant)
+            assert len(got) == len(candidates)
+            for cand, sb in zip(candidates, got):
+                cams = group + [cand]
+                fps = [scene.footprint(c.id) for c in cams]
+                scored = (scene.visibility_of([c.id for c in cams])
+                          if region is None else region)
+                want = ref_totals(scored,
+                                  ref_full_grid_field(cams, fps, scene.grid,
+                                                      weight),
+                                  score_view_diversity(cams, LAM, EPS),
+                                  scene.grid)
+                assert (sb.s_sc, sb.s_ad, sb.s_vd, sb.total) == want
 
 
 def test_score_rejects_mismatched_inputs(demo_scene):

@@ -9,8 +9,9 @@ from viewsel import (CameraPose, GroundGrid, PredictorConfig, Scene,
 from viewsel import predictor as predictor_module
 from viewsel import scoring as scoring_module
 from viewsel import selection as selection_module
-from viewsel.selection import (_initial_state, _score_fn,
-                               train_after_selection)
+from viewsel.predictor import noisy_predict
+from viewsel.selection import (_initial_state, _score_fn, _select_first_view,
+                               _select_frames, train_after_selection)
 from viewsel.synth import generate_scene
 
 
@@ -254,9 +255,8 @@ def test_add_view_tie_goes_to_lowest_id():
 
 
 def test_run_ivs_builds_one_group_field_per_round(demo_scene, monkeypatch):
-    fields = _count_calls(monkeypatch, scoring_module,
-                          "inverse_distance_field")
-    rounds = _count_calls(monkeypatch, selection_module, "score_round")
+    fields = _count_calls(monkeypatch, scoring_module._RunMemo, "field")
+    rounds = _count_calls(monkeypatch, scoring_module._RunMemo, "score_round")
     k = 5
     cfg = SelectionConfig(k_max=k, n_frames=4, strategy="geometric")
     state, _ = run_ivs(demo_scene, _trace(demo_scene), cfg)
@@ -265,9 +265,53 @@ def test_run_ivs_builds_one_group_field_per_round(demo_scene, monkeypatch):
     assert len(fields) == len(rounds) == k - 1
 
 
+def test_run_ivs_computes_each_camera_constant_once(demo_scene, monkeypatch):
+    points = [c.ground_position for c in demo_scene.cameras]
+    assert len(set(points)) == len(points)
+    distances = _count_calls(monkeypatch, scoring_module, "floored_distance",
+                             key=lambda x, y, point, grid: tuple(point))
+    crosses = _count_calls(monkeypatch, np, "cross")
+    cfg = SelectionConfig(k_max=5, n_frames=4, strategy="geometric")
+    state, _ = run_ivs(demo_scene, _trace(demo_scene), cfg)
+    assert len(state.selected) == 5
+    # each camera's footprint distances once per run, not once per round;
+    # the scene's poses already hold their frame axes
+    assert distances and len(distances) == len(set(distances))
+    assert crosses == []
+
+
+def test_run_avs_computes_each_camera_distance_once(demo_scene, monkeypatch):
+    distances = _count_calls(monkeypatch, scoring_module, "floored_distance",
+                             key=lambda x, y, point, grid: tuple(point))
+    cfg = SelectionConfig(k_max=4, n_frames=4, strategy="density", tau=25.0,
+                          epochs=20)
+    pred = PredictorConfig(miss_rate=0.3, position_jitter_m=1.0,
+                           count_noise_rel=0.1, seed=3, q_scale=150.0)
+    state, _, _ = run_avs(demo_scene, _trace(demo_scene), cfg, pred)
+    assert len(state.selected) == 4
+    assert distances and len(distances) == len(set(distances))
+
+
+def test_first_view_reuses_frame_selection_totals(demo_scene):
+    trace = _trace(demo_scene)
+    pred = PredictorConfig(miss_rate=0.3, position_jitter_m=1.0,
+                           count_noise_rel=0.1, seed=3)
+
+    def predict(frame, vis):
+        return noisy_predict(frame, vis, demo_scene, pred)
+    frame_ids, known = _select_frames(demo_scene, trace, predict, 4)
+    assert frame_ids == select_frames(demo_scene, trace, predict, 4)
+    frames = [f for f in trace if f.frame_id in frame_ids]
+    assert (_select_first_view(demo_scene, frames, predict,
+                               "largest_predicted_count", known)
+            == select_first_view(demo_scene, frames, predict,
+                                 "largest_predicted_count"))
+
+
 def test_run_avs_predicts_each_frame_once_per_gated_epoch(monkeypatch):
     # the README library demo: 110 predictions when the gate and the
-    # averaged map each predicted the frames, 90 when they share them
+    # averaged map each predicted the frames, 90 when they share them, 85
+    # when the first view reuses the widest camera's frame predictions
     predicted = [_count_calls(monkeypatch, module, "noisy_predict")
                  for module in (predictor_module, selection_module)]
     grid = GroundGrid(height_cells=80, width_cells=80, cell_size_m=0.5)
@@ -280,7 +324,7 @@ def test_run_avs_predicts_each_frame_once_per_gated_epoch(monkeypatch):
                                 count_noise_rel=0.2, q_scale=400.0)
     state, _, _ = run_avs(scene, trace, config, predictor)
     assert len(state.selected) == 5
-    assert sum(map(len, predicted)) == 90
+    assert sum(map(len, predicted)) == 85
 
 
 def test_selection_config_round_trip():
