@@ -84,6 +84,20 @@ def _add_predictor_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--pred-seed", type=int, default=0)
 
 
+def _add_selection_args(p: argparse.ArgumentParser) -> None:
+    """The SelectionConfig flags that select and sweep share."""
+    p.add_argument("--strategy", choices=STRATEGIES, default="geometric")
+    p.add_argument("--k", type=int, default=5)
+    p.add_argument("--frames", type=int, default=20)
+    p.add_argument("--tau", type=float, default=20.0)
+    p.add_argument("--epochs", type=int, default=40)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--terms", default=",".join(ALL_TERMS))
+    p.add_argument("--sigma", default="mean",
+                   help='binarization threshold ("mean" or a float)')
+    p.add_argument("--pseudo-stages", choices=PSEUDO_STAGES, default="both")
+
+
 def _load_scene(path: str) -> Scene:
     return Scene.from_config(read_json(path))
 
@@ -116,7 +130,7 @@ def cmd_scene_gen(args) -> int:
     write_json(os.path.join(args.out_dir, "scene.json"), cfg)
     trace_to_csv(trace, os.path.join(args.out_dir, "trace.csv"))
     union = scene.visibility_of(scene.camera_ids)
-    counts = [len(f.persons) for f in trace]
+    counts = [len(f.positions) for f in trace]
     print(f"scene: {len(scene.cameras)} cameras on {h}x{w} grid")
     print(f"union coverage: {union.mean():.3f} of cells")
     print(f"trace: {len(trace)} frames, counts "
@@ -234,11 +248,10 @@ def cmd_validate(args) -> int:
           f"grid {scene.grid.height_cells}x{scene.grid.width_cells}")
     if args.trace:
         trace = trace_from_csv(args.trace)
+        ox, oy = scene.grid.origin
+        ex, ey = scene.grid.extent_m
         for frame in trace:
-            for p in frame.persons:
-                x, y = p.position
-                ox, oy = scene.grid.origin
-                ex, ey = scene.grid.extent_m
+            for x, y in frame.positions.tolist():
                 if not (ox <= x <= ox + ex and oy <= y <= oy + ey):
                     raise ValueError(
                         f"frame {frame.frame_id}: person at ({x}, {y}) "
@@ -386,16 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("select", help="run a selection strategy")
     p.add_argument("--scene", required=True)
     p.add_argument("--trace", required=True)
-    p.add_argument("--strategy", choices=STRATEGIES, default="geometric")
-    p.add_argument("--k", type=int, default=5)
-    p.add_argument("--frames", type=int, default=20)
-    p.add_argument("--tau", type=float, default=20.0)
-    p.add_argument("--epochs", type=int, default=40)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--terms", default=",".join(ALL_TERMS))
-    p.add_argument("--sigma", default="mean",
-                   help='binarization threshold ("mean" or a float)')
-    p.add_argument("--pseudo-stages", choices=PSEUDO_STAGES, default="both")
+    _add_selection_args(p)
     p.add_argument("--out", required=True)
     _add_predictor_args(p)
     p.set_defaults(func=cmd_select)
@@ -420,15 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--values", required=True,
                    help='comma list; ScoreTerms values like "sc+ad"')
     p.add_argument("--repeats", type=int, default=1)
-    p.add_argument("--strategy", choices=STRATEGIES, default="geometric")
-    p.add_argument("--k", type=int, default=5)
-    p.add_argument("--frames", type=int, default=20)
-    p.add_argument("--tau", type=float, default=20.0)
-    p.add_argument("--epochs", type=int, default=40)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--terms", default=",".join(ALL_TERMS))
-    p.add_argument("--sigma", default="mean")
-    p.add_argument("--pseudo-stages", choices=PSEUDO_STAGES, default="both")
+    _add_selection_args(p)
     p.add_argument("--threshold-m", type=float, default=0.5)
     p.add_argument("--out-dir", default=_default_out_dir())
     _add_predictor_args(p)

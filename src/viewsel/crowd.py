@@ -20,17 +20,34 @@ class Person:
     position: tuple[float, float]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CrowdFrame:
-    """All person ground positions at one synchronized timestamp."""
+    """All person ground positions at one synchronized timestamp: a
+    read-only (n, 2) float array of (x, y) meters, one row per person."""
 
     frame_id: int
-    persons: list[Person]
+    positions: np.ndarray
 
-    def positions(self) -> np.ndarray:
-        if not self.persons:
-            return np.zeros((0, 2))
-        return np.array([p.position for p in self.persons])
+    def __post_init__(self):
+        # a copy, so later writes to the caller's array do not reach it
+        pos = np.array(self.positions, dtype=float)
+        if pos.shape == (0,):
+            pos = pos.reshape(0, 2)
+        if pos.ndim != 2 or pos.shape[1] != 2:
+            raise ValueError(f"positions shape {pos.shape} is not (n, 2)")
+        pos.setflags(write=False)
+        object.__setattr__(self, "positions", pos)
+
+    def __eq__(self, other):
+        if not isinstance(other, CrowdFrame):
+            return NotImplemented
+        return (self.frame_id == other.frame_id
+                and np.array_equal(self.positions, other.positions))
+
+    @property
+    def persons(self) -> list[Person]:
+        """The positions as Person records, for readers outside viewsel."""
+        return [Person(position=(x, y)) for x, y in self.positions.tolist()]
 
 
 @dataclass(frozen=True)
@@ -90,15 +107,10 @@ def generate_crowd_trace(grid: GroundGrid, n_frames: int,
             spread = 0.06 * min(ex, ey)
             c = centers[assign] + rng.normal(0.0, spread, size=(n_clustered, 2))
             pts.append(c)
-        if pts:
-            xy = np.concatenate(pts)
-            xy[:, 0] = np.clip(xy[:, 0], ox + pad, ox + ex - pad)
-            xy[:, 1] = np.clip(xy[:, 1], oy + pad, oy + ey - pad)
-        else:
-            xy = np.zeros((0, 2))
-        frames.append(CrowdFrame(
-            frame_id=fid,
-            persons=[Person(position=(float(x), float(y))) for x, y in xy]))
+        xy = np.concatenate(pts) if pts else np.zeros((0, 2))
+        xy[:, 0] = np.clip(xy[:, 0], ox + pad, ox + ex - pad)
+        xy[:, 1] = np.clip(xy[:, 1], oy + pad, oy + ey - pad)
+        frames.append(CrowdFrame(frame_id=fid, positions=xy))
     return frames
 
 
@@ -117,7 +129,7 @@ def rasterize_density(frame: CrowdFrame, grid: GroundGrid,
     if mask is not None and mask.shape != grid.shape:
         raise ValueError("mask shape does not match grid")
     h, w = grid.shape
-    pos = require_finite(frame.positions(), "person positions")
+    pos = require_finite(frame.positions, "person positions")
     radius = int(math.ceil(4.0 * kernel_sigma_cells))
     inv_two_sigma2 = 1.0 / (2.0 * kernel_sigma_cells ** 2)
     ox, oy = grid.origin
@@ -160,23 +172,22 @@ def rasterize_density(frame: CrowdFrame, grid: GroundGrid,
 
 
 def visible_persons(frame: CrowdFrame, visibility: np.ndarray,
-                    grid: GroundGrid) -> list[Person]:
-    """People whose containing grid cell is visible (boundary clamps in-bounds)."""
+                    grid: GroundGrid) -> CrowdFrame:
+    """The frame's people whose containing grid cell is visible (boundary
+    clamps in-bounds), in frame order, under the same frame id."""
     if visibility.shape != grid.shape:
         raise ValueError("visibility shape does not match grid")
-    pos = frame.positions()
+    pos = frame.positions
     seen = visibility[grid.world_to_cell(pos[:, 0], pos[:, 1])]
-    return [frame.persons[k] for k in np.flatnonzero(seen)]
+    return CrowdFrame(frame_id=frame.frame_id, positions=pos[seen])
 
 
 def cover_rate(frames: list[CrowdFrame], visibility: np.ndarray,
                grid: GroundGrid) -> float:
     """Fraction of all people across frames lying inside the visible region."""
-    covered = 0
-    total = 0
-    for frame in frames:
-        total += len(frame.persons)
-        covered += len(visible_persons(frame, visibility, grid))
+    covered = sum(len(visible_persons(frame, visibility, grid).positions)
+                  for frame in frames)
+    total = sum(len(frame.positions) for frame in frames)
     if total == 0:
         raise UndefinedCoverRateError("no persons in any frame")
     return covered / total
@@ -189,23 +200,21 @@ def trace_to_csv(frames: list[CrowdFrame], path) -> None:
         writer = csv.writer(f)
         writer.writerow(["frame_id", "person_idx", "x_m", "y_m"])
         for frame in frames:
-            if not frame.persons:
+            if not len(frame.positions):
                 # one row with empty person fields keeps the frame
                 writer.writerow([frame.frame_id, "", "", ""])
-            for idx, person in enumerate(frame.persons):
-                writer.writerow([frame.frame_id, idx,
-                                 repr(person.position[0]),
-                                 repr(person.position[1])])
+            # repr of Python floats: numpy 2 scalars print as np.float64(...)
+            for idx, (x, y) in enumerate(frame.positions.tolist()):
+                writer.writerow([frame.frame_id, idx, repr(x), repr(y)])
 
 
 def trace_from_csv(path) -> list[CrowdFrame]:
-    by_frame: dict[int, list[Person]] = {}
+    by_frame: dict[int, list[tuple[float, float]]] = {}
     with open(path, newline="") as f:
         for row in csv.DictReader(f):
-            persons = by_frame.setdefault(int(row["frame_id"]), [])
+            rows = by_frame.setdefault(int(row["frame_id"]), [])
             if row["person_idx"] != "":
-                persons.append(
-                    Person(position=(float(row["x_m"]), float(row["y_m"]))))
-    return [CrowdFrame(frame_id=fid, persons=by_frame[fid])
+                rows.append((float(row["x_m"]), float(row["y_m"])))
+    return [CrowdFrame(frame_id=fid, positions=by_frame[fid])
             for fid in sorted(by_frame)]
 

@@ -42,10 +42,10 @@ def evaluate(scene: Scene, trace: list[CrowdFrame], state: SelectionState,
         pred = noisy_predict(frame, state.combined_mask, scene, predictor,
                              selected_ids=list(state.selected))
         pred_counts.append(pred.total)
-        gt_counts.append(float(len(frame.persons)))
+        gt_pts = frame.positions
+        gt_counts.append(float(len(gt_pts)))
         peaks = extract_peaks(pred, scene.grid, peak_min_value,
                               nms_radius_cells)
-        gt_pts = [p.position for p in frame.persons]
         matches, fp, fn = match_points(peaks, gt_pts, threshold_m)
         tp_matches.extend(matches)
         fp_total += len(fp)

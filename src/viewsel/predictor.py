@@ -17,8 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .crowd import (CrowdFrame, DensityMap, Person, rasterize_density,
-                    visible_persons)
+from .crowd import CrowdFrame, DensityMap, rasterize_density, visible_persons
 from .geometry import Scene, floored_distance, require_finite
 
 
@@ -84,10 +83,9 @@ class PredictorConfig:
 def oracle_predict(frame: CrowdFrame, selected_visibility: np.ndarray,
                    scene: Scene, kernel_sigma_cells: float = 1.0) -> DensityMap:
     """Ideal model output: exact density of the people the selected views see."""
-    vis = visible_persons(frame, selected_visibility, scene.grid)
-    return rasterize_density(CrowdFrame(frame_id=frame.frame_id, persons=vis),
-                             scene.grid, kernel_sigma_cells,
-                             mask=selected_visibility)
+    return rasterize_density(
+        visible_persons(frame, selected_visibility, scene.grid), scene.grid,
+        kernel_sigma_cells, mask=selected_visibility)
 
 
 def noisy_predict(frame: CrowdFrame, selected_visibility: np.ndarray,
@@ -114,10 +112,10 @@ def noisy_predict(frame: CrowdFrame, selected_visibility: np.ndarray,
         return oracle_predict(frame, selected_visibility, scene,
                               config.kernel_sigma_cells)
     rng = np.random.default_rng([config.seed, frame.frame_id])
-    n = len(frame.persons)
+    pos = frame.positions
+    n = len(pos)
     miss_p = np.full(n, config.miss_rate * resid)
     if selected_ids and n:
-        pos = frame.positions()
         rows, cols = scene.grid.world_to_cell(pos[:, 0], pos[:, 1])
         # occlusion: misses concentrate where the crowd is dense
         local = rasterize_density(frame, scene.grid,
@@ -136,14 +134,11 @@ def noisy_predict(frame: CrowdFrame, selected_visibility: np.ndarray,
     jitter = rng.normal(0.0, 1.0, size=(n, 2)) * config.position_jitter_m * resid
     scale = 1.0 + config.count_noise_rel * resid * rng.uniform(-1.0, 1.0)
     scale = max(scale, 0.0)
-    persons = [Person(position=(p.position[0] + jitter[i, 0],
-                                p.position[1] + jitter[i, 1]))
-               for i, p in enumerate(frame.persons) if keep[i]]
-    noisy = CrowdFrame(frame_id=frame.frame_id, persons=persons)
-    vis = visible_persons(noisy, selected_visibility, scene.grid)
-    dm = rasterize_density(CrowdFrame(frame_id=frame.frame_id, persons=vis),
-                           scene.grid, config.kernel_sigma_cells,
-                           mask=selected_visibility)
+    noisy = CrowdFrame(frame_id=frame.frame_id,
+                       positions=pos[keep] + jitter[keep])
+    dm = rasterize_density(
+        visible_persons(noisy, selected_visibility, scene.grid), scene.grid,
+        config.kernel_sigma_cells, mask=selected_visibility)
     return DensityMap(values=dm.values * scale)
 
 
@@ -177,6 +172,6 @@ def training_mae(scene: Scene, frames: list[CrowdFrame],
         raise ValueError("frames must be nonempty")
     errors = []
     for frame, pred in zip(frames, predictions, strict=True):
-        covered = len(visible_persons(frame, visibility, scene.grid))
+        covered = len(visible_persons(frame, visibility, scene.grid).positions)
         errors.append(abs(pred.total - covered))
     return float(np.mean(errors))

@@ -42,9 +42,9 @@ class PseudoPair:
 def _selected_gt(state: SelectionState, scene: Scene, frame: CrowdFrame,
                  kernel_sigma_cells: float,
                  loss_mask: np.ndarray) -> DensityMap:
-    vis = visible_persons(frame, state.combined_mask, scene.grid)
-    return rasterize_density(CrowdFrame(frame_id=frame.frame_id, persons=vis),
-                             scene.grid, kernel_sigma_cells, mask=loss_mask)
+    return rasterize_density(
+        visible_persons(frame, state.combined_mask, scene.grid), scene.grid,
+        kernel_sigma_cells, mask=loss_mask)
 
 
 def make_viewsel_pair(state: SelectionState, scene: Scene, frame: CrowdFrame,

@@ -248,9 +248,9 @@ def view_person_credit(scene: Scene, frames: list[CrowdFrame],
     fov = scene.footprint(camera_id).mask
     fracs = []
     for frame in frames:
-        n = len(frame.persons)
-        if n:
-            fracs.append(len(visible_persons(frame, fov, scene.grid)) / n)
+        if len(frame.positions):
+            seen = visible_persons(frame, fov, scene.grid).positions
+            fracs.append(len(seen) / len(frame.positions))
     return float(np.mean(fracs)) if fracs else 0.0
 
 
@@ -333,14 +333,9 @@ def run_avs(scene: Scene, trace: list[CrowdFrame], config: SelectionConfig,
     camera_credit = _camera_credit(scene, frames)
     f = len(frames)
 
-    for _ in range(config.epochs):
-        if len(state.selected) >= k:
-            # the budget is reached: the training metric gates nothing
-            credit = _epoch_credit(camera_credit, f, state.selected, config,
-                                   "modeltrain" if pseudo_modeltrain
-                                   else "off")
-            predictor = calibrate(predictor, credit)
-            continue
+    active_epochs = 0
+    while len(state.selected) < k and active_epochs < config.epochs:
+        active_epochs += 1
         credit = _epoch_credit(camera_credit, f, state.selected, config,
                                "viewsel" if pseudo_viewsel else "off")
         predictor = calibrate(predictor, credit)
@@ -353,11 +348,12 @@ def run_avs(scene: Scene, trace: list[CrowdFrame], config: SelectionConfig,
                              _score_fn(scene, config, m_avg, memo))
     if len(state.selected) < k:
         state = replace(state, non_converged=True)
-    # once the budget is reached the downstream model is trained again on
-    # the labeled views, so the active pipeline ends with a full training pass
-    for _ in range(config.epochs):
-        credit = _epoch_credit(camera_credit, f, state.selected, config,
-                               "modeltrain" if pseudo_modeltrain else "off")
+    # the epochs left once the budget is reached train on the labeled views
+    # with the training metric gating nothing, and the active pipeline then
+    # ends with a full training pass on them
+    credit = _epoch_credit(camera_credit, f, state.selected, config,
+                           "modeltrain" if pseudo_modeltrain else "off")
+    for _ in range(2 * config.epochs - active_epochs):
         predictor = calibrate(predictor, credit)
     return state, LabeledDataset(tuple(frame_ids), state.selected), predictor
 

@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 
+from viewsel import Person
+
 
 def ref_inverse_distance(cams, masks, grid):
     h, w = grid.shape
@@ -151,26 +153,28 @@ def ref_world_to_cell(grid, x, y):
     return i, j
 
 
-def ref_visible_persons(frame, visibility, grid):
-    """Per-person loop: keep the people whose clamped cell is visible."""
+def ref_visible_persons(persons, visibility, grid):
+    """Per-person loop over Person records: keep the people whose clamped
+    cell is visible."""
     out = []
-    for person in frame.persons:
+    for person in persons:
         i, j = ref_world_to_cell(grid, *person.position)
         if visibility[i, j]:
             out.append(person)
     return out
 
 
-def ref_rasterize_density(frame, grid, kernel_sigma_cells, mask=None):
-    """Per-person loop: add each truncated Gaussian, normalized over its
-    in-bounds window, to the raster in person order; returns the array."""
+def ref_rasterize_density(persons, grid, kernel_sigma_cells, mask=None):
+    """Per-person loop over Person records: add each truncated Gaussian,
+    normalized over its in-bounds window, to the raster in person order;
+    returns the array."""
     h, w = grid.shape
     values = np.zeros((h, w))
     ox, oy = grid.origin
     cs = grid.cell_size_m
     radius = int(math.ceil(4.0 * kernel_sigma_cells))
     inv_two_sigma2 = 1.0 / (2.0 * kernel_sigma_cells ** 2)
-    for person in frame.persons:
+    for person in persons:
         px = (person.position[0] - ox) / cs - 0.5  # in cell-center units
         py = (person.position[1] - oy) / cs - 0.5
         j0, i0 = int(round(px)), int(round(py))
@@ -189,3 +193,46 @@ def ref_rasterize_density(frame, grid, kernel_sigma_cells, mask=None):
     if mask is not None:
         values[~mask] = 0.0
     return values
+
+
+def ref_noisy_predict(frame, visibility, scene, config, selected_ids=None):
+    """noisy_predict over a list of Person records: the per-person miss
+    probability, the jittered people rebuilt one at a time, then the loop
+    references for visibility and rasterization; returns the array. The rng
+    draws are the library's, in its order."""
+    persons = frame.persons
+    sigma = config.kernel_sigma_cells
+    resid = 1.0 - config.calibration.quality
+    if (config.miss_rate * resid == 0.0
+            and config.position_jitter_m * resid == 0.0
+            and config.count_noise_rel * resid == 0.0):
+        seen = ref_visible_persons(persons, visibility, scene.grid)
+        return ref_rasterize_density(seen, scene.grid, sigma, mask=visibility)
+    rng = np.random.default_rng([config.seed, frame.frame_id])
+    n = len(persons)
+    miss_p = np.full(n, config.miss_rate * resid)
+    if selected_ids and n:
+        local = ref_rasterize_density(persons, scene.grid, sigma)
+        half_cell = scene.grid.cell_size_m / 2.0
+        for k, person in enumerate(persons):
+            x, y = person.position
+            i, j = ref_world_to_cell(scene.grid, x, y)
+            crowding = local[i, j] / (local[i, j] + config.crowding_half)
+            strength = 0.0
+            for cid in selected_ids:
+                cx, cy = scene.camera(cid).ground_position
+                d = max(np.hypot(x - cx, y - cy), half_cell)
+                strength += scene.footprint(cid).mask[i, j] / d
+            miss_p[k] *= crowding / (1.0 + config.distance_falloff_m
+                                     * strength)
+    keep = rng.random(n) >= miss_p
+    jitter = rng.normal(0.0, 1.0, size=(n, 2)) * config.position_jitter_m \
+        * resid
+    scale = max(1.0 + config.count_noise_rel * resid * rng.uniform(-1.0, 1.0),
+                0.0)
+    noisy = [Person(position=(p.position[0] + jitter[k, 0],
+                              p.position[1] + jitter[k, 1]))
+             for k, p in enumerate(persons) if keep[k]]
+    seen = ref_visible_persons(noisy, visibility, scene.grid)
+    return ref_rasterize_density(seen, scene.grid, sigma,
+                                 mask=visibility) * scale

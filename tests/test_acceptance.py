@@ -254,10 +254,8 @@ def test_criterion_6_monotonicity_suites():
         b = rng.random(grid.shape) < rng.uniform(0, 1)
         ex, ey = grid.extent_m
         pts = rng.uniform([0, 0], [ex, ey], size=(20, 2))
-        from viewsel import CrowdFrame, Person
-        frames = [CrowdFrame(frame_id=0,
-                             persons=[Person(position=(float(x), float(y)))
-                                      for x, y in pts])]
+        from viewsel import CrowdFrame
+        frames = [CrowdFrame(frame_id=0, positions=pts)]
         if cover_rate(frames, a | b, grid) < cover_rate(frames, a, grid):
             violations += 1
     b_viol = violations - a_viol

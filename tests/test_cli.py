@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from viewsel.cli import (EXIT_NON_CONVERGED, EXIT_OK, EXIT_VALIDATION, main)
+from viewsel.cli import (EXIT_NON_CONVERGED, EXIT_OK, EXIT_VALIDATION,
+                         build_parser, main)
 
 
 def run(*args):
@@ -128,6 +129,30 @@ def test_validate_catches_unknown_selection(artifacts, tmp_path):
     assert code == EXIT_VALIDATION
     assert run("validate", "--scene", str(scene_path), "--trace",
                str(trace_path)) == EXIT_OK
+
+
+def test_validate_names_the_first_off_grid_person(artifacts, tmp_path,
+                                                  capsys):
+    scene_path, _ = artifacts  # a 40x40 grid of 0.5 m cells: 20 m square
+    trace = tmp_path / "trace.csv"
+    trace.write_text("frame_id,person_idx,x_m,y_m\n0,0,1.5,2.0\n"
+                     "1,0,3.0,25.0\n1,1,-1.0,1.0\n")
+    assert run("validate", "--scene", str(scene_path), "--trace",
+               str(trace)) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "error: frame 1: person at (3.0, 25.0) outside grid extent\n")
+
+
+def test_select_and_sweep_share_selection_defaults():
+    parser = build_parser()
+    select = parser.parse_args(["select", "--scene", "s", "--trace", "t",
+                                "--out", "o"])
+    sweep = parser.parse_args(["sweep", "--scene", "s", "--trace", "t",
+                               "--axis", "K", "--values", "1"])
+    dests = ("strategy", "k", "frames", "tau", "epochs", "seed", "terms",
+             "sigma", "pseudo_stages")
+    assert {d: getattr(select, d) for d in dests} \
+        == {d: getattr(sweep, d) for d in dests}
 
 
 def test_sweep_rows_and_resume(artifacts, tmp_path):

@@ -9,9 +9,28 @@ from viewsel.crowd import UndefinedCoverRateError, trace_from_csv, trace_to_csv
 
 
 def _frame(points, fid=0):
-    return CrowdFrame(frame_id=fid,
-                      persons=[Person(position=(float(x), float(y)))
-                               for x, y in points])
+    return CrowdFrame(frame_id=fid, positions=points)
+
+
+@pytest.mark.parametrize("bad", [np.zeros((2, 3)), np.zeros(5), np.zeros(4),
+                                 np.zeros((1, 1, 2))])
+def test_crowd_frame_rejects_non_pairs(bad):
+    with pytest.raises(ValueError, match="shape"):
+        CrowdFrame(frame_id=0, positions=bad)
+
+
+def test_crowd_frame_positions_are_a_read_only_copy():
+    assert CrowdFrame(frame_id=0, positions=[]).positions.shape == (0, 2)
+    pts = np.array([[1.0, 2.0], [3.0, 4.5]])
+    frame = CrowdFrame(frame_id=0, positions=pts)
+    with pytest.raises(ValueError):
+        frame.positions[0, 0] = 9.0
+    pts[0, 0] = 9.0
+    assert frame.positions[0, 0] == 1.0
+    # the Person view that readers outside the package use: Python floats
+    assert frame.persons == [Person(position=(1.0, 2.0)),
+                             Person(position=(3.0, 4.5))]
+    assert type(frame.persons[0].position[0]) is float
 
 
 def test_trace_is_deterministic(small_grid):
@@ -26,8 +45,8 @@ def test_trace_counts_and_bounds(small_grid):
     ox, oy = small_grid.origin
     ex, ey = small_grid.extent_m
     for frame in trace:
-        assert 20 <= len(frame.persons) <= 40
-        pos = frame.positions()
+        pos = frame.positions
+        assert 20 <= len(pos) <= 40
         assert (pos[:, 0] >= ox).all() and (pos[:, 0] <= ox + ex).all()
         assert (pos[:, 1] >= oy).all() and (pos[:, 1] <= oy + ey).all()
 
@@ -88,8 +107,7 @@ def test_visible_persons_filters_by_cell(small_grid):
     vis[small_grid.world_to_cell(2.0, 3.0)] = True
     frame = _frame([(2.0, 3.0), (18.0, 18.0)])
     seen = visible_persons(frame, vis, small_grid)
-    assert len(seen) == 1
-    assert seen[0].position == (2.0, 3.0)
+    assert seen == _frame([(2.0, 3.0)])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -26,7 +26,7 @@ def test_empty_visibility_mae_is_mean_count(demo_scene):
         selected=(demo_scene.camera_ids[0],),
         combined_mask=np.zeros(demo_scene.grid.shape, dtype=bool))
     report = evaluate(demo_scene, trace, state, PredictorConfig())
-    mean_count = np.mean([len(f.persons) for f in trace])
+    mean_count = np.mean([len(f.positions) for f in trace])
     assert report.counting.mae == pytest.approx(mean_count)
     assert report.cover_rate == 0.0
     assert report.localization.tp == 0
@@ -38,7 +38,7 @@ def test_partial_coverage_metrics_compose(demo_scene):
     report = evaluate(demo_scene, trace, state, PredictorConfig())
     assert 0.0 < report.cover_rate <= 1.0
     # with an oracle predictor, counting error is the uncovered fraction
-    mean_count = np.mean([len(f.persons) for f in trace])
+    mean_count = np.mean([len(f.positions) for f in trace])
     expected = (1.0 - report.cover_rate) * mean_count
     assert report.counting.mae == pytest.approx(expected, abs=3.0)
     assert 0.0 <= report.localization.f1 <= 1.0

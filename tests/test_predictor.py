@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from viewsel import (CalibrationState, CrowdFrame, Person, PredictorConfig,
+from viewsel import (CalibrationState, CrowdFrame, PredictorConfig,
                      calibrate, generate_crowd_trace, noisy_predict,
                      oracle_predict, predict_frames, training_mae,
                      visible_persons)
@@ -19,7 +19,7 @@ def test_oracle_counts_visible_persons_only(demo_scene):
     frame = _trace(demo_scene)[0]
     vis = demo_scene.visibility_of(demo_scene.camera_ids[:2])
     dm = oracle_predict(frame, vis, demo_scene)
-    covered = visible_persons(frame, vis, demo_scene.grid)
+    covered = visible_persons(frame, vis, demo_scene.grid).positions
     # masking can clip kernel tails of boundary people, so up to tolerance
     assert dm.total <= len(covered) + 1e-9
     assert dm.total == pytest.approx(len(covered), abs=0.5)
@@ -55,8 +55,7 @@ def test_miss_rate_binomial_statistics(small_grid):
     scene = Scene(grid=small_grid, cameras=[cam])
     rng = np.random.default_rng(123)
     pts = rng.uniform(1.0, 19.0, size=(1000, 2))
-    frame = CrowdFrame(frame_id=0, persons=[
-        Person(position=(float(x), float(y))) for x, y in pts])
+    frame = CrowdFrame(frame_id=0, positions=pts)
     cfg = PredictorConfig(miss_rate=0.2, count_noise_rel=0.0, seed=7)
     dm = noisy_predict(frame, _full(scene), scene, cfg)
     mean, sigma = 800.0, math.sqrt(1000 * 0.2 * 0.8)

@@ -3,13 +3,15 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from viewsel import (CrowdFrame, DensityMap, Person, binarize_density,
-                     cover_rate, rasterize_density, score_scene_coverage,
+from viewsel import (CalibrationState, CrowdFrame, DensityMap,
+                     PredictorConfig, binarize_density, cover_rate,
+                     noisy_predict, rasterize_density, score_scene_coverage,
                      score_view_diversity, visible_persons)
 from viewsel.geometry import GroundGrid
 
 from conftest import random_small_scene
-from reference import ref_rasterize_density, ref_visible_persons
+from reference import (ref_noisy_predict, ref_rasterize_density,
+                       ref_visible_persons)
 
 
 @st.composite
@@ -45,9 +47,7 @@ def test_cover_rate_monotone_under_union(data, seed):
     ox, oy = grid.origin
     ex, ey = grid.extent_m
     pts = rng.uniform([ox, oy], [ox + ex, oy + ey], size=(25, 2))
-    frames = [CrowdFrame(frame_id=0,
-                         persons=[Person(position=(float(x), float(y)))
-                                  for x, y in pts])]
+    frames = [CrowdFrame(frame_id=0, positions=pts)]
     assert cover_rate(frames, a | b, grid) >= cover_rate(frames, a, grid)
 
 
@@ -103,9 +103,7 @@ def crowd_frames(draw):
     ox, oy = grid.origin
     pts = rng.uniform([ox - margin, oy - margin],
                       [ox + ex + margin, oy + ey + margin], size=(n, 2))
-    frame = CrowdFrame(frame_id=0,
-                       persons=[Person(position=(float(x), float(y)))
-                                for x, y in pts])
+    frame = CrowdFrame(frame_id=0, positions=pts)
     mask = rng.random(grid.shape) < 0.6 if draw(st.booleans()) else None
     return grid, frame, mask
 
@@ -116,8 +114,8 @@ def test_rasterize_density_equals_loop_reference(data, sigma):
     grid, frame, mask = data
     fast = rasterize_density(frame, grid, sigma, mask=mask).values
     assert fast.dtype == np.float64
-    assert np.array_equal(fast, ref_rasterize_density(frame, grid, sigma,
-                                                      mask=mask))
+    assert np.array_equal(fast, ref_rasterize_density(frame.persons, grid,
+                                                      sigma, mask=mask))
 
 
 @given(crowd_frames())
@@ -125,5 +123,33 @@ def test_rasterize_density_equals_loop_reference(data, sigma):
 def test_visible_persons_equals_loop_reference(data):
     grid, frame, mask = data
     vis = mask if mask is not None else np.ones(grid.shape, dtype=bool)
-    assert visible_persons(frame, vis, grid) \
-        == ref_visible_persons(frame, vis, grid)
+    assert visible_persons(frame, vis, grid).persons \
+        == ref_visible_persons(frame.persons, vis, grid)
+
+
+@given(st.integers(0, 2 ** 31 - 1), st.sampled_from([0.0, 0.5, 1.0]),
+       st.integers(0, 40), st.sampled_from([0.0, 1.0, 8.0]), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_noisy_predict_equals_person_list_reference(seed, quality, n, margin,
+                                                    with_ids):
+    """Empty frames (n = 0) and people up to margin meters off the grid;
+    quality 1 takes the oracle path."""
+    rng = np.random.default_rng(seed)
+    scene = random_small_scene(rng, n_cameras=4)
+    ox, oy = scene.grid.origin
+    ex, ey = scene.grid.extent_m
+    pts = rng.uniform([ox - margin, oy - margin],
+                      [ox + ex + margin, oy + ey + margin], size=(n, 2))
+    frame = CrowdFrame(frame_id=int(rng.integers(100)), positions=pts)
+    ids = list(scene.camera_ids[:int(rng.integers(1, 5))])
+    vis = scene.visibility_of(ids)
+    config = PredictorConfig(
+        miss_rate=float(rng.uniform(0.0, 1.0)),
+        position_jitter_m=float(rng.uniform(0.0, 2.0)),
+        count_noise_rel=float(rng.uniform(0.0, 0.5)), seed=seed % 1000,
+        distance_falloff_m=6.0, crowding_half=0.5,
+        calibration=CalibrationState(quality=quality))
+    selected = ids if with_ids else None
+    fast = noisy_predict(frame, vis, scene, config, selected_ids=selected)
+    assert np.array_equal(fast.values, ref_noisy_predict(
+        frame, vis, scene, config, selected_ids=selected))

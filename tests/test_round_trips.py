@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from viewsel import CameraPose, CrowdFrame, GroundGrid, Person, Scene
+from viewsel import CameraPose, CrowdFrame, GroundGrid, Scene
 from viewsel.cli import _state_from_artifact
 from viewsel.crowd import trace_from_csv, trace_to_csv
 from viewsel.selection import SelectionState
@@ -62,8 +62,7 @@ frames = st.lists(
 @given(frames, st.integers(0, 1000))
 @settings(max_examples=100, deadline=None)
 def test_trace_csv_round_trip(people_per_frame, first_id):
-    trace = [CrowdFrame(frame_id=first_id + 3 * k,
-                        persons=[Person(position=p) for p in people])
+    trace = [CrowdFrame(frame_id=first_id + 3 * k, positions=people)
              for k, people in enumerate(people_per_frame)]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trace.csv"

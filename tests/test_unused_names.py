@@ -1,6 +1,8 @@
 """Guard against dead code: every public module-level function or class in
 src/viewsel is either used somewhere in the package or exported by
-viewsel/__init__.py, and every module-level import is read by its module."""
+viewsel/__init__.py, and every module-level import is read by its module.
+Also guards the columnar crowd frame: no module reads CrowdFrame's Person
+view, `persons`, which exists for readers outside the package."""
 
 import ast
 from pathlib import Path
@@ -56,9 +58,21 @@ def unused_imports(package: Path) -> list[str]:
     return unused
 
 
+def attribute_reads(package: Path, attr: str) -> list[str]:
+    """`module:line` of each read of the attribute `attr` in the package."""
+    return [f"{path.stem}:{node.lineno}"
+            for path in sorted(package.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and node.attr == attr]
+
+
 def test_every_public_name_is_used_or_exported():
     assert unused_public_names(PACKAGE) == []
 
 
 def test_every_module_level_import_is_read():
     assert unused_imports(PACKAGE) == []
+
+
+def test_no_module_reads_the_person_view():
+    assert attribute_reads(PACKAGE, "persons") == []
