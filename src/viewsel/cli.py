@@ -19,7 +19,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .crowd import generate_crowd_trace, trace_from_csv, trace_to_csv
+from .crowd import (CrowdFrame, generate_crowd_trace, trace_from_csv,
+                    trace_to_csv)
 from .evaluate import evaluate
 from .geometry import GroundGrid, Scene
 from .predictor import PredictorConfig, oracle_predict
@@ -106,6 +107,36 @@ def _scene_hash(scene: Scene) -> str:
     return spec_hash(scene.to_config())
 
 
+def _load_trace(path: str, scene: Scene) -> list[CrowdFrame]:
+    """The trace at path; a person outside the scene's grid extent is a
+    validation error naming the first such person, not a silent clamp."""
+    trace = trace_from_csv(path)
+    ox, oy = scene.grid.origin
+    ex, ey = scene.grid.extent_m
+    for frame in trace:
+        x, y = frame.positions.T
+        off = ~((ox <= x) & (x <= ox + ex) & (oy <= y) & (y <= oy + ey))
+        if off.any():
+            x, y = frame.positions[off.argmax()].tolist()
+            raise ValueError(f"frame {frame.frame_id}: person at ({x}, {y}) "
+                             f"outside grid extent")
+    return trace
+
+
+def _selected_ids(data: dict, scene: Scene) -> list[str]:
+    """A selection artifact's camera ids: a list of strings, each naming one
+    of the scene's cameras."""
+    selected = data["selected"]
+    if not (isinstance(selected, list)
+            and all(isinstance(s, str) for s in selected)):
+        raise ValueError("selection artifact: 'selected' must be a list of "
+                         "camera id strings")
+    missing = [s for s in selected if s not in scene.camera_ids]
+    if missing:
+        raise ValueError(f"selection names unknown cameras: {missing}")
+    return selected
+
+
 # ---------------------------------------------------------------------------
 # scene-gen
 
@@ -179,7 +210,7 @@ def _run_selection(scene: Scene, trace, config: SelectionConfig,
 
 def cmd_select(args) -> int:
     scene = _load_scene(args.scene)
-    trace = trace_from_csv(args.trace)
+    trace = _load_trace(args.trace, scene)
     config = _selection_config_from_args(args)
     predictor = _predictor_from_args(args)
     if config.strategy in ("mask", "density") and args.predictor == "oracle":
@@ -206,7 +237,7 @@ def cmd_select(args) -> int:
 
 
 def _state_from_artifact(scene: Scene, data: dict) -> SelectionState:
-    selected = [str(s) for s in data["selected"]]
+    selected = _selected_ids(data, scene)
     return SelectionState(selected=tuple(selected),
                           combined_mask=scene.visibility_of(selected),
                           non_converged=bool(data.get("non_converged")))
@@ -214,7 +245,7 @@ def _state_from_artifact(scene: Scene, data: dict) -> SelectionState:
 
 def cmd_eval(args) -> int:
     scene = _load_scene(args.scene)
-    trace = trace_from_csv(args.trace)
+    trace = _load_trace(args.trace, scene)
     data = read_json(args.selection)
     embedded = data.get("spec", {}).get("scene_hash")
     if embedded is not None and embedded != _scene_hash(scene) \
@@ -247,23 +278,11 @@ def cmd_validate(args) -> int:
     print(f"scene ok: {len(scene.cameras)} cameras, "
           f"grid {scene.grid.height_cells}x{scene.grid.width_cells}")
     if args.trace:
-        trace = trace_from_csv(args.trace)
-        ox, oy = scene.grid.origin
-        ex, ey = scene.grid.extent_m
-        for frame in trace:
-            for x, y in frame.positions.tolist():
-                if not (ox <= x <= ox + ex and oy <= y <= oy + ey):
-                    raise ValueError(
-                        f"frame {frame.frame_id}: person at ({x}, {y}) "
-                        f"outside grid extent")
+        trace = _load_trace(args.trace, scene)
         print(f"trace ok: {len(trace)} frames")
     if args.selection:
-        data = read_json(args.selection)
-        missing = [s for s in data["selected"]
-                   if s not in scene.camera_ids]
-        if missing:
-            raise ValueError(f"selection names unknown cameras: {missing}")
-        print(f"selection ok: {len(data['selected'])} views")
+        selected = _selected_ids(read_json(args.selection), scene)
+        print(f"selection ok: {len(selected)} views")
     return EXIT_OK
 
 
@@ -307,7 +326,7 @@ def _read_index(path: str) -> set:
 
 def cmd_sweep(args) -> int:
     scene = _load_scene(args.scene)
-    trace = trace_from_csv(args.trace)
+    trace = _load_trace(args.trace, scene)
     base = _selection_config_from_args(args)
     base_pred = _predictor_from_args(args)
     values = [v for v in args.values.split(",") if v]

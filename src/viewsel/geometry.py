@@ -257,26 +257,21 @@ def combined_visibility(footprints: list[FovFootprint],
 
 @dataclass(frozen=True)
 class Scene:
-    """Ground grid plus the calibrated candidate camera roster."""
+    """Ground grid plus the calibrated candidate camera roster, with each
+    camera's footprint projected on construction."""
 
     grid: GroundGrid
     cameras: list[CameraPose]
-    footprints: list[FovFootprint] = field(default_factory=list)
+    footprints: list[FovFootprint] = field(init=False)
 
     def __post_init__(self):
-        if not self.footprints:
-            object.__setattr__(
-                self, "footprints",
-                [project_footprint(c, self.grid) for c in self.cameras])
-        if len(self.footprints) != len(self.cameras):
-            raise ValueError("one footprint per camera required")
         cam_ids = [c.id for c in self.cameras]
         if len(set(cam_ids)) != len(cam_ids):
             raise ValueError("camera ids must be unique")
-        if [f.camera_id for f in self.footprints] != cam_ids:
-            raise ValueError("footprint ids must match camera ids in order")
+        footprints = [project_footprint(c, self.grid) for c in self.cameras]
+        object.__setattr__(self, "footprints", footprints)
         object.__setattr__(self, "_by_id", {
-            c.id: (c, f) for c, f in zip(self.cameras, self.footprints)})
+            c.id: (c, f) for c, f in zip(self.cameras, footprints)})
 
     @property
     def camera_ids(self) -> list[str]:
@@ -287,6 +282,19 @@ class Scene:
 
     def footprint(self, camera_id: str) -> FovFootprint:
         return self._by_id[camera_id][1]
+
+    def footprint_distance(self, camera_id: str) -> np.ndarray:
+        """Floored ground distance from the camera to each of its footprint
+        cells, row-major; computed for every camera on first use and
+        read-only."""
+        return self._footprint_distances[camera_id]
+
+    @cached_property
+    def _footprint_distances(self) -> dict[str, np.ndarray]:
+        X, Y = self.grid.cell_centers()
+        return {c.id: _read_only(floored_distance(
+                    X[f.mask], Y[f.mask], c.ground_position, self.grid))[0]
+                for c, f in zip(self.cameras, self.footprints)}
 
     def visibility_of(self, camera_ids: list[str]) -> np.ndarray:
         return combined_visibility(

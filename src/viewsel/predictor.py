@@ -13,7 +13,7 @@ executable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -77,7 +77,10 @@ class PredictorConfig:
     def from_dict(cls, d: dict) -> "PredictorConfig":
         d = dict(d)
         cal = CalibrationState.from_dict(d.pop("calibration"))
-        return cls(calibration=cal, **{k: v for k, v in d.items()})
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown predictor config keys: {unknown}")
+        return cls(calibration=cal, **d)
 
 
 def oracle_predict(frame: CrowdFrame, selected_visibility: np.ndarray,

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crowd import DensityMap
-from .geometry import (CameraPose, DegenerateAxisError, FovFootprint,
-                       GroundGrid, Scene, combined_visibility,
-                       floored_distance, ground_axis_and_position)
+from .geometry import (CameraPose, DegenerateAxisError, GroundGrid, Scene,
+                       ground_axis_and_position)
 
 DEFAULT_LAMBDA = 0.1
 DEFAULT_EPSILON = 1e-10
@@ -50,41 +49,29 @@ def score_scene_coverage(visible: np.ndarray, grid: GroundGrid) -> float:
     return float(visible.sum()) / grid.n_cells
 
 
-def inverse_distance_field(selected: list[CameraPose],
-                           footprints: list[FovFootprint],
-                           grid: GroundGrid,
+def inverse_distance_field(group: list[CameraPose], scene: Scene,
                            weight: np.ndarray | None = None) -> np.ndarray:
     """Per-cell sum of weight / camera distance, each camera contributing
-    only inside its own footprint; weight None means unit weight.
+    only inside its own footprint; weight None means unit weight, and an
+    empty group gives all zeros.
 
     Distances run from cell centers to the camera's ground position and are
-    floored at half a cell (geometry.floored_distance).
+    floored at half a cell (Scene.footprint_distance).
     """
-    if not selected:
-        raise ValueError("selected must be nonempty")
-    if len(selected) != len(footprints):
-        raise ValueError("one footprint per selected camera required")
-    if weight is not None and weight.shape != grid.shape:
+    if weight is not None and weight.shape != scene.grid.shape:
         raise ValueError("weight does not match grid")
-    field = np.zeros(grid.shape)
-    for cam, fp in zip(selected, footprints):
-        _add_camera_term(field, fp.mask,
-                         _footprint_distance(cam, fp.mask, grid), weight)
+    field = np.zeros(scene.grid.shape)
+    for cam in group:
+        _add_camera_term(field, scene, cam.id, weight)
     return field
 
 
-def _footprint_distance(cam: CameraPose, cells: np.ndarray,
-                        grid: GroundGrid) -> np.ndarray:
-    """Floored distance from cam's ground position to each cell center in
-    cells, in row-major order."""
-    X, Y = grid.cell_centers()
-    return floored_distance(X[cells], Y[cells], cam.ground_position, grid)
-
-
-def _add_camera_term(field: np.ndarray, cells: np.ndarray,
-                     distance: np.ndarray, weight: np.ndarray | None) -> None:
+def _add_camera_term(field: np.ndarray, scene: Scene, camera_id: str,
+                     weight: np.ndarray | None) -> None:
     """Add one camera's weight / floored distance on its footprint cells."""
-    field[cells] += (1.0 if weight is None else weight[cells]) / distance
+    cells = scene.footprint(camera_id).mask
+    field[cells] += ((1.0 if weight is None else weight[cells])
+                     / scene.footprint_distance(camera_id))
 
 
 def _axis_and_position(cam: CameraPose) -> tuple[np.ndarray | None, np.ndarray]:
@@ -96,25 +83,23 @@ def _axis_and_position(cam: CameraPose) -> tuple[np.ndarray | None, np.ndarray]:
 
 
 def _pair_term(a: tuple[np.ndarray | None, np.ndarray],
-               b: tuple[np.ndarray | None, np.ndarray],
-               eps: float) -> float | None:
-    """Diversity term of two cameras' (_axis_and_position); None when
-    either looks straight down."""
+               b: tuple[np.ndarray | None, np.ndarray], eps: float) -> float:
+    """Diversity term of two cameras' (_axis_and_position); 0.0 when either
+    looks straight down."""
     (ai, pi), (aj, pj) = a, b
     if ai is None or aj is None:
-        return None
+        return 0.0
     return float(ai @ aj) / (float(np.linalg.norm(pi - pj)) + eps)
 
 
 def _diversity(pair_terms, lam: float, eps: float) -> float:
     """S_vd from the pair terms of a group (_pair_term), summed in the
-    group's i < j pair order; None terms add nothing."""
+    group's i < j pair order (a 0.0 term leaves the sum unchanged)."""
     if lam <= 0 or eps <= 0:
         raise ValueError("lam and eps must be positive")
     acc = 0.0
     for term in pair_terms:
-        if term is not None:
-            acc += term
+        acc += term
     return float(np.exp(-lam * acc))
 
 
@@ -132,86 +117,6 @@ def score_view_diversity(selected: list[CameraPose], lam: float = DEFAULT_LAMBDA
                        for a, b in itertools.combinations(axes, 2)), lam, eps)
 
 
-class _RunMemo:
-    """The pure per-camera and per-pair terms of one selection run's scores,
-    each computed on first use exactly as a from-scratch score computes it:
-    a camera's floored distance on its footprint cells (the weight is
-    applied afterwards, so rounds with different weights share it), its
-    ground axis and position, and each ordered pair's diversity term.
-
-    A run (run_ivs, run_avs) creates one and drops it when it returns; a
-    score_round called on its own uses a fresh one."""
-
-    def __init__(self, scene: Scene):
-        self.scene = scene
-        self._distance: dict[str, np.ndarray] = {}
-        self._axis: dict[str, tuple[np.ndarray | None, np.ndarray]] = {}
-        self._pair: dict[tuple[str, str, float], float | None] = {}
-
-    def distance(self, cam: CameraPose) -> np.ndarray:
-        if cam.id not in self._distance:
-            self._distance[cam.id] = _footprint_distance(
-                cam, self.scene.footprint(cam.id).mask, self.scene.grid)
-        return self._distance[cam.id]
-
-    def axis(self, cam: CameraPose) -> tuple[np.ndarray | None, np.ndarray]:
-        if cam.id not in self._axis:
-            self._axis[cam.id] = _axis_and_position(cam)
-        return self._axis[cam.id]
-
-    def pair(self, a: CameraPose, b: CameraPose, eps: float) -> float | None:
-        key = (a.id, b.id, eps)
-        if key not in self._pair:
-            self._pair[key] = _pair_term(self.axis(a), self.axis(b), eps)
-        return self._pair[key]
-
-    def field(self, group: list[CameraPose],
-              weight: np.ndarray | None) -> np.ndarray:
-        """inverse_distance_field of the group (all zeros when empty), from
-        the memo's distances; built once per greedy round."""
-        field = np.zeros(self.scene.grid.shape)
-        for cam in group:
-            _add_camera_term(field, self.scene.footprint(cam.id).mask,
-                             self.distance(cam), weight)
-        return field
-
-    def score_round(self, group: list[CameraPose],
-                    candidates: list[CameraPose],
-                    region: np.ndarray | None, weight: np.ndarray | None,
-                    lam: float, eps: float, terms: tuple[str, ...],
-                    variant: str) -> list[ScoreBreakdown]:
-        """score_round on this memo's scene."""
-        grid = self.scene.grid
-        if region is not None and region.shape != grid.shape:
-            raise ValueError("region does not match scene grid")
-        if weight is not None and weight.shape != grid.shape:
-            raise ValueError("weight does not match grid")
-        footprints = [self.scene.footprint(cam.id) for cam in group]
-        group_field = self.field(group, weight)
-        union = combined_visibility(footprints, grid)
-        breakdowns = []
-        for cam in candidates:
-            fp = self.scene.footprint(cam.id)
-            field = group_field.copy()
-            _add_camera_term(field, fp.mask, self.distance(cam), weight)
-            scored = union | fp.mask if region is None else region
-            s_vd = _diversity((self.pair(a, b, eps) for a, b in
-                               itertools.combinations([*group, cam], 2)),
-                              lam, eps)
-            n_region = int(scored.sum())
-            s_sc = n_region / grid.n_cells
-            s_ad = float(field[scored].sum()) / n_region if n_region else 0.0
-            total = 1.0
-            for term, factor in (("sc", s_sc), ("ad", s_ad), ("vd", s_vd)):
-                if term in terms:
-                    total *= factor
-            if n_region == 0:
-                total = 0.0
-            breakdowns.append(ScoreBreakdown(s_sc=s_sc, s_ad=s_ad, s_vd=s_vd,
-                                             total=total, variant=variant))
-        return breakdowns
-
-
 def score_round(group: list[CameraPose], candidates: list[CameraPose],
                 scene: Scene, region: np.ndarray | None = None,
                 weight: np.ndarray | None = None,
@@ -221,11 +126,42 @@ def score_round(group: list[CameraPose], candidates: list[CameraPose],
     """S_sc * S_ad * S_vd of group + [c] for each candidate c over a scored
     region (None: that group's FOV union) with a per-cell distance-field
     weight (None: unit); terms picks the factors multiplied into total, and
-    an empty region scores 0. The group's field, union and axes are built
-    once, and c, last in its group, adds only its own terms, in the order a
-    from-scratch score of group + [c] adds them: the results are equal."""
-    return _RunMemo(scene).score_round(group, candidates, region, weight,
-                                       lam, eps, terms, variant)
+    an empty region scores 0. The group's field, union and pair terms are
+    built once, and c, last in its group, adds only its own terms, in the
+    order a from-scratch score of group + [c] adds them: the results are
+    equal."""
+    grid = scene.grid
+    if region is not None and region.shape != grid.shape:
+        raise ValueError("region does not match scene grid")
+    group_field = inverse_distance_field(group, scene, weight)
+    union = scene.visibility_of([cam.id for cam in group])
+    axes = [_axis_and_position(cam) for cam in group]
+    group_pairs = [[_pair_term(a, b, eps) for b in axes[i + 1:]]
+                   for i, a in enumerate(axes)]
+    breakdowns = []
+    for cam in candidates:
+        field = group_field.copy()
+        _add_camera_term(field, scene, cam.id, weight)
+        scored = (union | scene.footprint(cam.id).mask if region is None
+                  else region)
+        # the i < j pairs of group + [cam] in itertools.combinations order:
+        # group camera i's pairs with the later group cameras, then with cam
+        own = _axis_and_position(cam)
+        s_vd = _diversity((term for a, row in zip(axes, group_pairs)
+                           for term in [*row, _pair_term(a, own, eps)]),
+                          lam, eps)
+        n_region = int(scored.sum())
+        s_sc = n_region / grid.n_cells
+        s_ad = float(field[scored].sum()) / n_region if n_region else 0.0
+        total = 1.0
+        for term, factor in (("sc", s_sc), ("ad", s_ad), ("vd", s_vd)):
+            if term in terms:
+                total *= factor
+        if n_region == 0:
+            total = 0.0
+        breakdowns.append(ScoreBreakdown(s_sc=s_sc, s_ad=s_ad, s_vd=s_vd,
+                                         total=total, variant=variant))
+    return breakdowns
 
 
 def score(selected: list[CameraPose], scene: Scene,

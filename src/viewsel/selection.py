@@ -14,7 +14,7 @@ from .geometry import Scene
 from .predictor import (PredictorConfig, calibrate, noisy_predict,
                         oracle_predict, predict_frames, training_mae)
 from .scoring import (ALL_TERMS, DEFAULT_EPSILON, DEFAULT_LAMBDA,
-                      ScoreBreakdown, _RunMemo, binarize_density)
+                      ScoreBreakdown, binarize_density, score_round)
 
 STRATEGIES = ("geometric", "mask", "density", "random")
 PSEUDO_STAGES = ("none", "viewsel", "modeltrain", "both")
@@ -202,23 +202,19 @@ def add_view(scene: Scene, state: SelectionState,
 
 
 def _score_fn(scene: Scene, config: SelectionConfig,
-              prediction: DensityMap | None = None,
-              memo: _RunMemo | None = None):
+              prediction: DensityMap | None = None):
     """add_view's score_fn under config.strategy, which picks the scored
     region and the distance-field weight: geometric scores the group's FOV
     union with unit weight, mask the binarized prediction with unit weight,
-    density the binarized prediction weighted by the prediction. memo is
-    the run's store of per-camera and per-pair terms (None: a fresh one)."""
+    density the binarized prediction weighted by the prediction."""
     region = weight = None
     if config.strategy in ("mask", "density"):
         region = binarize_density(prediction, config.sigma_mode)
     if config.strategy == "density":
         weight = prediction.values
-    if memo is None:
-        memo = _RunMemo(scene)
-    return lambda group, candidates: memo.score_round(
+    return lambda group, candidates: score_round(
         [scene.camera(c) for c in group],
-        [scene.camera(c) for c in candidates], region, weight,
+        [scene.camera(c) for c in candidates], scene, region, weight,
         config.lam, config.epsilon, config.terms, config.strategy)
 
 
@@ -327,7 +323,6 @@ def run_avs(scene: Scene, trace: list[CrowdFrame], config: SelectionConfig,
                                "largest_predicted_count", totals)
     state = _initial_state(scene, first)
     k = min(config.k_max, len(scene.cameras))
-    memo = _RunMemo(scene)
     pseudo_viewsel = config.pseudo_stages in ("viewsel", "both")
     pseudo_modeltrain = config.pseudo_stages in ("modeltrain", "both")
     camera_credit = _camera_credit(scene, frames)
@@ -344,8 +339,7 @@ def run_avs(scene: Scene, trace: list[CrowdFrame], config: SelectionConfig,
         if training_mae(scene, frames, state.combined_mask,
                         preds) <= config.tau:
             m_avg = mean_prediction(preds, scene.grid.shape)
-            state = add_view(scene, state,
-                             _score_fn(scene, config, m_avg, memo))
+            state = add_view(scene, state, _score_fn(scene, config, m_avg))
     if len(state.selected) < k:
         state = replace(state, non_converged=True)
     # the epochs left once the budget is reached train on the labeled views

@@ -143,6 +143,65 @@ def test_validate_names_the_first_off_grid_person(artifacts, tmp_path,
         "error: frame 1: person at (3.0, 25.0) outside grid extent\n")
 
 
+@pytest.mark.parametrize("command", ["select", "eval", "sweep", "validate"])
+def test_off_grid_person_is_validation_error(artifacts, tmp_path, capsys,
+                                             command):
+    scene_path, trace_path = artifacts
+    sel = tmp_path / "sel.json"
+    assert run("select", "--scene", str(scene_path), "--trace",
+               str(trace_path), "--k", "2", "--frames", "3",
+               "--out", str(sel)) == EXIT_OK
+    header, first, *rest = trace_path.read_text().splitlines()
+    frame_id, person_idx, _, y = first.split(",")
+    off = tmp_path / "off_grid.csv"
+    off.write_text("\n".join([header, f"{frame_id},{person_idx},-50.0,{y}",
+                              *rest]) + "\n")
+    out = tmp_path / "out"
+    args = {"select": ["--k", "2", "--frames", "3", "--out", str(out)],
+            "eval": ["--selection", str(sel), "--out", str(out)],
+            "sweep": ["--axis", "K", "--values", "2", "--frames", "3",
+                      "--out-dir", str(out)],
+            "validate": []}[command]
+    capsys.readouterr()
+    assert run(command, "--scene", str(scene_path), "--trace", str(off),
+               *args) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        f"error: frame {frame_id}: person at (-50.0, {float(y)}) "
+        "outside grid extent\n")
+    assert not out.exists()
+
+
+def test_eval_rejects_unknown_trained_predictor_key(artifacts, tmp_path,
+                                                    capsys):
+    scene_path, trace_path = artifacts
+    sel = tmp_path / "sel.json"
+    assert run("select", "--scene", str(scene_path), "--trace",
+               str(trace_path), "--k", "2", "--frames", "3",
+               "--out", str(sel)) == EXIT_OK
+    data = json.loads(sel.read_text())
+    data["predictor_trained"]["bogus_gain"] = 1.0
+    sel.write_text(json.dumps(data))
+    assert run("eval", "--scene", str(scene_path), "--trace",
+               str(trace_path), "--selection", str(sel), "--use-trained",
+               "--out", str(tmp_path / "rep.json")) == EXIT_VALIDATION
+    assert "bogus_gain" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("selected", [5, "c0", [0, 1]])
+def test_selection_that_is_not_a_list_of_ids_is_validation_error(
+        artifacts, tmp_path, capsys, selected):
+    scene_path, trace_path = artifacts
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"selected": selected, "non_converged": False}))
+    for command, extra in (("validate", []),
+                           ("eval", ["--out", str(tmp_path / "rep.json")])):
+        assert run(command, "--scene", str(scene_path), "--trace",
+                   str(trace_path), "--selection", str(bad),
+                   *extra) == EXIT_VALIDATION
+        assert "must be a list of camera id strings" in (
+            capsys.readouterr().err)
+
+
 def test_select_and_sweep_share_selection_defaults():
     parser = build_parser()
     select = parser.parse_args(["select", "--scene", "s", "--trace", "t",

@@ -8,7 +8,6 @@ from viewsel import (CameraPose, DensityMap, GroundGrid, Scene,
                      binarize_density, inverse_distance_field, score,
                      score_density, score_geometric, score_mask, score_round,
                      score_scene_coverage, score_view_diversity)
-from viewsel.scoring import ALL_TERMS, _RunMemo
 
 from conftest import random_small_scene
 from reference import (ref_full_grid_field, ref_score_density,
@@ -90,7 +89,7 @@ def test_inverse_distance_single_camera(small_grid):
                      pitch=-0.6, horizontal_fov_rad=1.2,
                      vertical_fov_rad=1.0, max_range_m=30.0)
     scene = Scene(grid=small_grid, cameras=[cam])
-    field = inverse_distance_field([cam], scene.footprints, small_grid)
+    field = inverse_distance_field([cam], scene)
     X, Y = small_grid.cell_centers()
     d = np.maximum(np.hypot(X, Y), small_grid.cell_size_m / 2)
     mask = scene.footprints[0].mask
@@ -104,7 +103,7 @@ def test_distance_floor_guards_singularity():
                      pitch=-math.pi / 2, horizontal_fov_rad=2.0,
                      vertical_fov_rad=2.0, max_range_m=10.0)
     scene = Scene(grid=grid, cameras=[cam])
-    field = inverse_distance_field([cam], scene.footprints, grid)
+    field = inverse_distance_field([cam], scene)
     assert np.isfinite(field).all()
     assert field.max() <= 1.0 / (grid.cell_size_m / 2)
 
@@ -163,8 +162,7 @@ def test_combined_total_equals_sum_form(demo_scene):
     # s_sc * s_ad * s_vd telescopes to (sum D / n_cells) * s_vd
     cams = demo_scene.cameras[:3]
     sb = score_geometric(cams, demo_scene)
-    field = inverse_distance_field(
-        cams, [demo_scene.footprint(c.id) for c in cams], demo_scene.grid)
+    field = inverse_distance_field(cams, demo_scene)
     union = demo_scene.visibility_of([c.id for c in cams])
     alt = field[union].sum() / demo_scene.grid.n_cells * sb.s_vd
     assert sb.total == pytest.approx(alt, rel=1e-12)
@@ -172,11 +170,10 @@ def test_combined_total_equals_sum_form(demo_scene):
 
 def test_density_weighted_field_scales_with_prediction(demo_scene):
     cams = demo_scene.cameras[:2]
-    fps = [demo_scene.footprint(c.id) for c in cams]
     base = np.abs(np.random.default_rng(3).normal(
         size=demo_scene.grid.shape))
-    one = inverse_distance_field(cams, fps, demo_scene.grid, base)
-    two = inverse_distance_field(cams, fps, demo_scene.grid, 2.0 * base)
+    one = inverse_distance_field(cams, demo_scene, base)
+    two = inverse_distance_field(cams, demo_scene, 2.0 * base)
     assert np.allclose(two, 2.0 * one)
 
 
@@ -212,8 +209,9 @@ def test_field_equals_full_grid_formula_exactly():
         weight[rng.random(scene.grid.shape) < 0.3] = 0.0
         for w in (None, weight):
             assert np.array_equal(
-                inverse_distance_field(cams, fps, scene.grid, w),
+                inverse_distance_field(cams, scene, w),
                 ref_full_grid_field(cams, fps, scene.grid, w))
+    assert not inverse_distance_field([], edge).any()
 
 
 def test_wrapper_totals_equal_full_grid_formula_exactly():
@@ -269,17 +267,16 @@ def test_round_equals_per_group_formula_exactly():
                 assert sb.variant == variant
 
 
-def test_rounds_sharing_one_memo_equal_per_group_formula_exactly():
-    # consecutive greedy rounds of one run share a memo of distances, axes
-    # and pair terms while the region and weight change between rounds, as
-    # in the active pipeline; every breakdown still equals the from-scratch
-    # full-grid formula
+def test_consecutive_rounds_equal_per_group_formula_exactly():
+    # consecutive greedy rounds on one scene, with the region and weight
+    # changing between rounds as in the active pipeline, read the scene's
+    # footprint distances each time; every breakdown still equals the
+    # from-scratch full-grid formula
     rng = np.random.default_rng(18)
     scenes = [_edge_case_scene()] + [random_small_scene(rng)
                                      for _ in range(10)]
     for scene, variant in itertools.product(
             scenes, ("geometric", "mask", "density")):
-        memo = _RunMemo(scene)
         order = [scene.cameras[i] for i in rng.permutation(len(scene.cameras))]
         for k in range(len(order)):
             group, candidates = order[:k], order[k:]
@@ -288,8 +285,8 @@ def test_rounds_sharing_one_memo_equal_per_group_formula_exactly():
                 region = rng.random(scene.grid.shape) < 0.4
             if variant == "density":
                 weight = rng.uniform(0.0, 3.0, size=scene.grid.shape)
-            got = memo.score_round(group, candidates, region, weight, LAM,
-                                   EPS, ALL_TERMS, variant)
+            got = score_round(group, candidates, scene, region, weight, LAM,
+                              EPS, variant=variant)
             assert len(got) == len(candidates)
             for cand, sb in zip(candidates, got):
                 cams = group + [cand]
@@ -302,6 +299,28 @@ def test_rounds_sharing_one_memo_equal_per_group_formula_exactly():
                                   score_view_diversity(cams, LAM, EPS),
                                   scene.grid)
                 assert (sb.s_sc, sb.s_ad, sb.s_vd, sb.total) == want
+
+
+def test_footprint_distance_equals_full_grid_formula_exactly():
+    rng = np.random.default_rng(19)
+    scenes = [_edge_case_scene()] + [random_small_scene(rng)
+                                     for _ in range(20)]
+    for scene in scenes:
+        X, Y = scene.grid.cell_centers()
+        for cam in scene.cameras:
+            cx, cy = cam.ground_position
+            mask = scene.footprint(cam.id).mask
+            want = np.maximum(np.hypot(X - cx, Y - cy),
+                              scene.grid.cell_size_m / 2.0)[mask]
+            got = scene.footprint_distance(cam.id)
+            assert np.array_equal(got, want)
+            assert not got.flags.writeable
+            with pytest.raises(ValueError):
+                got[...] = 0.0
+    edge = scenes[0]
+    assert edge.footprint_distance("away").shape == (0,)
+    # the nadir camera sits above a cell center: its distance is the floor
+    assert edge.footprint_distance("nadir").min() == 0.25
 
 
 def test_score_rejects_mismatched_inputs(demo_scene):

@@ -6,6 +6,7 @@ from viewsel import (CameraPose, GroundGrid, PredictorConfig, Scene,
                      generate_crowd_trace, oracle_predict, random_select,
                      run_avs, run_ivs, score_geometric, select_first_view,
                      select_frames)
+from viewsel import geometry as geometry_module
 from viewsel import predictor as predictor_module
 from viewsel import scoring as scoring_module
 from viewsel import selection as selection_module
@@ -255,8 +256,9 @@ def test_add_view_tie_goes_to_lowest_id():
 
 
 def test_run_ivs_builds_one_group_field_per_round(demo_scene, monkeypatch):
-    fields = _count_calls(monkeypatch, scoring_module._RunMemo, "field")
-    rounds = _count_calls(monkeypatch, scoring_module._RunMemo, "score_round")
+    fields = _count_calls(monkeypatch, scoring_module,
+                          "inverse_distance_field")
+    rounds = _count_calls(monkeypatch, selection_module, "score_round")
     k = 5
     cfg = SelectionConfig(k_max=k, n_frames=4, strategy="geometric")
     state, _ = run_ivs(demo_scene, _trace(demo_scene), cfg)
@@ -268,27 +270,30 @@ def test_run_ivs_builds_one_group_field_per_round(demo_scene, monkeypatch):
 def test_run_ivs_computes_each_camera_constant_once(demo_scene, monkeypatch):
     points = [c.ground_position for c in demo_scene.cameras]
     assert len(set(points)) == len(points)
-    distances = _count_calls(monkeypatch, scoring_module, "floored_distance",
+    distances = _count_calls(monkeypatch, geometry_module, "floored_distance",
                              key=lambda x, y, point, grid: tuple(point))
     crosses = _count_calls(monkeypatch, np, "cross")
     cfg = SelectionConfig(k_max=5, n_frames=4, strategy="geometric")
-    state, _ = run_ivs(demo_scene, _trace(demo_scene), cfg)
-    assert len(state.selected) == 5
-    # each camera's footprint distances once per run, not once per round;
-    # the scene's poses already hold their frame axes
+    for seed in (0, 1):
+        state, _ = run_ivs(demo_scene, _trace(demo_scene, seed=seed), cfg)
+        assert len(state.selected) == 5
+    # each camera's footprint distances once per scene, not once per round
+    # or per run; the scene's poses already hold their frame axes
     assert distances and len(distances) == len(set(distances))
     assert crosses == []
 
 
 def test_run_avs_computes_each_camera_distance_once(demo_scene, monkeypatch):
-    distances = _count_calls(monkeypatch, scoring_module, "floored_distance",
+    distances = _count_calls(monkeypatch, geometry_module, "floored_distance",
                              key=lambda x, y, point, grid: tuple(point))
     cfg = SelectionConfig(k_max=4, n_frames=4, strategy="density", tau=25.0,
                           epochs=20)
     pred = PredictorConfig(miss_rate=0.3, position_jitter_m=1.0,
                            count_noise_rel=0.1, seed=3, q_scale=150.0)
-    state, _, _ = run_avs(demo_scene, _trace(demo_scene), cfg, pred)
-    assert len(state.selected) == 4
+    for seed in (0, 1):
+        state, _, _ = run_avs(demo_scene, _trace(demo_scene, seed=seed), cfg,
+                              pred)
+        assert len(state.selected) == 4
     assert distances and len(distances) == len(set(distances))
 
 

@@ -2,7 +2,8 @@
 src/viewsel is either used somewhere in the package or exported by
 viewsel/__init__.py, and every module-level import is read by its module.
 Also guards the columnar crowd frame: no module reads CrowdFrame's Person
-view, `persons`, which exists for readers outside the package."""
+view, `persons`, which exists for readers outside the package. And no
+module imports another module's private (`_`-prefixed) name."""
 
 import ast
 from pathlib import Path
@@ -66,6 +67,22 @@ def attribute_reads(package: Path, attr: str) -> list[str]:
             if isinstance(node, ast.Attribute) and node.attr == attr]
 
 
+def private_imports(package: Path) -> list[str]:
+    """`module <- source.name` of each `_`-prefixed name that a module
+    imports from another viewsel module."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.ImportFrom)
+                    and (node.level > 0
+                         or (node.module or "").startswith("viewsel"))):
+                source = (node.module or "").removeprefix("viewsel.")
+                found += [f"{path.stem} <- {source}.{alias.name}"
+                          for alias in node.names
+                          if alias.name.startswith("_")]
+    return found
+
+
 def test_every_public_name_is_used_or_exported():
     assert unused_public_names(PACKAGE) == []
 
@@ -76,3 +93,7 @@ def test_every_module_level_import_is_read():
 
 def test_no_module_reads_the_person_view():
     assert attribute_reads(PACKAGE, "persons") == []
+
+
+def test_no_module_imports_a_private_name():
+    assert private_imports(PACKAGE) == []
