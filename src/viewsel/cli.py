@@ -23,6 +23,7 @@ from .crowd import (CrowdFrame, generate_crowd_trace, trace_from_csv,
                     trace_to_csv)
 from .evaluate import evaluate
 from .geometry import GroundGrid, Scene
+from .metrics import require_match_threshold
 from .predictor import PredictorConfig, oracle_predict
 from .scoring import ALL_TERMS
 from .selection import (PSEUDO_STAGES, STRATEGIES, SelectionConfig,
@@ -121,6 +122,15 @@ def _load_trace(path: str, scene: Scene) -> list[CrowdFrame]:
             raise ValueError(f"frame {frame.frame_id}: person at ({x}, {y}) "
                              f"outside grid extent")
     return trace
+
+
+def _read_selection(path: str) -> dict:
+    """The selection artifact at path, which must hold a JSON object."""
+    data = read_json(path)
+    if not isinstance(data, dict):
+        raise ValueError(f"selection artifact must be a JSON object, not "
+                         f"{type(data).__name__}")
+    return data
 
 
 def _selected_ids(data: dict, scene: Scene) -> list[str]:
@@ -246,7 +256,7 @@ def _state_from_artifact(scene: Scene, data: dict) -> SelectionState:
 def cmd_eval(args) -> int:
     scene = _load_scene(args.scene)
     trace = _load_trace(args.trace, scene)
-    data = read_json(args.selection)
+    data = _read_selection(args.selection)
     embedded = data.get("spec", {}).get("scene_hash")
     if embedded is not None and embedded != _scene_hash(scene) \
             and not args.force:
@@ -281,7 +291,7 @@ def cmd_validate(args) -> int:
         trace = _load_trace(args.trace, scene)
         print(f"trace ok: {len(trace)} frames")
     if args.selection:
-        selected = _selected_ids(read_json(args.selection), scene)
+        selected = _selected_ids(_read_selection(args.selection), scene)
         print(f"selection ok: {len(selected)} views")
     return EXIT_OK
 
@@ -329,6 +339,8 @@ def cmd_sweep(args) -> int:
     trace = _load_trace(args.trace, scene)
     base = _selection_config_from_args(args)
     base_pred = _predictor_from_args(args)
+    # a bad threshold would fail every cell after its selection has run
+    require_match_threshold(args.threshold_m)
     values = [v for v in args.values.split(",") if v]
     if not values:
         raise ValueError("no sweep values given")

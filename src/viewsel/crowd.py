@@ -195,10 +195,13 @@ def cover_rate(frames: list[CrowdFrame], visibility: np.ndarray,
 
 # --- trace I/O -------------------------------------------------------------
 
+_COLUMNS = ("frame_id", "person_idx", "x_m", "y_m")
+
+
 def trace_to_csv(frames: list[CrowdFrame], path) -> None:
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(["frame_id", "person_idx", "x_m", "y_m"])
+        writer.writerow(_COLUMNS)
         for frame in frames:
             if not len(frame.positions):
                 # one row with empty person fields keeps the frame
@@ -209,12 +212,30 @@ def trace_to_csv(frames: list[CrowdFrame], path) -> None:
 
 
 def trace_from_csv(path) -> list[CrowdFrame]:
+    """The frames of a trace CSV in frame-id order. Columns are found by
+    header name; blank lines are skipped; a row with an empty person_idx
+    keeps its frame without adding a person."""
     by_frame: dict[int, list[tuple[float, float]]] = {}
     with open(path, newline="") as f:
-        for row in csv.DictReader(f):
-            rows = by_frame.setdefault(int(row["frame_id"]), [])
-            if row["person_idx"] != "":
-                rows.append((float(row["x_m"]), float(row["y_m"])))
+        rows = csv.reader(f)
+        header = next(rows, None)
+        if header is None:
+            return []
+        # the last column of a repeated name wins, as in csv.DictReader
+        col = {name: k for k, name in enumerate(header)}
+        missing = [c for c in _COLUMNS if c not in col]
+        if missing:
+            raise ValueError(f"trace header lacks columns {missing}")
+        fi, pi, xi, yi = (col[c] for c in _COLUMNS)
+        width = max(fi, pi, xi, yi) + 1
+        for row in rows:
+            if not row:
+                continue
+            if len(row) < width:
+                raise ValueError(f"trace line {rows.line_num}: {len(row)} "
+                                 f"fields, expected at least {width}")
+            pts = by_frame.setdefault(int(row[fi]), [])
+            if row[pi] != "":
+                pts.append((float(row[xi]), float(row[yi])))
     return [CrowdFrame(frame_id=fid, positions=by_frame[fid])
             for fid in sorted(by_frame)]
-

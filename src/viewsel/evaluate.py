@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from .crowd import CrowdFrame, cover_rate
 from .geometry import Scene
 from .metrics import (CountingReport, LocalizationReport, counting_metrics,
-                      extract_peaks, localization_metrics, match_points)
+                      extract_peaks, localization_metrics, match_points,
+                      require_match_threshold, require_peak_params)
 from .predictor import PredictorConfig, noisy_predict
 from .selection import SelectionState
 
@@ -34,7 +35,11 @@ def evaluate(scene: Scene, trace: list[CrowdFrame], state: SelectionState,
              peak_min_value: float = 0.05,
              nms_radius_cells: float = 2.0) -> EvalReport:
     """Counting and localization metrics of the predictor under the selected
-    views, against scene-level GT, accumulated over all trace frames."""
+    views, against scene-level GT, accumulated over all trace frames.
+    The matching and peak parameters are checked before any frame is
+    predicted."""
+    require_match_threshold(threshold_m)
+    require_peak_params(peak_min_value, nms_radius_cells)
     pred_counts, gt_counts = [], []
     tp_matches: list[tuple[int, int, float]] = []
     fp_total = fn_total = gt_total = 0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +66,13 @@ def counting_metrics(predicted_counts: list[float], gt_counts: list[float],
                           n_frames=len(predicted_counts))
 
 
+def require_match_threshold(threshold_m: float) -> None:
+    """Raise ValueError unless threshold_m is a finite positive distance."""
+    if not (math.isfinite(threshold_m) and threshold_m > 0):
+        raise ValueError(f"threshold_m must be finite and positive, got "
+                         f"{threshold_m!r}")
+
+
 def match_points(predicted: list[tuple[float, float]],
                  gt: list[tuple[float, float]], threshold_m: float
                  ) -> tuple[list[tuple[int, int, float]], list[int], list[int]]:
@@ -73,26 +81,32 @@ def match_points(predicted: list[tuple[float, float]],
 
     Returns (matches as (pred_idx, gt_idx, distance), fp indices, fn indices).
     """
-    if threshold_m <= 0:
-        raise ValueError("threshold_m must be positive")
+    require_match_threshold(threshold_m)
     n, m = len(predicted), len(gt)
     if n == 0 or m == 0:
         return [], list(range(n)), list(range(m))
     p = np.asarray(predicted, dtype=float)
     q = np.asarray(gt, dtype=float)
-    dist = np.linalg.norm(p[:, None, :] - q[None, :, :], axis=2)
+    # the Euclidean norm as np.linalg.norm computes it over a length-2 axis:
+    # sqrt of the two squares added in (x, y) order; np.hypot rounds
+    # differently
+    dx = p[:, 0, None] - q[None, :, 0]
+    dy = p[:, 1, None] - q[None, :, 1]
+    dist = np.sqrt(dx * dx + dy * dy)
     # infeasible cost dominates any sum of feasible distances, so the
     # assignment first maximizes the number of within-threshold matches
     big = threshold_m * (n + m + 1.0)
     cost = np.where(dist <= threshold_m, dist, big)
     rows, cols = linear_sum_assignment(cost)
-    matches = [(int(i), int(j), float(dist[i, j]))
-               for i, j in zip(rows, cols) if dist[i, j] <= threshold_m]
-    matched_p = {i for i, _, _ in matches}
-    matched_g = {j for _, j, _ in matches}
-    fp = [i for i in range(n) if i not in matched_p]
-    fn = [j for j in range(m) if j not in matched_g]
-    return matches, fp, fn
+    d = dist[rows, cols]
+    ok = d <= threshold_m
+    matches = list(zip(rows[ok].tolist(), cols[ok].tolist(), d[ok].tolist()))
+    unmatched_p = np.ones(n, dtype=bool)
+    unmatched_p[rows[ok]] = False
+    unmatched_g = np.ones(m, dtype=bool)
+    unmatched_g[cols[ok]] = False
+    return (matches, np.flatnonzero(unmatched_p).tolist(),
+            np.flatnonzero(unmatched_g).tolist())
 
 
 def localization_metrics(matches: list[tuple[int, int, float]], fp: int,
@@ -114,17 +128,27 @@ def localization_metrics(matches: list[tuple[int, int, float]], fp: int,
                               threshold_m=threshold_m)
 
 
+def require_peak_params(min_value: float, nms_radius_cells: float) -> None:
+    """Raise ValueError unless min_value is finite and nms_radius_cells is a
+    finite radius of at least one cell."""
+    if not math.isfinite(min_value):
+        raise ValueError(f"peak min_value must be finite, got {min_value!r}")
+    if not (math.isfinite(nms_radius_cells) and nms_radius_cells >= 1):
+        raise ValueError(f"nms_radius_cells must be finite and >= 1, got "
+                         f"{nms_radius_cells!r}")
+
+
 def extract_peaks(density: DensityMap, grid: GroundGrid, min_value: float,
                   nms_radius_cells: float) -> list[tuple[float, float]]:
     """Local maxima above min_value with greedy non-maximum suppression.
 
     Candidates are cells no smaller than all 8 neighbors; they are accepted
     in descending value order (ties by cell index) unless within the NMS
-    radius of an already-accepted peak. Returns world coordinates of the
-    accepted cell centers.
+    radius of an already-accepted peak, i.e. di**2 + dj**2 <=
+    nms_radius_cells**2 in cells. Returns world coordinates of the accepted
+    cell centers.
     """
-    if nms_radius_cells < 1:
-        raise ValueError("nms_radius_cells must be >= 1")
+    require_peak_params(min_value, nms_radius_cells)
     v = density.values
     h, w = v.shape
     padded = np.pad(v, 1, constant_values=-np.inf)
@@ -134,16 +158,20 @@ def extract_peaks(density: DensityMap, grid: GroundGrid, min_value: float,
             if di == 0 and dj == 0:
                 continue
             is_max &= v >= padded[1 + di:1 + di + h, 1 + dj:1 + dj + w]
-    cand = np.argwhere(is_max & (v > min_value))
-    order = sorted(range(len(cand)),
-                   key=lambda k: (-v[cand[k][0], cand[k][1]],
-                                  int(cand[k][0]), int(cand[k][1])))
+    ci, cj = np.nonzero(is_max & (v > min_value))
+    order = np.lexsort((cj, ci, -v[ci, cj]))
+    # every offset within the radius, as one (2r+1)-wide boolean disk; an
+    # accepted peak marks its disk, so a candidate is suppressed exactly
+    # when its own cell is marked
+    r = int(nms_radius_cells)
+    off = np.arange(-r, r + 1)
+    disk = off[:, None] ** 2 + off[None, :] ** 2 <= nms_radius_cells ** 2
+    marked = np.zeros((h + 2 * r, w + 2 * r), dtype=bool)
     accepted: list[tuple[int, int]] = []
-    r2 = nms_radius_cells ** 2
-    for k in order:
-        i, j = int(cand[k][0]), int(cand[k][1])
-        if all((i - ai) ** 2 + (j - aj) ** 2 > r2 for ai, aj in accepted):
+    for i, j in zip(ci[order].tolist(), cj[order].tolist()):
+        if not marked[i + r, j + r]:
             accepted.append((i, j))
+            marked[i:i + 2 * r + 1, j:j + 2 * r + 1] |= disk
     ox, oy = grid.origin
     cs = grid.cell_size_m
     return [(ox + (j + 0.5) * cs, oy + (i + 0.5) * cs) for i, j in accepted]

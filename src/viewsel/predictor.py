@@ -13,6 +13,7 @@ executable.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -21,10 +22,35 @@ from .crowd import CrowdFrame, DensityMap, rasterize_density, visible_persons
 from .geometry import Scene, floored_distance, require_finite
 
 
+def _require_numbers(values: dict, what: str) -> None:
+    """Raise ValueError unless every value is a real number; a bool, a
+    string or None is not one."""
+    for name, v in values.items():
+        if isinstance(v, bool) or not isinstance(v, numbers.Real):
+            raise ValueError(f"{what} {name} must be a number, not "
+                             f"{type(v).__name__}")
+
+
+def _require_object(d, what: str) -> None:
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object, not "
+                         f"{type(d).__name__}")
+
+
 @dataclass(frozen=True)
 class CalibrationState:
     labeled_view_frames: float = 0.0
     quality: float = 0.0
+
+    def __post_init__(self):
+        _require_numbers({"labeled_view_frames": self.labeled_view_frames,
+                          "quality": self.quality}, "calibration")
+        require_finite((self.labeled_view_frames, self.quality),
+                       "calibration labeled_view_frames and quality")
+        if self.labeled_view_frames < 0:
+            raise ValueError("labeled_view_frames must be >= 0")
+        if not (0.0 <= self.quality <= 1.0):
+            raise ValueError("quality must be in [0, 1]")
 
     def to_dict(self) -> dict:
         return {"labeled_view_frames": self.labeled_view_frames,
@@ -32,8 +58,9 @@ class CalibrationState:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CalibrationState":
-        return cls(labeled_view_frames=float(d["labeled_view_frames"]),
-                   quality=float(d["quality"]))
+        _require_object(d, "calibration")
+        return cls(labeled_view_frames=d["labeled_view_frames"],
+                   quality=d["quality"])
 
 
 @dataclass(frozen=True)
@@ -49,6 +76,13 @@ class PredictorConfig:
     calibration: CalibrationState = field(default_factory=CalibrationState)
 
     def __post_init__(self):
+        _require_numbers({f.name: getattr(self, f.name) for f in fields(self)
+                          if f.name not in ("seed", "calibration")},
+                         "predictor")
+        if isinstance(self.seed, bool) \
+                or not isinstance(self.seed, numbers.Integral):
+            raise ValueError(f"predictor seed must be an integer, not "
+                             f"{self.seed!r}")
         if not (0.0 <= self.miss_rate <= 1.0):
             raise ValueError("miss_rate must be in [0, 1]")
         require_finite((self.position_jitter_m, self.count_noise_rel,
@@ -75,6 +109,7 @@ class PredictorConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PredictorConfig":
+        _require_object(d, "predictor config")
         d = dict(d)
         cal = CalibrationState.from_dict(d.pop("calibration"))
         unknown = sorted(set(d) - {f.name for f in fields(cls)})

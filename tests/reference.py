@@ -4,11 +4,13 @@ These deliberately share no code with the library: plain per-cell loops and
 direct transcriptions of the score definitions, so agreement is meaningful.
 """
 
+import csv
 import math
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
-from viewsel import Person
+from viewsel import CrowdFrame, Person
 
 
 def ref_inverse_distance(cams, masks, grid):
@@ -129,6 +131,69 @@ def ref_match_points(predicted, gt, threshold):
         if candidates:
             return k, min(candidates)
     return 0, 0.0
+
+
+def ref_match_points_linalg(predicted, gt, threshold_m):
+    """match_points with its distances from np.linalg.norm over the
+    coordinate axis and its pairs filtered one at a time; returns
+    (matches, fp, fn)."""
+    n, m = len(predicted), len(gt)
+    if n == 0 or m == 0:
+        return [], list(range(n)), list(range(m))
+    p = np.asarray(predicted, dtype=float)
+    q = np.asarray(gt, dtype=float)
+    dist = np.linalg.norm(p[:, None, :] - q[None, :, :], axis=2)
+    big = threshold_m * (n + m + 1.0)
+    cost = np.where(dist <= threshold_m, dist, big)
+    rows, cols = linear_sum_assignment(cost)
+    matches = [(int(i), int(j), float(dist[i, j]))
+               for i, j in zip(rows, cols) if dist[i, j] <= threshold_m]
+    matched_p = {i for i, _, _ in matches}
+    matched_g = {j for _, j, _ in matches}
+    fp = [i for i in range(n) if i not in matched_p]
+    fn = [j for j in range(m) if j not in matched_g]
+    return matches, fp, fn
+
+
+def ref_extract_peaks(density, grid, min_value, nms_radius_cells):
+    """Greedy NMS as a loop over candidates sorted by (-value, i, j), each
+    compared with every accepted peak."""
+    if nms_radius_cells < 1:
+        raise ValueError("nms_radius_cells must be >= 1")
+    v = density.values
+    h, w = v.shape
+    padded = np.pad(v, 1, constant_values=-np.inf)
+    is_max = np.ones((h, w), dtype=bool)
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            if di == 0 and dj == 0:
+                continue
+            is_max &= v >= padded[1 + di:1 + di + h, 1 + dj:1 + dj + w]
+    cand = np.argwhere(is_max & (v > min_value))
+    order = sorted(range(len(cand)),
+                   key=lambda k: (-v[cand[k][0], cand[k][1]],
+                                  int(cand[k][0]), int(cand[k][1])))
+    accepted = []
+    r2 = nms_radius_cells ** 2
+    for k in order:
+        i, j = int(cand[k][0]), int(cand[k][1])
+        if all((i - ai) ** 2 + (j - aj) ** 2 > r2 for ai, aj in accepted):
+            accepted.append((i, j))
+    ox, oy = grid.origin
+    cs = grid.cell_size_m
+    return [(ox + (j + 0.5) * cs, oy + (i + 0.5) * cs) for i, j in accepted]
+
+
+def ref_trace_from_csv(path):
+    """A trace CSV read one csv.DictReader dict per row."""
+    by_frame = {}
+    with open(path, newline="") as f:
+        for row in csv.DictReader(f):
+            rows = by_frame.setdefault(int(row["frame_id"]), [])
+            if row["person_idx"] != "":
+                rows.append((float(row["x_m"]), float(row["y_m"])))
+    return [CrowdFrame(frame_id=fid, positions=by_frame[fid])
+            for fid in sorted(by_frame)]
 
 
 def ref_frame_axes(cam):

@@ -187,19 +187,76 @@ def test_eval_rejects_unknown_trained_predictor_key(artifacts, tmp_path,
     assert "bogus_gain" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("selected", [5, "c0", [0, 1]])
+@pytest.mark.parametrize("artifact, message", [
+    *(pytest.param({"selected": selected, "non_converged": False},
+                   "must be a list of camera id strings", id=name)
+      for name, selected in (("5", 5), ("c0", "c0"), ("selected2", [0, 1]))),
+    pytest.param([1], "must be a JSON object, not list", id="list"),
+    pytest.param("c0", "must be a JSON object, not str", id="str"),
+])
 def test_selection_that_is_not_a_list_of_ids_is_validation_error(
-        artifacts, tmp_path, capsys, selected):
+        artifacts, tmp_path, capsys, artifact, message):
     scene_path, trace_path = artifacts
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"selected": selected, "non_converged": False}))
+    bad.write_text(json.dumps(artifact))
     for command, extra in (("validate", []),
                            ("eval", ["--out", str(tmp_path / "rep.json")])):
         assert run(command, "--scene", str(scene_path), "--trace",
                    str(trace_path), "--selection", str(bad),
                    *extra) == EXIT_VALIDATION
-        assert "must be a list of camera id strings" in (
-            capsys.readouterr().err)
+        assert message in capsys.readouterr().err
+
+
+@pytest.fixture
+def selection(artifacts, tmp_path):
+    scene_path, trace_path = artifacts
+    sel = tmp_path / "sel.json"
+    assert run("select", "--scene", str(scene_path), "--trace",
+               str(trace_path), "--k", "2", "--frames", "3",
+               "--predictor", "noisy", "--out", str(sel)) == EXIT_OK
+    return sel
+
+
+@pytest.mark.parametrize("field, value", [
+    ("miss_rate", "x"), ("miss_rate", None), ("miss_rate", True),
+    ("q_scale", "200"), ("seed", 1.5), ("seed", "0"), ("seed", None),
+    ("calibration.quality", "nan"), ("calibration.quality", None),
+    ("calibration.quality", 1.5), ("calibration.labeled_view_frames", -1.0),
+    ("calibration.labeled_view_frames", "1e400"), ("calibration", [0.0]),
+])
+def test_mistyped_trained_predictor_is_validation_error(
+        artifacts, selection, tmp_path, field, value):
+    scene_path, trace_path = artifacts
+    data = json.loads(selection.read_text())
+    *parents, key = ["predictor_trained", *field.split(".")]
+    target = data
+    for name in parents:
+        target = target[name]
+    target[key] = value
+    selection.write_text(json.dumps(data))
+    out = tmp_path / "rep.json"
+    assert run("eval", "--scene", str(scene_path), "--trace",
+               str(trace_path), "--selection", str(selection),
+               "--use-trained", "--out", str(out)) == EXIT_VALIDATION
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf", "0"])
+def test_non_finite_threshold_is_validation_error(artifacts, selection,
+                                                  tmp_path, threshold):
+    scene_path, trace_path = artifacts
+    out = tmp_path / "rep.json"
+    assert run("eval", "--scene", str(scene_path), "--trace",
+               str(trace_path), "--selection", str(selection),
+               f"--threshold-m={threshold}", "--out", str(out)) \
+        == EXIT_VALIDATION
+    assert not out.exists()
+    sweep = tmp_path / "sweep"
+    assert run("sweep", "--scene", str(scene_path), "--trace",
+               str(trace_path), "--axis", "K", "--values", "2",
+               "--frames", "3", f"--threshold-m={threshold}",
+               "--out-dir", str(sweep)) == EXIT_VALIDATION
+    assert not (sweep / "sweep.csv").exists()
 
 
 def test_select_and_sweep_share_selection_defaults():

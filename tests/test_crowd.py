@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from viewsel import (CrowdFrame, DensityMap, Person, cover_rate,
                      generate_crowd_trace, rasterize_density, visible_persons)
 from viewsel.crowd import UndefinedCoverRateError, trace_from_csv, trace_to_csv
+
+from reference import ref_trace_from_csv
 
 
 def _frame(points, fid=0):
@@ -152,6 +155,25 @@ def test_trace_csv_round_trip_keeps_empty_frames(tmp_path):
     back = trace_from_csv(path)
     assert [f.frame_id for f in back] == [0, 1, 2, 3]
     assert back == trace
+
+
+@pytest.mark.parametrize("text, message", [
+    ("frame_id,x_m,y_m\n0,1.0,2.0\n", "lacks columns ['person_idx']"),
+    ("frame_id,person_idx,x_m,y_m\n0,0,1.0\n",
+     "line 2: 3 fields, expected at least 4"),
+], ids=["missing-column", "short-row"])
+def test_malformed_trace_csv_is_value_error(tmp_path, text, message):
+    path = tmp_path / "trace.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        trace_from_csv(path)
+
+
+def test_repeated_trace_column_reads_like_dictreader(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text("frame_id,person_idx,x_m,y_m,x_m\n0,0,1.0,2.0,3.0\n")
+    assert trace_from_csv(path) == ref_trace_from_csv(path) \
+        == [_frame([(3.0, 2.0)])]
 
 
 def test_trace_csv_is_byte_stable(small_grid, tmp_path):

@@ -1,9 +1,22 @@
+import importlib
+import math
+
 import numpy as np
 import pytest
 
-from viewsel import (PredictorConfig, generate_crowd_trace, random_select)
+from viewsel import (GroundGrid, PredictorConfig, counting_metrics,
+                     cover_rate, generate_crowd_trace, localization_metrics,
+                     noisy_predict, random_select)
+from viewsel.crowd import trace_from_csv, trace_to_csv
 from viewsel.evaluate import evaluate
 from viewsel.selection import SelectionState
+from viewsel.synth import generate_scene
+
+from reference import (ref_extract_peaks, ref_match_points_linalg,
+                       ref_trace_from_csv)
+
+# the package namespace binds the name evaluate to the function
+evaluate_module = importlib.import_module("viewsel.evaluate")
 
 
 def _full_state(scene):
@@ -52,3 +65,67 @@ def test_evaluate_deterministic(demo_scene):
     a = evaluate(demo_scene, trace, state, pred)
     b = evaluate(demo_scene, trace, state, pred)
     assert a.to_dict() == b.to_dict()
+
+
+def _reference_report(scene, trace, state, predictor, threshold_m,
+                      min_value, radius):
+    """evaluate's report with the loop peak extraction and the
+    np.linalg.norm matching of tests/reference.py."""
+    pred_counts, gt_counts, matches = [], [], []
+    fp_total = fn_total = gt_total = 0
+    for frame in trace:
+        pred = noisy_predict(frame, state.combined_mask, scene, predictor,
+                             selected_ids=list(state.selected))
+        pred_counts.append(pred.total)
+        gt = [tuple(p) for p in frame.positions.tolist()]
+        gt_counts.append(float(len(gt)))
+        peaks = ref_extract_peaks(pred, scene.grid, min_value, radius)
+        m, fp, fn = ref_match_points_linalg(peaks, gt, threshold_m)
+        matches.extend(m)
+        fp_total += len(fp)
+        fn_total += len(fn)
+        gt_total += len(gt)
+    cr = cover_rate(trace, state.combined_mask, scene.grid)
+    return {"counting": counting_metrics(pred_counts, gt_counts,
+                                         cover_rate=cr).to_dict(),
+            "localization": localization_metrics(
+                matches, fp_total, fn_total, gt_total,
+                threshold_m).to_dict(),
+            "cover_rate": cr}
+
+
+@pytest.mark.parametrize("threshold_m, min_value, radius",
+                         [(0.5, 0.05, 2.0), (1.0, 0.2, 1.5)])
+def test_evaluate_equals_reference_report(tmp_path, threshold_m, min_value,
+                                          radius):
+    grid = GroundGrid(height_cells=70, width_cells=70, cell_size_m=0.5)
+    scene = generate_scene(10, grid, seed=11)
+    path = tmp_path / "trace.csv"
+    trace_to_csv(generate_crowd_trace(grid, 6, (150, 250), 0.7, seed=12),
+                 path)
+    state = random_select(scene, 4, seed=3)
+    pred = PredictorConfig(miss_rate=0.5, position_jitter_m=0.6,
+                           count_noise_rel=0.1, seed=4)
+    got = evaluate(scene, trace_from_csv(path), state, pred,
+                   threshold_m=threshold_m, peak_min_value=min_value,
+                   nms_radius_cells=radius).to_dict()
+    want = _reference_report(scene, ref_trace_from_csv(path), state, pred,
+                             threshold_m, min_value, radius)
+    assert got["localization"]["tp"] > 50
+    assert got == want
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"threshold_m": math.nan}, {"threshold_m": math.inf},
+    {"threshold_m": 0.0}, {"peak_min_value": math.nan},
+    {"nms_radius_cells": math.inf}, {"nms_radius_cells": math.nan}])
+def test_evaluate_checks_parameters_before_predicting(demo_scene, monkeypatch,
+                                                      kwargs):
+    calls = []
+    monkeypatch.setattr(evaluate_module, "noisy_predict",
+                        lambda *a, **k: calls.append(a))
+    trace = generate_crowd_trace(demo_scene.grid, 2, (5, 10), 0.5, seed=1)
+    with pytest.raises(ValueError):
+        evaluate(demo_scene, trace, _full_state(demo_scene),
+                 PredictorConfig(), **kwargs)
+    assert calls == []

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from viewsel import (CameraPose, DegenerateAxisError, GroundGrid,
-                     PredictorConfig, Scene, combined_visibility,
+from viewsel import (CalibrationState, CameraPose, DegenerateAxisError,
+                     GroundGrid, PredictorConfig, Scene, combined_visibility,
                      ground_axis_and_position, project_footprint)
 from viewsel.geometry import GridMismatchError
 
@@ -218,6 +218,9 @@ NON_FINITE_FIELDS = {
        for name in ("position_jitter_m", "count_noise_rel",
                     "kernel_sigma_cells", "q_scale", "distance_falloff_m",
                     "crowding_half")},
+    "calibration.labeled_view_frames": lambda v: CalibrationState(
+        labeled_view_frames=v),
+    "calibration.quality": lambda v: CalibrationState(quality=v),
 }
 
 

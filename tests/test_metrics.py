@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from viewsel import (DensityMap, GroundGrid, counting_metrics, extract_peaks,
                      localization_metrics, match_points)
 
-from reference import ref_match_points
+from reference import (ref_extract_peaks, ref_match_points,
+                       ref_match_points_linalg)
 
 
 def test_counting_metrics_basic():
@@ -110,3 +112,97 @@ def test_extract_peaks_min_value_filters():
     v = np.zeros(grid.shape)
     v[2, 2] = 0.05
     assert extract_peaks(DensityMap(values=v), grid, 0.1, 2.0) == []
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -0.5])
+def test_match_points_rejects_bad_threshold(bad):
+    with pytest.raises(ValueError, match="threshold_m"):
+        match_points([(0.0, 0.0)], [(0.0, 0.0)], threshold_m=bad)
+    with pytest.raises(ValueError, match="threshold_m"):
+        match_points([], [], threshold_m=bad)
+
+
+@pytest.mark.parametrize("min_value, radius", [
+    (0.1, math.nan), (0.1, math.inf), (0.1, 0.5),
+    (math.nan, 2.0), (math.inf, 2.0), (-math.inf, 2.0)])
+def test_extract_peaks_rejects_bad_parameters(min_value, radius):
+    grid = GroundGrid(height_cells=5, width_cells=5, cell_size_m=1.0)
+    v = np.zeros(grid.shape)
+    v[2, 2] = 1.0
+    with pytest.raises(ValueError, match="finite"):
+        extract_peaks(DensityMap(values=v), grid, min_value, radius)
+
+
+def test_extract_peaks_suppresses_at_exactly_the_radius():
+    grid = GroundGrid(height_cells=9, width_cells=9, cell_size_m=1.0)
+    v = np.zeros(grid.shape)
+    v[4, 2] = 1.0
+    v[4, 6] = 0.9  # 4 cells away: kept by radius 3.5, suppressed by 4
+    v[1, 2] = 0.8  # 3 cells away: suppressed by both
+    assert extract_peaks(DensityMap(values=v), grid, 0.1, 3.5) \
+        == [(2.5, 4.5), (6.5, 4.5)]
+    assert extract_peaks(DensityMap(values=v), grid, 0.1, 4.0) \
+        == [(2.5, 4.5)]
+
+
+# radii with no lattice point exactly on the circle, and radii with some;
+# sqrt(5) squares to just above 5 in floating point
+RADII = [1.0, 1.5, 2.0, 2.5, math.sqrt(2.0), math.sqrt(5.0), 3.0]
+
+
+@st.composite
+def density_maps(draw):
+    """Small maps of a few distinct levels: plateaus, exact ties and equal
+    peaks at every distance are common."""
+    h = draw(st.integers(1, 14))
+    w = draw(st.integers(1, 14))
+    levels = draw(st.lists(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, 3.0,
+                                            1e-300, 7.0]),
+                           min_size=1, max_size=4))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    values = np.array(levels)[rng.integers(0, len(levels), size=(h, w))]
+    origin = draw(st.sampled_from([(0.0, 0.0), (-3.25, 10.5)]))
+    cell = draw(st.sampled_from([0.5, 1.0, 0.3]))
+    return GroundGrid(height_cells=h, width_cells=w, cell_size_m=cell,
+                      origin=origin), DensityMap(values=values)
+
+
+@given(density_maps(), st.sampled_from(RADII),
+       st.sampled_from([-1.0, 0.0, 0.25, 0.5, 1.0, 5.0]))
+@settings(max_examples=400, deadline=None)
+def test_extract_peaks_equals_loop_reference(data, radius, min_value):
+    grid, density = data
+    assert extract_peaks(density, grid, min_value, radius) \
+        == ref_extract_peaks(density, grid, min_value, radius)
+
+
+@st.composite
+def point_sets(draw):
+    """Predictions and GT of up to 120 x 400 points: half on a 0.25 m
+    lattice (coincident points, pairs at exactly 0.5 m and 1.25 m), half
+    uniform, some predictions copied from GT."""
+    n = draw(st.integers(0, 120))
+    m = draw(st.integers(0, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    extent = draw(st.sampled_from([2.0, 6.0, 20.0]))
+
+    def points(k):
+        lattice = rng.integers(0, int(extent * 4) + 1, size=(k, 2)) * 0.25
+        uniform = rng.uniform(0.0, extent, size=(k, 2))
+        return np.where(rng.random((k, 1)) < 0.5, lattice, uniform)
+
+    gt = points(m)
+    pred = points(n)
+    if n and m:
+        copied = rng.random(n) < 0.2
+        pred[copied] = gt[rng.integers(0, m, size=int(copied.sum()))]
+    return [tuple(p) for p in pred.tolist()], [tuple(g) for g in gt.tolist()]
+
+
+@given(point_sets(), st.sampled_from([0.25, 0.5, 1.0, 1.25, 0.7]))
+@settings(max_examples=60, deadline=None)
+def test_match_points_equals_linalg_reference(data, threshold):
+    pred, gt = data
+    assert match_points(pred, gt, threshold) \
+        == ref_match_points_linalg(pred, gt, threshold)

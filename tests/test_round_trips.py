@@ -1,6 +1,7 @@
 """Property-based round trips through the scene, trace and selection
 artifacts, each through its on-disk text form."""
 
+import csv
 import json
 import math
 import tempfile
@@ -16,6 +17,7 @@ from viewsel.selection import SelectionState
 from viewsel.serialize import canonical_json
 
 from conftest import random_small_scene
+from reference import ref_trace_from_csv
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
@@ -68,6 +70,50 @@ def test_trace_csv_round_trip(people_per_frame, first_id):
         path = Path(tmp) / "trace.csv"
         trace_to_csv(trace, path)
         assert trace_from_csv(path) == trace
+
+
+# signed zeros, subnormals and extremes, whose text form float() must read
+# back bit for bit
+special = st.sampled_from([0.0, -0.0, 5e-324, -2.5e-320,
+                           2.2250738585072014e-308, 1e300, -1e300,
+                           1.7976931348623157e308, 0.1])
+
+
+@given(st.lists(st.tuples(st.integers(-3, 40),
+                          st.lists(st.tuples(special | finite,
+                                             special | finite),
+                                   max_size=5)),
+                max_size=6),
+       st.permutations(["frame_id", "person_idx", "x_m", "y_m", "note"]),
+       st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_trace_from_csv_equals_dictreader_reference(frames_drawn, header,
+                                                    rnd):
+    """Rows of a frame may be interleaved with other frames' rows, frame
+    ids may repeat or come unsorted, an empty frame is one row with empty
+    person fields, and the columns come in any order beside an extra one."""
+    rows = []
+    for fid, people in frames_drawn:
+        if not people:
+            rows.append({"frame_id": fid, "person_idx": "", "x_m": "",
+                         "y_m": "", "note": "empty"})
+        for idx, (x, y) in enumerate(people):
+            rows.append({"frame_id": fid, "person_idx": idx, "x_m": repr(x),
+                         "y_m": repr(y), "note": ""})
+    rnd.shuffle(rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.csv"
+        with open(path, "w", newline="") as f:
+            writer = csv.writer(f)
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([row[c] for c in header])
+                if rnd.random() < 0.1:
+                    f.write("\r\n")  # a blank line, which both skip
+        got, want = trace_from_csv(path), ref_trace_from_csv(path)
+    assert got == want
+    assert [f.positions.tobytes() for f in got] \
+        == [f.positions.tobytes() for f in want]
 
 
 @given(st.integers(0, 2 ** 31 - 1), st.data())
