@@ -125,11 +125,16 @@ def _load_trace(path: str, scene: Scene) -> list[CrowdFrame]:
 
 
 def _read_selection(path: str) -> dict:
-    """The selection artifact at path, which must hold a JSON object."""
+    """The selection artifact at path, which must hold a JSON object whose
+    `spec`, if any, is an object too."""
     data = read_json(path)
     if not isinstance(data, dict):
         raise ValueError(f"selection artifact must be a JSON object, not "
                          f"{type(data).__name__}")
+    spec = data.get("spec", {})
+    if not isinstance(spec, dict):
+        raise ValueError(f"selection artifact: 'spec' must be a JSON object, "
+                         f"not {type(spec).__name__}")
     return data
 
 

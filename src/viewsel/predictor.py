@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .crowd import CrowdFrame, DensityMap, rasterize_density, visible_persons
-from .geometry import Scene, floored_distance, require_finite
+from .geometry import GroundGrid, Scene, floored_distance, require_finite
 
 
 def _require_numbers(values: dict, what: str) -> None:
@@ -126,9 +126,26 @@ def oracle_predict(frame: CrowdFrame, selected_visibility: np.ndarray,
         kernel_sigma_cells, mask=selected_visibility)
 
 
+def crowding_factor(frame: CrowdFrame, grid: GroundGrid,
+                    config: PredictorConfig) -> np.ndarray:
+    """Each person's occlusion factor rho/(rho + crowding_half), rho being
+    the frame's unmasked density at the person's cell, as a read-only array.
+
+    It depends only on the positions, the grid, kernel_sigma_cells and
+    crowding_half, so a caller predicting a frame many times (calibration
+    alone changing between calls) can compute it once."""
+    rows, cols = grid.world_to_cell(*frame.positions.T)
+    local = rasterize_density(frame, grid,
+                              config.kernel_sigma_cells).values[rows, cols]
+    crowding = local / (local + config.crowding_half)
+    crowding.setflags(write=False)
+    return crowding
+
+
 def noisy_predict(frame: CrowdFrame, selected_visibility: np.ndarray,
                   scene: Scene, config: PredictorConfig,
-                  selected_ids: list[str] | None = None) -> DensityMap:
+                  selected_ids: list[str] | None = None,
+                  crowding: np.ndarray | None = None) -> DensityMap:
     """Oracle prediction degraded by calibration-dependent noise.
 
     People are dropped with probability miss_rate*(1-quality), jittered by a
@@ -139,9 +156,14 @@ def noisy_predict(frame: CrowdFrame, selected_visibility: np.ndarray,
     the local crowd density at the person, and attenuated by
     1/(1 + distance_falloff_m * s), where s sums the inverse distances to the
     selected cameras whose footprints contain the person: people in dense
-    clusters are missed unless watched by enough close views.
+    clusters are missed unless watched by enough close views. `crowding`,
+    one factor per person, is crowding_factor(frame, scene.grid, config),
+    computed here when not given.
     Deterministic given (seed, frame_id) plus the visibility and camera set.
     """
+    if crowding is not None and len(crowding) != len(frame.positions):
+        raise ValueError(f"crowding has {len(crowding)} entries for "
+                         f"{len(frame.positions)} people")
     q = config.calibration.quality
     resid = 1.0 - q
     if (config.miss_rate * resid == 0.0
@@ -156,9 +178,8 @@ def noisy_predict(frame: CrowdFrame, selected_visibility: np.ndarray,
     if selected_ids and n:
         rows, cols = scene.grid.world_to_cell(pos[:, 0], pos[:, 1])
         # occlusion: misses concentrate where the crowd is dense
-        local = rasterize_density(frame, scene.grid,
-                                  config.kernel_sigma_cells).values[rows, cols]
-        crowding = local / (local + config.crowding_half)
+        if crowding is None:
+            crowding = crowding_factor(frame, scene.grid, config)
         # observation: each covering view contributes inverse-distance signal
         strength = np.zeros(n)
         for cid in selected_ids:
@@ -180,13 +201,23 @@ def noisy_predict(frame: CrowdFrame, selected_visibility: np.ndarray,
     return DensityMap(values=dm.values * scale)
 
 
-def calibrate(config: PredictorConfig,
-              newly_labeled_view_frames: float) -> PredictorConfig:
+def calibrate(config: PredictorConfig, newly_labeled_view_frames: float,
+              epochs: int = 1) -> PredictorConfig:
     """Credit training exposure and update quality on the learning curve:
-    quality = 1 - exp(-labeled_view_frames / q_scale)."""
+    quality = 1 - exp(-labeled_view_frames / q_scale).
+
+    The credit is added `epochs` times, one float addition after another,
+    so the result equals that many successive one-epoch calls; 0 epochs
+    returns config itself."""
     if newly_labeled_view_frames < 0:
         raise ValueError("newly_labeled_view_frames must be >= 0")
-    labeled = config.calibration.labeled_view_frames + newly_labeled_view_frames
+    if epochs < 0:
+        raise ValueError("epochs must be >= 0")
+    if epochs == 0:
+        return config
+    labeled = config.calibration.labeled_view_frames
+    for _ in range(epochs):
+        labeled += newly_labeled_view_frames
     quality = 1.0 - math.exp(-labeled / config.q_scale)
     return replace(config,
                    calibration=CalibrationState(labeled_view_frames=labeled,
@@ -195,10 +226,13 @@ def calibrate(config: PredictorConfig,
 
 def predict_frames(scene: Scene, frames: list[CrowdFrame],
                    visibility: np.ndarray, config: PredictorConfig,
-                   selected_ids: list[str]) -> list[DensityMap]:
-    """noisy_predict of each frame under one visibility and camera set."""
+                   selected_ids: list[str],
+                   crowding: list[np.ndarray]) -> list[DensityMap]:
+    """noisy_predict of each frame under one visibility and camera set,
+    given each frame's crowding_factor."""
     return [noisy_predict(frame, visibility, scene, config,
-                          selected_ids=selected_ids) for frame in frames]
+                          selected_ids=selected_ids, crowding=c)
+            for frame, c in zip(frames, crowding, strict=True)]
 
 
 def training_mae(scene: Scene, frames: list[CrowdFrame],

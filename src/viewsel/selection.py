@@ -10,9 +10,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .crowd import CrowdFrame, DensityMap, cover_rate, visible_persons
-from .geometry import Scene
-from .predictor import (PredictorConfig, calibrate, noisy_predict,
-                        oracle_predict, predict_frames, training_mae)
+from .geometry import Scene, require_finite
+from .predictor import (PredictorConfig, calibrate, crowding_factor,
+                        noisy_predict, oracle_predict, predict_frames,
+                        training_mae)
 from .scoring import (ALL_TERMS, DEFAULT_EPSILON, DEFAULT_LAMBDA,
                       ScoreBreakdown, binarize_density, score_round)
 
@@ -38,6 +39,13 @@ class SelectionConfig:
     def __post_init__(self):
         if self.k_max < 1 or self.n_frames < 1:
             raise ValueError("k_max and n_frames must be >= 1")
+        if self.epochs < 0:
+            raise ValueError("epochs must be >= 0")
+        numbers = [self.tau, self.lam, self.epsilon, self.pseudo_credit]
+        if not isinstance(self.sigma_mode, str):
+            numbers.append(self.sigma_mode)
+        require_finite(numbers, "tau, lam, epsilon, pseudo_credit and a "
+                       "numeric sigma_mode")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.pseudo_stages not in PSEUDO_STAGES:
@@ -250,11 +258,12 @@ def view_person_credit(scene: Scene, frames: list[CrowdFrame],
     return float(np.mean(fracs)) if fracs else 0.0
 
 
-def _camera_credit(scene: Scene,
-                   frames: list[CrowdFrame]) -> dict[str, float]:
-    """view_person_credit of every camera; fixed for a run's frames."""
+def _camera_credit(scene: Scene, frames: list[CrowdFrame],
+                   camera_ids) -> dict[str, float]:
+    """view_person_credit of each camera, in the given order; fixed for a
+    run's frames."""
     return {cid: view_person_credit(scene, frames, cid)
-            for cid in scene.camera_ids}
+            for cid in camera_ids}
 
 
 def _epoch_credit(camera_credit: dict[str, float], f: int,
@@ -325,7 +334,11 @@ def run_avs(scene: Scene, trace: list[CrowdFrame], config: SelectionConfig,
     k = min(config.k_max, len(scene.cameras))
     pseudo_viewsel = config.pseudo_stages in ("viewsel", "both")
     pseudo_modeltrain = config.pseudo_stages in ("modeltrain", "both")
-    camera_credit = _camera_credit(scene, frames)
+    camera_credit = _camera_credit(scene, frames, scene.camera_ids)
+    # a frame's crowding depends only on its people, the grid and two
+    # fixed predictor fields, never on the calibration that epochs change
+    crowding = [crowding_factor(frame, scene.grid, predictor)
+                for frame in frames]
     f = len(frames)
 
     active_epochs = 0
@@ -335,7 +348,7 @@ def run_avs(scene: Scene, trace: list[CrowdFrame], config: SelectionConfig,
                                "viewsel" if pseudo_viewsel else "off")
         predictor = calibrate(predictor, credit)
         preds = predict_frames(scene, frames, state.combined_mask, predictor,
-                               list(state.selected))
+                               list(state.selected), crowding)
         if training_mae(scene, frames, state.combined_mask,
                         preds) <= config.tau:
             m_avg = mean_prediction(preds, scene.grid.shape)
@@ -347,8 +360,7 @@ def run_avs(scene: Scene, trace: list[CrowdFrame], config: SelectionConfig,
     # ends with a full training pass on them
     credit = _epoch_credit(camera_credit, f, state.selected, config,
                            "modeltrain" if pseudo_modeltrain else "off")
-    for _ in range(2 * config.epochs - active_epochs):
-        predictor = calibrate(predictor, credit)
+    predictor = calibrate(predictor, credit, 2 * config.epochs - active_epochs)
     return state, LabeledDataset(tuple(frame_ids), state.selected), predictor
 
 
@@ -360,12 +372,12 @@ def train_after_selection(scene: Scene, frames: list[CrowdFrame],
     pipelines: repeated calibration on the labeled budget, with pseudo-label
     credit when the modeltrain stage is enabled."""
     pseudo = config.pseudo_stages in ("modeltrain", "both")
-    camera_credit = _camera_credit(scene, frames)
-    for _ in range(config.epochs):
-        credit = _epoch_credit(camera_credit, len(frames), state.selected,
-                               config, "modeltrain" if pseudo else "off")
-        predictor = calibrate(predictor, credit)
-    return predictor
+    # without pseudo-labels only the labeled cameras earn credit
+    camera_credit = _camera_credit(
+        scene, frames, scene.camera_ids if pseudo else state.selected)
+    credit = _epoch_credit(camera_credit, len(frames), state.selected,
+                           config, "modeltrain" if pseudo else "off")
+    return calibrate(predictor, credit, config.epochs)
 
 
 def random_select(scene: Scene, k: int, seed: int) -> SelectionState:

@@ -1,9 +1,14 @@
+import importlib
 import json
 
 import pytest
 
+from viewsel import predictor as predictor_module
+from viewsel import selection as selection_module
 from viewsel.cli import (EXIT_NON_CONVERGED, EXIT_OK, EXIT_VALIDATION,
                          build_parser, main)
+
+evaluate_module = importlib.import_module("viewsel.evaluate")
 
 
 def run(*args):
@@ -193,6 +198,8 @@ def test_eval_rejects_unknown_trained_predictor_key(artifacts, tmp_path,
       for name, selected in (("5", 5), ("c0", "c0"), ("selected2", [0, 1]))),
     pytest.param([1], "must be a JSON object, not list", id="list"),
     pytest.param("c0", "must be a JSON object, not str", id="str"),
+    pytest.param({"selected": ["cam0"], "spec": [1]},
+                 "'spec' must be a JSON object, not list", id="spec"),
 ])
 def test_selection_that_is_not_a_list_of_ids_is_validation_error(
         artifacts, tmp_path, capsys, artifact, message):
@@ -257,6 +264,30 @@ def test_non_finite_threshold_is_validation_error(artifacts, selection,
                "--frames", "3", f"--threshold-m={threshold}",
                "--out-dir", str(sweep)) == EXIT_VALIDATION
     assert not (sweep / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("flag", ["--epochs=-1", "--tau=nan", "--sigma=nan",
+                                  "--sigma=inf"])
+@pytest.mark.parametrize("command", ["select", "sweep"])
+def test_bad_selection_number_is_validation_error(artifacts, tmp_path,
+                                                  monkeypatch, command, flag):
+    scene_path, trace_path = artifacts
+    predicted = []
+    for module in (predictor_module, selection_module, evaluate_module):
+        real = module.noisy_predict
+        monkeypatch.setattr(module, "noisy_predict",
+                            lambda *a, real=real, **k:
+                            predicted.append(1) or real(*a, **k))
+    out = tmp_path / "out"
+    args = {"select": ["--out", str(out)],
+            "sweep": ["--axis", "K", "--values", "2", "--out-dir",
+                      str(out)]}[command]
+    assert run(command, "--scene", str(scene_path), "--trace",
+               str(trace_path), "--strategy", "density", "--predictor",
+               "noisy", "--k", "2", "--frames", "3", flag,
+               *args) == EXIT_VALIDATION
+    assert not out.exists()
+    assert predicted == []
 
 
 def test_select_and_sweep_share_selection_defaults():

@@ -5,6 +5,7 @@ from viewsel import (CalibrationState, CrowdFrame, PredictorConfig,
                      calibrate, generate_crowd_trace, noisy_predict,
                      oracle_predict, predict_frames, training_mae,
                      visible_persons)
+from viewsel.predictor import crowding_factor
 
 
 def _full(scene):
@@ -116,7 +117,9 @@ def test_calibrate_metric_against_covered_people(demo_scene):
     cfg = PredictorConfig(miss_rate=0.0, count_noise_rel=0.0,
                           position_jitter_m=0.0)
     preds = predict_frames(demo_scene, frames, vis, cfg,
-                           demo_scene.camera_ids[:3])
+                           demo_scene.camera_ids[:3],
+                           [crowding_factor(f, demo_scene.grid, cfg)
+                            for f in frames])
     metric = training_mae(demo_scene, frames, vis, preds)
     # noise-free predictor counts the covered people, up to kernel-tail
     # clipping at the visibility boundary
@@ -128,6 +131,28 @@ def test_calibrate_metric_against_covered_people(demo_scene):
 def test_calibrate_rejects_negative_credit():
     with pytest.raises(ValueError):
         calibrate(PredictorConfig(), -1.0)
+
+
+def test_calibrate_zero_epochs_is_identity_and_negative_raises():
+    with pytest.raises(ValueError):
+        calibrate(PredictorConfig(), 1.0, epochs=-1)
+    cfg = PredictorConfig()
+    assert calibrate(cfg, 1.0, epochs=0) is cfg
+
+
+def test_crowding_factor_is_read_only_and_checked_for_length(demo_scene):
+    frame = _trace(demo_scene)[0]
+    cfg = PredictorConfig(miss_rate=0.5, seed=1)
+    crowding = crowding_factor(frame, demo_scene.grid, cfg)
+    assert crowding.shape == (len(frame.positions),)
+    assert ((crowding > 0) & (crowding < 1)).all()
+    with pytest.raises(ValueError):
+        crowding[0] = 0.0
+    vis = _full(demo_scene)
+    for wrong in (crowding[1:], np.append(crowding, 0.5)):
+        with pytest.raises(ValueError, match="crowding"):
+            noisy_predict(frame, vis, demo_scene, cfg,
+                          selected_ids=demo_scene.camera_ids, crowding=wrong)
 
 
 def test_config_validation_and_round_trip():

@@ -4,9 +4,11 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from viewsel import (CalibrationState, CrowdFrame, DensityMap,
-                     PredictorConfig, binarize_density, cover_rate,
-                     noisy_predict, rasterize_density, score_scene_coverage,
-                     score_view_diversity, visible_persons)
+                     PredictorConfig, binarize_density, calibrate,
+                     cover_rate, noisy_predict, rasterize_density,
+                     score_scene_coverage, score_view_diversity,
+                     visible_persons)
+from viewsel.predictor import crowding_factor
 from viewsel.geometry import GroundGrid
 
 from conftest import random_small_scene
@@ -150,6 +152,26 @@ def test_noisy_predict_equals_person_list_reference(seed, quality, n, margin,
         distance_falloff_m=6.0, crowding_half=0.5,
         calibration=CalibrationState(quality=quality))
     selected = ids if with_ids else None
+    expected = ref_noisy_predict(frame, vis, scene, config,
+                                 selected_ids=selected)
     fast = noisy_predict(frame, vis, scene, config, selected_ids=selected)
-    assert np.array_equal(fast.values, ref_noisy_predict(
-        frame, vis, scene, config, selected_ids=selected))
+    assert np.array_equal(fast.values, expected)
+    # the crowding a caller computed once per frame gives the same map
+    given = noisy_predict(frame, vis, scene, config, selected_ids=selected,
+                          crowding=crowding_factor(frame, scene.grid, config))
+    assert np.array_equal(given.values, expected)
+
+
+@given(st.floats(0.0, 1e4), st.integers(0, 60), st.floats(0.0, 1e6),
+       st.floats(1e-3, 1e4))
+@settings(max_examples=200, deadline=None)
+def test_calibrate_epochs_equals_successive_calls(credit, n, labeled,
+                                                  q_scale):
+    config = PredictorConfig(
+        q_scale=q_scale, calibration=CalibrationState(
+            labeled_view_frames=labeled,
+            quality=1.0 - float(np.exp(-labeled / q_scale))))
+    stepwise = config
+    for _ in range(n):
+        stepwise = calibrate(stepwise, credit)
+    assert calibrate(config, credit, epochs=n) == stepwise

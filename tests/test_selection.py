@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -236,6 +238,13 @@ def test_simulated_training_call_counts(demo_scene, monkeypatch):
     assert sorted(credit) == sorted(demo_scene.camera_ids)
     assert predicted == [[], []]
 
+    # without pseudo-labels only the labeled cameras' credit is read
+    credit.clear()
+    train_after_selection(demo_scene, trace[:4], state,
+                          replace(cfg, pseudo_stages="none"), pred)
+    assert credit == list(state.selected)
+    assert predicted == [[], []]
+
 
 def test_add_view_tie_goes_to_lowest_id():
     # twin poses score exactly equal; the roster lists the higher id first
@@ -330,6 +339,37 @@ def test_run_avs_predicts_each_frame_once_per_gated_epoch(monkeypatch):
     state, _, _ = run_avs(scene, trace, config, predictor)
     assert len(state.selected) == 5
     assert sum(map(len, predicted)) == 85
+
+
+def test_run_avs_rasterizes_each_labeled_frame_unmasked_once(monkeypatch):
+    # the crowding term of each labeled frame is computed once per run,
+    # not once per gated epoch (the README library demo)
+    unmasked = _count_calls(monkeypatch, predictor_module,
+                            "rasterize_density",
+                            key=lambda frame, grid, sigma, mask=None:
+                            mask is None)
+    grid = GroundGrid(height_cells=80, width_cells=80, cell_size_m=0.5)
+    scene = generate_scene(12, grid, seed=1)
+    trace = generate_crowd_trace(grid, n_frames=10, count_range=(80, 140),
+                                 clustering=0.85, seed=2)
+    config = SelectionConfig(k_max=5, n_frames=5, strategy="density",
+                             tau=30.0)
+    predictor = PredictorConfig(miss_rate=0.9, position_jitter_m=1.5,
+                                count_noise_rel=0.2, q_scale=400.0)
+    state, _, _ = run_avs(scene, trace, config, predictor)
+    assert len(state.selected) == 5
+    assert sum(unmasked) == config.n_frames
+
+
+@pytest.mark.parametrize("field, value", [
+    ("epochs", -1), ("tau", float("nan")), ("tau", float("inf")),
+    ("lam", float("nan")), ("epsilon", float("-inf")),
+    ("pseudo_credit", float("nan")), ("sigma_mode", float("nan")),
+    ("sigma_mode", float("inf")),
+])
+def test_selection_config_rejects_bad_numbers(field, value):
+    with pytest.raises(ValueError):
+        SelectionConfig(**{field: value})
 
 
 def test_selection_config_round_trip():
