@@ -1,8 +1,9 @@
 """Camera view selection for scene-level ground-plane crowd counting and
 localization, with a pluggable predictor and a simulation harness."""
 
-from .crowd import (CrowdFrame, DensityMap, Person, cover_rate,
-                    generate_crowd_trace, rasterize_density, visible_persons)
+from .crowd import (CrowdFrame, DensityMap, Person, accumulate_density,
+                    cover_rate, generate_crowd_trace, kernel_table,
+                    rasterize_density, visible_persons)
 from .evaluate import EvalReport, evaluate
 from .geometry import (CameraPose, DegenerateAxisError, FovFootprint,
                        GroundGrid, Scene, combined_visibility,
@@ -10,7 +11,7 @@ from .geometry import (CameraPose, DegenerateAxisError, FovFootprint,
 from .metrics import (CountingReport, LocalizationReport, counting_metrics,
                       extract_peaks, localization_metrics, match_points)
 from .predictor import (CalibrationState, PredictorConfig, calibrate,
-                        noisy_predict, oracle_predict, predict_frames,
+                        noisy_draw, noisy_predict, oracle_predict,
                         training_mae)
 from .pseudolabels import PseudoPair, make_modeltrain_pair, make_viewsel_pair
 from .scoring import (ScoreBreakdown, binarize_density, inverse_distance_field,

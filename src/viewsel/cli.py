@@ -346,6 +346,8 @@ def cmd_sweep(args) -> int:
     base_pred = _predictor_from_args(args)
     # a bad threshold would fail every cell after its selection has run
     require_match_threshold(args.threshold_m)
+    if args.repeats < 1:
+        raise ValueError(f"--repeats must be >= 1, not {args.repeats}")
     values = [v for v in args.values.split(",") if v]
     if not values:
         raise ValueError("no sweep values given")

@@ -114,6 +114,78 @@ def generate_crowd_trace(grid: GroundGrid, n_frames: int,
     return frames
 
 
+def kernel_table(frame: CrowdFrame, grid: GroundGrid,
+                 kernel_sigma_cells: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each person's Gaussian kernel as one row of (2r+1)**2 flat cells and
+    weights, r = ceil(4 sigma), in person order: (cells, weights).
+
+    A kernel is truncated at 4 sigma and renormalized to unit mass over its
+    in-bounds window. Window cells off the grid, and every cell of a person
+    whose window misses the grid, point at the spare bin h*w with weight
+    0.0, so accumulate_density of any subset of rows is the raster of that
+    subset of people.
+    """
+    if kernel_sigma_cells <= 0:
+        raise ValueError("kernel_sigma_cells must be positive")
+    h, w = grid.shape
+    pos = require_finite(frame.positions, "person positions")
+    radius = int(math.ceil(4.0 * kernel_sigma_cells))
+    inv_two_sigma2 = 1.0 / (2.0 * kernel_sigma_cells ** 2)
+    # (x, y) in cell-center units; a person whose window misses the grid is
+    # moved to just off it, which keeps the window off the grid and the
+    # indices small, while no other person moves
+    pc = np.clip((pos - grid.origin) / grid.cell_size_m - 0.5,
+                 -radius - 1.5, (w + radius + 0.5, h + radius + 0.5))
+    px, py = pc[:, 0], pc[:, 1]
+    # one (2r+1) x (2r+1) window per person around the nearest cell center,
+    # cells outside the grid included
+    off = np.arange(-radius, radius + 1)
+    ii = np.rint(py).astype(np.intp)[:, None] + off  # (n, 2r+1)
+    jj = np.rint(px).astype(np.intp)[:, None] + off
+    d2 = ((ii - py[:, None]) ** 2)[:, :, None] \
+        + ((jj - px[:, None]) ** 2)[:, None, :]
+    kern = np.where(d2 > (4.0 * kernel_sigma_cells) ** 2, 0.0,
+                    np.exp(-d2 * inv_two_sigma2))
+    cells = (ii * w)[:, :, None] + jj[:, None, :]
+    n, size = len(pos), off.size ** 2
+    s = kern.reshape(n, size).sum(axis=1)
+    row_in = (ii >= 0) & (ii < h)
+    col_in = (jj >= 0) & (jj < w)
+    # a window that leaves the grid is normalized over its in-bounds block,
+    # summed as one contiguous array (the order a per-person sum uses), and
+    # its cells off the grid become the spare bin with weight 0.0
+    for p in np.flatnonzero(~(row_in.all(axis=1) & col_in.all(axis=1))):
+        s[p] = np.ascontiguousarray(kern[p][row_in[p]][:, col_in[p]]).sum()
+        off_grid = ~(row_in[p][:, None] & col_in[p])
+        kern[p][off_grid] = 0.0
+        cells[p][off_grid] = h * w
+    s[s == 0] = 1.0  # such kernels weigh 0.0 in bounds; avoids dividing by 0
+    kern /= s[:, None, None]
+    return cells.reshape(n, size), kern.reshape(n, size)
+
+
+def accumulate_density(table: tuple[np.ndarray, np.ndarray], grid: GroundGrid,
+                       rows: np.ndarray | None = None,
+                       mask: np.ndarray | None = None) -> np.ndarray:
+    """The (h, w) raster of the kernel_table rows selected by rows (a
+    boolean or index array over the people; None: all), with the cells
+    outside mask zeroed afterwards without renormalizing."""
+    if mask is not None and mask.shape != grid.shape:
+        raise ValueError("mask shape does not match grid")
+    cells, weights = table
+    if rows is not None:
+        cells, weights = cells[rows], weights[rows]
+    h, w = grid.shape
+    # bincount adds in person order, as += per person would; given no
+    # people it returns integer zeros, hence the cast
+    values = np.bincount(cells.ravel(), weights=weights.ravel(),
+                         minlength=h * w + 1)[:h * w]
+    values = values.astype(float, copy=False).reshape(h, w)
+    if mask is not None:
+        values[~mask] = 0.0
+    return values
+
+
 def rasterize_density(frame: CrowdFrame, grid: GroundGrid,
                       kernel_sigma_cells: float,
                       mask: np.ndarray | None = None) -> DensityMap:
@@ -124,51 +196,8 @@ def rasterize_density(frame: CrowdFrame, grid: GroundGrid,
     sums to the person count. The optional mask zeroes cells afterwards
     without renormalizing, so boundary-straddling people keep partial mass.
     """
-    if kernel_sigma_cells <= 0:
-        raise ValueError("kernel_sigma_cells must be positive")
-    if mask is not None and mask.shape != grid.shape:
-        raise ValueError("mask shape does not match grid")
-    h, w = grid.shape
-    pos = require_finite(frame.positions, "person positions")
-    radius = int(math.ceil(4.0 * kernel_sigma_cells))
-    inv_two_sigma2 = 1.0 / (2.0 * kernel_sigma_cells ** 2)
-    ox, oy = grid.origin
-    px = (pos[:, 0] - ox) / grid.cell_size_m - 0.5  # in cell-center units
-    py = (pos[:, 1] - oy) / grid.cell_size_m - 0.5
-    ci, cj = np.rint(py), np.rint(px)  # nearest cell center
-    # people whose window misses the grid add nothing
-    near = ((ci + radius >= 0) & (ci - radius < h)
-            & (cj + radius >= 0) & (cj - radius < w))
-    px, py = px[near], py[near]
-    i0, j0 = ci[near].astype(np.intp), cj[near].astype(np.intp)
-    # one (2r+1) x (2r+1) window per person, cells outside the grid included
-    off = np.arange(-radius, radius + 1)
-    ii = i0[:, None] + off  # (n, 2r+1)
-    jj = j0[:, None] + off
-    d2 = ((ii - py[:, None]) ** 2)[:, :, None] \
-        + ((jj - px[:, None]) ** 2)[:, None, :]
-    kern = np.exp(-d2 * inv_two_sigma2)
-    kern[d2 > (4.0 * kernel_sigma_cells) ** 2] = 0.0
-    row_in = (ii >= 0) & (ii < h)
-    col_in = (jj >= 0) & (jj < w)
-    # each kernel is normalized over its in-bounds window; the sum runs over
-    # that window as one contiguous block, the order a per-person sum uses
-    s = kern.reshape(len(kern), off.size ** 2).sum(axis=1)
-    for p in np.flatnonzero(~(row_in.all(axis=1) & col_in.all(axis=1))):
-        s[p] = np.ascontiguousarray(
-            kern[p][np.ix_(row_in[p], col_in[p])]).sum()
-    inside = row_in[:, :, None] & col_in[:, None, :] & (s > 0)[:, None, None]
-    s[s == 0] = 1.0  # such kernels add nothing; avoids dividing by zero
-    cells = ii[:, :, None] * w + jj[:, None, :]
-    # bincount adds in person order, as += per person would; given no
-    # people it returns integer zeros, hence the cast
-    values = np.bincount(cells[inside],
-                         weights=(kern / s[:, None, None])[inside],
-                         minlength=h * w).astype(float, copy=False)
-    values = values.reshape(h, w)
-    if mask is not None:
-        values[~mask] = 0.0
-    return DensityMap(values=values)
+    table = kernel_table(frame, grid, kernel_sigma_cells)
+    return DensityMap(values=accumulate_density(table, grid, mask=mask))
 
 
 def visible_persons(frame: CrowdFrame, visibility: np.ndarray,

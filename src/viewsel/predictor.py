@@ -142,40 +142,60 @@ def crowding_factor(frame: CrowdFrame, grid: GroundGrid,
     return crowding
 
 
+def noisy_draw(frame: CrowdFrame, config: PredictorConfig,
+               miss_p: np.ndarray | None = None) -> tuple[CrowdFrame, float]:
+    """The random part of noisy_predict, which no camera changes: the kept,
+    jittered people as a frame under the same id, and the count scale.
+
+    A person is kept when a uniform draw reaches its miss probability
+    (miss_p, one per person; None: miss_rate*(1-quality) for everyone),
+    jittered by a Gaussian of sigma position_jitter_m*(1-quality), and the
+    scale is 1 + count_noise_rel*(1-quality)*U(-1, 1), floored at 0. With
+    no noise left it is (frame, 1.0) and draws nothing. Deterministic given
+    (seed, frame_id) and miss_p.
+    """
+    resid = 1.0 - config.calibration.quality
+    if (config.miss_rate * resid == 0.0
+            and config.position_jitter_m * resid == 0.0
+            and config.count_noise_rel * resid == 0.0):
+        return frame, 1.0
+    rng = np.random.default_rng([config.seed, frame.frame_id])
+    pos = frame.positions
+    n = len(pos)
+    keep = rng.random(n) >= (config.miss_rate * resid if miss_p is None
+                             else miss_p)
+    jitter = rng.normal(0.0, 1.0, size=(n, 2)) * config.position_jitter_m * resid
+    scale = 1.0 + config.count_noise_rel * resid * rng.uniform(-1.0, 1.0)
+    return (CrowdFrame(frame_id=frame.frame_id,
+                       positions=pos[keep] + jitter[keep]), max(scale, 0.0))
+
+
 def noisy_predict(frame: CrowdFrame, selected_visibility: np.ndarray,
                   scene: Scene, config: PredictorConfig,
                   selected_ids: list[str] | None = None,
                   crowding: np.ndarray | None = None) -> DensityMap:
-    """Oracle prediction degraded by calibration-dependent noise.
+    """Oracle prediction of a noisy_draw of the frame, times its scale.
 
-    People are dropped with probability miss_rate*(1-quality), jittered by a
-    Gaussian of sigma position_jitter_m*(1-quality), and the total mass is
-    scaled by a uniform factor within 1 +/- count_noise_rel*(1-quality).
-    When the selected camera ids are supplied, each person's miss probability
-    is reshaped by an occlusion factor rho/(rho + crowding_half), rho being
-    the local crowd density at the person, and attenuated by
-    1/(1 + distance_falloff_m * s), where s sums the inverse distances to the
-    selected cameras whose footprints contain the person: people in dense
-    clusters are missed unless watched by enough close views. `crowding`,
-    one factor per person, is crowding_factor(frame, scene.grid, config),
-    computed here when not given.
+    When the selected camera ids are supplied, each person's miss
+    probability miss_rate*(1-quality) is reshaped by an occlusion factor
+    rho/(rho + crowding_half), rho being the local crowd density at the
+    person, and attenuated by 1/(1 + distance_falloff_m * s), where s sums
+    the inverse distances to the selected cameras whose footprints contain
+    the person: people in dense clusters are missed unless watched by
+    enough close views. `crowding`, one factor per person, is
+    crowding_factor(frame, scene.grid, config), computed here when needed
+    and not given.
     Deterministic given (seed, frame_id) plus the visibility and camera set.
     """
     if crowding is not None and len(crowding) != len(frame.positions):
         raise ValueError(f"crowding has {len(crowding)} entries for "
                          f"{len(frame.positions)} people")
-    q = config.calibration.quality
-    resid = 1.0 - q
-    if (config.miss_rate * resid == 0.0
-            and config.position_jitter_m * resid == 0.0
-            and config.count_noise_rel * resid == 0.0):
-        return oracle_predict(frame, selected_visibility, scene,
-                              config.kernel_sigma_cells)
-    rng = np.random.default_rng([config.seed, frame.frame_id])
     pos = frame.positions
     n = len(pos)
-    miss_p = np.full(n, config.miss_rate * resid)
-    if selected_ids and n:
+    base_p = config.miss_rate * (1.0 - config.calibration.quality)
+    miss_p = None
+    # a zero miss probability stays zero whatever the factors
+    if selected_ids and n and base_p != 0.0:
         rows, cols = scene.grid.world_to_cell(pos[:, 0], pos[:, 1])
         # occlusion: misses concentrate where the crowd is dense
         if crowding is None:
@@ -188,13 +208,9 @@ def noisy_predict(frame: CrowdFrame, selected_visibility: np.ndarray,
                                  scene.camera(cid).ground_position,
                                  scene.grid)
             strength += covered / d
+        miss_p = np.full(n, base_p)
         miss_p *= crowding / (1.0 + config.distance_falloff_m * strength)
-    keep = rng.random(n) >= miss_p
-    jitter = rng.normal(0.0, 1.0, size=(n, 2)) * config.position_jitter_m * resid
-    scale = 1.0 + config.count_noise_rel * resid * rng.uniform(-1.0, 1.0)
-    scale = max(scale, 0.0)
-    noisy = CrowdFrame(frame_id=frame.frame_id,
-                       positions=pos[keep] + jitter[keep])
+    noisy, scale = noisy_draw(frame, config, miss_p)
     dm = rasterize_density(
         visible_persons(noisy, selected_visibility, scene.grid), scene.grid,
         config.kernel_sigma_cells, mask=selected_visibility)
@@ -224,26 +240,13 @@ def calibrate(config: PredictorConfig, newly_labeled_view_frames: float,
                                                 quality=quality))
 
 
-def predict_frames(scene: Scene, frames: list[CrowdFrame],
-                   visibility: np.ndarray, config: PredictorConfig,
-                   selected_ids: list[str],
-                   crowding: list[np.ndarray]) -> list[DensityMap]:
-    """noisy_predict of each frame under one visibility and camera set,
-    given each frame's crowding_factor."""
-    return [noisy_predict(frame, visibility, scene, config,
-                          selected_ids=selected_ids, crowding=c)
-            for frame, c in zip(frames, crowding, strict=True)]
-
-
-def training_mae(scene: Scene, frames: list[CrowdFrame],
-                 visibility: np.ndarray, predictions: list[DensityMap]) -> float:
+def training_mae(predictions: list[DensityMap], covered: list[int]) -> float:
     """The simulated training metric: the MAE of the counts predicted for
-    the given frames (predict_frames) against the training (selected-view)
-    GT counts, i.e. against the people the visibility actually covers."""
-    if not frames:
-        raise ValueError("frames must be nonempty")
-    errors = []
-    for frame, pred in zip(frames, predictions, strict=True):
-        covered = len(visible_persons(frame, visibility, scene.grid).positions)
-        errors.append(abs(pred.total - covered))
-    return float(np.mean(errors))
+    the labeled frames (noisy_predict) against their training
+    (selected-view) GT counts, the number of each frame's people that the
+    visibility covers."""
+    if not predictions:
+        raise ValueError("predictions must be nonempty")
+    return float(np.mean([abs(pred.total - n)
+                          for pred, n in zip(predictions, covered,
+                                             strict=True)]))

@@ -9,10 +9,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .crowd import CrowdFrame, DensityMap, cover_rate, visible_persons
+from .crowd import (CrowdFrame, DensityMap, accumulate_density, cover_rate,
+                    kernel_table, visible_persons)
 from .geometry import Scene, require_finite
 from .predictor import (PredictorConfig, calibrate, crowding_factor,
-                        noisy_predict, oracle_predict, predict_frames,
+                        noisy_draw, noisy_predict, oracle_predict,
                         training_mae)
 from .scoring import (ALL_TERMS, DEFAULT_EPSILON, DEFAULT_LAMBDA,
                       ScoreBreakdown, binarize_density, score_round)
@@ -122,33 +123,27 @@ def _cosine(u: np.ndarray, v: np.ndarray) -> float:
     return float(u @ v) / (nu * nv)
 
 
-def select_frames(scene: Scene, trace: list[CrowdFrame], predict_fn,
-                  f: int) -> list[int]:
+def select_frames(scene: Scene, trace: list[CrowdFrame], draw_fn, f: int,
+                  kernel_sigma_cells: float) -> list[int]:
     """Pick f frame ids: first the frame with the largest predicted count in
     the widest camera's footprint, then greedily the frame least similar
     (by max cosine over already-selected) in that camera's density features.
 
-    predict_fn(frame, visibility) -> DensityMap.
+    draw_fn(frame) -> (CrowdFrame, scale) is the predictor's draw (the
+    oracle's is (frame, 1.0)); a frame's prediction under a footprint is
+    the oracle density of the drawn people seen there, times the scale.
     """
-    return _select_frames(scene, trace, predict_fn, f)[0]
-
-
-def _select_frames(scene: Scene, trace: list[CrowdFrame], predict_fn,
-                   f: int) -> tuple[list[int], dict[tuple[str, int], float]]:
-    """select_frames, also returning the total of each prediction it made,
-    keyed by (camera id, frame id), for select_first_view to reuse."""
     if f > len(trace):
         raise ValueError(f"cannot select {f} frames from {len(trace)}")
     if not trace:
         raise ValueError("trace is empty")
     v_max = _largest_fov_camera(scene)
     fov = scene.footprint(v_max).mask
-    totals = {}
     features = {}
     for frame in trace:
-        pred = predict_fn(frame, fov)
-        totals[v_max, frame.frame_id] = pred.total
-        features[frame.frame_id] = pred.values[fov].ravel()
+        noisy, scale = draw_fn(frame)
+        pred = oracle_predict(noisy, fov, scene, kernel_sigma_cells)
+        features[frame.frame_id] = pred.values[fov] * scale
     ids = sorted(features)
     first = min(ids, key=lambda fid: (-features[fid].sum(), fid))
     chosen = [first]
@@ -159,32 +154,32 @@ def _select_frames(scene: Scene, trace: list[CrowdFrame], predict_fn,
                                         for c in chosen), fid))
         chosen.append(best)
         remaining.remove(best)
-    return chosen, totals
+    return chosen
 
 
-def select_first_view(scene: Scene, frames: list[CrowdFrame], predict_fn,
-                      mode: str) -> str:
+def select_first_view(scene: Scene, frames: list[CrowdFrame], draw_fn,
+                      mode: str, kernel_sigma_cells: float) -> str:
     """First view by footprint area ("largest_fov") or by predicted crowd
-    count summed over the selected frames ("largest_predicted_count")."""
-    return _select_first_view(scene, frames, predict_fn, mode, {})
+    count summed over the selected frames ("largest_predicted_count").
 
-
-def _select_first_view(scene: Scene, frames: list[CrowdFrame], predict_fn,
-                       mode: str, known: dict[tuple[str, int], float]) -> str:
-    """select_first_view, reusing the known prediction totals by (camera
-    id, frame id) instead of predicting those frames again."""
+    draw_fn is select_frames'. Each frame is drawn and tabulated
+    (kernel_table) once; a camera's prediction accumulates the drawn people
+    whose cell it sees under its footprint, times the draw's scale.
+    """
     if mode == "largest_fov":
         return _largest_fov_camera(scene)
-    if mode == "largest_predicted_count":
-        def total(cid: str, frame: CrowdFrame) -> float:
-            if (cid, frame.frame_id) in known:
-                return known[cid, frame.frame_id]
-            return predict_fn(frame, scene.footprint(cid).mask).total
-
-        def total_count(cid: str) -> float:
-            return sum(total(cid, frame) for frame in frames)
-        return min(scene.camera_ids, key=lambda cid: (-total_count(cid), cid))
-    raise ValueError(f"unknown first-view mode {mode!r}")
+    if mode != "largest_predicted_count":
+        raise ValueError(f"unknown first-view mode {mode!r}")
+    totals = {cid: [] for cid in scene.camera_ids}
+    for frame in frames:
+        noisy, scale = draw_fn(frame)
+        cells = scene.grid.world_to_cell(*noisy.positions.T)
+        table = kernel_table(noisy, scene.grid, kernel_sigma_cells)
+        for cid, counts in totals.items():
+            fov = scene.footprint(cid).mask
+            values = accumulate_density(table, scene.grid, fov[cells], fov)
+            counts.append(float((values * scale).sum()))
+    return min(scene.camera_ids, key=lambda cid: (-sum(totals[cid]), cid))
 
 
 def add_view(scene: Scene, state: SelectionState,
@@ -291,15 +286,14 @@ def run_ivs(scene: Scene, trace: list[CrowdFrame], config: SelectionConfig,
     """Independent pipeline: geometry-only greedy selection, then labeling."""
     if config.strategy != "geometric":
         raise ValueError("run_ivs requires the geometric strategy")
-    predictor = predictor or PredictorConfig()
-    sigma = predictor.kernel_sigma_cells
+    sigma = (predictor or PredictorConfig()).kernel_sigma_cells
 
-    def predict(frame, vis):
-        return oracle_predict(frame, vis, scene, sigma)
+    def draw(frame):
+        return frame, 1.0
 
-    frame_ids = select_frames(scene, trace, predict, config.n_frames)
+    frame_ids = select_frames(scene, trace, draw, config.n_frames, sigma)
     frames = _frames_by_id(trace, frame_ids)
-    first = select_first_view(scene, frames, predict, "largest_fov")
+    first = select_first_view(scene, frames, draw, "largest_fov", sigma)
     state = _initial_state(scene, first)
     k = min(config.k_max, len(scene.cameras))
     score_fn = _score_fn(scene, config)
@@ -322,14 +316,14 @@ def run_avs(scene: Scene, trace: list[CrowdFrame], config: SelectionConfig,
     if config.strategy not in ("mask", "density"):
         raise ValueError("run_avs requires the mask or density strategy")
 
-    def predict(frame, vis):
-        return noisy_predict(frame, vis, scene, predictor)
+    def draw(frame):
+        return noisy_draw(frame, predictor)
 
-    frame_ids, totals = _select_frames(scene, trace, predict,
-                                       config.n_frames)
+    sigma = predictor.kernel_sigma_cells
+    frame_ids = select_frames(scene, trace, draw, config.n_frames, sigma)
     frames = _frames_by_id(trace, frame_ids)
-    first = _select_first_view(scene, frames, predict,
-                               "largest_predicted_count", totals)
+    first = select_first_view(scene, frames, draw, "largest_predicted_count",
+                              sigma)
     state = _initial_state(scene, first)
     k = min(config.k_max, len(scene.cameras))
     pseudo_viewsel = config.pseudo_stages in ("viewsel", "both")
@@ -339,6 +333,13 @@ def run_avs(scene: Scene, trace: list[CrowdFrame], config: SelectionConfig,
     # fixed predictor fields, never on the calibration that epochs change
     crowding = [crowding_factor(frame, scene.grid, predictor)
                 for frame in frames]
+    # the training GT counts change only when a view is added
+    person_cells = [scene.grid.world_to_cell(*frame.positions.T)
+                    for frame in frames]
+
+    def covered_counts(mask):
+        return [int(np.count_nonzero(mask[c])) for c in person_cells]
+    covered = covered_counts(state.combined_mask)
     f = len(frames)
 
     active_epochs = 0
@@ -347,12 +348,13 @@ def run_avs(scene: Scene, trace: list[CrowdFrame], config: SelectionConfig,
         credit = _epoch_credit(camera_credit, f, state.selected, config,
                                "viewsel" if pseudo_viewsel else "off")
         predictor = calibrate(predictor, credit)
-        preds = predict_frames(scene, frames, state.combined_mask, predictor,
-                               list(state.selected), crowding)
-        if training_mae(scene, frames, state.combined_mask,
-                        preds) <= config.tau:
+        preds = [noisy_predict(frame, state.combined_mask, scene, predictor,
+                               selected_ids=list(state.selected), crowding=c)
+                 for frame, c in zip(frames, crowding, strict=True)]
+        if training_mae(preds, covered) <= config.tau:
             m_avg = mean_prediction(preds, scene.grid.shape)
             state = add_view(scene, state, _score_fn(scene, config, m_avg))
+            covered = covered_counts(state.combined_mask)
     if len(state.selected) < k:
         state = replace(state, non_converged=True)
     # the epochs left once the budget is reached train on the labeled views

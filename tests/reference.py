@@ -301,3 +301,34 @@ def ref_noisy_predict(frame, visibility, scene, config, selected_ids=None):
     seen = ref_visible_persons(noisy, visibility, scene.grid)
     return ref_rasterize_density(seen, scene.grid, sigma,
                                  mask=visibility) * scale
+
+
+def ref_select_first_view(scene, frames, predict):
+    """The largest_predicted_count first view as one prediction per camera
+    and frame: predict(frame, visibility) -> raster array under each
+    camera's footprint; the largest summed total wins, ties by camera id."""
+    def total_count(cid):
+        return sum(float(predict(frame, scene.footprint(cid).mask).sum())
+                   for frame in frames)
+    return min(scene.camera_ids, key=lambda cid: (-total_count(cid), cid))
+
+
+def ref_select_frames(scene, trace, predict, f):
+    """Frame selection as one prediction per frame under the widest
+    camera's footprint (largest area, ties by id): the frame of the largest
+    footprint total first (ties by frame id), then repeatedly the frame
+    whose largest cosine similarity to a chosen one is smallest."""
+    widest = min(scene.camera_ids,
+                 key=lambda cid: (-int(scene.footprint(cid).mask.sum()), cid))
+    fov = scene.footprint(widest).mask
+    feats = {frame.frame_id: predict(frame, fov)[fov] for frame in trace}
+
+    def cosine(u, v):
+        nu, nv = math.sqrt(float(u @ u)), math.sqrt(float(v @ v))
+        return 1.0 if nu == 0.0 or nv == 0.0 else float(u @ v) / (nu * nv)
+    chosen = [min(sorted(feats), key=lambda fid: -feats[fid].sum())]
+    while len(chosen) < f:
+        rest = [fid for fid in sorted(feats) if fid not in chosen]
+        chosen.append(min(rest, key=lambda fid: max(
+            cosine(feats[fid], feats[c]) for c in chosen)))
+    return chosen

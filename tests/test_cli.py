@@ -273,9 +273,12 @@ def test_bad_selection_number_is_validation_error(artifacts, tmp_path,
                                                   monkeypatch, command, flag):
     scene_path, trace_path = artifacts
     predicted = []
-    for module in (predictor_module, selection_module, evaluate_module):
-        real = module.noisy_predict
-        monkeypatch.setattr(module, "noisy_predict",
+    for module, name in ((predictor_module, "noisy_predict"),
+                         (selection_module, "noisy_predict"),
+                         (selection_module, "noisy_draw"),
+                         (evaluate_module, "noisy_predict")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
                             lambda *a, real=real, **k:
                             predicted.append(1) or real(*a, **k))
     out = tmp_path / "out"
@@ -288,6 +291,19 @@ def test_bad_selection_number_is_validation_error(artifacts, tmp_path,
                *args) == EXIT_VALIDATION
     assert not out.exists()
     assert predicted == []
+
+
+@pytest.mark.parametrize("repeats", ["0", "-1"])
+def test_sweep_rejects_repeats_below_one(artifacts, tmp_path, capsys,
+                                         repeats):
+    scene_path, trace_path = artifacts
+    out = tmp_path / "sweep"
+    assert run("sweep", "--scene", str(scene_path), "--trace",
+               str(trace_path), "--axis", "K", "--values", "2",
+               "--frames", "3", f"--repeats={repeats}",
+               "--out-dir", str(out)) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error: --repeats")
+    assert not (out / "sweep.csv").exists()
 
 
 def test_select_and_sweep_share_selection_defaults():

@@ -3,8 +3,7 @@ import pytest
 
 from viewsel import (CalibrationState, CrowdFrame, PredictorConfig,
                      calibrate, generate_crowd_trace, noisy_predict,
-                     oracle_predict, predict_frames, training_mae,
-                     visible_persons)
+                     oracle_predict, training_mae, visible_persons)
 from viewsel.predictor import crowding_factor
 
 
@@ -116,16 +115,22 @@ def test_calibrate_metric_against_covered_people(demo_scene):
     vis = demo_scene.visibility_of(demo_scene.camera_ids[:3])
     cfg = PredictorConfig(miss_rate=0.0, count_noise_rel=0.0,
                           position_jitter_m=0.0)
-    preds = predict_frames(demo_scene, frames, vis, cfg,
-                           demo_scene.camera_ids[:3],
-                           [crowding_factor(f, demo_scene.grid, cfg)
-                            for f in frames])
-    metric = training_mae(demo_scene, frames, vis, preds)
+    preds = [noisy_predict(f, vis, demo_scene, cfg,
+                           selected_ids=demo_scene.camera_ids[:3],
+                           crowding=crowding_factor(f, demo_scene.grid, cfg))
+             for f in frames]
+    covered = [len(visible_persons(f, vis, demo_scene.grid).positions)
+               for f in frames]
+    metric = training_mae(preds, covered)
     # noise-free predictor counts the covered people, up to kernel-tail
     # clipping at the visibility boundary
     assert metric == pytest.approx(0.0, abs=2.0)
+    assert metric == float(np.mean([abs(p.total - n)
+                                    for p, n in zip(preds, covered)]))
     with pytest.raises(ValueError):
-        training_mae(demo_scene, [], vis, [])
+        training_mae([], [])
+    with pytest.raises(ValueError):
+        training_mae(preds, covered[1:])
 
 
 def test_calibrate_rejects_negative_credit():

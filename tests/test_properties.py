@@ -4,10 +4,10 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from viewsel import (CalibrationState, CrowdFrame, DensityMap,
-                     PredictorConfig, binarize_density, calibrate,
-                     cover_rate, noisy_predict, rasterize_density,
-                     score_scene_coverage, score_view_diversity,
-                     visible_persons)
+                     PredictorConfig, accumulate_density, binarize_density,
+                     calibrate, cover_rate, kernel_table, noisy_predict,
+                     rasterize_density, score_scene_coverage,
+                     score_view_diversity, visible_persons)
 from viewsel.predictor import crowding_factor
 from viewsel.geometry import GroundGrid
 
@@ -118,6 +118,33 @@ def test_rasterize_density_equals_loop_reference(data, sigma):
     assert fast.dtype == np.float64
     assert np.array_equal(fast, ref_rasterize_density(frame.persons, grid,
                                                       sigma, mask=mask))
+
+
+@given(crowd_frames(), st.sampled_from([0.2, 0.7, 1.0, 2.3]),
+       st.integers(0, 2 ** 31 - 1), st.sampled_from(["all", "mask", "index"]))
+@settings(max_examples=300, deadline=None)
+def test_accumulated_subset_equals_loop_reference(data, sigma, seed, kind):
+    """Empty frames and people straddling or entirely off the edge; rows as
+    None, a boolean mask, or indices in any order, repeats included."""
+    grid, frame, mask = data
+    n = len(frame.positions)
+    table = kernel_table(frame, grid, sigma)
+    size = (2 * int(np.ceil(4.0 * sigma)) + 1) ** 2
+    cells, weights = table
+    assert cells.shape == weights.shape == (n, size)
+    # the spare bin h*w collects the window cells off the grid, at weight 0
+    assert ((cells >= 0) & (cells <= grid.n_cells)).all()
+    assert not weights[cells == grid.n_cells].any()
+    rng = np.random.default_rng(seed)
+    rows = {"all": None, "mask": rng.random(n) < 0.5,
+            "index": rng.integers(0, max(n, 1), size=rng.integers(0, n + 1))
+            }[kind]
+    subset = np.arange(n) if rows is None else np.arange(n)[rows]
+    persons = frame.persons
+    fast = accumulate_density(table, grid, rows, mask)
+    assert fast.dtype == np.float64
+    assert np.array_equal(fast, ref_rasterize_density(
+        [persons[k] for k in subset], grid, sigma, mask=mask))
 
 
 @given(crowd_frames())

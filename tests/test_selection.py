@@ -3,23 +3,30 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from viewsel import (CameraPose, GroundGrid, PredictorConfig, Scene,
-                     SelectionConfig, add_view, brute_force_best, cover_rate,
-                     generate_crowd_trace, oracle_predict, random_select,
+from viewsel import (CalibrationState, CameraPose, GroundGrid,
+                     PredictorConfig, Scene, SelectionConfig, add_view,
+                     brute_force_best, cover_rate, generate_crowd_trace,
+                     noisy_draw, noisy_predict, oracle_predict, random_select,
                      run_avs, run_ivs, score_geometric, select_first_view,
-                     select_frames)
+                     select_frames, training_mae, visible_persons)
 from viewsel import geometry as geometry_module
 from viewsel import predictor as predictor_module
 from viewsel import scoring as scoring_module
 from viewsel import selection as selection_module
-from viewsel.predictor import noisy_predict
-from viewsel.selection import (_initial_state, _score_fn, _select_first_view,
-                               _select_frames, train_after_selection)
+from viewsel.selection import (_initial_state, _score_fn,
+                               train_after_selection)
 from viewsel.synth import generate_scene
+
+from conftest import random_small_scene
+from reference import ref_select_first_view, ref_select_frames
 
 
 def _trace(scene, n=8, seed=0):
     return generate_crowd_trace(scene.grid, n, (30, 60), 0.8, seed=seed)
+
+
+def _oracle_draw(frame):
+    return frame, 1.0
 
 
 def _geom_score_fn(scene):
@@ -74,14 +81,10 @@ def test_run_ivs_is_deterministic(demo_scene):
 
 def test_select_frames_count_and_uniqueness(demo_scene):
     trace = _trace(demo_scene, n=10)
-
-    def predict(frame, vis):
-        return oracle_predict(frame, vis, demo_scene)
-
-    ids = select_frames(demo_scene, trace, predict, 4)
+    ids = select_frames(demo_scene, trace, _oracle_draw, 4, 1.0)
     assert len(ids) == len(set(ids)) == 4
     with pytest.raises(ValueError):
-        select_frames(demo_scene, trace, predict, 11)
+        select_frames(demo_scene, trace, _oracle_draw, 11, 1.0)
 
 
 def test_select_frames_first_has_largest_count(demo_scene):
@@ -89,30 +92,24 @@ def test_select_frames_first_has_largest_count(demo_scene):
     v_max = max(demo_scene.camera_ids,
                 key=lambda c: demo_scene.footprint(c).area_cells)
     fov = demo_scene.footprint(v_max).mask
-
-    def predict(frame, vis):
-        return oracle_predict(frame, vis, demo_scene)
-
-    ids = select_frames(demo_scene, trace, predict, 3)
-    totals = {f.frame_id: predict(f, fov).total for f in trace}
+    ids = select_frames(demo_scene, trace, _oracle_draw, 3, 1.0)
+    totals = {f.frame_id: oracle_predict(f, fov, demo_scene).total
+              for f in trace}
     assert totals[ids[0]] == max(totals.values())
 
 
 def test_select_first_view_modes(demo_scene):
     trace = _trace(demo_scene, n=4)
-
-    def predict(frame, vis):
-        return oracle_predict(frame, vis, demo_scene)
-
-    by_fov = select_first_view(demo_scene, trace, predict, "largest_fov")
+    by_fov = select_first_view(demo_scene, trace, _oracle_draw,
+                               "largest_fov", 1.0)
     areas = {c: demo_scene.footprint(c).area_cells
              for c in demo_scene.camera_ids}
     assert areas[by_fov] == max(areas.values())
-    by_count = select_first_view(demo_scene, trace, predict,
-                                 "largest_predicted_count")
+    by_count = select_first_view(demo_scene, trace, _oracle_draw,
+                                 "largest_predicted_count", 1.0)
     assert by_count in demo_scene.camera_ids
     with pytest.raises(ValueError):
-        select_first_view(demo_scene, trace, predict, "nope")
+        select_first_view(demo_scene, trace, _oracle_draw, "nope", 1.0)
 
 
 def test_random_select_reproducible_and_valid(demo_scene):
@@ -221,8 +218,8 @@ def _count_calls(monkeypatch, module, name, key=lambda *a, **k: None):
 def test_simulated_training_call_counts(demo_scene, monkeypatch):
     credit = _count_calls(monkeypatch, selection_module, "view_person_credit",
                           key=lambda scene, frames, camera_id: camera_id)
-    predicted = [_count_calls(monkeypatch, module, "noisy_predict")
-                 for module in (predictor_module, selection_module)]
+    predicted = [_count_calls(monkeypatch, selection_module, name)
+                 for name in ("noisy_predict", "noisy_draw")]
     trace = _trace(demo_scene, n=8)
     cfg = SelectionConfig(k_max=3, n_frames=4, strategy="density", tau=25.0,
                           epochs=20, pseudo_stages="both")
@@ -306,27 +303,100 @@ def test_run_avs_computes_each_camera_distance_once(demo_scene, monkeypatch):
     assert distances and len(distances) == len(set(distances))
 
 
-def test_first_view_reuses_frame_selection_totals(demo_scene):
-    trace = _trace(demo_scene)
+def test_select_first_view_equals_per_camera_reference():
+    # one draw and one kernel table per frame pick the camera that
+    # predicting every frame under every camera's footprint picks
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        scene = random_small_scene(rng)
+        frames = generate_crowd_trace(
+            scene.grid, int(rng.integers(1, 5)), (0, 60),
+            float(rng.uniform()), seed=int(rng.integers(1 << 31)))
+        config = PredictorConfig(
+            miss_rate=float(rng.uniform()),
+            position_jitter_m=float(rng.uniform(0.0, 2.0)),
+            count_noise_rel=float(rng.uniform(0.0, 0.5)),
+            kernel_sigma_cells=float(rng.choice([0.7, 1.0, 2.3])),
+            seed=int(rng.integers(1000)),
+            calibration=CalibrationState(
+                quality=float(rng.choice([0.0, 0.5, 1.0]))))
+
+        def predict(frame, vis):
+            return noisy_predict(frame, vis, scene, config).values
+        assert select_first_view(
+            scene, frames, lambda frame: noisy_draw(frame, config),
+            "largest_predicted_count", config.kernel_sigma_cells) \
+            == ref_select_first_view(scene, frames, predict)
+
+
+def test_select_frames_equals_per_frame_reference():
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        scene = random_small_scene(rng)
+        # close counts, so that the count scale can decide the first frame
+        lo = int(rng.integers(0, 40))
+        trace = generate_crowd_trace(
+            scene.grid, int(rng.integers(1, 7)), (lo, lo + 4),
+            float(rng.uniform()), seed=int(rng.integers(1 << 31)))
+        config = PredictorConfig(
+            miss_rate=float(rng.uniform()),
+            position_jitter_m=float(rng.uniform(0.0, 2.0)),
+            count_noise_rel=float(rng.uniform(0.0, 0.9)),
+            kernel_sigma_cells=float(rng.choice([0.7, 1.0, 2.3])),
+            seed=int(rng.integers(1000)),
+            calibration=CalibrationState(
+                quality=float(rng.choice([0.0, 0.5, 1.0]))))
+        f = int(rng.integers(1, len(trace) + 1))
+
+        def predict(frame, vis):
+            return noisy_predict(frame, vis, scene, config).values
+        assert select_frames(
+            scene, trace, lambda frame: noisy_draw(frame, config), f,
+            config.kernel_sigma_cells) \
+            == ref_select_frames(scene, trace, predict, f)
+
+
+def test_frame_and_first_view_selection_draw_each_frame_once(
+        demo_scene, monkeypatch):
+    trace = _trace(demo_scene, n=10)
     pred = PredictorConfig(miss_rate=0.3, position_jitter_m=1.0,
                            count_noise_rel=0.1, seed=3)
+    drawn = []
 
-    def predict(frame, vis):
-        return noisy_predict(frame, vis, demo_scene, pred)
-    frame_ids, known = _select_frames(demo_scene, trace, predict, 4)
-    assert frame_ids == select_frames(demo_scene, trace, predict, 4)
-    frames = [f for f in trace if f.frame_id in frame_ids]
-    assert (_select_first_view(demo_scene, frames, predict,
-                               "largest_predicted_count", known)
-            == select_first_view(demo_scene, frames, predict,
-                                 "largest_predicted_count"))
+    def draw(frame):
+        drawn.append(frame.frame_id)
+        return noisy_draw(frame, pred)
+    ids = select_frames(demo_scene, trace, draw, 4, 1.0)
+    assert drawn == [f.frame_id for f in trace]
+    frames = [f for f in trace if f.frame_id in ids]
+    drawn.clear()
+    select_first_view(demo_scene, frames, draw, "largest_predicted_count",
+                      1.0)
+    assert drawn == [f.frame_id for f in frames]
+    drawn.clear()
+    select_first_view(demo_scene, frames, draw, "largest_fov", 1.0)
+    assert drawn == []
+
+    # before its first epoch, run_avs only draws: each trace frame once,
+    # then each labeled frame once, in selection order
+    draws = _count_calls(monkeypatch, selection_module, "noisy_draw",
+                         key=lambda frame, config: frame.frame_id)
+    predicted = [_count_calls(monkeypatch, module, "noisy_predict")
+                 for module in (predictor_module, selection_module)]
+    cfg = SelectionConfig(k_max=3, n_frames=4, strategy="density", epochs=0)
+    _, dataset, _ = run_avs(demo_scene, trace, cfg, pred)
+    assert draws == [f.frame_id for f in trace] + list(dataset.frame_ids)
+    assert predicted == [[], []]
 
 
 def test_run_avs_predicts_each_frame_once_per_gated_epoch(monkeypatch):
-    # the README library demo: 110 predictions when the gate and the
-    # averaged map each predicted the frames, 90 when they share them, 85
-    # when the first view reuses the widest camera's frame predictions
-    predicted = [_count_calls(monkeypatch, module, "noisy_predict")
+    # the README library demo: frame and first-view selection only draw,
+    # so the predictions are those of the gated epochs, each labeled frame
+    # once per epoch (110 calls when the gate and the averaged map each
+    # predicted the frames, 85 when the first view predicted every camera)
+    predicted = [_count_calls(monkeypatch, module, "noisy_predict",
+                              key=lambda frame, vis, scene, config, **kw:
+                              (frame.frame_id, config.calibration.quality))
                  for module in (predictor_module, selection_module)]
     grid = GroundGrid(height_cells=80, width_cells=80, cell_size_m=0.5)
     scene = generate_scene(12, grid, seed=1)
@@ -336,9 +406,43 @@ def test_run_avs_predicts_each_frame_once_per_gated_epoch(monkeypatch):
                              tau=30.0)
     predictor = PredictorConfig(miss_rate=0.9, position_jitter_m=1.5,
                                 count_noise_rel=0.2, q_scale=400.0)
-    state, _, _ = run_avs(scene, trace, config, predictor)
+    state, dataset, _ = run_avs(scene, trace, config, predictor)
     assert len(state.selected) == 5
-    assert sum(map(len, predicted)) == 85
+    predicted = predicted[0] + predicted[1]
+    epochs = sorted({q for _, q in predicted})
+    assert sorted(predicted) == sorted(
+        (fid, q) for q in epochs for fid in dataset.frame_ids)
+    assert len(predicted) == 20
+
+
+def test_run_avs_training_counts_are_the_current_groups(demo_scene,
+                                                       monkeypatch):
+    # run_avs counts each group's covered people once; every gated epoch
+    # must see the counts under the mask it predicted with
+    epoch = {}
+    checked = []
+
+    def predict(frame, vis, *args, **kwargs):
+        epoch.setdefault("frames", []).append(frame)
+        epoch["vis"] = vis
+        return noisy_predict(frame, vis, *args, **kwargs)
+
+    def mae(preds, covered):
+        frames, vis = epoch.pop("frames"), epoch.pop("vis")
+        assert covered == [len(visible_persons(f, vis, demo_scene.grid)
+                               .positions) for f in frames]
+        checked.append(vis.tobytes())
+        return training_mae(preds, covered)
+    monkeypatch.setattr(selection_module, "noisy_predict", predict)
+    monkeypatch.setattr(selection_module, "training_mae", mae)
+    cfg = SelectionConfig(k_max=4, n_frames=4, strategy="density", tau=25.0,
+                          epochs=20)
+    pred = PredictorConfig(miss_rate=0.3, position_jitter_m=1.0,
+                           count_noise_rel=0.1, seed=3, q_scale=150.0)
+    state, _, _ = run_avs(demo_scene, _trace(demo_scene), cfg, pred)
+    assert len(state.selected) == 4
+    # the groups of 1, 2 and 3 views were gated, each at least once
+    assert len(set(checked)) == cfg.k_max - 1
 
 
 def test_run_avs_rasterizes_each_labeled_frame_unmasked_once(monkeypatch):
