@@ -109,18 +109,22 @@ def _scene_hash(scene: Scene) -> str:
 
 
 def _load_trace(path: str, scene: Scene) -> list[CrowdFrame]:
-    """The trace at path; a person outside the scene's grid extent is a
-    validation error naming the first such person, not a silent clamp."""
+    """The trace at path; a person with a non-finite position or outside
+    the scene's grid extent is a validation error naming the first such
+    person, not a silent clamp."""
     trace = trace_from_csv(path)
     ox, oy = scene.grid.origin
     ex, ey = scene.grid.extent_m
     for frame in trace:
         x, y = frame.positions.T
+        # a nan or infinite coordinate fails these comparisons too
         off = ~((ox <= x) & (x <= ox + ex) & (oy <= y) & (y <= oy + ey))
         if off.any():
             x, y = frame.positions[off.argmax()].tolist()
+            what = ("outside grid extent" if np.isfinite([x, y]).all()
+                    else "has a non-finite position")
             raise ValueError(f"frame {frame.frame_id}: person at ({x}, {y}) "
-                             f"outside grid extent")
+                             f"{what}")
     return trace
 
 

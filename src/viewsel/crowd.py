@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GroundGrid, require_finite
+from .geometry import GroundGrid, Scene, floored_distance, require_finite
 
 
 class UndefinedCoverRateError(ValueError):
@@ -23,7 +23,11 @@ class Person:
 @dataclass(frozen=True, eq=False)
 class CrowdFrame:
     """All person ground positions at one synchronized timestamp: a
-    read-only (n, 2) float array of (x, y) meters, one row per person."""
+    read-only (n, 2) float array of (x, y) meters, one row per person.
+
+    It also holds the constants that depend only on those positions (cells,
+    local_density, observation): each computed on first use, read-only,
+    keyed by the values that determine it, and kept as long as the frame."""
 
     frame_id: int
     positions: np.ndarray
@@ -37,6 +41,7 @@ class CrowdFrame:
             raise ValueError(f"positions shape {pos.shape} is not (n, 2)")
         pos.setflags(write=False)
         object.__setattr__(self, "positions", pos)
+        object.__setattr__(self, "_constants", {})
 
     def __eq__(self, other):
         if not isinstance(other, CrowdFrame):
@@ -48,6 +53,50 @@ class CrowdFrame:
     def persons(self) -> list[Person]:
         """The positions as Person records, for readers outside viewsel."""
         return [Person(position=(x, y)) for x, y in self.positions.tolist()]
+
+    def _held(self, key, compute):
+        """The constant under key, computed and made read-only on first use."""
+        held = self._constants.get(key)
+        if held is None:
+            held = self._constants[key] = compute()
+            for arr in held if isinstance(held, tuple) else (held,):
+                arr.setflags(write=False)
+        return held
+
+    def cells(self, grid: GroundGrid) -> tuple[np.ndarray, np.ndarray]:
+        """Each person's containing cell (rows, cols) on grid, boundary
+        clamped in-bounds; non-finite positions raise ValueError."""
+        return self._held(("cells", grid),
+                          lambda: grid.world_to_cell(*self.positions.T))
+
+    def seen(self, visibility: np.ndarray, grid: GroundGrid) -> np.ndarray:
+        """Whether visibility covers each person's cell, in person order."""
+        if visibility.shape != grid.shape:
+            raise ValueError("visibility shape does not match grid")
+        return visibility[self.cells(grid)]
+
+    def local_density(self, grid: GroundGrid,
+                      kernel_sigma_cells: float) -> np.ndarray:
+        """The frame's unmasked density (rasterize_density) at each
+        person's own cell."""
+        return self._held(
+            ("local_density", grid, kernel_sigma_cells),
+            lambda: rasterize_density(self, grid, kernel_sigma_cells)
+            .values[self.cells(grid)])
+
+    def observation(self, scene: Scene, camera_id: str) -> np.ndarray:
+        """Each person's inverse-distance signal from one of the scene's
+        cameras: covered / d, covered being whether the camera's footprint
+        holds the person's cell and d the floored ground distance to the
+        camera. Keyed by the grid and the camera's pose."""
+        camera = scene.camera(camera_id)
+
+        def row():
+            covered = scene.footprint(camera_id).mask[self.cells(scene.grid)]
+            return covered / floored_distance(*self.positions.T,
+                                              camera.ground_position,
+                                              scene.grid)
+        return self._held(("observation", scene.grid, camera), row)
 
 
 @dataclass(frozen=True)
@@ -204,17 +253,14 @@ def visible_persons(frame: CrowdFrame, visibility: np.ndarray,
                     grid: GroundGrid) -> CrowdFrame:
     """The frame's people whose containing grid cell is visible (boundary
     clamps in-bounds), in frame order, under the same frame id."""
-    if visibility.shape != grid.shape:
-        raise ValueError("visibility shape does not match grid")
-    pos = frame.positions
-    seen = visibility[grid.world_to_cell(pos[:, 0], pos[:, 1])]
-    return CrowdFrame(frame_id=frame.frame_id, positions=pos[seen])
+    return CrowdFrame(frame_id=frame.frame_id,
+                      positions=frame.positions[frame.seen(visibility, grid)])
 
 
 def cover_rate(frames: list[CrowdFrame], visibility: np.ndarray,
                grid: GroundGrid) -> float:
     """Fraction of all people across frames lying inside the visible region."""
-    covered = sum(len(visible_persons(frame, visibility, grid).positions)
+    covered = sum(int(np.count_nonzero(frame.seen(visibility, grid)))
                   for frame in frames)
     total = sum(len(frame.positions) for frame in frames)
     if total == 0:

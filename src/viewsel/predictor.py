@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .crowd import CrowdFrame, DensityMap, rasterize_density, visible_persons
-from .geometry import GroundGrid, Scene, floored_distance, require_finite
+from .geometry import Scene, require_finite
 
 
 def _require_numbers(values: dict, what: str) -> None:
@@ -126,22 +126,6 @@ def oracle_predict(frame: CrowdFrame, selected_visibility: np.ndarray,
         kernel_sigma_cells, mask=selected_visibility)
 
 
-def crowding_factor(frame: CrowdFrame, grid: GroundGrid,
-                    config: PredictorConfig) -> np.ndarray:
-    """Each person's occlusion factor rho/(rho + crowding_half), rho being
-    the frame's unmasked density at the person's cell, as a read-only array.
-
-    It depends only on the positions, the grid, kernel_sigma_cells and
-    crowding_half, so a caller predicting a frame many times (calibration
-    alone changing between calls) can compute it once."""
-    rows, cols = grid.world_to_cell(*frame.positions.T)
-    local = rasterize_density(frame, grid,
-                              config.kernel_sigma_cells).values[rows, cols]
-    crowding = local / (local + config.crowding_half)
-    crowding.setflags(write=False)
-    return crowding
-
-
 def noisy_draw(frame: CrowdFrame, config: PredictorConfig,
                miss_p: np.ndarray | None = None) -> tuple[CrowdFrame, float]:
     """The random part of noisy_predict, which no camera changes: the kept,
@@ -172,8 +156,7 @@ def noisy_draw(frame: CrowdFrame, config: PredictorConfig,
 
 def noisy_predict(frame: CrowdFrame, selected_visibility: np.ndarray,
                   scene: Scene, config: PredictorConfig,
-                  selected_ids: list[str] | None = None,
-                  crowding: np.ndarray | None = None) -> DensityMap:
+                  selected_ids: list[str] | None = None) -> DensityMap:
     """Oracle prediction of a noisy_draw of the frame, times its scale.
 
     When the selected camera ids are supplied, each person's miss
@@ -182,34 +165,24 @@ def noisy_predict(frame: CrowdFrame, selected_visibility: np.ndarray,
     person, and attenuated by 1/(1 + distance_falloff_m * s), where s sums
     the inverse distances to the selected cameras whose footprints contain
     the person: people in dense clusters are missed unless watched by
-    enough close views. `crowding`, one factor per person, is
-    crowding_factor(frame, scene.grid, config), computed here when needed
-    and not given.
+    enough close views. rho and each camera's term are the frame's own
+    constants (local_density, observation), computed once per frame.
     Deterministic given (seed, frame_id) plus the visibility and camera set.
     """
-    if crowding is not None and len(crowding) != len(frame.positions):
-        raise ValueError(f"crowding has {len(crowding)} entries for "
-                         f"{len(frame.positions)} people")
-    pos = frame.positions
-    n = len(pos)
+    n = len(frame.positions)
     base_p = config.miss_rate * (1.0 - config.calibration.quality)
     miss_p = None
     # a zero miss probability stays zero whatever the factors
     if selected_ids and n and base_p != 0.0:
-        rows, cols = scene.grid.world_to_cell(pos[:, 0], pos[:, 1])
         # occlusion: misses concentrate where the crowd is dense
-        if crowding is None:
-            crowding = crowding_factor(frame, scene.grid, config)
+        rho = frame.local_density(scene.grid, config.kernel_sigma_cells)
         # observation: each covering view contributes inverse-distance signal
         strength = np.zeros(n)
         for cid in selected_ids:
-            covered = scene.footprint(cid).mask[rows, cols]
-            d = floored_distance(pos[:, 0], pos[:, 1],
-                                 scene.camera(cid).ground_position,
-                                 scene.grid)
-            strength += covered / d
+            strength += frame.observation(scene, cid)
         miss_p = np.full(n, base_p)
-        miss_p *= crowding / (1.0 + config.distance_falloff_m * strength)
+        miss_p *= rho / (rho + config.crowding_half) \
+            / (1.0 + config.distance_falloff_m * strength)
     noisy, scale = noisy_draw(frame, config, miss_p)
     dm = rasterize_density(
         visible_persons(noisy, selected_visibility, scene.grid), scene.grid,

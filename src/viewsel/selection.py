@@ -10,11 +10,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .crowd import (CrowdFrame, DensityMap, accumulate_density, cover_rate,
-                    kernel_table, visible_persons)
+                    kernel_table)
 from .geometry import Scene, require_finite
-from .predictor import (PredictorConfig, calibrate, crowding_factor,
-                        noisy_draw, noisy_predict, oracle_predict,
-                        training_mae)
+from .predictor import (PredictorConfig, calibrate, noisy_draw,
+                        noisy_predict, oracle_predict, training_mae)
 from .scoring import (ALL_TERMS, DEFAULT_EPSILON, DEFAULT_LAMBDA,
                       ScoreBreakdown, binarize_density, score_round)
 
@@ -173,11 +172,11 @@ def select_first_view(scene: Scene, frames: list[CrowdFrame], draw_fn,
     totals = {cid: [] for cid in scene.camera_ids}
     for frame in frames:
         noisy, scale = draw_fn(frame)
-        cells = scene.grid.world_to_cell(*noisy.positions.T)
         table = kernel_table(noisy, scene.grid, kernel_sigma_cells)
         for cid, counts in totals.items():
             fov = scene.footprint(cid).mask
-            values = accumulate_density(table, scene.grid, fov[cells], fov)
+            values = accumulate_density(table, scene.grid,
+                                        noisy.seen(fov, scene.grid), fov)
             counts.append(float((values * scale).sum()))
     return min(scene.camera_ids, key=lambda cid: (-sum(totals[cid]), cid))
 
@@ -248,8 +247,8 @@ def view_person_credit(scene: Scene, frames: list[CrowdFrame],
     fracs = []
     for frame in frames:
         if len(frame.positions):
-            seen = visible_persons(frame, fov, scene.grid).positions
-            fracs.append(len(seen) / len(frame.positions))
+            seen = int(np.count_nonzero(frame.seen(fov, scene.grid)))
+            fracs.append(seen / len(frame.positions))
     return float(np.mean(fracs)) if fracs else 0.0
 
 
@@ -329,16 +328,11 @@ def run_avs(scene: Scene, trace: list[CrowdFrame], config: SelectionConfig,
     pseudo_viewsel = config.pseudo_stages in ("viewsel", "both")
     pseudo_modeltrain = config.pseudo_stages in ("modeltrain", "both")
     camera_credit = _camera_credit(scene, frames, scene.camera_ids)
-    # a frame's crowding depends only on its people, the grid and two
-    # fixed predictor fields, never on the calibration that epochs change
-    crowding = [crowding_factor(frame, scene.grid, predictor)
-                for frame in frames]
-    # the training GT counts change only when a view is added
-    person_cells = [scene.grid.world_to_cell(*frame.positions.T)
-                    for frame in frames]
 
+    # the training GT counts change only when a view is added
     def covered_counts(mask):
-        return [int(np.count_nonzero(mask[c])) for c in person_cells]
+        return [int(np.count_nonzero(frame.seen(mask, scene.grid)))
+                for frame in frames]
     covered = covered_counts(state.combined_mask)
     f = len(frames)
 
@@ -349,8 +343,8 @@ def run_avs(scene: Scene, trace: list[CrowdFrame], config: SelectionConfig,
                                "viewsel" if pseudo_viewsel else "off")
         predictor = calibrate(predictor, credit)
         preds = [noisy_predict(frame, state.combined_mask, scene, predictor,
-                               selected_ids=list(state.selected), crowding=c)
-                 for frame, c in zip(frames, crowding, strict=True)]
+                               selected_ids=list(state.selected))
+                 for frame in frames]
         if training_mae(preds, covered) <= config.tau:
             m_avg = mean_prediction(preds, scene.grid.shape)
             state = add_view(scene, state, _score_fn(scene, config, m_avg))

@@ -148,6 +148,23 @@ def test_validate_names_the_first_off_grid_person(artifacts, tmp_path,
         "error: frame 1: person at (3.0, 25.0) outside grid extent\n")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_non_finite_person_is_validation_error(artifacts, tmp_path, capsys,
+                                               axis, value):
+    # a non-finite coordinate is named as such, not as off the grid
+    scene_path, _ = artifacts
+    xy = f"{value},1.0" if axis == "x" else f"1.0,{value}"
+    trace = tmp_path / "trace.csv"
+    trace.write_text(f"frame_id,person_idx,x_m,y_m\n0,0,1.5,2.0\n0,1,{xy}\n")
+    capsys.readouterr()
+    assert run("validate", "--scene", str(scene_path), "--trace",
+               str(trace)) == EXIT_VALIDATION
+    x, y = (float(v) for v in xy.split(","))
+    assert capsys.readouterr().err == (
+        f"error: frame 0: person at ({x}, {y}) has a non-finite position\n")
+
+
 @pytest.mark.parametrize("command", ["select", "eval", "sweep", "validate"])
 def test_off_grid_person_is_validation_error(artifacts, tmp_path, capsys,
                                              command):

@@ -4,7 +4,6 @@ import pytest
 from viewsel import (CalibrationState, CrowdFrame, PredictorConfig,
                      calibrate, generate_crowd_trace, noisy_predict,
                      oracle_predict, training_mae, visible_persons)
-from viewsel.predictor import crowding_factor
 
 
 def _full(scene):
@@ -116,9 +115,14 @@ def test_calibrate_metric_against_covered_people(demo_scene):
     cfg = PredictorConfig(miss_rate=0.0, count_noise_rel=0.0,
                           position_jitter_m=0.0)
     preds = [noisy_predict(f, vis, demo_scene, cfg,
-                           selected_ids=demo_scene.camera_ids[:3],
-                           crowding=crowding_factor(f, demo_scene.grid, cfg))
+                           selected_ids=demo_scene.camera_ids[:3])
              for f in frames]
+    # the frames now hold their cells; fresh copies compute them again
+    for f, pred in zip(frames, preds):
+        for frame in (f, CrowdFrame(f.frame_id, f.positions)):
+            again = noisy_predict(frame, vis, demo_scene, cfg,
+                                  selected_ids=demo_scene.camera_ids[:3])
+            assert np.array_equal(again.values, pred.values)
     covered = [len(visible_persons(f, vis, demo_scene.grid).positions)
                for f in frames]
     metric = training_mae(preds, covered)
@@ -145,19 +149,34 @@ def test_calibrate_zero_epochs_is_identity_and_negative_raises():
     assert calibrate(cfg, 1.0, epochs=0) is cfg
 
 
-def test_crowding_factor_is_read_only_and_checked_for_length(demo_scene):
+def test_frame_constants_are_read_only_and_warm_equals_cold(demo_scene):
     frame = _trace(demo_scene)[0]
-    cfg = PredictorConfig(miss_rate=0.5, seed=1)
-    crowding = crowding_factor(frame, demo_scene.grid, cfg)
-    assert crowding.shape == (len(frame.positions),)
-    assert ((crowding > 0) & (crowding < 1)).all()
-    with pytest.raises(ValueError):
-        crowding[0] = 0.0
+    cfg = PredictorConfig(miss_rate=0.5, seed=1, crowding_half=0.5)
+    ids = demo_scene.camera_ids
     vis = _full(demo_scene)
-    for wrong in (crowding[1:], np.append(crowding, 0.5)):
-        with pytest.raises(ValueError, match="crowding"):
-            noisy_predict(frame, vis, demo_scene, cfg,
-                          selected_ids=demo_scene.camera_ids, crowding=wrong)
+    cold = noisy_predict(frame, vis, demo_scene, cfg, selected_ids=ids)
+    n = len(frame.positions)
+    rho = frame.local_density(demo_scene.grid, cfg.kernel_sigma_cells)
+    crowding = rho / (rho + cfg.crowding_half)
+    assert rho.shape == (n,)
+    assert ((crowding > 0) & (crowding < 1)).all()
+    held = [*frame.cells(demo_scene.grid), rho,
+            *(frame.observation(demo_scene, cid) for cid in ids)]
+    for arr in held:
+        assert arr.shape == (n,)
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    # a second call reads the same arrays, and gives the same map as a
+    # fresh copy of the frame computing every constant again
+    assert frame.local_density(demo_scene.grid,
+                               cfg.kernel_sigma_cells) is rho
+    warm = noisy_predict(frame, vis, demo_scene, cfg, selected_ids=ids)
+    fresh = CrowdFrame(frame.frame_id, frame.positions)
+    assert np.array_equal(warm.values, cold.values)
+    assert np.array_equal(noisy_predict(fresh, vis, demo_scene, cfg,
+                                        selected_ids=ids).values,
+                          cold.values)
+    assert fresh == frame and repr(fresh) == repr(frame)
 
 
 def test_config_validation_and_round_trip():

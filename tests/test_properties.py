@@ -1,6 +1,9 @@
 """Property-based invariants over randomized geometry and scores."""
 
+from dataclasses import replace
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from viewsel import (CalibrationState, CrowdFrame, DensityMap,
@@ -8,8 +11,9 @@ from viewsel import (CalibrationState, CrowdFrame, DensityMap,
                      calibrate, cover_rate, kernel_table, noisy_predict,
                      rasterize_density, score_scene_coverage,
                      score_view_diversity, visible_persons)
-from viewsel.predictor import crowding_factor
-from viewsel.geometry import GroundGrid
+from viewsel.geometry import FovFootprint, GroundGrid, Scene
+from viewsel.selection import view_person_credit
+from viewsel.synth import generate_scene
 
 from conftest import random_small_scene
 from reference import (ref_noisy_predict, ref_rasterize_density,
@@ -183,10 +187,120 @@ def test_noisy_predict_equals_person_list_reference(seed, quality, n, margin,
                                  selected_ids=selected)
     fast = noisy_predict(frame, vis, scene, config, selected_ids=selected)
     assert np.array_equal(fast.values, expected)
-    # the crowding a caller computed once per frame gives the same map
-    given = noisy_predict(frame, vis, scene, config, selected_ids=selected,
-                          crowding=crowding_factor(frame, scene.grid, config))
-    assert np.array_equal(given.values, expected)
+    # the frame now holds its constants, and reading them gives the same map
+    warm = noisy_predict(frame, vis, scene, config, selected_ids=selected)
+    assert np.array_equal(warm.values, expected)
+
+
+def _frame_around(grid, rng, n, margin):
+    """A frame of n people uniform over grid, widened by margin meters."""
+    ox, oy = grid.origin
+    ex, ey = grid.extent_m
+    pts = rng.uniform([ox - margin, oy - margin],
+                      [ox + ex + margin, oy + ey + margin], size=(n, 2))
+    return CrowdFrame(frame_id=int(rng.integers(100)), positions=pts)
+
+
+def _noisy_config(rng, seed, **kw):
+    return PredictorConfig(
+        miss_rate=float(rng.uniform(0.05, 1.0)),
+        position_jitter_m=float(rng.uniform(0.0, 2.0)),
+        count_noise_rel=float(rng.uniform(0.0, 0.5)), seed=seed % 1000,
+        distance_falloff_m=6.0, **kw)
+
+
+def _held_arrays(frame, scene, sigma):
+    return [*frame.cells(scene.grid), frame.local_density(scene.grid, sigma),
+            *(frame.observation(scene, cid) for cid in scene.camera_ids)]
+
+
+@given(st.integers(0, 2 ** 31 - 1), st.sampled_from([0.0, 0.5]),
+       st.integers(1, 40), st.sampled_from([0.0, 1.0, 8.0]))
+@settings(max_examples=100, deadline=None)
+def test_noisy_predict_on_warm_frame_equals_reference(seed, quality, n,
+                                                      margin):
+    """The frame is first predicted under another grid, other sigmas and
+    crowding_half values and other camera sets; none of what it then holds
+    may reach a prediction whose values differ."""
+    rng = np.random.default_rng(seed)
+    scene = random_small_scene(rng, n_cameras=4)
+    other = random_small_scene(rng, n_cameras=3)
+    frame = _frame_around(scene.grid, rng, n, margin)
+    ids = list(scene.camera_ids[:int(rng.integers(1, 5))])
+    vis = scene.visibility_of(ids)
+    config = _noisy_config(rng, seed, crowding_half=0.5,
+                           calibration=CalibrationState(quality=quality))
+    for warm_scene, warm_ids, sigma, half in (
+            (other, other.camera_ids, 1.0, 0.5),
+            (scene, scene.camera_ids[::-1], 0.7, 0.5),
+            (scene, scene.camera_ids[:1], 1.0, 2.0),
+            (scene, scene.camera_ids[1:], 2.3, 0.5)):
+        warm = replace(config, kernel_sigma_cells=sigma, crowding_half=half)
+        noisy_predict(frame, warm_scene.visibility_of(list(warm_ids)),
+                      warm_scene, warm, selected_ids=list(warm_ids))
+    expected = ref_noisy_predict(frame, vis, scene, config, selected_ids=ids)
+    fast = noisy_predict(frame, vis, scene, config, selected_ids=ids)
+    assert np.array_equal(fast.values, expected)
+    for arr in _held_arrays(frame, scene, config.kernel_sigma_cells) \
+            + _held_arrays(frame, other, 1.0):
+        assert not arr.flags.writeable
+
+
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 40))
+@settings(max_examples=60, deadline=None)
+def test_frame_in_two_scenes_with_the_same_camera_ids(seed, n):
+    """Same grid, same camera ids, other poses: each scene's prediction
+    equals its own reference, whichever scene the frame saw first."""
+    rng = np.random.default_rng(seed)
+    a = random_small_scene(rng, n_cameras=4)
+    b = generate_scene(4, a.grid, seed=int(rng.integers(1 << 31)))
+    assert a.camera_ids == b.camera_ids and a.cameras != b.cameras
+    frame = _frame_around(a.grid, rng, n, 1.0)
+    config = _noisy_config(rng, seed, crowding_half=0.5)
+    ids = list(a.camera_ids)
+    for scene in (a, b, a):
+        vis = scene.visibility_of(ids)
+        expected = ref_noisy_predict(frame, vis, scene, config,
+                                     selected_ids=ids)
+        fast = noisy_predict(frame, vis, scene, config, selected_ids=ids)
+        assert np.array_equal(fast.values, expected)
+
+
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 5),
+       st.sampled_from([0.0, 1.0, 8.0]))
+@settings(max_examples=100, deadline=None)
+def test_cover_rate_and_credit_equal_loop_counts(seed, n_frames, margin):
+    """Empty frames and off-grid people included; each frame is counted
+    again after it holds its cells, and a mask of the wrong shape raises."""
+    rng = np.random.default_rng(seed)
+    scene = random_small_scene(rng, n_cameras=3)
+    grid = scene.grid
+    frames = [_frame_around(grid, rng, int(rng.integers(0, 30)), margin)
+              for _ in range(n_frames)]
+    persons = [f.persons for f in frames]
+    vis = rng.random(grid.shape) < 0.5
+    total = sum(len(p) for p in persons)
+    for _ in range(2):
+        if total:
+            seen = sum(len(ref_visible_persons(p, vis, grid))
+                       for p in persons)
+            assert cover_rate(frames, vis, grid) == seen / total
+        for cid in scene.camera_ids:
+            fov = scene.footprint(cid).mask
+            fracs = [len(ref_visible_persons(p, fov, grid)) / len(p)
+                     for p in persons if p]
+            assert view_person_credit(scene, frames, cid) == (
+                float(np.mean(fracs)) if fracs else 0.0)
+    wrong = np.ones((grid.height_cells + 1, grid.width_cells), dtype=bool)
+    with pytest.raises(ValueError, match="shape"):
+        cover_rate(frames + [_frame_around(grid, rng, 1, 0.0)], wrong, grid)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Scene, "footprint", lambda self, cid: FovFootprint(
+            cid, wrong.copy(), int(wrong.sum())))
+        with pytest.raises(ValueError, match="shape"):
+            view_person_credit(scene, frames + [_frame_around(grid, rng, 1,
+                                                              0.0)],
+                               scene.camera_ids[0])
 
 
 @given(st.floats(0.0, 1e4), st.integers(0, 60), st.floats(0.0, 1e6),

@@ -9,10 +9,13 @@ from viewsel import (CalibrationState, CameraPose, GroundGrid,
                      noisy_draw, noisy_predict, oracle_predict, random_select,
                      run_avs, run_ivs, score_geometric, select_first_view,
                      select_frames, training_mae, visible_persons)
+from viewsel import crowd as crowd_module
 from viewsel import geometry as geometry_module
 from viewsel import predictor as predictor_module
+from viewsel import pseudolabels as pseudolabels_module
 from viewsel import scoring as scoring_module
 from viewsel import selection as selection_module
+from viewsel.evaluate import evaluate
 from viewsel.selection import (_initial_state, _score_fn,
                                train_after_selection)
 from viewsel.synth import generate_scene
@@ -447,8 +450,9 @@ def test_run_avs_training_counts_are_the_current_groups(demo_scene,
 
 def test_run_avs_rasterizes_each_labeled_frame_unmasked_once(monkeypatch):
     # the crowding term of each labeled frame is computed once per run,
-    # not once per gated epoch (the README library demo)
-    unmasked = _count_calls(monkeypatch, predictor_module,
+    # not once per gated epoch (the README library demo); the frame
+    # computes its local density in crowd
+    unmasked = _count_calls(monkeypatch, crowd_module,
                             "rasterize_density",
                             key=lambda frame, grid, sigma, mask=None:
                             mask is None)
@@ -463,6 +467,47 @@ def test_run_avs_rasterizes_each_labeled_frame_unmasked_once(monkeypatch):
     state, _, _ = run_avs(scene, trace, config, predictor)
     assert len(state.selected) == 5
     assert sum(unmasked) == config.n_frames
+
+
+def test_criterion_4_traffic_rasterizes_each_frame_unmasked_once(
+        monkeypatch):
+    # the four pipelines of acceptance criterion 4, each followed by
+    # evaluate, on one trace: the frames hold their local density, so no
+    # pipeline rasterizes a frame unmasked that another already did
+    unmasked = [_count_calls(monkeypatch, module, "rasterize_density",
+                             key=lambda frame, grid, sigma, mask=None:
+                             frame.frame_id if mask is None else None)
+                for module in (crowd_module, predictor_module,
+                               pseudolabels_module)]
+    grid = GroundGrid(height_cells=80, width_cells=80, cell_size_m=0.5)
+    scene = generate_scene(12, grid, seed=1000, range_frac=(0.5, 0.8))
+    trace = generate_crowd_trace(grid, n_frames=10, count_range=(80, 140),
+                                 clustering=0.85, seed=2000)
+
+    def predictor():
+        return PredictorConfig(miss_rate=0.9, position_jitter_m=1.5,
+                               count_noise_rel=0.2, q_scale=400.0,
+                               distance_falloff_m=6.0, crowding_half=0.5)
+
+    def config(strategy, stages):
+        return SelectionConfig(k_max=5, n_frames=5, strategy=strategy,
+                               tau=30.0, epochs=24, pseudo_stages=stages)
+    state = random_select(scene, 5, seed=0)
+    trained = train_after_selection(scene, trace[:5], state,
+                                    config("random", "none"), predictor())
+    evaluate(scene, trace, state, trained)
+    cfg = config("geometric", "modeltrain")
+    state, dataset = run_ivs(scene, trace, cfg, predictor())
+    frames = [f for f in trace if f.frame_id in dataset.frame_ids]
+    evaluate(scene, trace, state,
+             train_after_selection(scene, frames, state, cfg, predictor()))
+    for strategy in ("mask", "density"):
+        state, _, trained = run_avs(scene, trace, config(strategy, "both"),
+                                    predictor())
+        evaluate(scene, trace, state, trained)
+    rasterized = [fid for calls in unmasked for fid in calls
+                  if fid is not None]
+    assert sorted(rasterized) == [f.frame_id for f in trace]
 
 
 @pytest.mark.parametrize("field, value", [

@@ -3,7 +3,8 @@ src/viewsel is either used somewhere in the package or exported by
 viewsel/__init__.py, and every module-level import is read by its module.
 Also guards the columnar crowd frame: no module reads CrowdFrame's Person
 view, `persons`, which exists for readers outside the package. And no
-module imports another module's private (`_`-prefixed) name."""
+module imports another module's private (`_`-prefixed) name. And people
+are mapped to cells in one place: only crowd.py reads `world_to_cell`."""
 
 import ast
 from pathlib import Path
@@ -97,3 +98,8 @@ def test_no_module_reads_the_person_view():
 
 def test_no_module_imports_a_private_name():
     assert private_imports(PACKAGE) == []
+
+
+def test_only_crowd_maps_people_to_cells():
+    reads = attribute_reads(PACKAGE, "world_to_cell")
+    assert reads and all(r.startswith("crowd:") for r in reads)
