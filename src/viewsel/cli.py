@@ -15,7 +15,7 @@ import argparse
 import csv
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -128,34 +128,6 @@ def _load_trace(path: str, scene: Scene) -> list[CrowdFrame]:
     return trace
 
 
-def _read_selection(path: str) -> dict:
-    """The selection artifact at path, which must hold a JSON object whose
-    `spec`, if any, is an object too."""
-    data = read_json(path)
-    if not isinstance(data, dict):
-        raise ValueError(f"selection artifact must be a JSON object, not "
-                         f"{type(data).__name__}")
-    spec = data.get("spec", {})
-    if not isinstance(spec, dict):
-        raise ValueError(f"selection artifact: 'spec' must be a JSON object, "
-                         f"not {type(spec).__name__}")
-    return data
-
-
-def _selected_ids(data: dict, scene: Scene) -> list[str]:
-    """A selection artifact's camera ids: a list of strings, each naming one
-    of the scene's cameras."""
-    selected = data["selected"]
-    if not (isinstance(selected, list)
-            and all(isinstance(s, str) for s in selected)):
-        raise ValueError("selection artifact: 'selected' must be a list of "
-                         "camera id strings")
-    missing = [s for s in selected if s not in scene.camera_ids]
-    if missing:
-        raise ValueError(f"selection names unknown cameras: {missing}")
-    return selected
-
-
 # ---------------------------------------------------------------------------
 # scene-gen
 
@@ -235,13 +207,13 @@ def cmd_select(args) -> int:
     if config.strategy in ("mask", "density") and args.predictor == "oracle":
         raise ValueError("active strategies need --predictor noisy")
     state, trained = _run_selection(scene, trace, config, predictor)
-    run_spec = {"selection": config.to_dict(),
-                "predictor": predictor.to_dict(),
+    run_spec = {"selection": asdict(config),
+                "predictor": asdict(predictor),
                 "scene_hash": _scene_hash(scene)}
     out = state.to_dict()
     out["spec"] = run_spec
     out["spec_hash"] = spec_hash(run_spec)
-    out["predictor_trained"] = trained.to_dict()
+    out["predictor_trained"] = asdict(trained)
     write_json(args.out, out)
     print(f"selected: {' '.join(state.selected)}")
     if state.non_converged:
@@ -255,30 +227,23 @@ def cmd_select(args) -> int:
 # eval
 
 
-def _state_from_artifact(scene: Scene, data: dict) -> SelectionState:
-    selected = _selected_ids(data, scene)
-    return SelectionState(selected=tuple(selected),
-                          combined_mask=scene.visibility_of(selected),
-                          non_converged=bool(data.get("non_converged")))
-
-
 def cmd_eval(args) -> int:
     scene = _load_scene(args.scene)
     trace = _load_trace(args.trace, scene)
-    data = _read_selection(args.selection)
+    data = read_json(args.selection)
+    state = SelectionState.from_dict(data, scene)
     embedded = data.get("spec", {}).get("scene_hash")
     if embedded is not None and embedded != _scene_hash(scene) \
             and not args.force:
         raise ValueError("selection artifact was produced for a different "
                          "scene (hash mismatch); pass --force to override")
-    state = _state_from_artifact(scene, data)
     if args.use_trained and "predictor_trained" in data:
         predictor = PredictorConfig.from_dict(data["predictor_trained"])
     else:
         predictor = _predictor_from_args(args)
     report = evaluate(scene, trace, state, predictor,
                       threshold_m=args.threshold_m)
-    out = report.to_dict()
+    out = asdict(report)
     out["selected"] = list(state.selected)
     out["spec_hash"] = data.get("spec_hash")
     write_json(args.out, out)
@@ -300,8 +265,11 @@ def cmd_validate(args) -> int:
         trace = _load_trace(args.trace, scene)
         print(f"trace ok: {len(trace)} frames")
     if args.selection:
-        selected = _selected_ids(_read_selection(args.selection), scene)
-        print(f"selection ok: {len(selected)} views")
+        data = read_json(args.selection)
+        state = SelectionState.from_dict(data, scene)
+        if "predictor_trained" in data:
+            PredictorConfig.from_dict(data["predictor_trained"])
+        print(f"selection ok: {len(state.selected)} views")
     return EXIT_OK
 
 
@@ -364,8 +332,8 @@ def cmd_sweep(args) -> int:
             cell_cfg = replace(config, seed=config.seed + rep)
             cell_pred = replace(base_pred, seed=base_pred.seed + rep)
             cell_spec = {"axis": args.axis, "value": label, "repeat": rep,
-                         "selection": cell_cfg.to_dict(),
-                         "predictor": cell_pred.to_dict(),
+                         "selection": asdict(cell_cfg),
+                         "predictor": asdict(cell_pred),
                          "scene_hash": _scene_hash(scene)}
             h = spec_hash(cell_spec)
             row = {"axis": args.axis, "value": label, "repeat": rep,

@@ -24,11 +24,6 @@ class EvalReport:
     localization: LocalizationReport
     cover_rate: float
 
-    def to_dict(self) -> dict:
-        return {"counting": self.counting.to_dict(),
-                "localization": self.localization.to_dict(),
-                "cover_rate": self.cover_rate}
-
 
 def evaluate(scene: Scene, trace: list[CrowdFrame], state: SelectionState,
              predictor: PredictorConfig, threshold_m: float = 0.5,

@@ -15,6 +15,9 @@ from functools import cached_property
 
 import numpy as np
 
+from .serialize import (require_int, require_kind, require_object,
+                        require_real)
+
 
 class DegenerateAxisError(ValueError):
     """Camera looks straight down; its ground-plane optical axis is undefined."""
@@ -53,6 +56,8 @@ class GroundGrid:
     def __post_init__(self):
         if self.height_cells < 1 or self.width_cells < 1:
             raise ValueError("grid must have at least one cell per axis")
+        if len(self.origin) != 2:
+            raise ValueError("grid origin must have 2 entries")
         require_finite((self.cell_size_m, *self.origin),
                        "cell_size_m and origin")
         if self.cell_size_m <= 0:
@@ -104,10 +109,16 @@ class GroundGrid:
                 "cell_size_m": self.cell_size_m, "origin": list(self.origin)}
 
     @classmethod
-    def from_config(cls, cfg: dict) -> "GroundGrid":
-        return cls(height_cells=int(cfg["h"]), width_cells=int(cfg["w"]),
-                   cell_size_m=float(cfg["cell_size_m"]),
-                   origin=(float(cfg["origin"][0]), float(cfg["origin"][1])))
+    def from_config(cls, cfg) -> "GroundGrid":
+        """The grid to_config wrote as cfg; an int is read as a float."""
+        cfg = require_object(cfg, "grid", ("h", "w", "cell_size_m", "origin"))
+        origin = require_kind(cfg["origin"], list, "grid origin")
+        return cls(height_cells=require_int(cfg["h"], "grid h"),
+                   width_cells=require_int(cfg["w"], "grid w"),
+                   cell_size_m=require_real(cfg["cell_size_m"],
+                                            "grid cell_size_m"),
+                   origin=tuple(require_real(v, "grid origin")
+                                for v in origin))
 
 
 @dataclass(frozen=True)
@@ -169,13 +180,21 @@ class CameraPose:
                 "max_range": self.max_range_m}
 
     @classmethod
-    def from_config(cls, cfg: dict) -> "CameraPose":
-        return cls(id=str(cfg["id"]),
-                   position_3d=tuple(float(v) for v in cfg["position"]),
-                   yaw=float(cfg["yaw"]), pitch=float(cfg["pitch"]),
-                   horizontal_fov_rad=float(cfg["hfov"]),
-                   vertical_fov_rad=float(cfg["vfov"]),
-                   max_range_m=float(cfg["max_range"]))
+    def from_config(cls, cfg) -> "CameraPose":
+        """The camera to_config wrote as cfg; an int is read as a float."""
+        cfg = require_object(cfg, "camera", ("id", "position", "yaw", "pitch",
+                                             "hfov", "vfov", "max_range"))
+        cid = require_kind(cfg["id"], str, "camera id")
+        position = require_kind(cfg["position"], list, f"camera {cid} position")
+        real = {k: require_real(cfg[k], f"camera {cid} {k}")
+                for k in ("yaw", "pitch", "hfov", "vfov", "max_range")}
+        return cls(id=cid,
+                   position_3d=tuple(require_real(v, f"camera {cid} position")
+                                     for v in position),
+                   yaw=real["yaw"], pitch=real["pitch"],
+                   horizontal_fov_rad=real["hfov"],
+                   vertical_fov_rad=real["vfov"],
+                   max_range_m=real["max_range"])
 
 
 @dataclass(frozen=True)
@@ -305,7 +324,10 @@ class Scene:
                 "cameras": [c.to_config() for c in self.cameras]}
 
     @classmethod
-    def from_config(cls, cfg: dict) -> "Scene":
-        grid = GroundGrid.from_config(cfg["grid"])
-        cameras = [CameraPose.from_config(c) for c in cfg["cameras"]]
-        return cls(grid=grid, cameras=cameras)
+    def from_config(cls, cfg) -> "Scene":
+        """The scene to_config wrote as cfg; other top-level keys, such as
+        the spec_hash that scene-gen adds, are ignored."""
+        cfg = require_object(cfg, "scene", ("grid", "cameras"))
+        cameras = require_kind(cfg["cameras"], list, "scene cameras")
+        return cls(grid=GroundGrid.from_config(cfg["grid"]),
+                   cameras=[CameraPose.from_config(c) for c in cameras])

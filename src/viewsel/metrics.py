@@ -20,10 +20,6 @@ class CountingReport:
     cover_rate: float
     n_frames: int
 
-    def to_dict(self) -> dict:
-        return {"mae": self.mae, "mse": self.mse, "nae": self.nae,
-                "cover_rate": self.cover_rate, "n_frames": self.n_frames}
-
 
 @dataclass(frozen=True)
 class LocalizationReport:
@@ -36,12 +32,6 @@ class LocalizationReport:
     fp: int
     fn: int
     threshold_m: float
-
-    def to_dict(self) -> dict:
-        return {"moda": self.moda, "modp": self.modp,
-                "precision": self.precision, "recall": self.recall,
-                "f1": self.f1, "tp": self.tp, "fp": self.fp, "fn": self.fn,
-                "threshold_m": self.threshold_m}
 
 
 def counting_metrics(predicted_counts: list[float], gt_counts: list[float],

@@ -13,28 +13,13 @@ executable.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .crowd import CrowdFrame, DensityMap, rasterize_density, visible_persons
 from .geometry import Scene, require_finite
-
-
-def _require_numbers(values: dict, what: str) -> None:
-    """Raise ValueError unless every value is a real number; a bool, a
-    string or None is not one."""
-    for name, v in values.items():
-        if isinstance(v, bool) or not isinstance(v, numbers.Real):
-            raise ValueError(f"{what} {name} must be a number, not "
-                             f"{type(v).__name__}")
-
-
-def _require_object(d, what: str) -> None:
-    if not isinstance(d, dict):
-        raise ValueError(f"{what} must be a JSON object, not "
-                         f"{type(d).__name__}")
+from .serialize import require_fields, require_int, require_real
 
 
 @dataclass(frozen=True)
@@ -43,24 +28,14 @@ class CalibrationState:
     quality: float = 0.0
 
     def __post_init__(self):
-        _require_numbers({"labeled_view_frames": self.labeled_view_frames,
-                          "quality": self.quality}, "calibration")
+        for f in fields(self):
+            require_real(getattr(self, f.name), f"calibration {f.name}")
         require_finite((self.labeled_view_frames, self.quality),
                        "calibration labeled_view_frames and quality")
         if self.labeled_view_frames < 0:
             raise ValueError("labeled_view_frames must be >= 0")
         if not (0.0 <= self.quality <= 1.0):
             raise ValueError("quality must be in [0, 1]")
-
-    def to_dict(self) -> dict:
-        return {"labeled_view_frames": self.labeled_view_frames,
-                "quality": self.quality}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CalibrationState":
-        _require_object(d, "calibration")
-        return cls(labeled_view_frames=d["labeled_view_frames"],
-                   quality=d["quality"])
 
 
 @dataclass(frozen=True)
@@ -76,13 +51,10 @@ class PredictorConfig:
     calibration: CalibrationState = field(default_factory=CalibrationState)
 
     def __post_init__(self):
-        _require_numbers({f.name: getattr(self, f.name) for f in fields(self)
-                          if f.name not in ("seed", "calibration")},
-                         "predictor")
-        if isinstance(self.seed, bool) \
-                or not isinstance(self.seed, numbers.Integral):
-            raise ValueError(f"predictor seed must be an integer, not "
-                             f"{self.seed!r}")
+        for f in fields(self):
+            if f.name not in ("seed", "calibration"):
+                require_real(getattr(self, f.name), f"predictor {f.name}")
+        require_int(self.seed, "predictor seed")
         if not (0.0 <= self.miss_rate <= 1.0):
             raise ValueError("miss_rate must be in [0, 1]")
         require_finite((self.position_jitter_m, self.count_noise_rel,
@@ -97,25 +69,15 @@ class PredictorConfig:
             raise ValueError("distance_falloff_m and crowding_half must be "
                              "positive")
 
-    def to_dict(self) -> dict:
-        return {"miss_rate": self.miss_rate,
-                "position_jitter_m": self.position_jitter_m,
-                "count_noise_rel": self.count_noise_rel,
-                "kernel_sigma_cells": self.kernel_sigma_cells,
-                "seed": self.seed, "q_scale": self.q_scale,
-                "distance_falloff_m": self.distance_falloff_m,
-                "crowding_half": self.crowding_half,
-                "calibration": self.calibration.to_dict()}
-
     @classmethod
-    def from_dict(cls, d: dict) -> "PredictorConfig":
-        _require_object(d, "predictor config")
-        d = dict(d)
-        cal = CalibrationState.from_dict(d.pop("calibration"))
-        unknown = sorted(set(d) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError(f"unknown predictor config keys: {unknown}")
-        return cls(calibration=cal, **d)
+    def from_dict(cls, d) -> "PredictorConfig":
+        """The config that dataclasses.asdict wrote as d: a JSON object
+        with every field and no other key, its calibration one with every
+        CalibrationState field and no other key."""
+        d = require_fields(d, cls, "predictor config")
+        d["calibration"] = CalibrationState(**require_fields(
+            d["calibration"], CalibrationState, "predictor calibration"))
+        return cls(**d)
 
 
 def oracle_predict(frame: CrowdFrame, selected_visibility: np.ndarray,

@@ -37,10 +37,6 @@ class ScoreBreakdown:
     total: float
     variant: str  # "geometric" | "mask" | "density"
 
-    def to_dict(self) -> dict:
-        return {"s_sc": self.s_sc, "s_ad": self.s_ad, "s_vd": self.s_vd,
-                "total": self.total, "variant": self.variant}
-
 
 def score_scene_coverage(visible: np.ndarray, grid: GroundGrid) -> float:
     """Visible-cell fraction of the full scene area."""

@@ -5,7 +5,7 @@ independent and active pipelines, random baselines, and a brute-force oracle.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -16,6 +16,7 @@ from .predictor import (PredictorConfig, calibrate, noisy_draw,
                         noisy_predict, oracle_predict, training_mae)
 from .scoring import (ALL_TERMS, DEFAULT_EPSILON, DEFAULT_LAMBDA,
                       ScoreBreakdown, binarize_density, score_round)
+from .serialize import require_kind, require_object
 
 STRATEGIES = ("geometric", "mask", "density", "random")
 PSEUDO_STAGES = ("none", "viewsel", "modeltrain", "both")
@@ -51,21 +52,6 @@ class SelectionConfig:
         if self.pseudo_stages not in PSEUDO_STAGES:
             raise ValueError(f"unknown pseudo_stages {self.pseudo_stages!r}")
 
-    def to_dict(self) -> dict:
-        return {"k_max": self.k_max, "n_frames": self.n_frames,
-                "strategy": self.strategy, "tau": self.tau, "lam": self.lam,
-                "epsilon": self.epsilon, "sigma_mode": self.sigma_mode,
-                "seed": self.seed, "epochs": self.epochs,
-                "terms": list(self.terms),
-                "pseudo_stages": self.pseudo_stages,
-                "pseudo_credit": self.pseudo_credit}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SelectionConfig":
-        d = dict(d)
-        d["terms"] = tuple(d.get("terms", ALL_TERMS))
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class SelectionState:
@@ -86,8 +72,29 @@ class SelectionState:
                 "non_converged": self.non_converged,
                 "history": [
                     {"added_id": cid,
-                     "score": None if sb is None else sb.to_dict()}
+                     "score": None if sb is None else asdict(sb)}
                     for cid, sb in self.history]}
+
+    @classmethod
+    def from_dict(cls, data, scene: Scene) -> "SelectionState":
+        """The state that a selection artifact (to_dict's keys plus any
+        others) records on scene, without its history: `selected` must
+        name the scene's cameras, `non_converged`, if given, must be true
+        or false, and `spec`, if given, a JSON object."""
+        data = require_object(data, "selection artifact", ("selected",))
+        require_kind(data.get("spec", {}), dict, "selection artifact 'spec'")
+        selected = require_kind(data["selected"], list,
+                                "selection artifact 'selected'")
+        for cid in selected:
+            require_kind(cid, str, "selection artifact 'selected' entry")
+        missing = [cid for cid in selected if cid not in scene.camera_ids]
+        if missing:
+            raise ValueError(f"selection names unknown cameras: {missing}")
+        return cls(selected=tuple(selected),
+                   combined_mask=scene.visibility_of(selected),
+                   non_converged=require_kind(
+                       data.get("non_converged", False), bool,
+                       "selection artifact 'non_converged'"))
 
 
 @dataclass(frozen=True)
@@ -96,10 +103,6 @@ class LabeledDataset:
 
     frame_ids: tuple[int, ...]
     camera_ids: tuple[str, ...]
-
-    @property
-    def budget_images(self) -> int:
-        return len(self.frame_ids) * len(self.camera_ids)
 
 
 def _initial_state(scene: Scene, first_id: str) -> SelectionState:
@@ -315,8 +318,12 @@ def run_avs(scene: Scene, trace: list[CrowdFrame], config: SelectionConfig,
     if config.strategy not in ("mask", "density"):
         raise ValueError("run_avs requires the mask or density strategy")
 
+    # a draw depends only on the seed, the frame and the calibration, so
+    # frame and first-view selection share one draw of each trace frame
+    drawn = {frame.frame_id: noisy_draw(frame, predictor) for frame in trace}
+
     def draw(frame):
-        return noisy_draw(frame, predictor)
+        return drawn[frame.frame_id]
 
     sigma = predictor.kernel_sigma_cells
     frame_ids = select_frames(scene, trace, draw, config.n_frames, sigma)

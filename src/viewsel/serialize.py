@@ -1,10 +1,16 @@
-"""Deterministic serialization helpers: canonical JSON, spec hashes, and
-PGM heatmaps."""
+"""Deterministic serialization helpers: canonical JSON, spec hashes, PGM
+heatmaps, and the one checker of the JSON values an artifact reader takes.
+
+Artifacts are written from dataclasses (dataclasses.asdict), so a class's
+fields are its artifact keys. Every reader checks its input through the
+require_* functions here, which raise ValueError naming what is wrong."""
 
 from __future__ import annotations
 
 import hashlib
 import json
+import numbers
+from dataclasses import fields
 
 import numpy as np
 
@@ -23,6 +29,57 @@ def write_json(path, obj) -> None:
 def read_json(path):
     with open(path) as f:
         return json.load(f)
+
+
+_KINDS = {dict: "a JSON object", list: "a JSON array", str: "a string",
+          bool: "true or false"}
+
+
+def require_kind(value, kind: type, what: str):
+    """value, which must be of kind: dict, list, str or bool, the JSON
+    object, array, string and true/false."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be {_KINDS[kind]}, not "
+                         f"{type(value).__name__}")
+    return value
+
+
+def require_object(value, what: str, keys=()) -> dict:
+    """value, which must be a JSON object holding each of keys; other keys
+    are allowed."""
+    missing = [k for k in keys if k not in require_kind(value, dict, what)]
+    if missing:
+        raise ValueError(f"{what} is missing {', '.join(map(repr, missing))}")
+    return value
+
+
+def require_fields(value, cls, what: str) -> dict:
+    """A copy of value, which must be a JSON object whose keys are exactly
+    the fields of the dataclass cls."""
+    names = [f.name for f in fields(cls)]
+    unknown = sorted(set(require_object(value, what, names)) - set(names))
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {unknown}")
+    return dict(value)
+
+
+def require_int(value, what: str) -> int:
+    """value, which must be an integer; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, not "
+                         f"{type(value).__name__}")
+    return value
+
+
+def require_real(value, what: str) -> float:
+    """value as a float; it must be a real number, and a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a number, not "
+                         f"{type(value).__name__}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} is too large for a float") from None
 
 
 def spec_hash(obj) -> str:

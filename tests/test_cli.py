@@ -211,8 +211,12 @@ def test_eval_rejects_unknown_trained_predictor_key(artifacts, tmp_path,
 
 @pytest.mark.parametrize("artifact, message", [
     *(pytest.param({"selected": selected, "non_converged": False},
-                   "must be a list of camera id strings", id=name)
-      for name, selected in (("5", 5), ("c0", "c0"), ("selected2", [0, 1]))),
+                   message, id=name)
+      for name, selected, message in (
+          ("5", 5, "'selected' must be a JSON array, not int"),
+          ("c0", "c0", "'selected' must be a JSON array, not str"),
+          ("selected2", [0, 1],
+           "'selected' entry must be a string, not int"))),
     pytest.param([1], "must be a JSON object, not list", id="list"),
     pytest.param("c0", "must be a JSON object, not str", id="str"),
     pytest.param({"selected": ["cam0"], "spec": [1]},

@@ -1,5 +1,6 @@
 import importlib
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -64,7 +65,7 @@ def test_evaluate_deterministic(demo_scene):
                            count_noise_rel=0.2, seed=2)
     a = evaluate(demo_scene, trace, state, pred)
     b = evaluate(demo_scene, trace, state, pred)
-    assert a.to_dict() == b.to_dict()
+    assert asdict(a) == asdict(b)
 
 
 def _reference_report(scene, trace, state, predictor, threshold_m,
@@ -86,11 +87,10 @@ def _reference_report(scene, trace, state, predictor, threshold_m,
         fn_total += len(fn)
         gt_total += len(gt)
     cr = cover_rate(trace, state.combined_mask, scene.grid)
-    return {"counting": counting_metrics(pred_counts, gt_counts,
-                                         cover_rate=cr).to_dict(),
-            "localization": localization_metrics(
-                matches, fp_total, fn_total, gt_total,
-                threshold_m).to_dict(),
+    return {"counting": asdict(counting_metrics(pred_counts, gt_counts,
+                                                cover_rate=cr)),
+            "localization": asdict(localization_metrics(
+                matches, fp_total, fn_total, gt_total, threshold_m)),
             "cover_rate": cr}
 
 
@@ -106,9 +106,9 @@ def test_evaluate_equals_reference_report(tmp_path, threshold_m, min_value,
     state = random_select(scene, 4, seed=3)
     pred = PredictorConfig(miss_rate=0.5, position_jitter_m=0.6,
                            count_noise_rel=0.1, seed=4)
-    got = evaluate(scene, trace_from_csv(path), state, pred,
-                   threshold_m=threshold_m, peak_min_value=min_value,
-                   nms_radius_cells=radius).to_dict()
+    got = asdict(evaluate(scene, trace_from_csv(path), state, pred,
+                          threshold_m=threshold_m, peak_min_value=min_value,
+                          nms_radius_cells=radius))
     want = _reference_report(scene, ref_trace_from_csv(path), state, pred,
                              threshold_m, min_value, radius)
     assert got["localization"]["tp"] > 50

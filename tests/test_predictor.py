@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -189,5 +191,5 @@ def test_config_validation_and_round_trip():
     cfg = PredictorConfig(miss_rate=0.4, position_jitter_m=1.0,
                           count_noise_rel=0.1, seed=9, q_scale=123.0,
                           calibration=CalibrationState(10.0, 0.2))
-    back = PredictorConfig.from_dict(cfg.to_dict())
+    back = PredictorConfig.from_dict(asdict(cfg))
     assert back == cfg

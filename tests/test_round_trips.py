@@ -11,7 +11,6 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from viewsel import CameraPose, CrowdFrame, GroundGrid, Scene
-from viewsel.cli import _state_from_artifact
 from viewsel.crowd import trace_from_csv, trace_to_csv
 from viewsel.selection import SelectionState
 from viewsel.serialize import canonical_json
@@ -128,7 +127,7 @@ def test_selection_artifact_round_trip(seed, data):
     artifact = json.loads(canonical_json(state.to_dict()))
     if data.draw(st.booleans()):
         artifact["scene_id"] = "scene"  # written by older versions
-    back = _state_from_artifact(scene, artifact)
+    back = SelectionState.from_dict(artifact, scene)
     assert back.selected == state.selected
     assert back.non_converged == state.non_converged
     assert np.array_equal(back.combined_mask, state.combined_mask)

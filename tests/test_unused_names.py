@@ -4,7 +4,9 @@ viewsel/__init__.py, and every module-level import is read by its module.
 Also guards the columnar crowd frame: no module reads CrowdFrame's Person
 view, `persons`, which exists for readers outside the package. And no
 module imports another module's private (`_`-prefixed) name. And people
-are mapped to cells in one place: only crowd.py reads `world_to_cell`."""
+are mapped to cells in one place: only crowd.py reads `world_to_cell`.
+And one module knows what a valid JSON value is: only serialize.py imports
+`numbers`."""
 
 import ast
 from pathlib import Path
@@ -84,6 +86,20 @@ def private_imports(package: Path) -> list[str]:
     return found
 
 
+def importers(package: Path, module: str) -> list[str]:
+    """The package modules that import the module `module` or a name from
+    it."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if ((isinstance(node, ast.Import)
+                 and any(a.name == module for a in node.names))
+                    or (isinstance(node, ast.ImportFrom)
+                        and node.module == module and node.level == 0)):
+                found.append(path.stem)
+    return sorted(set(found))
+
+
 def test_every_public_name_is_used_or_exported():
     assert unused_public_names(PACKAGE) == []
 
@@ -103,3 +119,7 @@ def test_no_module_imports_a_private_name():
 def test_only_crowd_maps_people_to_cells():
     reads = attribute_reads(PACKAGE, "world_to_cell")
     assert reads and all(r.startswith("crowd:") for r in reads)
+
+
+def test_only_serialize_checks_json_numbers():
+    assert importers(PACKAGE, "numbers") == ["serialize"]
