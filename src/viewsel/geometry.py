@@ -227,6 +227,28 @@ def ground_axis_and_position(camera: CameraPose) -> tuple[np.ndarray, np.ndarray
     return axis, np.array(camera.ground_position)
 
 
+def ground_axis_or_none(camera: CameraPose
+                        ) -> tuple[np.ndarray | None, np.ndarray]:
+    """ground_axis_and_position, with None as the axis of a straight-down
+    camera."""
+    try:
+        return ground_axis_and_position(camera)
+    except DegenerateAxisError:
+        return None, np.array(camera.ground_position)
+
+
+def axis_pair_geometry(a: tuple[np.ndarray | None, np.ndarray],
+                       b: tuple[np.ndarray | None, np.ndarray]
+                       ) -> tuple[float, float] | None:
+    """Ground-axis dot product and ground distance of two cameras, each
+    given as its ground_axis_or_none; None when either looks straight
+    down."""
+    (ai, pi), (aj, pj) = a, b
+    if ai is None or aj is None:
+        return None
+    return float(ai @ aj), float(np.linalg.norm(pi - pj))
+
+
 def project_footprint(camera: CameraPose, grid: GroundGrid) -> FovFootprint:
     """Rasterize a camera's view frustum footprint onto the ground grid.
 
@@ -277,7 +299,8 @@ def combined_visibility(footprints: list[FovFootprint],
 @dataclass(frozen=True)
 class Scene:
     """Ground grid plus the calibrated candidate camera roster, with each
-    camera's footprint projected on construction."""
+    camera's footprint projected on construction and the footprint windows
+    and camera-pair geometry that scoring reads computed on first use."""
 
     grid: GroundGrid
     cameras: list[CameraPose]
@@ -291,6 +314,7 @@ class Scene:
         object.__setattr__(self, "footprints", footprints)
         object.__setattr__(self, "_by_id", {
             c.id: (c, f) for c, f in zip(self.cameras, footprints)})
+        object.__setattr__(self, "_pair_table", {})
 
     @property
     def camera_ids(self) -> list[str]:
@@ -302,18 +326,45 @@ class Scene:
     def footprint(self, camera_id: str) -> FovFootprint:
         return self._by_id[camera_id][1]
 
-    def footprint_distance(self, camera_id: str) -> np.ndarray:
-        """Floored ground distance from the camera to each of its footprint
-        cells, row-major; computed for every camera on first use and
-        read-only."""
-        return self._footprint_distances[camera_id]
+    def footprint_window(self, camera_id: str
+                         ) -> tuple[slice, slice, np.ndarray] | None:
+        """The row and column slices of the bounding box of the camera's
+        footprint, and over that box the floored ground distance from the
+        camera on its footprint cells and +inf on every other cell; None
+        for an empty footprint. Computed for every camera on first use and
+        read-only: w / window adds w / distance on the footprint and
+        exactly 0.0 elsewhere for any finite w."""
+        return self._footprint_windows[camera_id]
 
     @cached_property
-    def _footprint_distances(self) -> dict[str, np.ndarray]:
+    def _footprint_windows(self) -> dict:
         X, Y = self.grid.cell_centers()
-        return {c.id: _read_only(floored_distance(
-                    X[f.mask], Y[f.mask], c.ground_position, self.grid))[0]
-                for c, f in zip(self.cameras, self.footprints)}
+        windows = dict.fromkeys(self.camera_ids)
+        for c, f in zip(self.cameras, self.footprints):
+            rows, cols = np.nonzero(f.mask)
+            if rows.size:
+                box = np.s_[rows.min():rows.max() + 1,
+                            cols.min():cols.max() + 1]
+                distance = floored_distance(X[box], Y[box], c.ground_position,
+                                            self.grid)
+                windows[c.id] = (*box, *_read_only(
+                    np.where(f.mask[box], distance, np.inf)))
+        return windows
+
+    def pair_geometry(self, id_a: str, id_b: str) -> tuple[float, float] | None:
+        """axis_pair_geometry of two cameras: their ground-axis dot product
+        and ground distance, None when either looks straight down. Each
+        camera's ground axis is computed once per scene, each ordered
+        pair's geometry on its first use."""
+        key = (id_a, id_b)
+        if key not in self._pair_table:
+            axes = self._ground_axes
+            self._pair_table[key] = axis_pair_geometry(axes[id_a], axes[id_b])
+        return self._pair_table[key]
+
+    @cached_property
+    def _ground_axes(self) -> dict:
+        return {c.id: ground_axis_or_none(c) for c in self.cameras}
 
     def visibility_of(self, camera_ids: list[str]) -> np.ndarray:
         return combined_visibility(

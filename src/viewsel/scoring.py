@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crowd import DensityMap
-from .geometry import (CameraPose, DegenerateAxisError, GroundGrid, Scene,
-                       ground_axis_and_position)
+from .geometry import (CameraPose, GroundGrid, Scene, axis_pair_geometry,
+                       ground_axis_or_none, require_finite)
 
 DEFAULT_LAMBDA = 0.1
 DEFAULT_EPSILON = 1e-10
@@ -49,13 +49,15 @@ def inverse_distance_field(group: list[CameraPose], scene: Scene,
                            weight: np.ndarray | None = None) -> np.ndarray:
     """Per-cell sum of weight / camera distance, each camera contributing
     only inside its own footprint; weight None means unit weight, and an
-    empty group gives all zeros.
+    empty group gives all zeros. A non-finite weight raises ValueError.
 
     Distances run from cell centers to the camera's ground position and are
-    floored at half a cell (Scene.footprint_distance).
+    floored at half a cell (Scene.footprint_window).
     """
-    if weight is not None and weight.shape != scene.grid.shape:
-        raise ValueError("weight does not match grid")
+    if weight is not None:
+        if weight.shape != scene.grid.shape:
+            raise ValueError("weight does not match grid")
+        require_finite(weight, "weight")
     field = np.zeros(scene.grid.shape)
     for cam in group:
         _add_camera_term(field, scene, cam.id, weight)
@@ -64,28 +66,21 @@ def inverse_distance_field(group: list[CameraPose], scene: Scene,
 
 def _add_camera_term(field: np.ndarray, scene: Scene, camera_id: str,
                      weight: np.ndarray | None) -> None:
-    """Add one camera's weight / floored distance on its footprint cells."""
-    cells = scene.footprint(camera_id).mask
-    field[cells] += ((1.0 if weight is None else weight[cells])
-                     / scene.footprint_distance(camera_id))
+    """Add one camera's finite weight / floored distance on its footprint
+    cells, through its window: the other cells of the box get exactly 0.0,
+    which leaves the field's non-negative, never -0.0 values unchanged."""
+    window = scene.footprint_window(camera_id)
+    if window is None:
+        return
+    rows, cols, distance = window
+    field[rows, cols] += ((1.0 if weight is None else weight[rows, cols])
+                          / distance)
 
 
-def _axis_and_position(cam: CameraPose) -> tuple[np.ndarray | None, np.ndarray]:
-    """Ground axis (None for a straight-down camera) and ground position."""
-    try:
-        return ground_axis_and_position(cam)
-    except DegenerateAxisError:
-        return None, np.array(cam.ground_position)
-
-
-def _pair_term(a: tuple[np.ndarray | None, np.ndarray],
-               b: tuple[np.ndarray | None, np.ndarray], eps: float) -> float:
-    """Diversity term of two cameras' (_axis_and_position); 0.0 when either
-    looks straight down."""
-    (ai, pi), (aj, pj) = a, b
-    if ai is None or aj is None:
-        return 0.0
-    return float(ai @ aj) / (float(np.linalg.norm(pi - pj)) + eps)
+def _pair_term(geometry: tuple[float, float] | None, eps: float) -> float:
+    """Diversity term dot / (distance + eps) of a pair's axis_pair_geometry;
+    0.0 when either camera looks straight down."""
+    return 0.0 if geometry is None else geometry[0] / (geometry[1] + eps)
 
 
 def _diversity(pair_terms, lam: float, eps: float) -> float:
@@ -108,8 +103,8 @@ def score_view_diversity(selected: list[CameraPose], lam: float = DEFAULT_LAMBDA
     """
     if not selected:
         raise ValueError("selected must be nonempty")
-    axes = [_axis_and_position(cam) for cam in selected]
-    return _diversity((_pair_term(a, b, eps)
+    axes = [ground_axis_or_none(cam) for cam in selected]
+    return _diversity((_pair_term(axis_pair_geometry(a, b), eps)
                        for a, b in itertools.combinations(axes, 2)), lam, eps)
 
 
@@ -122,31 +117,37 @@ def score_round(group: list[CameraPose], candidates: list[CameraPose],
     """S_sc * S_ad * S_vd of group + [c] for each candidate c over a scored
     region (None: that group's FOV union) with a per-cell distance-field
     weight (None: unit); terms picks the factors multiplied into total, and
-    an empty region scores 0. The group's field, union and pair terms are
-    built once, and c, last in its group, adds only its own terms, in the
-    order a from-scratch score of group + [c] adds them: the results are
-    equal."""
+    an empty region scores 0; a non-finite weight raises ValueError. The
+    group's field, union and pair terms are built once, and c, last in its
+    group, adds only its own terms, in the order a from-scratch score of
+    group + [c] adds them: the results are equal. The footprint windows
+    and pair geometry come from the scene (Scene.footprint_window,
+    Scene.pair_geometry)."""
     grid = scene.grid
     if region is not None and region.shape != grid.shape:
         raise ValueError("region does not match scene grid")
     group_field = inverse_distance_field(group, scene, weight)
-    union = scene.visibility_of([cam.id for cam in group])
-    axes = [_axis_and_position(cam) for cam in group]
-    group_pairs = [[_pair_term(a, b, eps) for b in axes[i + 1:]]
-                   for i, a in enumerate(axes)]
+    ids = [cam.id for cam in group]
+    union = scene.visibility_of(ids)
+    group_pairs = [[_pair_term(scene.pair_geometry(a, b), eps)
+                    for b in ids[i + 1:]] for i, a in enumerate(ids)]
+    # a fixed region is counted once, a group's union once per candidate
+    scored = region
+    n_region = None if region is None else int(np.count_nonzero(region))
     breakdowns = []
     for cam in candidates:
         field = group_field.copy()
         _add_camera_term(field, scene, cam.id, weight)
-        scored = (union | scene.footprint(cam.id).mask if region is None
-                  else region)
+        if region is None:
+            scored = union | scene.footprint(cam.id).mask
+            n_region = int(np.count_nonzero(scored))
         # the i < j pairs of group + [cam] in itertools.combinations order:
         # group camera i's pairs with the later group cameras, then with cam
-        own = _axis_and_position(cam)
-        s_vd = _diversity((term for a, row in zip(axes, group_pairs)
-                           for term in [*row, _pair_term(a, own, eps)]),
-                          lam, eps)
-        n_region = int(scored.sum())
+        s_vd = _diversity(
+            (term for a, row in zip(ids, group_pairs)
+             for term in [*row, _pair_term(scene.pair_geometry(a, cam.id),
+                                           eps)]),
+            lam, eps)
         s_sc = n_region / grid.n_cells
         s_ad = float(field[scored].sum()) / n_region if n_region else 0.0
         total = 1.0

@@ -80,9 +80,12 @@ class SelectionState:
         """The state that a selection artifact (to_dict's keys plus any
         others) records on scene, without its history: `selected` must
         name the scene's cameras, `non_converged`, if given, must be true
-        or false, and `spec`, if given, a JSON object."""
+        or false, `spec`, if given, a JSON object and `spec_hash`, if
+        given, a string."""
         data = require_object(data, "selection artifact", ("selected",))
         require_kind(data.get("spec", {}), dict, "selection artifact 'spec'")
+        require_kind(data.get("spec_hash", ""), str,
+                     "selection artifact 'spec_hash'")
         selected = require_kind(data["selected"], list,
                                 "selection artifact 'selected'")
         for cid in selected:

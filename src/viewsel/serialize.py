@@ -22,8 +22,12 @@ def canonical_json(obj) -> str:
 
 
 def write_json(path, obj) -> None:
+    """Write canonical_json(obj) to path. The text is built before the file
+    is opened, so an object that cannot be written leaves the file as it
+    was."""
+    text = canonical_json(obj)
     with open(path, "w") as f:
-        f.write(canonical_json(obj))
+        f.write(text)
 
 
 def read_json(path):

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from viewsel import cli as cli_module
 from viewsel import predictor as predictor_module
 from viewsel import selection as selection_module
 from viewsel.cli import (EXIT_NON_CONVERGED, EXIT_OK, EXIT_VALIDATION,
@@ -267,6 +268,28 @@ def test_mistyped_trained_predictor_is_validation_error(
                str(trace_path), "--selection", str(selection),
                "--use-trained", "--out", str(out)) == EXIT_VALIDATION
     assert not out.exists()
+
+
+@pytest.mark.parametrize("spec_hash", [float("nan"), ["0123"], 7, None])
+def test_bad_spec_hash_is_validation_error_and_keeps_the_report(
+        artifacts, selection, tmp_path, monkeypatch, capsys, spec_hash):
+    scene_path, trace_path = artifacts
+    out = tmp_path / "rep.json"
+    args = ("eval", "--scene", str(scene_path), "--trace", str(trace_path),
+            "--selection", str(selection), "--out", str(out))
+    assert run(*args) == EXIT_OK
+    before = out.read_bytes()
+    data = json.loads(selection.read_text())
+    data["spec_hash"] = spec_hash
+    selection.write_text(json.dumps(data))
+    evaluated = []
+    monkeypatch.setattr(cli_module, "evaluate",
+                        lambda *a, **k: evaluated.append(1))
+    capsys.readouterr()
+    assert run(*args) == EXIT_VALIDATION
+    assert "'spec_hash' must be a string" in capsys.readouterr().err
+    assert out.read_bytes() == before
+    assert evaluated == []
 
 
 @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf", "0"])

@@ -301,26 +301,79 @@ def test_consecutive_rounds_equal_per_group_formula_exactly():
                 assert (sb.s_sc, sb.s_ad, sb.s_vd, sb.total) == want
 
 
-def test_footprint_distance_equals_full_grid_formula_exactly():
+def test_footprint_window_equals_full_grid_formula_exactly():
+    # each window is the tight bounding box of its footprint and holds the
+    # full-grid floored distance on the footprint, +inf elsewhere
     rng = np.random.default_rng(19)
     scenes = [_edge_case_scene()] + [random_small_scene(rng)
                                      for _ in range(20)]
     for scene in scenes:
         X, Y = scene.grid.cell_centers()
         for cam in scene.cameras:
-            cx, cy = cam.ground_position
             mask = scene.footprint(cam.id).mask
-            want = np.maximum(np.hypot(X - cx, Y - cy),
-                              scene.grid.cell_size_m / 2.0)[mask]
-            got = scene.footprint_distance(cam.id)
+            if not mask.any():
+                assert scene.footprint_window(cam.id) is None
+                continue
+            rows, cols, got = scene.footprint_window(cam.id)
+            ii, jj = np.nonzero(mask)
+            assert (rows, cols) == (slice(ii.min(), ii.max() + 1),
+                                    slice(jj.min(), jj.max() + 1))
+            cx, cy = cam.ground_position
+            full = np.maximum(np.hypot(X - cx, Y - cy),
+                              scene.grid.cell_size_m / 2.0)
+            want = np.where(mask, full, np.inf)[rows, cols]
             assert np.array_equal(got, want)
+            assert np.array_equal(got[mask[rows, cols]], full[mask])
             assert not got.flags.writeable
             with pytest.raises(ValueError):
                 got[...] = 0.0
     edge = scenes[0]
-    assert edge.footprint_distance("away").shape == (0,)
+    assert edge.footprint_window("away") is None
     # the nadir camera sits above a cell center: its distance is the floor
-    assert edge.footprint_distance("nadir").min() == 0.25
+    assert edge.footprint_window("nadir")[2].min() == 0.25
+
+
+def test_pair_table_holds_nothing_that_depends_on_eps():
+    # rounds with one eps fill the scene's pair geometry; rounds with
+    # another eps on the same scene still equal the from-scratch formula
+    rng = np.random.default_rng(20)
+    scenes = [_edge_case_scene()] + [random_small_scene(rng)
+                                     for _ in range(10)]
+    changed = False
+    for scene in scenes:
+        order = [scene.cameras[i] for i in rng.permutation(len(scene.cameras))]
+        for eps in (EPS, 0.5, EPS):
+            for k in range(len(order)):
+                group, candidates = order[:k], order[k:]
+                got = score_round(group, candidates, scene, None, None, LAM,
+                                  eps)
+                for cand, sb in zip(candidates, got):
+                    cams = group + [cand]
+                    fps = [scene.footprint(c.id) for c in cams]
+                    want = ref_totals(
+                        scene.visibility_of([c.id for c in cams]),
+                        ref_full_grid_field(cams, fps, scene.grid, None),
+                        score_view_diversity(cams, LAM, eps), scene.grid)
+                    assert (sb.s_sc, sb.s_ad, sb.s_vd, sb.total) == want
+                    changed |= sb.s_vd != score_view_diversity(cams, LAM, EPS)
+    # the second eps does change some diversity terms
+    assert changed
+
+
+def test_score_rejects_non_finite_weight(demo_scene):
+    cams = demo_scene.cameras[:3]
+    everywhere = np.ones(demo_scene.grid.shape, dtype=bool)
+    for bad in (np.nan, np.inf, -np.inf):
+        one = np.ones(demo_scene.grid.shape)
+        one[0, 0] = bad  # off most footprints, so inf / inf would be nan
+        for weight in (one, np.full(demo_scene.grid.shape, bad)):
+            with pytest.raises(ValueError, match="weight must be finite"):
+                score_round(cams[:1], cams[1:], demo_scene, everywhere,
+                            weight)
+            if bad != -np.inf:  # a DensityMap rejects negative values
+                with pytest.raises(ValueError, match="weight must be finite"):
+                    score_density(cams, demo_scene, DensityMap(values=weight),
+                                  sigma_mode=0.0)
 
 
 def test_score_rejects_mismatched_inputs(demo_scene):

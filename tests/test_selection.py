@@ -291,6 +291,18 @@ def test_run_ivs_computes_each_camera_constant_once(demo_scene, monkeypatch):
     assert crosses == []
 
 
+def test_run_ivs_computes_each_camera_axis_once(demo_scene, monkeypatch):
+    axes = _count_calls(monkeypatch, geometry_module,
+                        "ground_axis_and_position", key=lambda cam: cam.id)
+    cfg = SelectionConfig(k_max=5, n_frames=4, strategy="geometric")
+    for seed in (0, 1):
+        state, _ = run_ivs(demo_scene, _trace(demo_scene, seed=seed), cfg)
+        assert len(state.selected) == 5
+    # the scene holds each camera's ground axis and each pair's geometry:
+    # one axis per camera across both runs, not one per pair or round
+    assert axes and len(axes) == len(set(axes))
+
+
 def test_run_avs_computes_each_camera_distance_once(demo_scene, monkeypatch):
     distances = _count_calls(monkeypatch, geometry_module, "floored_distance",
                              key=lambda x, y, point, grid: tuple(point))

@@ -25,6 +25,16 @@ def test_json_round_trip(tmp_path):
     assert path.read_bytes() == before
 
 
+def test_unwritable_object_leaves_the_file_as_it_was(tmp_path):
+    path = tmp_path / "o.json"
+    write_json(path, {"x": 1.5})
+    before = path.read_bytes()
+    for bad in ({"x": float("nan")}, {"x": object()}):
+        with pytest.raises((ValueError, TypeError)):
+            write_json(path, bad)
+        assert path.read_bytes() == before
+
+
 def test_spec_hash_stable_and_order_insensitive():
     a = spec_hash({"x": 1, "y": [2, 3]})
     b = spec_hash({"y": [2, 3], "x": 1})
