@@ -3,7 +3,7 @@ ablation sweeps, and artifact validation.
 
 Every artifact embeds the hash of the producing configuration so downstream
 commands can refuse mismatched inputs, and sweeps can resume by skipping
-rows whose hash is already in the output index.
+cells whose hash is already in the spec_hash column of sweep.csv.
 
 Exit codes: 0 success, 2 validation/config error, 3 AVS non-convergence,
 4 I/O error.
@@ -27,8 +27,8 @@ from .metrics import require_match_threshold
 from .predictor import PredictorConfig, oracle_predict
 from .scoring import ALL_TERMS
 from .selection import (PSEUDO_STAGES, STRATEGIES, SelectionConfig,
-                        SelectionState, random_select, run_avs, run_ivs,
-                        train_after_selection)
+                        SelectionState, mean_prediction, random_select,
+                        run_avs, run_ivs, train_after_selection)
 from .serialize import read_json, spec_hash, write_json, write_pgm
 from .synth import generate_scene
 
@@ -36,8 +36,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NON_CONVERGED = 3
 EXIT_IO = 4
-
-SWEEP_AXES = ("K", "F", "ScoreTerms", "PseudoStages", "Strategy")
 
 
 def _default_out_dir() -> str:
@@ -109,13 +107,17 @@ def _scene_hash(scene: Scene) -> str:
 
 
 def _load_trace(path: str, scene: Scene) -> list[CrowdFrame]:
-    """The trace at path; a person with a non-finite position or outside
-    the scene's grid extent is a validation error naming the first such
+    """The trace at path; a negative frame id (it seeds the predictor's
+    draws), or a person with a non-finite position or outside the scene's
+    grid extent, is a validation error naming the first such frame or
     person, not a silent clamp."""
     trace = trace_from_csv(path)
     ox, oy = scene.grid.origin
     ex, ey = scene.grid.extent_m
     for frame in trace:
+        if frame.frame_id < 0:
+            raise ValueError(f"frame {frame.frame_id}: frame id must be "
+                             ">= 0")
         x, y = frame.positions.T
         # a nan or infinite coordinate fails these comparisons too
         off = ~((ox <= x) & (x <= ox + ex) & (oy <= y) & (y <= oy + ey))
@@ -166,9 +168,6 @@ def cmd_scene_gen(args) -> int:
 
 def _selection_config_from_args(args) -> SelectionConfig:
     terms = tuple(t for t in args.terms.split(",") if t)
-    for t in terms:
-        if t not in ALL_TERMS:
-            raise ValueError(f"unknown score term {t!r}")
     sigma = args.sigma
     if sigma != "mean":
         sigma = float(sigma)
@@ -277,38 +276,31 @@ def cmd_validate(args) -> int:
 # sweep
 
 
-def _axis_configs(base: SelectionConfig, axis: str, values: list[str]):
-    """Yield (value-label, SelectionConfig) pairs for one sweep axis."""
-    for v in values:
-        if axis == "K":
-            yield v, replace(base, k_max=int(v))
-        elif axis == "F":
-            yield v, replace(base, n_frames=int(v))
-        elif axis == "ScoreTerms":
-            terms = tuple(t for t in v.split("+") if t)
-            yield v, replace(base, terms=terms)
-        elif axis == "PseudoStages":
-            yield v, replace(base, pseudo_stages=v)
-        elif axis == "Strategy":
-            yield v, replace(base, strategy=v)
-        else:
-            raise ValueError(f"unknown sweep axis {axis!r}")
-
+# each axis: the SelectionConfig field it sets and the parser of one value
+SWEEP_AXES = {
+    "K": ("k_max", int),
+    "F": ("n_frames", int),
+    "ScoreTerms": ("terms", lambda v: tuple(t for t in v.split("+") if t)),
+    "PseudoStages": ("pseudo_stages", str),
+    "Strategy": ("strategy", str),
+}
 
 SWEEP_FIELDS = ["axis", "value", "repeat", "spec_hash", "status", "mae",
                 "mse", "nae", "cover_rate", "moda", "modp", "f1",
                 "selected", "non_converged"]
 
 
-def _read_index(path: str) -> set:
-    done = set()
-    if os.path.exists(path):
-        with open(path) as f:
-            for line in f:
-                line = line.strip()
-                if line:
-                    done.add(line)
-    return done
+def _done_cells(csv_path: str) -> set:
+    """The spec_hash column of the sweep.csv at csv_path: the cells a
+    rerun skips; empty for a missing or empty file."""
+    if not os.path.exists(csv_path):
+        return set()
+    with open(csv_path, newline="") as f:
+        reader = csv.DictReader(f)
+        if reader.fieldnames not in (None, SWEEP_FIELDS):
+            raise ValueError(f"{csv_path} is not a sweep table: its header "
+                             f"is {reader.fieldnames}, not {SWEEP_FIELDS}")
+        return {row["spec_hash"] for row in reader}
 
 
 def cmd_sweep(args) -> int:
@@ -323,29 +315,36 @@ def cmd_sweep(args) -> int:
     values = [v for v in args.values.split(",") if v]
     if not values:
         raise ValueError("no sweep values given")
-    os.makedirs(args.out_dir, exist_ok=True)
-    index_path = os.path.join(args.out_dir, "index.txt")
-    done = _read_index(index_path)
-    rows = []
-    for label, config in _axis_configs(base, args.axis, values):
+    # every cell is built, and so checked, before any cell runs
+    field, parse = SWEEP_AXES[args.axis]
+    scene_hash = _scene_hash(scene)
+    cells = []
+    for label in values:
+        config = replace(base, **{field: parse(label)})
         for rep in range(args.repeats):
             cell_cfg = replace(config, seed=config.seed + rep)
             cell_pred = replace(base_pred, seed=base_pred.seed + rep)
-            cell_spec = {"axis": args.axis, "value": label, "repeat": rep,
-                         "selection": asdict(cell_cfg),
-                         "predictor": asdict(cell_pred),
-                         "scene_hash": _scene_hash(scene)}
-            h = spec_hash(cell_spec)
-            row = {"axis": args.axis, "value": label, "repeat": rep,
-                   "spec_hash": h}
-            if h in done:
-                continue
+            key = {"axis": args.axis, "value": label, "repeat": rep}
+            h = spec_hash({**key, "selection": asdict(cell_cfg),
+                           "predictor": asdict(cell_pred),
+                           "scene_hash": scene_hash})
+            stem = f"{args.axis}_{label}_{rep}".replace("+", "-")
+            cells.append((dict(key, spec_hash=h), stem, cell_cfg, cell_pred))
+    csv_path = os.path.join(args.out_dir, "sweep.csv")
+    done = _done_cells(csv_path)
+    todo = [cell for cell in cells if cell[0]["spec_hash"] not in done]
+    os.makedirs(args.out_dir, exist_ok=True)
+    with open(csv_path, "a", newline="") as f:
+        writer = csv.DictWriter(f, fieldnames=SWEEP_FIELDS)
+        if f.tell() == 0:
+            writer.writeheader()
+        for cell, stem, cell_cfg, cell_pred in todo:
             try:
                 state, trained = _run_selection(scene, trace, cell_cfg,
                                                 cell_pred)
                 report = evaluate(scene, trace, state, trained,
                                   threshold_m=args.threshold_m)
-                row.update(status="ok",
+                row = dict(cell, status="ok",
                            mae=repr(report.counting.mae),
                            mse=repr(report.counting.mse),
                            nae=repr(report.counting.nae),
@@ -355,32 +354,21 @@ def cmd_sweep(args) -> int:
                            f1=repr(report.localization.f1),
                            selected="+".join(state.selected),
                            non_converged=int(state.non_converged))
-                stem = f"{args.axis}_{label}_{rep}".replace("+", "-")
                 write_pgm(os.path.join(args.out_dir, f"cov_{stem}.pgm"),
                           state.combined_mask.astype(float))
-                mean_pred = np.zeros(scene.grid.shape)
-                for frame in trace:
-                    mean_pred += oracle_predict(
-                        frame, state.combined_mask, scene,
-                        trained.kernel_sigma_cells).values
+                mean_pred = mean_prediction(
+                    [oracle_predict(frame, state.combined_mask, scene,
+                                    trained.kernel_sigma_cells)
+                     for frame in trace], scene.grid.shape)
                 write_pgm(os.path.join(args.out_dir, f"den_{stem}.pgm"),
-                          mean_pred / max(len(trace), 1))
+                          mean_pred.values)
             except (ValueError, ArithmeticError) as exc:
-                row.update(status=f"error: {exc}", mae="", mse="", nae="",
-                           cover_rate="", moda="", modp="", f1="",
-                           selected="", non_converged="")
-            rows.append(row)
-            with open(index_path, "a") as f:
-                f.write(h + "\n")
-    csv_path = os.path.join(args.out_dir, "sweep.csv")
-    new_file = not os.path.exists(csv_path)
-    with open(csv_path, "a", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=SWEEP_FIELDS)
-        if new_file:
-            writer.writeheader()
-        for row in rows:
+                row = {**dict.fromkeys(SWEEP_FIELDS, ""), **cell,
+                       "status": f"error: {exc}"}
             writer.writerow(row)
-    print(f"sweep: wrote {len(rows)} rows to {csv_path}")
+            # a crash or Ctrl-C after this loses no finished cell
+            f.flush()
+    print(f"sweep: wrote {len(todo)} rows to {csv_path}")
     return EXIT_OK
 
 

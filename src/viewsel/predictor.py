@@ -55,6 +55,8 @@ class PredictorConfig:
             if f.name not in ("seed", "calibration"):
                 require_real(getattr(self, f.name), f"predictor {f.name}")
         require_int(self.seed, "predictor seed")
+        if self.seed < 0:
+            raise ValueError(f"predictor seed must be >= 0, not {self.seed}")
         if not (0.0 <= self.miss_rate <= 1.0):
             raise ValueError("miss_rate must be in [0, 1]")
         require_finite((self.position_jitter_m, self.count_noise_rel,
@@ -146,9 +148,8 @@ def noisy_predict(frame: CrowdFrame, selected_visibility: np.ndarray,
         miss_p *= rho / (rho + config.crowding_half) \
             / (1.0 + config.distance_falloff_m * strength)
     noisy, scale = noisy_draw(frame, config, miss_p)
-    dm = rasterize_density(
-        visible_persons(noisy, selected_visibility, scene.grid), scene.grid,
-        config.kernel_sigma_cells, mask=selected_visibility)
+    dm = oracle_predict(noisy, selected_visibility, scene,
+                        config.kernel_sigma_cells)
     return DensityMap(values=dm.values * scale)
 
 

@@ -42,6 +42,8 @@ class SelectionConfig:
             raise ValueError("k_max and n_frames must be >= 1")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, not {self.seed}")
         numbers = [self.tau, self.lam, self.epsilon, self.pseudo_credit]
         if not isinstance(self.sigma_mode, str):
             numbers.append(self.sigma_mode)
@@ -51,6 +53,9 @@ class SelectionConfig:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.pseudo_stages not in PSEUDO_STAGES:
             raise ValueError(f"unknown pseudo_stages {self.pseudo_stages!r}")
+        for term in self.terms:
+            if term not in ALL_TERMS:
+                raise ValueError(f"unknown score term {term!r}")
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
-"""The artifact boundary: what the scene-file and selection-artifact
-readers reject (exit 2 with an `error:` line, never a traceback), what
-they still accept, and the key paths that `select` and `eval` write."""
+"""The artifact boundary: what the scene-file, trace and
+selection-artifact readers reject (exit 2 with an `error:` line, never a
+traceback), what they still accept, and the key paths that `select` and
+`eval` write."""
 
 import contextlib
+import csv
 import io
 import json
 import tempfile
@@ -249,3 +251,35 @@ def test_any_one_value_changed_exits_0_or_2(seed_run, data):
             assert "Traceback" not in err
             if code == EXIT_VALIDATION:
                 assert err.startswith("error: "), err
+
+
+csv_values = (st.integers(-3, 3).map(str) | st.floats(-3, 3).map(repr)
+              | st.sampled_from(["", "nan", "inf", "1e400", "1.5"])
+              | st.text(max_size=3))
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_any_one_trace_value_changed_exits_0_or_2(seed_run, data):
+    """Replace any one value of trace.csv, a header name included:
+    validate and eval --use-trained exit 0 or 2, a 2 comes with an error
+    line, and eval runs on every trace that validate accepts."""
+    scene, trace, sel, _ = seed_run
+    rows = list(csv.reader(trace.read_text().splitlines()))
+    i, j = data.draw(st.sampled_from(
+        [(i, j) for i, row in enumerate(rows) for j in range(len(row))]))
+    old = rows[i][j]
+    rows[i][j] = data.draw(csv_values.filter(lambda v: v != old))
+    with tempfile.TemporaryDirectory() as tmp:
+        bad = Path(tmp) / "trace.csv"
+        with open(bad, "w", newline="") as f:
+            csv.writer(f).writerows(rows)
+        results = check_both(scene, bad, sel, Path(tmp) / "rep.json")
+    for code, err in results:
+        assert code in (EXIT_OK, EXIT_VALIDATION), err
+        assert "Traceback" not in err
+        if code == EXIT_VALIDATION:
+            assert err.startswith("error: "), err
+    (validated, _), (evaluated, err) = results
+    if validated == EXIT_OK:
+        assert evaluated == EXIT_OK, err

@@ -6,8 +6,8 @@ import pytest
 from viewsel import cli as cli_module
 from viewsel import predictor as predictor_module
 from viewsel import selection as selection_module
-from viewsel.cli import (EXIT_NON_CONVERGED, EXIT_OK, EXIT_VALIDATION,
-                         build_parser, main)
+from viewsel.cli import (EXIT_IO, EXIT_NON_CONVERGED, EXIT_OK,
+                         EXIT_VALIDATION, SWEEP_FIELDS, build_parser, main)
 
 evaluate_module = importlib.import_module("viewsel.evaluate")
 
@@ -252,6 +252,7 @@ def selection(artifacts, tmp_path):
     ("calibration.quality", "nan"), ("calibration.quality", None),
     ("calibration.quality", 1.5), ("calibration.labeled_view_frames", -1.0),
     ("calibration.labeled_view_frames", "1e400"), ("calibration", [0.0]),
+    ("seed", -1),
 ])
 def test_mistyped_trained_predictor_is_validation_error(
         artifacts, selection, tmp_path, field, value):
@@ -389,6 +390,149 @@ def test_sweep_score_terms_axis(artifacts, tmp_path):
     rows = (out / "sweep.csv").read_text().splitlines()
     assert len(rows) == 5
     assert all(",ok," in r for r in rows[1:])
+
+
+def _sweep_k(scene_path, trace_path, out, values="2,3,4"):
+    return run("sweep", "--scene", str(scene_path), "--trace",
+               str(trace_path), "--axis", "K", "--values", values,
+               "--frames", "3", "--out-dir", str(out))
+
+
+@pytest.mark.parametrize("exc", [OSError, KeyboardInterrupt])
+@pytest.mark.parametrize("failing_write", range(6))
+def test_interrupted_sweep_resumes_to_the_uninterrupted_table(
+        artifacts, tmp_path, monkeypatch, failing_write, exc):
+    # three cells write two maps each; one of those writes fails
+    scene_path, trace_path = artifacts
+    whole = tmp_path / "whole"
+    assert _sweep_k(scene_path, trace_path, whole) == EXIT_OK
+    real = cli_module.write_pgm
+    writes = []
+
+    def write_pgm(path, values):
+        writes.append(path)
+        if len(writes) == failing_write + 1:
+            raise exc("interrupted")
+        real(path, values)
+
+    out = tmp_path / "cut"
+    monkeypatch.setattr(cli_module, "write_pgm", write_pgm)
+    if exc is OSError:
+        assert _sweep_k(scene_path, trace_path, out) == EXIT_IO
+    else:
+        with pytest.raises(KeyboardInterrupt):
+            _sweep_k(scene_path, trace_path, out)
+    # the cells that finished are in the table already
+    finished = failing_write // 2
+    assert len((out / "sweep.csv").read_text().splitlines()) == 1 + finished
+    monkeypatch.setattr(cli_module, "write_pgm", real)
+    assert _sweep_k(scene_path, trace_path, out) == EXIT_OK
+    names = sorted(p.name for p in whole.iterdir())
+    assert sorted(p.name for p in out.iterdir()) == names
+    assert "index.txt" not in names
+    for name in names:
+        assert (out / name).read_bytes() == (whole / name).read_bytes()
+    rows = (out / "sweep.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == ["2", "3", "4"]
+
+
+def test_sweep_resumes_from_the_table_alone(artifacts, tmp_path):
+    # the rows of sweep.csv are the whole record: a cell whose row is
+    # deleted runs again, and one whose row is kept does not
+    scene_path, trace_path = artifacts
+    out = tmp_path / "sweep"
+    assert _sweep_k(scene_path, trace_path, out) == EXIT_OK
+    header, first, second, third = \
+        (out / "sweep.csv").read_bytes().splitlines(True)
+    (out / "sweep.csv").write_bytes(header + first + third)
+    (out / "cov_K_3_0.pgm").unlink()
+    assert _sweep_k(scene_path, trace_path, out) == EXIT_OK
+    assert (out / "sweep.csv").read_bytes() \
+        == header + first + third + second
+    assert (out / "cov_K_3_0.pgm").exists()
+
+
+def test_sweep_refuses_a_table_with_another_header(artifacts, tmp_path,
+                                                   capsys):
+    scene_path, trace_path = artifacts
+    out = tmp_path / "sweep"
+    out.mkdir()
+    fields = list(SWEEP_FIELDS)
+    fields[3] = "hash"
+    table = (",".join(fields) + "\r\n").encode()
+    (out / "sweep.csv").write_bytes(table)
+    capsys.readouterr()
+    assert _sweep_k(scene_path, trace_path, out) == EXIT_VALIDATION
+    assert "is not a sweep table" in capsys.readouterr().err
+    assert (out / "sweep.csv").read_bytes() == table
+    assert [p.name for p in out.iterdir()] == ["sweep.csv"]
+
+
+@pytest.mark.parametrize("axis, values, message", [
+    ("K", "2,0", "k_max and n_frames must be >= 1"),
+    ("F", "3,x", "invalid literal for int()"),
+    ("PseudoStages", "none,bogus", "unknown pseudo_stages 'bogus'"),
+    ("Strategy", "geometric,bogus", "unknown strategy 'bogus'"),
+    ("ScoreTerms", "sc,sc+bogus", "unknown score term 'bogus'"),
+])
+def test_bad_sweep_value_is_rejected_before_any_cell_runs(
+        artifacts, tmp_path, monkeypatch, capsys, axis, values, message):
+    scene_path, trace_path = artifacts
+    ran = []
+    monkeypatch.setattr(cli_module, "_run_selection",
+                        lambda *a: ran.append(a))
+    out = tmp_path / "sweep"
+    capsys.readouterr()
+    assert run("sweep", "--scene", str(scene_path), "--trace",
+               str(trace_path), "--axis", axis, "--values", values,
+               "--frames", "3", "--out-dir", str(out)) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert ran == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("select", "--seed=-1"), ("select", "--pred-seed=-1"),
+    ("sweep", "--seed=-1"), ("sweep", "--pred-seed=-1"),
+    ("select", "--terms=sc,bogus"),
+])
+def test_negative_seed_or_unknown_term_is_validation_error(
+        artifacts, tmp_path, capsys, command, flag):
+    scene_path, trace_path = artifacts
+    out = tmp_path / "out"
+    args = {"select": ["--out", str(out)],
+            "sweep": ["--axis", "K", "--values", "2", "--out-dir",
+                      str(out)]}[command]
+    capsys.readouterr()
+    assert run(command, "--scene", str(scene_path), "--trace",
+               str(trace_path), "--strategy", "geometric", "--k", "2",
+               "--frames", "3", flag, *args) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["select", "eval", "sweep", "validate"])
+def test_negative_frame_id_is_validation_error(artifacts, selection,
+                                               tmp_path, capsys, command):
+    scene_path, _ = artifacts
+    trace = tmp_path / "trace.csv"
+    trace.write_text("frame_id,person_idx,x_m,y_m\n-2,0,1.5,2.0\n"
+                     "0,0,3.0,4.0\n1,0,5.0,6.0\n2,0,7.0,8.0\n")
+    out = tmp_path / "out"
+    args = {"select": ["--strategy", "density", "--predictor", "noisy",
+                       "--k", "2", "--frames", "3", "--out", str(out)],
+            "eval": ["--selection", str(selection), "--use-trained",
+                     "--out", str(out)],
+            "sweep": ["--axis", "K", "--values", "2", "--frames", "3",
+                      "--out-dir", str(out)],
+            "validate": []}[command]
+    capsys.readouterr()
+    assert run(command, "--scene", str(scene_path), "--trace", str(trace),
+               *args) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "error: frame -2: frame id must be >= 0\n")
+    assert not out.exists()
 
 
 def test_select_rejects_nan_camera_coordinate(artifacts, tmp_path):

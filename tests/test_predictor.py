@@ -188,6 +188,8 @@ def test_config_validation_and_round_trip():
         PredictorConfig(kernel_sigma_cells=0.0)
     with pytest.raises(ValueError):
         PredictorConfig(distance_falloff_m=0.0)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        PredictorConfig(seed=-1)
     cfg = PredictorConfig(miss_rate=0.4, position_jitter_m=1.0,
                           count_noise_rel=0.1, seed=9, q_scale=123.0,
                           calibration=CalibrationState(10.0, 0.2))

@@ -525,7 +525,7 @@ def test_criterion_4_traffic_rasterizes_each_frame_unmasked_once(
     ("epochs", -1), ("tau", float("nan")), ("tau", float("inf")),
     ("lam", float("nan")), ("epsilon", float("-inf")),
     ("pseudo_credit", float("nan")), ("sigma_mode", float("nan")),
-    ("sigma_mode", float("inf")),
+    ("sigma_mode", float("inf")), ("seed", -1),
 ])
 def test_selection_config_rejects_bad_numbers(field, value):
     with pytest.raises(ValueError):
@@ -537,6 +537,10 @@ def test_selection_config_rejects_unknown_names():
         SelectionConfig(strategy="bogus")
     with pytest.raises(ValueError):
         SelectionConfig(pseudo_stages="bogus")
+    with pytest.raises(ValueError, match="unknown score term 'bogus'"):
+        SelectionConfig(terms=("sc", "bogus"))
+    # no terms at all stays allowed
+    assert SelectionConfig(terms=()).terms == ()
 
 
 def test_one_dominant_camera_is_selected_first():
