@@ -198,13 +198,19 @@ def _run_selection(scene: Scene, trace, config: SelectionConfig,
     return state, predictor
 
 
+def _require_predictor_for(config: SelectionConfig, predictor: str) -> None:
+    """Refuse a run of an active strategy under the oracle predictor, in
+    select and in every sweep cell alike."""
+    if config.strategy in ("mask", "density") and predictor == "oracle":
+        raise ValueError("active strategies need --predictor noisy")
+
+
 def cmd_select(args) -> int:
     scene = _load_scene(args.scene)
     trace = _load_trace(args.trace, scene)
     config = _selection_config_from_args(args)
     predictor = _predictor_from_args(args)
-    if config.strategy in ("mask", "density") and args.predictor == "oracle":
-        raise ValueError("active strategies need --predictor noisy")
+    _require_predictor_for(config, args.predictor)
     state, trained = _run_selection(scene, trace, config, predictor)
     run_spec = {"selection": asdict(config),
                 "predictor": asdict(predictor),
@@ -319,8 +325,16 @@ def cmd_sweep(args) -> int:
     field, parse = SWEEP_AXES[args.axis]
     scene_hash = _scene_hash(scene)
     cells = []
+    seen = set()
     for label in values:
-        config = replace(base, **{field: parse(label)})
+        value = parse(label)
+        # a value given twice would run the same cells twice
+        if value in seen:
+            raise ValueError(f"sweep value {label!r} repeats an earlier "
+                             f"value")
+        seen.add(value)
+        config = replace(base, **{field: value})
+        _require_predictor_for(config, args.predictor)
         for rep in range(args.repeats):
             cell_cfg = replace(config, seed=config.seed + rep)
             cell_pred = replace(base_pred, seed=base_pred.seed + rep)

@@ -191,26 +191,40 @@ def kernel_table(frame: CrowdFrame, grid: GroundGrid,
     off = np.arange(-radius, radius + 1)
     ii = np.rint(py).astype(np.intp)[:, None] + off  # (n, 2r+1)
     jj = np.rint(px).astype(np.intp)[:, None] + off
-    d2 = ((ii - py[:, None]) ** 2)[:, :, None] \
-        + ((jj - px[:, None]) ** 2)[:, None, :]
-    kern = np.where(d2 > (4.0 * kernel_sigma_cells) ** 2, 0.0,
-                    np.exp(-d2 * inv_two_sigma2))
-    cells = (ii * w)[:, :, None] + jj[:, None, :]
     n, size = len(pos), off.size ** 2
-    s = kern.reshape(n, size).sum(axis=1)
+    d2 = (((ii - py[:, None]) ** 2)[:, :, None]
+          + ((jj - px[:, None]) ** 2)[:, None, :]).reshape(n, size)
+    within = d2 <= (4.0 * kernel_sigma_cells) ** 2
+    # exp(-d2 * inv_two_sigma2) in place (flipping the factor's sign instead
+    # of d2's rounds the same), truncated by multiplying by 1 or 0: the
+    # weights are finite and nonnegative, so both are exact
+    d2 *= -inv_two_sigma2
+    kern = np.exp(d2, out=d2)
+    kern *= within
+    s = kern.sum(axis=1)
+    cells = ((ii * w)[:, :, None] + jj[:, None, :]).reshape(n, size)
+    # a window that leaves the grid is normalized over its in-bounds block,
+    # summed as one contiguous row of the block's size k (a per-person sum
+    # adds in an order that depends only on k), and its cells off the grid
+    # become the spare bin with weight 0.0
     row_in = (ii >= 0) & (ii < h)
     col_in = (jj >= 0) & (jj < w)
-    # a window that leaves the grid is normalized over its in-bounds block,
-    # summed as one contiguous array (the order a per-person sum uses), and
-    # its cells off the grid become the spare bin with weight 0.0
-    for p in np.flatnonzero(~(row_in.all(axis=1) & col_in.all(axis=1))):
-        s[p] = np.ascontiguousarray(kern[p][row_in[p]][:, col_in[p]]).sum()
-        off_grid = ~(row_in[p][:, None] & col_in[p])
-        kern[p][off_grid] = 0.0
-        cells[p][off_grid] = h * w
+    block = row_in.sum(axis=1) * col_in.sum(axis=1)
+    edge = np.flatnonzero(block < size)
+    inside = (row_in.take(edge, axis=0)[:, :, None]
+              & col_in.take(edge, axis=0)[:, None, :]).reshape(len(edge), size)
+    window = kern.take(edge, axis=0)
+    edge_block = block.take(edge)
+    for k in set(edge_block.tolist()):
+        same = np.flatnonzero(edge_block == k)
+        blocks = window.take(same, axis=0)[inside.take(same, axis=0)]
+        s[edge.take(same)] = blocks.reshape(len(same), k).sum(axis=1)
+    window *= inside
+    kern[edge] = window
+    cells[edge] = np.where(inside, cells.take(edge, axis=0), h * w)
     s[s == 0] = 1.0  # such kernels weigh 0.0 in bounds; avoids dividing by 0
-    kern /= s[:, None, None]
-    return cells.reshape(n, size), kern.reshape(n, size)
+    kern /= s[:, None]
+    return cells, kern
 
 
 def accumulate_density(table: tuple[np.ndarray, np.ndarray], grid: GroundGrid,

@@ -77,26 +77,41 @@ def match_points(predicted: list[tuple[float, float]],
         return [], list(range(n)), list(range(m))
     p = np.asarray(predicted, dtype=float)
     q = np.asarray(gt, dtype=float)
-    # the Euclidean norm as np.linalg.norm computes it over a length-2 axis:
-    # sqrt of the two squares added in (x, y) order; np.hypot rounds
-    # differently
-    dx = p[:, 0, None] - q[None, :, 0]
-    dy = p[:, 1, None] - q[None, :, 1]
-    dist = np.sqrt(dx * dx + dy * dy)
     # infeasible cost dominates any sum of feasible distances, so the
     # assignment first maximizes the number of within-threshold matches
     big = threshold_m * (n + m + 1.0)
-    cost = np.where(dist <= threshold_m, dist, big)
+    cost = np.full((n, m), big)
+    # candidate pairs: each prediction with the gt points whose x lies
+    # within reach of its own, a range of the x-sorted gt points. A pair
+    # outside has |dx| > reach, and reach = 2 * threshold_m (at least
+    # 1e-150, so that its square does not underflow) puts it beyond
+    # threshold_m
+    reach = max(2.0 * threshold_m, 1e-150)
+    by_x = q[:, 0].argsort(kind="stable")
+    qx = q[by_x, 0]
+    lo = qx.searchsorted(p[:, 0] - reach)
+    counts = qx.searchsorted(p[:, 0] + reach, side="right") - lo
+    rows = np.arange(n).repeat(counts)
+    cols = by_x[np.arange(len(rows))
+                + (lo - counts.cumsum() + counts).repeat(counts)]
+    # the Euclidean norm as np.linalg.norm computes it over a length-2 axis:
+    # sqrt of the two squares added in (x, y) order; np.hypot rounds
+    # differently
+    d = p.take(rows, axis=0) - q.take(cols, axis=0)
+    d *= d
+    dist = np.sqrt(d[:, 0] + d[:, 1])
+    cost[rows, cols] = np.where(dist <= threshold_m, dist, big)
     rows, cols = linear_sum_assignment(cost)
-    d = dist[rows, cols]
+    d = cost[rows, cols]
     ok = d <= threshold_m
-    matches = list(zip(rows[ok].tolist(), cols[ok].tolist(), d[ok].tolist()))
+    rows, cols = rows[ok], cols[ok]
+    matches = list(zip(rows.tolist(), cols.tolist(), d[ok].tolist()))
     unmatched_p = np.ones(n, dtype=bool)
-    unmatched_p[rows[ok]] = False
+    unmatched_p[rows] = False
     unmatched_g = np.ones(m, dtype=bool)
-    unmatched_g[cols[ok]] = False
-    return (matches, np.flatnonzero(unmatched_p).tolist(),
-            np.flatnonzero(unmatched_g).tolist())
+    unmatched_g[cols] = False
+    return (matches, unmatched_p.nonzero()[0].tolist(),
+            unmatched_g.nonzero()[0].tolist())
 
 
 def localization_metrics(matches: list[tuple[int, int, float]], fp: int,
@@ -141,27 +156,39 @@ def extract_peaks(density: DensityMap, grid: GroundGrid, min_value: float,
     require_peak_params(min_value, nms_radius_cells)
     v = density.values
     h, w = v.shape
-    padded = np.pad(v, 1, constant_values=-np.inf)
-    is_max = np.ones((h, w), dtype=bool)
+    padded = np.full((h + 2, w + 2), -np.inf)
+    padded[1:-1, 1:-1] = v
+    is_max = v > min_value
     for di in (-1, 0, 1):
         for dj in (-1, 0, 1):
             if di == 0 and dj == 0:
                 continue
             is_max &= v >= padded[1 + di:1 + di + h, 1 + dj:1 + dj + w]
-    ci, cj = np.nonzero(is_max & (v > min_value))
-    order = np.lexsort((cj, ci, -v[ci, cj]))
-    # every offset within the radius, as one (2r+1)-wide boolean disk; an
-    # accepted peak marks its disk, so a candidate is suppressed exactly
-    # when its own cell is marked
+    # flat cell indices in descending value order, ties by cell index
+    flat = is_max.ravel().nonzero()[0]
+    flat = flat[(-v.ravel()[flat]).argsort(kind="stable")]
+    ci, cj = np.divmod(flat, w)
+    # each candidate's rank on a grid padded by r, wp cells wide (no
+    # candidate: len(flat)), read at every offset of the (2r+1)-wide disk
+    # di**2 + dj**2 <= nms_radius_cells**2; a better-ranked candidate in a
+    # candidate's disk is its rival. Greedy NMS accepts a candidate iff no
+    # accepted peak lies in its disk, and the disk is symmetric, so a
+    # candidate without rivals is accepted and one with rivals is accepted
+    # iff none of them was
     r = int(nms_radius_cells)
     off = np.arange(-r, r + 1)
-    disk = off[:, None] ** 2 + off[None, :] ** 2 <= nms_radius_cells ** 2
-    marked = np.zeros((h + 2 * r, w + 2 * r), dtype=bool)
-    accepted: list[tuple[int, int]] = []
-    for i, j in zip(ci[order].tolist(), cj[order].tolist()):
-        if not marked[i + r, j + r]:
-            accepted.append((i, j))
-            marked[i:i + 2 * r + 1, j:j + 2 * r + 1] |= disk
+    di, dj = np.nonzero(off[:, None] ** 2 + off[None, :] ** 2
+                        <= nms_radius_cells ** 2)
+    wp = w + 2 * r
+    at = ci * wp + cj
+    rank = np.full((h + 2 * r) * wp, len(flat))
+    rank[at + (r * wp + r)] = np.arange(len(flat))
+    near = rank.take(at[:, None] + (di * wp + dj))
+    rivals = near < np.arange(len(flat))[:, None]
+    accepted = ~rivals.any(axis=1)
+    for k in np.flatnonzero(~accepted).tolist():
+        accepted[k] = not accepted[near[k][rivals[k]]].any()
     ox, oy = grid.origin
     cs = grid.cell_size_m
-    return [(ox + (j + 0.5) * cs, oy + (i + 0.5) * cs) for i, j in accepted]
+    return [(ox + (j + 0.5) * cs, oy + (i + 0.5) * cs)
+            for i, j in zip(ci[accepted].tolist(), cj[accepted].tolist())]

@@ -492,6 +492,55 @@ def test_bad_sweep_value_is_rejected_before_any_cell_runs(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("axis, values, flags", [
+    ("Strategy", "mask,density", []),
+    ("Strategy", "geometric,mask", []),
+    ("K", "2,3", ["--strategy", "density"]),
+])
+def test_sweep_refuses_what_select_refuses_before_any_cell_runs(
+        artifacts, tmp_path, monkeypatch, capsys, axis, values, flags):
+    # select refuses an active strategy under the default oracle predictor;
+    # a sweep refuses every such cell before any cell runs
+    scene_path, trace_path = artifacts
+    common = ("--scene", str(scene_path), "--trace", str(trace_path),
+              "--frames", "3", *flags)
+    capsys.readouterr()
+    assert run("select", *common, "--strategy", "mask",
+               "--out", str(tmp_path / "sel.json")) == EXIT_VALIDATION
+    message = capsys.readouterr().err
+    assert message == "error: active strategies need --predictor noisy\n"
+    ran = []
+    monkeypatch.setattr(cli_module, "_run_selection",
+                        lambda *a: ran.append(a))
+    out = tmp_path / "sweep"
+    assert run("sweep", *common, "--axis", axis, "--values", values,
+               "--out-dir", str(out)) == EXIT_VALIDATION
+    assert capsys.readouterr().err == message
+    assert ran == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("axis, values", [
+    ("K", "2,2"), ("K", "2,3,2"), ("ScoreTerms", "sc,sc+"),
+    ("Strategy", "geometric,random,geometric"),
+])
+def test_sweep_refuses_a_repeated_value_before_any_cell_runs(
+        artifacts, tmp_path, monkeypatch, capsys, axis, values):
+    scene_path, trace_path = artifacts
+    ran = []
+    monkeypatch.setattr(cli_module, "_run_selection",
+                        lambda *a: ran.append(a))
+    out = tmp_path / "sweep"
+    capsys.readouterr()
+    assert run("sweep", "--scene", str(scene_path), "--trace",
+               str(trace_path), "--axis", axis, "--values", values,
+               "--frames", "3", "--out-dir", str(out)) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: sweep value ") and "repeats" in err
+    assert ran == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, flag", [
     ("select", "--seed=-1"), ("select", "--pred-seed=-1"),
     ("sweep", "--seed=-1"), ("sweep", "--pred-seed=-1"),

@@ -4,11 +4,12 @@ import re
 import numpy as np
 import pytest
 
-from viewsel import (CrowdFrame, DensityMap, Person, cover_rate,
-                     generate_crowd_trace, rasterize_density, visible_persons)
+from viewsel import (CrowdFrame, DensityMap, GroundGrid, Person,
+                     accumulate_density, cover_rate, generate_crowd_trace,
+                     kernel_table, rasterize_density, visible_persons)
 from viewsel.crowd import UndefinedCoverRateError, trace_from_csv, trace_to_csv
 
-from reference import ref_trace_from_csv
+from reference import ref_rasterize_density, ref_trace_from_csv
 
 
 def _frame(points, fid=0):
@@ -93,6 +94,39 @@ def test_density_mask_zeroes_without_renormalizing(small_grid):
     assert np.allclose(dm.values[mask], unmasked.values[mask])
     # the right-half person's mass is dropped, not redistributed
     assert dm.total < unmasked.total
+
+
+@pytest.mark.parametrize("sigma", [1.0, 2.3])
+def test_kernel_table_at_every_edge_and_corner_equals_loop_reference(sigma):
+    # window centers at every offset across each edge, in every row and
+    # column combination, so each in-bounds block of r_in x c_in cells
+    # (0 to 2r+1 each) appears; sigma 2.3 has 21 x 21 = 441-cell windows.
+    # The last person lies far off the grid
+    r = math.ceil(4.0 * sigma)
+    h, w = 2 * r + 4, 2 * r + 9
+    grid = GroundGrid(height_cells=h, width_cells=w, cell_size_m=0.5,
+                      origin=(-3.25, 10.5))
+    rows = [*range(-r - 1, r + 1), *range(h - r - 1, h + r + 1)]
+    cols = [*range(-r - 1, r + 1), *range(w - r - 1, w + r + 1)]
+    centers = np.array([(j, i) for i in rows for j in cols], dtype=float)
+    rng = np.random.default_rng(11)
+    cells = centers + 0.5 + rng.uniform(-0.45, 0.45, size=centers.shape)
+    pts = np.vstack([grid.origin + cells * grid.cell_size_m,
+                     [(-1e4, 2e4)]])
+    frame = CrowdFrame(frame_id=0, positions=pts)
+    table = kernel_table(frame, grid, sigma)
+    blocks = set(np.count_nonzero(table[0] < grid.n_cells, axis=1).tolist())
+    assert blocks == {a * b for a in range(2 * r + 2)
+                      for b in range(2 * r + 2)}
+    persons = frame.persons
+    assert np.array_equal(rasterize_density(frame, grid, sigma).values,
+                          ref_rasterize_density(persons, grid, sigma))
+    subset = rng.permutation(len(pts))[:len(pts) // 3]
+    mask = rng.random(grid.shape) < 0.7
+    assert np.array_equal(
+        accumulate_density(table, grid, subset, mask),
+        ref_rasterize_density([persons[k] for k in subset], grid, sigma,
+                              mask=mask))
 
 
 def test_density_rejects_bad_sigma(small_grid):

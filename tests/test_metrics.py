@@ -145,9 +145,24 @@ def test_extract_peaks_suppresses_at_exactly_the_radius():
         == [(2.5, 4.5)]
 
 
+def test_extract_peaks_suppressed_peak_suppresses_nothing():
+    # a chain of peaks 2 cells apart in falling value order: each accepted
+    # peak suppresses the next one, and the suppressed peak leaves the one
+    # after it, outside the accepted peak's disk, to be accepted
+    grid = GroundGrid(height_cells=5, width_cells=11, cell_size_m=1.0)
+    v = np.zeros(grid.shape)
+    v[2, [1, 3, 5, 7, 9]] = [1.0, 0.9, 0.8, 0.7, 0.6]
+    assert extract_peaks(DensityMap(values=v), grid, 0.1, 2.0) \
+        == [(1.5, 2.5), (5.5, 2.5), (9.5, 2.5)]
+    # at a radius of 4 cells the first peak suppresses the next two; the
+    # fourth, whose rivals are those two, is accepted and suppresses the last
+    assert extract_peaks(DensityMap(values=v), grid, 0.1, 4.0) \
+        == [(1.5, 2.5), (7.5, 2.5)]
+
+
 # radii with no lattice point exactly on the circle, and radii with some;
 # sqrt(5) squares to just above 5 in floating point
-RADII = [1.0, 1.5, 2.0, 2.5, math.sqrt(2.0), math.sqrt(5.0), 3.0]
+RADII = [1.0, 1.5, 2.0, 2.5, math.sqrt(2.0), math.sqrt(5.0), 3.0, 4.5, 7.0]
 
 
 @st.composite
@@ -206,3 +221,56 @@ def test_match_points_equals_linalg_reference(data, threshold):
     pred, gt = data
     assert match_points(pred, gt, threshold) \
         == ref_match_points_linalg(pred, gt, threshold)
+
+
+def _window_edge_cases():
+    """(predicted, gt, threshold_m) on the edges of the candidate window:
+    |dx| exactly at the threshold and at twice it, coordinates near 1e6
+    whose differences round (or that a tiny threshold does not move), a dx
+    that rounds down to the threshold, thresholds so small that squares
+    underflow to 0, and NaN and infinite coordinates."""
+    up = np.nextafter
+    big = 1e6
+    ulp = up(big, np.inf) - big
+    cases = [
+        ([(1.0, 2.0), (3.0, 2.0)],
+         [(1.5, 2.0), (0.5, 2.0), (2.0, 2.0), (4.0, 2.0), (3.5, 2.25)], 0.5),
+        ([(0.0, 0.0)], [(0.5, 0.0), (-0.5, 0.0), (up(0.5, 1), 0.0),
+                        (up(-0.5, -1), 0.0), (up(1.0, 0), 0.0),
+                        (up(1.0, 2), 0.0), (1.0, 0.0)], 0.5),
+        ([(big, 0.0), (up(big, np.inf), 0.0)],
+         [(big + k * ulp, 0.0) for k in (-2, -1, 0, 1, 2, 3)], ulp),
+        ([(big, 0.0), (big + 3 * ulp, 1.0)],
+         [(big + k * ulp, 1.0) for k in range(-3, 6)], 1.5 * ulp),
+        ([(big + 0.25, big), (big, big + 0.5)],
+         [(big + 0.75, big), (big + 0.5, big + 0.5), (big, big + 1.0)],
+         0.5),
+        ([(big, 0.0), (big, 1.0)], [(big, 0.0), (big, 1e-13),
+                                    (up(big, 0), 1.0)], 1e-12),
+        ([(1.0, 0.0), (2.0, 5.0)], [(-1e-17, 0.0), (3.0 + 4e-16, 5.0)],
+         1.0),
+        ([(0.0, 0.0), (1e-170, 5e-171), (1e-160, 1.0)],
+         [(3e-170, 0.0), (1e-160, 0.0), (1e-140, 0.0), (0.0, 1.0)], 1e-300),
+        ([(0.0, 0.0), (3e-13, 0.0)], [(1e-12, 0.0), (2e-12, 0.0),
+                                      (4e-13, 1e-13)], 1e-12),
+        ([(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0),
+          (-math.inf, 0.0), (0.0, math.inf), (0.0, 0.0)],
+         [(math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.0),
+          (0.0, -math.inf), (0.0, 0.0), (0.25, 0.0)], 0.5),
+        ([(math.inf, math.inf), (1.0, 1.0)],
+         [(math.inf, math.inf), (math.nan, math.nan), (1.0, 1.25)], 0.5),
+    ]
+    return [([tuple(map(float, p)) for p in pred],
+             [tuple(map(float, g)) for g in gt], float(t))
+            for pred, gt, t in cases]
+
+
+@pytest.mark.parametrize("pred, gt, threshold", _window_edge_cases())
+def test_match_points_window_edges_equal_linalg_reference(pred, gt,
+                                                          threshold):
+    # each case also in reverse, so the window runs over either side;
+    # inf - inf warns, and the NaN distance it gives never matches
+    for p, g in ((pred, gt), (gt, pred)):
+        with np.errstate(invalid="ignore"):
+            assert match_points(p, g, threshold) \
+                == ref_match_points_linalg(p, g, threshold)
