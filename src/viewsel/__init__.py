@@ -19,9 +19,9 @@ from .scoring import (ScoreBreakdown, binarize_density, inverse_distance_field,
                       score_round, score_scene_coverage,
                       score_view_diversity)
 from .selection import (LabeledDataset, SelectionConfig, SelectionState,
-                        add_view, brute_force_best, random_select, run_avs,
-                        run_ivs, select_first_view, select_frames,
-                        train_after_selection)
+                        add_view, brute_force_best, check_run, random_select,
+                        run_avs, run_ivs, run_selection, select_first_view,
+                        select_frames, train_after_selection)
 from .synth import generate_scene
 
 __version__ = "0.1.0"

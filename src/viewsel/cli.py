@@ -19,16 +19,16 @@ from dataclasses import asdict, replace
 
 import numpy as np
 
-from .crowd import (CrowdFrame, generate_crowd_trace, trace_from_csv,
-                    trace_to_csv)
+from .crowd import (CrowdFrame, cover_rate, generate_crowd_trace,
+                    trace_from_csv, trace_to_csv)
 from .evaluate import evaluate
 from .geometry import GroundGrid, Scene
 from .metrics import require_match_threshold
 from .predictor import PredictorConfig, oracle_predict
 from .scoring import ALL_TERMS
 from .selection import (PSEUDO_STAGES, STRATEGIES, SelectionConfig,
-                        SelectionState, mean_prediction, random_select,
-                        run_avs, run_ivs, train_after_selection)
+                        SelectionState, check_run, mean_prediction,
+                        run_selection)
 from .serialize import read_json, spec_hash, write_json, write_pgm
 from .synth import generate_scene
 
@@ -178,26 +178,6 @@ def _selection_config_from_args(args) -> SelectionConfig:
                            pseudo_stages=args.pseudo_stages)
 
 
-def _run_selection(scene: Scene, trace, config: SelectionConfig,
-                   predictor: PredictorConfig
-                   ) -> tuple[SelectionState, PredictorConfig]:
-    """Dispatch a strategy; returns the final state and trained predictor."""
-    if config.strategy == "random":
-        state = random_select(scene, config.k_max, seed=config.seed)
-        frames = trace[:config.n_frames]
-        predictor = train_after_selection(scene, frames, state, config,
-                                          predictor)
-        return state, predictor
-    if config.strategy == "geometric":
-        state, dataset = run_ivs(scene, trace, config, predictor)
-        frames = [f for f in trace if f.frame_id in dataset.frame_ids]
-        predictor = train_after_selection(scene, frames, state, config,
-                                          predictor)
-        return state, predictor
-    state, _, predictor = run_avs(scene, trace, config, predictor)
-    return state, predictor
-
-
 def _require_predictor_for(config: SelectionConfig, predictor: str) -> None:
     """Refuse a run of an active strategy under the oracle predictor, in
     select and in every sweep cell alike."""
@@ -211,7 +191,7 @@ def cmd_select(args) -> int:
     config = _selection_config_from_args(args)
     predictor = _predictor_from_args(args)
     _require_predictor_for(config, args.predictor)
-    state, trained = _run_selection(scene, trace, config, predictor)
+    state, trained = run_selection(scene, trace, config, predictor)
     run_spec = {"selection": asdict(config),
                 "predictor": asdict(predictor),
                 "scene_hash": _scene_hash(scene)}
@@ -314,8 +294,6 @@ def cmd_sweep(args) -> int:
     trace = _load_trace(args.trace, scene)
     base = _selection_config_from_args(args)
     base_pred = _predictor_from_args(args)
-    # a bad threshold would fail every cell after its selection has run
-    require_match_threshold(args.threshold_m)
     if args.repeats < 1:
         raise ValueError(f"--repeats must be >= 1, not {args.repeats}")
     values = [v for v in args.values.split(",") if v]
@@ -335,6 +313,7 @@ def cmd_sweep(args) -> int:
         seen.add(value)
         config = replace(base, **{field: value})
         _require_predictor_for(config, args.predictor)
+        check_run(scene, trace, config)
         for rep in range(args.repeats):
             cell_cfg = replace(config, seed=config.seed + rep)
             cell_pred = replace(base_pred, seed=base_pred.seed + rep)
@@ -344,6 +323,9 @@ def cmd_sweep(args) -> int:
                            "scene_hash": scene_hash})
             stem = f"{args.axis}_{label}_{rep}".replace("+", "-")
             cells.append((dict(key, spec_hash=h), stem, cell_cfg, cell_pred))
+    # what evaluate would refuse in every cell: a bad threshold, no person
+    require_match_threshold(args.threshold_m)
+    cover_rate(trace, np.ones(scene.grid.shape, bool), scene.grid)
     csv_path = os.path.join(args.out_dir, "sweep.csv")
     done = _done_cells(csv_path)
     todo = [cell for cell in cells if cell[0]["spec_hash"] not in done]
@@ -354,8 +336,8 @@ def cmd_sweep(args) -> int:
             writer.writeheader()
         for cell, stem, cell_cfg, cell_pred in todo:
             try:
-                state, trained = _run_selection(scene, trace, cell_cfg,
-                                                cell_pred)
+                state, trained = run_selection(scene, trace, cell_cfg,
+                                               cell_pred)
                 report = evaluate(scene, trace, state, trained,
                                   threshold_m=args.threshold_m)
                 row = dict(cell, status="ok",

@@ -168,18 +168,13 @@ def select_frames(scene: Scene, trace: list[CrowdFrame], draw_fn, f: int,
 
 
 def select_first_view(scene: Scene, frames: list[CrowdFrame], draw_fn,
-                      mode: str, kernel_sigma_cells: float) -> str:
-    """First view by footprint area ("largest_fov") or by predicted crowd
-    count summed over the selected frames ("largest_predicted_count").
+                      kernel_sigma_cells: float) -> str:
+    """First view by predicted crowd count summed over the selected frames.
 
     draw_fn is select_frames'. Each frame is drawn and tabulated
     (kernel_table) once; a camera's prediction accumulates the drawn people
     whose cell it sees under its footprint, times the draw's scale.
     """
-    if mode == "largest_fov":
-        return _largest_fov_camera(scene)
-    if mode != "largest_predicted_count":
-        raise ValueError(f"unknown first-view mode {mode!r}")
     totals = {cid: [] for cid in scene.camera_ids}
     for frame in frames:
         noisy, scale = draw_fn(frame)
@@ -229,11 +224,6 @@ def _score_fn(scene: Scene, config: SelectionConfig,
         [scene.camera(c) for c in group],
         [scene.camera(c) for c in candidates], scene, region, weight,
         config.lam, config.epsilon, config.terms, config.strategy)
-
-
-def _frames_by_id(trace: list[CrowdFrame], ids: list[int]) -> list[CrowdFrame]:
-    by_id = {f.frame_id: f for f in trace}
-    return [by_id[i] for i in ids]
 
 
 def mean_prediction(predictions: list[DensityMap],
@@ -290,24 +280,31 @@ def _epoch_credit(camera_credit: dict[str, float], f: int,
     return credit
 
 
+def check_run(scene: Scene, trace: list[CrowdFrame],
+              config: SelectionConfig) -> None:
+    """Refuse, before any draw, a run that the scene or trace cannot
+    supply: more views than cameras, or more frames than the trace has."""
+    if config.k_max > len(scene.cameras):
+        raise ValueError(f"cannot select {config.k_max} views from "
+                         f"{len(scene.cameras)} cameras")
+    if config.n_frames > len(trace):
+        raise ValueError(f"cannot select {config.n_frames} frames from "
+                         f"{len(trace)}")
+
+
 def run_ivs(scene: Scene, trace: list[CrowdFrame], config: SelectionConfig,
             predictor: PredictorConfig | None = None
             ) -> tuple[SelectionState, LabeledDataset]:
     """Independent pipeline: geometry-only greedy selection, then labeling."""
     if config.strategy != "geometric":
         raise ValueError("run_ivs requires the geometric strategy")
+    check_run(scene, trace, config)
     sigma = (predictor or PredictorConfig()).kernel_sigma_cells
-
-    def draw(frame):
-        return frame, 1.0
-
-    frame_ids = select_frames(scene, trace, draw, config.n_frames, sigma)
-    frames = _frames_by_id(trace, frame_ids)
-    first = select_first_view(scene, frames, draw, "largest_fov", sigma)
-    state = _initial_state(scene, first)
-    k = min(config.k_max, len(scene.cameras))
+    frame_ids = select_frames(scene, trace, lambda frame: (frame, 1.0),
+                              config.n_frames, sigma)
+    state = _initial_state(scene, _largest_fov_camera(scene))
     score_fn = _score_fn(scene, config)
-    while len(state.selected) < k:
+    while len(state.selected) < config.k_max:
         state = add_view(scene, state, score_fn)
     return state, LabeledDataset(tuple(frame_ids), state.selected)
 
@@ -325,6 +322,7 @@ def run_avs(scene: Scene, trace: list[CrowdFrame], config: SelectionConfig,
     """
     if config.strategy not in ("mask", "density"):
         raise ValueError("run_avs requires the mask or density strategy")
+    check_run(scene, trace, config)
 
     # a draw depends only on the seed, the frame and the calibration, so
     # frame and first-view selection share one draw of each trace frame
@@ -335,11 +333,10 @@ def run_avs(scene: Scene, trace: list[CrowdFrame], config: SelectionConfig,
 
     sigma = predictor.kernel_sigma_cells
     frame_ids = select_frames(scene, trace, draw, config.n_frames, sigma)
-    frames = _frames_by_id(trace, frame_ids)
-    first = select_first_view(scene, frames, draw, "largest_predicted_count",
-                              sigma)
+    by_id = {frame.frame_id: frame for frame in trace}
+    frames = [by_id[fid] for fid in frame_ids]
+    first = select_first_view(scene, frames, draw, sigma)
     state = _initial_state(scene, first)
-    k = min(config.k_max, len(scene.cameras))
     pseudo_viewsel = config.pseudo_stages in ("viewsel", "both")
     pseudo_modeltrain = config.pseudo_stages in ("modeltrain", "both")
     camera_credit = _camera_credit(scene, frames, scene.camera_ids)
@@ -352,7 +349,8 @@ def run_avs(scene: Scene, trace: list[CrowdFrame], config: SelectionConfig,
     f = len(frames)
 
     active_epochs = 0
-    while len(state.selected) < k and active_epochs < config.epochs:
+    while (len(state.selected) < config.k_max
+           and active_epochs < config.epochs):
         active_epochs += 1
         credit = _epoch_credit(camera_credit, f, state.selected, config,
                                "viewsel" if pseudo_viewsel else "off")
@@ -364,7 +362,7 @@ def run_avs(scene: Scene, trace: list[CrowdFrame], config: SelectionConfig,
             m_avg = mean_prediction(preds, scene.grid.shape)
             state = add_view(scene, state, _score_fn(scene, config, m_avg))
             covered = covered_counts(state.combined_mask)
-    if len(state.selected) < k:
+    if len(state.selected) < config.k_max:
         state = replace(state, non_converged=True)
     # the epochs left once the budget is reached train on the labeled views
     # with the training metric gating nothing, and the active pipeline then
@@ -402,6 +400,26 @@ def random_select(scene: Scene, k: int, seed: int) -> SelectionState:
     return SelectionState(selected=tuple(chosen),
                           combined_mask=scene.visibility_of(chosen),
                           history=history)
+
+
+def run_selection(scene: Scene, trace: list[CrowdFrame],
+                  config: SelectionConfig, predictor: PredictorConfig
+                  ) -> tuple[SelectionState, PredictorConfig]:
+    """The run of config.strategy, refused by check_run before any draw:
+    its final state and trained predictor. A random or geometric selection
+    then trains on the first n_frames or its selected frames."""
+    check_run(scene, trace, config)
+    if config.strategy == "random":
+        state = random_select(scene, config.k_max, seed=config.seed)
+        frames = trace[:config.n_frames]
+    elif config.strategy == "geometric":
+        state, dataset = run_ivs(scene, trace, config, predictor)
+        frames = [f for f in trace if f.frame_id in dataset.frame_ids]
+    else:
+        state, _, predictor = run_avs(scene, trace, config, predictor)
+        return state, predictor
+    return state, train_after_selection(scene, frames, state, config,
+                                        predictor)
 
 
 def brute_force_best(scene: Scene, trace: list[CrowdFrame], k: int,

@@ -1,7 +1,7 @@
 """The artifact boundary: what the scene-file, trace and
 selection-artifact readers reject (exit 2 with an `error:` line, never a
-traceback), what they still accept, and the key paths that `select` and
-`eval` write."""
+traceback), what they still accept, the key paths that `select` and
+`eval` write, and the runs that `select` and `sweep` both refuse."""
 
 import contextlib
 import csv
@@ -14,7 +14,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from viewsel import Scene
-from viewsel.cli import EXIT_OK, EXIT_VALIDATION, main
+from viewsel.cli import EXIT_NON_CONVERGED, EXIT_OK, EXIT_VALIDATION, main
+from viewsel.crowd import trace_from_csv
+from viewsel.selection import STRATEGIES
 from viewsel.serialize import spec_hash
 
 
@@ -283,3 +285,42 @@ def test_any_one_trace_value_changed_exits_0_or_2(seed_run, data):
     (validated, _), (evaluated, err) = results
     if validated == EXIT_OK:
         assert evaluated == EXIT_OK, err
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_select_and_a_one_cell_sweep_run_or_refuse_alike(seed_run, data):
+    """Any strategy, a k and a frame count from 0 to one past what the
+    scene and the trace hold, either predictor, and no epoch or the default
+    40 (an active run of no epoch cannot add a view): select exits 0, 2 or
+    3. A one-cell sweep with the same flags exits 2 exactly when select
+    does, with the same error line and no out-dir; otherwise its one row
+    is ok, with select's selected views and non_converged flag."""
+    scene, trace, _, _ = seed_run
+    n_cameras = len(Scene.from_config(json.loads(scene.read_text())).cameras)
+    n_frames = len(trace_from_csv(trace))
+    k = data.draw(st.integers(0, n_cameras + 1))
+    flags = ["--scene", scene, "--trace", trace,
+             "--strategy", data.draw(st.sampled_from(STRATEGIES)),
+             "--k", k, "--frames", data.draw(st.integers(0, n_frames + 1)),
+             "--predictor", data.draw(st.sampled_from(["oracle", "noisy"])),
+             "--epochs", data.draw(st.sampled_from([0, 40]))]
+    with tempfile.TemporaryDirectory() as tmp:
+        sel, out = Path(tmp) / "sel.json", Path(tmp) / "sweep"
+        code, err = run("select", *flags, "--out", sel)
+        assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_NON_CONVERGED), err
+        swept = run("sweep", *flags, "--axis", "K", "--values", k,
+                    "--out-dir", out)
+        if code == EXIT_VALIDATION:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert swept == (code, err)
+            assert not sel.exists() and not out.exists()
+            return
+        assert swept[0] == EXIT_OK, swept[1]
+        with open(out / "sweep.csv", newline="") as f:
+            (row,) = csv.DictReader(f)
+        artifact = json.loads(sel.read_text())
+    assert row["status"] == "ok"
+    assert row["selected"] == "+".join(artifact["selected"])
+    assert artifact["non_converged"] == (code == EXIT_NON_CONVERGED)
+    assert row["non_converged"] == str(int(artifact["non_converged"]))

@@ -479,7 +479,7 @@ def test_bad_sweep_value_is_rejected_before_any_cell_runs(
         artifacts, tmp_path, monkeypatch, capsys, axis, values, message):
     scene_path, trace_path = artifacts
     ran = []
-    monkeypatch.setattr(cli_module, "_run_selection",
+    monkeypatch.setattr(cli_module, "run_selection",
                         lambda *a: ran.append(a))
     out = tmp_path / "sweep"
     capsys.readouterr()
@@ -510,7 +510,7 @@ def test_sweep_refuses_what_select_refuses_before_any_cell_runs(
     message = capsys.readouterr().err
     assert message == "error: active strategies need --predictor noisy\n"
     ran = []
-    monkeypatch.setattr(cli_module, "_run_selection",
+    monkeypatch.setattr(cli_module, "run_selection",
                         lambda *a: ran.append(a))
     out = tmp_path / "sweep"
     assert run("sweep", *common, "--axis", axis, "--values", values,
@@ -518,6 +518,68 @@ def test_sweep_refuses_what_select_refuses_before_any_cell_runs(
     assert capsys.readouterr().err == message
     assert ran == []
     assert not out.exists()
+
+
+@pytest.mark.parametrize("strategy", ["random", "geometric", "mask",
+                                      "density"])
+@pytest.mark.parametrize("header_only, flags, axis, values, message", [
+    pytest.param(False, ["--frames", "20"], "F", "3,20",
+                 "cannot select 20 frames from 8", id="frames-20"),
+    pytest.param(False, ["--k", "9", "--frames", "4"], "K", "2,9",
+                 "cannot select 9 views from 6 cameras", id="k-9"),
+    pytest.param(True, ["--frames", "3"], "K", "1,2",
+                 "cannot select 3 frames from 0", id="header-only"),
+])
+def test_select_and_sweep_refuse_a_run_past_the_scene_or_trace(
+        artifacts, tmp_path, monkeypatch, capsys, strategy, header_only,
+        flags, axis, values, message):
+    # more frames than the trace holds, more views than the scene has
+    # cameras, and a trace with no frame: every strategy is refused before
+    # any draw, by select and by a sweep before any of its cells runs
+    scene_path, trace_path = artifacts
+    if header_only:
+        trace_path = tmp_path / "trace.csv"
+        trace_path.write_text("frame_id,person_idx,x_m,y_m\n")
+    drawn = []
+    for module in (predictor_module, selection_module):
+        for name in ("noisy_draw", "oracle_predict"):
+            monkeypatch.setattr(module, name,
+                                lambda *a, **k: drawn.append(a))
+    common = ["--scene", str(scene_path), "--trace", str(trace_path),
+              "--strategy", strategy, "--predictor", "noisy", *flags]
+    sel, out = tmp_path / "sel.json", tmp_path / "sweep"
+    capsys.readouterr()
+    assert run("select", *common, "--out", str(sel)) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert run("sweep", *common, "--axis", axis, "--values", values,
+               "--out-dir", str(out)) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not sel.exists() and not out.exists()
+    assert drawn == []
+
+
+def test_sweep_refuses_a_trace_with_no_person_before_any_cell_runs(
+        tmp_path, capsys):
+    # eval refuses such a trace; a sweep refuses it before any selection
+    out = tmp_path / "scene"
+    assert run("scene-gen", "--cameras", "4", "--grid", "20x20",
+               "--frames", "4", "--count", "0,0",
+               "--out-dir", str(out)) == EXIT_OK
+    files = ["--scene", str(out / "scene.json"),
+             "--trace", str(out / "trace.csv")]
+    sel = tmp_path / "sel.json"
+    assert run("select", *files, "--k", "2", "--frames", "3",
+               "--out", str(sel)) == EXIT_OK
+    capsys.readouterr()
+    assert run("eval", *files, "--selection", str(sel),
+               "--out", str(tmp_path / "rep.json")) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: no persons in any frame\n"
+    sweep = tmp_path / "sweep"
+    assert run("sweep", *files, "--frames", "3", "--axis", "K",
+               "--values", "1,2", "--out-dir", str(sweep)) \
+        == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: no persons in any frame\n"
+    assert not sweep.exists()
 
 
 @pytest.mark.parametrize("axis, values", [
@@ -528,7 +590,7 @@ def test_sweep_refuses_a_repeated_value_before_any_cell_runs(
         artifacts, tmp_path, monkeypatch, capsys, axis, values):
     scene_path, trace_path = artifacts
     ran = []
-    monkeypatch.setattr(cli_module, "_run_selection",
+    monkeypatch.setattr(cli_module, "run_selection",
                         lambda *a: ran.append(a))
     out = tmp_path / "sweep"
     capsys.readouterr()

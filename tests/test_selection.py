@@ -7,8 +7,9 @@ from viewsel import (CalibrationState, CameraPose, GroundGrid,
                      PredictorConfig, Scene, SelectionConfig, add_view,
                      brute_force_best, cover_rate, generate_crowd_trace,
                      noisy_draw, noisy_predict, oracle_predict, random_select,
-                     run_avs, run_ivs, score_geometric, select_first_view,
-                     select_frames, training_mae, visible_persons)
+                     run_avs, run_ivs, run_selection, score_geometric,
+                     select_first_view, select_frames, training_mae,
+                     visible_persons)
 from viewsel import crowd as crowd_module
 from viewsel import geometry as geometry_module
 from viewsel import predictor as predictor_module
@@ -16,7 +17,7 @@ from viewsel import pseudolabels as pseudolabels_module
 from viewsel import scoring as scoring_module
 from viewsel import selection as selection_module
 from viewsel.evaluate import evaluate
-from viewsel.selection import (_initial_state, _score_fn,
+from viewsel.selection import (STRATEGIES, _initial_state, _score_fn,
                                train_after_selection)
 from viewsel.synth import generate_scene
 
@@ -102,17 +103,16 @@ def test_select_frames_first_has_largest_count(demo_scene):
 
 
 def test_select_first_view_modes(demo_scene):
+    # the independent pipeline starts from the widest camera, the active
+    # one from select_first_view's largest predicted count
     trace = _trace(demo_scene, n=4)
-    by_fov = select_first_view(demo_scene, trace, _oracle_draw,
-                               "largest_fov", 1.0)
+    cfg = SelectionConfig(k_max=2, n_frames=4, strategy="geometric")
+    by_fov = run_ivs(demo_scene, trace, cfg)[0].selected[0]
     areas = {c: demo_scene.footprint(c).area_cells
              for c in demo_scene.camera_ids}
     assert areas[by_fov] == max(areas.values())
-    by_count = select_first_view(demo_scene, trace, _oracle_draw,
-                                 "largest_predicted_count", 1.0)
+    by_count = select_first_view(demo_scene, trace, _oracle_draw, 1.0)
     assert by_count in demo_scene.camera_ids
-    with pytest.raises(ValueError):
-        select_first_view(demo_scene, trace, _oracle_draw, "nope", 1.0)
 
 
 def test_random_select_reproducible_and_valid(demo_scene):
@@ -339,7 +339,7 @@ def test_select_first_view_equals_per_camera_reference():
             return noisy_predict(frame, vis, scene, config).values
         assert select_first_view(
             scene, frames, lambda frame: noisy_draw(frame, config),
-            "largest_predicted_count", config.kernel_sigma_cells) \
+            config.kernel_sigma_cells) \
             == ref_select_first_view(scene, frames, predict)
 
 
@@ -384,12 +384,8 @@ def test_frame_and_first_view_selection_draw_each_frame_once(
     assert drawn == [f.frame_id for f in trace]
     frames = [f for f in trace if f.frame_id in ids]
     drawn.clear()
-    select_first_view(demo_scene, frames, draw, "largest_predicted_count",
-                      1.0)
+    select_first_view(demo_scene, frames, draw, 1.0)
     assert drawn == [f.frame_id for f in frames]
-    drawn.clear()
-    select_first_view(demo_scene, frames, draw, "largest_fov", 1.0)
-    assert drawn == []
 
     # before its first epoch, run_avs only draws, each trace frame once in
     # trace order: first-view selection reuses frame selection's draws
@@ -553,3 +549,55 @@ def test_one_dominant_camera_is_selected_first():
     cfg = SelectionConfig(k_max=1, n_frames=2, strategy="geometric")
     state, _ = run_ivs(scene, trace, cfg)
     assert state.selected == (biggest,)
+
+
+def _run_entries(strategy):
+    """The library entries that run a strategy: run_selection, and the
+    pipeline it dispatches to."""
+    entries = [run_selection]
+    if strategy == "geometric":
+        entries.append(run_ivs)
+    elif strategy in ("mask", "density"):
+        entries.append(run_avs)
+    return entries
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("over", ["views", "frames"])
+def test_a_run_past_the_scene_or_trace_is_refused_before_any_draw(
+        demo_scene, monkeypatch, strategy, over):
+    trace = _trace(demo_scene)
+    k, f = 3, 4
+    if over == "views":
+        k = len(demo_scene.cameras) + 1
+        message = f"cannot select {k} views from 6 cameras"
+    else:
+        f = len(trace) + 1
+        message = f"cannot select {f} frames from 8"
+    draws = [_count_calls(monkeypatch, module, name)
+             for module in (predictor_module, selection_module)
+             for name in ("noisy_draw", "oracle_predict")]
+    cfg = SelectionConfig(k_max=k, n_frames=f, strategy=strategy, tau=25.0,
+                          epochs=20)
+    pred = PredictorConfig(miss_rate=0.3, position_jitter_m=1.0,
+                           count_noise_rel=0.1, seed=3, q_scale=150.0)
+    for entry in _run_entries(strategy):
+        with pytest.raises(ValueError) as info:
+            entry(demo_scene, trace, cfg, pred)
+        assert str(info.value) == message
+    assert draws == [[], [], [], []]
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_a_run_of_every_camera_and_frame_is_not_refused(demo_scene,
+                                                         strategy):
+    # the budget may take all the scene and the trace hold
+    trace = _trace(demo_scene)
+    cfg = SelectionConfig(k_max=len(demo_scene.cameras), n_frames=len(trace),
+                          strategy=strategy, tau=25.0, epochs=20)
+    pred = PredictorConfig(miss_rate=0.3, position_jitter_m=1.0,
+                           count_noise_rel=0.1, seed=3, q_scale=150.0)
+    state, trained = run_selection(demo_scene, trace, cfg, pred)
+    assert not state.non_converged
+    assert sorted(state.selected) == sorted(demo_scene.camera_ids)
+    assert trained.calibration.labeled_view_frames > 0

@@ -6,7 +6,8 @@ view, `persons`, which exists for readers outside the package. And no
 module imports another module's private (`_`-prefixed) name. And people
 are mapped to cells in one place: only crowd.py reads `world_to_cell`.
 And one module knows what a valid JSON value is: only serialize.py imports
-`numbers`."""
+`numbers`. And a strategy is dispatched in one place, selection.run_selection:
+cli.py imports none of the pipelines it dispatches to."""
 
 import ast
 from pathlib import Path
@@ -100,6 +101,16 @@ def importers(package: Path, module: str) -> list[str]:
     return sorted(set(found))
 
 
+def imported_names(package: Path, module: str) -> set[str]:
+    """The names that the package module `module` imports, as spelled in
+    its import statements."""
+    return {alias.name
+            for node in ast.walk(ast.parse((package / f"{module}.py")
+                                           .read_text()))
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names}
+
+
 def test_every_public_name_is_used_or_exported():
     assert unused_public_names(PACKAGE) == []
 
@@ -123,3 +134,10 @@ def test_only_crowd_maps_people_to_cells():
 
 def test_only_serialize_checks_json_numbers():
     assert importers(PACKAGE, "numbers") == ["serialize"]
+
+
+def test_only_selection_dispatches_a_strategy():
+    names = imported_names(PACKAGE, "cli")
+    assert "run_selection" in names
+    assert names & {"run_ivs", "run_avs", "random_select",
+                    "train_after_selection"} == set()
