@@ -185,12 +185,21 @@ def _require_predictor_for(config: SelectionConfig, predictor: str) -> None:
         raise ValueError("active strategies need --predictor noisy")
 
 
+def _require_persons(scene: Scene, trace: list[CrowdFrame]) -> None:
+    """Refuse, in select and in sweep alike, a trace in which no frame
+    holds a person, which evaluate would refuse after the run."""
+    cover_rate(trace, np.ones(scene.grid.shape, bool), scene.grid)
+
+
 def cmd_select(args) -> int:
     scene = _load_scene(args.scene)
     trace = _load_trace(args.trace, scene)
     config = _selection_config_from_args(args)
     predictor = _predictor_from_args(args)
     _require_predictor_for(config, args.predictor)
+    # the checks of a sweep cell, in the same order, before any draw
+    check_run(scene, trace, config)
+    _require_persons(scene, trace)
     state, trained = run_selection(scene, trace, config, predictor)
     run_spec = {"selection": asdict(config),
                 "predictor": asdict(predictor),
@@ -325,7 +334,7 @@ def cmd_sweep(args) -> int:
             cells.append((dict(key, spec_hash=h), stem, cell_cfg, cell_pred))
     # what evaluate would refuse in every cell: a bad threshold, no person
     require_match_threshold(args.threshold_m)
-    cover_rate(trace, np.ones(scene.grid.shape, bool), scene.grid)
+    _require_persons(scene, trace)
     csv_path = os.path.join(args.out_dir, "sweep.csv")
     done = _done_cells(csv_path)
     todo = [cell for cell in cells if cell[0]["spec_hash"] not in done]

@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .crowd import DensityMap
 from .geometry import GroundGrid
@@ -101,6 +100,9 @@ def match_points(predicted: list[tuple[float, float]],
     d *= d
     dist = np.sqrt(d[:, 0] + d[:, 1])
     cost[rows, cols] = np.where(dist <= threshold_m, dist, big)
+    # scipy is imported here, on the first match, so that a run that only
+    # selects views never loads it
+    from scipy.optimize import linear_sum_assignment
     rows, cols = linear_sum_assignment(cost)
     d = cost[rows, cols]
     ok = d <= threshold_m

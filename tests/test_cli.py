@@ -1,5 +1,8 @@
 import importlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -560,20 +563,30 @@ def test_select_and_sweep_refuse_a_run_past_the_scene_or_trace(
 
 def test_sweep_refuses_a_trace_with_no_person_before_any_cell_runs(
         tmp_path, capsys):
-    # eval refuses such a trace; a sweep refuses it before any selection
-    out = tmp_path / "scene"
-    assert run("scene-gen", "--cameras", "4", "--grid", "20x20",
-               "--frames", "4", "--count", "0,0",
-               "--out-dir", str(out)) == EXIT_OK
+    # eval refuses such a trace; select and sweep refuse it before any
+    # selection
+    out, full = tmp_path / "scene", tmp_path / "full"
+    for d, count in ((out, "0,0"), (full, "5,10")):
+        assert run("scene-gen", "--cameras", "4", "--grid", "20x20",
+                   "--frames", "4", "--count", count,
+                   "--out-dir", str(d)) == EXIT_OK
     files = ["--scene", str(out / "scene.json"),
              "--trace", str(out / "trace.csv")]
     sel = tmp_path / "sel.json"
+    capsys.readouterr()
     assert run("select", *files, "--k", "2", "--frames", "3",
+               "--out", str(sel)) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: no persons in any frame\n"
+    assert not sel.exists()
+    # the same scene's selection, made on a trace with people
+    assert run("select", "--scene", str(full / "scene.json"), "--trace",
+               str(full / "trace.csv"), "--k", "2", "--frames", "3",
                "--out", str(sel)) == EXIT_OK
     capsys.readouterr()
     assert run("eval", *files, "--selection", str(sel),
                "--out", str(tmp_path / "rep.json")) == EXIT_VALIDATION
     assert capsys.readouterr().err == "error: no persons in any frame\n"
+    assert not (tmp_path / "rep.json").exists()
     sweep = tmp_path / "sweep"
     assert run("sweep", *files, "--frames", "3", "--axis", "K",
                "--values", "1,2", "--out-dir", str(sweep)) \
@@ -700,3 +713,66 @@ def test_bad_grid_spec_is_validation_error(tmp_path):
     code = run("scene-gen", "--cameras", "4", "--grid", "banana",
                "--out-dir", str(tmp_path))
     assert code == EXIT_VALIDATION
+
+
+def _fresh_python(code: str, cwd) -> list[str]:
+    """The stdout lines of code run in a new interpreter that imports this
+    viewsel."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        cli_module.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src + (os.pathsep + path if path else ""))
+    done = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
+def test_a_library_selection_run_never_loads_scipy(tmp_path):
+    code = """
+import sys
+import viewsel
+print("scipy" in sys.modules)
+from viewsel import (GroundGrid, SelectionConfig, generate_crowd_trace,
+                     generate_scene, run_ivs)
+grid = GroundGrid(height_cells=30, width_cells=30, cell_size_m=0.5)
+scene = generate_scene(5, grid, seed=1)
+trace = generate_crowd_trace(grid, n_frames=4, count_range=(10, 20),
+                             clustering=0.7, seed=2)
+state, _ = run_ivs(scene, trace, SelectionConfig(k_max=3, n_frames=2))
+print(len(state.selected), "scipy" in sys.modules)
+"""
+    assert _fresh_python(code, tmp_path) == ["False", "3 False"]
+
+
+def test_only_a_localization_match_loads_scipy(tmp_path, monkeypatch):
+    # the commands one after another in one fresh interpreter: scene-gen,
+    # validate and select never load scipy; eval loads it on its first
+    # match and writes the bytes of an eval run with scipy loaded already
+    files = ["--scene", "scene/scene.json", "--trace", "scene/trace.csv"]
+    commands = [
+        ["scene-gen", "--cameras", "6", "--grid", "40x40", "--seed", "3",
+         "--frames", "8", "--count", "20,40", "--out-dir", "scene"],
+        ["validate", *files],
+        ["select", *files, "--strategy", "geometric", "--k", "3",
+         "--frames", "4", "--out", "sel.json"],
+        ["validate", *files, "--selection", "sel.json"],
+        ["eval", *files, "--selection", "sel.json", "--use-trained",
+         "--out", "cold.json"],
+    ]
+    code = f"""
+import sys
+from viewsel.cli import main
+for argv in {commands!r}:
+    print("@", argv[0], main(argv), "scipy" in sys.modules)
+"""
+    lines = _fresh_python(code, tmp_path)
+    assert [line for line in lines if line.startswith("@ ")] == [
+        "@ scene-gen 0 False", "@ validate 0 False", "@ select 0 False",
+        "@ validate 0 False", "@ eval 0 True"]
+    monkeypatch.chdir(tmp_path)
+    importlib.import_module("scipy.optimize")
+    assert run(*commands[-1][:-1], "warm.json") == EXIT_OK
+    assert (tmp_path / "warm.json").read_bytes() \
+        == (tmp_path / "cold.json").read_bytes()
