@@ -15,9 +15,7 @@ from .predictor import (CalibrationState, PredictorConfig, calibrate,
                         training_mae)
 from .pseudolabels import PseudoPair, make_modeltrain_pair, make_viewsel_pair
 from .scoring import (ScoreBreakdown, binarize_density, inverse_distance_field,
-                      score, score_density, score_geometric, score_mask,
-                      score_round, score_scene_coverage,
-                      score_view_diversity)
+                      score_round, score_scene_coverage, score_view_diversity)
 from .selection import (LabeledDataset, SelectionConfig, SelectionState,
                         add_view, brute_force_best, check_run, random_select,
                         run_avs, run_ivs, run_selection, select_first_view,

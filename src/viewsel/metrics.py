@@ -62,11 +62,11 @@ def require_match_threshold(threshold_m: float) -> None:
                          f"{threshold_m!r}")
 
 
-def match_points(predicted: list[tuple[float, float]],
-                 gt: list[tuple[float, float]], threshold_m: float
+def match_points(predicted, gt, threshold_m: float
                  ) -> tuple[list[tuple[int, int, float]], list[int], list[int]]:
-    """One-to-one point matching: maximize matches, then minimize total
-    matched distance; pairs farther than threshold_m never match.
+    """One-to-one point matching of predicted and gt, each an (n, 2) array
+    or a list of (x, y): maximize matches, then minimize total matched
+    distance; pairs farther than threshold_m never match.
 
     Returns (matches as (pred_idx, gt_idx, distance), fp indices, fn indices).
     """
@@ -146,14 +146,14 @@ def require_peak_params(min_value: float, nms_radius_cells: float) -> None:
 
 
 def extract_peaks(density: DensityMap, grid: GroundGrid, min_value: float,
-                  nms_radius_cells: float) -> list[tuple[float, float]]:
+                  nms_radius_cells: float) -> np.ndarray:
     """Local maxima above min_value with greedy non-maximum suppression.
 
     Candidates are cells no smaller than all 8 neighbors; they are accepted
     in descending value order (ties by cell index) unless within the NMS
     radius of an already-accepted peak, i.e. di**2 + dj**2 <=
-    nms_radius_cells**2 in cells. Returns world coordinates of the accepted
-    cell centers.
+    nms_radius_cells**2 in cells. Returns the world (x, y) of the accepted
+    cell centers, in acceptance order, as an (n, 2) float array.
     """
     require_peak_params(min_value, nms_radius_cells)
     v = density.values
@@ -192,5 +192,5 @@ def extract_peaks(density: DensityMap, grid: GroundGrid, min_value: float,
         accepted[k] = not accepted[near[k][rivals[k]]].any()
     ox, oy = grid.origin
     cs = grid.cell_size_m
-    return [(ox + (j + 0.5) * cs, oy + (i + 0.5) * cs)
-            for i, j in zip(ci[accepted].tolist(), cj[accepted].tolist())]
+    return np.stack((ox + (cj[accepted] + 0.5) * cs,
+                     oy + (ci[accepted] + 0.5) * cs), axis=1)

@@ -1,12 +1,13 @@
-"""View-selection scores: one kernel over a scored region and a cell weight.
+"""View-selection scores: one kernel, score_round, over a scored region and
+a cell weight.
 
 Every score is the product of three factors: the scored region's share of
 the scene area (S_sc), the mean over that region of the inverse camera
 distance field (S_ad), and an exponential view-diversity penalty (S_vd).
-The variants differ only in the region and in the per-cell weight of the
+The strategies differ only in the region and in the per-cell weight of the
 distance field:
 
-    variant     region                       weight
+    strategy    region                       weight
     geometric   FOV union of the group       1
     mask        binarized prediction         1
     density     binarized prediction         predicted density
@@ -35,7 +36,7 @@ class ScoreBreakdown:
     s_ad: float
     s_vd: float
     total: float
-    variant: str  # "geometric" | "mask" | "density"
+    variant: str  # the strategy scored: "geometric" | "mask" | "density"
 
 
 def score_scene_coverage(visible: np.ndarray, grid: GroundGrid) -> float:
@@ -109,23 +110,33 @@ def score_view_diversity(selected: list[CameraPose], lam: float = DEFAULT_LAMBDA
 
 
 def score_round(group: list[CameraPose], candidates: list[CameraPose],
-                scene: Scene, region: np.ndarray | None = None,
-                weight: np.ndarray | None = None,
+                scene: Scene, strategy: str,
+                prediction: DensityMap | None = None, sigma_mode="mean",
                 lam: float = DEFAULT_LAMBDA, eps: float = DEFAULT_EPSILON,
-                terms: tuple[str, ...] = ALL_TERMS,
-                variant: str = "geometric") -> list[ScoreBreakdown]:
-    """S_sc * S_ad * S_vd of group + [c] for each candidate c over a scored
-    region (None: that group's FOV union) with a per-cell distance-field
-    weight (None: unit); terms picks the factors multiplied into total, and
-    an empty region scores 0; a non-finite weight raises ValueError. The
-    group's field, union and pair terms are built once, and c, last in its
-    group, adds only its own terms, in the order a from-scratch score of
-    group + [c] adds them: the results are equal. The footprint windows
+                terms: tuple[str, ...] = ALL_TERMS) -> list[ScoreBreakdown]:
+    """S_sc * S_ad * S_vd of group + [c] for each candidate c under
+    strategy, which picks the scored region and the per-cell
+    distance-field weight by the table of the module docstring; the
+    prediction is binarized (binarize_density) once per call. terms picks
+    the factors multiplied into total, and an empty region scores 0. A
+    strategy with no score, a mask or density call without a prediction
+    on the scene grid, or a non-finite weight raises ValueError. The
+    group's field, union and pair terms are built once, and c, last in
+    its group, adds only its own terms, in the order a from-scratch score
+    of group + [c] adds them: the results are equal. The footprint windows
     and pair geometry come from the scene (Scene.footprint_window,
     Scene.pair_geometry)."""
     grid = scene.grid
-    if region is not None and region.shape != grid.shape:
-        raise ValueError("region does not match scene grid")
+    region = weight = None
+    if strategy in ("mask", "density"):
+        if prediction is None or prediction.values.shape != grid.shape:
+            raise ValueError(f"the {strategy} score needs a prediction on "
+                             f"the scene grid")
+        region = binarize_density(prediction, sigma_mode)
+        if strategy == "density":
+            weight = prediction.values
+    elif strategy != "geometric":
+        raise ValueError(f"strategy {strategy!r} has no score")
     group_field = inverse_distance_field(group, scene, weight)
     ids = [cam.id for cam in group]
     union = scene.visibility_of(ids)
@@ -157,21 +168,8 @@ def score_round(group: list[CameraPose], candidates: list[CameraPose],
         if n_region == 0:
             total = 0.0
         breakdowns.append(ScoreBreakdown(s_sc=s_sc, s_ad=s_ad, s_vd=s_vd,
-                                         total=total, variant=variant))
+                                         total=total, variant=strategy))
     return breakdowns
-
-
-def score(selected: list[CameraPose], scene: Scene,
-          region: np.ndarray | None = None, weight: np.ndarray | None = None,
-          lam: float = DEFAULT_LAMBDA, eps: float = DEFAULT_EPSILON,
-          terms: tuple[str, ...] = ALL_TERMS,
-          variant: str = "geometric") -> ScoreBreakdown:
-    """S_sc * S_ad * S_vd of one camera group (score_round with its last
-    camera as the only candidate)."""
-    if not selected:
-        raise ValueError("selected must be nonempty")
-    return score_round(selected[:-1], selected[-1:], scene, region, weight,
-                       lam, eps, terms, variant)[0]
 
 
 def binarize_density(density: DensityMap, sigma_mode) -> np.ndarray:
@@ -185,28 +183,3 @@ def binarize_density(density: DensityMap, sigma_mode) -> np.ndarray:
     else:
         threshold = float(sigma_mode)
     return density.values > threshold
-
-
-def score_geometric(selected: list[CameraPose], scene: Scene,
-                    lam: float = DEFAULT_LAMBDA, eps: float = DEFAULT_EPSILON,
-                    terms: tuple[str, ...] = ALL_TERMS) -> ScoreBreakdown:
-    """Score over the selected views' FOV union with unit weight."""
-    return score(selected, scene, None, None, lam, eps, terms, "geometric")
-
-
-def score_mask(selected: list[CameraPose], scene: Scene,
-               prediction: DensityMap, sigma_mode="mean",
-               lam: float = DEFAULT_LAMBDA, eps: float = DEFAULT_EPSILON,
-               terms: tuple[str, ...] = ALL_TERMS) -> ScoreBreakdown:
-    """Score over the binarized prediction with unit weight."""
-    return score(selected, scene, binarize_density(prediction, sigma_mode),
-                 None, lam, eps, terms, "mask")
-
-
-def score_density(selected: list[CameraPose], scene: Scene,
-                  prediction: DensityMap, sigma_mode="mean",
-                  lam: float = DEFAULT_LAMBDA, eps: float = DEFAULT_EPSILON,
-                  terms: tuple[str, ...] = ALL_TERMS) -> ScoreBreakdown:
-    """Score over the binarized prediction, weighted by the prediction."""
-    return score(selected, scene, binarize_density(prediction, sigma_mode),
-                 prediction.values, lam, eps, terms, "density")

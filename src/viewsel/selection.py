@@ -15,7 +15,7 @@ from .geometry import Scene, require_finite
 from .predictor import (PredictorConfig, calibrate, noisy_draw,
                         noisy_predict, oracle_predict, training_mae)
 from .scoring import (ALL_TERMS, DEFAULT_EPSILON, DEFAULT_LAMBDA,
-                      ScoreBreakdown, binarize_density, score_round)
+                      ScoreBreakdown, score_round)
 from .serialize import require_kind, require_object
 
 STRATEGIES = ("geometric", "mask", "density", "random")
@@ -49,13 +49,26 @@ class SelectionConfig:
             numbers.append(self.sigma_mode)
         require_finite(numbers, "tau, lam, epsilon, pseudo_credit and a "
                        "numeric sigma_mode")
+        for name in ("lam", "epsilon"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, not "
+                                 f"{getattr(self, name)}")
+        if self.pseudo_credit < 0:
+            raise ValueError(f"pseudo_credit must be >= 0, not "
+                             f"{self.pseudo_credit}")
+        if isinstance(self.sigma_mode, str) and self.sigma_mode != "mean":
+            raise ValueError(f"sigma_mode must be 'mean' or a number, not "
+                             f"{self.sigma_mode!r}")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.pseudo_stages not in PSEUDO_STAGES:
             raise ValueError(f"unknown pseudo_stages {self.pseudo_stages!r}")
-        for term in self.terms:
+        for i, term in enumerate(self.terms):
             if term not in ALL_TERMS:
                 raise ValueError(f"unknown score term {term!r}")
+            # a term given twice multiplies the same factors as once
+            if term in self.terms[:i]:
+                raise ValueError(f"repeated score term {term!r}")
 
 
 @dataclass(frozen=True)
@@ -211,19 +224,13 @@ def add_view(scene: Scene, state: SelectionState,
 
 def _score_fn(scene: Scene, config: SelectionConfig,
               prediction: DensityMap | None = None):
-    """add_view's score_fn under config.strategy, which picks the scored
-    region and the distance-field weight: geometric scores the group's FOV
-    union with unit weight, mask the binarized prediction with unit weight,
-    density the binarized prediction weighted by the prediction."""
-    region = weight = None
-    if config.strategy in ("mask", "density"):
-        region = binarize_density(prediction, config.sigma_mode)
-    if config.strategy == "density":
-        weight = prediction.values
+    """add_view's score_fn: score_round under the config's strategy, which
+    scores the prediction (None for geometric)."""
     return lambda group, candidates: score_round(
         [scene.camera(c) for c in group],
-        [scene.camera(c) for c in candidates], scene, region, weight,
-        config.lam, config.epsilon, config.terms, config.strategy)
+        [scene.camera(c) for c in candidates], scene, config.strategy,
+        prediction, config.sigma_mode, config.lam, config.epsilon,
+        config.terms)
 
 
 def mean_prediction(predictions: list[DensityMap],

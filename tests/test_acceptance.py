@@ -16,8 +16,8 @@ from viewsel import (DensityMap, GroundGrid, PredictorConfig,
                      SelectionConfig, brute_force_best, cover_rate,
                      generate_crowd_trace, make_modeltrain_pair,
                      make_viewsel_pair, match_points, localization_metrics,
-                     random_select, run_avs, run_ivs, score_density,
-                     score_geometric, score_mask, score_scene_coverage)
+                     random_select, run_avs, run_ivs, score_round,
+                     score_scene_coverage)
 from viewsel.cli import main as cli_main
 from viewsel.selection import add_view, train_after_selection
 from viewsel.evaluate import evaluate
@@ -60,13 +60,16 @@ def test_criterion_1_score_oracle_equivalence():
         pred_v[pred_v < 0.5] = 0.0
         pred = DensityMap(values=pred_v)
 
-        got = score_geometric(cams, scene, LAM, EPS).total
+        got = score_round(cams[:-1], cams[-1:], scene, "geometric", None,
+                          "mean", LAM, EPS)[0].total
         want = ref_score_geometric(cams, scene, LAM, EPS)[3]
         worst = max(worst, _rel_err(got, want))
-        got = score_mask(cams, scene, pred, "mean", LAM, EPS).total
+        got = score_round(cams[:-1], cams[-1:], scene, "mask", pred, "mean",
+                          LAM, EPS)[0].total
         want = ref_score_mask(cams, scene, pred_v, "mean", LAM, EPS)[3]
         worst = max(worst, _rel_err(got, want))
-        got = score_density(cams, scene, pred, "mean", LAM, EPS).total
+        got = score_round(cams[:-1], cams[-1:], scene, "density", pred,
+                          "mean", LAM, EPS)[0].total
         want = ref_score_density(cams, scene, pred_v, "mean", LAM, EPS)[3]
         worst = max(worst, _rel_err(got, want))
     dt = time.time() - t0
@@ -90,14 +93,18 @@ def test_criterion_2_reduction_identities():
         # mask with B := FOV union reduces to the geometric score
         union = scene.visibility_of([c.id for c in cams])
         pred_union = DensityMap(values=union.astype(float))
-        geo = score_geometric(cams, scene, LAM, EPS).total
-        msk = score_mask(cams, scene, pred_union, 0.5, LAM, EPS).total
+        geo = score_round(cams[:-1], cams[-1:], scene, "geometric", None,
+                          "mean", LAM, EPS)[0].total
+        msk = score_round(cams[:-1], cams[-1:], scene, "mask", pred_union,
+                          0.5, LAM, EPS)[0].total
         worst_mg = max(worst_mg, _rel_err(geo, msk))
         # density with M == 1 on B reduces to the mask score
         region = rng.random(scene.grid.shape) < 0.4
         pred_unit = DensityMap(values=region.astype(float))
-        m2 = score_mask(cams, scene, pred_unit, 0.5, LAM, EPS).total
-        d2 = score_density(cams, scene, pred_unit, 0.5, LAM, EPS).total
+        m2 = score_round(cams[:-1], cams[-1:], scene, "mask", pred_unit, 0.5,
+                         LAM, EPS)[0].total
+        d2 = score_round(cams[:-1], cams[-1:], scene, "density", pred_unit,
+                         0.5, LAM, EPS)[0].total
         worst_dm = max(worst_dm, _rel_err(m2, d2))
     ok = worst_mg <= 1e-12 and worst_dm <= 1e-12
     _report(2, ok, f"reduction identities: mask->geometric {worst_mg:.2e}, "
@@ -266,12 +273,18 @@ def test_criterion_6_monotonicity_suites():
                     key=lambda c: (-scene.footprint(c).area_cells, c))
         from viewsel.selection import _initial_state
         state = _initial_state(scene, first)
+
+        def from_scratch(group, candidates):
+            scores = []
+            for cid in candidates:
+                cams = [scene.camera(c) for c in group + [cid]]
+                scores.append(score_round(cams[:-1], cams[-1:], scene,
+                                          "geometric", None, "mean", LAM,
+                                          EPS)[0])
+            return scores
+
         while len(state.selected) < k:
-            state = add_view(
-                scene, state,
-                lambda group, candidates: [score_geometric(
-                    [scene.camera(c) for c in group + [cid]], scene, LAM,
-                    EPS) for cid in candidates])
+            state = add_view(scene, state, from_scratch)
         return state.selected
 
     for _ in range(1000):

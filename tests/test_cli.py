@@ -477,6 +477,7 @@ def test_sweep_refuses_a_table_with_another_header(artifacts, tmp_path,
     ("PseudoStages", "none,bogus", "unknown pseudo_stages 'bogus'"),
     ("Strategy", "geometric,bogus", "unknown strategy 'bogus'"),
     ("ScoreTerms", "sc,sc+bogus", "unknown score term 'bogus'"),
+    ("ScoreTerms", "sc,sc+sc", "repeated score term 'sc'"),
 ])
 def test_bad_sweep_value_is_rejected_before_any_cell_runs(
         artifacts, tmp_path, monkeypatch, capsys, axis, values, message):
@@ -619,7 +620,7 @@ def test_sweep_refuses_a_repeated_value_before_any_cell_runs(
 @pytest.mark.parametrize("command, flag", [
     ("select", "--seed=-1"), ("select", "--pred-seed=-1"),
     ("sweep", "--seed=-1"), ("sweep", "--pred-seed=-1"),
-    ("select", "--terms=sc,bogus"),
+    ("select", "--terms=sc,bogus"), ("select", "--terms=sc,sc"),
 ])
 def test_negative_seed_or_unknown_term_is_validation_error(
         artifacts, tmp_path, capsys, command, flag):

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from viewsel import (CameraPose, DensityMap, GroundGrid, Scene,
-                     binarize_density, inverse_distance_field, score,
-                     score_density, score_geometric, score_mask, score_round,
+                     binarize_density, inverse_distance_field, score_round,
                      score_scene_coverage, score_view_diversity)
 
 from conftest import random_small_scene
@@ -29,7 +28,8 @@ def test_geometric_matches_reference_on_random_scenes():
         k = int(rng.integers(1, len(scene.cameras) + 1))
         cams = [scene.cameras[i]
                 for i in rng.choice(len(scene.cameras), size=k, replace=False)]
-        got = score_geometric(cams, scene, LAM, EPS)
+        got = score_round(cams[:-1], cams[-1:], scene, "geometric", None,
+                          "mean", LAM, EPS)[0]
         _, _, _, want = ref_score_geometric(cams, scene, LAM, EPS)
         assert got.total == pytest.approx(want, rel=1e-9, abs=1e-12)
 
@@ -40,10 +40,12 @@ def test_mask_and_density_match_reference():
         scene = random_small_scene(rng, n_cameras=4)
         pred = _random_density(rng, scene.grid)
         cams = scene.cameras[:3]
-        got_m = score_mask(cams, scene, pred, "mean", LAM, EPS)
+        got_m = score_round(cams[:-1], cams[-1:], scene, "mask", pred,
+                            "mean", LAM, EPS)[0]
         _, _, _, want_m = ref_score_mask(cams, scene, pred.values, "mean",
                                          LAM, EPS)
-        got_d = score_density(cams, scene, pred, "mean", LAM, EPS)
+        got_d = score_round(cams[:-1], cams[-1:], scene, "density", pred,
+                            "mean", LAM, EPS)[0]
         _, _, _, want_d = ref_score_density(cams, scene, pred.values, "mean",
                                             LAM, EPS)
         assert got_m.total == pytest.approx(want_m, rel=1e-9, abs=1e-12)
@@ -59,8 +61,10 @@ def test_mask_reduces_to_geometric_on_fov_union():
         cams = scene.cameras[:3]
         union = scene.visibility_of([c.id for c in cams])
         pred = DensityMap(values=union.astype(float))
-        geo = score_geometric(cams, scene, LAM, EPS)
-        msk = score_mask(cams, scene, pred, 0.5, LAM, EPS)
+        geo = score_round(cams[:-1], cams[-1:], scene, "geometric", None,
+                          "mean", LAM, EPS)[0]
+        msk = score_round(cams[:-1], cams[-1:], scene, "mask", pred, 0.5,
+                          LAM, EPS)[0]
         assert msk.total == pytest.approx(geo.total, rel=1e-12, abs=1e-15)
 
 
@@ -73,8 +77,10 @@ def test_density_reduces_to_mask_on_unit_density():
         cams = scene.cameras[:3]
         region = _random_density(rng, scene.grid).values > 0
         pred = DensityMap(values=region.astype(float))
-        msk = score_mask(cams, scene, pred, 0.5, LAM, EPS)
-        den = score_density(cams, scene, pred, 0.5, LAM, EPS)
+        msk = score_round(cams[:-1], cams[-1:], scene, "mask", pred, 0.5,
+                          LAM, EPS)[0]
+        den = score_round(cams[:-1], cams[-1:], scene, "density", pred, 0.5,
+                          LAM, EPS)[0]
         assert den.total == pytest.approx(msk.total, rel=1e-12, abs=1e-15)
 
 
@@ -145,23 +151,27 @@ def test_binarize_modes():
 
 def test_empty_region_yields_zero_total(demo_scene):
     pred = DensityMap(values=np.zeros(demo_scene.grid.shape))
-    sb = score_mask(demo_scene.cameras[:2], demo_scene, pred, 0.5)
+    cams = demo_scene.cameras[:2]
+    sb = score_round(cams[:-1], cams[-1:], demo_scene, "mask", pred, 0.5,
+                     LAM, EPS)[0]
     assert sb.total == 0.0
 
 
 def test_term_subset_drops_factors(demo_scene):
     cams = demo_scene.cameras[:3]
-    full = score_geometric(cams, demo_scene)
-    no_vd = score_geometric(cams, demo_scene, terms=("sc", "ad"))
+    full, no_vd, sc_only = (
+        score_round(cams[:-1], cams[-1:], demo_scene, "geometric", None,
+                    "mean", LAM, EPS, terms)[0]
+        for terms in (("sc", "ad", "vd"), ("sc", "ad"), ("sc",)))
     assert no_vd.total == pytest.approx(full.s_sc * full.s_ad, rel=1e-12)
-    sc_only = score_geometric(cams, demo_scene, terms=("sc",))
     assert sc_only.total == pytest.approx(full.s_sc, rel=1e-12)
 
 
 def test_combined_total_equals_sum_form(demo_scene):
     # s_sc * s_ad * s_vd telescopes to (sum D / n_cells) * s_vd
     cams = demo_scene.cameras[:3]
-    sb = score_geometric(cams, demo_scene)
+    sb = score_round(cams[:-1], cams[-1:], demo_scene, "geometric", None,
+                     "mean", LAM, EPS)[0]
     field = inverse_distance_field(cams, demo_scene)
     union = demo_scene.visibility_of([c.id for c in cams])
     alt = field[union].sum() / demo_scene.grid.n_cells * sb.s_vd
@@ -214,7 +224,7 @@ def test_field_equals_full_grid_formula_exactly():
     assert not inverse_distance_field([], edge).any()
 
 
-def test_wrapper_totals_equal_full_grid_formula_exactly():
+def test_strategy_totals_equal_full_grid_formula_exactly():
     rng = np.random.default_rng(16)
     scenes = [_edge_case_scene()] + [random_small_scene(rng)
                                      for _ in range(20)]
@@ -224,11 +234,11 @@ def test_wrapper_totals_equal_full_grid_formula_exactly():
         pred = _random_density(rng, scene.grid)
         union = scene.visibility_of([c.id for c in cams])
         crowd = binarize_density(pred, "mean")
-        for got, region, w in (
-                (score_geometric(cams, scene, LAM, EPS), union, None),
-                (score_mask(cams, scene, pred, "mean", LAM, EPS), crowd, None),
-                (score_density(cams, scene, pred, "mean", LAM, EPS), crowd,
-                 pred.values)):
+        for strategy, region, w in (("geometric", union, None),
+                                     ("mask", crowd, None),
+                                     ("density", crowd, pred.values)):
+            got = score_round(cams[:-1], cams[-1:], scene, strategy, pred,
+                              "mean", LAM, EPS)[0]
             field = ref_full_grid_field(cams, fps, scene.grid, w)
             want = ref_totals(region, field, got.s_vd, scene.grid)
             assert (got.s_sc, got.s_ad, got.total) == (want[0], want[1],
@@ -246,13 +256,16 @@ def test_round_equals_per_group_formula_exactly():
         crowd = rng.random(scene.grid.shape) < 0.4
         weight = rng.uniform(0.0, 3.0, size=scene.grid.shape)
         weight[rng.random(scene.grid.shape) < 0.3] = 0.0
-        for k, (variant, region, w) in itertools.product(
+        # predictions whose binarization at 0.5 is the crowd region
+        unit = DensityMap(values=crowd.astype(float))
+        weighted = DensityMap(values=np.where(crowd, 1.0 + weight, 0.0))
+        for k, (variant, pred, region, w) in itertools.product(
                 (0, int(rng.integers(1, len(order)))),  # empty group too
-                (("geometric", None, None), ("mask", crowd, None),
-                 ("density", crowd, weight))):
+                (("geometric", None, None, None), ("mask", unit, crowd, None),
+                 ("density", weighted, crowd, weighted.values))):
             group, candidates = order[:k], order[k:]
-            got = score_round(group, candidates, scene, region, w, LAM, EPS,
-                              variant=variant)
+            got = score_round(group, candidates, scene, variant, pred, 0.5,
+                              LAM, EPS)
             assert len(got) == len(candidates)
             for cand, sb in zip(candidates, got):
                 cams = group + [cand]
@@ -280,13 +293,18 @@ def test_consecutive_rounds_equal_per_group_formula_exactly():
         order = [scene.cameras[i] for i in rng.permutation(len(scene.cameras))]
         for k in range(len(order)):
             group, candidates = order[:k], order[k:]
-            region = weight = None
+            region = weight = pred = None
             if variant != "geometric":
                 region = rng.random(scene.grid.shape) < 0.4
+                pred = DensityMap(values=region.astype(float))
             if variant == "density":
-                weight = rng.uniform(0.0, 3.0, size=scene.grid.shape)
-            got = score_round(group, candidates, scene, region, weight, LAM,
-                              EPS, variant=variant)
+                weight = np.where(
+                    region, 1.0 + rng.uniform(0.0, 3.0, size=scene.grid.shape),
+                    0.0)
+                pred = DensityMap(values=weight)
+            # each prediction binarizes at 0.5 to the region
+            got = score_round(group, candidates, scene, variant, pred, 0.5,
+                              LAM, EPS)
             assert len(got) == len(candidates)
             for cand, sb in zip(candidates, got):
                 cams = group + [cand]
@@ -345,8 +363,8 @@ def test_pair_table_holds_nothing_that_depends_on_eps():
         for eps in (EPS, 0.5, EPS):
             for k in range(len(order)):
                 group, candidates = order[:k], order[k:]
-                got = score_round(group, candidates, scene, None, None, LAM,
-                                  eps)
+                got = score_round(group, candidates, scene, "geometric",
+                                  None, "mean", LAM, eps)
                 for cand, sb in zip(candidates, got):
                     cams = group + [cand]
                     fps = [scene.footprint(c.id) for c in cams]
@@ -362,28 +380,42 @@ def test_pair_table_holds_nothing_that_depends_on_eps():
 
 def test_score_rejects_non_finite_weight(demo_scene):
     cams = demo_scene.cameras[:3]
-    everywhere = np.ones(demo_scene.grid.shape, dtype=bool)
     for bad in (np.nan, np.inf, -np.inf):
         one = np.ones(demo_scene.grid.shape)
         one[0, 0] = bad  # off most footprints, so inf / inf would be nan
         for weight in (one, np.full(demo_scene.grid.shape, bad)):
+            if bad == -np.inf:  # a DensityMap rejects negative values
+                with pytest.raises(ValueError, match="nonnegative"):
+                    DensityMap(values=weight)
+                continue
+            pred = DensityMap(values=weight)
             with pytest.raises(ValueError, match="weight must be finite"):
-                score_round(cams[:1], cams[1:], demo_scene, everywhere,
-                            weight)
-            if bad != -np.inf:  # a DensityMap rejects negative values
-                with pytest.raises(ValueError, match="weight must be finite"):
-                    score_density(cams, demo_scene, DensityMap(values=weight),
-                                  sigma_mode=0.0)
+                score_round(cams[:1], cams[1:], demo_scene, "density", pred,
+                            0.0)
+            with pytest.raises(ValueError, match="weight must be finite"):
+                score_round(cams[:-1], cams[-1:], demo_scene, "density", pred,
+                            0.0, LAM, EPS)
 
 
 def test_score_rejects_mismatched_inputs(demo_scene):
     cams = demo_scene.cameras[:2]
     wrong = np.ones((3, 3))
-    with pytest.raises(ValueError, match="nonempty"):
-        score([], demo_scene)
-    with pytest.raises(ValueError, match="region"):
-        score(cams, demo_scene, region=wrong > 0)
+    for strategy in ("mask", "density"):
+        for pred in (None, DensityMap(values=wrong)):
+            with pytest.raises(ValueError, match="prediction on the scene"):
+                score_round(cams[:-1], cams[-1:], demo_scene, strategy, pred)
     with pytest.raises(ValueError, match="weight"):
-        score(cams, demo_scene, weight=wrong)
-    with pytest.raises(ValueError, match="region"):
-        score_density(cams, demo_scene, DensityMap(values=wrong))
+        inverse_distance_field(cams, demo_scene, wrong)
+
+
+def test_score_round_takes_only_a_scored_strategy(demo_scene):
+    cams = demo_scene.cameras[:3]
+    pred = DensityMap(values=np.ones(demo_scene.grid.shape))
+    for strategy in ("random", "bogus"):
+        with pytest.raises(ValueError, match=f"strategy '{strategy}' has no "
+                                             f"score"):
+            score_round(cams[:1], cams[1:], demo_scene, strategy, pred)
+    for strategy in ("geometric", "mask", "density"):
+        got = score_round(cams[:1], cams[1:], demo_scene, strategy, pred,
+                          0.5)
+        assert [sb.variant for sb in got] == [strategy] * 2

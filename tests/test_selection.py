@@ -7,7 +7,7 @@ from viewsel import (CalibrationState, CameraPose, GroundGrid,
                      PredictorConfig, Scene, SelectionConfig, add_view,
                      brute_force_best, cover_rate, generate_crowd_trace,
                      noisy_draw, noisy_predict, oracle_predict, random_select,
-                     run_avs, run_ivs, run_selection, score_geometric,
+                     run_avs, run_ivs, run_selection, score_round,
                      select_first_view, select_frames, training_mae,
                      visible_persons)
 from viewsel import crowd as crowd_module
@@ -35,9 +35,12 @@ def _oracle_draw(frame):
 
 def _geom_score_fn(scene):
     def fn(group, candidates):
-        return [score_geometric([scene.camera(c) for c in group + [cid]],
-                                scene)
-                for cid in candidates]
+        scores = []
+        for cid in candidates:
+            cams = [scene.camera(c) for c in group + [cid]]
+            scores.append(score_round(cams[:-1], cams[-1:], scene,
+                                      "geometric", None, "mean")[0])
+        return scores
     return fn
 
 
@@ -47,9 +50,9 @@ def test_add_view_picks_argmax(demo_scene):
     state, _ = run_ivs(demo_scene, trace, cfg)
     # recompute every candidate score for the second pick by hand
     first = state.selected[0]
-    scores = {cid: score_geometric(
-        [demo_scene.camera(first), demo_scene.camera(cid)],
-        demo_scene).total
+    scores = {cid: score_round(
+        [demo_scene.camera(first)], [demo_scene.camera(cid)], demo_scene,
+        "geometric", None, "mean")[0].total
         for cid in demo_scene.camera_ids if cid != first}
     assert state.selected[1] == max(sorted(scores), key=lambda c: scores[c])
 
@@ -522,9 +525,11 @@ def test_criterion_4_traffic_rasterizes_each_frame_unmasked_once(
     ("lam", float("nan")), ("epsilon", float("-inf")),
     ("pseudo_credit", float("nan")), ("sigma_mode", float("nan")),
     ("sigma_mode", float("inf")), ("seed", -1),
+    ("lam", 0.0), ("lam", -0.1), ("epsilon", 0.0), ("epsilon", -1.0),
+    ("pseudo_credit", -5.0), ("sigma_mode", "median"),
 ])
 def test_selection_config_rejects_bad_numbers(field, value):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=field):
         SelectionConfig(**{field: value})
 
 
@@ -535,6 +540,8 @@ def test_selection_config_rejects_unknown_names():
         SelectionConfig(pseudo_stages="bogus")
     with pytest.raises(ValueError, match="unknown score term 'bogus'"):
         SelectionConfig(terms=("sc", "bogus"))
+    with pytest.raises(ValueError, match="repeated score term 'sc'"):
+        SelectionConfig(terms=("sc", "ad", "sc"))
     # no terms at all stays allowed
     assert SelectionConfig(terms=()).terms == ()
 

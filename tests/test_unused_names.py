@@ -9,7 +9,9 @@ And one module knows what a valid JSON value is: only serialize.py imports
 `numbers`. And a strategy is dispatched in one place, selection.run_selection:
 cli.py imports none of the pipelines it dispatches to. And scipy is loaded
 only by a localization match: only metrics.py imports it, inside a
-function, so no module imports it when the module itself is imported."""
+function, so no module imports it when the module itself is imported.
+And one module knows each strategy's scored region and weight: only
+scoring.py calls `binarize_density`."""
 
 import ast
 from pathlib import Path
@@ -132,6 +134,16 @@ def imported_names(package: Path, module: str) -> set[str]:
             for alias in node.names}
 
 
+def callers(package: Path, name: str) -> list[str]:
+    """The package modules that call the function `name`, by its bare name
+    or as an attribute."""
+    return sorted({path.stem for path in package.glob("*.py")
+                   for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.Call)
+                   and name in (getattr(node.func, "id", None),
+                                getattr(node.func, "attr", None))})
+
+
 def test_every_public_name_is_used_or_exported():
     assert unused_public_names(PACKAGE) == []
 
@@ -169,3 +181,7 @@ def test_only_metrics_imports_scipy_and_only_on_first_match():
     assert importers(PACKAGE, "scipy", on_import=True) == []
     # the on-import walk does see a module-level import
     assert "metrics" in importers(PACKAGE, "numpy", on_import=True)
+
+
+def test_only_scoring_binarizes_a_prediction():
+    assert callers(PACKAGE, "binarize_density") == ["scoring"]
