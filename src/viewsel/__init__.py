@@ -5,9 +5,8 @@ from .crowd import (CrowdFrame, DensityMap, Person, accumulate_density,
                     cover_rate, generate_crowd_trace, kernel_table,
                     rasterize_density, visible_persons)
 from .evaluate import EvalReport, evaluate
-from .geometry import (CameraPose, DegenerateAxisError, FovFootprint,
-                       GroundGrid, Scene, combined_visibility,
-                       ground_axis_and_position, project_footprint)
+from .geometry import (CameraPose, FovFootprint, GroundGrid, Scene,
+                       project_footprint)
 from .metrics import (CountingReport, LocalizationReport, counting_metrics,
                       extract_peaks, localization_metrics, match_points)
 from .predictor import (CalibrationState, PredictorConfig, calibrate,
@@ -15,7 +14,7 @@ from .predictor import (CalibrationState, PredictorConfig, calibrate,
                         training_mae)
 from .pseudolabels import PseudoPair, make_modeltrain_pair, make_viewsel_pair
 from .scoring import (ScoreBreakdown, binarize_density, inverse_distance_field,
-                      score_round, score_scene_coverage, score_view_diversity)
+                      score_round, score_view_diversity)
 from .selection import (LabeledDataset, SelectionConfig, SelectionState,
                         add_view, brute_force_best, check_run, random_select,
                         run_avs, run_ivs, run_selection, select_first_view,

@@ -19,14 +19,6 @@ from .serialize import (require_int, require_kind, require_object,
                         require_real)
 
 
-class DegenerateAxisError(ValueError):
-    """Camera looks straight down; its ground-plane optical axis is undefined."""
-
-
-class GridMismatchError(ValueError):
-    """Mask dimensions do not match the grid they are combined on."""
-
-
 def require_finite(values, what: str) -> np.ndarray:
     """values as a float array; raises ValueError if any entry is NaN or
     infinite, which would otherwise land silently in some grid cell."""
@@ -211,30 +203,19 @@ class FovFootprint:
             raise ValueError("area_cells inconsistent with mask")
 
 
-def ground_axis_and_position(camera: CameraPose) -> tuple[np.ndarray, np.ndarray]:
+def ground_axis_or_none(camera: CameraPose
+                        ) -> tuple[np.ndarray | None, np.ndarray]:
     """Ground-plane unit optical axis and ground position of a camera.
 
-    Raises DegenerateAxisError for a straight-down camera, whose axis has no
-    ground projection; pairwise diversity terms treat such cameras as
+    The axis is None for a straight-down camera, whose axis has no ground
+    projection; pairwise diversity terms treat such cameras as
     contributing a zero dot product.
     """
     forward, _, _ = camera.frame_axes()
     gx, gy = forward[0], forward[1]
     norm = math.hypot(gx, gy)
-    if norm < 1e-12:
-        raise DegenerateAxisError(f"camera {camera.id} looks straight down")
-    axis = np.array([gx / norm, gy / norm])
+    axis = None if norm < 1e-12 else np.array([gx / norm, gy / norm])
     return axis, np.array(camera.ground_position)
-
-
-def ground_axis_or_none(camera: CameraPose
-                        ) -> tuple[np.ndarray | None, np.ndarray]:
-    """ground_axis_and_position, with None as the axis of a straight-down
-    camera."""
-    try:
-        return ground_axis_and_position(camera)
-    except DegenerateAxisError:
-        return None, np.array(camera.ground_position)
 
 
 def axis_pair_geometry(a: tuple[np.ndarray | None, np.ndarray],
@@ -282,18 +263,6 @@ def floored_distance(x, y, point: tuple[float, float],
     guard inverse-distance terms against the singularity at the point."""
     return np.maximum(np.hypot(x - point[0], y - point[1]),
                       grid.cell_size_m / 2.0)
-
-
-def combined_visibility(footprints: list[FovFootprint],
-                        grid: GroundGrid) -> np.ndarray:
-    """Cellwise union of footprint masks; empty input gives the all-false mask."""
-    union = np.zeros(grid.shape, dtype=bool)
-    for fp in footprints:
-        if fp.mask.shape != grid.shape:
-            raise GridMismatchError(
-                f"footprint {fp.camera_id} shape {fp.mask.shape} != {grid.shape}")
-        union |= fp.mask
-    return union
 
 
 @dataclass(frozen=True)
@@ -367,8 +336,12 @@ class Scene:
         return {c.id: ground_axis_or_none(c) for c in self.cameras}
 
     def visibility_of(self, camera_ids: list[str]) -> np.ndarray:
-        return combined_visibility(
-            [self.footprint(cid) for cid in camera_ids], self.grid)
+        """Cellwise union of the cameras' footprints; no cameras give the
+        all-false mask."""
+        union = np.zeros(self.grid.shape, dtype=bool)
+        for cid in camera_ids:
+            union |= self.footprint(cid).mask
+        return union
 
     def to_config(self) -> dict:
         return {"grid": self.grid.to_config(),

@@ -8,8 +8,9 @@ Two kinds of pair exist: view-selection-stage pairs (selected group plus
 one random unselected view, supervised inside the selected group's FOV
 union) and model-training-stage pairs (one selected plus K-1 unselected
 views, supervised inside the intersection of the selected union and the
-pseudo inputs' union). Either pair's ground truth is zero outside its loss
-mask.
+pseudo inputs' union). Either pair's ground truth is the oracle
+prediction under the selected group (predictor.oracle_predict), zeroed
+outside its loss mask.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crowd import CrowdFrame, DensityMap, rasterize_density, visible_persons
+from .crowd import CrowdFrame, DensityMap
 from .geometry import Scene
+from .predictor import oracle_predict
 from .selection import SelectionState
 
 STAGE_VIEWSEL = "viewsel"
@@ -39,35 +41,27 @@ class PseudoPair:
             raise ValueError("gt_density must be zero outside loss_mask")
 
 
-def _selected_gt(state: SelectionState, scene: Scene, frame: CrowdFrame,
-                 kernel_sigma_cells: float,
-                 loss_mask: np.ndarray) -> DensityMap:
-    return rasterize_density(
-        visible_persons(frame, state.combined_mask, scene.grid), scene.grid,
-        kernel_sigma_cells, mask=loss_mask)
-
-
 def make_viewsel_pair(state: SelectionState, scene: Scene, frame: CrowdFrame,
                       rng: np.random.Generator,
                       kernel_sigma_cells: float = 1.0) -> PseudoPair:
     """Selected group plus one random unselected view; GT is the selected
-    group's covered-crowd density, masked by the group's FOV union."""
+    group's oracle prediction, whose mask is the group's FOV union."""
     unselected = sorted(set(scene.camera_ids) - set(state.selected))
     if not unselected:
         raise ValueError("no unselected cameras available")
     extra = unselected[int(rng.integers(len(unselected)))]
-    loss_mask = state.combined_mask
-    gt = _selected_gt(state, scene, frame, kernel_sigma_cells, loss_mask)
+    gt = oracle_predict(frame, state.combined_mask, scene, kernel_sigma_cells)
     return PseudoPair(input_view_ids=tuple(state.selected) + (extra,),
-                      gt_density=gt, loss_mask=loss_mask, stage=STAGE_VIEWSEL)
+                      gt_density=gt, loss_mask=state.combined_mask,
+                      stage=STAGE_VIEWSEL)
 
 
 def make_modeltrain_pair(state: SelectionState, scene: Scene,
                          frame: CrowdFrame, rng: np.random.Generator,
                          kernel_sigma_cells: float = 1.0) -> PseudoPair:
     """One random selected view plus K-1 random unselected views; GT is the
-    K-selected-view density, masked by the intersection of the selected FOV
-    union and the pseudo inputs' FOV union."""
+    K-selected-view oracle prediction, zeroed outside the intersection of
+    the selected FOV union and the pseudo inputs' FOV union."""
     k = len(state.selected)
     unselected = sorted(set(scene.camera_ids) - set(state.selected))
     if len(unselected) < k - 1:
@@ -78,6 +72,9 @@ def make_modeltrain_pair(state: SelectionState, scene: Scene,
     inputs = (kept,) + tuple(picks)
     pseudo_union = scene.visibility_of(list(inputs))
     loss_mask = state.combined_mask & pseudo_union
-    gt = _selected_gt(state, scene, frame, kernel_sigma_cells, loss_mask)
+    # the loss mask lies inside the selected union, so every cell it keeps
+    # holds the prediction's bits
+    gt = oracle_predict(frame, state.combined_mask, scene, kernel_sigma_cells)
+    gt = DensityMap(values=np.where(loss_mask, gt.values, 0.0))
     return PseudoPair(input_view_ids=inputs, gt_density=gt,
                       loss_mask=loss_mask, stage=STAGE_MODELTRAIN)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crowd import DensityMap
-from .geometry import (CameraPose, GroundGrid, Scene, axis_pair_geometry,
+from .geometry import (CameraPose, Scene, axis_pair_geometry,
                        ground_axis_or_none, require_finite)
 
 DEFAULT_LAMBDA = 0.1
@@ -37,13 +37,6 @@ class ScoreBreakdown:
     s_vd: float
     total: float
     variant: str  # the strategy scored: "geometric" | "mask" | "density"
-
-
-def score_scene_coverage(visible: np.ndarray, grid: GroundGrid) -> float:
-    """Visible-cell fraction of the full scene area."""
-    if visible.shape != grid.shape:
-        raise ValueError("visible mask does not match grid")
-    return float(visible.sum()) / grid.n_cells
 
 
 def inverse_distance_field(group: list[CameraPose], scene: Scene,

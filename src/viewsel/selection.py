@@ -16,7 +16,8 @@ from .predictor import (PredictorConfig, calibrate, noisy_draw,
                         noisy_predict, oracle_predict, training_mae)
 from .scoring import (ALL_TERMS, DEFAULT_EPSILON, DEFAULT_LAMBDA,
                       ScoreBreakdown, score_round)
-from .serialize import require_kind, require_object
+from .serialize import (require_int, require_kind, require_object,
+                        require_real)
 
 STRATEGIES = ("geometric", "mask", "density", "random")
 PSEUDO_STAGES = ("none", "viewsel", "modeltrain", "both")
@@ -38,17 +39,22 @@ class SelectionConfig:
     pseudo_credit: float = 0.25
 
     def __post_init__(self):
+        for name in ("k_max", "n_frames", "seed", "epochs"):
+            require_int(getattr(self, name), name)
+        reals = ["tau", "lam", "epsilon", "pseudo_credit"]
+        if not isinstance(self.sigma_mode, str):
+            reals.append("sigma_mode")
+        for name in reals:
+            require_real(getattr(self, name), name)
         if self.k_max < 1 or self.n_frames < 1:
             raise ValueError("k_max and n_frames must be >= 1")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, not {self.seed}")
-        numbers = [self.tau, self.lam, self.epsilon, self.pseudo_credit]
-        if not isinstance(self.sigma_mode, str):
-            numbers.append(self.sigma_mode)
-        require_finite(numbers, "tau, lam, epsilon, pseudo_credit and a "
-                       "numeric sigma_mode")
+        require_finite([getattr(self, name) for name in reals],
+                       "tau, lam, epsilon, pseudo_credit and a numeric "
+                       "sigma_mode")
         for name in ("lam", "epsilon"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, not "
@@ -260,12 +266,12 @@ def view_person_credit(scene: Scene, frames: list[CrowdFrame],
     return float(np.mean(fracs)) if fracs else 0.0
 
 
-def _camera_credit(scene: Scene, frames: list[CrowdFrame],
-                   camera_ids) -> dict[str, float]:
-    """view_person_credit of each camera, in the given order; fixed for a
-    run's frames."""
+def _camera_credit(scene: Scene, frames: list[CrowdFrame]
+                   ) -> dict[str, float]:
+    """view_person_credit of each camera of the scene, in roster order;
+    fixed for a run's frames."""
     return {cid: view_person_credit(scene, frames, cid)
-            for cid in camera_ids}
+            for cid in scene.camera_ids}
 
 
 def _epoch_credit(camera_credit: dict[str, float], f: int,
@@ -274,10 +280,11 @@ def _epoch_credit(camera_credit: dict[str, float], f: int,
     """Per-epoch calibration credit in effective view-frames over f frames:
     labeled views weighted by person coverage (camera_credit, from
     _camera_credit), plus fractional pseudo-label credit from the
-    unselected views the enabled pseudo stage mixes in."""
+    unselected views that stage ("viewsel" or "modeltrain") mixes in when
+    config.pseudo_stages enables it."""
     credit = f * sum(camera_credit[cid] for cid in selected)
     unselected = [cid for cid in camera_credit if cid not in selected]
-    if unselected and stage != "off":
+    if unselected and config.pseudo_stages in (stage, "both"):
         mean_unsel = float(np.mean([camera_credit[cid] for cid in unselected]))
         if stage == "viewsel":
             n_pseudo_views = 1.0  # selected group plus one unselected view
@@ -344,9 +351,7 @@ def run_avs(scene: Scene, trace: list[CrowdFrame], config: SelectionConfig,
     frames = [by_id[fid] for fid in frame_ids]
     first = select_first_view(scene, frames, draw, sigma)
     state = _initial_state(scene, first)
-    pseudo_viewsel = config.pseudo_stages in ("viewsel", "both")
-    pseudo_modeltrain = config.pseudo_stages in ("modeltrain", "both")
-    camera_credit = _camera_credit(scene, frames, scene.camera_ids)
+    camera_credit = _camera_credit(scene, frames)
 
     # the training GT counts change only when a view is added
     def covered_counts(mask):
@@ -360,7 +365,7 @@ def run_avs(scene: Scene, trace: list[CrowdFrame], config: SelectionConfig,
            and active_epochs < config.epochs):
         active_epochs += 1
         credit = _epoch_credit(camera_credit, f, state.selected, config,
-                               "viewsel" if pseudo_viewsel else "off")
+                               "viewsel")
         predictor = calibrate(predictor, credit)
         preds = [noisy_predict(frame, state.combined_mask, scene, predictor,
                                selected_ids=list(state.selected))
@@ -375,7 +380,7 @@ def run_avs(scene: Scene, trace: list[CrowdFrame], config: SelectionConfig,
     # with the training metric gating nothing, and the active pipeline then
     # ends with a full training pass on them
     credit = _epoch_credit(camera_credit, f, state.selected, config,
-                           "modeltrain" if pseudo_modeltrain else "off")
+                           "modeltrain")
     predictor = calibrate(predictor, credit, 2 * config.epochs - active_epochs)
     return state, LabeledDataset(tuple(frame_ids), state.selected), predictor
 
@@ -387,12 +392,9 @@ def train_after_selection(scene: Scene, frames: list[CrowdFrame],
     """Simulated post-selection training for the independent and random
     pipelines: repeated calibration on the labeled budget, with pseudo-label
     credit when the modeltrain stage is enabled."""
-    pseudo = config.pseudo_stages in ("modeltrain", "both")
-    # without pseudo-labels only the labeled cameras earn credit
-    camera_credit = _camera_credit(
-        scene, frames, scene.camera_ids if pseudo else state.selected)
+    camera_credit = _camera_credit(scene, frames)
     credit = _epoch_credit(camera_credit, len(frames), state.selected,
-                           config, "modeltrain" if pseudo else "off")
+                           config, "modeltrain")
     return calibrate(predictor, credit, config.epochs)
 
 

@@ -16,8 +16,7 @@ from viewsel import (DensityMap, GroundGrid, PredictorConfig,
                      SelectionConfig, brute_force_best, cover_rate,
                      generate_crowd_trace, make_modeltrain_pair,
                      make_viewsel_pair, match_points, localization_metrics,
-                     random_select, run_avs, run_ivs, score_round,
-                     score_scene_coverage)
+                     random_select, run_avs, run_ivs, score_round)
 from viewsel.cli import main as cli_main
 from viewsel.selection import add_view, train_after_selection
 from viewsel.evaluate import evaluate
@@ -238,15 +237,16 @@ def test_criterion_6_monotonicity_suites():
     rng = np.random.default_rng(606)
     violations = 0
 
-    # suite A: S_sc nondecreasing under view addition
+    # suite A: S_sc nondecreasing under view addition, as score_round
+    # scores it for the last view added
     for _ in range(1000):
         scene = random_small_scene(rng, n_cameras=5)
         ids = list(scene.camera_ids)
         rng.shuffle(ids)
         prev = -1.0
         for k in range(1, 6):
-            cur = score_scene_coverage(scene.visibility_of(ids[:k]),
-                                       scene.grid)
+            cams = [scene.camera(cid) for cid in ids[:k]]
+            cur = score_round(cams[:-1], cams[-1:], scene, "geometric")[0].s_sc
             if cur < prev:
                 violations += 1
                 break

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from viewsel import (CalibrationState, CameraPose, DegenerateAxisError,
-                     GroundGrid, PredictorConfig, Scene, combined_visibility,
-                     ground_axis_and_position, project_footprint)
-from viewsel.geometry import GridMismatchError
+from viewsel import (CalibrationState, CameraPose, GroundGrid,
+                     PredictorConfig, Scene, project_footprint)
+from viewsel.geometry import ground_axis_or_none
 
 from reference import ref_frame_axes, ref_world_to_cell
 
@@ -172,14 +171,15 @@ def test_ground_axis_points_along_yaw():
     cam = CameraPose(id="c", position_3d=(1.0, 2.0, 5.0), yaw=0.7,
                      pitch=-0.5, horizontal_fov_rad=1.0,
                      vertical_fov_rad=1.0, max_range_m=10.0)
-    axis, pos = ground_axis_and_position(cam)
+    axis, pos = ground_axis_or_none(cam)
     assert np.allclose(axis, [math.cos(0.7), math.sin(0.7)])
     assert np.allclose(pos, [1.0, 2.0])
 
 
 def test_ground_axis_degenerate_for_nadir(nadir_camera):
-    with pytest.raises(DegenerateAxisError):
-        ground_axis_and_position(nadir_camera)
+    axis, pos = ground_axis_or_none(nadir_camera)
+    assert axis is None
+    assert pos.tolist() == list(nadir_camera.ground_position)
 
 
 def test_camera_validation():
@@ -231,7 +231,7 @@ def test_non_finite_parameters_rejected(field, bad):
         NON_FINITE_FIELDS[field](bad)
 
 
-def test_combined_visibility_is_union(demo_scene):
+def test_visibility_of_is_union(demo_scene):
     ids = demo_scene.camera_ids[:3]
     union = demo_scene.visibility_of(ids)
     manual = np.zeros(demo_scene.grid.shape, dtype=bool)
@@ -240,11 +240,10 @@ def test_combined_visibility_is_union(demo_scene):
     assert (union == manual).all()
 
 
-def test_combined_visibility_empty_and_mismatch(small_grid, demo_scene):
-    assert not combined_visibility([], small_grid).any()
-    other = GroundGrid(height_cells=10, width_cells=10)
-    with pytest.raises(GridMismatchError):
-        combined_visibility(demo_scene.footprints, other)
+def test_visibility_of_no_cameras_is_all_false(demo_scene):
+    union = demo_scene.visibility_of([])
+    assert union.shape == demo_scene.grid.shape and union.dtype == bool
+    assert not union.any()
 
 
 def test_scene_rejects_duplicate_ids(small_grid, nadir_camera):

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from viewsel import (CalibrationState, CrowdFrame, DensityMap,
                      PredictorConfig, accumulate_density, binarize_density,
                      calibrate, cover_rate, kernel_table, noisy_predict,
-                     rasterize_density, score_scene_coverage,
-                     score_view_diversity, visible_persons)
+                     rasterize_density, score_round, score_view_diversity,
+                     visible_persons)
 from viewsel.geometry import FovFootprint, GroundGrid, Scene
 from viewsel.selection import view_person_credit
 from viewsel.synth import generate_scene
@@ -37,14 +37,6 @@ def mask_pairs(draw):
     return grid, a, b
 
 
-@given(mask_pairs())
-@settings(max_examples=150, deadline=None)
-def test_scene_coverage_monotone_under_union(data):
-    grid, a, b = data
-    assert score_scene_coverage(a | b, grid) >= score_scene_coverage(a, grid)
-    assert score_scene_coverage(a | b, grid) <= 1.0
-
-
 @given(mask_pairs(), st.integers(0, 2 ** 31 - 1))
 @settings(max_examples=150, deadline=None)
 def test_cover_rate_monotone_under_union(data, seed):
@@ -66,8 +58,10 @@ def test_scene_coverage_monotone_under_view_addition(seed):
     rng.shuffle(ids)
     prev = 0.0
     for k in range(1, len(ids) + 1):
-        cur = score_scene_coverage(scene.visibility_of(ids[:k]), scene.grid)
-        assert cur >= prev
+        # the S_sc that a greedy round scores for ids[k - 1] after ids[:k - 1]
+        cams = [scene.camera(cid) for cid in ids[:k]]
+        cur = score_round(cams[:-1], cams[-1:], scene, "geometric")[0].s_sc
+        assert prev <= cur <= 1.0
         prev = cur
 
 

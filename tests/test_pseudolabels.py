@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from viewsel import (PredictorConfig, SelectionConfig, generate_crowd_trace,
-                     make_modeltrain_pair, make_viewsel_pair, random_select)
+from viewsel import (GroundGrid, PredictorConfig, SelectionConfig,
+                     generate_crowd_trace, make_modeltrain_pair,
+                     make_viewsel_pair, random_select, rasterize_density,
+                     visible_persons)
 from viewsel.pseudolabels import STAGE_MODELTRAIN, STAGE_VIEWSEL, PseudoPair
 from viewsel.crowd import DensityMap
+from viewsel.synth import generate_scene
 
 
 @pytest.fixture
@@ -64,3 +67,29 @@ def test_pair_determinism(setup):
                              np.random.default_rng(9))
     assert a.input_view_ids == b.input_view_ids
     assert (a.gt_density.values == b.gt_density.values).all()
+
+
+@pytest.mark.parametrize("sigma", [1.0, 0.7])
+def test_pair_gt_is_the_selected_density_under_the_loss_mask(sigma):
+    # on the scenes of acceptance criterion 7, each pair's GT (the oracle
+    # prediction under the selected group) equals, bit for bit, the density
+    # of the selected group's visible people rasterized under the loss mask
+    rng = np.random.default_rng(707)
+    trimmed = 0
+    for i in range(10):
+        grid = GroundGrid(height_cells=30, width_cells=30, cell_size_m=0.5)
+        scene = generate_scene(8, grid, seed=50 + i)
+        trace = generate_crowd_trace(grid, 5, (15, 30), 0.7, seed=80 + i)
+        state = random_select(scene, 3, seed=i)
+        for frame in trace:
+            seen = visible_persons(frame, state.combined_mask, grid)
+            for pair in (make_viewsel_pair(state, scene, frame, rng, sigma),
+                         make_modeltrain_pair(state, scene, frame, rng,
+                                              sigma)):
+                expected = rasterize_density(seen, grid, sigma,
+                                             mask=pair.loss_mask)
+                assert np.array_equal(pair.gt_density.values,
+                                      expected.values)
+                trimmed += (pair.loss_mask != state.combined_mask).any()
+    # some modeltrain loss masks are strictly inside the selected union
+    assert trimmed

@@ -6,7 +6,7 @@ import pytest
 
 from viewsel import (CameraPose, DensityMap, GroundGrid, Scene,
                      binarize_density, inverse_distance_field, score_round,
-                     score_scene_coverage, score_view_diversity)
+                     score_view_diversity)
 
 from conftest import random_small_scene
 from reference import (ref_full_grid_field, ref_score_density,
@@ -82,12 +82,6 @@ def test_density_reduces_to_mask_on_unit_density():
         den = score_round(cams[:-1], cams[-1:], scene, "density", pred, 0.5,
                           LAM, EPS)[0]
         assert den.total == pytest.approx(msk.total, rel=1e-12, abs=1e-15)
-
-
-def test_scene_coverage_counts_cells(small_grid):
-    vis = np.zeros(small_grid.shape, dtype=bool)
-    vis[:10, :] = True
-    assert score_scene_coverage(vis, small_grid) == 0.25
 
 
 def test_inverse_distance_single_camera(small_grid):

@@ -13,12 +13,11 @@ from viewsel import (CalibrationState, CameraPose, GroundGrid,
 from viewsel import crowd as crowd_module
 from viewsel import geometry as geometry_module
 from viewsel import predictor as predictor_module
-from viewsel import pseudolabels as pseudolabels_module
 from viewsel import scoring as scoring_module
 from viewsel import selection as selection_module
 from viewsel.evaluate import evaluate
 from viewsel.selection import (STRATEGIES, _initial_state, _score_fn,
-                               train_after_selection)
+                               train_after_selection, view_person_credit)
 from viewsel.synth import generate_scene
 
 from conftest import random_small_scene
@@ -240,12 +239,19 @@ def test_simulated_training_call_counts(demo_scene, monkeypatch):
     assert sorted(credit) == sorted(demo_scene.camera_ids)
     assert predicted == [[], []]
 
-    # without pseudo-labels only the labeled cameras' credit is read
+    # without pseudo-labels the credit is the labeled cameras' alone: epochs
+    # successive additions of f times their summed credit, in selected order
     credit.clear()
-    train_after_selection(demo_scene, trace[:4], state,
-                          replace(cfg, pseudo_stages="none"), pred)
-    assert credit == list(state.selected)
+    trained = train_after_selection(demo_scene, trace[:4], state,
+                                    replace(cfg, pseudo_stages="none"), pred)
+    assert sorted(credit) == sorted(demo_scene.camera_ids)
     assert predicted == [[], []]
+    per_epoch = 4 * sum(view_person_credit(demo_scene, trace[:4], cid)
+                        for cid in state.selected)
+    labeled = pred.calibration.labeled_view_frames
+    for _ in range(cfg.epochs):
+        labeled += per_epoch
+    assert trained.calibration.labeled_view_frames == labeled
 
 
 def test_add_view_tie_goes_to_lowest_id():
@@ -296,7 +302,7 @@ def test_run_ivs_computes_each_camera_constant_once(demo_scene, monkeypatch):
 
 def test_run_ivs_computes_each_camera_axis_once(demo_scene, monkeypatch):
     axes = _count_calls(monkeypatch, geometry_module,
-                        "ground_axis_and_position", key=lambda cam: cam.id)
+                        "ground_axis_or_none", key=lambda cam: cam.id)
     cfg = SelectionConfig(k_max=5, n_frames=4, strategy="geometric")
     for seed in (0, 1):
         state, _ = run_ivs(demo_scene, _trace(demo_scene, seed=seed), cfg)
@@ -487,8 +493,7 @@ def test_criterion_4_traffic_rasterizes_each_frame_unmasked_once(
     unmasked = [_count_calls(monkeypatch, module, "rasterize_density",
                              key=lambda frame, grid, sigma, mask=None:
                              frame.frame_id if mask is None else None)
-                for module in (crowd_module, predictor_module,
-                               pseudolabels_module)]
+                for module in (crowd_module, predictor_module)]
     grid = GroundGrid(height_cells=80, width_cells=80, cell_size_m=0.5)
     scene = generate_scene(12, grid, seed=1000, range_frac=(0.5, 0.8))
     trace = generate_crowd_trace(grid, n_frames=10, count_range=(80, 140),
@@ -527,6 +532,7 @@ def test_criterion_4_traffic_rasterizes_each_frame_unmasked_once(
     ("sigma_mode", float("inf")), ("seed", -1),
     ("lam", 0.0), ("lam", -0.1), ("epsilon", 0.0), ("epsilon", -1.0),
     ("pseudo_credit", -5.0), ("sigma_mode", "median"),
+    ("sigma_mode", True), ("lam", "0.1"),
 ])
 def test_selection_config_rejects_bad_numbers(field, value):
     with pytest.raises(ValueError, match=field):

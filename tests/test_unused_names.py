@@ -11,7 +11,9 @@ cli.py imports none of the pipelines it dispatches to. And scipy is loaded
 only by a localization match: only metrics.py imports it, inside a
 function, so no module imports it when the module itself is imported.
 And one module knows each strategy's scored region and weight: only
-scoring.py calls `binarize_density`."""
+scoring.py calls `binarize_density`. And a density is rasterized by the
+crowd layer and the predictor alone, so pseudo-label GT is the oracle
+prediction: only crowd.py and predictor.py call `rasterize_density`."""
 
 import ast
 from pathlib import Path
@@ -185,3 +187,7 @@ def test_only_metrics_imports_scipy_and_only_on_first_match():
 
 def test_only_scoring_binarizes_a_prediction():
     assert callers(PACKAGE, "binarize_density") == ["scoring"]
+
+
+def test_only_crowd_and_predictor_rasterize_a_density():
+    assert callers(PACKAGE, "rasterize_density") == ["crowd", "predictor"]
