@@ -62,24 +62,43 @@ def require_match_threshold(threshold_m: float) -> None:
                          f"{threshold_m!r}")
 
 
+def _points(points, name: str) -> np.ndarray:
+    """points as a (k, 2) float array; no point at all may come in any
+    shape (e.g. []). Any other shape, ragged rows included, raises
+    ValueError."""
+    try:
+        a = np.asarray(points, dtype=float)
+    except ValueError as e:
+        raise ValueError(f"{name} must be (k, 2) points: {e}") from None
+    if a.shape[:1] != (0,) and (a.ndim != 2 or a.shape[1] != 2):
+        raise ValueError(f"{name} must be (k, 2) points, got shape "
+                         f"{a.shape}")
+    return a
+
+
 def match_points(predicted, gt, threshold_m: float
                  ) -> tuple[list[tuple[int, int, float]], list[int], list[int]]:
     """One-to-one point matching of predicted and gt, each an (n, 2) array
     or a list of (x, y): maximize matches, then minimize total matched
-    distance; pairs farther than threshold_m never match.
+    distance; pairs farther than threshold_m never match, and neither do
+    points with a NaN or infinite coordinate. Any other shape than (k, 2)
+    raises ValueError.
 
-    Returns (matches as (pred_idx, gt_idx, distance), fp indices, fn indices).
+    A star of the graph of within-threshold pairs, one point and partners
+    that touch nothing else (one pair is the smallest), matches the point
+    to its nearest partner, ties by partner index; the pairs of all other
+    components are solved together, exactly, by _assign. Between
+    equal-cost optima the choice is the solver's own.
+
+    Returns (matches as (pred_idx, gt_idx, distance) by pred_idx, fp
+    indices, fn indices).
     """
     require_match_threshold(threshold_m)
-    n, m = len(predicted), len(gt)
+    p = _points(predicted, "predicted")
+    q = _points(gt, "gt")
+    n, m = len(p), len(q)
     if n == 0 or m == 0:
         return [], list(range(n)), list(range(m))
-    p = np.asarray(predicted, dtype=float)
-    q = np.asarray(gt, dtype=float)
-    # infeasible cost dominates any sum of feasible distances, so the
-    # assignment first maximizes the number of within-threshold matches
-    big = threshold_m * (n + m + 1.0)
-    cost = np.full((n, m), big)
     # candidate pairs: each prediction with the gt points whose x lies
     # within reach of its own, a range of the x-sorted gt points. A pair
     # outside has |dx| > reach, and reach = 2 * threshold_m (at least
@@ -99,21 +118,109 @@ def match_points(predicted, gt, threshold_m: float
     d = p.take(rows, axis=0) - q.take(cols, axis=0)
     d *= d
     dist = np.sqrt(d[:, 0] + d[:, 1])
-    cost[rows, cols] = np.where(dist <= threshold_m, dist, big)
-    # scipy is imported here, on the first match, so that a run that only
-    # selects views never loads it
-    from scipy.optimize import linear_sum_assignment
-    rows, cols = linear_sum_assignment(cost)
-    d = cost[rows, cols]
-    ok = d <= threshold_m
-    rows, cols = rows[ok], cols[ok]
-    matches = list(zip(rows.tolist(), cols.tolist(), d[ok].tolist()))
+    ok = dist <= threshold_m
+    rows, cols, dist = rows[ok], cols[ok], dist[ok]
+    # a pair lies in a star around its prediction when none of that
+    # prediction's partners has another partner, and around its gt point
+    # likewise; one pair alone is both
+    deg_p = np.bincount(rows, minlength=n)
+    deg_g = np.bincount(cols, minlength=m)
+    p_star = np.bincount(rows[deg_g[cols] > 1], minlength=n)[rows] == 0
+    g_star = np.bincount(cols[deg_p[rows] > 1], minlength=m)[cols] == 0
+    in_star = p_star | g_star
+    star = in_star.nonzero()[0]
+    centre = np.where(p_star, rows, n + cols)[star]
+    partner = np.where(p_star, cols, rows)[star]
+    # the nearest partner of each centre: the first of its pairs by
+    # distance
+    order = np.lexsort((partner, dist[star], centre))
+    star, centre = star[order], centre[order]
+    first = np.ones(len(star), dtype=bool)
+    first[1:] = centre[1:] != centre[:-1]
+    chosen = star[first]
+    rest = (~in_star).nonzero()[0]
+    if len(rest):
+        chosen = np.concatenate((chosen, rest[_match_dense(
+            rows[rest], cols[rest], dist[rest], threshold_m)]))
+    chosen = chosen[rows[chosen].argsort()]
+    rows, cols = rows[chosen], cols[chosen]
+    matches = list(zip(rows.tolist(), cols.tolist(), dist[chosen].tolist()))
     unmatched_p = np.ones(n, dtype=bool)
     unmatched_p[rows] = False
     unmatched_g = np.ones(m, dtype=bool)
     unmatched_g[cols] = False
     return (matches, unmatched_p.nonzero()[0].tolist(),
             unmatched_g.nonzero()[0].tolist())
+
+
+def _match_dense(rows: np.ndarray, cols: np.ndarray, dist: np.ndarray,
+                 threshold_m: float) -> np.ndarray:
+    """Indices k of the optimal pairs among the within-threshold pairs
+    (rows[k], cols[k]) at dist[k], solved by _assign on the dense matrix of
+    the points that they touch."""
+    r_ids, r = np.unique(rows, return_inverse=True)
+    c_ids, c = np.unique(cols, return_inverse=True)
+    # an infeasible pair costs more than any sum of feasible distances, so
+    # the assignment first maximizes the number of within-threshold matches
+    cost = np.full((len(r_ids), len(c_ids)),
+                   threshold_m * (len(r_ids) + len(c_ids) + 1.0))
+    cost[r, c] = dist
+    slot = np.full(cost.shape, -1)
+    slot[r, c] = np.arange(len(rows))
+    if cost.shape[0] > cost.shape[1]:
+        cost, slot = cost.T, slot.T
+    picked = slot[np.arange(len(cost)), _assign(cost)]
+    return picked[picked >= 0]
+
+
+def _assign(cost: np.ndarray) -> np.ndarray:
+    """Column of each row in a minimum-cost assignment of every row of a
+    finite cost matrix with no more rows than columns: the shortest
+    augmenting path method (Crouse, "On implementing 2D rectangular
+    assignment algorithms", IEEE TAES 2016), one augmentation per row
+    that its cheapest column does not already settle."""
+    nr, nc = cost.shape
+    # start from row reduction: each row takes its cheapest column unless
+    # an earlier row took it, at zero reduced cost
+    u = cost.min(axis=1)
+    v = np.zeros(nc)
+    col4row = np.full(nr, -1)
+    row4col = np.full(nc, -1)
+    taken, first = np.unique(cost.argmin(axis=1), return_index=True)
+    col4row[first] = taken
+    row4col[taken] = first
+    for start in (col4row < 0).nonzero()[0].tolist():
+        # Dijkstra over the columns on the reduced costs, from row start
+        # to the nearest unassigned column
+        short = np.full(nc, np.inf)
+        path = np.full(nc, -1)
+        scanned = np.zeros(nc, dtype=bool)
+        i, base = start, 0.0
+        while True:
+            reduced = base + cost[i] - u[i] - v
+            better = ~scanned & (reduced < short)
+            short[better] = reduced[better]
+            path[better] = i
+            j = int(np.where(scanned, np.inf, short).argmin())
+            base = short[j]
+            scanned[j] = True
+            if row4col[j] < 0:
+                break
+            i = row4col[j]
+        # dual update keeps every reduced cost non-negative and the
+        # assigned pairs' zero
+        u[start] += base
+        inner = scanned & (row4col >= 0)
+        u[row4col[inner]] += base - short[inner]
+        v[scanned] -= base - short[scanned]
+        # augment along the path back to row start
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == start:
+                break
+    return col4row
 
 
 def localization_metrics(matches: list[tuple[int, int, float]], fp: int,

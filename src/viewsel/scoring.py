@@ -15,14 +15,12 @@ distance field:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .crowd import DensityMap
-from .geometry import (CameraPose, Scene, axis_pair_geometry,
-                       ground_axis_or_none, require_finite)
+from .geometry import CameraPose, Scene, require_finite
 
 DEFAULT_LAMBDA = 0.1
 DEFAULT_EPSILON = 1e-10
@@ -86,20 +84,6 @@ def _diversity(pair_terms, lam: float, eps: float) -> float:
     for term in pair_terms:
         acc += term
     return float(np.exp(-lam * acc))
-
-
-def score_view_diversity(selected: list[CameraPose], lam: float = DEFAULT_LAMBDA,
-                         eps: float = DEFAULT_EPSILON) -> float:
-    """exp(-lam * sum over pairs of axis-dot / (camera distance + eps)).
-
-    Straight-down cameras have no ground axis; any pair involving one
-    contributes a zero dot product.
-    """
-    if not selected:
-        raise ValueError("selected must be nonempty")
-    axes = [ground_axis_or_none(cam) for cam in selected]
-    return _diversity((_pair_term(axis_pair_geometry(a, b), eps)
-                       for a, b in itertools.combinations(axes, 2)), lam, eps)
 
 
 def score_round(group: list[CameraPose], candidates: list[CameraPose],

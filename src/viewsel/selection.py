@@ -1,16 +1,14 @@
 """View selection strategies: frame selection, greedy view addition, the
-independent and active pipelines, random baselines, and a brute-force oracle.
+independent and active pipelines, and random baselines.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .crowd import (CrowdFrame, DensityMap, accumulate_density, cover_rate,
-                    kernel_table)
+from .crowd import CrowdFrame, DensityMap, accumulate_density, kernel_table
 from .geometry import Scene, require_finite
 from .predictor import (PredictorConfig, calibrate, noisy_draw,
                         noisy_predict, oracle_predict, training_mae)
@@ -429,21 +427,3 @@ def run_selection(scene: Scene, trace: list[CrowdFrame],
         return state, predictor
     return state, train_after_selection(scene, frames, state, config,
                                         predictor)
-
-
-def brute_force_best(scene: Scene, trace: list[CrowdFrame], k: int,
-                     budget: int = 50_000) -> tuple[tuple[str, ...], float]:
-    """Exhaustive maximization of the cover rate over all k-subsets (ties
-    by lexicographic id)."""
-    n = len(scene.cameras)
-    n_subsets = 1
-    for i in range(k):
-        n_subsets = n_subsets * (n - i) // (i + 1)
-    if n_subsets > budget:
-        raise ValueError(f"{n_subsets} subsets exceed budget {budget}")
-    best_set, best_val = None, -np.inf
-    for subset in itertools.combinations(sorted(scene.camera_ids), k):
-        val = cover_rate(trace, scene.visibility_of(list(subset)), scene.grid)
-        if val > best_val:
-            best_set, best_val = subset, val
-    return best_set, float(best_val)

@@ -2,15 +2,18 @@
 
 These deliberately share no code with the library: plain per-cell loops and
 direct transcriptions of the score definitions, so agreement is meaningful.
+The exception is brute_force_best, criterion 3's exhaustive search over
+camera subsets, which scores each subset with the library's cover_rate.
 """
 
 import csv
+import itertools
 import math
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from viewsel import CrowdFrame, Person
+from viewsel import CrowdFrame, Person, cover_rate
 
 
 def ref_inverse_distance(cams, masks, grid):
@@ -54,6 +57,10 @@ def ref_full_grid_field(cams, footprints, grid, weight=None):
 
 
 def ref_diversity(cams, lam, eps):
+    """S_vd as a plain loop over the i < j pairs, each camera's ground axis
+    from its yaw and pitch. The dot product, ground distance and
+    exponential are numpy's (`@`, np.linalg.norm, np.exp), the arithmetic
+    of the library, so a score's S_vd can be compared bit for bit."""
     acc = 0.0
     for a in range(len(cams)):
         for b in range(a + 1, len(cams)):
@@ -62,10 +69,10 @@ def ref_diversity(cams, lam, eps):
             fb = _ground_axis(cb)
             if fa is None or fb is None:
                 continue
-            dist = math.hypot(ca.ground_position[0] - cb.ground_position[0],
-                              ca.ground_position[1] - cb.ground_position[1])
-            acc += (fa[0] * fb[0] + fa[1] * fb[1]) / (dist + eps)
-    return math.exp(-lam * acc)
+            dist = np.linalg.norm(np.subtract(ca.ground_position,
+                                              cb.ground_position))
+            acc += float(np.array(fa) @ np.array(fb)) / (float(dist) + eps)
+    return float(np.exp(-lam * acc))
 
 
 def _ground_axis(cam):
@@ -117,7 +124,6 @@ def ref_score_density(cams, scene, prediction, sigma_mode, lam, eps):
 def ref_match_points(predicted, gt, threshold):
     """Exhaustive best assignment: maximize matches, then minimize total
     distance. Exponential in the smaller side; only for tiny instances."""
-    import itertools
     n, m = len(predicted), len(gt)
     dist = [[math.hypot(p[0] - g[0], p[1] - g[1]) for g in gt]
             for p in predicted]
@@ -153,6 +159,26 @@ def ref_match_points_linalg(predicted, gt, threshold_m):
     fp = [i for i in range(n) if i not in matched_p]
     fn = [j for j in range(m) if j not in matched_g]
     return matches, fp, fn
+
+
+def ref_optimal_matchings(predicted, gt, threshold_m):
+    """Every optimal matching of match_points, each as its (pred, gt)
+    pairs by prediction index, by exhaustive search over the distances of
+    ref_match_points_linalg: the most within-threshold pairs, then the
+    least math.fsum of their distances. Exponential; tiny instances only."""
+    n, m = len(predicted), len(gt)
+    p = np.asarray(predicted, dtype=float).reshape(n, 2)
+    q = np.asarray(gt, dtype=float).reshape(m, 2)
+    dist = np.linalg.norm(p[:, None, :] - q[None, :, :], axis=2)
+    for k in range(min(n, m), -1, -1):
+        found = {}
+        for ps in itertools.combinations(range(n), k):
+            for gs in itertools.permutations(range(m), k):
+                if all(dist[i, j] <= threshold_m for i, j in zip(ps, gs)):
+                    total = math.fsum(dist[i, j] for i, j in zip(ps, gs))
+                    found.setdefault(total, []).append(list(zip(ps, gs)))
+        if found:
+            return found[min(found)]
 
 
 def ref_extract_peaks(density, grid, min_value, nms_radius_cells):
@@ -332,3 +358,20 @@ def ref_select_frames(scene, trace, predict, f):
         chosen.append(min(rest, key=lambda fid: max(
             cosine(feats[fid], feats[c]) for c in chosen)))
     return chosen
+
+
+def brute_force_best(scene, trace, k, budget=50_000):
+    """Exhaustive maximization of the cover rate over all k-subsets (ties
+    by lexicographic id)."""
+    n = len(scene.cameras)
+    n_subsets = 1
+    for i in range(k):
+        n_subsets = n_subsets * (n - i) // (i + 1)
+    if n_subsets > budget:
+        raise ValueError(f"{n_subsets} subsets exceed budget {budget}")
+    best_set, best_val = None, -np.inf
+    for subset in itertools.combinations(sorted(scene.camera_ids), k):
+        val = cover_rate(trace, scene.visibility_of(list(subset)), scene.grid)
+        if val > best_val:
+            best_set, best_val = subset, val
+    return best_set, float(best_val)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from viewsel import (DensityMap, GroundGrid, PredictorConfig,
-                     SelectionConfig, brute_force_best, cover_rate,
+                     SelectionConfig, cover_rate,
                      generate_crowd_trace, make_modeltrain_pair,
                      make_viewsel_pair, match_points, localization_metrics,
                      random_select, run_avs, run_ivs, score_round)
@@ -24,8 +24,8 @@ from viewsel.synth import generate_scene
 
 import conftest
 from conftest import random_small_scene
-from reference import (ref_match_points, ref_score_density,
-                       ref_score_geometric, ref_score_mask)
+from reference import (brute_force_best, ref_match_points,
+                       ref_score_density, ref_score_geometric, ref_score_mask)
 
 LAM, EPS = 0.1, 1e-10
 

@@ -747,10 +747,10 @@ print(len(state.selected), "scipy" in sys.modules)
     assert _fresh_python(code, tmp_path) == ["False", "3 False"]
 
 
-def test_only_a_localization_match_loads_scipy(tmp_path, monkeypatch):
-    # the commands one after another in one fresh interpreter: scene-gen,
-    # validate and select never load scipy; eval loads it on its first
-    # match and writes the bytes of an eval run with scipy loaded already
+def test_no_command_and_no_evaluate_loads_scipy(tmp_path, monkeypatch):
+    # the commands one after another in one fresh interpreter, then the
+    # library's evaluate: none of them loads scipy. The eval run writes the
+    # bytes of an eval run in a process with scipy loaded already
     files = ["--scene", "scene/scene.json", "--trace", "scene/trace.csv"]
     commands = [
         ["scene-gen", "--cameras", "6", "--grid", "40x40", "--seed", "3",
@@ -767,11 +767,19 @@ import sys
 from viewsel.cli import main
 for argv in {commands!r}:
     print("@", argv[0], main(argv), "scipy" in sys.modules)
+from viewsel import (GroundGrid, PredictorConfig, evaluate,
+                     generate_crowd_trace, generate_scene, random_select)
+grid = GroundGrid(height_cells=30, width_cells=30, cell_size_m=0.5)
+scene = generate_scene(5, grid, seed=1)
+trace = generate_crowd_trace(grid, 3, (20, 40), 0.7, seed=4)
+report = evaluate(scene, trace, random_select(scene, 3, seed=1),
+                  PredictorConfig(miss_rate=0.3, seed=2))
+print("@ evaluate", report.localization.tp > 0, "scipy" in sys.modules)
 """
     lines = _fresh_python(code, tmp_path)
     assert [line for line in lines if line.startswith("@ ")] == [
         "@ scene-gen 0 False", "@ validate 0 False", "@ select 0 False",
-        "@ validate 0 False", "@ eval 0 True"]
+        "@ validate 0 False", "@ eval 0 False", "@ evaluate True False"]
     monkeypatch.chdir(tmp_path)
     importlib.import_module("scipy.optimize")
     assert run(*commands[-1][:-1], "warm.json") == EXIT_OK

@@ -8,7 +8,7 @@ from viewsel import (DensityMap, GroundGrid, counting_metrics, extract_peaks,
                      localization_metrics, match_points)
 
 from reference import (ref_extract_peaks, ref_match_points,
-                       ref_match_points_linalg)
+                       ref_match_points_linalg, ref_optimal_matchings)
 
 
 def test_counting_metrics_basic():
@@ -64,10 +64,74 @@ def test_match_points_respects_threshold():
 
 
 def test_match_points_empty_sides():
-    m, fp, fn = match_points([], [(1.0, 1.0)], 0.5)
-    assert m == [] and fp == [] and fn == [0]
-    m, fp, fn = match_points([(1.0, 1.0)], [], 0.5)
-    assert m == [] and fp == [0] and fn == []
+    # no point at all may come in any shape
+    for empty in ([], np.zeros((0, 2)), np.zeros((0, 3)), np.zeros(0)):
+        m, fp, fn = match_points(empty, [(1.0, 1.0)], 0.5)
+        assert m == [] and fp == [] and fn == [0]
+        m, fp, fn = match_points([(1.0, 1.0)], empty, 0.5)
+        assert m == [] and fp == [0] and fn == []
+
+
+def test_match_points_star_matches_the_nearest_partner():
+    # one prediction whose gt partners touch nothing else: the nearest
+    # wins, not the first in index or x order; an equally near partner
+    # loses to the lower index. Then the same star centred on a gt point
+    pred = [(0.0, 0.0), (9.0, 9.0)]
+    gt = [(-0.4, 0.0), (0.3, 0.0), (0.2, 0.0), (0.0, 0.2), (0.0, -0.45)]
+    assert match_points(pred, gt, 0.5) == ([(0, 2, 0.2)], [1], [0, 1, 3, 4])
+    assert match_points(gt, pred, 0.5) == ([(2, 0, 0.2)], [0, 1, 3, 4], [1])
+
+
+def test_match_points_solves_a_general_component_exactly():
+    # a path p0 - g0 - p1 - g1 at 0.4, 0.3, 0.4 with p0 - g1 at 1.1: the
+    # shortest pair, p1 - g0, is in no optimal matching; the optimum, p0 -
+    # g0 and p1 - g1, totals 0.8 against 1.4. A third point on each side
+    # joins the component, so no prediction and no gt point is a star
+    pred = [(0.0, 0.0), (0.7, 0.0), (3.0, 0.0)]
+    gt = [(0.4, 0.0), (1.1, 0.0), (2.0, 0.0)]
+    for p, g in ((pred, gt), (gt, pred)):
+        matches, fp, fn = match_points(p, g, 1.5)
+        assert [(i, j) for i, j, _ in matches] == [(0, 0), (1, 1), (2, 2)]
+        assert math.fsum(d for _, _, d in matches) \
+            == pytest.approx(0.8 + 1.0)
+        assert fp == [] and fn == []
+    # the same path with a gt point 1.0 from p0 in place of p2: the
+    # greedy p1 - g0 then p0 - g2 totals 1.3 against 0.8, with more gt
+    # points than predictions and then more predictions than gt
+    pred = [(0.0, 0.0), (0.7, 0.0)]
+    gt = [(0.4, 0.0), (1.1, 0.0), (-1.0, 0.0)]
+    for p, g in ((pred, gt), (gt, pred)):
+        matches, _, _ = match_points(p, g, 1.5)
+        assert [[(i, j) for i, j, _ in matches]] \
+            == ref_optimal_matchings(p, g, 1.5)
+        assert math.fsum(d for _, _, d in matches) == pytest.approx(0.8)
+
+
+def test_match_points_never_matches_non_finite_coordinates():
+    bad = [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0),
+           (-math.inf, 0.0), (math.inf, math.inf), (0.0, -math.inf)]
+    with np.errstate(invalid="ignore"):
+        for b in bad:
+            assert match_points([b], [(0.0, 0.0)], 0.5) == ([], [0], [0])
+            assert match_points([(0.0, 0.0)], [b], 0.5) == ([], [0], [0])
+            assert match_points([b], [b], 0.5) == ([], [0], [0])
+    for p, g in ((bad + [(1.0, 1.0)], bad + [(1.0, 1.2)]),
+                 ([(1.0, 1.0)] + bad, [(1.0, 1.2)] + bad)):
+        with np.errstate(invalid="ignore"):
+            matches, fp, fn = match_points(p, g, 0.5)
+        at = 6 if p[0] is bad[0] else 0
+        assert [(i, j) for i, j, _ in matches] == [(at, at)]
+        assert fp == fn == [k for k in range(7) if k != at]
+
+
+@pytest.mark.parametrize("bad", [
+    [(0.0,)], [(0.0, 0.0, 0.0)], [(0.0, 0.0), (1.0,)],
+    [(0.0, 0.0), (1.0, 1.0, 1.0)], [0.0, 1.0], [[]], [[(0.0, 0.0)]]])
+def test_match_points_rejects_points_that_are_not_k_by_2(bad):
+    for pred, gt in ((bad, [(0.0, 0.0)]), ([(0.0, 0.0)], bad),
+                     (bad, []), ([], bad)):
+        with pytest.raises(ValueError, match=r"\(k, 2\) points"):
+            match_points(pred, gt, 0.5)
 
 
 def test_match_points_equals_exhaustive_oracle():
@@ -202,34 +266,71 @@ def test_extract_peaks_equals_loop_reference(data, radius, min_value):
 
 
 @st.composite
-def point_sets(draw):
-    """Predictions and GT of up to 120 x 400 points: half on a 0.25 m
-    lattice (coincident points, pairs at exactly 0.5 m and 1.25 m), half
-    uniform, some predictions copied from GT."""
+def point_sets(draw, lattice: bool):
+    """Predictions and GT of up to 120 x 400 points, some predictions
+    copied from GT. Uniform sets (lattice False) copy each GT point at most
+    once and have no equal-cost ties. Lattice sets put half of the points
+    on a 0.25 m lattice (coincident points, pairs at exactly 0.5 m and
+    1.25 m), where equal-cost optima are common."""
     n = draw(st.integers(0, 120))
     m = draw(st.integers(0, 400))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     extent = draw(st.sampled_from([2.0, 6.0, 20.0]))
 
     def points(k):
-        lattice = rng.integers(0, int(extent * 4) + 1, size=(k, 2)) * 0.25
         uniform = rng.uniform(0.0, extent, size=(k, 2))
-        return np.where(rng.random((k, 1)) < 0.5, lattice, uniform)
+        if not lattice:
+            return uniform
+        on_lattice = rng.integers(0, int(extent * 4) + 1, size=(k, 2)) * 0.25
+        return np.where(rng.random((k, 1)) < 0.5, on_lattice, uniform)
 
     gt = points(m)
     pred = points(n)
     if n and m:
-        copied = rng.random(n) < 0.2
-        pred[copied] = gt[rng.integers(0, m, size=int(copied.sum()))]
+        copied = (rng.random(n) < 0.2).nonzero()[0][:m]
+        pred[copied] = gt[rng.choice(m, size=len(copied),
+                                     replace=lattice)]
     return [tuple(p) for p in pred.tolist()], [tuple(g) for g in gt.tolist()]
 
 
-@given(point_sets(), st.sampled_from([0.25, 0.5, 1.0, 1.25, 0.7]))
+def _assert_same_optimum(pred, gt, threshold):
+    """match_points against ref_match_points_linalg where the two may pick
+    different equal-cost optima: the same match, fp and fn counts, a
+    one-to-one matching by prediction index within threshold at the linalg
+    distances, and the same matched total up to summation rounding."""
+    got, fp, fn = match_points(pred, gt, threshold)
+    want, want_fp, want_fn = ref_match_points_linalg(pred, gt, threshold)
+    assert (len(got), len(fp), len(fn)) \
+        == (len(want), len(want_fp), len(want_fn))
+    got_p = [i for i, _, _ in got]
+    got_g = [j for _, j, _ in got]
+    assert got_p == sorted(set(got_p)) and len(set(got_g)) == len(got_g)
+    assert sorted(got_p + fp) == list(range(len(pred)))
+    assert sorted(got_g + fn) == list(range(len(gt)))
+    if got:
+        p = np.asarray(pred, dtype=float)
+        q = np.asarray(gt, dtype=float)
+        dist = np.linalg.norm(p[:, None, :] - q[None, :, :], axis=2)
+        assert all(d <= threshold and d == dist[i, j] for i, j, d in got)
+    assert math.isclose(math.fsum(d for _, _, d in got),
+                        math.fsum(d for _, _, d in want),
+                        rel_tol=1e-12, abs_tol=1e-12 * threshold)
+
+
+@given(point_sets(lattice=False), st.sampled_from([0.25, 0.5, 1.0, 1.25,
+                                                   0.7]))
 @settings(max_examples=60, deadline=None)
 def test_match_points_equals_linalg_reference(data, threshold):
     pred, gt = data
     assert match_points(pred, gt, threshold) \
         == ref_match_points_linalg(pred, gt, threshold)
+
+
+@given(point_sets(lattice=True), st.sampled_from([0.25, 0.5, 1.0, 1.25,
+                                                  0.7]))
+@settings(max_examples=60, deadline=None)
+def test_match_points_on_a_lattice_finds_a_linalg_optimum(data, threshold):
+    _assert_same_optimum(*data, threshold)
 
 
 def _window_edge_cases():
@@ -278,8 +379,16 @@ def _window_edge_cases():
 def test_match_points_window_edges_equal_linalg_reference(pred, gt,
                                                           threshold):
     # each case also in reverse, so the window runs over either side;
-    # inf - inf warns, and the NaN distance it gives never matches
+    # inf - inf warns, and the NaN distance it gives never matches. Where
+    # the optimum is unique the match list is the linalg reference's;
+    # where equal-cost optima tie (pairs at exactly the threshold, squares
+    # that underflow to 0), it is one of them
     for p, g in ((pred, gt), (gt, pred)):
         with np.errstate(invalid="ignore"):
-            assert match_points(p, g, threshold) \
-                == ref_match_points_linalg(p, g, threshold)
+            optima = ref_optimal_matchings(p, g, threshold)
+            got = match_points(p, g, threshold)
+            assert [(i, j) for i, j, _ in got[0]] in optima
+            if len(optima) == 1:
+                assert got == ref_match_points_linalg(p, g, threshold)
+            else:
+                _assert_same_optimum(p, g, threshold)

@@ -9,8 +9,7 @@ from hypothesis import given, settings, strategies as st
 from viewsel import (CalibrationState, CrowdFrame, DensityMap,
                      PredictorConfig, accumulate_density, binarize_density,
                      calibrate, cover_rate, kernel_table, noisy_predict,
-                     rasterize_density, score_round, score_view_diversity,
-                     visible_persons)
+                     rasterize_density, score_round, visible_persons)
 from viewsel.geometry import FovFootprint, GroundGrid, Scene
 from viewsel.selection import view_person_credit
 from viewsel.synth import generate_scene
@@ -70,10 +69,12 @@ def test_scene_coverage_monotone_under_view_addition(seed):
 def test_view_diversity_positive_and_unit_free(seed):
     rng = np.random.default_rng(seed)
     scene = random_small_scene(rng, n_cameras=5)
-    val = score_view_diversity(scene.cameras)
+    val = score_round(scene.cameras[:-1], scene.cameras[-1:], scene,
+                      "geometric")[0].s_vd
     assert val > 0.0
     assert np.isfinite(val)
-    assert score_view_diversity(scene.cameras[:1]) == 1.0
+    assert score_round([], scene.cameras[:1], scene,
+                       "geometric")[0].s_vd == 1.0
 
 
 @given(st.integers(0, 2 ** 31 - 1), st.floats(0.0, 2.0),

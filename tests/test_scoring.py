@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from viewsel import (CameraPose, DensityMap, GroundGrid, Scene,
-                     binarize_density, inverse_distance_field, score_round,
-                     score_view_diversity)
+                     binarize_density, inverse_distance_field, score_round)
 
 from conftest import random_small_scene
-from reference import (ref_full_grid_field, ref_score_density,
-                       ref_score_geometric, ref_score_mask, ref_totals)
+from reference import (ref_diversity, ref_full_grid_field,
+                       ref_score_density, ref_score_geometric, ref_score_mask,
+                       ref_totals)
 
 LAM, EPS = 0.1, 1e-10
 
@@ -108,6 +108,15 @@ def test_distance_floor_guards_singularity():
     assert field.max() <= 1.0 / (grid.cell_size_m / 2)
 
 
+def _view_diversity(cams):
+    """S_vd of the group cams as score_round scores its last camera after
+    the others, on a small grid."""
+    scene = Scene(grid=GroundGrid(height_cells=8, width_cells=8,
+                                  cell_size_m=0.5), cameras=cams)
+    return score_round(cams[:-1], cams[-1:], scene, "geometric", None,
+                       "mean", LAM, EPS)[0].s_vd
+
+
 def test_view_diversity_bounds_and_extremes():
     def cam(x, y, yaw, cid):
         return CameraPose(id=cid, position_3d=(x, y, 5.0), yaw=yaw,
@@ -115,15 +124,14 @@ def test_view_diversity_bounds_and_extremes():
                           vertical_fov_rad=1.0, max_range_m=10.0)
 
     # single camera: no pairs, no penalty
-    assert score_view_diversity([cam(0, 0, 0.0, "a")]) == 1.0
+    assert _view_diversity([cam(0, 0, 0.0, "a")]) == 1.0
     # opposing cameras are rewarded (dot < 0 -> factor > 1)
-    opposing = score_view_diversity([cam(0, 0, 0.0, "a"),
-                                     cam(10, 0, math.pi, "b")])
-    aligned = score_view_diversity([cam(0, 0, 0.0, "a"),
-                                    cam(10, 0, 0.0, "b")])
+    opposing = _view_diversity([cam(0, 0, 0.0, "a"),
+                                cam(10, 0, math.pi, "b")])
+    aligned = _view_diversity([cam(0, 0, 0.0, "a"), cam(10, 0, 0.0, "b")])
     assert opposing > 1.0 > aligned
     # near-twin aligned cameras are punished much harder than distant ones
-    twin = score_view_diversity([cam(0, 0, 0.0, "a"), cam(0.5, 0, 0.0, "b")])
+    twin = _view_diversity([cam(0, 0, 0.0, "a"), cam(0.5, 0, 0.0, "b")])
     assert twin < aligned
 
 
@@ -131,7 +139,8 @@ def test_view_diversity_nadir_contributes_zero(nadir_camera):
     side = CameraPose(id="s", position_3d=(0.0, 0.0, 5.0), yaw=0.0,
                       pitch=-0.5, horizontal_fov_rad=1.0,
                       vertical_fov_rad=1.0, max_range_m=10.0)
-    assert score_view_diversity([nadir_camera, side]) == 1.0
+    assert _view_diversity([nadir_camera, side]) == 1.0
+    assert _view_diversity([side, nadir_camera]) == 1.0
 
 
 def test_binarize_modes():
@@ -268,7 +277,7 @@ def test_round_equals_per_group_formula_exactly():
                           if region is None else region)
                 want = ref_totals(scored,
                                   ref_full_grid_field(cams, fps, scene.grid, w),
-                                  score_view_diversity(cams, LAM, EPS),
+                                  ref_diversity(cams, LAM, EPS),
                                   scene.grid)
                 assert (sb.s_sc, sb.s_ad, sb.s_vd, sb.total) == want
                 assert sb.variant == variant
@@ -308,7 +317,7 @@ def test_consecutive_rounds_equal_per_group_formula_exactly():
                 want = ref_totals(scored,
                                   ref_full_grid_field(cams, fps, scene.grid,
                                                       weight),
-                                  score_view_diversity(cams, LAM, EPS),
+                                  ref_diversity(cams, LAM, EPS),
                                   scene.grid)
                 assert (sb.s_sc, sb.s_ad, sb.s_vd, sb.total) == want
 
@@ -365,9 +374,9 @@ def test_pair_table_holds_nothing_that_depends_on_eps():
                     want = ref_totals(
                         scene.visibility_of([c.id for c in cams]),
                         ref_full_grid_field(cams, fps, scene.grid, None),
-                        score_view_diversity(cams, LAM, eps), scene.grid)
+                        ref_diversity(cams, LAM, eps), scene.grid)
                     assert (sb.s_sc, sb.s_ad, sb.s_vd, sb.total) == want
-                    changed |= sb.s_vd != score_view_diversity(cams, LAM, EPS)
+                    changed |= sb.s_vd != ref_diversity(cams, LAM, EPS)
     # the second eps does change some diversity terms
     assert changed
 

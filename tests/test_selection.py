@@ -5,11 +5,10 @@ import pytest
 
 from viewsel import (CalibrationState, CameraPose, GroundGrid,
                      PredictorConfig, Scene, SelectionConfig, add_view,
-                     brute_force_best, cover_rate, generate_crowd_trace,
-                     noisy_draw, noisy_predict, oracle_predict, random_select,
-                     run_avs, run_ivs, run_selection, score_round,
-                     select_first_view, select_frames, training_mae,
-                     visible_persons)
+                     cover_rate, generate_crowd_trace, noisy_draw,
+                     noisy_predict, oracle_predict, random_select, run_avs,
+                     run_ivs, run_selection, score_round, select_first_view,
+                     select_frames, training_mae, visible_persons)
 from viewsel import crowd as crowd_module
 from viewsel import geometry as geometry_module
 from viewsel import predictor as predictor_module
@@ -21,7 +20,8 @@ from viewsel.selection import (STRATEGIES, _initial_state, _score_fn,
 from viewsel.synth import generate_scene
 
 from conftest import random_small_scene
-from reference import ref_select_first_view, ref_select_frames
+from reference import (brute_force_best, ref_select_first_view,
+                       ref_select_frames)
 
 
 def _trace(scene, n=8, seed=0):

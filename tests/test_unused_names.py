@@ -7,10 +7,9 @@ module imports another module's private (`_`-prefixed) name. And people
 are mapped to cells in one place: only crowd.py reads `world_to_cell`.
 And one module knows what a valid JSON value is: only serialize.py imports
 `numbers`. And a strategy is dispatched in one place, selection.run_selection:
-cli.py imports none of the pipelines it dispatches to. And scipy is loaded
-only by a localization match: only metrics.py imports it, inside a
-function, so no module imports it when the module itself is imported.
-And one module knows each strategy's scored region and weight: only
+cli.py imports none of the pipelines it dispatches to. And the library
+needs numpy alone: no module imports scipy, which only the tests' oracles
+use. And one module knows each strategy's scored region and weight: only
 scoring.py calls `binarize_density`. And a density is rasterized by the
 crowd layer and the predictor alone, so pseudo-label GT is the oracle
 prediction: only crowd.py and predictor.py call `rasterize_density`."""
@@ -93,27 +92,12 @@ def private_imports(package: Path) -> list[str]:
     return found
 
 
-def run_on_import(tree: ast.AST):
-    """The nodes of tree outside any function body: what importing the
-    module runs."""
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        yield node
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.Lambda)):
-            stack.extend(ast.iter_child_nodes(node))
-
-
-def importers(package: Path, module: str, on_import: bool = False
-              ) -> list[str]:
+def importers(package: Path, module: str) -> list[str]:
     """The package modules that import the module `module`, a submodule
-    of it, or a name from either; with on_import, only those that do so
-    when they are themselves imported."""
-    walk = run_on_import if on_import else ast.walk
+    of it, or a name from either."""
     found = []
     for path in sorted(package.glob("*.py")):
-        for node in walk(ast.parse(path.read_text())):
+        for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
                 names = [a.name for a in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -178,11 +162,10 @@ def test_only_selection_dispatches_a_strategy():
                     "train_after_selection"} == set()
 
 
-def test_only_metrics_imports_scipy_and_only_on_first_match():
-    assert importers(PACKAGE, "scipy") == ["metrics"]
-    assert importers(PACKAGE, "scipy", on_import=True) == []
-    # the on-import walk does see a module-level import
-    assert "metrics" in importers(PACKAGE, "numpy", on_import=True)
+def test_no_module_imports_scipy():
+    assert importers(PACKAGE, "scipy") == []
+    # the walk does see an import
+    assert "metrics" in importers(PACKAGE, "numpy")
 
 
 def test_only_scoring_binarizes_a_prediction():
