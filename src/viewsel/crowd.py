@@ -101,14 +101,15 @@ class CrowdFrame:
 
 @dataclass(frozen=True)
 class DensityMap:
-    """Nonnegative crowd density raster aligned to a GroundGrid."""
+    """Finite, nonnegative crowd density raster aligned to a GroundGrid."""
 
     values: np.ndarray
 
     def __post_init__(self):
         self.values.setflags(write=False)
-        if (self.values < 0).any():
-            raise ValueError("density values must be nonnegative")
+        v = self.values
+        if not (np.isfinite(v).all() and (v >= 0).all()):
+            raise ValueError("density values must be finite and nonnegative")
 
     @property
     def total(self) -> float:

@@ -84,11 +84,9 @@ def match_points(predicted, gt, threshold_m: float
     points with a NaN or infinite coordinate. Any other shape than (k, 2)
     raises ValueError.
 
-    A star of the graph of within-threshold pairs, one point and partners
-    that touch nothing else (one pair is the smallest), matches the point
-    to its nearest partner, ties by partner index; the pairs of all other
-    components are solved together, exactly, by _assign. Between
-    equal-cost optima the choice is the solver's own.
+    All within-threshold pairs are solved together, exactly, by _assign
+    on the dense matrix of the points that they touch. Between equal-cost
+    optima the choice is the solver's own.
 
     Returns (matches as (pred_idx, gt_idx, distance) by pred_idx, fp
     indices, fn indices).
@@ -120,44 +118,8 @@ def match_points(predicted, gt, threshold_m: float
     dist = np.sqrt(d[:, 0] + d[:, 1])
     ok = dist <= threshold_m
     rows, cols, dist = rows[ok], cols[ok], dist[ok]
-    # a pair lies in a star around its prediction when none of that
-    # prediction's partners has another partner, and around its gt point
-    # likewise; one pair alone is both
-    deg_p = np.bincount(rows, minlength=n)
-    deg_g = np.bincount(cols, minlength=m)
-    p_star = np.bincount(rows[deg_g[cols] > 1], minlength=n)[rows] == 0
-    g_star = np.bincount(cols[deg_p[rows] > 1], minlength=m)[cols] == 0
-    in_star = p_star | g_star
-    star = in_star.nonzero()[0]
-    centre = np.where(p_star, rows, n + cols)[star]
-    partner = np.where(p_star, cols, rows)[star]
-    # the nearest partner of each centre: the first of its pairs by
-    # distance
-    order = np.lexsort((partner, dist[star], centre))
-    star, centre = star[order], centre[order]
-    first = np.ones(len(star), dtype=bool)
-    first[1:] = centre[1:] != centre[:-1]
-    chosen = star[first]
-    rest = (~in_star).nonzero()[0]
-    if len(rest):
-        chosen = np.concatenate((chosen, rest[_match_dense(
-            rows[rest], cols[rest], dist[rest], threshold_m)]))
-    chosen = chosen[rows[chosen].argsort()]
-    rows, cols = rows[chosen], cols[chosen]
-    matches = list(zip(rows.tolist(), cols.tolist(), dist[chosen].tolist()))
-    unmatched_p = np.ones(n, dtype=bool)
-    unmatched_p[rows] = False
-    unmatched_g = np.ones(m, dtype=bool)
-    unmatched_g[cols] = False
-    return (matches, unmatched_p.nonzero()[0].tolist(),
-            unmatched_g.nonzero()[0].tolist())
-
-
-def _match_dense(rows: np.ndarray, cols: np.ndarray, dist: np.ndarray,
-                 threshold_m: float) -> np.ndarray:
-    """Indices k of the optimal pairs among the within-threshold pairs
-    (rows[k], cols[k]) at dist[k], solved by _assign on the dense matrix of
-    the points that they touch."""
+    if not len(rows):
+        return [], list(range(n)), list(range(m))
     r_ids, r = np.unique(rows, return_inverse=True)
     c_ids, c = np.unique(cols, return_inverse=True)
     # an infeasible pair costs more than any sum of feasible distances, so
@@ -165,12 +127,24 @@ def _match_dense(rows: np.ndarray, cols: np.ndarray, dist: np.ndarray,
     cost = np.full((len(r_ids), len(c_ids)),
                    threshold_m * (len(r_ids) + len(c_ids) + 1.0))
     cost[r, c] = dist
-    slot = np.full(cost.shape, -1)
-    slot[r, c] = np.arange(len(rows))
-    if cost.shape[0] > cost.shape[1]:
-        cost, slot = cost.T, slot.T
-    picked = slot[np.arange(len(cost)), _assign(cost)]
-    return picked[picked >= 0]
+    if len(r_ids) <= len(c_ids):
+        r, c = np.arange(len(r_ids)), _assign(cost)
+    else:
+        r, c = _assign(cost.T), np.arange(len(c_ids))
+    # the solver assigns every row, at an infeasible cost where it must;
+    # such a row stays unmatched
+    dist = cost[r, c]
+    ok = dist <= threshold_m
+    rows, cols, dist = r_ids[r[ok]], c_ids[c[ok]], dist[ok]
+    by_p = rows.argsort()
+    rows, cols, dist = rows[by_p], cols[by_p], dist[by_p]
+    matches = list(zip(rows.tolist(), cols.tolist(), dist.tolist()))
+    unmatched_p = np.ones(n, dtype=bool)
+    unmatched_p[rows] = False
+    unmatched_g = np.ones(m, dtype=bool)
+    unmatched_g[cols] = False
+    return (matches, unmatched_p.nonzero()[0].tolist(),
+            unmatched_g.nonzero()[0].tolist())
 
 
 def _assign(cost: np.ndarray) -> np.ndarray:
@@ -227,6 +201,7 @@ def localization_metrics(matches: list[tuple[int, int, float]], fp: int,
                          fn: int, gt_total: int,
                          threshold_m: float) -> LocalizationReport:
     """MODA, MODP (mean normalized closeness of matches), P, R, F1."""
+    require_match_threshold(threshold_m)
     if gt_total <= 0:
         raise ValueError("MODA undefined for zero ground-truth points")
     tp = len(matches)

@@ -96,8 +96,9 @@ def score_round(group: list[CameraPose], candidates: list[CameraPose],
     distance-field weight by the table of the module docstring; the
     prediction is binarized (binarize_density) once per call. terms picks
     the factors multiplied into total, and an empty region scores 0. A
-    strategy with no score, a mask or density call without a prediction
-    on the scene grid, or a non-finite weight raises ValueError. The
+    strategy with no score, or a mask or density call without a
+    prediction on the scene grid raises ValueError (a DensityMap holds
+    only finite values, so its weight is finite). The
     group's field, union and pair terms are built once, and c, last in
     its group, adds only its own terms, in the order a from-scratch score
     of group + [c] adds them: the results are equal. The footprint windows

@@ -160,10 +160,10 @@ def select_frames(scene: Scene, trace: list[CrowdFrame], draw_fn, f: int,
     oracle's is (frame, 1.0)); a frame's prediction under a footprint is
     the oracle density of the drawn people seen there, times the scale.
     """
+    if f < 1:
+        raise ValueError(f"need at least one frame to select, got {f}")
     if f > len(trace):
         raise ValueError(f"cannot select {f} frames from {len(trace)}")
-    if not trace:
-        raise ValueError("trace is empty")
     v_max = _largest_fov_camera(scene)
     fov = scene.footprint(v_max).mask
     features = {}
@@ -192,6 +192,8 @@ def select_first_view(scene: Scene, frames: list[CrowdFrame], draw_fn,
     (kernel_table) once; a camera's prediction accumulates the drawn people
     whose cell it sees under its footprint, times the draw's scale.
     """
+    if not frames:
+        raise ValueError("no frames to select the first view by")
     totals = {cid: [] for cid in scene.camera_ids}
     for frame in frames:
         noisy, scale = draw_fn(frame)

@@ -139,6 +139,15 @@ def test_density_map_nonnegative():
         DensityMap(values=np.array([[-0.1]]))
 
 
+def test_density_map_rejects_non_finite_values():
+    for bad in (np.nan, np.inf, -np.inf):
+        for values in (np.array([[1.0, bad]]), np.full((3, 2), bad)):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                DensityMap(values=values)
+    assert DensityMap(values=np.zeros((0, 3))).total == 0.0
+    assert DensityMap(values=np.array([[0.0, 1e308]])).total == 1e308
+
+
 def test_visible_persons_filters_by_cell(small_grid):
     vis = np.zeros(small_grid.shape, dtype=bool)
     vis[small_grid.world_to_cell(2.0, 3.0)] = True

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from viewsel import (DensityMap, GroundGrid, counting_metrics, extract_peaks,
-                     localization_metrics, match_points)
+import viewsel.metrics
+from viewsel import (CalibrationState, DensityMap, GroundGrid,
+                     PredictorConfig, counting_metrics, extract_peaks,
+                     generate_crowd_trace, generate_scene,
+                     localization_metrics, match_points, noisy_predict)
 
 from reference import (ref_extract_peaks, ref_match_points,
                        ref_match_points_linalg, ref_optimal_matchings)
@@ -73,13 +76,73 @@ def test_match_points_empty_sides():
 
 
 def test_match_points_star_matches_the_nearest_partner():
-    # one prediction whose gt partners touch nothing else: the nearest
-    # wins, not the first in index or x order; an equally near partner
-    # loses to the lower index. Then the same star centred on a gt point
+    # one prediction whose gt partners touch nothing else: the solver's
+    # row reduction gives it the nearest, not the first in index or x
+    # order, and an equally near partner loses to the lower index. Then
+    # the same star centred on a gt point, whose matrix is transposed so
+    # that the gt point is its one row
     pred = [(0.0, 0.0), (9.0, 9.0)]
     gt = [(-0.4, 0.0), (0.3, 0.0), (0.2, 0.0), (0.0, 0.2), (0.0, -0.45)]
     assert match_points(pred, gt, 0.5) == ([(0, 2, 0.2)], [1], [0, 1, 3, 4])
     assert match_points(gt, pred, 0.5) == ([(2, 0, 0.2)], [0, 1, 3, 4], [1])
+
+
+def test_match_points_augments_a_star_that_row_reduction_leaves(
+        monkeypatch):
+    # gt point g0 within 0.5 m of two predictions, p0 at 0.4 m and p1 at
+    # 0.3 m, next to a prediction p2 with two gt partners: three rows and
+    # three columns, so g0 is a column. Row reduction gives g0 to p0, the
+    # lower index, and only an augmentation from p1 hands it to the nearer
+    # p1. Then the same points with the sides swapped, where g1 and g2
+    # both start on p2
+    pred = [(-0.4, 0.0), (0.3, 0.0), (5.0, 0.0)]
+    gt = [(0.0, 0.0), (5.2, 0.0), (5.0, 0.45)]
+    assign = viewsel.metrics._assign
+    unsettled = []
+
+    def counting_assign(cost):
+        unsettled.append(len(cost) - len(np.unique(cost.argmin(axis=1))))
+        return assign(cost)
+
+    monkeypatch.setattr(viewsel.metrics, "_assign", counting_assign)
+    for p, g, nearest in ((pred, gt, (1, 0)), (gt, pred, (1, 2))):
+        matches, fp, fn = match_points(p, g, 0.5)
+        assert unsettled.pop() == 1
+        want, _, _ = ref_match_points_linalg(p, g, 0.5)
+        pairs = [(i, j) for i, j, _ in matches]
+        assert nearest in pairs and len(matches) == len(want) == 2
+        assert len({i for i, _ in pairs}) == len({j for _, j in pairs}) == 2
+        assert all(d <= 0.5 for _, _, d in matches)
+        assert math.fsum(d for _, _, d in matches) \
+            == math.fsum(d for _, _, d in want)
+        assert len(fp) == len(fn) == 1
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_match_points_on_evaluate_traffic_equals_linalg_reference(seed):
+    # peaks of noisy predictions on a 0.5 m grid, matched under evaluate's
+    # defaults (0.5 m threshold, NMS radius 2 cells, peak floor 0.05):
+    # accepted peaks lie more than 1 m apart, so no person is within the
+    # threshold of two peaks, and the matches equal scipy's exactly
+    grid = GroundGrid(height_cells=60, width_cells=60, cell_size_m=0.5)
+    scene = generate_scene(8, grid, seed=seed)
+    trace = generate_crowd_trace(grid, 4, (150, 250), 0.3, seed=seed)
+    config = PredictorConfig(miss_rate=0.3, position_jitter_m=0.4,
+                             count_noise_rel=0.2, seed=seed,
+                             calibration=CalibrationState(quality=0.5))
+    ids = scene.camera_ids[:5]
+    seen = scene.visibility_of(ids)
+    matched = 0
+    for frame in trace:
+        pred = noisy_predict(frame, seen, scene, config, selected_ids=ids)
+        peaks = extract_peaks(pred, grid, 0.05, 2.0)
+        gt = frame.positions
+        near = np.linalg.norm(peaks[:, None] - gt[None], axis=2) <= 0.5
+        assert near.sum(axis=0).max() <= 1
+        got = match_points(peaks, gt, 0.5)
+        assert got == ref_match_points_linalg(peaks, gt, 0.5)
+        matched += len(got[0])
+    assert matched > 200
 
 
 def test_match_points_solves_a_general_component_exactly():
@@ -150,6 +213,14 @@ def test_match_points_equals_exhaustive_oracle():
 def test_localization_metrics_zero_gt_rejected():
     with pytest.raises(ValueError):
         localization_metrics([], 0, 0, 0, 0.5)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_localization_metrics_rejects_bad_threshold(bad):
+    # a threshold that match_points refuses would divide by zero or give
+    # MODP outside [0, 1]
+    with pytest.raises(ValueError, match="threshold_m"):
+        localization_metrics([(0, 0, 0.1)], 0, 0, 1, bad)
 
 
 def _exact_peaks(density, grid, min_value, nms_radius_cells):

@@ -387,17 +387,12 @@ def test_score_rejects_non_finite_weight(demo_scene):
         one = np.ones(demo_scene.grid.shape)
         one[0, 0] = bad  # off most footprints, so inf / inf would be nan
         for weight in (one, np.full(demo_scene.grid.shape, bad)):
-            if bad == -np.inf:  # a DensityMap rejects negative values
-                with pytest.raises(ValueError, match="nonnegative"):
-                    DensityMap(values=weight)
-                continue
-            pred = DensityMap(values=weight)
+            # no prediction can carry the value: a DensityMap refuses it
+            with pytest.raises(ValueError, match="nonnegative"):
+                DensityMap(values=weight)
+            # and the field refuses it as a raw array
             with pytest.raises(ValueError, match="weight must be finite"):
-                score_round(cams[:1], cams[1:], demo_scene, "density", pred,
-                            0.0)
-            with pytest.raises(ValueError, match="weight must be finite"):
-                score_round(cams[:-1], cams[-1:], demo_scene, "density", pred,
-                            0.0, LAM, EPS)
+                inverse_distance_field(cams, demo_scene, weight)
 
 
 def test_score_rejects_mismatched_inputs(demo_scene):

@@ -93,6 +93,15 @@ def test_select_frames_count_and_uniqueness(demo_scene):
         select_frames(demo_scene, trace, _oracle_draw, 11, 1.0)
 
 
+def test_select_frames_refuses_an_empty_request(demo_scene):
+    trace = _trace(demo_scene, n=3)
+    for f in (0, -1):
+        with pytest.raises(ValueError, match="at least one frame"):
+            select_frames(demo_scene, trace, _oracle_draw, f, 1.0)
+    with pytest.raises(ValueError, match="cannot select 1 frames from 0"):
+        select_frames(demo_scene, [], _oracle_draw, 1, 1.0)
+
+
 def test_select_frames_first_has_largest_count(demo_scene):
     trace = _trace(demo_scene, n=10)
     v_max = max(demo_scene.camera_ids,
@@ -115,6 +124,11 @@ def test_select_first_view_modes(demo_scene):
     assert areas[by_fov] == max(areas.values())
     by_count = select_first_view(demo_scene, trace, _oracle_draw, 1.0)
     assert by_count in demo_scene.camera_ids
+
+
+def test_select_first_view_refuses_no_frames(demo_scene):
+    with pytest.raises(ValueError, match="no frames"):
+        select_first_view(demo_scene, [], _oracle_draw, 1.0)
 
 
 def test_random_select_reproducible_and_valid(demo_scene):
