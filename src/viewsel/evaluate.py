@@ -13,9 +13,14 @@ from .crowd import CrowdFrame, cover_rate
 from .geometry import Scene
 from .metrics import (CountingReport, LocalizationReport, counting_metrics,
                       extract_peaks, localization_metrics, match_points,
-                      require_match_threshold, require_peak_params)
+                      require_match_threshold)
 from .predictor import PredictorConfig, noisy_predict
 from .selection import SelectionState
+
+# a predicted person is a local maximum above PEAK_MIN_VALUE, more than
+# NMS_RADIUS_CELLS cells from every peak accepted before it (extract_peaks)
+PEAK_MIN_VALUE = 0.05
+NMS_RADIUS_CELLS = 2.0
 
 
 @dataclass(frozen=True)
@@ -26,15 +31,12 @@ class EvalReport:
 
 
 def evaluate(scene: Scene, trace: list[CrowdFrame], state: SelectionState,
-             predictor: PredictorConfig, threshold_m: float = 0.5,
-             peak_min_value: float = 0.05,
-             nms_radius_cells: float = 2.0) -> EvalReport:
+             predictor: PredictorConfig,
+             threshold_m: float = 0.5) -> EvalReport:
     """Counting and localization metrics of the predictor under the selected
     views, against scene-level GT, accumulated over all trace frames.
-    The matching and peak parameters are checked before any frame is
-    predicted."""
+    The matching threshold is checked before any frame is predicted."""
     require_match_threshold(threshold_m)
-    require_peak_params(peak_min_value, nms_radius_cells)
     pred_counts, gt_counts = [], []
     tp_matches: list[tuple[int, int, float]] = []
     fp_total = fn_total = gt_total = 0
@@ -44,8 +46,8 @@ def evaluate(scene: Scene, trace: list[CrowdFrame], state: SelectionState,
         pred_counts.append(pred.total)
         gt_pts = frame.positions
         gt_counts.append(float(len(gt_pts)))
-        peaks = extract_peaks(pred, scene.grid, peak_min_value,
-                              nms_radius_cells)
+        peaks = extract_peaks(pred, scene.grid, PEAK_MIN_VALUE,
+                              NMS_RADIUS_CELLS)
         matches, fp, fn = match_points(peaks, gt_pts, threshold_m)
         tp_matches.extend(matches)
         fp_total += len(fp)

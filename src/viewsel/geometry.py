@@ -218,18 +218,6 @@ def ground_axis_or_none(camera: CameraPose
     return axis, np.array(camera.ground_position)
 
 
-def axis_pair_geometry(a: tuple[np.ndarray | None, np.ndarray],
-                       b: tuple[np.ndarray | None, np.ndarray]
-                       ) -> tuple[float, float] | None:
-    """Ground-axis dot product and ground distance of two cameras, each
-    given as its ground_axis_or_none; None when either looks straight
-    down."""
-    (ai, pi), (aj, pj) = a, b
-    if ai is None or aj is None:
-        return None
-    return float(ai @ aj), float(np.linalg.norm(pi - pj))
-
-
 def project_footprint(camera: CameraPose, grid: GroundGrid) -> FovFootprint:
     """Rasterize a camera's view frustum footprint onto the ground grid.
 
@@ -321,14 +309,17 @@ class Scene:
         return windows
 
     def pair_geometry(self, id_a: str, id_b: str) -> tuple[float, float] | None:
-        """axis_pair_geometry of two cameras: their ground-axis dot product
-        and ground distance, None when either looks straight down. Each
-        camera's ground axis is computed once per scene, each ordered
+        """The ground-axis dot product and ground distance of two cameras,
+        None when either looks straight down. Each camera's ground axis
+        (ground_axis_or_none) is computed once per scene, each ordered
         pair's geometry on its first use."""
         key = (id_a, id_b)
         if key not in self._pair_table:
-            axes = self._ground_axes
-            self._pair_table[key] = axis_pair_geometry(axes[id_a], axes[id_b])
+            (ai, pi), (aj, pj) = (self._ground_axes[id_a],
+                                  self._ground_axes[id_b])
+            self._pair_table[key] = (
+                None if ai is None or aj is None
+                else (float(ai @ aj), float(np.linalg.norm(pi - pj))))
         return self._pair_table[key]
 
     @cached_property

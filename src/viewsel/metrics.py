@@ -152,8 +152,11 @@ def _assign(cost: np.ndarray) -> np.ndarray:
     finite cost matrix with no more rows than columns: the shortest
     augmenting path method (Crouse, "On implementing 2D rectangular
     assignment algorithms", IEEE TAES 2016), one augmentation per row
-    that its cheapest column does not already settle."""
+    that its cheapest column does not already settle. More rows than
+    columns raise ValueError, since some row would find no free column."""
     nr, nc = cost.shape
+    if nr > nc:
+        raise ValueError(f"cannot assign {nr} rows to {nc} columns")
     # start from row reduction: each row takes its cheapest column unless
     # an earlier row took it, at zero reduced cost
     u = cost.min(axis=1)
@@ -217,16 +220,6 @@ def localization_metrics(matches: list[tuple[int, int, float]], fp: int,
                               threshold_m=threshold_m)
 
 
-def require_peak_params(min_value: float, nms_radius_cells: float) -> None:
-    """Raise ValueError unless min_value is finite and nms_radius_cells is a
-    finite radius of at least one cell."""
-    if not math.isfinite(min_value):
-        raise ValueError(f"peak min_value must be finite, got {min_value!r}")
-    if not (math.isfinite(nms_radius_cells) and nms_radius_cells >= 1):
-        raise ValueError(f"nms_radius_cells must be finite and >= 1, got "
-                         f"{nms_radius_cells!r}")
-
-
 def extract_peaks(density: DensityMap, grid: GroundGrid, min_value: float,
                   nms_radius_cells: float) -> np.ndarray:
     """Local maxima above min_value with greedy non-maximum suppression.
@@ -235,9 +228,15 @@ def extract_peaks(density: DensityMap, grid: GroundGrid, min_value: float,
     in descending value order (ties by cell index) unless within the NMS
     radius of an already-accepted peak, i.e. di**2 + dj**2 <=
     nms_radius_cells**2 in cells. Returns the world (x, y) of the accepted
-    cell centers, in acceptance order, as an (n, 2) float array.
+    cell centers, in acceptance order, as an (n, 2) float array. A
+    non-finite min_value, or a radius that is not finite and at least one
+    cell, raises ValueError.
     """
-    require_peak_params(min_value, nms_radius_cells)
+    if not math.isfinite(min_value):
+        raise ValueError(f"peak min_value must be finite, got {min_value!r}")
+    if not (math.isfinite(nms_radius_cells) and nms_radius_cells >= 1):
+        raise ValueError(f"nms_radius_cells must be finite and >= 1, got "
+                         f"{nms_radius_cells!r}")
     v = density.values
     h, w = v.shape
     padded = np.full((h + 2, w + 2), -np.inf)

@@ -22,8 +22,9 @@ import numpy as np
 from .crowd import DensityMap
 from .geometry import CameraPose, Scene, require_finite
 
-DEFAULT_LAMBDA = 0.1
-DEFAULT_EPSILON = 1e-10
+# S_vd = exp(-LAMBDA * sum of dot / (distance + EPSILON)) over camera pairs
+LAMBDA = 0.1
+EPSILON = 1e-10
 
 ALL_TERMS = ("sc", "ad", "vd")
 
@@ -69,27 +70,24 @@ def _add_camera_term(field: np.ndarray, scene: Scene, camera_id: str,
                           / distance)
 
 
-def _pair_term(geometry: tuple[float, float] | None, eps: float) -> float:
-    """Diversity term dot / (distance + eps) of a pair's axis_pair_geometry;
-    0.0 when either camera looks straight down."""
-    return 0.0 if geometry is None else geometry[0] / (geometry[1] + eps)
+def _pair_term(geometry: tuple[float, float] | None) -> float:
+    """Diversity term dot / (distance + EPSILON) of a pair's
+    Scene.pair_geometry; 0.0 when either camera looks straight down."""
+    return 0.0 if geometry is None else geometry[0] / (geometry[1] + EPSILON)
 
 
-def _diversity(pair_terms, lam: float, eps: float) -> float:
+def _diversity(pair_terms) -> float:
     """S_vd from the pair terms of a group (_pair_term), summed in the
     group's i < j pair order (a 0.0 term leaves the sum unchanged)."""
-    if lam <= 0 or eps <= 0:
-        raise ValueError("lam and eps must be positive")
     acc = 0.0
     for term in pair_terms:
         acc += term
-    return float(np.exp(-lam * acc))
+    return float(np.exp(-LAMBDA * acc))
 
 
 def score_round(group: list[CameraPose], candidates: list[CameraPose],
                 scene: Scene, strategy: str,
                 prediction: DensityMap | None = None, sigma_mode="mean",
-                lam: float = DEFAULT_LAMBDA, eps: float = DEFAULT_EPSILON,
                 terms: tuple[str, ...] = ALL_TERMS) -> list[ScoreBreakdown]:
     """S_sc * S_ad * S_vd of group + [c] for each candidate c under
     strategy, which picks the scored region and the per-cell
@@ -118,7 +116,7 @@ def score_round(group: list[CameraPose], candidates: list[CameraPose],
     group_field = inverse_distance_field(group, scene, weight)
     ids = [cam.id for cam in group]
     union = scene.visibility_of(ids)
-    group_pairs = [[_pair_term(scene.pair_geometry(a, b), eps)
+    group_pairs = [[_pair_term(scene.pair_geometry(a, b))
                     for b in ids[i + 1:]] for i, a in enumerate(ids)]
     # a fixed region is counted once, a group's union once per candidate
     scored = region
@@ -133,10 +131,8 @@ def score_round(group: list[CameraPose], candidates: list[CameraPose],
         # the i < j pairs of group + [cam] in itertools.combinations order:
         # group camera i's pairs with the later group cameras, then with cam
         s_vd = _diversity(
-            (term for a, row in zip(ids, group_pairs)
-             for term in [*row, _pair_term(scene.pair_geometry(a, cam.id),
-                                           eps)]),
-            lam, eps)
+            term for a, row in zip(ids, group_pairs)
+            for term in [*row, _pair_term(scene.pair_geometry(a, cam.id))])
         s_sc = n_region / grid.n_cells
         s_ad = float(field[scored].sum()) / n_region if n_region else 0.0
         total = 1.0

@@ -12,13 +12,15 @@ from .crowd import CrowdFrame, DensityMap, accumulate_density, kernel_table
 from .geometry import Scene, require_finite
 from .predictor import (PredictorConfig, calibrate, noisy_draw,
                         noisy_predict, oracle_predict, training_mae)
-from .scoring import (ALL_TERMS, DEFAULT_EPSILON, DEFAULT_LAMBDA,
-                      ScoreBreakdown, score_round)
+from .scoring import ALL_TERMS, ScoreBreakdown, score_round
 from .serialize import (require_int, require_kind, require_object,
                         require_real)
 
 STRATEGIES = ("geometric", "mask", "density", "random")
 PSEUDO_STAGES = ("none", "viewsel", "modeltrain", "both")
+# an unselected view's pseudo-label credit per view-frame, as a fraction of
+# a labeled view's
+PSEUDO_CREDIT = 0.25
 
 
 @dataclass(frozen=True)
@@ -27,19 +29,16 @@ class SelectionConfig:
     n_frames: int = 20
     strategy: str = "geometric"
     tau: float = 20.0  # training-gate threshold on the simulated MAE
-    lam: float = DEFAULT_LAMBDA
-    epsilon: float = DEFAULT_EPSILON
     sigma_mode: "str | float" = "mean"
     seed: int = 0
     epochs: int = 40
     terms: tuple[str, ...] = ALL_TERMS
     pseudo_stages: str = "both"
-    pseudo_credit: float = 0.25
 
     def __post_init__(self):
         for name in ("k_max", "n_frames", "seed", "epochs"):
             require_int(getattr(self, name), name)
-        reals = ["tau", "lam", "epsilon", "pseudo_credit"]
+        reals = ["tau"]
         if not isinstance(self.sigma_mode, str):
             reals.append("sigma_mode")
         for name in reals:
@@ -51,15 +50,7 @@ class SelectionConfig:
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, not {self.seed}")
         require_finite([getattr(self, name) for name in reals],
-                       "tau, lam, epsilon, pseudo_credit and a numeric "
-                       "sigma_mode")
-        for name in ("lam", "epsilon"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, not "
-                                 f"{getattr(self, name)}")
-        if self.pseudo_credit < 0:
-            raise ValueError(f"pseudo_credit must be >= 0, not "
-                             f"{self.pseudo_credit}")
+                       "tau and a numeric sigma_mode")
         if isinstance(self.sigma_mode, str) and self.sigma_mode != "mean":
             raise ValueError(f"sigma_mode must be 'mean' or a number, not "
                              f"{self.sigma_mode!r}")
@@ -124,10 +115,10 @@ class SelectionState:
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """The labeled budget: every selected view on every selected frame."""
+    """The labeled budget: every selected view (the run's state.selected)
+    on every selected frame."""
 
     frame_ids: tuple[int, ...]
-    camera_ids: tuple[str, ...]
 
 
 def _initial_state(scene: Scene, first_id: str) -> SelectionState:
@@ -235,8 +226,7 @@ def _score_fn(scene: Scene, config: SelectionConfig,
     return lambda group, candidates: score_round(
         [scene.camera(c) for c in group],
         [scene.camera(c) for c in candidates], scene, config.strategy,
-        prediction, config.sigma_mode, config.lam, config.epsilon,
-        config.terms)
+        prediction, config.sigma_mode, config.terms)
 
 
 def mean_prediction(predictions: list[DensityMap],
@@ -290,7 +280,7 @@ def _epoch_credit(camera_credit: dict[str, float], f: int,
             n_pseudo_views = 1.0  # selected group plus one unselected view
         else:
             n_pseudo_views = float(len(selected) - 1)  # 1 selected + K-1 others
-        credit += config.pseudo_credit * f * n_pseudo_views * mean_unsel
+        credit += PSEUDO_CREDIT * f * n_pseudo_views * mean_unsel
     return credit
 
 
@@ -320,7 +310,7 @@ def run_ivs(scene: Scene, trace: list[CrowdFrame], config: SelectionConfig,
     score_fn = _score_fn(scene, config)
     while len(state.selected) < config.k_max:
         state = add_view(scene, state, score_fn)
-    return state, LabeledDataset(tuple(frame_ids), state.selected)
+    return state, LabeledDataset(tuple(frame_ids))
 
 
 def run_avs(scene: Scene, trace: list[CrowdFrame], config: SelectionConfig,
@@ -382,7 +372,7 @@ def run_avs(scene: Scene, trace: list[CrowdFrame], config: SelectionConfig,
     credit = _epoch_credit(camera_credit, f, state.selected, config,
                            "modeltrain")
     predictor = calibrate(predictor, credit, 2 * config.epochs - active_epochs)
-    return state, LabeledDataset(tuple(frame_ids), state.selected), predictor
+    return state, LabeledDataset(tuple(frame_ids)), predictor
 
 
 def train_after_selection(scene: Scene, frames: list[CrowdFrame],

@@ -8,13 +8,13 @@ import numpy as np
 
 from .geometry import CameraPose, GroundGrid, Scene
 
+# the ranges a camera's height (m) and field of view (rad) are drawn from
+HEIGHT_RANGE = (4.0, 9.0)
+HFOV_RANGE = (math.radians(55), math.radians(95))
+VFOV_RANGE = (math.radians(40), math.radians(60))
+
 
 def generate_scene(n_cameras: int, grid: GroundGrid, seed: int,
-                   height_range: tuple[float, float] = (4.0, 9.0),
-                   hfov_range: tuple[float, float] = (math.radians(55),
-                                                      math.radians(95)),
-                   vfov_range: tuple[float, float] = (math.radians(40),
-                                                      math.radians(60)),
                    range_frac: tuple[float, float] = (0.35, 0.65),
                    twin_fraction: float = 0.0) -> Scene:
     """Place candidate cameras around the scene perimeter, aimed at random
@@ -49,7 +49,7 @@ def generate_scene(n_cameras: int, grid: GroundGrid, seed: int,
             x, y = ox, oy + ey - (t - 2 * ex - ey)
         target = rng.uniform([ox + 0.15 * ex, oy + 0.15 * ey],
                              [ox + 0.85 * ex, oy + 0.85 * ey])
-        z = rng.uniform(*height_range)
+        z = rng.uniform(*HEIGHT_RANGE)
         yaw = math.atan2(target[1] - y, target[0] - x)
         ground_dist = math.hypot(target[0] - x, target[1] - y)
         pitch = -math.atan2(z, max(ground_dist, 1e-6)) \
@@ -59,8 +59,8 @@ def generate_scene(n_cameras: int, grid: GroundGrid, seed: int,
             id=f"cam{idx:0{width}d}",
             position_3d=(float(x), float(y), float(z)),
             yaw=float(yaw), pitch=float(pitch),
-            horizontal_fov_rad=float(rng.uniform(*hfov_range)),
-            vertical_fov_rad=float(rng.uniform(*vfov_range)),
+            horizontal_fov_rad=float(rng.uniform(*HFOV_RANGE)),
+            vertical_fov_rad=float(rng.uniform(*VFOV_RANGE)),
             max_range_m=float(diag * rng.uniform(*range_frac))))
     n_twins = int(twin_fraction * n_cameras)
     for k in range(n_twins):

@@ -60,15 +60,15 @@ def test_criterion_1_score_oracle_equivalence():
         pred = DensityMap(values=pred_v)
 
         got = score_round(cams[:-1], cams[-1:], scene, "geometric", None,
-                          "mean", LAM, EPS)[0].total
+                          "mean")[0].total
         want = ref_score_geometric(cams, scene, LAM, EPS)[3]
         worst = max(worst, _rel_err(got, want))
-        got = score_round(cams[:-1], cams[-1:], scene, "mask", pred, "mean",
-                          LAM, EPS)[0].total
+        got = score_round(cams[:-1], cams[-1:], scene, "mask", pred,
+                          "mean")[0].total
         want = ref_score_mask(cams, scene, pred_v, "mean", LAM, EPS)[3]
         worst = max(worst, _rel_err(got, want))
         got = score_round(cams[:-1], cams[-1:], scene, "density", pred,
-                          "mean", LAM, EPS)[0].total
+                          "mean")[0].total
         want = ref_score_density(cams, scene, pred_v, "mean", LAM, EPS)[3]
         worst = max(worst, _rel_err(got, want))
     dt = time.time() - t0
@@ -93,17 +93,17 @@ def test_criterion_2_reduction_identities():
         union = scene.visibility_of([c.id for c in cams])
         pred_union = DensityMap(values=union.astype(float))
         geo = score_round(cams[:-1], cams[-1:], scene, "geometric", None,
-                          "mean", LAM, EPS)[0].total
+                          "mean")[0].total
         msk = score_round(cams[:-1], cams[-1:], scene, "mask", pred_union,
-                          0.5, LAM, EPS)[0].total
+                          0.5)[0].total
         worst_mg = max(worst_mg, _rel_err(geo, msk))
         # density with M == 1 on B reduces to the mask score
         region = rng.random(scene.grid.shape) < 0.4
         pred_unit = DensityMap(values=region.astype(float))
-        m2 = score_round(cams[:-1], cams[-1:], scene, "mask", pred_unit, 0.5,
-                         LAM, EPS)[0].total
+        m2 = score_round(cams[:-1], cams[-1:], scene, "mask", pred_unit,
+                         0.5)[0].total
         d2 = score_round(cams[:-1], cams[-1:], scene, "density", pred_unit,
-                         0.5, LAM, EPS)[0].total
+                         0.5)[0].total
         worst_dm = max(worst_dm, _rel_err(m2, d2))
     ok = worst_mg <= 1e-12 and worst_dm <= 1e-12
     _report(2, ok, f"reduction identities: mask->geometric {worst_mg:.2e}, "
@@ -279,8 +279,7 @@ def test_criterion_6_monotonicity_suites():
             for cid in candidates:
                 cams = [scene.camera(c) for c in group + [cid]]
                 scores.append(score_round(cams[:-1], cams[-1:], scene,
-                                          "geometric", None, "mean", LAM,
-                                          EPS)[0])
+                                          "geometric", None, "mean")[0])
             return scores
 
         while len(state.selected) < k:

@@ -176,9 +176,8 @@ def test_select_and_eval_artifact_key_paths(seed_run):
          "selected", "spec", "spec.predictor",
          *(f"spec.predictor.{k}" for k in PREDICTOR_KEYS),
          "spec.scene_hash", "spec.selection", "spec.selection.epochs",
-         "spec.selection.epsilon", "spec.selection.k_max",
-         "spec.selection.lam", "spec.selection.n_frames",
-         "spec.selection.pseudo_credit", "spec.selection.pseudo_stages",
+         "spec.selection.k_max", "spec.selection.n_frames",
+         "spec.selection.pseudo_stages",
          "spec.selection.seed", "spec.selection.sigma_mode",
          "spec.selection.strategy", "spec.selection.tau",
          "spec.selection.terms", "spec_hash"])

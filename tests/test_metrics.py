@@ -118,6 +118,12 @@ def test_match_points_augments_a_star_that_row_reduction_leaves(
         assert len(fp) == len(fn) == 1
 
 
+def test_assign_refuses_more_rows_than_columns():
+    # the third row would search forever for a free column
+    with pytest.raises(ValueError, match="3 rows to 2 columns"):
+        viewsel.metrics._assign(np.zeros((3, 2)))
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_match_points_on_evaluate_traffic_equals_linalg_reference(seed):
     # peaks of noisy predictions on a 0.5 m grid, matched under evaluate's

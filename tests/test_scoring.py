@@ -29,7 +29,7 @@ def test_geometric_matches_reference_on_random_scenes():
         cams = [scene.cameras[i]
                 for i in rng.choice(len(scene.cameras), size=k, replace=False)]
         got = score_round(cams[:-1], cams[-1:], scene, "geometric", None,
-                          "mean", LAM, EPS)[0]
+                          "mean")[0]
         _, _, _, want = ref_score_geometric(cams, scene, LAM, EPS)
         assert got.total == pytest.approx(want, rel=1e-9, abs=1e-12)
 
@@ -41,11 +41,11 @@ def test_mask_and_density_match_reference():
         pred = _random_density(rng, scene.grid)
         cams = scene.cameras[:3]
         got_m = score_round(cams[:-1], cams[-1:], scene, "mask", pred,
-                            "mean", LAM, EPS)[0]
+                            "mean")[0]
         _, _, _, want_m = ref_score_mask(cams, scene, pred.values, "mean",
                                          LAM, EPS)
         got_d = score_round(cams[:-1], cams[-1:], scene, "density", pred,
-                            "mean", LAM, EPS)[0]
+                            "mean")[0]
         _, _, _, want_d = ref_score_density(cams, scene, pred.values, "mean",
                                             LAM, EPS)
         assert got_m.total == pytest.approx(want_m, rel=1e-9, abs=1e-12)
@@ -62,9 +62,8 @@ def test_mask_reduces_to_geometric_on_fov_union():
         union = scene.visibility_of([c.id for c in cams])
         pred = DensityMap(values=union.astype(float))
         geo = score_round(cams[:-1], cams[-1:], scene, "geometric", None,
-                          "mean", LAM, EPS)[0]
-        msk = score_round(cams[:-1], cams[-1:], scene, "mask", pred, 0.5,
-                          LAM, EPS)[0]
+                          "mean")[0]
+        msk = score_round(cams[:-1], cams[-1:], scene, "mask", pred, 0.5)[0]
         assert msk.total == pytest.approx(geo.total, rel=1e-12, abs=1e-15)
 
 
@@ -77,10 +76,8 @@ def test_density_reduces_to_mask_on_unit_density():
         cams = scene.cameras[:3]
         region = _random_density(rng, scene.grid).values > 0
         pred = DensityMap(values=region.astype(float))
-        msk = score_round(cams[:-1], cams[-1:], scene, "mask", pred, 0.5,
-                          LAM, EPS)[0]
-        den = score_round(cams[:-1], cams[-1:], scene, "density", pred, 0.5,
-                          LAM, EPS)[0]
+        msk = score_round(cams[:-1], cams[-1:], scene, "mask", pred, 0.5)[0]
+        den = score_round(cams[:-1], cams[-1:], scene, "density", pred, 0.5)[0]
         assert den.total == pytest.approx(msk.total, rel=1e-12, abs=1e-15)
 
 
@@ -114,7 +111,7 @@ def _view_diversity(cams):
     scene = Scene(grid=GroundGrid(height_cells=8, width_cells=8,
                                   cell_size_m=0.5), cameras=cams)
     return score_round(cams[:-1], cams[-1:], scene, "geometric", None,
-                       "mean", LAM, EPS)[0].s_vd
+                       "mean")[0].s_vd
 
 
 def test_view_diversity_bounds_and_extremes():
@@ -155,8 +152,7 @@ def test_binarize_modes():
 def test_empty_region_yields_zero_total(demo_scene):
     pred = DensityMap(values=np.zeros(demo_scene.grid.shape))
     cams = demo_scene.cameras[:2]
-    sb = score_round(cams[:-1], cams[-1:], demo_scene, "mask", pred, 0.5,
-                     LAM, EPS)[0]
+    sb = score_round(cams[:-1], cams[-1:], demo_scene, "mask", pred, 0.5)[0]
     assert sb.total == 0.0
 
 
@@ -164,7 +160,7 @@ def test_term_subset_drops_factors(demo_scene):
     cams = demo_scene.cameras[:3]
     full, no_vd, sc_only = (
         score_round(cams[:-1], cams[-1:], demo_scene, "geometric", None,
-                    "mean", LAM, EPS, terms)[0]
+                    "mean", terms)[0]
         for terms in (("sc", "ad", "vd"), ("sc", "ad"), ("sc",)))
     assert no_vd.total == pytest.approx(full.s_sc * full.s_ad, rel=1e-12)
     assert sc_only.total == pytest.approx(full.s_sc, rel=1e-12)
@@ -174,7 +170,7 @@ def test_combined_total_equals_sum_form(demo_scene):
     # s_sc * s_ad * s_vd telescopes to (sum D / n_cells) * s_vd
     cams = demo_scene.cameras[:3]
     sb = score_round(cams[:-1], cams[-1:], demo_scene, "geometric", None,
-                     "mean", LAM, EPS)[0]
+                     "mean")[0]
     field = inverse_distance_field(cams, demo_scene)
     union = demo_scene.visibility_of([c.id for c in cams])
     alt = field[union].sum() / demo_scene.grid.n_cells * sb.s_vd
@@ -241,7 +237,7 @@ def test_strategy_totals_equal_full_grid_formula_exactly():
                                      ("mask", crowd, None),
                                      ("density", crowd, pred.values)):
             got = score_round(cams[:-1], cams[-1:], scene, strategy, pred,
-                              "mean", LAM, EPS)[0]
+                              "mean")[0]
             field = ref_full_grid_field(cams, fps, scene.grid, w)
             want = ref_totals(region, field, got.s_vd, scene.grid)
             assert (got.s_sc, got.s_ad, got.total) == (want[0], want[1],
@@ -267,8 +263,7 @@ def test_round_equals_per_group_formula_exactly():
                 (("geometric", None, None, None), ("mask", unit, crowd, None),
                  ("density", weighted, crowd, weighted.values))):
             group, candidates = order[:k], order[k:]
-            got = score_round(group, candidates, scene, variant, pred, 0.5,
-                              LAM, EPS)
+            got = score_round(group, candidates, scene, variant, pred, 0.5)
             assert len(got) == len(candidates)
             for cand, sb in zip(candidates, got):
                 cams = group + [cand]
@@ -306,8 +301,7 @@ def test_consecutive_rounds_equal_per_group_formula_exactly():
                     0.0)
                 pred = DensityMap(values=weight)
             # each prediction binarizes at 0.5 to the region
-            got = score_round(group, candidates, scene, variant, pred, 0.5,
-                              LAM, EPS)
+            got = score_round(group, candidates, scene, variant, pred, 0.5)
             assert len(got) == len(candidates)
             for cand, sb in zip(candidates, got):
                 cams = group + [cand]
@@ -352,33 +346,6 @@ def test_footprint_window_equals_full_grid_formula_exactly():
     assert edge.footprint_window("away") is None
     # the nadir camera sits above a cell center: its distance is the floor
     assert edge.footprint_window("nadir")[2].min() == 0.25
-
-
-def test_pair_table_holds_nothing_that_depends_on_eps():
-    # rounds with one eps fill the scene's pair geometry; rounds with
-    # another eps on the same scene still equal the from-scratch formula
-    rng = np.random.default_rng(20)
-    scenes = [_edge_case_scene()] + [random_small_scene(rng)
-                                     for _ in range(10)]
-    changed = False
-    for scene in scenes:
-        order = [scene.cameras[i] for i in rng.permutation(len(scene.cameras))]
-        for eps in (EPS, 0.5, EPS):
-            for k in range(len(order)):
-                group, candidates = order[:k], order[k:]
-                got = score_round(group, candidates, scene, "geometric",
-                                  None, "mean", LAM, eps)
-                for cand, sb in zip(candidates, got):
-                    cams = group + [cand]
-                    fps = [scene.footprint(c.id) for c in cams]
-                    want = ref_totals(
-                        scene.visibility_of([c.id for c in cams]),
-                        ref_full_grid_field(cams, fps, scene.grid, None),
-                        ref_diversity(cams, LAM, eps), scene.grid)
-                    assert (sb.s_sc, sb.s_ad, sb.s_vd, sb.total) == want
-                    changed |= sb.s_vd != ref_diversity(cams, LAM, EPS)
-    # the second eps does change some diversity terms
-    assert changed
 
 
 def test_score_rejects_non_finite_weight(demo_scene):

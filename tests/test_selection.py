@@ -165,11 +165,10 @@ def test_run_avs_converges_and_trains(demo_scene):
                           epochs=20)
     pred = PredictorConfig(miss_rate=0.3, position_jitter_m=1.0,
                            count_noise_rel=0.1, seed=0, q_scale=150.0)
-    state, dataset, trained = run_avs(demo_scene, trace, cfg, pred)
+    state, _, trained = run_avs(demo_scene, trace, cfg, pred)
     assert len(state.selected) == 3
     assert not state.non_converged
     assert trained.calibration.quality > pred.calibration.quality
-    assert dataset.camera_ids == state.selected
 
 
 def test_run_avs_flags_non_convergence(demo_scene):
@@ -541,12 +540,8 @@ def test_criterion_4_traffic_rasterizes_each_frame_unmasked_once(
 
 @pytest.mark.parametrize("field, value", [
     ("epochs", -1), ("tau", float("nan")), ("tau", float("inf")),
-    ("lam", float("nan")), ("epsilon", float("-inf")),
-    ("pseudo_credit", float("nan")), ("sigma_mode", float("nan")),
-    ("sigma_mode", float("inf")), ("seed", -1),
-    ("lam", 0.0), ("lam", -0.1), ("epsilon", 0.0), ("epsilon", -1.0),
-    ("pseudo_credit", -5.0), ("sigma_mode", "median"),
-    ("sigma_mode", True), ("lam", "0.1"),
+    ("sigma_mode", float("nan")), ("sigma_mode", float("inf")), ("seed", -1),
+    ("sigma_mode", "median"), ("sigma_mode", True), ("tau", "20.0"),
 ])
 def test_selection_config_rejects_bad_numbers(field, value):
     with pytest.raises(ValueError, match=field):
