@@ -14,7 +14,7 @@ from .predictor import (CalibrationState, PredictorConfig, calibrate,
                         training_mae)
 from .pseudolabels import PseudoPair, make_modeltrain_pair, make_viewsel_pair
 from .scoring import (ScoreBreakdown, binarize_density, inverse_distance_field,
-                      score_round)
+                      round_winner, score_round)
 from .selection import (LabeledDataset, SelectionConfig, SelectionState,
                         add_view, check_run, random_select, run_avs, run_ivs,
                         run_selection, select_first_view, select_frames,

@@ -308,6 +308,17 @@ class Scene:
                     np.where(f.mask[box], distance, np.inf)))
         return windows
 
+    def footprint_mass(self, camera_id: str) -> float:
+        """The sum of 1 / floored distance over the camera's footprint
+        (footprint_window), its unit-weight inverse-distance mass; 0.0 for
+        an empty footprint. Computed for every camera on first use."""
+        return self._footprint_masses[camera_id]
+
+    @cached_property
+    def _footprint_masses(self) -> dict:
+        return {cid: 0.0 if window is None else float((1.0 / window[2]).sum())
+                for cid, window in self._footprint_windows.items()}
+
     def pair_geometry(self, id_a: str, id_b: str) -> tuple[float, float] | None:
         """The ground-axis dot product and ground distance of two cameras,
         None when either looks straight down. Each camera's ground axis

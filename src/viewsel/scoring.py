@@ -11,6 +11,10 @@ distance field:
     geometric   FOV union of the group       1
     mask        binarized prediction         1
     density     binarized prediction         predicted density
+
+A greedy round keeps only its best candidate: round_winner screens every
+candidate from sums over its footprint window and gives score_round's exact
+score only to those within rounding of the best.
 """
 
 from __future__ import annotations
@@ -27,6 +31,11 @@ LAMBDA = 0.1
 EPSILON = 1e-10
 
 ALL_TERMS = ("sc", "ad", "vd")
+
+# round_winner scores a candidate exactly when its screened total is at
+# least (1 - SCREEN_TOL) times the round's best screened total; rounding
+# moves a screened total by under 1e-13 of it on a 40k-cell grid
+SCREEN_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -76,13 +85,98 @@ def _pair_term(geometry: tuple[float, float] | None) -> float:
     return 0.0 if geometry is None else geometry[0] / (geometry[1] + EPSILON)
 
 
-def _diversity(pair_terms) -> float:
-    """S_vd from the pair terms of a group (_pair_term), summed in the
-    group's i < j pair order (a 0.0 term leaves the sum unchanged)."""
-    acc = 0.0
-    for term in pair_terms:
-        acc += term
-    return float(np.exp(-LAMBDA * acc))
+class _Round:
+    """One greedy round's setup under strategy, built once: the group's
+    distance field, union and pair terms, and the strategy's region and
+    weight (the module docstring's table; the prediction is binarized here).
+    exact scores group + [c] on the full grid; screen gives the same total
+    from two sums, up to rounding (round_winner)."""
+
+    def __init__(self, group: list[CameraPose], scene: Scene, strategy: str,
+                 prediction: DensityMap | None, sigma_mode,
+                 terms: tuple[str, ...]):
+        region = weight = None
+        if strategy in ("mask", "density"):
+            if (prediction is None
+                    or prediction.values.shape != scene.grid.shape):
+                raise ValueError(f"the {strategy} score needs a prediction "
+                                 f"on the scene grid")
+            region = binarize_density(prediction, sigma_mode)
+            if strategy == "density":
+                weight = prediction.values
+        elif strategy != "geometric":
+            raise ValueError(f"strategy {strategy!r} has no score")
+        self.scene, self.strategy, self.terms = scene, strategy, terms
+        self.region, self.weight = region, weight
+        self.field = inverse_distance_field(group, scene, weight)
+        self.ids = [cam.id for cam in group]
+        self.union = scene.visibility_of(self.ids)
+        self.pairs = [[_pair_term(scene.pair_geometry(a, b))
+                       for b in self.ids[i + 1:]]
+                      for i, a in enumerate(self.ids)]
+        # a fixed region is counted once, a group's union once per candidate
+        scored = self.union if region is None else region
+        self.n_scored = int(np.count_nonzero(scored))
+        # the field is 0.0 off the union, so its sum over the union is its
+        # sum over the union of group + [c]
+        self.mass = float(self.field[scored].sum())
+
+    def diversity(self, camera_id: str) -> float:
+        """S_vd of group + [c], its pair terms summed in
+        itertools.combinations order: group camera i's pairs with the later
+        group cameras, then with c."""
+        acc = 0.0
+        for a, row in zip(self.ids, self.pairs):
+            for term in row:
+                acc += term
+            acc += _pair_term(self.scene.pair_geometry(a, camera_id))
+        return float(np.exp(-LAMBDA * acc))
+
+    def _total(self, s_sc: float, s_ad: float, s_vd: float) -> float:
+        """The product of the factors that terms picks; 0 on an empty
+        region."""
+        total = 1.0
+        for term, factor in (("sc", s_sc), ("ad", s_ad), ("vd", s_vd)):
+            if term in self.terms:
+                total *= factor
+        return total if s_sc else 0.0
+
+    def exact(self, cam: CameraPose, s_vd: float) -> ScoreBreakdown:
+        """The score of group + [cam], given its diversity: cam, last in
+        its group, adds only its own terms to a copy of the group's field,
+        in the order a from-scratch score of group + [cam] adds them, and
+        the field is summed over the whole scored region."""
+        field = self.field.copy()
+        _add_camera_term(field, self.scene, cam.id, self.weight)
+        scored, n_region = self.region, self.n_scored
+        if scored is None:
+            scored = self.union | self.scene.footprint(cam.id).mask
+            n_region = int(np.count_nonzero(scored))
+        s_sc = n_region / self.scene.grid.n_cells
+        s_ad = float(field[scored].sum()) / n_region if n_region else 0.0
+        return ScoreBreakdown(s_sc=s_sc, s_ad=s_ad, s_vd=s_vd,
+                              total=self._total(s_sc, s_ad, s_vd),
+                              variant=self.strategy)
+
+    def screen(self, cam: CameraPose, s_vd: float) -> float:
+        """exact(cam, s_vd).total up to rounding, from cam's footprint
+        window alone: the field's sum over the scored region is the
+        group's (self.mass) plus cam's own terms on that region, and a
+        union's count grows by cam's footprint cells outside it."""
+        n_region, mass = self.n_scored, 0.0
+        window = self.scene.footprint_window(cam.id)
+        if window is not None:
+            rows, cols, distance = window
+            if self.region is None:
+                fp = self.scene.footprint(cam.id).mask[rows, cols]
+                n_region += int(np.count_nonzero(fp & ~self.union[rows, cols]))
+                mass = self.scene.footprint_mass(cam.id)
+            else:
+                term = (1.0 if self.weight is None
+                        else self.weight[rows, cols]) / distance
+                mass = float(term[self.region[rows, cols]].sum())
+        s_ad = (self.mass + mass) / n_region if n_region else 0.0
+        return self._total(n_region / self.scene.grid.n_cells, s_ad, s_vd)
 
 
 def score_round(group: list[CameraPose], candidates: list[CameraPose],
@@ -96,64 +190,54 @@ def score_round(group: list[CameraPose], candidates: list[CameraPose],
     the factors multiplied into total, and an empty region scores 0. A
     strategy with no score, or a mask or density call without a
     prediction on the scene grid raises ValueError (a DensityMap holds
-    only finite values, so its weight is finite). The
-    group's field, union and pair terms are built once, and c, last in
-    its group, adds only its own terms, in the order a from-scratch score
-    of group + [c] adds them: the results are equal. The footprint windows
-    and pair geometry come from the scene (Scene.footprint_window,
-    Scene.pair_geometry)."""
-    grid = scene.grid
-    region = weight = None
-    if strategy in ("mask", "density"):
-        if prediction is None or prediction.values.shape != grid.shape:
-            raise ValueError(f"the {strategy} score needs a prediction on "
-                             f"the scene grid")
-        region = binarize_density(prediction, sigma_mode)
-        if strategy == "density":
-            weight = prediction.values
-    elif strategy != "geometric":
-        raise ValueError(f"strategy {strategy!r} has no score")
-    group_field = inverse_distance_field(group, scene, weight)
-    ids = [cam.id for cam in group]
-    union = scene.visibility_of(ids)
-    group_pairs = [[_pair_term(scene.pair_geometry(a, b))
-                    for b in ids[i + 1:]] for i, a in enumerate(ids)]
-    # a fixed region is counted once, a group's union once per candidate
-    scored = region
-    n_region = None if region is None else int(np.count_nonzero(region))
-    breakdowns = []
-    for cam in candidates:
-        field = group_field.copy()
-        _add_camera_term(field, scene, cam.id, weight)
-        if region is None:
-            scored = union | scene.footprint(cam.id).mask
-            n_region = int(np.count_nonzero(scored))
-        # the i < j pairs of group + [cam] in itertools.combinations order:
-        # group camera i's pairs with the later group cameras, then with cam
-        s_vd = _diversity(
-            term for a, row in zip(ids, group_pairs)
-            for term in [*row, _pair_term(scene.pair_geometry(a, cam.id))])
-        s_sc = n_region / grid.n_cells
-        s_ad = float(field[scored].sum()) / n_region if n_region else 0.0
-        total = 1.0
-        for term, factor in (("sc", s_sc), ("ad", s_ad), ("vd", s_vd)):
-            if term in terms:
-                total *= factor
-        if n_region == 0:
-            total = 0.0
-        breakdowns.append(ScoreBreakdown(s_sc=s_sc, s_ad=s_ad, s_vd=s_vd,
-                                         total=total, variant=strategy))
-    return breakdowns
+    only finite values, so its weight is finite). The round's setup is
+    built once (_Round), and each score equals the from-scratch score of
+    group + [c]. The footprint windows and pair geometry come from the
+    scene (Scene.footprint_window, Scene.pair_geometry)."""
+    rnd = _Round(group, scene, strategy, prediction, sigma_mode, terms)
+    return [rnd.exact(cam, rnd.diversity(cam.id)) for cam in candidates]
+
+
+def round_winner(group: list[CameraPose], candidates: list[CameraPose],
+                 scene: Scene, strategy: str,
+                 prediction: DensityMap | None = None, sigma_mode="mean",
+                 terms: tuple[str, ...] = ALL_TERMS
+                 ) -> tuple[int, ScoreBreakdown]:
+    """The index in candidates and the breakdown of the first maximum of
+    score_round's totals, with score_round's arguments and errors, from
+    fewer full-grid scores. Each candidate is first screened: its total is
+    computed from the group field's sum over the scored region, taken once
+    per round, plus the candidate's own terms in its footprint window
+    (Scene.footprint_mass for the geometric strategy). Every summand is
+    finite and non-negative, so both sums are within a relative
+    (k + 2 log2 n_cells) * 2**-52 or so of the true one; only the
+    candidates screened within SCREEN_TOL of the best get score_round's
+    exact score, and the winner is the first of their maxima."""
+    if not candidates:
+        raise ValueError("no candidates to score")
+    rnd = _Round(group, scene, strategy, prediction, sigma_mode, terms)
+    diversity = [rnd.diversity(cam.id) for cam in candidates]
+    screened = [rnd.screen(cam, s_vd)
+                for cam, s_vd in zip(candidates, diversity)]
+    floor = max(screened) * (1.0 - SCREEN_TOL)
+    best = None
+    for i, total in enumerate(screened):
+        if total >= floor:
+            sb = rnd.exact(candidates[i], diversity[i])
+            if best is None or sb.total > best[1].total:
+                best = (i, sb)
+    return best
 
 
 def binarize_density(density: DensityMap, sigma_mode) -> np.ndarray:
     """Threshold a density map into a crowd-region mask (strict inequality).
 
     sigma_mode "mean" uses the mean of the map; a float is an absolute
-    threshold. An all-zero map under "mean" yields the all-false mask.
+    threshold, and a NaN or infinite one raises ValueError. An all-zero map
+    under "mean" yields the all-false mask.
     """
     if sigma_mode == "mean":
         threshold = float(density.values.mean())
     else:
-        threshold = float(sigma_mode)
+        threshold = float(require_finite(sigma_mode, "sigma_mode"))
     return density.values > threshold

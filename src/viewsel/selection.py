@@ -12,7 +12,7 @@ from .crowd import CrowdFrame, DensityMap, accumulate_density, kernel_table
 from .geometry import Scene, require_finite
 from .predictor import (PredictorConfig, calibrate, noisy_draw,
                         noisy_predict, oracle_predict, training_mae)
-from .scoring import ALL_TERMS, ScoreBreakdown, score_round
+from .scoring import ALL_TERMS, ScoreBreakdown, round_winner
 from .serialize import (require_int, require_kind, require_object,
                         require_real)
 
@@ -132,10 +132,10 @@ def _largest_fov_camera(scene: Scene) -> str:
                key=lambda cid: (-scene.footprint(cid).area_cells, cid))
 
 
-def _cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity; an all-zero vector is treated as maximally similar
-    so undefined candidates fall back to frame-id order."""
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+def _cosine(u: np.ndarray, nu: float, v: np.ndarray, nv: float) -> float:
+    """Cosine similarity of u and v, given their norms; an all-zero vector
+    is treated as maximally similar so undefined candidates fall back to
+    frame-id order."""
     if nu == 0.0 or nv == 0.0:
         return 1.0
     return float(u @ v) / (nu * nv)
@@ -162,13 +162,15 @@ def select_frames(scene: Scene, trace: list[CrowdFrame], draw_fn, f: int,
         noisy, scale = draw_fn(frame)
         pred = oracle_predict(noisy, fov, scene, kernel_sigma_cells)
         features[frame.frame_id] = pred.values[fov] * scale
+    norms = {fid: np.linalg.norm(u) for fid, u in features.items()}
     ids = sorted(features)
     first = min(ids, key=lambda fid: (-features[fid].sum(), fid))
     chosen = [first]
     remaining = [fid for fid in ids if fid != first]
     while len(chosen) < f:
         best = min(remaining,
-                   key=lambda fid: (max(_cosine(features[fid], features[c])
+                   key=lambda fid: (max(_cosine(features[fid], norms[fid],
+                                                features[c], norms[c])
                                         for c in chosen), fid))
         chosen.append(best)
         remaining.remove(best)
@@ -199,20 +201,19 @@ def select_first_view(scene: Scene, frames: list[CrowdFrame], draw_fn,
 
 def add_view(scene: Scene, state: SelectionState,
              score_fn) -> SelectionState:
-    """One round of greedy view addition: score every unselected candidate
-    together with the current group, append the argmax (ties by camera id).
+    """One round of greedy view addition: append the unselected candidate
+    that scores best together with the current group (ties by camera id).
 
     score_fn(group_ids: list[str], candidate_ids: list[str])
-    -> list[ScoreBreakdown], the score of group + [c] for each candidate c;
-    called once per round.
+    -> (index, ScoreBreakdown), the first maximum over the candidates, in
+    their order, of the score of group + [c]; called once per round with
+    the candidates sorted by id.
     """
     unselected = sorted(set(scene.camera_ids) - set(state.selected))
     if not unselected:
         raise ValueError("no unselected cameras remain")
-    scores = score_fn(list(state.selected), unselected)
-    # max keeps the first of equal maxima: the lowest camera id
-    best_id, best_score = max(zip(unselected, scores, strict=True),
-                              key=lambda pair: pair[1].total)
+    index, best_score = score_fn(list(state.selected), unselected)
+    best_id = unselected[index]
     selected = state.selected + (best_id,)
     return replace(state, selected=selected,
                    combined_mask=scene.visibility_of(list(selected)),
@@ -221,9 +222,9 @@ def add_view(scene: Scene, state: SelectionState,
 
 def _score_fn(scene: Scene, config: SelectionConfig,
               prediction: DensityMap | None = None):
-    """add_view's score_fn: score_round under the config's strategy, which
+    """add_view's score_fn: round_winner under the config's strategy, which
     scores the prediction (None for geometric)."""
-    return lambda group, candidates: score_round(
+    return lambda group, candidates: round_winner(
         [scene.camera(c) for c in group],
         [scene.camera(c) for c in candidates], scene, config.strategy,
         prediction, config.sigma_mode, config.terms)

@@ -280,7 +280,8 @@ def test_criterion_6_monotonicity_suites():
                 cams = [scene.camera(c) for c in group + [cid]]
                 scores.append(score_round(cams[:-1], cams[-1:], scene,
                                           "geometric", None, "mean")[0])
-            return scores
+            best = max(range(len(scores)), key=lambda i: scores[i].total)
+            return best, scores[best]
 
         while len(state.selected) < k:
             state = add_view(scene, state, from_scratch)

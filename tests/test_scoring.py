@@ -1,11 +1,14 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from viewsel import (CameraPose, DensityMap, GroundGrid, Scene,
                      binarize_density, inverse_distance_field, score_round)
+from viewsel import scoring as scoring_module
+from viewsel.scoring import ALL_TERMS, round_winner
 
 from conftest import random_small_scene
 from reference import (ref_diversity, ref_full_grid_field,
@@ -339,11 +342,14 @@ def test_footprint_window_equals_full_grid_formula_exactly():
             want = np.where(mask, full, np.inf)[rows, cols]
             assert np.array_equal(got, want)
             assert np.array_equal(got[mask[rows, cols]], full[mask])
+            assert scene.footprint_mass(cam.id) == pytest.approx(
+                math.fsum(1.0 / full[mask]), rel=1e-12)
             assert not got.flags.writeable
             with pytest.raises(ValueError):
                 got[...] = 0.0
     edge = scenes[0]
     assert edge.footprint_window("away") is None
+    assert edge.footprint_mass("away") == 0.0
     # the nadir camera sits above a cell center: its distance is the floor
     assert edge.footprint_window("nadir")[2].min() == 0.25
 
@@ -384,3 +390,82 @@ def test_score_round_takes_only_a_scored_strategy(demo_scene):
         got = score_round(cams[:1], cams[1:], demo_scene, strategy, pred,
                           0.5)
         assert [sb.variant for sb in got] == [strategy] * 2
+
+
+def test_binarize_refuses_a_non_finite_threshold():
+    dm = DensityMap(values=np.array([[0.0, 1.0], [2.0, 3.0]]))
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="sigma_mode must be finite"):
+            binarize_density(dm, bad)
+    with pytest.raises(ValueError, match="sigma_mode must be finite"):
+        score_round([], [], _edge_case_scene(), "mask",
+                    DensityMap(values=np.ones((16, 20))), float("nan"))
+
+
+def _bits(sb):
+    return [float(v).hex() for v in (sb.s_sc, sb.s_ad, sb.s_vd, sb.total)] \
+        + [sb.variant]
+
+
+def _with_twins(rng, scene):
+    """scene plus a same-pose twin of some of its cameras: a twin's score
+    ties its original's exactly."""
+    twins = [replace(cam, id=f"{cam.id}-twin") for cam in scene.cameras
+             if rng.random() < 0.3]
+    return Scene(grid=scene.grid, cameras=scene.cameras + twins)
+
+
+def test_round_winner_is_the_first_maximum_of_score_round():
+    # the screened round picks the full scan's first maximum, with its bits,
+    # on every strategy, every subset of terms and both kinds of sigma_mode
+    rng = np.random.default_rng(24)
+    subsets = [t for n in range(len(ALL_TERMS) + 1)
+               for t in itertools.combinations(ALL_TERMS, n)]
+    scenes = [_edge_case_scene()] + [random_small_scene(rng)
+                                     for _ in range(60)]
+    for scene in scenes:
+        scene = _with_twins(rng, scene)
+        order = [scene.cameras[i] for i in rng.permutation(len(scene.cameras))]
+        pred = _random_density(rng, scene.grid)
+        for strategy in ("geometric", "mask", "density"):
+            k = int(rng.integers(0, min(len(order), 5)))
+            group, candidates = order[:k], order[k:]
+            terms = subsets[int(rng.integers(len(subsets)))]
+            sigma_mode = ("mean" if rng.random() < 0.5
+                          else float(rng.uniform(0.0, 1.0)))
+            full = score_round(group, candidates, scene, strategy, pred,
+                               sigma_mode, terms)
+            want = max(range(len(full)), key=lambda i: full[i].total)
+            index, sb = round_winner(group, candidates, scene, strategy,
+                                     pred, sigma_mode, terms)
+            assert index == want
+            assert _bits(sb) == _bits(full[want])
+
+
+def _mirrored_near_tie():
+    """Two candidates mirrored across the grid's vertical midline, with a
+    group camera on it: their scores agree to rounding, and the screen
+    orders them the other way round from the exact scores."""
+    grid = GroundGrid(height_cells=30, width_cells=30, cell_size_m=0.5)
+    group = CameraPose(id="g", position_3d=(7.5, 0.0, 6.0), yaw=math.pi / 2,
+                       pitch=-0.7, horizontal_fov_rad=1.0,
+                       vertical_fov_rad=1.0, max_range_m=20.0)
+
+    def cam(cid, x, yaw):
+        return CameraPose(id=cid, position_3d=(x, 8.0, 5.0), yaw=yaw,
+                          pitch=-0.6, horizontal_fov_rad=1.2,
+                          vertical_fov_rad=1.0, max_range_m=15.0)
+    cams = [cam("a", 3.0, 1.0), cam("b", 12.0, math.pi - 1.0)]
+    return Scene(grid=grid, cameras=[group] + cams), [group], cams
+
+
+def test_screen_tolerance_covers_rounding_near_ties(monkeypatch):
+    scene, group, cams = _mirrored_near_tie()
+    a, b = score_round(group, cams, scene, "geometric")
+    assert 0.0 < a.total - b.total <= 1e-15 * a.total
+    assert round_winner(group, cams, scene, "geometric") == (0, a)
+    # with no tolerance only the screen's top, b, is scored exactly
+    monkeypatch.setattr(scoring_module, "SCREEN_TOL", 0.0)
+    assert round_winner(group, cams, scene, "geometric") == (1, b)
+    with pytest.raises(ValueError, match="no candidates"):
+        round_winner(group, [], scene, "geometric")

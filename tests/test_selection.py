@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from viewsel import (CalibrationState, CameraPose, GroundGrid,
+from viewsel import (CalibrationState, CameraPose, CrowdFrame, GroundGrid,
                      PredictorConfig, Scene, SelectionConfig, add_view,
                      cover_rate, generate_crowd_trace, noisy_draw,
                      noisy_predict, oracle_predict, random_select, run_avs,
@@ -39,7 +39,8 @@ def _geom_score_fn(scene):
             cams = [scene.camera(c) for c in group + [cid]]
             scores.append(score_round(cams[:-1], cams[-1:], scene,
                                       "geometric", None, "mean")[0])
-        return scores
+        best = max(range(len(scores)), key=lambda i: scores[i].total)
+        return best, scores[best]
     return fn
 
 
@@ -111,6 +112,22 @@ def test_select_frames_first_has_largest_count(demo_scene):
     totals = {f.frame_id: oracle_predict(f, fov, demo_scene).total
               for f in trace}
     assert totals[ids[0]] == max(totals.values())
+
+
+def test_select_frames_norms_each_feature_once(demo_scene, monkeypatch):
+    # empty frames have all-zero features and copies of one frame equal
+    # features: both tie, and ties go to the lower frame id
+    base = _trace(demo_scene, n=6)
+    empty = CrowdFrame(frame_id=0, positions=np.zeros((0, 2)))
+    trace = [replace(empty, frame_id=i) for i in (6, 9)] + base + [
+        replace(base[i], frame_id=10 + i) for i in (1, 2, 4)]
+    norms = _count_calls(monkeypatch, np.linalg, "norm")
+    got = select_frames(demo_scene, trace, _oracle_draw, len(trace), 1.0)
+    assert len(norms) == len(trace)
+    predict = lambda frame, fov: oracle_predict(frame, fov, demo_scene).values
+    assert got == ref_select_frames(demo_scene, trace, predict, len(trace))
+    assert got.index(6) < got.index(9)
+    assert got.index(11) > got.index(1) and got.index(14) > got.index(4)
 
 
 def test_select_first_view_modes(demo_scene):
@@ -278,9 +295,11 @@ def test_add_view_tie_goes_to_lowest_id():
     scene = Scene(grid=grid, cameras=[cam("first", 0.0, 0.8),
                                       cam("twin2", 15.0, 2.0),
                                       cam("twin1", 15.0, 2.0)])
-    score_fn = _score_fn(scene, SelectionConfig(strategy="geometric"))
-    a, b = score_fn(["first"], ["twin1", "twin2"])
+    a, b = score_round([scene.camera("first")],
+                       [scene.camera("twin1"), scene.camera("twin2")], scene,
+                       "geometric")
     assert a == b and a.total > 0.0
+    score_fn = _score_fn(scene, SelectionConfig(strategy="geometric"))
     state = add_view(scene, _initial_state(scene, "first"), score_fn)
     assert state.selected == ("first", "twin1")
 
@@ -288,13 +307,49 @@ def test_add_view_tie_goes_to_lowest_id():
 def test_run_ivs_builds_one_group_field_per_round(demo_scene, monkeypatch):
     fields = _count_calls(monkeypatch, scoring_module,
                           "inverse_distance_field")
-    rounds = _count_calls(monkeypatch, selection_module, "score_round")
+    rounds = _count_calls(monkeypatch, selection_module, "round_winner")
     k = 5
     cfg = SelectionConfig(k_max=k, n_frames=4, strategy="geometric")
     state, _ = run_ivs(demo_scene, _trace(demo_scene), cfg)
     assert len(state.selected) == k
     # one field per greedy round, not one per candidate
     assert len(fields) == len(rounds) == k - 1
+
+
+def _exact_scores_per_round(monkeypatch):
+    """The number of candidates each greedy round scores on the full grid,
+    one list entry per round, filled as rounds run."""
+    per_round = []
+    winner, exact = selection_module.round_winner, scoring_module._Round.exact
+
+    def count_round(*args, **kwargs):
+        per_round.append(0)
+        return winner(*args, **kwargs)
+
+    def count_exact(self, cam, s_vd):
+        per_round[-1] += 1
+        return exact(self, cam, s_vd)
+    monkeypatch.setattr(selection_module, "round_winner", count_round)
+    monkeypatch.setattr(scoring_module._Round, "exact", count_exact)
+    return per_round
+
+
+def test_greedy_rounds_score_few_candidates_exactly(demo_scene, monkeypatch):
+    # the screen leaves a round's winner and its rounding near-ties alone to
+    # the full-grid score, not every candidate
+    per_round = _exact_scores_per_round(monkeypatch)
+    large = generate_scene(40, GroundGrid(200, 200, 0.5), seed=1000)
+    for scene, k in ((demo_scene, 5), (large, 10)):
+        cfg = SelectionConfig(k_max=k, n_frames=4, strategy="geometric")
+        run_ivs(scene, _trace(scene), cfg)
+    pred = PredictorConfig(miss_rate=0.3, position_jitter_m=1.0,
+                           count_noise_rel=0.1, seed=3)
+    for strategy in ("mask", "density"):
+        cfg = SelectionConfig(k_max=5, n_frames=4, strategy=strategy,
+                              tau=25.0, epochs=20)
+        run_avs(demo_scene, _trace(demo_scene), cfg, pred)
+    assert len(per_round) >= 4 + 9 + 2
+    assert 1 <= min(per_round) and max(per_round) <= 2
 
 
 def test_run_ivs_computes_each_camera_constant_once(demo_scene, monkeypatch):
