@@ -19,8 +19,8 @@ from dataclasses import asdict, replace
 
 import numpy as np
 
-from .crowd import (CrowdFrame, cover_rate, generate_crowd_trace,
-                    trace_from_csv, trace_to_csv)
+from .crowd import (CrowdFrame, generate_crowd_trace, trace_from_csv,
+                    trace_to_csv)
 from .evaluate import evaluate
 from .geometry import GroundGrid, Scene
 from .metrics import require_match_threshold
@@ -36,10 +36,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NON_CONVERGED = 3
 EXIT_IO = 4
-
-
-def _default_out_dir() -> str:
-    return os.environ.get("VIEWSEL_OUT_DIR", ".")
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
@@ -185,10 +181,11 @@ def _require_predictor_for(config: SelectionConfig, predictor: str) -> None:
         raise ValueError("active strategies need --predictor noisy")
 
 
-def _require_persons(scene: Scene, trace: list[CrowdFrame]) -> None:
+def _require_persons(trace: list[CrowdFrame]) -> None:
     """Refuse, in select and in sweep alike, a trace in which no frame
     holds a person, which evaluate would refuse after the run."""
-    cover_rate(trace, np.ones(scene.grid.shape, bool), scene.grid)
+    if not any(len(frame.positions) for frame in trace):
+        raise ValueError("no persons in any frame")
 
 
 def cmd_select(args) -> int:
@@ -199,7 +196,7 @@ def cmd_select(args) -> int:
     _require_predictor_for(config, args.predictor)
     # the checks of a sweep cell, in the same order, before any draw
     check_run(scene, trace, config)
-    _require_persons(scene, trace)
+    _require_persons(trace)
     state, trained = run_selection(scene, trace, config, predictor)
     run_spec = {"selection": asdict(config),
                 "predictor": asdict(predictor),
@@ -334,7 +331,7 @@ def cmd_sweep(args) -> int:
             cells.append((dict(key, spec_hash=h), stem, cell_cfg, cell_pred))
     # what evaluate would refuse in every cell: a bad threshold, no person
     require_match_threshold(args.threshold_m)
-    _require_persons(scene, trace)
+    _require_persons(trace)
     csv_path = os.path.join(args.out_dir, "sweep.csv")
     done = _done_cells(csv_path)
     todo = [cell for cell in cells if cell[0]["spec_hash"] not in done]
@@ -396,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames", type=int, default=20)
     p.add_argument("--count", default="50,100", help="lo,hi people per frame")
     p.add_argument("--clustering", type=float, default=0.7)
-    p.add_argument("--out-dir", default=_default_out_dir())
+    p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_scene_gen)
 
     p = sub.add_parser("select", help="run a selection strategy")
@@ -429,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeats", type=int, default=1)
     _add_selection_args(p)
     p.add_argument("--threshold-m", type=float, default=0.5)
-    p.add_argument("--out-dir", default=_default_out_dir())
+    p.add_argument("--out-dir", default=".")
     _add_predictor_args(p)
     p.set_defaults(func=cmd_sweep)
 

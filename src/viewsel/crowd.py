@@ -11,10 +11,6 @@ import numpy as np
 from .geometry import GroundGrid, Scene, floored_distance, require_finite
 
 
-class UndefinedCoverRateError(ValueError):
-    """Cover rate requested over frames containing no people at all."""
-
-
 @dataclass(frozen=True)
 class Person:
     position: tuple[float, float]
@@ -279,7 +275,7 @@ def cover_rate(frames: list[CrowdFrame], visibility: np.ndarray,
                   for frame in frames)
     total = sum(len(frame.positions) for frame in frames)
     if total == 0:
-        raise UndefinedCoverRateError("no persons in any frame")
+        raise ValueError("no persons in any frame")
     return covered / total
 
 

@@ -141,55 +141,56 @@ def _cosine(u: np.ndarray, nu: float, v: np.ndarray, nv: float) -> float:
     return float(u @ v) / (nu * nv)
 
 
-def select_frames(scene: Scene, trace: list[CrowdFrame], draw_fn, f: int,
-                  kernel_sigma_cells: float) -> list[int]:
+def select_frames(scene: Scene, drawn: list[tuple[CrowdFrame, float]],
+                  f: int, kernel_sigma_cells: float) -> list[int]:
     """Pick f frame ids: first the frame with the largest predicted count in
     the widest camera's footprint, then greedily the frame least similar
     (by max cosine over already-selected) in that camera's density features.
 
-    draw_fn(frame) -> (CrowdFrame, scale) is the predictor's draw (the
-    oracle's is (frame, 1.0)); a frame's prediction under a footprint is
-    the oracle density of the drawn people seen there, times the scale.
+    drawn holds the predictor's draws (CrowdFrame, scale), one per frame
+    under its own id (the oracle's is (frame, 1.0)); a frame's prediction
+    under a footprint is the oracle density of the drawn people seen there,
+    times the scale. Each frame pair is compared once.
     """
     if f < 1:
         raise ValueError(f"need at least one frame to select, got {f}")
-    if f > len(trace):
-        raise ValueError(f"cannot select {f} frames from {len(trace)}")
+    if f > len(drawn):
+        raise ValueError(f"cannot select {f} frames from {len(drawn)}")
     v_max = _largest_fov_camera(scene)
     fov = scene.footprint(v_max).mask
     features = {}
-    for frame in trace:
-        noisy, scale = draw_fn(frame)
+    for noisy, scale in drawn:
+        if noisy.frame_id in features:
+            raise ValueError(f"repeated frame id {noisy.frame_id}")
         pred = oracle_predict(noisy, fov, scene, kernel_sigma_cells)
-        features[frame.frame_id] = pred.values[fov] * scale
+        features[noisy.frame_id] = pred.values[fov] * scale
     norms = {fid: np.linalg.norm(u) for fid, u in features.items()}
-    ids = sorted(features)
-    first = min(ids, key=lambda fid: (-features[fid].sum(), fid))
-    chosen = [first]
-    remaining = [fid for fid in ids if fid != first]
+    chosen = [min(features, key=lambda fid: (-features[fid].sum(), fid))]
+    # each unchosen frame's largest cosine to the chosen ones
+    nearest = {fid: -np.inf for fid in features if fid != chosen[0]}
     while len(chosen) < f:
-        best = min(remaining,
-                   key=lambda fid: (max(_cosine(features[fid], norms[fid],
-                                                features[c], norms[c])
-                                        for c in chosen), fid))
-        chosen.append(best)
-        remaining.remove(best)
+        last = chosen[-1]
+        for fid in nearest:
+            nearest[fid] = max(nearest[fid],
+                               _cosine(features[fid], norms[fid],
+                                       features[last], norms[last]))
+        chosen.append(min(nearest, key=lambda fid: (nearest[fid], fid)))
+        del nearest[chosen[-1]]
     return chosen
 
 
-def select_first_view(scene: Scene, frames: list[CrowdFrame], draw_fn,
+def select_first_view(scene: Scene, drawn: list[tuple[CrowdFrame, float]],
                       kernel_sigma_cells: float) -> str:
     """First view by predicted crowd count summed over the selected frames.
 
-    draw_fn is select_frames'. Each frame is drawn and tabulated
-    (kernel_table) once; a camera's prediction accumulates the drawn people
-    whose cell it sees under its footprint, times the draw's scale.
+    drawn holds their draws, as select_frames', in their order. Each draw is
+    tabulated (kernel_table) once; a camera's prediction accumulates the
+    drawn people whose cell it sees under its footprint, times the scale.
     """
-    if not frames:
+    if not drawn:
         raise ValueError("no frames to select the first view by")
     totals = {cid: [] for cid in scene.camera_ids}
-    for frame in frames:
-        noisy, scale = draw_fn(frame)
+    for noisy, scale in drawn:
         table = kernel_table(noisy, scene.grid, kernel_sigma_cells)
         for cid, counts in totals.items():
             fov = scene.footprint(cid).mask
@@ -288,13 +289,19 @@ def _epoch_credit(camera_credit: dict[str, float], f: int,
 def check_run(scene: Scene, trace: list[CrowdFrame],
               config: SelectionConfig) -> None:
     """Refuse, before any draw, a run that the scene or trace cannot
-    supply: more views than cameras, or more frames than the trace has."""
+    supply: more views than cameras, more frames than the trace has, or
+    a trace with a repeated frame id."""
     if config.k_max > len(scene.cameras):
         raise ValueError(f"cannot select {config.k_max} views from "
                          f"{len(scene.cameras)} cameras")
     if config.n_frames > len(trace):
         raise ValueError(f"cannot select {config.n_frames} frames from "
                          f"{len(trace)}")
+    seen = set()
+    for frame in trace:
+        if frame.frame_id in seen:
+            raise ValueError(f"repeated frame id {frame.frame_id}")
+        seen.add(frame.frame_id)
 
 
 def run_ivs(scene: Scene, trace: list[CrowdFrame], config: SelectionConfig,
@@ -305,7 +312,7 @@ def run_ivs(scene: Scene, trace: list[CrowdFrame], config: SelectionConfig,
         raise ValueError("run_ivs requires the geometric strategy")
     check_run(scene, trace, config)
     sigma = (predictor or PredictorConfig()).kernel_sigma_cells
-    frame_ids = select_frames(scene, trace, lambda frame: (frame, 1.0),
+    frame_ids = select_frames(scene, [(frame, 1.0) for frame in trace],
                               config.n_frames, sigma)
     state = _initial_state(scene, _largest_fov_camera(scene))
     score_fn = _score_fn(scene, config)
@@ -332,15 +339,14 @@ def run_avs(scene: Scene, trace: list[CrowdFrame], config: SelectionConfig,
     # a draw depends only on the seed, the frame and the calibration, so
     # frame and first-view selection share one draw of each trace frame
     drawn = {frame.frame_id: noisy_draw(frame, predictor) for frame in trace}
-
-    def draw(frame):
-        return drawn[frame.frame_id]
-
     sigma = predictor.kernel_sigma_cells
-    frame_ids = select_frames(scene, trace, draw, config.n_frames, sigma)
+    frame_ids = select_frames(scene, list(drawn.values()), config.n_frames,
+                              sigma)
     by_id = {frame.frame_id: frame for frame in trace}
     frames = [by_id[fid] for fid in frame_ids]
-    first = select_first_view(scene, frames, draw, sigma)
+    # in the chosen order: summing the totals in another may flip a near-tie
+    first = select_first_view(scene, [drawn[fid] for fid in frame_ids],
+                              sigma)
     state = _initial_state(scene, first)
     camera_credit = _camera_credit(scene, frames)
 

@@ -7,7 +7,7 @@ import pytest
 from viewsel import (CrowdFrame, DensityMap, GroundGrid, Person,
                      accumulate_density, cover_rate, generate_crowd_trace,
                      kernel_table, rasterize_density, visible_persons)
-from viewsel.crowd import UndefinedCoverRateError, trace_from_csv, trace_to_csv
+from viewsel.crowd import trace_from_csv, trace_to_csv
 
 from reference import ref_rasterize_density, ref_trace_from_csv
 
@@ -177,7 +177,7 @@ def test_cover_rate_extremes(small_grid):
 
 
 def test_cover_rate_undefined_without_persons(small_grid):
-    with pytest.raises(UndefinedCoverRateError):
+    with pytest.raises(ValueError, match="no persons in any frame"):
         cover_rate([_frame([])], np.ones(small_grid.shape, bool), small_grid)
 
 

@@ -28,8 +28,8 @@ def _trace(scene, n=8, seed=0):
     return generate_crowd_trace(scene.grid, n, (30, 60), 0.8, seed=seed)
 
 
-def _oracle_draw(frame):
-    return frame, 1.0
+def _oracle_draws(frames):
+    return [(frame, 1.0) for frame in frames]
 
 
 def _geom_score_fn(scene):
@@ -88,19 +88,22 @@ def test_run_ivs_is_deterministic(demo_scene):
 
 def test_select_frames_count_and_uniqueness(demo_scene):
     trace = _trace(demo_scene, n=10)
-    ids = select_frames(demo_scene, trace, _oracle_draw, 4, 1.0)
+    ids = select_frames(demo_scene, _oracle_draws(trace), 4, 1.0)
     assert len(ids) == len(set(ids)) == 4
     with pytest.raises(ValueError):
-        select_frames(demo_scene, trace, _oracle_draw, 11, 1.0)
+        select_frames(demo_scene, _oracle_draws(trace), 11, 1.0)
+    trace[1] = replace(trace[1], frame_id=trace[0].frame_id)
+    with pytest.raises(ValueError, match="repeated frame id 0"):
+        select_frames(demo_scene, _oracle_draws(trace), 3, 1.0)
 
 
 def test_select_frames_refuses_an_empty_request(demo_scene):
     trace = _trace(demo_scene, n=3)
     for f in (0, -1):
         with pytest.raises(ValueError, match="at least one frame"):
-            select_frames(demo_scene, trace, _oracle_draw, f, 1.0)
+            select_frames(demo_scene, _oracle_draws(trace), f, 1.0)
     with pytest.raises(ValueError, match="cannot select 1 frames from 0"):
-        select_frames(demo_scene, [], _oracle_draw, 1, 1.0)
+        select_frames(demo_scene, [], 1, 1.0)
 
 
 def test_select_frames_first_has_largest_count(demo_scene):
@@ -108,7 +111,7 @@ def test_select_frames_first_has_largest_count(demo_scene):
     v_max = max(demo_scene.camera_ids,
                 key=lambda c: demo_scene.footprint(c).area_cells)
     fov = demo_scene.footprint(v_max).mask
-    ids = select_frames(demo_scene, trace, _oracle_draw, 3, 1.0)
+    ids = select_frames(demo_scene, _oracle_draws(trace), 3, 1.0)
     totals = {f.frame_id: oracle_predict(f, fov, demo_scene).total
               for f in trace}
     assert totals[ids[0]] == max(totals.values())
@@ -116,14 +119,19 @@ def test_select_frames_first_has_largest_count(demo_scene):
 
 def test_select_frames_norms_each_feature_once(demo_scene, monkeypatch):
     # empty frames have all-zero features and copies of one frame equal
-    # features: both tie, and ties go to the lower frame id
+    # features: both tie, and ties go to the lower frame id. Each frame
+    # pair is compared once: the j-th pick compares the n - j frames left
+    # with the newest chosen one
     base = _trace(demo_scene, n=6)
     empty = CrowdFrame(frame_id=0, positions=np.zeros((0, 2)))
     trace = [replace(empty, frame_id=i) for i in (6, 9)] + base + [
         replace(base[i], frame_id=10 + i) for i in (1, 2, 4)]
     norms = _count_calls(monkeypatch, np.linalg, "norm")
-    got = select_frames(demo_scene, trace, _oracle_draw, len(trace), 1.0)
+    cosines = _count_calls(monkeypatch, selection_module, "_cosine")
+    got = select_frames(demo_scene, _oracle_draws(trace), len(trace), 1.0)
     assert len(norms) == len(trace)
+    n = len(trace)
+    assert len(cosines) == sum(n - j for j in range(1, n)) == 55
     predict = lambda frame, fov: oracle_predict(frame, fov, demo_scene).values
     assert got == ref_select_frames(demo_scene, trace, predict, len(trace))
     assert got.index(6) < got.index(9)
@@ -139,13 +147,13 @@ def test_select_first_view_modes(demo_scene):
     areas = {c: demo_scene.footprint(c).area_cells
              for c in demo_scene.camera_ids}
     assert areas[by_fov] == max(areas.values())
-    by_count = select_first_view(demo_scene, trace, _oracle_draw, 1.0)
+    by_count = select_first_view(demo_scene, _oracle_draws(trace), 1.0)
     assert by_count in demo_scene.camera_ids
 
 
 def test_select_first_view_refuses_no_frames(demo_scene):
     with pytest.raises(ValueError, match="no frames"):
-        select_first_view(demo_scene, [], _oracle_draw, 1.0)
+        select_first_view(demo_scene, [], 1.0)
 
 
 def test_random_select_reproducible_and_valid(demo_scene):
@@ -415,20 +423,29 @@ def test_select_first_view_equals_per_camera_reference():
         def predict(frame, vis):
             return noisy_predict(frame, vis, scene, config).values
         assert select_first_view(
-            scene, frames, lambda frame: noisy_draw(frame, config),
+            scene, [noisy_draw(frame, config) for frame in frames],
             config.kernel_sigma_cells) \
             == ref_select_first_view(scene, frames, predict)
 
 
 def test_select_frames_equals_per_frame_reference():
+    # short traces, then traces of 8-12 frames with copies of one frame and
+    # empty frames among them, whose features tie when no noise is left
     rng = np.random.default_rng(12)
-    for _ in range(20):
+    for case in range(40):
         scene = random_small_scene(rng)
         # close counts, so that the count scale can decide the first frame
         lo = int(rng.integers(0, 40))
+        n = int(rng.integers(1, 7) if case < 20 else rng.integers(5, 10))
         trace = generate_crowd_trace(
-            scene.grid, int(rng.integers(1, 7)), (lo, lo + 4),
-            float(rng.uniform()), seed=int(rng.integers(1 << 31)))
+            scene.grid, n, (lo, lo + 4), float(rng.uniform()),
+            seed=int(rng.integers(1 << 31)))
+        if case >= 20:
+            copy = trace[int(rng.integers(n))]
+            trace += [replace(copy, frame_id=n),
+                      CrowdFrame(frame_id=n + 1, positions=np.zeros((0, 2))),
+                      CrowdFrame(frame_id=n + 2, positions=np.zeros((0, 2)))]
+            rng.shuffle(trace)
         config = PredictorConfig(
             miss_rate=float(rng.uniform()),
             position_jitter_m=float(rng.uniform(0.0, 2.0)),
@@ -442,7 +459,7 @@ def test_select_frames_equals_per_frame_reference():
         def predict(frame, vis):
             return noisy_predict(frame, vis, scene, config).values
         assert select_frames(
-            scene, trace, lambda frame: noisy_draw(frame, config), f,
+            scene, [noisy_draw(frame, config) for frame in trace], f,
             config.kernel_sigma_cells) \
             == ref_select_frames(scene, trace, predict, f)
 
@@ -452,28 +469,27 @@ def test_frame_and_first_view_selection_draw_each_frame_once(
     trace = _trace(demo_scene, n=10)
     pred = PredictorConfig(miss_rate=0.3, position_jitter_m=1.0,
                            count_noise_rel=0.1, seed=3)
-    drawn = []
-
-    def draw(frame):
-        drawn.append(frame.frame_id)
-        return noisy_draw(frame, pred)
-    ids = select_frames(demo_scene, trace, draw, 4, 1.0)
-    assert drawn == [f.frame_id for f in trace]
-    frames = [f for f in trace if f.frame_id in ids]
-    drawn.clear()
-    select_first_view(demo_scene, frames, draw, 1.0)
-    assert drawn == [f.frame_id for f in frames]
-
     # before its first epoch, run_avs only draws, each trace frame once in
     # trace order: first-view selection reuses frame selection's draws
     draws = _count_calls(monkeypatch, selection_module, "noisy_draw",
                          key=lambda frame, config: frame.frame_id)
     predicted = [_count_calls(monkeypatch, module, "noisy_predict")
                  for module in (predictor_module, selection_module)]
+    by_frames = _count_calls(monkeypatch, selection_module, "select_frames",
+                             key=lambda scene, drawn, f, sigma: drawn)
+    by_view = _count_calls(monkeypatch, selection_module,
+                           "select_first_view",
+                           key=lambda scene, drawn, sigma: drawn)
     cfg = SelectionConfig(k_max=3, n_frames=4, strategy="density", epochs=0)
-    run_avs(demo_scene, trace, cfg, pred)
+    _, dataset, _ = run_avs(demo_scene, trace, cfg, pred)
     assert draws == [f.frame_id for f in trace]
     assert predicted == [[], []]
+    # the very draws, in the chosen order
+    [drawn], [firsts] = by_frames, by_view
+    assert [d[0].frame_id for d in drawn] == [f.frame_id for f in trace]
+    by_id = {d[0].frame_id: d for d in drawn}
+    assert len(firsts) == len(dataset.frame_ids) == 4
+    assert all(d is by_id[fid] for d, fid in zip(firsts, dataset.frame_ids))
 
 
 def test_run_avs_predicts_each_frame_once_per_gated_epoch(monkeypatch):
@@ -640,7 +656,7 @@ def _run_entries(strategy):
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
-@pytest.mark.parametrize("over", ["views", "frames"])
+@pytest.mark.parametrize("over", ["views", "frames", "repeated"])
 def test_a_run_past_the_scene_or_trace_is_refused_before_any_draw(
         demo_scene, monkeypatch, strategy, over):
     trace = _trace(demo_scene)
@@ -648,9 +664,13 @@ def test_a_run_past_the_scene_or_trace_is_refused_before_any_draw(
     if over == "views":
         k = len(demo_scene.cameras) + 1
         message = f"cannot select {k} views from 6 cameras"
-    else:
+    elif over == "frames":
         f = len(trace) + 1
         message = f"cannot select {f} frames from 8"
+    else:
+        # two frames under id 0, which frame selection cannot tell apart
+        trace[1] = replace(trace[1], frame_id=0)
+        message = "repeated frame id 0"
     draws = [_count_calls(monkeypatch, module, name)
              for module in (predictor_module, selection_module)
              for name in ("noisy_draw", "oracle_predict")]

@@ -12,7 +12,8 @@ needs numpy alone: no module imports scipy, which only the tests' oracles
 use. And one module knows each strategy's scored region and weight: only
 scoring.py calls `binarize_density`. And a density is rasterized by the
 crowd layer and the predictor alone, so pseudo-label GT is the oracle
-prediction: only crowd.py and predictor.py call `rasterize_density`."""
+prediction: only crowd.py and predictor.py call `rasterize_density`. And a run depends
+on its arguments alone: no module reads `os.environ` or calls `os.getenv`."""
 
 import ast
 from pathlib import Path
@@ -174,3 +175,8 @@ def test_only_scoring_binarizes_a_prediction():
 
 def test_only_crowd_and_predictor_rasterize_a_density():
     assert callers(PACKAGE, "rasterize_density") == ["crowd", "predictor"]
+
+
+def test_no_module_reads_the_environment():
+    assert attribute_reads(PACKAGE, "environ") == []
+    assert callers(PACKAGE, "getenv") == []
