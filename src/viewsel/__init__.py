@@ -3,7 +3,7 @@ localization, with a pluggable predictor and a simulation harness."""
 
 from .crowd import (CrowdFrame, DensityMap, Person, accumulate_density,
                     cover_rate, generate_crowd_trace, kernel_table,
-                    rasterize_density, visible_persons)
+                    rasterize_density)
 from .evaluate import EvalReport, evaluate
 from .geometry import (CameraPose, FovFootprint, GroundGrid, Scene,
                        project_footprint)

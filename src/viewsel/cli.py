@@ -228,7 +228,10 @@ def cmd_eval(args) -> int:
             and not args.force:
         raise ValueError("selection artifact was produced for a different "
                          "scene (hash mismatch); pass --force to override")
-    if args.use_trained and "predictor_trained" in data:
+    if args.use_trained:
+        if "predictor_trained" not in data:
+            raise ValueError("selection artifact has no predictor_trained "
+                             "for --use-trained")
         predictor = PredictorConfig.from_dict(data["predictor_trained"])
     else:
         predictor = _predictor_from_args(args)

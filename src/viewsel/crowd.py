@@ -73,7 +73,7 @@ class CrowdFrame:
 
     def local_density(self, grid: GroundGrid,
                       kernel_sigma_cells: float) -> np.ndarray:
-        """The frame's unmasked density (rasterize_density) at each
+        """The frame's density (rasterize_density) at each
         person's own cell."""
         return self._held(
             ("local_density", grid, kernel_sigma_cells),
@@ -160,10 +160,11 @@ def generate_crowd_trace(grid: GroundGrid, n_frames: int,
     return frames
 
 
-def kernel_table(frame: CrowdFrame, grid: GroundGrid,
+def kernel_table(positions: np.ndarray, grid: GroundGrid,
                  kernel_sigma_cells: float) -> tuple[np.ndarray, np.ndarray]:
     """Each person's Gaussian kernel as one row of (2r+1)**2 flat cells and
-    weights, r = ceil(4 sigma), in person order: (cells, weights).
+    weights, r = ceil(4 sigma), in the order of positions, a finite (n, 2)
+    array of (x, y) meters: (cells, weights).
 
     A kernel is truncated at 4 sigma and renormalized to unit mass over its
     in-bounds window. Window cells off the grid, and every cell of a person
@@ -174,7 +175,9 @@ def kernel_table(frame: CrowdFrame, grid: GroundGrid,
     if kernel_sigma_cells <= 0:
         raise ValueError("kernel_sigma_cells must be positive")
     h, w = grid.shape
-    pos = require_finite(frame.positions, "person positions")
+    pos = require_finite(positions, "person positions")
+    if pos.ndim != 2 or pos.shape[1] != 2:
+        raise ValueError(f"positions shape {pos.shape} is not (n, 2)")
     radius = int(math.ceil(4.0 * kernel_sigma_cells))
     inv_two_sigma2 = 1.0 / (2.0 * kernel_sigma_cells ** 2)
     # (x, y) in cell-center units; a person whose window misses the grid is
@@ -229,7 +232,8 @@ def accumulate_density(table: tuple[np.ndarray, np.ndarray], grid: GroundGrid,
                        mask: np.ndarray | None = None) -> np.ndarray:
     """The (h, w) raster of the kernel_table rows selected by rows (a
     boolean or index array over the people; None: all), with the cells
-    outside mask zeroed afterwards without renormalizing."""
+    outside mask zeroed afterwards without renormalizing, so people
+    straddling the mask's edge keep partial mass."""
     if mask is not None and mask.shape != grid.shape:
         raise ValueError("mask shape does not match grid")
     cells, weights = table
@@ -247,25 +251,15 @@ def accumulate_density(table: tuple[np.ndarray, np.ndarray], grid: GroundGrid,
 
 
 def rasterize_density(frame: CrowdFrame, grid: GroundGrid,
-                      kernel_sigma_cells: float,
-                      mask: np.ndarray | None = None) -> DensityMap:
+                      kernel_sigma_cells: float) -> DensityMap:
     """Rasterize a frame as a sum of per-person Gaussian kernels.
 
     Each person contributes an isotropic Gaussian truncated at 4 sigma and
-    renormalized to unit mass over its in-bounds window, so the unmasked map
-    sums to the person count. The optional mask zeroes cells afterwards
-    without renormalizing, so boundary-straddling people keep partial mass.
+    renormalized to unit mass over its in-bounds window, so the map sums to
+    the person count.
     """
-    table = kernel_table(frame, grid, kernel_sigma_cells)
-    return DensityMap(values=accumulate_density(table, grid, mask=mask))
-
-
-def visible_persons(frame: CrowdFrame, visibility: np.ndarray,
-                    grid: GroundGrid) -> CrowdFrame:
-    """The frame's people whose containing grid cell is visible (boundary
-    clamps in-bounds), in frame order, under the same frame id."""
-    return CrowdFrame(frame_id=frame.frame_id,
-                      positions=frame.positions[frame.seen(visibility, grid)])
+    table = kernel_table(frame.positions, grid, kernel_sigma_cells)
+    return DensityMap(values=accumulate_density(table, grid))
 
 
 def cover_rate(frames: list[CrowdFrame], visibility: np.ndarray,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .crowd import CrowdFrame, DensityMap, rasterize_density, visible_persons
+from .crowd import CrowdFrame, DensityMap, accumulate_density, kernel_table
 from .geometry import Scene, require_finite
 from .serialize import require_fields, require_int, require_real
 
@@ -85,9 +85,10 @@ class PredictorConfig:
 def oracle_predict(frame: CrowdFrame, selected_visibility: np.ndarray,
                    scene: Scene, kernel_sigma_cells: float = 1.0) -> DensityMap:
     """Ideal model output: exact density of the people the selected views see."""
-    return rasterize_density(
-        visible_persons(frame, selected_visibility, scene.grid), scene.grid,
-        kernel_sigma_cells, mask=selected_visibility)
+    seen = frame.positions[frame.seen(selected_visibility, scene.grid)]
+    table = kernel_table(seen, scene.grid, kernel_sigma_cells)
+    return DensityMap(values=accumulate_density(table, scene.grid,
+                                                mask=selected_visibility))
 
 
 def noisy_draw(frame: CrowdFrame, config: PredictorConfig,

@@ -191,7 +191,7 @@ def select_first_view(scene: Scene, drawn: list[tuple[CrowdFrame, float]],
         raise ValueError("no frames to select the first view by")
     totals = {cid: [] for cid in scene.camera_ids}
     for noisy, scale in drawn:
-        table = kernel_table(noisy, scene.grid, kernel_sigma_cells)
+        table = kernel_table(noisy.positions, scene.grid, kernel_sigma_cells)
         for cid, counts in totals.items():
             fov = scene.footprint(cid).mask
             values = accumulate_density(table, scene.grid,

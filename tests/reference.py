@@ -13,7 +13,7 @@ import math
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from viewsel import CrowdFrame, Person, cover_rate
+from viewsel import CrowdFrame, cover_rate
 
 
 def ref_inverse_distance(cams, masks, grid):
@@ -244,19 +244,19 @@ def ref_world_to_cell(grid, x, y):
     return i, j
 
 
-def ref_visible_persons(persons, visibility, grid):
-    """Per-person loop over Person records: keep the people whose clamped
+def ref_visible_persons(points, visibility, grid):
+    """Per-person loop over (x, y) tuples: keep the people whose clamped
     cell is visible."""
     out = []
-    for person in persons:
-        i, j = ref_world_to_cell(grid, *person.position)
+    for x, y in points:
+        i, j = ref_world_to_cell(grid, x, y)
         if visibility[i, j]:
-            out.append(person)
+            out.append((x, y))
     return out
 
 
-def ref_rasterize_density(persons, grid, kernel_sigma_cells, mask=None):
-    """Per-person loop over Person records: add each truncated Gaussian,
+def ref_rasterize_density(points, grid, kernel_sigma_cells, mask=None):
+    """Per-person loop over (x, y) tuples: add each truncated Gaussian,
     normalized over its in-bounds window, to the raster in person order;
     returns the array."""
     h, w = grid.shape
@@ -265,9 +265,9 @@ def ref_rasterize_density(persons, grid, kernel_sigma_cells, mask=None):
     cs = grid.cell_size_m
     radius = int(math.ceil(4.0 * kernel_sigma_cells))
     inv_two_sigma2 = 1.0 / (2.0 * kernel_sigma_cells ** 2)
-    for person in persons:
-        px = (person.position[0] - ox) / cs - 0.5  # in cell-center units
-        py = (person.position[1] - oy) / cs - 0.5
+    for x, y in points:
+        px = (x - ox) / cs - 0.5  # in cell-center units
+        py = (y - oy) / cs - 0.5
         j0, i0 = int(round(px)), int(round(py))
         i_lo, i_hi = max(i0 - radius, 0), min(i0 + radius, h - 1)
         j_lo, j_hi = max(j0 - radius, 0), min(j0 + radius, w - 1)
@@ -287,26 +287,25 @@ def ref_rasterize_density(persons, grid, kernel_sigma_cells, mask=None):
 
 
 def ref_noisy_predict(frame, visibility, scene, config, selected_ids=None):
-    """noisy_predict over a list of Person records: the per-person miss
+    """noisy_predict over a list of (x, y) tuples: the per-person miss
     probability, the jittered people rebuilt one at a time, then the loop
     references for visibility and rasterization; returns the array. The rng
     draws are the library's, in its order."""
-    persons = frame.persons
+    points = frame.positions.tolist()
     sigma = config.kernel_sigma_cells
     resid = 1.0 - config.calibration.quality
     if (config.miss_rate * resid == 0.0
             and config.position_jitter_m * resid == 0.0
             and config.count_noise_rel * resid == 0.0):
-        seen = ref_visible_persons(persons, visibility, scene.grid)
+        seen = ref_visible_persons(points, visibility, scene.grid)
         return ref_rasterize_density(seen, scene.grid, sigma, mask=visibility)
     rng = np.random.default_rng([config.seed, frame.frame_id])
-    n = len(persons)
+    n = len(points)
     miss_p = np.full(n, config.miss_rate * resid)
     if selected_ids and n:
-        local = ref_rasterize_density(persons, scene.grid, sigma)
+        local = ref_rasterize_density(points, scene.grid, sigma)
         half_cell = scene.grid.cell_size_m / 2.0
-        for k, person in enumerate(persons):
-            x, y = person.position
+        for k, (x, y) in enumerate(points):
             i, j = ref_world_to_cell(scene.grid, x, y)
             crowding = local[i, j] / (local[i, j] + config.crowding_half)
             strength = 0.0
@@ -321,9 +320,8 @@ def ref_noisy_predict(frame, visibility, scene, config, selected_ids=None):
         * resid
     scale = max(1.0 + config.count_noise_rel * resid * rng.uniform(-1.0, 1.0),
                 0.0)
-    noisy = [Person(position=(p.position[0] + jitter[k, 0],
-                              p.position[1] + jitter[k, 1]))
-             for k, p in enumerate(persons) if keep[k]]
+    noisy = [(x + jitter[k, 0], y + jitter[k, 1])
+             for k, (x, y) in enumerate(points) if keep[k]]
     seen = ref_visible_persons(noisy, visibility, scene.grid)
     return ref_rasterize_density(seen, scene.grid, sigma,
                                  mask=visibility) * scale

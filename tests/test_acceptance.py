@@ -131,7 +131,8 @@ def test_criterion_3_greedy_vs_brute_force():
     dt = time.time() - t0
     ok = good >= 45 and dt < 300.0
     _report(3, ok, f"greedy within 0.90x of exhaustive CoverRate on "
-                   f"{good}/50 scenes in {dt:.1f}s")
+                   f"{good}/50 scenes (floor 45, slack {good - 45}) "
+                   f"in {dt:.1f}s")
 
 
 # ---------------------------------------------------------------------------
@@ -195,13 +196,28 @@ def test_criterion_4_strategy_ordering():
           and m["random"] >= m["ivs"] >= m["mask"] >= m["density"]
           and m["density"] <= 0.85 * m["random"])
     dt = time.time() - t0
+    # how far each gate is from failing: the gap of each ordering and the
+    # scenes on which the later strategy beats the earlier one
+    name = {"random": "random", "ivs": "geometric", "mask": "mask",
+            "density": "density"}
+    steps = [("random", "ivs"), ("ivs", "mask"), ("mask", "density")]
+    gaps = ", ".join(f"{name[a]}-{name[b]} {m[a] - m[b]:.2f}"
+                     for a, b in steps)
+    wins = ", ".join(f"{name[b]} over {name[a]} "
+                     f"{sum(y < x for x, y in zip(mae[a], mae[b]))}/20"
+                     for a, b in steps)
+    cov_wins = sum(g > r for r, g in zip(cov["random"], cov["ivs"]))
     _report(4, ok,
             "mean MAE random {random:.2f} >= geometric {ivs:.2f} >= "
             "mask {mask:.2f} >= density {density:.2f}".format(**m)
             + f"; CoverRate random {c['random']:.3f} <= geometric "
               f"{c['ivs']:.3f}; density MAE <= 0.85x random "
-              f"({m['density']:.2f} vs {0.85 * m['random']:.2f}) "
-              f"in {dt:.1f}s")
+              f"({m['density']:.2f} vs {0.85 * m['random']:.2f}); "
+              f"slack: MAE gaps {gaps}, CoverRate gap "
+              f"{c['ivs'] - c['random']:.3f}, 0.85x margin "
+              f"{0.85 * m['random'] - m['density']:.2f}; paired wins per "
+              f"scene: MAE {wins}, CoverRate geometric over random "
+              f"{cov_wins}/20 in {dt:.1f}s")
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +242,7 @@ def test_criterion_5_diversity_ablation():
             good += 1
     ok = good >= 16
     _report(5, ok, f"all-terms CoverRate >= sc*ad CoverRate on {good}/20 "
-                   f"twin-camera scenes")
+                   f"twin-camera scenes (floor 16, slack {good - 16})")
 
 
 # ---------------------------------------------------------------------------

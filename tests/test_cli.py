@@ -201,18 +201,33 @@ def test_off_grid_person_is_validation_error(artifacts, tmp_path, capsys,
 
 def test_eval_rejects_unknown_trained_predictor_key(artifacts, tmp_path,
                                                     capsys):
+    """eval --use-trained refuses a trained predictor with an unknown key,
+    and an artifact without one, rather than fall back to the predictor
+    flags; plain eval reads no trained predictor, and validate accepts an
+    artifact without one."""
     scene_path, trace_path = artifacts
     sel = tmp_path / "sel.json"
     assert run("select", "--scene", str(scene_path), "--trace",
                str(trace_path), "--k", "2", "--frames", "3",
                "--out", str(sel)) == EXIT_OK
     data = json.loads(sel.read_text())
+    files = ["--scene", str(scene_path), "--trace", str(trace_path),
+             "--selection", str(sel)]
+    out = tmp_path / "rep.json"
     data["predictor_trained"]["bogus_gain"] = 1.0
-    sel.write_text(json.dumps(data))
-    assert run("eval", "--scene", str(scene_path), "--trace",
-               str(trace_path), "--selection", str(sel), "--use-trained",
-               "--out", str(tmp_path / "rep.json")) == EXIT_VALIDATION
-    assert "bogus_gain" in capsys.readouterr().err
+    without = {k: v for k, v in data.items() if k != "predictor_trained"}
+    for artifact, named in ((data, "bogus_gain"),
+                            (without, "predictor_trained")):
+        sel.write_text(json.dumps(artifact))
+        capsys.readouterr()
+        assert run("eval", *files, "--use-trained",
+                   "--out", str(out)) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert not out.exists()
+        assert run("eval", *files, "--out", str(out)) == EXIT_OK
+        out.unlink()
+    assert run("validate", *files) == EXIT_OK
 
 
 @pytest.mark.parametrize("artifact, message", [

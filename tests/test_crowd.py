@@ -6,7 +6,7 @@ import pytest
 
 from viewsel import (CrowdFrame, DensityMap, GroundGrid, Person,
                      accumulate_density, cover_rate, generate_crowd_trace,
-                     kernel_table, rasterize_density, visible_persons)
+                     kernel_table, rasterize_density)
 from viewsel.crowd import trace_from_csv, trace_to_csv
 
 from reference import ref_rasterize_density, ref_trace_from_csv
@@ -18,9 +18,11 @@ def _frame(points, fid=0):
 
 @pytest.mark.parametrize("bad", [np.zeros((2, 3)), np.zeros(5), np.zeros(4),
                                  np.zeros((1, 1, 2))])
-def test_crowd_frame_rejects_non_pairs(bad):
+def test_crowd_frame_rejects_non_pairs(small_grid, bad):
     with pytest.raises(ValueError, match="shape"):
         CrowdFrame(frame_id=0, positions=bad)
+    with pytest.raises(ValueError, match="shape"):
+        kernel_table(bad, small_grid, 1.0)
 
 
 def test_crowd_frame_positions_are_a_read_only_copy():
@@ -87,13 +89,14 @@ def test_density_peak_at_person_cell(small_grid):
 def test_density_mask_zeroes_without_renormalizing(small_grid):
     mask = np.zeros(small_grid.shape, dtype=bool)
     mask[:, :20] = True  # left half of the area
-    pts = [(5.0, 5.0), (15.0, 15.0)]  # one per half
-    dm = rasterize_density(_frame(pts), small_grid, 1.0, mask=mask)
-    unmasked = rasterize_density(_frame(pts), small_grid, 1.0)
-    assert (dm.values[~mask] == 0.0).all()
-    assert np.allclose(dm.values[mask], unmasked.values[mask])
+    pts = np.array([(5.0, 5.0), (15.0, 15.0)])  # one per half
+    table = kernel_table(pts, small_grid, 1.0)
+    masked = accumulate_density(table, small_grid, mask=mask)
+    unmasked = rasterize_density(_frame(pts), small_grid, 1.0).values
+    assert (masked[~mask] == 0.0).all()
+    assert np.array_equal(masked[mask], unmasked[mask])
     # the right-half person's mass is dropped, not redistributed
-    assert dm.total < unmasked.total
+    assert masked.sum() < unmasked.sum()
 
 
 @pytest.mark.parametrize("sigma", [1.0, 2.3])
@@ -114,18 +117,18 @@ def test_kernel_table_at_every_edge_and_corner_equals_loop_reference(sigma):
     pts = np.vstack([grid.origin + cells * grid.cell_size_m,
                      [(-1e4, 2e4)]])
     frame = CrowdFrame(frame_id=0, positions=pts)
-    table = kernel_table(frame, grid, sigma)
+    table = kernel_table(frame.positions, grid, sigma)
     blocks = set(np.count_nonzero(table[0] < grid.n_cells, axis=1).tolist())
     assert blocks == {a * b for a in range(2 * r + 2)
                       for b in range(2 * r + 2)}
-    persons = frame.persons
+    points = pts.tolist()
     assert np.array_equal(rasterize_density(frame, grid, sigma).values,
-                          ref_rasterize_density(persons, grid, sigma))
+                          ref_rasterize_density(points, grid, sigma))
     subset = rng.permutation(len(pts))[:len(pts) // 3]
     mask = rng.random(grid.shape) < 0.7
     assert np.array_equal(
         accumulate_density(table, grid, subset, mask),
-        ref_rasterize_density([persons[k] for k in subset], grid, sigma,
+        ref_rasterize_density([points[k] for k in subset], grid, sigma,
                               mask=mask))
 
 
@@ -148,12 +151,11 @@ def test_density_map_rejects_non_finite_values():
     assert DensityMap(values=np.array([[0.0, 1e308]])).total == 1e308
 
 
-def test_visible_persons_filters_by_cell(small_grid):
+def test_seen_filters_by_cell(small_grid):
     vis = np.zeros(small_grid.shape, dtype=bool)
     vis[small_grid.world_to_cell(2.0, 3.0)] = True
     frame = _frame([(2.0, 3.0), (18.0, 18.0)])
-    seen = visible_persons(frame, vis, small_grid)
-    assert seen == _frame([(2.0, 3.0)])
+    assert frame.seen(vis, small_grid).tolist() == [True, False]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -161,11 +163,11 @@ def test_non_finite_positions_rejected(small_grid, bad):
     frame = _frame([(2.0, 3.0), (bad, 4.0), (5.0, 5.0)])
     vis = np.ones(small_grid.shape, dtype=bool)
     with pytest.raises(ValueError, match="finite"):
-        visible_persons(frame, vis, small_grid)
+        frame.seen(vis, small_grid)
     with pytest.raises(ValueError, match="finite"):
         rasterize_density(frame, small_grid, 1.0)
     with pytest.raises(ValueError, match="finite"):
-        rasterize_density(_frame([(1.0, bad)]), small_grid, 1.0, mask=vis)
+        kernel_table(np.array([(1.0, bad)]), small_grid, 1.0)
 
 
 def test_cover_rate_extremes(small_grid):

@@ -5,7 +5,7 @@ import pytest
 
 from viewsel import (CalibrationState, CrowdFrame, PredictorConfig,
                      calibrate, generate_crowd_trace, noisy_predict,
-                     oracle_predict, training_mae, visible_persons)
+                     oracle_predict, training_mae)
 
 
 def _full(scene):
@@ -16,14 +16,20 @@ def _trace(scene, n=3, seed=0):
     return generate_crowd_trace(scene.grid, n, (20, 40), 0.7, seed=seed)
 
 
-def test_oracle_counts_visible_persons_only(demo_scene):
+def test_oracle_counts_visible_persons_only(demo_scene, monkeypatch):
     frame = _trace(demo_scene)[0]
     vis = demo_scene.visibility_of(demo_scene.camera_ids[:2])
+    # the seen people are picked by row, never copied into a new frame
+    built, real = [], CrowdFrame.__post_init__
+    monkeypatch.setattr(CrowdFrame, "__post_init__",
+                        lambda self: built.append(real(self)))
     dm = oracle_predict(frame, vis, demo_scene)
-    covered = visible_persons(frame, vis, demo_scene.grid).positions
+    monkeypatch.undo()
+    assert built == []
+    covered = int(frame.seen(vis, demo_scene.grid).sum())
     # masking can clip kernel tails of boundary people, so up to tolerance
-    assert dm.total <= len(covered) + 1e-9
-    assert dm.total == pytest.approx(len(covered), abs=0.5)
+    assert dm.total <= covered + 1e-9
+    assert dm.total == pytest.approx(covered, abs=0.5)
 
 
 def test_full_quality_equals_oracle_bitwise(demo_scene):
@@ -125,8 +131,7 @@ def test_calibrate_metric_against_covered_people(demo_scene):
             again = noisy_predict(frame, vis, demo_scene, cfg,
                                   selected_ids=demo_scene.camera_ids[:3])
             assert np.array_equal(again.values, pred.values)
-    covered = [len(visible_persons(f, vis, demo_scene.grid).positions)
-               for f in frames]
+    covered = [int(f.seen(vis, demo_scene.grid).sum()) for f in frames]
     metric = training_mae(preds, covered)
     # noise-free predictor counts the covered people, up to kernel-tail
     # clipping at the visibility boundary

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from viewsel import (CalibrationState, CrowdFrame, DensityMap,
                      PredictorConfig, accumulate_density, binarize_density,
                      calibrate, cover_rate, kernel_table, noisy_predict,
-                     rasterize_density, score_round, visible_persons)
+                     oracle_predict, rasterize_density, score_round)
 from viewsel.geometry import FovFootprint, GroundGrid, Scene
 from viewsel.selection import view_person_credit
 from viewsel.synth import generate_scene
@@ -113,10 +113,14 @@ def crowd_frames(draw):
 @settings(max_examples=300, deadline=None)
 def test_rasterize_density_equals_loop_reference(data, sigma):
     grid, frame, mask = data
-    fast = rasterize_density(frame, grid, sigma, mask=mask).values
+    points = frame.positions.tolist()
+    fast = rasterize_density(frame, grid, sigma).values
     assert fast.dtype == np.float64
-    assert np.array_equal(fast, ref_rasterize_density(frame.persons, grid,
-                                                      sigma, mask=mask))
+    assert np.array_equal(fast, ref_rasterize_density(points, grid, sigma))
+    masked = accumulate_density(kernel_table(frame.positions, grid, sigma),
+                                grid, mask=mask)
+    assert np.array_equal(masked, ref_rasterize_density(points, grid, sigma,
+                                                        mask=mask))
 
 
 @given(crowd_frames(), st.sampled_from([0.2, 0.7, 1.0, 2.3]),
@@ -127,7 +131,7 @@ def test_accumulated_subset_equals_loop_reference(data, sigma, seed, kind):
     None, a boolean mask, or indices in any order, repeats included."""
     grid, frame, mask = data
     n = len(frame.positions)
-    table = kernel_table(frame, grid, sigma)
+    table = kernel_table(frame.positions, grid, sigma)
     size = (2 * int(np.ceil(4.0 * sigma)) + 1) ** 2
     cells, weights = table
     assert cells.shape == weights.shape == (n, size)
@@ -139,20 +143,24 @@ def test_accumulated_subset_equals_loop_reference(data, sigma, seed, kind):
             "index": rng.integers(0, max(n, 1), size=rng.integers(0, n + 1))
             }[kind]
     subset = np.arange(n) if rows is None else np.arange(n)[rows]
-    persons = frame.persons
+    points = frame.positions.tolist()
     fast = accumulate_density(table, grid, rows, mask)
     assert fast.dtype == np.float64
     assert np.array_equal(fast, ref_rasterize_density(
-        [persons[k] for k in subset], grid, sigma, mask=mask))
+        [points[k] for k in subset], grid, sigma, mask=mask))
 
 
-@given(crowd_frames())
+@given(crowd_frames(), st.sampled_from([0.2, 0.7, 1.0, 2.3]))
 @settings(max_examples=200, deadline=None)
-def test_visible_persons_equals_loop_reference(data):
+def test_oracle_predict_equals_loop_reference(data, sigma):
+    """The seen people picked by row and tabulated alone equal the loop
+    references' visible people rasterized and masked."""
     grid, frame, mask = data
     vis = mask if mask is not None else np.ones(grid.shape, dtype=bool)
-    assert visible_persons(frame, vis, grid).persons \
-        == ref_visible_persons(frame.persons, vis, grid)
+    fast = oracle_predict(frame, vis, Scene(grid, []), sigma).values
+    seen = ref_visible_persons(frame.positions.tolist(), vis, grid)
+    assert np.array_equal(fast, ref_rasterize_density(seen, grid, sigma,
+                                                      mask=vis))
 
 
 @given(st.integers(0, 2 ** 31 - 1), st.sampled_from([0.0, 0.5, 1.0]),
@@ -272,7 +280,7 @@ def test_cover_rate_and_credit_equal_loop_counts(seed, n_frames, margin):
     grid = scene.grid
     frames = [_frame_around(grid, rng, int(rng.integers(0, 30)), margin)
               for _ in range(n_frames)]
-    persons = [f.persons for f in frames]
+    persons = [f.positions.tolist() for f in frames]
     vis = rng.random(grid.shape) < 0.5
     total = sum(len(p) for p in persons)
     for _ in range(2):

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from viewsel import (GroundGrid, PredictorConfig, SelectionConfig,
-                     generate_crowd_trace, make_modeltrain_pair,
-                     make_viewsel_pair, random_select, rasterize_density,
-                     visible_persons)
+                     accumulate_density, generate_crowd_trace, kernel_table,
+                     make_modeltrain_pair, make_viewsel_pair, random_select)
 from viewsel.pseudolabels import STAGE_MODELTRAIN, STAGE_VIEWSEL, PseudoPair
 from viewsel.crowd import DensityMap
 from viewsel.synth import generate_scene
@@ -82,14 +81,14 @@ def test_pair_gt_is_the_selected_density_under_the_loss_mask(sigma):
         trace = generate_crowd_trace(grid, 5, (15, 30), 0.7, seed=80 + i)
         state = random_select(scene, 3, seed=i)
         for frame in trace:
-            seen = visible_persons(frame, state.combined_mask, grid)
+            seen = frame.positions[frame.seen(state.combined_mask, grid)]
+            table = kernel_table(seen, grid, sigma)
             for pair in (make_viewsel_pair(state, scene, frame, rng, sigma),
                          make_modeltrain_pair(state, scene, frame, rng,
                                               sigma)):
-                expected = rasterize_density(seen, grid, sigma,
-                                             mask=pair.loss_mask)
-                assert np.array_equal(pair.gt_density.values,
-                                      expected.values)
+                expected = accumulate_density(table, grid,
+                                              mask=pair.loss_mask)
+                assert np.array_equal(pair.gt_density.values, expected)
                 trimmed += (pair.loss_mask != state.combined_mask).any()
     # some modeltrain loss masks are strictly inside the selected union
     assert trimmed

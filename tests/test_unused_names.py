@@ -10,10 +10,15 @@ And one module knows what a valid JSON value is: only serialize.py imports
 cli.py imports none of the pipelines it dispatches to. And the library
 needs numpy alone: no module imports scipy, which only the tests' oracles
 use. And one module knows each strategy's scored region and weight: only
-scoring.py calls `binarize_density`. And a density is rasterized by the
-crowd layer and the predictor alone, so pseudo-label GT is the oracle
-prediction: only crowd.py and predictor.py call `rasterize_density`. And a run depends
-on its arguments alone: no module reads `os.environ` or calls `os.getenv`."""
+scoring.py calls `binarize_density`. And pseudo-label GT is the oracle
+prediction: a density is rasterized by the crowd layer and the predictor
+alone. Only crowd.py calls `rasterize_density`; only crowd.py, predictor.py
+and selection.py (whose first view is the largest predicted count) call
+`kernel_table`; cli.py and pseudolabels.py call no raster function. And a
+prediction picks the people a mask sees by row and never copies a frame:
+only crowd.py (the trace readers) and predictor.py (`noisy_draw`) construct
+a `CrowdFrame`. And a run depends on its arguments alone: no module reads
+`os.environ` or calls `os.getenv`."""
 
 import ast
 from pathlib import Path
@@ -174,7 +179,15 @@ def test_only_scoring_binarizes_a_prediction():
 
 
 def test_only_crowd_and_predictor_rasterize_a_density():
-    assert callers(PACKAGE, "rasterize_density") == ["crowd", "predictor"]
+    assert callers(PACKAGE, "rasterize_density") == ["crowd"]
+    assert callers(PACKAGE, "kernel_table") == ["crowd", "predictor",
+                                                "selection"]
+    for name in ("kernel_table", "accumulate_density", "rasterize_density"):
+        assert {"cli", "pseudolabels"}.isdisjoint(callers(PACKAGE, name))
+
+
+def test_only_crowd_and_predictor_construct_a_frame():
+    assert callers(PACKAGE, "CrowdFrame") == ["crowd", "predictor"]
 
 
 def test_no_module_reads_the_environment():
