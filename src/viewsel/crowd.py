@@ -22,8 +22,9 @@ class CrowdFrame:
     read-only (n, 2) float array of (x, y) meters, one row per person.
 
     It also holds the constants that depend only on those positions (cells,
-    local_density, observation): each computed on first use, read-only,
-    keyed by the values that determine it, and kept as long as the frame."""
+    local_density, observation, footprint_density): each computed on first
+    use, read-only, keyed by the values that determine it, and kept as long
+    as the frame."""
 
     frame_id: int
     positions: np.ndarray
@@ -93,6 +94,24 @@ class CrowdFrame:
                                               camera.ground_position,
                                               scene.grid)
         return self._held(("observation", scene.grid, camera), row)
+
+    def footprint_density(self, scene: Scene, camera_id: str,
+                          kernel_sigma_cells: float) -> np.ndarray:
+        """The density of the people that one of the scene's cameras sees,
+        read on that camera's footprint cells in row-major order: the
+        oracle prediction (predictor.oracle_predict) under the footprint,
+        at the footprint. Keyed by the grid, the camera's pose and sigma."""
+        fov = scene.footprint(camera_id).mask
+
+        def feature():
+            # the oracle's mask zeroes only cells that are not read here
+            table = kernel_table(self.positions[self.seen(fov, scene.grid)],
+                                 scene.grid, kernel_sigma_cells)
+            return DensityMap(values=accumulate_density(
+                table, scene.grid)).values[fov]
+        return self._held(("footprint_density", scene.grid,
+                           scene.camera(camera_id), kernel_sigma_cells),
+                          feature)
 
 
 @dataclass(frozen=True)
@@ -172,8 +191,9 @@ def kernel_table(positions: np.ndarray, grid: GroundGrid,
     0.0, so accumulate_density of any subset of rows is the raster of that
     subset of people.
     """
-    if kernel_sigma_cells <= 0:
-        raise ValueError("kernel_sigma_cells must be positive")
+    if not (math.isfinite(kernel_sigma_cells) and kernel_sigma_cells > 0):
+        raise ValueError(f"kernel_sigma_cells must be finite and positive, "
+                         f"not {kernel_sigma_cells}")
     h, w = grid.shape
     pos = require_finite(positions, "person positions")
     if pos.ndim != 2 or pos.shape[1] != 2:

@@ -11,7 +11,7 @@ import numpy as np
 from .crowd import CrowdFrame, DensityMap, accumulate_density, kernel_table
 from .geometry import Scene, require_finite
 from .predictor import (PredictorConfig, calibrate, noisy_draw,
-                        noisy_predict, oracle_predict, training_mae)
+                        noisy_predict, training_mae)
 from .scoring import ALL_TERMS, ScoreBreakdown, round_winner
 from .serialize import (require_int, require_kind, require_object,
                         require_real)
@@ -148,22 +148,24 @@ def select_frames(scene: Scene, drawn: list[tuple[CrowdFrame, float]],
     (by max cosine over already-selected) in that camera's density features.
 
     drawn holds the predictor's draws (CrowdFrame, scale), one per frame
-    under its own id (the oracle's is (frame, 1.0)); a frame's prediction
-    under a footprint is the oracle density of the drawn people seen there,
-    times the scale. Each frame pair is compared once.
+    under its own id (the oracle's is (frame, 1.0)); a frame's features are
+    the drawn frame's footprint_density under that camera, times the scale.
+    The drawn frame holds them, so a frame drawn again (run_ivs on the same
+    trace, or a noise-free run_avs draw, which is the frame itself) is not
+    rasterized again. Each frame pair is compared once.
     """
     if f < 1:
         raise ValueError(f"need at least one frame to select, got {f}")
     if f > len(drawn):
         raise ValueError(f"cannot select {f} frames from {len(drawn)}")
     v_max = _largest_fov_camera(scene)
-    fov = scene.footprint(v_max).mask
     features = {}
     for noisy, scale in drawn:
         if noisy.frame_id in features:
             raise ValueError(f"repeated frame id {noisy.frame_id}")
-        pred = oracle_predict(noisy, fov, scene, kernel_sigma_cells)
-        features[noisy.frame_id] = pred.values[fov] * scale
+        held = noisy.footprint_density(scene, v_max, kernel_sigma_cells)
+        # x * 1.0 is x, so the held array serves a draw at scale 1.0
+        features[noisy.frame_id] = held if scale == 1.0 else held * scale
     norms = {fid: np.linalg.norm(u) for fid, u in features.items()}
     chosen = [min(features, key=lambda fid: (-features[fid].sum(), fid))]
     # each unchosen frame's largest cosine to the chosen ones

@@ -7,7 +7,7 @@ from dataclasses import fields
 
 import pytest
 
-from viewsel import SelectionConfig
+from viewsel import CrowdFrame, SelectionConfig
 from viewsel import cli as cli_module
 from viewsel import predictor as predictor_module
 from viewsel import selection as selection_module
@@ -574,10 +574,11 @@ def test_select_and_sweep_refuse_a_run_past_the_scene_or_trace(
         trace_path = tmp_path / "trace.csv"
         trace_path.write_text("frame_id,person_idx,x_m,y_m\n")
     drawn = []
-    for module in (predictor_module, selection_module):
-        for name in ("noisy_draw", "oracle_predict"):
-            monkeypatch.setattr(module, name,
-                                lambda *a, **k: drawn.append(a))
+    for module, name in ((predictor_module, "noisy_draw"),
+                         (predictor_module, "oracle_predict"),
+                         (selection_module, "noisy_draw"),
+                         (CrowdFrame, "footprint_density")):
+        monkeypatch.setattr(module, name, lambda *a, **k: drawn.append(a))
     common = ["--scene", str(scene_path), "--trace", str(trace_path),
               "--strategy", strategy, "--predictor", "noisy", *flags]
     sel, out = tmp_path / "sel.json", tmp_path / "sweep"

@@ -133,8 +133,10 @@ def test_kernel_table_at_every_edge_and_corner_equals_loop_reference(sigma):
 
 
 def test_density_rejects_bad_sigma(small_grid):
-    with pytest.raises(ValueError):
-        rasterize_density(_frame([(1, 1)]), small_grid, 0.0)
+    # refused by name before the kernel radius, ceil(4 sigma), is taken
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="kernel_sigma_cells"):
+            rasterize_density(_frame([(1, 1)]), small_grid, bad)
 
 
 def test_density_map_nonnegative():

@@ -163,6 +163,24 @@ def test_oracle_predict_equals_loop_reference(data, sigma):
                                                       mask=vis))
 
 
+@given(crowd_frames(), st.sampled_from([0.2, 0.7, 1.0, 2.3]),
+       st.integers(0, 2 ** 31 - 1))
+@settings(max_examples=200, deadline=None)
+def test_footprint_density_is_the_oracle_prediction_on_the_footprint(
+        data, sigma, seed):
+    """Empty frames and people off the grid, under every camera of a scene
+    on the frame's grid: the held feature has the bits of the oracle
+    prediction under the footprint, read on the footprint."""
+    grid, frame, _ = data
+    scene = generate_scene(3, grid, seed=seed)
+    for cid in scene.camera_ids:
+        fov = scene.footprint(cid).mask
+        held = frame.footprint_density(scene, cid, sigma)
+        oracle = oracle_predict(frame, fov, scene, sigma).values[fov]
+        assert held.dtype == oracle.dtype and held.shape == oracle.shape
+        assert held.tobytes() == oracle.tobytes()
+
+
 @given(st.integers(0, 2 ** 31 - 1), st.sampled_from([0.0, 0.5, 1.0]),
        st.integers(0, 40), st.sampled_from([0.0, 1.0, 8.0]), st.booleans())
 @settings(max_examples=150, deadline=None)

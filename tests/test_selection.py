@@ -138,6 +138,50 @@ def test_select_frames_norms_each_feature_once(demo_scene, monkeypatch):
     assert got.index(11) > got.index(1) and got.index(14) > got.index(4)
 
 
+def test_run_ivs_tabulates_each_trace_frame_once_per_trace(demo_scene,
+                                                          monkeypatch):
+    # the trace frames hold their frame-selection features
+    # (footprint_density), so a second run on the same trace tabulates no
+    # frame again and selects as the first did
+    tables = _count_calls(monkeypatch, crowd_module, "kernel_table")
+    trace = _trace(demo_scene, n=8)
+    cfg = SelectionConfig(k_max=3, n_frames=4, strategy="geometric")
+    first = run_ivs(demo_scene, trace, cfg)
+    assert len(tables) == len(trace)
+    second = run_ivs(demo_scene, trace, cfg)
+    assert len(tables) == len(trace)
+    assert first[0].selected == second[0].selected
+    assert first[1] == second[1]
+
+
+def test_footprint_density_is_keyed_by_grid_pose_and_sigma(small_grid):
+    # one camera id under two poses, each the widest camera of its scene,
+    # and two sigmas: four held features, each the oracle prediction on its
+    # footprint. A scaled draw reads its feature and leaves it as it was
+    frame = generate_crowd_trace(small_grid, 1, (60, 90), 0.8, seed=0)[0]
+    pose = CameraPose(id="cam", position_3d=(10.0, 10.0, 8.0), yaw=0.0,
+                      pitch=-1.0, horizontal_fov_rad=1.2,
+                      vertical_fov_rad=0.9, max_range_m=30.0)
+    scenes = [Scene(small_grid, [pose]),
+              Scene(small_grid, [replace(pose, yaw=2.0)])]
+    features = []
+    for scene in scenes:
+        fov = scene.footprint("cam").mask
+        for sigma in (1.0, 2.3):
+            held = frame.footprint_density(scene, "cam", sigma)
+            oracle = oracle_predict(frame, fov, scene, sigma).values[fov]
+            assert held.tobytes() == oracle.tobytes()
+            assert frame.footprint_density(scene, "cam", sigma) is held
+            features.append(held)
+    assert len({held.tobytes() for held in features}) == 4
+    kept = features[0].copy()
+    assert select_frames(scenes[0], [(frame, 0.5)], 1, 1.0) == [0]
+    assert frame.footprint_density(scenes[0], "cam", 1.0) is features[0]
+    assert np.array_equal(features[0], kept)
+    with pytest.raises(ValueError):
+        features[0][0] = 0.0
+
+
 def test_select_first_view_modes(demo_scene):
     # the independent pipeline starts from the widest camera, the active
     # one from select_first_view's largest predicted count
@@ -666,8 +710,10 @@ def test_a_run_past_the_scene_or_trace_is_refused_before_any_draw(
         trace[1] = replace(trace[1], frame_id=0)
         message = "repeated frame id 0"
     draws = [_count_calls(monkeypatch, module, name)
-             for module in (predictor_module, selection_module)
-             for name in ("noisy_draw", "oracle_predict")]
+             for module, name in ((predictor_module, "noisy_draw"),
+                                  (predictor_module, "oracle_predict"),
+                                  (selection_module, "noisy_draw"),
+                                  (CrowdFrame, "footprint_density"))]
     cfg = SelectionConfig(k_max=k, n_frames=f, strategy=strategy, tau=25.0,
                           epochs=20)
     pred = PredictorConfig(miss_rate=0.3, position_jitter_m=1.0,
