@@ -102,6 +102,14 @@ def _scene_hash(scene: Scene) -> str:
     return spec_hash(scene.to_config())
 
 
+def _require_scene(data: dict, scene: Scene, hint: str = "") -> None:
+    """Refuse a selection artifact whose spec holds another scene's hash."""
+    embedded = data.get("spec", {}).get("scene_hash")
+    if embedded is not None and embedded != _scene_hash(scene):
+        raise ValueError("selection artifact was produced for a different "
+                         "scene (hash mismatch)" + hint)
+
+
 def _load_trace(path: str, scene: Scene) -> list[CrowdFrame]:
     """The trace at path; a negative frame id (it seeds the predictor's
     draws), or a person with a non-finite position or outside the scene's
@@ -223,11 +231,8 @@ def cmd_eval(args) -> int:
     trace = _load_trace(args.trace, scene)
     data = read_json(args.selection)
     state = SelectionState.from_dict(data, scene)
-    embedded = data.get("spec", {}).get("scene_hash")
-    if embedded is not None and embedded != _scene_hash(scene) \
-            and not args.force:
-        raise ValueError("selection artifact was produced for a different "
-                         "scene (hash mismatch); pass --force to override")
+    if not args.force:
+        _require_scene(data, scene, "; pass --force to override")
     if args.use_trained:
         if "predictor_trained" not in data:
             raise ValueError("selection artifact has no predictor_trained "
@@ -261,6 +266,7 @@ def cmd_validate(args) -> int:
     if args.selection:
         data = read_json(args.selection)
         state = SelectionState.from_dict(data, scene)
+        _require_scene(data, scene)
         if "predictor_trained" in data:
             PredictorConfig.from_dict(data["predictor_trained"])
         print(f"selection ok: {len(state.selected)} views")

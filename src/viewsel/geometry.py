@@ -38,7 +38,8 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 @dataclass(frozen=True)
 class GroundGrid:
-    """Metric ground-plane raster: h x w cells of cell_size_m meters."""
+    """Metric ground-plane raster: h x w cells of cell_size_m meters. The
+    cell size and origin are held as floats (an int is read as one)."""
 
     height_cells: int
     width_cells: int
@@ -46,6 +47,12 @@ class GroundGrid:
     origin: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
+        require_int(self.height_cells, "grid h")
+        require_int(self.width_cells, "grid w")
+        object.__setattr__(self, "cell_size_m", require_real(
+            self.cell_size_m, "grid cell_size_m"))
+        object.__setattr__(self, "origin", tuple(
+            require_real(v, "grid origin") for v in self.origin))
         if self.height_cells < 1 or self.width_cells < 1:
             raise ValueError("grid must have at least one cell per axis")
         if len(self.origin) != 2:
@@ -102,15 +109,16 @@ class GroundGrid:
 
     @classmethod
     def from_config(cls, cfg) -> "GroundGrid":
-        """The grid to_config wrote as cfg; an int is read as a float."""
+        """The grid to_config wrote as cfg."""
         cfg = require_object(cfg, "grid", ("h", "w", "cell_size_m", "origin"))
         origin = require_kind(cfg["origin"], list, "grid origin")
-        return cls(height_cells=require_int(cfg["h"], "grid h"),
-                   width_cells=require_int(cfg["w"], "grid w"),
-                   cell_size_m=require_real(cfg["cell_size_m"],
-                                            "grid cell_size_m"),
-                   origin=tuple(require_real(v, "grid origin")
-                                for v in origin))
+        return cls(height_cells=cfg["h"], width_cells=cfg["w"],
+                   cell_size_m=cfg["cell_size_m"], origin=tuple(origin))
+
+
+# each real-valued CameraPose field by its to_config key
+_CAMERA_REALS = {"yaw": "yaw", "pitch": "pitch", "hfov": "horizontal_fov_rad",
+                 "vfov": "vertical_fov_rad", "max_range": "max_range_m"}
 
 
 @dataclass(frozen=True)
@@ -118,7 +126,8 @@ class CameraPose:
     """Calibrated candidate camera.
 
     yaw is measured from the world +x axis, pitch is the elevation of the
-    optical axis (negative looks down). Angles in radians, lengths in meters.
+    optical axis (negative looks down). Angles in radians, lengths in meters,
+    each held as a float (an int is read as one).
     """
 
     id: str
@@ -130,6 +139,13 @@ class CameraPose:
     max_range_m: float
 
     def __post_init__(self):
+        require_kind(self.id, str, "camera id")
+        for key, name in _CAMERA_REALS.items():
+            object.__setattr__(self, name, require_real(
+                getattr(self, name), f"camera {self.id} {key}"))
+        object.__setattr__(self, "position_3d", tuple(
+            require_real(v, f"camera {self.id} position")
+            for v in self.position_3d))
         if len(self.position_3d) != 3:
             raise ValueError(f"camera {self.id} position must have 3 entries")
         require_finite((*self.position_3d, self.yaw, self.pitch,
@@ -167,40 +183,32 @@ class CameraPose:
 
     def to_config(self) -> dict:
         return {"id": self.id, "position": list(self.position_3d),
-                "yaw": self.yaw, "pitch": self.pitch,
-                "hfov": self.horizontal_fov_rad, "vfov": self.vertical_fov_rad,
-                "max_range": self.max_range_m}
+                **{k: getattr(self, n) for k, n in _CAMERA_REALS.items()}}
 
     @classmethod
     def from_config(cls, cfg) -> "CameraPose":
-        """The camera to_config wrote as cfg; an int is read as a float."""
-        cfg = require_object(cfg, "camera", ("id", "position", "yaw", "pitch",
-                                             "hfov", "vfov", "max_range"))
+        """The camera to_config wrote as cfg."""
+        cfg = require_object(cfg, "camera", ("id", "position", *_CAMERA_REALS))
         cid = require_kind(cfg["id"], str, "camera id")
         position = require_kind(cfg["position"], list, f"camera {cid} position")
-        real = {k: require_real(cfg[k], f"camera {cid} {k}")
-                for k in ("yaw", "pitch", "hfov", "vfov", "max_range")}
-        return cls(id=cid,
-                   position_3d=tuple(require_real(v, f"camera {cid} position")
-                                     for v in position),
-                   yaw=real["yaw"], pitch=real["pitch"],
-                   horizontal_fov_rad=real["hfov"],
-                   vertical_fov_rad=real["vfov"],
-                   max_range_m=real["max_range"])
+        return cls(id=cid, position_3d=tuple(position),
+                   **{name: cfg[key] for key, name in _CAMERA_REALS.items()})
 
 
 @dataclass(frozen=True)
 class FovFootprint:
-    """Rasterized ground-plane coverage of one camera."""
+    """Rasterized ground-plane coverage of one camera: a read-only mask."""
 
     camera_id: str
     mask: np.ndarray
-    area_cells: int
 
     def __post_init__(self):
         self.mask.setflags(write=False)
-        if self.area_cells != int(self.mask.sum()):
-            raise ValueError("area_cells inconsistent with mask")
+
+    @cached_property
+    def area_cells(self) -> int:
+        """The mask's covered-cell count, computed on first use."""
+        return np.count_nonzero(self.mask)
 
 
 def ground_axis_or_none(camera: CameraPose
@@ -241,8 +249,7 @@ def project_footprint(camera: CameraPose, grid: GroundGrid) -> FovFootprint:
             & (np.abs(vr) <= tan_h * vf)
             & (np.abs(vu) <= tan_v * vf)
             & (np.hypot(X - cx, Y - cy) <= camera.max_range_m))
-    return FovFootprint(camera_id=camera.id, mask=mask,
-                        area_cells=int(mask.sum()))
+    return FovFootprint(camera_id=camera.id, mask=mask)
 
 
 def floored_distance(x, y, point: tuple[float, float],
@@ -256,16 +263,15 @@ def floored_distance(x, y, point: tuple[float, float],
 @dataclass(frozen=True)
 class Scene:
     """Ground grid plus the calibrated candidate camera roster, with each
-    camera's footprint projected on construction and the footprint windows
-    and camera-pair geometry that scoring reads computed on first use."""
+    camera's footprint projected on construction and the one table of
+    camera geometry that scoring reads computed on first use."""
 
     grid: GroundGrid
     cameras: list[CameraPose]
     footprints: list[FovFootprint] = field(init=False)
 
     def __post_init__(self):
-        cam_ids = [c.id for c in self.cameras]
-        if len(set(cam_ids)) != len(cam_ids):
+        if len(set(self.camera_ids)) != len(self.cameras):
             raise ValueError("camera ids must be unique")
         footprints = [project_footprint(c, self.grid) for c in self.cameras]
         object.__setattr__(self, "footprints", footprints)
@@ -288,54 +294,48 @@ class Scene:
         """The row and column slices of the bounding box of the camera's
         footprint, and over that box the floored ground distance from the
         camera on its footprint cells and +inf on every other cell; None
-        for an empty footprint. Computed for every camera on first use and
-        read-only: w / window adds w / distance on the footprint and
-        exactly 0.0 elsewhere for any finite w."""
-        return self._footprint_windows[camera_id]
-
-    @cached_property
-    def _footprint_windows(self) -> dict:
-        X, Y = self.grid.cell_centers()
-        windows = dict.fromkeys(self.camera_ids)
-        for c, f in zip(self.cameras, self.footprints):
-            rows, cols = np.nonzero(f.mask)
-            if rows.size:
-                box = np.s_[rows.min():rows.max() + 1,
-                            cols.min():cols.max() + 1]
-                distance = floored_distance(X[box], Y[box], c.ground_position,
-                                            self.grid)
-                windows[c.id] = (*box, *_read_only(
-                    np.where(f.mask[box], distance, np.inf)))
-        return windows
+        for an empty footprint. Read-only: w / window adds w / distance on
+        the footprint and exactly 0.0 elsewhere for any finite w."""
+        return self._camera_table[camera_id][0]
 
     def footprint_mass(self, camera_id: str) -> float:
         """The sum of 1 / floored distance over the camera's footprint
         (footprint_window), its unit-weight inverse-distance mass; 0.0 for
-        an empty footprint. Computed for every camera on first use."""
-        return self._footprint_masses[camera_id]
-
-    @cached_property
-    def _footprint_masses(self) -> dict:
-        return {cid: 0.0 if window is None else float((1.0 / window[2]).sum())
-                for cid, window in self._footprint_windows.items()}
+        an empty footprint."""
+        return self._camera_table[camera_id][1]
 
     def pair_geometry(self, id_a: str, id_b: str) -> tuple[float, float] | None:
         """The ground-axis dot product and ground distance of two cameras,
-        None when either looks straight down. Each camera's ground axis
-        (ground_axis_or_none) is computed once per scene, each ordered
-        pair's geometry on its first use."""
+        None when either looks straight down; each ordered pair's geometry
+        is computed on its first use."""
         key = (id_a, id_b)
         if key not in self._pair_table:
-            (ai, pi), (aj, pj) = (self._ground_axes[id_a],
-                                  self._ground_axes[id_b])
+            (ai, pi), (aj, pj) = (self._camera_table[id_a][2:],
+                                  self._camera_table[id_b][2:])
             self._pair_table[key] = (
                 None if ai is None or aj is None
                 else (float(ai @ aj), float(np.linalg.norm(pi - pj))))
         return self._pair_table[key]
 
     @cached_property
-    def _ground_axes(self) -> dict:
-        return {c.id: ground_axis_or_none(c) for c in self.cameras}
+    def _camera_table(self) -> dict:
+        """Each camera's (footprint window, footprint mass, ground axis,
+        ground position) by id, for every camera on first use."""
+        X, Y = self.grid.cell_centers()
+        table = {}
+        for c, f in zip(self.cameras, self.footprints):
+            window, mass = None, 0.0
+            rows, cols = np.nonzero(f.mask)
+            if rows.size:
+                box = np.s_[rows.min():rows.max() + 1,
+                            cols.min():cols.max() + 1]
+                distance = floored_distance(X[box], Y[box], c.ground_position,
+                                            self.grid)
+                window = (*box, *_read_only(
+                    np.where(f.mask[box], distance, np.inf)))
+                mass = float((1.0 / window[2]).sum())
+            table[c.id] = (window, mass, *ground_axis_or_none(c))
+        return table
 
     def visibility_of(self, camera_ids: list[str]) -> np.ndarray:
         """Cellwise union of the cameras' footprints; no cameras give the

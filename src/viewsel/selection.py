@@ -4,7 +4,7 @@ independent and active pipelines, and random baselines.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import InitVar, asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -68,17 +68,21 @@ class SelectionConfig:
 
 @dataclass(frozen=True)
 class SelectionState:
-    """Ordered selected-view group with its cached combined visibility."""
+    """Ordered selected-view group on scene, with its combined visibility
+    (scene.visibility_of) computed on construction and read-only."""
 
     selected: tuple[str, ...]
-    combined_mask: np.ndarray
+    scene: InitVar[Scene]
+    combined_mask: np.ndarray = field(init=False)
     history: tuple[tuple[str, ScoreBreakdown | None], ...] = ()
     non_converged: bool = False
 
-    def __post_init__(self):
-        self.combined_mask.setflags(write=False)
+    def __post_init__(self, scene: Scene):
         if len(set(self.selected)) != len(self.selected):
             raise ValueError("selected views must be unique")
+        mask = scene.visibility_of(self.selected)
+        mask.setflags(write=False)
+        object.__setattr__(self, "combined_mask", mask)
 
     def to_dict(self) -> dict:
         return {"selected": list(self.selected),
@@ -106,8 +110,7 @@ class SelectionState:
         missing = [cid for cid in selected if cid not in scene.camera_ids]
         if missing:
             raise ValueError(f"selection names unknown cameras: {missing}")
-        return cls(selected=tuple(selected),
-                   combined_mask=scene.visibility_of(selected),
+        return cls(selected=tuple(selected), scene=scene,
                    non_converged=require_kind(
                        data.get("non_converged", False), bool,
                        "selection artifact 'non_converged'"))
@@ -122,8 +125,7 @@ class LabeledDataset:
 
 
 def _initial_state(scene: Scene, first_id: str) -> SelectionState:
-    return SelectionState(selected=(first_id,),
-                          combined_mask=scene.visibility_of([first_id]),
+    return SelectionState(selected=(first_id,), scene=scene,
                           history=((first_id, None),))
 
 
@@ -217,9 +219,7 @@ def add_view(scene: Scene, state: SelectionState,
         raise ValueError("no unselected cameras remain")
     index, best_score = score_fn(list(state.selected), unselected)
     best_id = unselected[index]
-    selected = state.selected + (best_id,)
-    return replace(state, selected=selected,
-                   combined_mask=scene.visibility_of(list(selected)),
+    return replace(state, selected=state.selected + (best_id,), scene=scene,
                    history=state.history + ((best_id, best_score),))
 
 
@@ -374,7 +374,7 @@ def run_avs(scene: Scene, trace: list[CrowdFrame], config: SelectionConfig,
             state = add_view(scene, state, _score_fn(scene, config, m_avg))
             covered = covered_counts(state.combined_mask)
     if len(state.selected) < config.k_max:
-        state = replace(state, non_converged=True)
+        state = replace(state, scene=scene, non_converged=True)
     # the epochs left once the budget is reached train on the labeled views
     # with the training metric gating nothing, and the active pipeline then
     # ends with a full training pass on them
@@ -404,10 +404,8 @@ def random_select(scene: Scene, k: int, seed: int) -> SelectionState:
     rng = np.random.default_rng(seed)
     chosen = [str(c) for c in rng.choice(sorted(scene.camera_ids), size=k,
                                          replace=False)]
-    history = tuple((cid, None) for cid in chosen)
-    return SelectionState(selected=tuple(chosen),
-                          combined_mask=scene.visibility_of(chosen),
-                          history=history)
+    return SelectionState(selected=tuple(chosen), scene=scene,
+                          history=tuple((cid, None) for cid in chosen))
 
 
 def run_selection(scene: Scene, trace: list[CrowdFrame],

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -56,23 +57,16 @@ def generate_scene(n_cameras: int, grid: GroundGrid, seed: int,
             + rng.uniform(-0.05, 0.05)
         pitch = min(max(pitch, -1.45), -0.05)
         cameras.append(CameraPose(
-            id=f"cam{idx:0{width}d}",
-            position_3d=(float(x), float(y), float(z)),
-            yaw=float(yaw), pitch=float(pitch),
-            horizontal_fov_rad=float(rng.uniform(*HFOV_RANGE)),
-            vertical_fov_rad=float(rng.uniform(*VFOV_RANGE)),
-            max_range_m=float(diag * rng.uniform(*range_frac))))
+            id=f"cam{idx:0{width}d}", position_3d=(x, y, z), yaw=yaw,
+            pitch=pitch, horizontal_fov_rad=rng.uniform(*HFOV_RANGE),
+            vertical_fov_rad=rng.uniform(*VFOV_RANGE),
+            max_range_m=diag * rng.uniform(*range_frac)))
     n_twins = int(twin_fraction * n_cameras)
     for k in range(n_twins):
         idx = n_cameras - n_twins + k
         src = cameras[int(rng.integers(idx))]
         dx, dy = rng.uniform(-1.0, 1.0, size=2)
         x, y, z = src.position_3d
-        cameras[idx] = CameraPose(
-            id=cameras[idx].id,
-            position_3d=(x + float(dx), y + float(dy), z),
-            yaw=src.yaw, pitch=src.pitch,
-            horizontal_fov_rad=src.horizontal_fov_rad,
-            vertical_fov_rad=src.vertical_fov_rad,
-            max_range_m=src.max_range_m)
+        cameras[idx] = replace(src, id=cameras[idx].id,
+                               position_3d=(x + dx, y + dy, z))
     return Scene(grid=grid, cameras=cameras)

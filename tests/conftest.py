@@ -40,6 +40,14 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
+def assert_coverage_derived(state, scene) -> None:
+    """state's combined mask is the read-only union of its views'
+    footprints on scene."""
+    assert np.array_equal(state.combined_mask,
+                          scene.visibility_of(state.selected))
+    assert not state.combined_mask.flags.writeable
+
+
 def random_small_scene(rng: np.random.Generator, n_cameras=None) -> Scene:
     """Randomized scene on a grid of at most 40x40 cells."""
     h = int(rng.integers(10, 41))

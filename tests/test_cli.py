@@ -113,7 +113,7 @@ def test_non_convergence_exit_code(artifacts, tmp_path):
     assert code == EXIT_NON_CONVERGED
 
 
-def test_eval_refuses_scene_hash_mismatch(artifacts, tmp_path):
+def test_eval_refuses_scene_hash_mismatch(artifacts, tmp_path, capsys):
     scene_path, trace_path = artifacts
     sel = tmp_path / "sel.json"
     run("select", "--scene", str(scene_path), "--trace", str(trace_path),
@@ -126,9 +126,19 @@ def test_eval_refuses_scene_hash_mismatch(artifacts, tmp_path):
     code = run("eval", "--scene", str(other / "scene.json"), "--trace",
                str(trace_path), "--selection", str(sel), "--out", str(rep))
     assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "error: selection artifact was produced for a different scene "
+        "(hash mismatch); pass --force to override\n")
     assert run("eval", "--scene", str(other / "scene.json"), "--trace",
                str(trace_path), "--selection", str(sel), "--force",
                "--out", str(rep)) == EXIT_OK
+    # validate, which has no --force, refuses it with the same message
+    assert run("validate", "--scene", str(other / "scene.json"), "--trace",
+               str(other / "trace.csv"), "--selection",
+               str(sel)) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "error: selection artifact was produced for a different scene "
+        "(hash mismatch)\n")
 
 
 def test_validate_catches_unknown_selection(artifacts, tmp_path):

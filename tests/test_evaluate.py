@@ -5,9 +5,9 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from viewsel import (GroundGrid, PredictorConfig, counting_metrics,
-                     cover_rate, generate_crowd_trace, localization_metrics,
-                     noisy_predict, random_select)
+from viewsel import (CameraPose, GroundGrid, PredictorConfig, Scene,
+                     counting_metrics, cover_rate, generate_crowd_trace,
+                     localization_metrics, noisy_predict, random_select)
 from viewsel.crowd import trace_from_csv, trace_to_csv
 from viewsel.evaluate import evaluate
 from viewsel.selection import SelectionState
@@ -21,25 +21,29 @@ evaluate_module = importlib.import_module("viewsel.evaluate")
 
 
 def _full_state(scene):
-    sel = tuple(scene.camera_ids)
-    return SelectionState(selected=sel,
-                          combined_mask=np.ones(scene.grid.shape, dtype=bool))
+    return SelectionState(selected=tuple(scene.camera_ids), scene=scene)
 
 
-def test_oracle_full_coverage_near_zero_mae(demo_scene):
-    trace = generate_crowd_trace(demo_scene.grid, 5, (20, 40), 0.6, seed=3)
-    report = evaluate(demo_scene, trace, _full_state(demo_scene),
-                      PredictorConfig())
+def test_oracle_full_coverage_near_zero_mae(small_grid, nadir_camera):
+    # the nadir camera's footprint is the whole grid
+    scene = Scene(small_grid, [nadir_camera])
+    assert scene.footprint("nadir").mask.all()
+    trace = generate_crowd_trace(scene.grid, 5, (20, 40), 0.6, seed=3)
+    report = evaluate(scene, trace, _full_state(scene), PredictorConfig())
     assert report.counting.mae <= 0.5
     assert report.cover_rate == 1.0
 
 
-def test_empty_visibility_mae_is_mean_count(demo_scene):
-    trace = generate_crowd_trace(demo_scene.grid, 5, (20, 40), 0.6, seed=3)
-    state = SelectionState(
-        selected=(demo_scene.camera_ids[0],),
-        combined_mask=np.zeros(demo_scene.grid.shape, dtype=bool))
-    report = evaluate(demo_scene, trace, state, PredictorConfig())
+def test_empty_visibility_mae_is_mean_count(small_grid):
+    # a camera off the grid, looking away from it, sees no cell
+    away = CameraPose(id="away", position_3d=(-20.0, -20.0, 4.0),
+                      yaw=math.pi * 1.25, pitch=-0.4, horizontal_fov_rad=1.2,
+                      vertical_fov_rad=1.0, max_range_m=5.0)
+    scene = Scene(small_grid, [away])
+    trace = generate_crowd_trace(scene.grid, 5, (20, 40), 0.6, seed=3)
+    state = _full_state(scene)
+    assert not state.combined_mask.any()
+    report = evaluate(scene, trace, state, PredictorConfig())
     mean_count = np.mean([len(f.positions) for f in trace])
     assert report.counting.mae == pytest.approx(mean_count)
     assert report.cover_rate == 0.0

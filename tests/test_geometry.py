@@ -21,6 +21,13 @@ def test_grid_validation():
         GroundGrid(height_cells=0, width_cells=10)
     with pytest.raises(ValueError):
         GroundGrid(height_cells=10, width_cells=10, cell_size_m=0.0)
+    # a wrong type is refused on construction, not on first use
+    for kw, what in (({"height_cells": 2.5}, "grid h must be an integer"),
+                     ({"width_cells": True}, "grid w must be an integer"),
+                     ({"cell_size_m": "0.5"}, "grid cell_size_m must be a"),
+                     ({"origin": (0.0, "1")}, "grid origin must be a")):
+        with pytest.raises(ValueError, match=what):
+            GroundGrid(**{"height_cells": 4, "width_cells": 4, **kw})
 
 
 def test_cell_centers_match_world_to_cell():
@@ -195,12 +202,36 @@ def test_camera_validation():
         CameraPose(id="c", position_3d=(0, 5), yaw=0, pitch=-0.5,
                    horizontal_fov_rad=1.0, vertical_fov_rad=1.0,
                    max_range_m=10.0)
+    # a wrong type is refused on construction, not in frame_axes
+    for kw, what in (({"id": 3}, "camera id must be a string"),
+                     ({"position_3d": (0.0, "0", 5.0)},
+                      "camera c position must be a"),
+                     ({"yaw": "0.5"}, "camera c yaw must be a"),
+                     ({"pitch": None}, "camera c pitch must be a"),
+                     ({"horizontal_fov_rad": "1"}, "camera c hfov must be a"),
+                     ({"vertical_fov_rad": True}, "camera c vfov must be a"),
+                     ({"max_range_m": [10.0]}, "camera c max_range must be")):
+        with pytest.raises(ValueError, match=what):
+            _camera(**kw)
 
 
 def _camera(**overrides):
     kw = dict(id="c", position_3d=(0.0, 0.0, 5.0), yaw=0.0, pitch=-0.5,
               horizontal_fov_rad=1.0, vertical_fov_rad=1.0, max_range_m=10.0)
     return CameraPose(**{**kw, **overrides})
+
+
+def test_grid_and_camera_hold_their_reals_as_floats():
+    # an int is read as a float, as from_config reads one
+    grid = GroundGrid(4, 4, cell_size_m=1, origin=[0, 2])
+    assert grid.cell_size_m == 1.0 and grid.origin == (0.0, 2.0)
+    assert all(type(v) is float for v in (grid.cell_size_m, *grid.origin))
+    cam = _camera(position_3d=[0, 0, 5], yaw=np.int64(0), max_range_m=10)
+    assert cam.position_3d == (0.0, 0.0, 5.0)
+    cfg = cam.to_config()
+    assert all(type(v) is float for v in (
+        *cam.position_3d, *(cfg[k] for k in ("yaw", "pitch", "hfov", "vfov",
+                                            "max_range"))))
 
 
 NON_FINITE_FIELDS = {

@@ -317,7 +317,7 @@ def test_cover_rate_and_credit_equal_loop_counts(seed, n_frames, margin):
         cover_rate(frames + [_frame_around(grid, rng, 1, 0.0)], wrong, grid)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Scene, "footprint", lambda self, cid: FovFootprint(
-            cid, wrong.copy(), int(wrong.sum())))
+            cid, wrong.copy()))
         with pytest.raises(ValueError, match="shape"):
             view_person_credit(scene, frames + [_frame_around(grid, rng, 1,
                                                               0.0)],

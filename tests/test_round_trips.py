@@ -8,14 +8,16 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from viewsel import CameraPose, CrowdFrame, GroundGrid, Scene
 from viewsel.crowd import trace_from_csv, trace_to_csv
-from viewsel.selection import SelectionState
+from viewsel.selection import (SelectionState, _initial_state, add_view,
+                               random_select)
 from viewsel.serialize import canonical_json
 
-from conftest import random_small_scene
+from conftest import assert_coverage_derived, random_small_scene
 from reference import ref_trace_from_csv
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
@@ -121,8 +123,7 @@ def test_selection_artifact_round_trip(seed, data):
     scene = random_small_scene(np.random.default_rng(seed))
     selected = data.draw(st.lists(st.sampled_from(scene.camera_ids),
                                   min_size=1, unique=True))
-    state = SelectionState(selected=tuple(selected),
-                           combined_mask=scene.visibility_of(selected),
+    state = SelectionState(selected=tuple(selected), scene=scene,
                            non_converged=data.draw(st.booleans()))
     artifact = json.loads(canonical_json(state.to_dict()))
     if data.draw(st.booleans()):
@@ -130,4 +131,16 @@ def test_selection_artifact_round_trip(seed, data):
     back = SelectionState.from_dict(artifact, scene)
     assert back.selected == state.selected
     assert back.non_converged == state.non_converged
-    assert np.array_equal(back.combined_mask, state.combined_mask)
+    # every construction path derives the coverage from the scene; a
+    # non-converged run_avs is checked in test_selection.py
+    first = _initial_state(scene, selected[0])
+    states = [state, back, first,
+              random_select(scene, len(selected), seed=seed)]
+    if len(scene.camera_ids) > 1:
+        states.append(add_view(scene, first, lambda group, candidates: (
+            data.draw(st.integers(0, len(candidates) - 1)), None)))
+    for s in states:
+        assert_coverage_derived(s, scene)
+    with pytest.raises(TypeError):
+        SelectionState(selected=tuple(selected), scene=scene,
+                       combined_mask=state.combined_mask)

@@ -19,7 +19,7 @@ from viewsel.selection import (STRATEGIES, _initial_state, _score_fn,
                                train_after_selection, view_person_credit)
 from viewsel.synth import generate_scene
 
-from conftest import random_small_scene
+from conftest import assert_coverage_derived, random_small_scene
 from reference import (brute_force_best, ref_select_first_view,
                        ref_select_frames)
 
@@ -250,6 +250,7 @@ def test_run_avs_flags_non_convergence(demo_scene):
     state, _, _ = run_avs(demo_scene, trace, cfg, pred)
     assert state.non_converged
     assert len(state.selected) < 4
+    assert_coverage_derived(state, demo_scene)
 
 
 def test_run_avs_deterministic(demo_scene):
