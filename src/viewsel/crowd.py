@@ -314,7 +314,8 @@ def trace_to_csv(frames: list[CrowdFrame], path) -> None:
 def trace_from_csv(path) -> list[CrowdFrame]:
     """The frames of a trace CSV in frame-id order. Columns are found by
     header name; blank lines are skipped; a row with an empty person_idx
-    keeps its frame without adding a person."""
+    keeps its frame without adding a person. A row that cannot be read
+    raises ValueError naming its line."""
     by_frame: dict[int, list[tuple[float, float]]] = {}
     with open(path, newline="") as f:
         rows = csv.reader(f)
@@ -328,14 +329,17 @@ def trace_from_csv(path) -> list[CrowdFrame]:
             raise ValueError(f"trace header lacks columns {missing}")
         fi, pi, xi, yi = (col[c] for c in _COLUMNS)
         width = max(fi, pi, xi, yi) + 1
-        for row in rows:
-            if not row:
-                continue
-            if len(row) < width:
-                raise ValueError(f"trace line {rows.line_num}: {len(row)} "
-                                 f"fields, expected at least {width}")
-            pts = by_frame.setdefault(int(row[fi]), [])
-            if row[pi] != "":
-                pts.append((float(row[xi]), float(row[yi])))
+        try:
+            for row in rows:
+                if not row:
+                    continue
+                if len(row) < width:
+                    raise ValueError(f"{len(row)} fields, expected at least "
+                                     f"{width}")
+                pts = by_frame.setdefault(int(row[fi]), [])
+                if row[pi] != "":
+                    pts.append((float(row[xi]), float(row[yi])))
+        except ValueError as err:
+            raise ValueError(f"trace line {rows.line_num}: {err}") from err
     return [CrowdFrame(frame_id=fid, positions=by_frame[fid])
             for fid in sorted(by_frame)]

@@ -268,7 +268,7 @@ class Scene:
 
     grid: GroundGrid
     cameras: list[CameraPose]
-    footprints: list[FovFootprint] = field(init=False)
+    footprints: list[FovFootprint] = field(init=False, compare=False)
 
     def __post_init__(self):
         if len(set(self.camera_ids)) != len(self.cameras):

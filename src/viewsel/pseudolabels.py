@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crowd import CrowdFrame, DensityMap
-from .geometry import Scene
 from .predictor import oracle_predict
 from .selection import SelectionState
 
@@ -41,28 +40,29 @@ class PseudoPair:
             raise ValueError("gt_density must be zero outside loss_mask")
 
 
-def make_viewsel_pair(state: SelectionState, scene: Scene, frame: CrowdFrame,
+def make_viewsel_pair(state: SelectionState, frame: CrowdFrame,
                       rng: np.random.Generator,
                       kernel_sigma_cells: float = 1.0) -> PseudoPair:
-    """Selected group plus one random unselected view; GT is the selected
-    group's oracle prediction, whose mask is the group's FOV union."""
-    unselected = sorted(set(scene.camera_ids) - set(state.selected))
+    """Selected group plus one random unselected view of state.scene; GT
+    is the group's oracle prediction, whose mask is the group's FOV union."""
+    unselected = sorted(set(state.scene.camera_ids) - set(state.selected))
     if not unselected:
         raise ValueError("no unselected cameras available")
     extra = unselected[int(rng.integers(len(unselected)))]
-    gt = oracle_predict(frame, state.combined_mask, scene, kernel_sigma_cells)
+    gt = oracle_predict(frame, state.combined_mask, state.scene,
+                        kernel_sigma_cells)
     return PseudoPair(input_view_ids=tuple(state.selected) + (extra,),
                       gt_density=gt, loss_mask=state.combined_mask,
                       stage=STAGE_VIEWSEL)
 
 
-def make_modeltrain_pair(state: SelectionState, scene: Scene,
-                         frame: CrowdFrame, rng: np.random.Generator,
+def make_modeltrain_pair(state: SelectionState, frame: CrowdFrame,
+                         rng: np.random.Generator,
                          kernel_sigma_cells: float = 1.0) -> PseudoPair:
-    """One random selected view plus K-1 random unselected views; GT is the
-    K-selected-view oracle prediction, zeroed outside the intersection of
-    the selected FOV union and the pseudo inputs' FOV union."""
-    k = len(state.selected)
+    """One random selected view plus K-1 random unselected views of
+    state.scene; GT is the K-selected-view oracle prediction, zeroed outside
+    the intersection of the selected and the pseudo inputs' FOV unions."""
+    k, scene = len(state.selected), state.scene
     unselected = sorted(set(scene.camera_ids) - set(state.selected))
     if len(unselected) < k - 1:
         raise ValueError(f"need {k - 1} unselected cameras, have {len(unselected)}")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crowd import DensityMap
-from .geometry import CameraPose, Scene, require_finite
+from .geometry import Scene, require_finite
 
 # S_vd = exp(-LAMBDA * sum of dot / (distance + EPSILON)) over camera pairs
 LAMBDA = 0.1
@@ -47,11 +47,11 @@ class ScoreBreakdown:
     variant: str  # the strategy scored: "geometric" | "mask" | "density"
 
 
-def inverse_distance_field(group: list[CameraPose], scene: Scene,
+def inverse_distance_field(group: list[str], scene: Scene,
                            weight: np.ndarray | None = None) -> np.ndarray:
-    """Per-cell sum of weight / camera distance, each camera contributing
-    only inside its own footprint; weight None means unit weight, and an
-    empty group gives all zeros. A non-finite weight raises ValueError.
+    """Per-cell sum of weight / camera distance, each camera id in group
+    contributing only inside its own footprint; weight None means unit
+    weight, an empty group all zeros, and a non-finite weight ValueError.
 
     Distances run from cell centers to the camera's ground position and are
     floored at half a cell (Scene.footprint_window).
@@ -61,8 +61,8 @@ def inverse_distance_field(group: list[CameraPose], scene: Scene,
             raise ValueError("weight does not match grid")
         require_finite(weight, "weight")
     field = np.zeros(scene.grid.shape)
-    for cam in group:
-        _add_camera_term(field, scene, cam.id, weight)
+    for cid in group:
+        _add_camera_term(field, scene, cid, weight)
     return field
 
 
@@ -92,7 +92,7 @@ class _Round:
     exact scores group + [c] on the full grid; screen gives the same total
     from two sums, up to rounding (round_winner)."""
 
-    def __init__(self, group: list[CameraPose], scene: Scene, strategy: str,
+    def __init__(self, group: list[str], scene: Scene, strategy: str,
                  prediction: DensityMap | None, sigma_mode,
                  terms: tuple[str, ...]):
         region = weight = None
@@ -109,7 +109,7 @@ class _Round:
         self.scene, self.strategy, self.terms = scene, strategy, terms
         self.region, self.weight = region, weight
         self.field = inverse_distance_field(group, scene, weight)
-        self.ids = [cam.id for cam in group]
+        self.ids = group
         self.union = scene.visibility_of(self.ids)
         self.pairs = [[_pair_term(scene.pair_geometry(a, b))
                        for b in self.ids[i + 1:]]
@@ -141,16 +141,16 @@ class _Round:
                 total *= factor
         return total if s_sc else 0.0
 
-    def exact(self, cam: CameraPose, s_vd: float) -> ScoreBreakdown:
-        """The score of group + [cam], given its diversity: cam, last in
+    def exact(self, cid: str, s_vd: float) -> ScoreBreakdown:
+        """The score of group + [cid], given its diversity: cid, last in
         its group, adds only its own terms to a copy of the group's field,
-        in the order a from-scratch score of group + [cam] adds them, and
+        in the order a from-scratch score of group + [cid] adds them, and
         the field is summed over the whole scored region."""
         field = self.field.copy()
-        _add_camera_term(field, self.scene, cam.id, self.weight)
+        _add_camera_term(field, self.scene, cid, self.weight)
         scored, n_region = self.region, self.n_scored
         if scored is None:
-            scored = self.union | self.scene.footprint(cam.id).mask
+            scored = self.union | self.scene.footprint(cid).mask
             n_region = int(np.count_nonzero(scored))
         s_sc = n_region / self.scene.grid.n_cells
         s_ad = float(field[scored].sum()) / n_region if n_region else 0.0
@@ -158,19 +158,19 @@ class _Round:
                               total=self._total(s_sc, s_ad, s_vd),
                               variant=self.strategy)
 
-    def screen(self, cam: CameraPose, s_vd: float) -> float:
-        """exact(cam, s_vd).total up to rounding, from cam's footprint
+    def screen(self, cid: str, s_vd: float) -> float:
+        """exact(cid, s_vd).total up to rounding, from cid's footprint
         window alone: the field's sum over the scored region is the
-        group's (self.mass) plus cam's own terms on that region, and a
-        union's count grows by cam's footprint cells outside it."""
+        group's (self.mass) plus cid's own terms on that region, and a
+        union's count grows by cid's footprint cells outside it."""
         n_region, mass = self.n_scored, 0.0
-        window = self.scene.footprint_window(cam.id)
+        window = self.scene.footprint_window(cid)
         if window is not None:
             rows, cols, distance = window
             if self.region is None:
-                fp = self.scene.footprint(cam.id).mask[rows, cols]
+                fp = self.scene.footprint(cid).mask[rows, cols]
                 n_region += int(np.count_nonzero(fp & ~self.union[rows, cols]))
-                mass = self.scene.footprint_mass(cam.id)
+                mass = self.scene.footprint_mass(cid)
             else:
                 term = (1.0 if self.weight is None
                         else self.weight[rows, cols]) / distance
@@ -179,29 +179,28 @@ class _Round:
         return self._total(n_region / self.scene.grid.n_cells, s_ad, s_vd)
 
 
-def score_round(group: list[CameraPose], candidates: list[CameraPose],
-                scene: Scene, strategy: str,
-                prediction: DensityMap | None = None, sigma_mode="mean",
-                terms: tuple[str, ...] = ALL_TERMS) -> list[ScoreBreakdown]:
-    """S_sc * S_ad * S_vd of group + [c] for each candidate c under
-    strategy, which picks the scored region and the per-cell
+def score_round(group: list[str], candidates: list[str], scene: Scene,
+                strategy: str, prediction: DensityMap | None = None,
+                sigma_mode="mean", terms: tuple[str, ...] = ALL_TERMS
+                ) -> list[ScoreBreakdown]:
+    """S_sc * S_ad * S_vd of group + [c] for each candidate c, by camera id,
+    under strategy, which picks the scored region and the per-cell
     distance-field weight by the table of the module docstring; the
     prediction is binarized (binarize_density) once per call. terms picks
-    the factors multiplied into total, and an empty region scores 0. A
-    strategy with no score, or a mask or density call without a
-    prediction on the scene grid raises ValueError (a DensityMap holds
-    only finite values, so its weight is finite). The round's setup is
-    built once (_Round), and each score equals the from-scratch score of
-    group + [c]. The footprint windows and pair geometry come from the
-    scene (Scene.footprint_window, Scene.pair_geometry)."""
+    the factors multiplied into total, and an empty region scores 0. An
+    unknown id raises KeyError; an unscored strategy, or a mask or density
+    call without a prediction on the scene grid, ValueError (a DensityMap
+    holds only finite values, so its weight is finite). The round's setup
+    is built once (_Round), and each score equals the from-scratch score
+    of group + [c], whose footprint windows and pair geometry come from
+    the scene (Scene.footprint_window, Scene.pair_geometry)."""
     rnd = _Round(group, scene, strategy, prediction, sigma_mode, terms)
-    return [rnd.exact(cam, rnd.diversity(cam.id)) for cam in candidates]
+    return [rnd.exact(cid, rnd.diversity(cid)) for cid in candidates]
 
 
-def round_winner(group: list[CameraPose], candidates: list[CameraPose],
-                 scene: Scene, strategy: str,
-                 prediction: DensityMap | None = None, sigma_mode="mean",
-                 terms: tuple[str, ...] = ALL_TERMS
+def round_winner(group: list[str], candidates: list[str], scene: Scene,
+                 strategy: str, prediction: DensityMap | None = None,
+                 sigma_mode="mean", terms: tuple[str, ...] = ALL_TERMS
                  ) -> tuple[int, ScoreBreakdown]:
     """The index in candidates and the breakdown of the first maximum of
     score_round's totals, with score_round's arguments and errors, from
@@ -216,9 +215,9 @@ def round_winner(group: list[CameraPose], candidates: list[CameraPose],
     if not candidates:
         raise ValueError("no candidates to score")
     rnd = _Round(group, scene, strategy, prediction, sigma_mode, terms)
-    diversity = [rnd.diversity(cam.id) for cam in candidates]
-    screened = [rnd.screen(cam, s_vd)
-                for cam, s_vd in zip(candidates, diversity)]
+    diversity = [rnd.diversity(cid) for cid in candidates]
+    screened = [rnd.screen(cid, s_vd)
+                for cid, s_vd in zip(candidates, diversity)]
     floor = max(screened) * (1.0 - SCREEN_TOL)
     best = None
     for i, total in enumerate(screened):

@@ -4,7 +4,8 @@ independent and active pipelines, and random baselines.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -68,21 +69,23 @@ class SelectionConfig:
 
 @dataclass(frozen=True)
 class SelectionState:
-    """Ordered selected-view group on scene, with its combined visibility
-    (scene.visibility_of) computed on construction and read-only."""
+    """Ordered selected-view group on scene, compared as to_dict records."""
 
     selected: tuple[str, ...]
-    scene: InitVar[Scene]
-    combined_mask: np.ndarray = field(init=False)
+    scene: Scene = field(compare=False, repr=False)
     history: tuple[tuple[str, ScoreBreakdown | None], ...] = ()
     non_converged: bool = False
 
-    def __post_init__(self, scene: Scene):
+    def __post_init__(self):
         if len(set(self.selected)) != len(self.selected):
             raise ValueError("selected views must be unique")
-        mask = scene.visibility_of(self.selected)
+
+    @cached_property
+    def combined_mask(self) -> np.ndarray:
+        """scene.visibility_of(selected), computed on first read; read-only."""
+        mask = self.scene.visibility_of(self.selected)
         mask.setflags(write=False)
-        object.__setattr__(self, "combined_mask", mask)
+        return mask
 
     def to_dict(self) -> dict:
         return {"selected": list(self.selected),
@@ -204,22 +207,21 @@ def select_first_view(scene: Scene, drawn: list[tuple[CrowdFrame, float]],
     return min(scene.camera_ids, key=lambda cid: (-sum(totals[cid]), cid))
 
 
-def add_view(scene: Scene, state: SelectionState,
-             score_fn) -> SelectionState:
-    """One round of greedy view addition: append the unselected candidate
-    that scores best together with the current group (ties by camera id).
+def add_view(state: SelectionState, score_fn) -> SelectionState:
+    """One round of greedy view addition: append the unselected camera of
+    state.scene that scores best with the current group (ties by camera id).
 
     score_fn(group_ids: list[str], candidate_ids: list[str])
     -> (index, ScoreBreakdown), the first maximum over the candidates, in
     their order, of the score of group + [c]; called once per round with
     the candidates sorted by id.
     """
-    unselected = sorted(set(scene.camera_ids) - set(state.selected))
+    unselected = sorted(set(state.scene.camera_ids) - set(state.selected))
     if not unselected:
         raise ValueError("no unselected cameras remain")
     index, best_score = score_fn(list(state.selected), unselected)
     best_id = unselected[index]
-    return replace(state, selected=state.selected + (best_id,), scene=scene,
+    return replace(state, selected=state.selected + (best_id,),
                    history=state.history + ((best_id, best_score),))
 
 
@@ -228,9 +230,8 @@ def _score_fn(scene: Scene, config: SelectionConfig,
     """add_view's score_fn: round_winner under the config's strategy, which
     scores the prediction (None for geometric)."""
     return lambda group, candidates: round_winner(
-        [scene.camera(c) for c in group],
-        [scene.camera(c) for c in candidates], scene, config.strategy,
-        prediction, config.sigma_mode, config.terms)
+        group, candidates, scene, config.strategy, prediction,
+        config.sigma_mode, config.terms)
 
 
 def mean_prediction(predictions: list[DensityMap],
@@ -319,7 +320,7 @@ def run_ivs(scene: Scene, trace: list[CrowdFrame], config: SelectionConfig,
     state = _initial_state(scene, _largest_fov_camera(scene))
     score_fn = _score_fn(scene, config)
     while len(state.selected) < config.k_max:
-        state = add_view(scene, state, score_fn)
+        state = add_view(state, score_fn)
     return state, LabeledDataset(tuple(frame_ids))
 
 
@@ -371,10 +372,10 @@ def run_avs(scene: Scene, trace: list[CrowdFrame], config: SelectionConfig,
                  for frame in frames]
         if training_mae(preds, covered) <= config.tau:
             m_avg = mean_prediction(preds, scene.grid.shape)
-            state = add_view(scene, state, _score_fn(scene, config, m_avg))
+            state = add_view(state, _score_fn(scene, config, m_avg))
             covered = covered_counts(state.combined_mask)
     if len(state.selected) < config.k_max:
-        state = replace(state, scene=scene, non_converged=True)
+        state = replace(state, non_converged=True)
     # the epochs left once the budget is reached train on the labeled views
     # with the training metric gating nothing, and the active pipeline then
     # ends with a full training pass on them

@@ -41,8 +41,9 @@ def pytest_terminal_summary(terminalreporter):
 
 
 def assert_coverage_derived(state, scene) -> None:
-    """state's combined mask is the read-only union of its views'
-    footprints on scene."""
+    """state keeps scene, and its combined mask is the read-only union
+    of its views' footprints on scene."""
+    assert state.scene is scene
     assert np.array_equal(state.combined_mask,
                           scene.visibility_of(state.selected))
     assert not state.combined_mask.flags.writeable

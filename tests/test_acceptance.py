@@ -55,19 +55,20 @@ def test_criterion_1_score_oracle_equivalence():
         k = int(rng.integers(1, min(len(scene.cameras), 4) + 1))
         idx = rng.choice(len(scene.cameras), size=k, replace=False)
         cams = [scene.cameras[i] for i in idx]
+        ids = [c.id for c in cams]
         pred_v = rng.uniform(0.0, 1.0, size=scene.grid.shape)
         pred_v[pred_v < 0.5] = 0.0
         pred = DensityMap(values=pred_v)
 
-        got = score_round(cams[:-1], cams[-1:], scene, "geometric", None,
+        got = score_round(ids[:-1], ids[-1:], scene, "geometric", None,
                           "mean")[0].total
         want = ref_score_geometric(cams, scene, LAM, EPS)[3]
         worst = max(worst, _rel_err(got, want))
-        got = score_round(cams[:-1], cams[-1:], scene, "mask", pred,
+        got = score_round(ids[:-1], ids[-1:], scene, "mask", pred,
                           "mean")[0].total
         want = ref_score_mask(cams, scene, pred_v, "mean", LAM, EPS)[3]
         worst = max(worst, _rel_err(got, want))
-        got = score_round(cams[:-1], cams[-1:], scene, "density", pred,
+        got = score_round(ids[:-1], ids[-1:], scene, "density", pred,
                           "mean")[0].total
         want = ref_score_density(cams, scene, pred_v, "mean", LAM, EPS)[3]
         worst = max(worst, _rel_err(got, want))
@@ -88,21 +89,21 @@ def test_criterion_2_reduction_identities():
         scene = random_small_scene(rng, n_cameras=int(rng.integers(2, 7)))
         k = int(rng.integers(1, len(scene.cameras) + 1))
         idx = rng.choice(len(scene.cameras), size=k, replace=False)
-        cams = [scene.cameras[i] for i in idx]
+        ids = [scene.camera_ids[i] for i in idx]
         # mask with B := FOV union reduces to the geometric score
-        union = scene.visibility_of([c.id for c in cams])
+        union = scene.visibility_of(ids)
         pred_union = DensityMap(values=union.astype(float))
-        geo = score_round(cams[:-1], cams[-1:], scene, "geometric", None,
+        geo = score_round(ids[:-1], ids[-1:], scene, "geometric", None,
                           "mean")[0].total
-        msk = score_round(cams[:-1], cams[-1:], scene, "mask", pred_union,
+        msk = score_round(ids[:-1], ids[-1:], scene, "mask", pred_union,
                           0.5)[0].total
         worst_mg = max(worst_mg, _rel_err(geo, msk))
         # density with M == 1 on B reduces to the mask score
         region = rng.random(scene.grid.shape) < 0.4
         pred_unit = DensityMap(values=region.astype(float))
-        m2 = score_round(cams[:-1], cams[-1:], scene, "mask", pred_unit,
+        m2 = score_round(ids[:-1], ids[-1:], scene, "mask", pred_unit,
                          0.5)[0].total
-        d2 = score_round(cams[:-1], cams[-1:], scene, "density", pred_unit,
+        d2 = score_round(ids[:-1], ids[-1:], scene, "density", pred_unit,
                          0.5)[0].total
         worst_dm = max(worst_dm, _rel_err(m2, d2))
     ok = worst_mg <= 1e-12 and worst_dm <= 1e-12
@@ -261,8 +262,8 @@ def test_criterion_6_monotonicity_suites():
         rng.shuffle(ids)
         prev = -1.0
         for k in range(1, 6):
-            cams = [scene.camera(cid) for cid in ids[:k]]
-            cur = score_round(cams[:-1], cams[-1:], scene, "geometric")[0].s_sc
+            cur = score_round(ids[:k - 1], ids[k - 1:k], scene,
+                              "geometric")[0].s_sc
             if cur < prev:
                 violations += 1
                 break
@@ -293,14 +294,13 @@ def test_criterion_6_monotonicity_suites():
         def from_scratch(group, candidates):
             scores = []
             for cid in candidates:
-                cams = [scene.camera(c) for c in group + [cid]]
-                scores.append(score_round(cams[:-1], cams[-1:], scene,
-                                          "geometric", None, "mean")[0])
+                scores.append(score_round(group, [cid], scene, "geometric",
+                                          None, "mean")[0])
             best = max(range(len(scores)), key=lambda i: scores[i].total)
             return best, scores[best]
 
         while len(state.selected) < k:
-            state = add_view(scene, state, from_scratch)
+            state = add_view(state, from_scratch)
         return state.selected
 
     for _ in range(1000):
@@ -332,10 +332,10 @@ def test_criterion_7_pseudo_label_contracts():
     for n in range(1000):
         scene, trace, state = scenes[n % len(scenes)]
         frame = trace[n % len(trace)]
-        vp = make_viewsel_pair(state, scene, frame, rng)
+        vp = make_viewsel_pair(state, frame, rng)
         if vp.gt_density.values[~vp.loss_mask].any():
             bad += 1
-        mp = make_modeltrain_pair(state, scene, frame, rng)
+        mp = make_modeltrain_pair(state, frame, rng)
         if mp.gt_density.values[~mp.loss_mask].any():
             bad += 1
         expected = state.combined_mask & scene.visibility_of(

@@ -207,8 +207,14 @@ def test_trace_csv_round_trip_keeps_empty_frames(tmp_path):
 @pytest.mark.parametrize("text, message", [
     ("frame_id,x_m,y_m\n0,1.0,2.0\n", "lacks columns ['person_idx']"),
     ("frame_id,person_idx,x_m,y_m\n0,0,1.0\n",
-     "line 2: 3 fields, expected at least 4"),
-], ids=["missing-column", "short-row"])
+     "trace line 2: 3 fields, expected at least 4"),
+    ("frame_id,person_idx,x_m,y_m\n0,0,1.0,2.0\n0,1,abc,2.0\n",
+     "trace line 3: could not convert string to float: 'abc'"),
+    ("frame_id,person_idx,x_m,y_m\n1.5,0,1.0,2.0\n",
+     "trace line 2: invalid literal for int() with base 10: '1.5'"),
+    ("frame_id,person_idx,x_m,y_m\n0,,,\n0,0,,2.0\n",
+     "trace line 3: could not convert string to float: ''"),
+], ids=["missing-column", "short-row", "bad-x", "bad-frame-id", "empty-x"])
 def test_malformed_trace_csv_is_value_error(tmp_path, text, message):
     path = tmp_path / "trace.csv"
     path.write_text(text)

@@ -58,8 +58,8 @@ def test_scene_coverage_monotone_under_view_addition(seed):
     prev = 0.0
     for k in range(1, len(ids) + 1):
         # the S_sc that a greedy round scores for ids[k - 1] after ids[:k - 1]
-        cams = [scene.camera(cid) for cid in ids[:k]]
-        cur = score_round(cams[:-1], cams[-1:], scene, "geometric")[0].s_sc
+        cur = score_round(ids[:k - 1], ids[k - 1:k], scene,
+                          "geometric")[0].s_sc
         assert prev <= cur <= 1.0
         prev = cur
 
@@ -69,12 +69,11 @@ def test_scene_coverage_monotone_under_view_addition(seed):
 def test_view_diversity_positive_and_unit_free(seed):
     rng = np.random.default_rng(seed)
     scene = random_small_scene(rng, n_cameras=5)
-    val = score_round(scene.cameras[:-1], scene.cameras[-1:], scene,
-                      "geometric")[0].s_vd
+    ids = scene.camera_ids
+    val = score_round(ids[:-1], ids[-1:], scene, "geometric")[0].s_vd
     assert val > 0.0
     assert np.isfinite(val)
-    assert score_round([], scene.cameras[:1], scene,
-                       "geometric")[0].s_vd == 1.0
+    assert score_round([], ids[:1], scene, "geometric")[0].s_vd == 1.0
 
 
 @given(st.integers(0, 2 ** 31 - 1), st.floats(0.0, 2.0),

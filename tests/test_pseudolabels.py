@@ -19,7 +19,7 @@ def setup(demo_scene):
 def test_viewsel_pair_structure(setup):
     scene, trace, state = setup
     rng = np.random.default_rng(0)
-    pair = make_viewsel_pair(state, scene, trace[0], rng)
+    pair = make_viewsel_pair(state, trace[0], rng)
     assert pair.stage == STAGE_VIEWSEL
     assert pair.input_view_ids[:-1] == state.selected
     assert pair.input_view_ids[-1] not in state.selected
@@ -30,7 +30,7 @@ def test_viewsel_pair_structure(setup):
 def test_modeltrain_pair_structure(setup):
     scene, trace, state = setup
     rng = np.random.default_rng(1)
-    pair = make_modeltrain_pair(state, scene, trace[0], rng)
+    pair = make_modeltrain_pair(state, trace[0], rng)
     assert pair.stage == STAGE_MODELTRAIN
     k = len(state.selected)
     assert len(pair.input_view_ids) == k
@@ -55,15 +55,13 @@ def test_viewsel_pair_needs_unselected(setup):
     scene, trace, _ = setup
     full = random_select(scene, len(scene.cameras), seed=0)
     with pytest.raises(ValueError):
-        make_viewsel_pair(full, scene, trace[0], np.random.default_rng(0))
+        make_viewsel_pair(full, trace[0], np.random.default_rng(0))
 
 
 def test_pair_determinism(setup):
-    scene, trace, state = setup
-    a = make_modeltrain_pair(state, scene, trace[0],
-                             np.random.default_rng(9))
-    b = make_modeltrain_pair(state, scene, trace[0],
-                             np.random.default_rng(9))
+    _, trace, state = setup
+    a = make_modeltrain_pair(state, trace[0], np.random.default_rng(9))
+    b = make_modeltrain_pair(state, trace[0], np.random.default_rng(9))
     assert a.input_view_ids == b.input_view_ids
     assert (a.gt_density.values == b.gt_density.values).all()
 
@@ -83,9 +81,8 @@ def test_pair_gt_is_the_selected_density_under_the_loss_mask(sigma):
         for frame in trace:
             seen = frame.positions[frame.seen(state.combined_mask, grid)]
             table = kernel_table(seen, grid, sigma)
-            for pair in (make_viewsel_pair(state, scene, frame, rng, sigma),
-                         make_modeltrain_pair(state, scene, frame, rng,
-                                              sigma)):
+            for pair in (make_viewsel_pair(state, frame, rng, sigma),
+                         make_modeltrain_pair(state, frame, rng, sigma)):
                 expected = accumulate_density(table, grid,
                                               mask=pair.loss_mask)
                 assert np.array_equal(pair.gt_density.values, expected)

@@ -5,7 +5,9 @@ import csv
 import json
 import math
 import tempfile
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -48,6 +50,7 @@ def scenes(draw):
 @settings(max_examples=100, deadline=None)
 def test_scene_config_round_trip(scene):
     back = Scene.from_config(json.loads(canonical_json(scene.to_config())))
+    assert back == scene
     assert back.grid == scene.grid
     assert back.cameras == scene.cameras
     for a, b in zip(back.footprints, scene.footprints):
@@ -123,24 +126,42 @@ def test_selection_artifact_round_trip(seed, data):
     scene = random_small_scene(np.random.default_rng(seed))
     selected = data.draw(st.lists(st.sampled_from(scene.camera_ids),
                                   min_size=1, unique=True))
-    state = SelectionState(selected=tuple(selected), scene=scene,
-                           non_converged=data.draw(st.booleans()))
-    artifact = json.loads(canonical_json(state.to_dict()))
-    if data.draw(st.booleans()):
-        artifact["scene_id"] = "scene"  # written by older versions
-    back = SelectionState.from_dict(artifact, scene)
-    assert back.selected == state.selected
-    assert back.non_converged == state.non_converged
-    # every construction path derives the coverage from the scene; a
-    # non-converged run_avs is checked in test_selection.py
-    first = _initial_state(scene, selected[0])
-    states = [state, back, first,
-              random_select(scene, len(selected), seed=seed)]
-    if len(scene.camera_ids) > 1:
-        states.append(add_view(scene, first, lambda group, candidates: (
-            data.draw(st.integers(0, len(candidates) - 1)), None)))
+    with mock.patch.object(Scene, "visibility_of", autospec=True,
+                           side_effect=Scene.visibility_of) as union:
+        state = SelectionState(selected=tuple(selected), scene=scene,
+                               non_converged=data.draw(st.booleans()))
+        artifact = json.loads(canonical_json(state.to_dict()))
+        if data.draw(st.booleans()):
+            artifact["scene_id"] = "scene"  # written by older versions
+        back = SelectionState.from_dict(artifact, scene)
+        # every construction path keeps the scene and derives the
+        # coverage from it; a non-converged run_avs is checked in
+        # test_selection.py
+        first = _initial_state(scene, selected[0])
+        flipped = replace(state, non_converged=not state.non_converged)
+        states = [state, back, first, flipped,
+                  random_select(scene, len(selected), seed=seed)]
+        if len(scene.camera_ids) > 1:
+            states.append(add_view(first, lambda group, candidates: (
+                data.draw(st.integers(0, len(candidates) - 1)), None)))
+        # a mask is computed on its first read, once
+        assert union.call_count == 0
+        masks = [s.combined_mask for s in states]
+        assert union.call_count == len(states)
+        assert all(s.combined_mask is m for s, m in zip(states, masks))
+        assert union.call_count == len(states)
     for s in states:
         assert_coverage_derived(s, scene)
+    # states compare and hash by what to_dict records
+    assert back == state and hash(back) == hash(state)
+    assert back.to_dict() == state.to_dict()
+    assert flipped != state
+    assert first == SelectionState(selected=(selected[0],), scene=scene,
+                                   history=((selected[0], None),))
+    with pytest.raises(FrozenInstanceError):
+        state.combined_mask = ~state.combined_mask
     with pytest.raises(TypeError):
         SelectionState(selected=tuple(selected), scene=scene,
                        combined_mask=state.combined_mask)
+    with pytest.raises(TypeError):
+        replace(state, combined_mask=state.combined_mask)

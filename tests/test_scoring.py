@@ -24,6 +24,10 @@ def _random_density(rng, grid):
     return DensityMap(values=v)
 
 
+def _ids(cams):
+    return [c.id for c in cams]
+
+
 def test_geometric_matches_reference_on_random_scenes():
     rng = np.random.default_rng(11)
     for _ in range(15):
@@ -31,7 +35,8 @@ def test_geometric_matches_reference_on_random_scenes():
         k = int(rng.integers(1, len(scene.cameras) + 1))
         cams = [scene.cameras[i]
                 for i in rng.choice(len(scene.cameras), size=k, replace=False)]
-        got = score_round(cams[:-1], cams[-1:], scene, "geometric", None,
+        ids = _ids(cams)
+        got = score_round(ids[:-1], ids[-1:], scene, "geometric", None,
                           "mean")[0]
         _, _, _, want = ref_score_geometric(cams, scene, LAM, EPS)
         assert got.total == pytest.approx(want, rel=1e-9, abs=1e-12)
@@ -42,12 +47,12 @@ def test_mask_and_density_match_reference():
     for _ in range(10):
         scene = random_small_scene(rng, n_cameras=4)
         pred = _random_density(rng, scene.grid)
-        cams = scene.cameras[:3]
-        got_m = score_round(cams[:-1], cams[-1:], scene, "mask", pred,
+        cams, ids = scene.cameras[:3], scene.camera_ids[:3]
+        got_m = score_round(ids[:-1], ids[-1:], scene, "mask", pred,
                             "mean")[0]
         _, _, _, want_m = ref_score_mask(cams, scene, pred.values, "mean",
                                          LAM, EPS)
-        got_d = score_round(cams[:-1], cams[-1:], scene, "density", pred,
+        got_d = score_round(ids[:-1], ids[-1:], scene, "density", pred,
                             "mean")[0]
         _, _, _, want_d = ref_score_density(cams, scene, pred.values, "mean",
                                             LAM, EPS)
@@ -61,12 +66,12 @@ def test_mask_reduces_to_geometric_on_fov_union():
     rng = np.random.default_rng(13)
     for _ in range(10):
         scene = random_small_scene(rng, n_cameras=4)
-        cams = scene.cameras[:3]
-        union = scene.visibility_of([c.id for c in cams])
+        ids = scene.camera_ids[:3]
+        union = scene.visibility_of(ids)
         pred = DensityMap(values=union.astype(float))
-        geo = score_round(cams[:-1], cams[-1:], scene, "geometric", None,
+        geo = score_round(ids[:-1], ids[-1:], scene, "geometric", None,
                           "mean")[0]
-        msk = score_round(cams[:-1], cams[-1:], scene, "mask", pred, 0.5)[0]
+        msk = score_round(ids[:-1], ids[-1:], scene, "mask", pred, 0.5)[0]
         assert msk.total == pytest.approx(geo.total, rel=1e-12, abs=1e-15)
 
 
@@ -76,11 +81,11 @@ def test_density_reduces_to_mask_on_unit_density():
     rng = np.random.default_rng(14)
     for _ in range(10):
         scene = random_small_scene(rng, n_cameras=4)
-        cams = scene.cameras[:3]
+        ids = scene.camera_ids[:3]
         region = _random_density(rng, scene.grid).values > 0
         pred = DensityMap(values=region.astype(float))
-        msk = score_round(cams[:-1], cams[-1:], scene, "mask", pred, 0.5)[0]
-        den = score_round(cams[:-1], cams[-1:], scene, "density", pred, 0.5)[0]
+        msk = score_round(ids[:-1], ids[-1:], scene, "mask", pred, 0.5)[0]
+        den = score_round(ids[:-1], ids[-1:], scene, "density", pred, 0.5)[0]
         assert den.total == pytest.approx(msk.total, rel=1e-12, abs=1e-15)
 
 
@@ -89,7 +94,7 @@ def test_inverse_distance_single_camera(small_grid):
                      pitch=-0.6, horizontal_fov_rad=1.2,
                      vertical_fov_rad=1.0, max_range_m=30.0)
     scene = Scene(grid=small_grid, cameras=[cam])
-    field = inverse_distance_field([cam], scene)
+    field = inverse_distance_field(["c"], scene)
     X, Y = small_grid.cell_centers()
     d = np.maximum(np.hypot(X, Y), small_grid.cell_size_m / 2)
     mask = scene.footprints[0].mask
@@ -103,7 +108,7 @@ def test_distance_floor_guards_singularity():
                      pitch=-math.pi / 2, horizontal_fov_rad=2.0,
                      vertical_fov_rad=2.0, max_range_m=10.0)
     scene = Scene(grid=grid, cameras=[cam])
-    field = inverse_distance_field([cam], scene)
+    field = inverse_distance_field(["c"], scene)
     assert np.isfinite(field).all()
     assert field.max() <= 1.0 / (grid.cell_size_m / 2)
 
@@ -113,7 +118,8 @@ def _view_diversity(cams):
     the others, on a small grid."""
     scene = Scene(grid=GroundGrid(height_cells=8, width_cells=8,
                                   cell_size_m=0.5), cameras=cams)
-    return score_round(cams[:-1], cams[-1:], scene, "geometric", None,
+    ids = _ids(cams)
+    return score_round(ids[:-1], ids[-1:], scene, "geometric", None,
                        "mean")[0].s_vd
 
 
@@ -154,15 +160,15 @@ def test_binarize_modes():
 
 def test_empty_region_yields_zero_total(demo_scene):
     pred = DensityMap(values=np.zeros(demo_scene.grid.shape))
-    cams = demo_scene.cameras[:2]
-    sb = score_round(cams[:-1], cams[-1:], demo_scene, "mask", pred, 0.5)[0]
+    ids = demo_scene.camera_ids[:2]
+    sb = score_round(ids[:-1], ids[-1:], demo_scene, "mask", pred, 0.5)[0]
     assert sb.total == 0.0
 
 
 def test_term_subset_drops_factors(demo_scene):
-    cams = demo_scene.cameras[:3]
+    ids = demo_scene.camera_ids[:3]
     full, no_vd, sc_only = (
-        score_round(cams[:-1], cams[-1:], demo_scene, "geometric", None,
+        score_round(ids[:-1], ids[-1:], demo_scene, "geometric", None,
                     "mean", terms)[0]
         for terms in (("sc", "ad", "vd"), ("sc", "ad"), ("sc",)))
     assert no_vd.total == pytest.approx(full.s_sc * full.s_ad, rel=1e-12)
@@ -171,21 +177,21 @@ def test_term_subset_drops_factors(demo_scene):
 
 def test_combined_total_equals_sum_form(demo_scene):
     # s_sc * s_ad * s_vd telescopes to (sum D / n_cells) * s_vd
-    cams = demo_scene.cameras[:3]
-    sb = score_round(cams[:-1], cams[-1:], demo_scene, "geometric", None,
+    ids = demo_scene.camera_ids[:3]
+    sb = score_round(ids[:-1], ids[-1:], demo_scene, "geometric", None,
                      "mean")[0]
-    field = inverse_distance_field(cams, demo_scene)
-    union = demo_scene.visibility_of([c.id for c in cams])
+    field = inverse_distance_field(ids, demo_scene)
+    union = demo_scene.visibility_of(ids)
     alt = field[union].sum() / demo_scene.grid.n_cells * sb.s_vd
     assert sb.total == pytest.approx(alt, rel=1e-12)
 
 
 def test_density_weighted_field_scales_with_prediction(demo_scene):
-    cams = demo_scene.cameras[:2]
+    ids = demo_scene.camera_ids[:2]
     base = np.abs(np.random.default_rng(3).normal(
         size=demo_scene.grid.shape))
-    one = inverse_distance_field(cams, demo_scene, base)
-    two = inverse_distance_field(cams, demo_scene, 2.0 * base)
+    one = inverse_distance_field(ids, demo_scene, base)
+    two = inverse_distance_field(ids, demo_scene, 2.0 * base)
     assert np.allclose(two, 2.0 * one)
 
 
@@ -221,7 +227,7 @@ def test_field_equals_full_grid_formula_exactly():
         weight[rng.random(scene.grid.shape) < 0.3] = 0.0
         for w in (None, weight):
             assert np.array_equal(
-                inverse_distance_field(cams, scene, w),
+                inverse_distance_field(_ids(cams), scene, w),
                 ref_full_grid_field(cams, fps, scene.grid, w))
     assert not inverse_distance_field([], edge).any()
 
@@ -232,14 +238,15 @@ def test_strategy_totals_equal_full_grid_formula_exactly():
                                      for _ in range(20)]
     for scene in scenes:
         cams = scene.cameras[:int(rng.integers(1, len(scene.cameras) + 1))]
-        fps = [scene.footprint(c.id) for c in cams]
+        ids = _ids(cams)
+        fps = [scene.footprint(cid) for cid in ids]
         pred = _random_density(rng, scene.grid)
-        union = scene.visibility_of([c.id for c in cams])
+        union = scene.visibility_of(ids)
         crowd = binarize_density(pred, "mean")
         for strategy, region, w in (("geometric", union, None),
                                      ("mask", crowd, None),
                                      ("density", crowd, pred.values)):
-            got = score_round(cams[:-1], cams[-1:], scene, strategy, pred,
+            got = score_round(ids[:-1], ids[-1:], scene, strategy, pred,
                               "mean")[0]
             field = ref_full_grid_field(cams, fps, scene.grid, w)
             want = ref_totals(region, field, got.s_vd, scene.grid)
@@ -266,12 +273,13 @@ def test_round_equals_per_group_formula_exactly():
                 (("geometric", None, None, None), ("mask", unit, crowd, None),
                  ("density", weighted, crowd, weighted.values))):
             group, candidates = order[:k], order[k:]
-            got = score_round(group, candidates, scene, variant, pred, 0.5)
+            got = score_round(_ids(group), _ids(candidates), scene, variant,
+                              pred, 0.5)
             assert len(got) == len(candidates)
             for cand, sb in zip(candidates, got):
                 cams = group + [cand]
                 fps = [scene.footprint(c.id) for c in cams]
-                scored = (scene.visibility_of([c.id for c in cams])
+                scored = (scene.visibility_of(_ids(cams))
                           if region is None else region)
                 want = ref_totals(scored,
                                   ref_full_grid_field(cams, fps, scene.grid, w),
@@ -304,12 +312,13 @@ def test_consecutive_rounds_equal_per_group_formula_exactly():
                     0.0)
                 pred = DensityMap(values=weight)
             # each prediction binarizes at 0.5 to the region
-            got = score_round(group, candidates, scene, variant, pred, 0.5)
+            got = score_round(_ids(group), _ids(candidates), scene, variant,
+                              pred, 0.5)
             assert len(got) == len(candidates)
             for cand, sb in zip(candidates, got):
                 cams = group + [cand]
                 fps = [scene.footprint(c.id) for c in cams]
-                scored = (scene.visibility_of([c.id for c in cams])
+                scored = (scene.visibility_of(_ids(cams))
                           if region is None else region)
                 want = ref_totals(scored,
                                   ref_full_grid_field(cams, fps, scene.grid,
@@ -355,7 +364,7 @@ def test_footprint_window_equals_full_grid_formula_exactly():
 
 
 def test_score_rejects_non_finite_weight(demo_scene):
-    cams = demo_scene.cameras[:3]
+    ids = demo_scene.camera_ids[:3]
     for bad in (np.nan, np.inf, -np.inf):
         one = np.ones(demo_scene.grid.shape)
         one[0, 0] = bad  # off most footprints, so inf / inf would be nan
@@ -365,31 +374,46 @@ def test_score_rejects_non_finite_weight(demo_scene):
                 DensityMap(values=weight)
             # and the field refuses it as a raw array
             with pytest.raises(ValueError, match="weight must be finite"):
-                inverse_distance_field(cams, demo_scene, weight)
+                inverse_distance_field(ids, demo_scene, weight)
 
 
 def test_score_rejects_mismatched_inputs(demo_scene):
-    cams = demo_scene.cameras[:2]
+    ids = demo_scene.camera_ids[:2]
     wrong = np.ones((3, 3))
     for strategy in ("mask", "density"):
         for pred in (None, DensityMap(values=wrong)):
             with pytest.raises(ValueError, match="prediction on the scene"):
-                score_round(cams[:-1], cams[-1:], demo_scene, strategy, pred)
+                score_round(ids[:-1], ids[-1:], demo_scene, strategy, pred)
     with pytest.raises(ValueError, match="weight"):
-        inverse_distance_field(cams, demo_scene, wrong)
+        inverse_distance_field(ids, demo_scene, wrong)
 
 
 def test_score_round_takes_only_a_scored_strategy(demo_scene):
-    cams = demo_scene.cameras[:3]
+    ids = demo_scene.camera_ids[:3]
     pred = DensityMap(values=np.ones(demo_scene.grid.shape))
     for strategy in ("random", "bogus"):
         with pytest.raises(ValueError, match=f"strategy '{strategy}' has no "
                                              f"score"):
-            score_round(cams[:1], cams[1:], demo_scene, strategy, pred)
+            score_round(ids[:1], ids[1:], demo_scene, strategy, pred)
     for strategy in ("geometric", "mask", "density"):
-        got = score_round(cams[:1], cams[1:], demo_scene, strategy, pred,
+        got = score_round(ids[:1], ids[1:], demo_scene, strategy, pred,
                           0.5)
         assert [sb.variant for sb in got] == [strategy] * 2
+
+
+def test_score_names_cameras_by_id(demo_scene):
+    # a score reads each camera from the scene by id: an id the scene
+    # lacks, or a pose in place of an id, is refused
+    ids, unknown = demo_scene.camera_ids[:2], "no-such-camera"
+    for group, candidates in ((ids[:1], [unknown]), ([unknown], ids[1:]),
+                              (ids[:1], demo_scene.cameras[1:2]),
+                              (demo_scene.cameras[:1], ids[1:])):
+        for score in (score_round, round_winner):
+            with pytest.raises(KeyError):
+                score(group, candidates, demo_scene, "geometric")
+    with pytest.raises(KeyError):
+        inverse_distance_field([unknown], demo_scene)
+    assert score_round(ids[:1], ids[1:], demo_scene, "geometric")
 
 
 def test_binarize_refuses_a_non_finite_threshold():
@@ -425,7 +449,8 @@ def test_round_winner_is_the_first_maximum_of_score_round():
                                      for _ in range(60)]
     for scene in scenes:
         scene = _with_twins(rng, scene)
-        order = [scene.cameras[i] for i in rng.permutation(len(scene.cameras))]
+        order = [scene.camera_ids[i]
+                 for i in rng.permutation(len(scene.cameras))]
         pred = _random_density(rng, scene.grid)
         for strategy in ("geometric", "mask", "density"):
             k = int(rng.integers(0, min(len(order), 5)))
@@ -456,16 +481,16 @@ def _mirrored_near_tie():
                           pitch=-0.6, horizontal_fov_rad=1.2,
                           vertical_fov_rad=1.0, max_range_m=15.0)
     cams = [cam("a", 3.0, 1.0), cam("b", 12.0, math.pi - 1.0)]
-    return Scene(grid=grid, cameras=[group] + cams), [group], cams
+    return Scene(grid=grid, cameras=[group] + cams), ["g"], ["a", "b"]
 
 
 def test_screen_tolerance_covers_rounding_near_ties(monkeypatch):
-    scene, group, cams = _mirrored_near_tie()
-    a, b = score_round(group, cams, scene, "geometric")
+    scene, group, candidates = _mirrored_near_tie()
+    a, b = score_round(group, candidates, scene, "geometric")
     assert 0.0 < a.total - b.total <= 1e-15 * a.total
-    assert round_winner(group, cams, scene, "geometric") == (0, a)
+    assert round_winner(group, candidates, scene, "geometric") == (0, a)
     # with no tolerance only the screen's top, b, is scored exactly
     monkeypatch.setattr(scoring_module, "SCREEN_TOL", 0.0)
-    assert round_winner(group, cams, scene, "geometric") == (1, b)
+    assert round_winner(group, candidates, scene, "geometric") == (1, b)
     with pytest.raises(ValueError, match="no candidates"):
         round_winner(group, [], scene, "geometric")

@@ -36,9 +36,8 @@ def _geom_score_fn(scene):
     def fn(group, candidates):
         scores = []
         for cid in candidates:
-            cams = [scene.camera(c) for c in group + [cid]]
-            scores.append(score_round(cams[:-1], cams[-1:], scene,
-                                      "geometric", None, "mean")[0])
+            scores.append(score_round(group, [cid], scene, "geometric", None,
+                                      "mean")[0])
         best = max(range(len(scores)), key=lambda i: scores[i].total)
         return best, scores[best]
     return fn
@@ -51,8 +50,7 @@ def test_add_view_picks_argmax(demo_scene):
     # recompute every candidate score for the second pick by hand
     first = state.selected[0]
     scores = {cid: score_round(
-        [demo_scene.camera(first)], [demo_scene.camera(cid)], demo_scene,
-        "geometric", None, "mean")[0].total
+        [first], [cid], demo_scene, "geometric", None, "mean")[0].total
         for cid in demo_scene.camera_ids if cid != first}
     assert state.selected[1] == max(sorted(scores), key=lambda c: scores[c])
 
@@ -63,7 +61,7 @@ def test_add_view_exhausts_candidates(demo_scene):
     state, _ = run_ivs(demo_scene, _trace(demo_scene), cfg)
     assert sorted(state.selected) == sorted(demo_scene.camera_ids)
     with pytest.raises(ValueError):
-        add_view(demo_scene, state, _geom_score_fn(demo_scene))
+        add_view(state, _geom_score_fn(demo_scene))
 
 
 def test_greedy_prefix_stability(demo_scene):
@@ -348,12 +346,10 @@ def test_add_view_tie_goes_to_lowest_id():
     scene = Scene(grid=grid, cameras=[cam("first", 0.0, 0.8),
                                       cam("twin2", 15.0, 2.0),
                                       cam("twin1", 15.0, 2.0)])
-    a, b = score_round([scene.camera("first")],
-                       [scene.camera("twin1"), scene.camera("twin2")], scene,
-                       "geometric")
+    a, b = score_round(["first"], ["twin1", "twin2"], scene, "geometric")
     assert a == b and a.total > 0.0
     score_fn = _score_fn(scene, SelectionConfig(strategy="geometric"))
-    state = add_view(scene, _initial_state(scene, "first"), score_fn)
+    state = add_view(_initial_state(scene, "first"), score_fn)
     assert state.selected == ("first", "twin1")
 
 
@@ -379,9 +375,9 @@ def _exact_scores_per_round(monkeypatch):
         per_round.append(0)
         return winner(*args, **kwargs)
 
-    def count_exact(self, cam, s_vd):
+    def count_exact(self, cid, s_vd):
         per_round[-1] += 1
-        return exact(self, cam, s_vd)
+        return exact(self, cid, s_vd)
     monkeypatch.setattr(selection_module, "round_winner", count_round)
     monkeypatch.setattr(scoring_module._Round, "exact", count_exact)
     return per_round

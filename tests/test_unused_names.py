@@ -18,7 +18,9 @@ and selection.py (whose first view is the largest predicted count) call
 prediction picks the people a mask sees by row and never copies a frame:
 only crowd.py (the trace readers) and predictor.py (`noisy_draw`) construct
 a `CrowdFrame`. And a run depends on its arguments alone: no module reads
-`os.environ` or calls `os.getenv`."""
+`os.environ` or calls `os.getenv`. And a score names cameras by id:
+scoring.py imports no `CameraPose`. And a selection state keeps its
+scene: no module passes `scene=` to `dataclasses.replace`."""
 
 import ast
 from pathlib import Path
@@ -136,6 +138,18 @@ def callers(package: Path, name: str) -> list[str]:
                                 getattr(node.func, "attr", None))})
 
 
+def keyword_callers(package: Path, name: str, keyword: str) -> list[str]:
+    """`module:line` of each call of the function `name`, by its bare name
+    or as an attribute, that passes the keyword argument `keyword`."""
+    return [f"{path.stem}:{node.lineno}"
+            for path in sorted(package.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None),
+                         getattr(node.func, "attr", None))
+            and any(k.arg == keyword for k in node.keywords)]
+
+
 def test_every_public_name_is_used_or_exported():
     assert unused_public_names(PACKAGE) == []
 
@@ -193,3 +207,15 @@ def test_only_crowd_and_predictor_construct_a_frame():
 def test_no_module_reads_the_environment():
     assert attribute_reads(PACKAGE, "environ") == []
     assert callers(PACKAGE, "getenv") == []
+
+
+def test_scores_name_cameras_by_id():
+    assert "CameraPose" not in imported_names(PACKAGE, "scoring")
+    # the walk does see an import
+    assert "Scene" in imported_names(PACKAGE, "scoring")
+
+
+def test_a_state_keeps_its_scene():
+    assert keyword_callers(PACKAGE, "replace", "scene") == []
+    # the walk does see a keyword
+    assert keyword_callers(PACKAGE, "replace", "non_converged")
