@@ -2,8 +2,8 @@
 localization, with a pluggable predictor and a simulation harness."""
 
 from .crowd import (CrowdFrame, DensityMap, Person, accumulate_density,
-                    cover_rate, generate_crowd_trace, kernel_table,
-                    rasterize_density)
+                    check_trace, cover_rate, generate_crowd_trace,
+                    kernel_table, rasterize_density)
 from .evaluate import EvalReport, evaluate
 from .geometry import (CameraPose, FovFootprint, GroundGrid, Scene,
                        project_footprint)

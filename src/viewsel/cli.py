@@ -17,10 +17,8 @@ import os
 import sys
 from dataclasses import asdict, replace
 
-import numpy as np
-
-from .crowd import (CrowdFrame, generate_crowd_trace, trace_from_csv,
-                    trace_to_csv)
+from .crowd import (CrowdFrame, check_trace, generate_crowd_trace,
+                    trace_from_csv, trace_to_csv)
 from .evaluate import evaluate
 from .geometry import GroundGrid, Scene
 from .metrics import require_match_threshold
@@ -110,30 +108,6 @@ def _require_scene(data: dict, scene: Scene, hint: str = "") -> None:
                          "scene (hash mismatch)" + hint)
 
 
-def _load_trace(path: str, scene: Scene) -> list[CrowdFrame]:
-    """The trace at path; a negative frame id (it seeds the predictor's
-    draws), or a person with a non-finite position or outside the scene's
-    grid extent, is a validation error naming the first such frame or
-    person, not a silent clamp."""
-    trace = trace_from_csv(path)
-    ox, oy = scene.grid.origin
-    ex, ey = scene.grid.extent_m
-    for frame in trace:
-        if frame.frame_id < 0:
-            raise ValueError(f"frame {frame.frame_id}: frame id must be "
-                             ">= 0")
-        x, y = frame.positions.T
-        # a nan or infinite coordinate fails these comparisons too
-        off = ~((ox <= x) & (x <= ox + ex) & (oy <= y) & (y <= oy + ey))
-        if off.any():
-            x, y = frame.positions[off.argmax()].tolist()
-            what = ("outside grid extent" if np.isfinite([x, y]).all()
-                    else "has a non-finite position")
-            raise ValueError(f"frame {frame.frame_id}: person at ({x}, {y}) "
-                             f"{what}")
-    return trace
-
-
 # ---------------------------------------------------------------------------
 # scene-gen
 
@@ -198,7 +172,7 @@ def _require_persons(trace: list[CrowdFrame]) -> None:
 
 def cmd_select(args) -> int:
     scene = _load_scene(args.scene)
-    trace = _load_trace(args.trace, scene)
+    trace = trace_from_csv(args.trace)
     config = _selection_config_from_args(args)
     predictor = _predictor_from_args(args)
     _require_predictor_for(config, args.predictor)
@@ -228,7 +202,7 @@ def cmd_select(args) -> int:
 
 def cmd_eval(args) -> int:
     scene = _load_scene(args.scene)
-    trace = _load_trace(args.trace, scene)
+    trace = trace_from_csv(args.trace)
     data = read_json(args.selection)
     state = SelectionState.from_dict(data, scene)
     if not args.force:
@@ -261,7 +235,8 @@ def cmd_validate(args) -> int:
     print(f"scene ok: {len(scene.cameras)} cameras, "
           f"grid {scene.grid.height_cells}x{scene.grid.width_cells}")
     if args.trace:
-        trace = _load_trace(args.trace, scene)
+        trace = trace_from_csv(args.trace)
+        check_trace(trace, scene.grid)
         print(f"trace ok: {len(trace)} frames")
     if args.selection:
         data = read_json(args.selection)
@@ -306,7 +281,7 @@ def _done_cells(csv_path: str) -> set:
 
 def cmd_sweep(args) -> int:
     scene = _load_scene(args.scene)
-    trace = _load_trace(args.trace, scene)
+    trace = trace_from_csv(args.trace)
     base = _selection_config_from_args(args)
     base_pred = _predictor_from_args(args)
     if args.repeats < 1:

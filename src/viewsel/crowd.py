@@ -293,6 +293,28 @@ def cover_rate(frames: list[CrowdFrame], visibility: np.ndarray,
     return covered / total
 
 
+def check_trace(trace: list[CrowdFrame], grid: GroundGrid) -> None:
+    """Refuse a repeated or negative frame id, or a person non-finite or
+    outside grid's closed extent, naming the first in trace order. Entry
+    points call this; primitives clamp, as noisy draws leave the grid."""
+    lo, hi = grid.origin, np.add(grid.origin, grid.extent_m)
+    seen = set()
+    for frame in trace:
+        fid = frame.frame_id
+        if fid in seen:
+            raise ValueError(f"repeated frame id {fid}")
+        if fid < 0:
+            raise ValueError(f"frame {fid}: frame id must be >= 0")
+        seen.add(fid)
+        # a nan or infinite coordinate fails these comparisons too
+        inside = (lo <= frame.positions) & (frame.positions <= hi)
+        if not inside.all():
+            x, y = frame.positions[inside.all(1).argmin()].tolist()
+            what = ("outside grid extent" if np.isfinite([x, y]).all()
+                    else "has a non-finite position")
+            raise ValueError(f"frame {fid}: person at ({x}, {y}) {what}")
+
+
 # --- trace I/O -------------------------------------------------------------
 
 _COLUMNS = ("frame_id", "person_idx", "x_m", "y_m")

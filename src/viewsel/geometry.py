@@ -267,10 +267,11 @@ class Scene:
     camera geometry that scoring reads computed on first use."""
 
     grid: GroundGrid
-    cameras: list[CameraPose]
+    cameras: tuple[CameraPose, ...]
     footprints: list[FovFootprint] = field(init=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "cameras", tuple(self.cameras))  # hashable
         if len(set(self.camera_ids)) != len(self.cameras):
             raise ValueError("camera ids must be unique")
         footprints = [project_footprint(c, self.grid) for c in self.cameras]

@@ -9,7 +9,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .crowd import CrowdFrame, DensityMap, accumulate_density, kernel_table
+from .crowd import (CrowdFrame, DensityMap, accumulate_density, check_trace,
+                    kernel_table)
 from .geometry import Scene, require_finite
 from .predictor import (PredictorConfig, calibrate, noisy_draw,
                         noisy_predict, training_mae)
@@ -293,18 +294,14 @@ def check_run(scene: Scene, trace: list[CrowdFrame],
               config: SelectionConfig) -> None:
     """Refuse, before any draw, a run that the scene or trace cannot
     supply: more views than cameras, more frames than the trace has, or
-    a trace with a repeated frame id."""
+    a trace that check_trace refuses on the scene's grid."""
     if config.k_max > len(scene.cameras):
         raise ValueError(f"cannot select {config.k_max} views from "
                          f"{len(scene.cameras)} cameras")
     if config.n_frames > len(trace):
         raise ValueError(f"cannot select {config.n_frames} frames from "
                          f"{len(trace)}")
-    seen = set()
-    for frame in trace:
-        if frame.frame_id in seen:
-            raise ValueError(f"repeated frame id {frame.frame_id}")
-        seen.add(frame.frame_id)
+    check_trace(trace, scene.grid)
 
 
 def run_ivs(scene: Scene, trace: list[CrowdFrame], config: SelectionConfig,
@@ -390,11 +387,12 @@ def train_after_selection(scene: Scene, frames: list[CrowdFrame],
                           predictor: PredictorConfig
                           ) -> PredictorConfig:
     """Simulated post-selection training for the independent and random
-    pipelines: repeated calibration on the labeled budget, with pseudo-label
-    credit when the modeltrain stage is enabled."""
-    camera_credit = _camera_credit(scene, frames)
-    credit = _epoch_credit(camera_credit, len(frames), state.selected,
-                           config, "modeltrain")
+    pipelines on state.scene (scene must equal it): repeated calibration on
+    the labeled budget, with pseudo-label credit when modeltrain is on."""
+    if scene != state.scene:
+        raise ValueError("scene is not the selection state's scene")
+    credit = _epoch_credit(_camera_credit(state.scene, frames), len(frames),
+                           state.selected, config, "modeltrain")
     return calibrate(predictor, credit, config.epochs)
 
 

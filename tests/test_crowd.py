@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from viewsel import (CrowdFrame, DensityMap, GroundGrid, Person,
-                     accumulate_density, cover_rate, generate_crowd_trace,
-                     kernel_table, rasterize_density)
+                     accumulate_density, check_trace, cover_rate,
+                     generate_crowd_trace, kernel_table, rasterize_density)
 from viewsel.crowd import trace_from_csv, trace_to_csv
 
 from reference import ref_rasterize_density, ref_trace_from_csv
@@ -235,3 +235,23 @@ def test_trace_csv_is_byte_stable(small_grid, tmp_path):
     trace_to_csv(trace, p1)
     trace_to_csv(trace, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_check_trace_names_the_first_fault_in_trace_order(small_grid):
+    # a 40x40 grid of 0.5 m cells: the closed square [0, 20] x [0, 20]
+    inside = [(0.0, 0.0), (20.0, 20.0), (20.0, 0.0), (10.0, 5.0)]
+    check_trace([_frame(inside), _frame([], fid=3)], small_grid)
+    cases = [
+        ([_frame(inside), _frame([], fid=0)], "repeated frame id 0"),
+        ([_frame(inside), _frame([(30.0, 1.0)], fid=-1)],
+         "frame -1: frame id must be >= 0"),
+        ([_frame([(1.0, 1.0), (20.0, 20.5), (math.nan, 1.0)], fid=4)],
+         "frame 4: person at (20.0, 20.5) outside grid extent"),
+        ([_frame([(1.0, 1.0)]), _frame([(-math.inf, 1.0), (-1.0, 1.0)],
+                                       fid=2)],
+         "frame 2: person at (-inf, 1.0) has a non-finite position"),
+    ]
+    for trace, message in cases:
+        with pytest.raises(ValueError) as info:
+            check_trace(trace, small_grid)
+        assert str(info.value) == message

@@ -305,3 +305,14 @@ def test_footprint_mask_read_only(demo_scene):
     fp = demo_scene.footprints[0]
     with pytest.raises(ValueError):
         fp.mask[0, 0] = True
+
+
+def test_equal_scenes_hash_alike(demo_scene, small_grid, nadir_camera):
+    copy = Scene.from_config(demo_scene.to_config())
+    assert copy is not demo_scene and copy == demo_scene
+    assert hash(copy) == hash(demo_scene)
+    assert {demo_scene: "a"}[copy] == "a"
+    # a roster given as a list is held as a tuple
+    scene = Scene(small_grid, [nadir_camera])
+    assert scene.cameras == (nadir_camera,)
+    assert len({scene, Scene(small_grid, (nadir_camera,)), demo_scene}) == 2

@@ -1,5 +1,6 @@
 """Property-based invariants over randomized geometry and scores."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -8,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from viewsel import (CalibrationState, CrowdFrame, DensityMap,
                      PredictorConfig, accumulate_density, binarize_density,
-                     calibrate, cover_rate, kernel_table, noisy_predict,
-                     oracle_predict, rasterize_density, score_round)
+                     calibrate, check_trace, cover_rate, kernel_table,
+                     noisy_predict, oracle_predict, rasterize_density,
+                     score_round)
 from viewsel.geometry import FovFootprint, GroundGrid, Scene
 from viewsel.selection import view_person_credit
 from viewsel.synth import generate_scene
@@ -321,6 +323,59 @@ def test_cover_rate_and_credit_equal_loop_counts(seed, n_frames, margin):
             view_person_credit(scene, frames + [_frame_around(grid, rng, 1,
                                                               0.0)],
                                scene.camera_ids[0])
+
+
+def _first_off_grid_person(trace, grid):
+    """check_trace's message for the first person in trace order that is
+    non-finite or outside grid's closed extent, one person at a time; None
+    when every person is inside."""
+    ox, oy = grid.origin
+    ex, ey = grid.extent_m
+    for frame in trace:
+        for x, y in frame.positions.tolist():
+            if not (math.isfinite(x) and math.isfinite(y)):
+                what = "has a non-finite position"
+            elif not (ox <= x <= ox + ex and oy <= y <= oy + ey):
+                what = "outside grid extent"
+            else:
+                continue
+            return f"frame {frame.frame_id}: person at ({x}, {y}) {what}"
+    return None
+
+
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 5),
+       st.sampled_from([0.0, 1.0, 8.0]))
+@settings(max_examples=200, deadline=None)
+def test_check_trace_equals_per_person_loop(seed, n_frames, margin):
+    """People up to margin meters past the grid, some placed exactly on an
+    edge (the far edge is inside) and a few non-finite."""
+    rng = np.random.default_rng(seed)
+    grid = GroundGrid(height_cells=int(rng.integers(1, 30)),
+                      width_cells=int(rng.integers(1, 30)),
+                      cell_size_m=float(rng.choice([0.3, 0.5, 1.0])),
+                      origin=tuple(rng.uniform(-5.0, 5.0, size=2).tolist()))
+    ox, oy = grid.origin
+    ex, ey = grid.extent_m
+    trace = []
+    for fid in range(n_frames):
+        pts = _frame_around(grid, rng, int(rng.integers(0, 30)),
+                            margin).positions
+        u = rng.random(pts.shape)
+        pts = np.where(u < 0.1, (ox + ex, oy + ey),
+                       np.where(u < 0.15, (ox, oy), pts))
+        odd = rng.choice([np.nan, np.inf, -np.inf], size=pts.shape)
+        pts = np.where(u > 0.995, odd, pts)
+        trace.append(CrowdFrame(frame_id=fid, positions=pts))
+    expected = _first_off_grid_person(trace, grid)
+    if expected is None:
+        check_trace(trace, grid)
+    else:
+        with pytest.raises(ValueError) as info:
+            check_trace(trace, grid)
+        assert str(info.value) == expected
+    # a person exactly on the far corner is inside
+    check_trace([CrowdFrame(frame_id=0, positions=[(ox + ex, oy + ey)])],
+                grid)
 
 
 @given(st.floats(0.0, 1e4), st.integers(0, 60), st.floats(0.0, 1e6),

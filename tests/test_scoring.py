@@ -436,7 +436,7 @@ def _with_twins(rng, scene):
     ties its original's exactly."""
     twins = [replace(cam, id=f"{cam.id}-twin") for cam in scene.cameras
              if rng.random() < 0.3]
-    return Scene(grid=scene.grid, cameras=scene.cameras + twins)
+    return Scene(grid=scene.grid, cameras=[*scene.cameras, *twins])
 
 
 def test_round_winner_is_the_first_maximum_of_score_round():

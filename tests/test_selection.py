@@ -722,6 +722,64 @@ def test_a_run_past_the_scene_or_trace_is_refused_before_any_draw(
     assert draws == [[], [], [], []]
 
 
+@pytest.mark.parametrize("fault, message", [
+    ("off_grid", "frame 1: person at (-50.0, 5.0) outside grid extent"),
+    ("non_finite", "frame 1: person at (nan, 5.0) has a non-finite position"),
+    ("negative_id", "frame -2: frame id must be >= 0"),
+])
+def test_every_entry_point_refuses_the_trace_the_cli_refuses(
+        demo_scene, monkeypatch, fault, message):
+    # the library's runs and evaluate refuse, with the CLI's text and
+    # before any draw, a trace that the CLI refuses
+    trace = _trace(demo_scene)
+    if fault == "negative_id":
+        trace[0] = replace(trace[0], frame_id=-2)
+    else:
+        positions = trace[1].positions.copy()
+        positions[3] = (-50.0 if fault == "off_grid" else np.nan, 5.0)
+        trace[1] = CrowdFrame(frame_id=1, positions=positions)
+    draws = [_count_calls(monkeypatch, module, "noisy_draw")
+             for module in (predictor_module, selection_module)]
+    pred = PredictorConfig(miss_rate=0.3, position_jitter_m=1.0,
+                           count_noise_rel=0.1, seed=3, q_scale=150.0)
+    state = random_select(demo_scene, 3, seed=0)
+    entries = [
+        lambda: run_ivs(demo_scene, trace, SelectionConfig(k_max=3,
+                                                           n_frames=4)),
+        lambda: run_avs(demo_scene, trace, SelectionConfig(
+            k_max=3, n_frames=4, strategy="density"), pred),
+        lambda: run_selection(demo_scene, trace, SelectionConfig(
+            k_max=3, n_frames=4, strategy="random"), pred),
+        lambda: evaluate(demo_scene, trace, state, pred),
+    ]
+    for entry in entries:
+        with pytest.raises(ValueError) as info:
+            entry()
+        assert str(info.value) == message
+    assert draws == [[], []]
+
+
+def test_evaluate_and_training_refuse_a_scene_other_than_the_states():
+    # two scenes with the same camera ids: the scene argument must be the
+    # state's, which both read
+    grid = GroundGrid(height_cells=30, width_cells=30, cell_size_m=0.5)
+    a, b = (generate_scene(5, grid, seed=seed) for seed in (1, 2))
+    assert a.camera_ids == b.camera_ids and a != b
+    trace = generate_crowd_trace(grid, 4, (10, 20), 0.6, seed=3)
+    state = random_select(a, 3, seed=0)
+    cfg = SelectionConfig(k_max=3, n_frames=4, strategy="random", epochs=5)
+    pred = PredictorConfig(miss_rate=0.3, seed=1)
+    calls = (lambda scene: evaluate(scene, trace, state, pred),
+             lambda scene: train_after_selection(scene, trace, state, cfg,
+                                                 pred))
+    for call in calls:
+        with pytest.raises(ValueError,
+                           match="scene is not the selection state's scene"):
+            call(b)
+        # an equal scene is the state's scene
+        assert call(Scene.from_config(a.to_config())) == call(a)
+
+
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_a_run_of_every_camera_and_frame_is_not_refused(demo_scene,
                                                          strategy):

@@ -20,7 +20,11 @@ only crowd.py (the trace readers) and predictor.py (`noisy_draw`) construct
 a `CrowdFrame`. And a run depends on its arguments alone: no module reads
 `os.environ` or calls `os.getenv`. And a score names cameras by id:
 scoring.py imports no `CameraPose`. And a selection state keeps its
-scene: no module passes `scene=` to `dataclasses.replace`."""
+scene: no module passes `scene=` to `dataclasses.replace`. And one rule
+says what a valid trace is, crowd.check_trace: only cli.py, evaluate.py
+and selection.py (check_run) call it, only crowd.py and synth.py (which
+place people and cameras on the grid) read `extent_m`, and cli.py
+imports no numpy, because the CLI does no array work of its own."""
 
 import ast
 from pathlib import Path
@@ -219,3 +223,16 @@ def test_a_state_keeps_its_scene():
     assert keyword_callers(PACKAGE, "replace", "scene") == []
     # the walk does see a keyword
     assert keyword_callers(PACKAGE, "replace", "non_converged")
+
+
+def test_one_trace_rule():
+    assert callers(PACKAGE, "check_trace") == ["cli", "evaluate",
+                                               "selection"]
+    reads = attribute_reads(PACKAGE, "extent_m")
+    assert sorted({r.split(":")[0] for r in reads}) == ["crowd", "synth"]
+
+
+def test_cli_does_no_array_work():
+    assert "cli" not in importers(PACKAGE, "numpy")
+    # the walk does see an import
+    assert "crowd" in importers(PACKAGE, "numpy")
