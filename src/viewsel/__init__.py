@@ -4,7 +4,7 @@ localization, with a pluggable predictor and a simulation harness."""
 from .crowd import (CrowdFrame, DensityMap, Person, accumulate_density,
                     check_trace, cover_rate, generate_crowd_trace,
                     kernel_table, rasterize_density)
-from .evaluate import EvalReport, evaluate
+from .evaluate import EvalReport
 from .geometry import (CameraPose, FovFootprint, GroundGrid, Scene,
                        project_footprint)
 from .metrics import (CountingReport, LocalizationReport, counting_metrics,

@@ -17,8 +17,8 @@ import os
 import sys
 from dataclasses import asdict, replace
 
-from .crowd import (CrowdFrame, check_trace, generate_crowd_trace,
-                    trace_from_csv, trace_to_csv)
+from .crowd import (check_trace, generate_crowd_trace, trace_from_csv,
+                    trace_to_csv)
 from .evaluate import evaluate
 from .geometry import GroundGrid, Scene
 from .metrics import require_match_threshold
@@ -163,22 +163,12 @@ def _require_predictor_for(config: SelectionConfig, predictor: str) -> None:
         raise ValueError("active strategies need --predictor noisy")
 
 
-def _require_persons(trace: list[CrowdFrame]) -> None:
-    """Refuse, in select and in sweep alike, a trace in which no frame
-    holds a person, which evaluate would refuse after the run."""
-    if not any(len(frame.positions) for frame in trace):
-        raise ValueError("no persons in any frame")
-
-
 def cmd_select(args) -> int:
     scene = _load_scene(args.scene)
     trace = trace_from_csv(args.trace)
     config = _selection_config_from_args(args)
     predictor = _predictor_from_args(args)
     _require_predictor_for(config, args.predictor)
-    # the checks of a sweep cell, in the same order, before any draw
-    check_run(scene, trace, config)
-    _require_persons(trace)
     state, trained = run_selection(scene, trace, config, predictor)
     run_spec = {"selection": asdict(config),
                 "predictor": asdict(predictor),
@@ -313,9 +303,8 @@ def cmd_sweep(args) -> int:
                            "scene_hash": scene_hash})
             stem = f"{args.axis}_{label}_{rep}".replace("+", "-")
             cells.append((dict(key, spec_hash=h), stem, cell_cfg, cell_pred))
-    # what evaluate would refuse in every cell: a bad threshold, no person
+    # what evaluate would refuse in every cell
     require_match_threshold(args.threshold_m)
-    _require_persons(trace)
     csv_path = os.path.join(args.out_dir, "sweep.csv")
     done = _done_cells(csv_path)
     todo = [cell for cell in cells if cell[0]["spec_hash"] not in done]

@@ -293,8 +293,9 @@ def _epoch_credit(camera_credit: dict[str, float], f: int,
 def check_run(scene: Scene, trace: list[CrowdFrame],
               config: SelectionConfig) -> None:
     """Refuse, before any draw, a run that the scene or trace cannot
-    supply: more views than cameras, more frames than the trace has, or
-    a trace that check_trace refuses on the scene's grid."""
+    supply: more views than cameras, more frames than the trace has, a
+    trace that check_trace refuses on the scene's grid, or one with no
+    person in any frame, which gives the views nothing to select for."""
     if config.k_max > len(scene.cameras):
         raise ValueError(f"cannot select {config.k_max} views from "
                          f"{len(scene.cameras)} cameras")
@@ -302,6 +303,8 @@ def check_run(scene: Scene, trace: list[CrowdFrame],
         raise ValueError(f"cannot select {config.n_frames} frames from "
                          f"{len(trace)}")
     check_trace(trace, scene.grid)
+    if not any(len(frame.positions) for frame in trace):
+        raise ValueError("no persons in any frame")
 
 
 def run_ivs(scene: Scene, trace: list[CrowdFrame], config: SelectionConfig,
@@ -397,9 +400,10 @@ def train_after_selection(scene: Scene, frames: list[CrowdFrame],
 
 
 def random_select(scene: Scene, k: int, seed: int) -> SelectionState:
-    """Uniform random baseline: a k-subset sampled at once."""
-    if k > len(scene.cameras):
-        raise ValueError("k exceeds camera count")
+    """Uniform random baseline: k cameras (1..all) sampled at once."""
+    if not 1 <= require_int(k, "k") <= len(scene.cameras):
+        raise ValueError(f"cannot select {k} views from "
+                         f"{len(scene.cameras)} cameras")
     rng = np.random.default_rng(seed)
     chosen = [str(c) for c in rng.choice(sorted(scene.camera_ids), size=k,
                                          replace=False)]
@@ -410,11 +414,12 @@ def random_select(scene: Scene, k: int, seed: int) -> SelectionState:
 def run_selection(scene: Scene, trace: list[CrowdFrame],
                   config: SelectionConfig, predictor: PredictorConfig
                   ) -> tuple[SelectionState, PredictorConfig]:
-    """The run of config.strategy, refused by check_run before any draw:
-    its final state and trained predictor. A random or geometric selection
-    then trains on the first n_frames or its selected frames."""
-    check_run(scene, trace, config)
+    """The run of config.strategy, refused once by check_run before any
+    draw: its final state and trained predictor. A random or geometric
+    selection then trains on the first n_frames or its selected frames."""
     if config.strategy == "random":
+        # run_ivs and run_avs check their own runs
+        check_run(scene, trace, config)
         state = random_select(scene, config.k_max, seed=config.seed)
         frames = trace[:config.n_frames]
     elif config.strategy == "geometric":

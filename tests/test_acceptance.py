@@ -159,6 +159,7 @@ def test_criterion_4_strategy_ordering():
     K, F, EPOCHS, TAU = 5, 5, 24, 30.0
     mae = {k: [] for k in ("random", "ivs", "mask", "density")}
     cov = {k: [] for k in ("random", "ivs", "mask", "density")}
+    views = {k: [] for k in ("random", "ivs", "mask", "density")}
     for s in range(20):
         scene, trace = _ensemble_scene(s)
         cfg = SelectionConfig(k_max=K, n_frames=F, strategy="random",
@@ -170,6 +171,7 @@ def test_criterion_4_strategy_ordering():
         rep = evaluate(scene, trace, state, trained)
         mae["random"].append(rep.counting.mae)
         cov["random"].append(rep.cover_rate)
+        views["random"].append(set(state.selected))
 
         cfg = SelectionConfig(k_max=K, n_frames=F, strategy="geometric",
                               tau=TAU, epochs=EPOCHS,
@@ -181,6 +183,7 @@ def test_criterion_4_strategy_ordering():
         rep = evaluate(scene, trace, state, trained)
         mae["ivs"].append(rep.counting.mae)
         cov["ivs"].append(rep.cover_rate)
+        views["ivs"].append(set(state.selected))
 
         for strat in ("mask", "density"):
             cfg = SelectionConfig(k_max=K, n_frames=F, strategy=strat,
@@ -191,6 +194,7 @@ def test_criterion_4_strategy_ordering():
             rep = evaluate(scene, trace, state, trained)
             mae[strat].append(rep.counting.mae)
             cov[strat].append(rep.cover_rate)
+            views[strat].append(set(state.selected))
     m = {k: float(np.mean(v)) for k, v in mae.items()}
     c = {k: float(np.mean(v)) for k, v in cov.items()}
     ok = (c["random"] <= c["ivs"]
@@ -198,15 +202,20 @@ def test_criterion_4_strategy_ordering():
           and m["density"] <= 0.85 * m["random"])
     dt = time.time() - t0
     # how far each gate is from failing: the gap of each ordering and the
-    # scenes on which the later strategy beats the earlier one
+    # scenes on which the later strategy beats, ties or loses to the
+    # earlier one, and those on which both picked the same view set
     name = {"random": "random", "ivs": "geometric", "mask": "mask",
             "density": "density"}
     steps = [("random", "ivs"), ("ivs", "mask"), ("mask", "density")]
     gaps = ", ".join(f"{name[a]}-{name[b]} {m[a] - m[b]:.2f}"
                      for a, b in steps)
-    wins = ", ".join(f"{name[b]} over {name[a]} "
-                     f"{sum(y < x for x, y in zip(mae[a], mae[b]))}/20"
-                     for a, b in steps)
+    paired = ", ".join(
+        f"{name[b]} over {name[a]} "
+        f"{sum(y < x for x, y in zip(mae[a], mae[b]))}/"
+        f"{sum(y == x for x, y in zip(mae[a], mae[b]))}/"
+        f"{sum(y > x for x, y in zip(mae[a], mae[b]))} (same views "
+        f"{sum(u == v for u, v in zip(views[a], views[b]))}/20)"
+        for a, b in steps)
     cov_wins = sum(g > r for r, g in zip(cov["random"], cov["ivs"]))
     _report(4, ok,
             "mean MAE random {random:.2f} >= geometric {ivs:.2f} >= "
@@ -216,8 +225,9 @@ def test_criterion_4_strategy_ordering():
               f"({m['density']:.2f} vs {0.85 * m['random']:.2f}); "
               f"slack: MAE gaps {gaps}, CoverRate gap "
               f"{c['ivs'] - c['random']:.3f}, 0.85x margin "
-              f"{0.85 * m['random'] - m['density']:.2f}; paired wins per "
-              f"scene: MAE {wins}, CoverRate geometric over random "
+              f"{0.85 * m['random'] - m['density']:.2f}; paired "
+              f"wins/ties/losses per scene: MAE {paired}, CoverRate "
+              f"geometric over random "
               f"{cov_wins}/20 in {dt:.1f}s")
 
 
@@ -226,7 +236,7 @@ def test_criterion_4_strategy_ordering():
 
 
 def test_criterion_5_diversity_ablation():
-    good = 0
+    wins = ties = 0
     for s in range(20):
         grid = GroundGrid(height_cells=80, width_cells=80, cell_size_m=0.5)
         scene = generate_scene(12, grid, seed=1000 + s,
@@ -239,11 +249,15 @@ def test_criterion_5_diversity_ablation():
                                   seed=s, terms=terms)
             state, _ = run_ivs(scene, trace, cfg)
             crs[terms] = cover_rate(trace, state.combined_mask, scene.grid)
-        if crs[("sc", "ad", "vd")] >= crs[("sc", "ad")] - 1e-12:
-            good += 1
+        gain = crs[("sc", "ad", "vd")] - crs[("sc", "ad")]
+        wins += gain > 1e-12
+        ties += abs(gain) <= 1e-12
+    good = wins + ties
     ok = good >= 16
     _report(5, ok, f"all-terms CoverRate >= sc*ad CoverRate on {good}/20 "
-                   f"twin-camera scenes (floor 16, slack {good - 16})")
+                   f"twin-camera scenes (floor 16, slack {good - 16}; "
+                   f"wins/ties within 1e-12/losses {wins}/{ties}/"
+                   f"{20 - good})")
 
 
 # ---------------------------------------------------------------------------

@@ -636,6 +636,73 @@ def test_sweep_refuses_a_trace_with_no_person_before_any_cell_runs(
     assert not sweep.exists()
 
 
+def test_sweep_refuses_a_personless_trace_at_its_first_value(tmp_path,
+                                                            capsys):
+    # check_run holds the persons rule, so a sweep meets it in its first
+    # value's check: before --threshold-m and before any later value's
+    # budget is checked, but after the first value's own budget
+    out = tmp_path / "scene"
+    assert run("scene-gen", "--cameras", "4", "--grid", "20x20",
+               "--frames", "4", "--count", "0,0",
+               "--out-dir", str(out)) == EXIT_OK
+    files = ["--scene", str(out / "scene.json"),
+             "--trace", str(out / "trace.csv"), "--frames", "3",
+             "--threshold-m", "-1", "--axis", "K"]
+    sweep = tmp_path / "sweep"
+    capsys.readouterr()
+    for values, message in (("2,9", "no persons in any frame"),
+                            ("9,2", "cannot select 9 views from 4 cameras")):
+        assert run("sweep", *files, "--values", values,
+                   "--out-dir", str(sweep)) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not sweep.exists()
+
+
+def _count_run_checks(monkeypatch):
+    """Count the calls of check_run and of check_trace through each
+    module's binding of them; returns the live counts."""
+    counts = {"check_run": 0, "check_trace": 0}
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+    for module in (cli_module, selection_module, evaluate_module):
+        for name in counts:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    counted(name, getattr(module, name)))
+    return counts
+
+
+@pytest.mark.parametrize("strategy", ["random", "geometric", "mask",
+                                      "density"])
+def test_select_checks_its_run_once(artifacts, tmp_path, monkeypatch,
+                                    strategy):
+    scene_path, trace_path = artifacts
+    counts = _count_run_checks(monkeypatch)
+    assert run("select", "--scene", str(scene_path), "--trace",
+               str(trace_path), "--strategy", strategy, "--k", "3",
+               "--frames", "4", "--predictor", "noisy", "--tau", "20",
+               "--epochs", "15", "--q-scale", "150",
+               "--out", str(tmp_path / "sel.json")) == EXIT_OK
+    assert counts == {"check_run": 1, "check_trace": 1}
+
+
+def test_sweep_checks_each_value_and_each_cell_once(artifacts, tmp_path,
+                                                    monkeypatch):
+    # one check_run per value before any cell runs and one per cell; each
+    # scans the trace, and so does each cell's evaluate
+    scene_path, trace_path = artifacts
+    counts = _count_run_checks(monkeypatch)
+    assert run("sweep", "--scene", str(scene_path), "--trace",
+               str(trace_path), "--axis", "K", "--values", "2,3,4",
+               "--frames", "3", "--out-dir", str(tmp_path / "sweep")) \
+        == EXIT_OK
+    assert counts == {"check_run": 6, "check_trace": 9}
+
+
 @pytest.mark.parametrize("axis, values", [
     ("K", "2,2"), ("K", "2,3,2"), ("ScoreTerms", "sc,sc+"),
     ("Strategy", "geometric,random,geometric"),
@@ -807,8 +874,9 @@ import sys
 from viewsel.cli import main
 for argv in {commands!r}:
     print("@", argv[0], main(argv), "scipy" in sys.modules)
-from viewsel import (GroundGrid, PredictorConfig, evaluate,
-                     generate_crowd_trace, generate_scene, random_select)
+from viewsel import (GroundGrid, PredictorConfig, generate_crowd_trace,
+                     generate_scene, random_select)
+from viewsel.evaluate import evaluate
 grid = GroundGrid(height_cells=30, width_cells=30, cell_size_m=0.5)
 scene = generate_scene(5, grid, seed=1)
 trace = generate_crowd_trace(grid, 3, (20, 40), 0.7, seed=4)

@@ -16,8 +16,14 @@ from viewsel.synth import generate_scene
 from reference import (ref_extract_peaks, ref_match_points_linalg,
                        ref_trace_from_csv)
 
-# the package namespace binds the name evaluate to the function
 evaluate_module = importlib.import_module("viewsel.evaluate")
+
+
+def test_the_package_attribute_evaluate_is_the_module():
+    # the package does not re-export the function under its module's name
+    import viewsel
+    assert importlib.import_module("viewsel.evaluate") is viewsel.evaluate
+    assert viewsel.evaluate.evaluate is evaluate
 
 
 def _full_state(scene):

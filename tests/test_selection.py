@@ -208,6 +208,21 @@ def test_random_select_reproducible_and_valid(demo_scene):
         random_select(demo_scene, 99, seed=0)
 
 
+@pytest.mark.parametrize("k, message", [
+    (0, "cannot select 0 views from 6 cameras"),
+    (-1, "cannot select -1 views from 6 cameras"),
+    (7, "cannot select 7 views from 6 cameras"),
+    (2.0, "k must be an integer, not float"),
+    (True, "k must be an integer, not bool"),
+])
+def test_random_select_refuses_a_k_outside_the_cameras(demo_scene, k,
+                                                       message):
+    assert len(demo_scene.cameras) == 6
+    with pytest.raises(ValueError) as info:
+        random_select(demo_scene, k, seed=0)
+    assert str(info.value) == message
+
+
 def test_brute_force_agrees_with_enumeration(demo_scene):
     trace = _trace(demo_scene, n=3)
     subset, val = brute_force_best(demo_scene, trace, k=2)
@@ -726,6 +741,7 @@ def test_a_run_past_the_scene_or_trace_is_refused_before_any_draw(
     ("off_grid", "frame 1: person at (-50.0, 5.0) outside grid extent"),
     ("non_finite", "frame 1: person at (nan, 5.0) has a non-finite position"),
     ("negative_id", "frame -2: frame id must be >= 0"),
+    ("personless", "no persons in any frame"),
 ])
 def test_every_entry_point_refuses_the_trace_the_cli_refuses(
         demo_scene, monkeypatch, fault, message):
@@ -734,6 +750,9 @@ def test_every_entry_point_refuses_the_trace_the_cli_refuses(
     trace = _trace(demo_scene)
     if fault == "negative_id":
         trace[0] = replace(trace[0], frame_id=-2)
+    elif fault == "personless":
+        trace = [CrowdFrame(frame_id=frame.frame_id,
+                            positions=np.empty((0, 2))) for frame in trace]
     else:
         positions = trace[1].positions.copy()
         positions[3] = (-50.0 if fault == "off_grid" else np.nan, 5.0)
@@ -750,8 +769,11 @@ def test_every_entry_point_refuses_the_trace_the_cli_refuses(
             k_max=3, n_frames=4, strategy="density"), pred),
         lambda: run_selection(demo_scene, trace, SelectionConfig(
             k_max=3, n_frames=4, strategy="random"), pred),
-        lambda: evaluate(demo_scene, trace, state, pred),
     ]
+    # evaluate refuses a personless trace too, but in cover_rate, after
+    # its predictions
+    if fault != "personless":
+        entries.append(lambda: evaluate(demo_scene, trace, state, pred))
     for entry in entries:
         with pytest.raises(ValueError) as info:
             entry()
@@ -778,6 +800,21 @@ def test_evaluate_and_training_refuse_a_scene_other_than_the_states():
             call(b)
         # an equal scene is the state's scene
         assert call(Scene.from_config(a.to_config())) == call(a)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_run_selection_checks_its_run_once(demo_scene, monkeypatch,
+                                           strategy):
+    # run_selection checks a random run itself and leaves run_ivs and
+    # run_avs to check theirs, so the trace is scanned once per run
+    runs = _count_calls(monkeypatch, selection_module, "check_run")
+    scans = _count_calls(monkeypatch, selection_module, "check_trace")
+    cfg = SelectionConfig(k_max=3, n_frames=4, strategy=strategy, tau=25.0,
+                          epochs=10)
+    pred = PredictorConfig(miss_rate=0.3, position_jitter_m=1.0,
+                           count_noise_rel=0.1, seed=3, q_scale=150.0)
+    run_selection(demo_scene, _trace(demo_scene), cfg, pred)
+    assert (len(runs), len(scans)) == (1, 1)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)

@@ -24,7 +24,12 @@ scene: no module passes `scene=` to `dataclasses.replace`. And one rule
 says what a valid trace is, crowd.check_trace: only cli.py, evaluate.py
 and selection.py (check_run) call it, only crowd.py and synth.py (which
 place people and cameras on the grid) read `extent_m`, and cli.py
-imports no numpy, because the CLI does no array work of its own."""
+imports no numpy, because the CLI does no array work of its own. And one
+function states what a run refuses, selection.check_run: only it and
+crowd.cover_rate raise `no persons in any frame`, and each run calls it
+once, so only run_ivs, run_avs, run_selection (for the random strategy)
+and cli.cmd_sweep (each value's check before any cell runs) call it, and
+cli.cmd_select does not."""
 
 import ast
 from pathlib import Path
@@ -154,6 +159,36 @@ def keyword_callers(package: Path, name: str, keyword: str) -> list[str]:
             and any(k.arg == keyword for k in node.keywords)]
 
 
+def _functions(package: Path):
+    """(`module.function`, node) of each function or method, nested ones
+    included (a nested function's body is also its outer one's)."""
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                yield f"{path.stem}.{node.name}", node
+
+
+def calling_functions(package: Path, name: str) -> list[str]:
+    """`module.function` of each function that calls the function
+    `name`, by its bare name or as an attribute."""
+    return sorted(where for where, fn in _functions(package)
+                  if any(isinstance(node, ast.Call)
+                         and name in (getattr(node.func, "id", None),
+                                      getattr(node.func, "attr", None))
+                         for node in ast.walk(fn)))
+
+
+def raising_functions(package: Path, text: str) -> list[str]:
+    """`module.function` of each function with a `raise` whose
+    expression holds the string constant `text`."""
+    return sorted(where for where, fn in _functions(package)
+                  if any(isinstance(node, ast.Raise)
+                         and any(isinstance(c, ast.Constant)
+                                 and c.value == text
+                                 for c in ast.walk(node))
+                         for node in ast.walk(fn)))
+
+
 def test_every_public_name_is_used_or_exported():
     assert unused_public_names(PACKAGE) == []
 
@@ -236,3 +271,13 @@ def test_cli_does_no_array_work():
     assert "cli" not in importers(PACKAGE, "numpy")
     # the walk does see an import
     assert "crowd" in importers(PACKAGE, "numpy")
+
+
+def test_one_statement_of_what_a_run_refuses():
+    assert raising_functions(PACKAGE, "no persons in any frame") == [
+        "crowd.cover_rate", "selection.check_run"]
+    assert calling_functions(PACKAGE, "check_run") == [
+        "cli.cmd_sweep", "selection.run_avs", "selection.run_ivs",
+        "selection.run_selection"]
+    # the walk does see a call in cmd_select
+    assert "cli.cmd_select" in calling_functions(PACKAGE, "run_selection")
