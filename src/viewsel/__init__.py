@@ -12,12 +12,13 @@ from .metrics import (CountingReport, LocalizationReport, counting_metrics,
 from .predictor import (CalibrationState, PredictorConfig, calibrate,
                         noisy_draw, noisy_predict, oracle_predict,
                         training_mae)
-from .pseudolabels import PseudoPair, make_modeltrain_pair, make_viewsel_pair
 from .scoring import (ScoreBreakdown, binarize_density, inverse_distance_field,
                       round_winner, score_round)
-from .selection import (LabeledDataset, SelectionConfig, SelectionState,
-                        add_view, check_run, random_select, run_avs, run_ivs,
-                        run_selection, select_first_view, select_frames,
+from .selection import (LabeledDataset, PseudoPair, SelectionConfig,
+                        SelectionState, add_view, check_run,
+                        make_modeltrain_pair, make_viewsel_pair,
+                        random_select, run_avs, run_ivs, run_selection,
+                        select_first_view, select_frames,
                         train_after_selection)
 from .synth import generate_scene
 

@@ -35,11 +35,13 @@ def evaluate(scene: Scene, trace: list[CrowdFrame], state: SelectionState,
              threshold_m: float = 0.5) -> EvalReport:
     """Counting and localization metrics of the predictor under the selected
     views of state.scene (scene must equal it), against scene-level GT over
-    all trace frames; threshold_m and trace (check_trace) are checked first."""
+    all trace frames; threshold_m, trace (check_trace) and the trace's
+    persons (cover_rate) are checked first."""
     if scene != state.scene:
         raise ValueError("scene is not the selection state's scene")
     require_match_threshold(threshold_m)
     check_trace(trace, state.scene.grid)
+    cr = cover_rate(trace, state.combined_mask, state.scene.grid)
     pred_counts, gt_counts = [], []
     tp_matches: list[tuple[int, int, float]] = []
     fp_total = fn_total = gt_total = 0
@@ -56,7 +58,6 @@ def evaluate(scene: Scene, trace: list[CrowdFrame], state: SelectionState,
         fp_total += len(fp)
         fn_total += len(fn)
         gt_total += len(gt_pts)
-    cr = cover_rate(trace, state.combined_mask, state.scene.grid)
     counting = counting_metrics(pred_counts, gt_counts, cover_rate=cr)
     localization = localization_metrics(tp_matches, fp_total, fn_total,
                                         gt_total, threshold_m)

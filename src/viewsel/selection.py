@@ -1,5 +1,11 @@
 """View selection strategies: frame selection, greedy view addition, the
 independent and active pipelines, and random baselines.
+
+Pseudo-label supervision mixes unselected views into training in two
+stages, whose pairs (make_viewsel_pair, make_modeltrain_pair) state the
+contract a pseudo-label pair meets. The pipelines build no pairs: they run
+the supervision as fractional view-frame credit (_epoch_credit). Both read
+a stage's count of unselected views from _pseudo_views.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from .crowd import (CrowdFrame, DensityMap, accumulate_density, check_trace,
                     kernel_table)
 from .geometry import Scene, require_finite
 from .predictor import (PredictorConfig, calibrate, noisy_draw,
-                        noisy_predict, training_mae)
+                        noisy_predict, oracle_predict, training_mae)
 from .scoring import ALL_TERMS, ScoreBreakdown, round_winner
 from .serialize import (require_int, require_kind, require_object,
                         require_real)
@@ -270,24 +276,83 @@ def _camera_credit(scene: Scene, frames: list[CrowdFrame]
             for cid in scene.camera_ids}
 
 
+def _pseudo_views(stage: str, k: int) -> int:
+    """The unselected views in a pair of stage ("viewsel" or "modeltrain")
+    on k selected views: the group plus one, or one selected plus k - 1."""
+    return 1 if stage == "viewsel" else k - 1
+
+
 def _epoch_credit(camera_credit: dict[str, float], f: int,
                   selected: tuple[str, ...], config: SelectionConfig,
                   stage: str) -> float:
     """Per-epoch calibration credit in effective view-frames over f frames:
     labeled views weighted by person coverage (camera_credit, from
     _camera_credit), plus fractional pseudo-label credit from the
-    unselected views that stage ("viewsel" or "modeltrain") mixes in when
+    unselected views that a pair of stage mixes in (_pseudo_views) when
     config.pseudo_stages enables it."""
     credit = f * sum(camera_credit[cid] for cid in selected)
     unselected = [cid for cid in camera_credit if cid not in selected]
     if unselected and config.pseudo_stages in (stage, "both"):
         mean_unsel = float(np.mean([camera_credit[cid] for cid in unselected]))
-        if stage == "viewsel":
-            n_pseudo_views = 1.0  # selected group plus one unselected view
-        else:
-            n_pseudo_views = float(len(selected) - 1)  # 1 selected + K-1 others
+        n_pseudo_views = float(_pseudo_views(stage, len(selected)))
         credit += PSEUDO_CREDIT * f * n_pseudo_views * mean_unsel
     return credit
+
+
+@dataclass(frozen=True)
+class PseudoPair:
+    input_view_ids: tuple[str, ...]
+    gt_density: DensityMap
+    loss_mask: np.ndarray
+    stage: str
+
+    def __post_init__(self):
+        self.loss_mask.setflags(write=False)
+        if (self.gt_density.values[~self.loss_mask] != 0.0).any():
+            raise ValueError("gt_density must be zero outside loss_mask")
+
+
+def make_viewsel_pair(state: SelectionState, frame: CrowdFrame,
+                      rng: np.random.Generator,
+                      kernel_sigma_cells: float = 1.0) -> PseudoPair:
+    """Selected group plus one random unselected view of state.scene; GT
+    is the group's oracle prediction, whose mask is the group's FOV union."""
+    unselected = sorted(set(state.scene.camera_ids) - set(state.selected))
+    if not unselected:
+        raise ValueError("no unselected cameras available")
+    extra = unselected[int(rng.integers(len(unselected)))]
+    gt = oracle_predict(frame, state.combined_mask, state.scene,
+                        kernel_sigma_cells)
+    return PseudoPair(input_view_ids=tuple(state.selected) + (extra,),
+                      gt_density=gt, loss_mask=state.combined_mask,
+                      stage="viewsel")
+
+
+def make_modeltrain_pair(state: SelectionState, frame: CrowdFrame,
+                         rng: np.random.Generator,
+                         kernel_sigma_cells: float = 1.0) -> PseudoPair:
+    """One random selected view plus K-1 random unselected views of
+    state.scene; GT is the K-selected-view oracle prediction, zeroed outside
+    the intersection of the selected and the pseudo inputs' FOV unions."""
+    k, scene = len(state.selected), state.scene
+    n_pseudo = _pseudo_views("modeltrain", k)
+    unselected = sorted(set(scene.camera_ids) - set(state.selected))
+    if len(unselected) < n_pseudo:
+        raise ValueError(f"need {n_pseudo} unselected cameras, have "
+                         f"{len(unselected)}")
+    kept = state.selected[int(rng.integers(k))]
+    picks = [unselected[i]
+             for i in rng.choice(len(unselected), size=n_pseudo,
+                                 replace=False)]
+    inputs = (kept,) + tuple(picks)
+    pseudo_union = scene.visibility_of(list(inputs))
+    loss_mask = state.combined_mask & pseudo_union
+    # the loss mask lies inside the selected union, so every cell it keeps
+    # holds the prediction's bits
+    gt = oracle_predict(frame, state.combined_mask, scene, kernel_sigma_cells)
+    gt = DensityMap(values=np.where(loss_mask, gt.values, 0.0))
+    return PseudoPair(input_view_ids=inputs, gt_density=gt,
+                      loss_mask=loss_mask, stage="modeltrain")
 
 
 def check_run(scene: Scene, trace: list[CrowdFrame],
@@ -400,10 +465,12 @@ def train_after_selection(scene: Scene, frames: list[CrowdFrame],
 
 
 def random_select(scene: Scene, k: int, seed: int) -> SelectionState:
-    """Uniform random baseline: k cameras (1..all) sampled at once."""
+    """Uniform random baseline: k cameras (1..all) drawn at once by seed."""
     if not 1 <= require_int(k, "k") <= len(scene.cameras):
         raise ValueError(f"cannot select {k} views from "
                          f"{len(scene.cameras)} cameras")
+    if require_int(seed, "seed") < 0:
+        raise ValueError(f"seed must be >= 0, not {seed}")
     rng = np.random.default_rng(seed)
     chosen = [str(c) for c in rng.choice(sorted(scene.camera_ids), size=k,
                                          replace=False)]

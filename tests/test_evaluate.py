@@ -5,8 +5,8 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from viewsel import (CameraPose, GroundGrid, PredictorConfig, Scene,
-                     counting_metrics, cover_rate, generate_crowd_trace,
+from viewsel import (CameraPose, CrowdFrame, GroundGrid, PredictorConfig,
+                     Scene, counting_metrics, cover_rate, generate_crowd_trace,
                      localization_metrics, noisy_predict, random_select)
 from viewsel.crowd import trace_from_csv, trace_to_csv
 from viewsel.evaluate import evaluate
@@ -137,4 +137,17 @@ def test_evaluate_checks_parameters_before_predicting(demo_scene, monkeypatch,
     with pytest.raises(ValueError):
         evaluate(demo_scene, trace, _full_state(demo_scene),
                  PredictorConfig(), **kwargs)
+    assert calls == []
+
+
+def test_evaluate_refuses_a_personless_trace_before_predicting(demo_scene,
+                                                               monkeypatch):
+    calls = []
+    monkeypatch.setattr(evaluate_module, "noisy_predict",
+                        lambda *a, **k: calls.append(a))
+    trace = [CrowdFrame(frame_id=i, positions=np.empty((0, 2)))
+             for i in range(4)]
+    with pytest.raises(ValueError, match="^no persons in any frame$"):
+        evaluate(demo_scene, trace, _full_state(demo_scene),
+                 PredictorConfig())
     assert calls == []

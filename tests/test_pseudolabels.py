@@ -1,11 +1,15 @@
+"""Pseudo-label supervision: the pairs each stage builds and the
+per-epoch credit that the pipelines run in their place."""
+
 import numpy as np
 import pytest
 
-from viewsel import (GroundGrid, PredictorConfig, SelectionConfig,
+from viewsel import (GroundGrid, PseudoPair, SelectionConfig,
                      accumulate_density, generate_crowd_trace, kernel_table,
                      make_modeltrain_pair, make_viewsel_pair, random_select)
-from viewsel.pseudolabels import STAGE_MODELTRAIN, STAGE_VIEWSEL, PseudoPair
 from viewsel.crowd import DensityMap
+from viewsel.selection import (PSEUDO_CREDIT, PSEUDO_STAGES, _camera_credit,
+                               _epoch_credit, _pseudo_views)
 from viewsel.synth import generate_scene
 
 
@@ -20,7 +24,7 @@ def test_viewsel_pair_structure(setup):
     scene, trace, state = setup
     rng = np.random.default_rng(0)
     pair = make_viewsel_pair(state, trace[0], rng)
-    assert pair.stage == STAGE_VIEWSEL
+    assert pair.stage == "viewsel"
     assert pair.input_view_ids[:-1] == state.selected
     assert pair.input_view_ids[-1] not in state.selected
     assert (pair.loss_mask == state.combined_mask).all()
@@ -31,7 +35,7 @@ def test_modeltrain_pair_structure(setup):
     scene, trace, state = setup
     rng = np.random.default_rng(1)
     pair = make_modeltrain_pair(state, trace[0], rng)
-    assert pair.stage == STAGE_MODELTRAIN
+    assert pair.stage == "modeltrain"
     k = len(state.selected)
     assert len(pair.input_view_ids) == k
     assert pair.input_view_ids[0] in state.selected
@@ -48,7 +52,7 @@ def test_pair_rejects_gt_outside_mask(small_grid):
     gt = np.ones(small_grid.shape)
     with pytest.raises(ValueError):
         PseudoPair(input_view_ids=("a",), gt_density=DensityMap(values=gt),
-                   loss_mask=mask, stage=STAGE_VIEWSEL)
+                   loss_mask=mask, stage="viewsel")
 
 
 def test_viewsel_pair_needs_unselected(setup):
@@ -89,3 +93,45 @@ def test_pair_gt_is_the_selected_density_under_the_loss_mask(sigma):
                 trimmed += (pair.loss_mask != state.combined_mask).any()
     # some modeltrain loss masks are strictly inside the selected union
     assert trimmed
+
+
+@pytest.mark.parametrize("stage", ["viewsel", "modeltrain"])
+@pytest.mark.parametrize("pseudo_stages", PSEUDO_STAGES)
+def test_epoch_credit_adds_pseudo_credit_when_its_stage_is_on(
+        setup, pseudo_stages, stage):
+    scene, trace, state = setup
+    credit = _camera_credit(scene, trace)
+    f, k = len(trace), len(state.selected)
+    config = SelectionConfig(pseudo_stages=pseudo_stages)
+    labeled = f * sum(credit[cid] for cid in state.selected)
+    got = _epoch_credit(credit, f, state.selected, config, stage)
+    if pseudo_stages in (stage, "both"):
+        mean_unsel = float(np.mean([credit[cid] for cid in scene.camera_ids
+                                    if cid not in state.selected]))
+        assert mean_unsel > 0
+        assert got == (labeled
+                       + PSEUDO_CREDIT * f * _pseudo_views(stage, k)
+                       * mean_unsel)
+    else:
+        assert got == labeled
+    # with no unselected view there is nothing to pseudo-label
+    everything = tuple(scene.camera_ids)
+    assert _epoch_credit(credit, f, everything, config, stage) == (
+        f * sum(credit[cid] for cid in everything))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_pseudo_views_count_the_unselected_inputs_of_each_pair(setup, k):
+    scene, trace, _ = setup
+    state = random_select(scene, k, seed=k)
+    rng = np.random.default_rng(k)
+    assert (_pseudo_views("viewsel", k), _pseudo_views("modeltrain", k)) == (
+        1, k - 1)
+    for stage, make in (("viewsel", make_viewsel_pair),
+                        ("modeltrain", make_modeltrain_pair)):
+        for frame in trace:
+            pair = make(state, frame, rng)
+            assert pair.stage == stage
+            assert sum(cid not in state.selected
+                       for cid in pair.input_view_ids) == _pseudo_views(
+                           stage, k)

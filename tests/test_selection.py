@@ -223,6 +223,21 @@ def test_random_select_refuses_a_k_outside_the_cameras(demo_scene, k,
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("seed, message", [
+    (-1, "seed must be >= 0, not -1"),
+    (2.5, "seed must be an integer, not float"),
+    (True, "seed must be an integer, not bool"),
+])
+def test_random_select_checks_its_seed_as_the_config_does(demo_scene, seed,
+                                                          message):
+    with pytest.raises(ValueError) as info:
+        random_select(demo_scene, 3, seed=seed)
+    assert str(info.value) == message
+    with pytest.raises(ValueError) as info:
+        SelectionConfig(seed=seed)
+    assert str(info.value) == message
+
+
 def test_brute_force_agrees_with_enumeration(demo_scene):
     trace = _trace(demo_scene, n=3)
     subset, val = brute_force_best(demo_scene, trace, k=2)
@@ -769,11 +784,8 @@ def test_every_entry_point_refuses_the_trace_the_cli_refuses(
             k_max=3, n_frames=4, strategy="density"), pred),
         lambda: run_selection(demo_scene, trace, SelectionConfig(
             k_max=3, n_frames=4, strategy="random"), pred),
+        lambda: evaluate(demo_scene, trace, state, pred),
     ]
-    # evaluate refuses a personless trace too, but in cover_rate, after
-    # its predictions
-    if fault != "personless":
-        entries.append(lambda: evaluate(demo_scene, trace, state, pred))
     for entry in entries:
         with pytest.raises(ValueError) as info:
             entry()

@@ -14,7 +14,10 @@ scoring.py calls `binarize_density`. And pseudo-label GT is the oracle
 prediction: a density is rasterized by the crowd layer and the predictor
 alone. Only crowd.py calls `rasterize_density`; only crowd.py, predictor.py
 and selection.py (whose first view is the largest predicted count) call
-`kernel_table`; cli.py and pseudolabels.py call no raster function. And a
+`kernel_table`; cli.py calls no raster function, and neither do the pair
+builders, selection.make_viewsel_pair and make_modeltrain_pair, which take
+their GT from `oracle_predict`. And the pseudo-label stages are named in
+one module: only selection.py holds the string constant `modeltrain`. And a
 prediction picks the people a mask sees by row and never copies a frame:
 only crowd.py (the trace readers) and predictor.py (`noisy_draw`) construct
 a `CrowdFrame`. And a run depends on its arguments alone: no module reads
@@ -189,6 +192,13 @@ def raising_functions(package: Path, text: str) -> list[str]:
                          for node in ast.walk(fn)))
 
 
+def constant_holders(package: Path, value: str) -> list[str]:
+    """The package modules that hold the string constant `value`."""
+    return sorted({path.stem for path in package.glob("*.py")
+                   for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.Constant) and node.value == value})
+
+
 def test_every_public_name_is_used_or_exported():
     assert unused_public_names(PACKAGE) == []
 
@@ -235,8 +245,18 @@ def test_only_crowd_and_predictor_rasterize_a_density():
     assert callers(PACKAGE, "rasterize_density") == ["crowd"]
     assert callers(PACKAGE, "kernel_table") == ["crowd", "predictor",
                                                 "selection"]
+    pair_builders = {"selection.make_viewsel_pair",
+                     "selection.make_modeltrain_pair"}
     for name in ("kernel_table", "accumulate_density", "rasterize_density"):
-        assert {"cli", "pseudolabels"}.isdisjoint(callers(PACKAGE, name))
+        assert "cli" not in callers(PACKAGE, name)
+        assert pair_builders.isdisjoint(calling_functions(PACKAGE, name))
+    assert pair_builders <= set(calling_functions(PACKAGE, "oracle_predict"))
+
+
+def test_only_selection_names_the_pseudo_label_stages():
+    assert constant_holders(PACKAGE, "modeltrain") == ["selection"]
+    # the walk does see a constant outside selection.py
+    assert "cli" in constant_holders(PACKAGE, "viewsel")
 
 
 def test_only_crowd_and_predictor_construct_a_frame():
