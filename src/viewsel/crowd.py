@@ -8,7 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GroundGrid, Scene, floored_distance, require_finite
+from .geometry import GroundGrid, Scene, floored_distance
+from .serialize import require_finite, require_int, require_real, require_seed
 
 
 @dataclass(frozen=True)
@@ -140,14 +141,14 @@ def generate_crowd_trace(grid: GroundGrid, n_frames: int,
     approaches 1, an increasing fraction of each frame concentrates around a
     few Gaussian cluster centers. Positions are clamped into the grid extent.
     """
-    if n_frames < 1:
+    if require_int(n_frames, "n_frames") < 1:
         raise ValueError("n_frames must be >= 1")
-    lo, hi = count_range
+    lo, hi = (require_int(v, "count_range") for v in count_range)
     if lo < 0 or hi < lo:
         raise ValueError(f"bad count_range {count_range}")
-    if not (0.0 <= clustering <= 1.0):
+    if not (0.0 <= require_real(clustering, "clustering") <= 1.0):
         raise ValueError("clustering must be in [0, 1]")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(require_seed(seed))
     ox, oy = grid.origin
     ex, ey = grid.extent_m
     # keep clamped points strictly inside the extent
@@ -191,7 +192,7 @@ def kernel_table(positions: np.ndarray, grid: GroundGrid,
     0.0, so accumulate_density of any subset of rows is the raster of that
     subset of people.
     """
-    if not (math.isfinite(kernel_sigma_cells) and kernel_sigma_cells > 0):
+    if require_real(kernel_sigma_cells, "kernel_sigma_cells") <= 0:
         raise ValueError(f"kernel_sigma_cells must be finite and positive, "
                          f"not {kernel_sigma_cells}")
     h, w = grid.shape
@@ -300,7 +301,7 @@ def check_trace(trace: list[CrowdFrame], grid: GroundGrid) -> None:
     lo, hi = grid.origin, np.add(grid.origin, grid.extent_m)
     seen = set()
     for frame in trace:
-        fid = frame.frame_id
+        fid = require_int(frame.frame_id, f"frame {frame.frame_id}: frame id")
         if fid in seen:
             raise ValueError(f"repeated frame id {fid}")
         if fid < 0:

@@ -15,17 +15,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .serialize import (require_int, require_kind, require_object,
-                        require_real)
-
-
-def require_finite(values, what: str) -> np.ndarray:
-    """values as a float array; raises ValueError if any entry is NaN or
-    infinite, which would otherwise land silently in some grid cell."""
-    arr = np.asarray(values, dtype=float)
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{what} must be finite")
-    return arr
+from .serialize import (require_finite, require_int, require_kind,
+                        require_object, require_real)
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -57,8 +48,6 @@ class GroundGrid:
             raise ValueError("grid must have at least one cell per axis")
         if len(self.origin) != 2:
             raise ValueError("grid origin must have 2 entries")
-        require_finite((self.cell_size_m, *self.origin),
-                       "cell_size_m and origin")
         if self.cell_size_m <= 0:
             raise ValueError("cell_size_m must be positive")
 
@@ -148,8 +137,6 @@ class CameraPose:
             for v in self.position_3d))
         if len(self.position_3d) != 3:
             raise ValueError(f"camera {self.id} position must have 3 entries")
-        require_finite((*self.position_3d, self.yaw, self.pitch,
-                        self.max_range_m), f"camera {self.id} pose")
         if not (0.0 < self.horizontal_fov_rad < math.pi):
             raise ValueError(f"hfov out of (0, pi): {self.horizontal_fov_rad}")
         if not (0.0 < self.vertical_fov_rad < math.pi):

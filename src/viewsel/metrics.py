@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .crowd import DensityMap
 from .geometry import GroundGrid
+from .serialize import require_real
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ def counting_metrics(predicted_counts: list[float], gt_counts: list[float],
 
 def require_match_threshold(threshold_m: float) -> None:
     """Raise ValueError unless threshold_m is a finite positive distance."""
-    if not (math.isfinite(threshold_m) and threshold_m > 0):
+    if require_real(threshold_m, "threshold_m") <= 0:
         raise ValueError(f"threshold_m must be finite and positive, got "
                          f"{threshold_m!r}")
 
@@ -232,9 +232,8 @@ def extract_peaks(density: DensityMap, grid: GroundGrid, min_value: float,
     non-finite min_value, or a radius that is not finite and at least one
     cell, raises ValueError.
     """
-    if not math.isfinite(min_value):
-        raise ValueError(f"peak min_value must be finite, got {min_value!r}")
-    if not (math.isfinite(nms_radius_cells) and nms_radius_cells >= 1):
+    require_real(min_value, "peak min_value")
+    if require_real(nms_radius_cells, "nms_radius_cells") < 1:
         raise ValueError(f"nms_radius_cells must be finite and >= 1, got "
                          f"{nms_radius_cells!r}")
     v = density.values

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .crowd import CrowdFrame, DensityMap, accumulate_density, kernel_table
-from .geometry import Scene, require_finite
-from .serialize import require_fields, require_int, require_real
+from .geometry import Scene
+from .serialize import require_fields, require_int, require_real, require_seed
 
 
 @dataclass(frozen=True)
@@ -30,8 +30,6 @@ class CalibrationState:
     def __post_init__(self):
         for f in fields(self):
             require_real(getattr(self, f.name), f"calibration {f.name}")
-        require_finite((self.labeled_view_frames, self.quality),
-                       "calibration labeled_view_frames and quality")
         if self.labeled_view_frames < 0:
             raise ValueError("labeled_view_frames must be >= 0")
         if not (0.0 <= self.quality <= 1.0):
@@ -54,15 +52,9 @@ class PredictorConfig:
         for f in fields(self):
             if f.name not in ("seed", "calibration"):
                 require_real(getattr(self, f.name), f"predictor {f.name}")
-        require_int(self.seed, "predictor seed")
-        if self.seed < 0:
-            raise ValueError(f"predictor seed must be >= 0, not {self.seed}")
+        require_seed(self.seed, "predictor seed")
         if not (0.0 <= self.miss_rate <= 1.0):
             raise ValueError("miss_rate must be in [0, 1]")
-        require_finite((self.position_jitter_m, self.count_noise_rel,
-                        self.kernel_sigma_cells, self.q_scale,
-                        self.distance_falloff_m, self.crowding_half),
-                       "predictor noise and scale parameters")
         if self.position_jitter_m < 0 or self.count_noise_rel < 0:
             raise ValueError("noise magnitudes must be nonnegative")
         if self.kernel_sigma_cells <= 0 or self.q_scale <= 0:
@@ -162,9 +154,10 @@ def calibrate(config: PredictorConfig, newly_labeled_view_frames: float,
     The credit is added `epochs` times, one float addition after another,
     so the result equals that many successive one-epoch calls; 0 epochs
     returns config itself."""
-    if newly_labeled_view_frames < 0:
+    if require_real(newly_labeled_view_frames,
+                    "newly_labeled_view_frames") < 0:
         raise ValueError("newly_labeled_view_frames must be >= 0")
-    if epochs < 0:
+    if require_int(epochs, "epochs") < 0:
         raise ValueError("epochs must be >= 0")
     if epochs == 0:
         return config

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crowd import DensityMap
-from .geometry import Scene, require_finite
+from .geometry import Scene
+from .serialize import require_finite, require_real
 
 # S_vd = exp(-LAMBDA * sum of dot / (distance + EPSILON)) over camera pairs
 LAMBDA = 0.1
@@ -238,5 +239,5 @@ def binarize_density(density: DensityMap, sigma_mode) -> np.ndarray:
     if sigma_mode == "mean":
         threshold = float(density.values.mean())
     else:
-        threshold = float(require_finite(sigma_mode, "sigma_mode"))
+        threshold = require_real(sigma_mode, "sigma_mode")
     return density.values > threshold

@@ -17,12 +17,12 @@ import numpy as np
 
 from .crowd import (CrowdFrame, DensityMap, accumulate_density, check_trace,
                     kernel_table)
-from .geometry import Scene, require_finite
+from .geometry import Scene
 from .predictor import (PredictorConfig, calibrate, noisy_draw,
                         noisy_predict, oracle_predict, training_mae)
 from .scoring import ALL_TERMS, ScoreBreakdown, round_winner
 from .serialize import (require_int, require_kind, require_object,
-                        require_real)
+                        require_real, require_seed)
 
 STRATEGIES = ("geometric", "mask", "density", "random")
 PSEUDO_STAGES = ("none", "viewsel", "modeltrain", "both")
@@ -44,21 +44,16 @@ class SelectionConfig:
     pseudo_stages: str = "both"
 
     def __post_init__(self):
-        for name in ("k_max", "n_frames", "seed", "epochs"):
+        for name in ("k_max", "n_frames", "epochs"):
             require_int(getattr(self, name), name)
-        reals = ["tau"]
+        require_seed(self.seed)
+        require_real(self.tau, "tau")
         if not isinstance(self.sigma_mode, str):
-            reals.append("sigma_mode")
-        for name in reals:
-            require_real(getattr(self, name), name)
+            require_real(self.sigma_mode, "sigma_mode")
         if self.k_max < 1 or self.n_frames < 1:
             raise ValueError("k_max and n_frames must be >= 1")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, not {self.seed}")
-        require_finite([getattr(self, name) for name in reals],
-                       "tau and a numeric sigma_mode")
         if isinstance(self.sigma_mode, str) and self.sigma_mode != "mean":
             raise ValueError(f"sigma_mode must be 'mean' or a number, not "
                              f"{self.sigma_mode!r}")
@@ -166,7 +161,7 @@ def select_frames(scene: Scene, drawn: list[tuple[CrowdFrame, float]],
     trace, or a noise-free run_avs draw, which is the frame itself) is not
     rasterized again. Each frame pair is compared once.
     """
-    if f < 1:
+    if require_int(f, "f") < 1:
         raise ValueError(f"need at least one frame to select, got {f}")
     if f > len(drawn):
         raise ValueError(f"cannot select {f} frames from {len(drawn)}")
@@ -469,9 +464,7 @@ def random_select(scene: Scene, k: int, seed: int) -> SelectionState:
     if not 1 <= require_int(k, "k") <= len(scene.cameras):
         raise ValueError(f"cannot select {k} views from "
                          f"{len(scene.cameras)} cameras")
-    if require_int(seed, "seed") < 0:
-        raise ValueError(f"seed must be >= 0, not {seed}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(require_seed(seed))
     chosen = [str(c) for c in rng.choice(sorted(scene.camera_ids), size=k,
                                          replace=False)]
     return SelectionState(selected=tuple(chosen), scene=scene,

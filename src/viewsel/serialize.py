@@ -1,5 +1,5 @@
 """Deterministic serialization helpers: canonical JSON, spec hashes, PGM
-heatmaps, and the one checker of the JSON values an artifact reader takes.
+heatmaps, and the one checker of input: JSON values and finite numbers.
 
 Artifacts are written from dataclasses (dataclasses.asdict), so a class's
 fields are its artifact keys. Every reader checks its input through the
@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import numbers
 from dataclasses import fields
 
@@ -75,15 +76,34 @@ def require_int(value, what: str) -> int:
     return value
 
 
+def require_seed(value, what: str = "seed") -> int:
+    """value, which must be an integer >= 0, as numpy's seeds are."""
+    if require_int(value, what) < 0:
+        raise ValueError(f"{what} must be >= 0, not {value}")
+    return value
+
+
 def require_real(value, what: str) -> float:
-    """value as a float; it must be a real number, and a bool is not one."""
+    """value as a float; it must be a finite real number, not a bool."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{what} must be a number, not "
                          f"{type(value).__name__}")
     try:
-        return float(value)
+        real = float(value)
     except OverflowError:
         raise ValueError(f"{what} is too large for a float") from None
+    if not math.isfinite(real):
+        raise ValueError(f"{what} must be finite, not {real}")
+    return real
+
+
+def require_finite(values, what: str) -> np.ndarray:
+    """values as a float array; raises ValueError if any entry is NaN or
+    infinite, which would otherwise land silently in some grid cell."""
+    arr = np.asarray(values, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} must be finite")
+    return arr
 
 
 def spec_hash(obj) -> str:

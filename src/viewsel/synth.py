@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 
 from .geometry import CameraPose, GroundGrid, Scene
+from .serialize import require_int, require_real, require_seed
 
 # the ranges a camera's height (m) and field of view (rad) are drawn from
 HEIGHT_RANGE = (4.0, 9.0)
@@ -27,11 +28,13 @@ def generate_scene(n_cameras: int, grid: GroundGrid, seed: int,
     with near-duplicates of earlier ones: same aim and optics, position nudged
     by ~1 m. Twins stress diversity-aware selection, since a twin pair adds
     almost no new coverage."""
-    if n_cameras < 1:
+    if require_int(n_cameras, "n_cameras") < 1:
         raise ValueError("need at least one camera")
-    if not (0.0 <= twin_fraction < 1.0):
+    if not (0.0 <= require_real(twin_fraction, "twin_fraction") < 1.0):
         raise ValueError("twin_fraction must be in [0, 1)")
-    rng = np.random.default_rng(seed)
+    for frac in range_frac:
+        require_real(frac, "range_frac")
+    rng = np.random.default_rng(require_seed(seed))
     ox, oy = grid.origin
     ex, ey = grid.extent_m
     diag = math.hypot(ex, ey)

@@ -54,6 +54,14 @@ def test_scene_gen_byte_identical_reruns(tmp_path):
         == (outs[1] / "trace.csv").read_bytes()
 
 
+def test_scene_gen_checks_its_seed(tmp_path, capsys):
+    out = tmp_path / "scene"
+    assert run("scene-gen", "--cameras", "3", "--grid", "10x10", "--seed",
+               "-1", "--out-dir", str(out)) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: seed must be >= 0, not -1\n"
+    assert not out.exists()
+
+
 def test_select_and_eval_round_trip(artifacts, tmp_path):
     scene_path, trace_path = artifacts
     sel = tmp_path / "sel.json"

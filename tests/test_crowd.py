@@ -255,3 +255,15 @@ def test_check_trace_names_the_first_fault_in_trace_order(small_grid):
         with pytest.raises(ValueError) as info:
             check_trace(trace, small_grid)
         assert str(info.value) == message
+
+
+def test_check_trace_takes_integer_frame_ids_only(small_grid):
+    # an id read from a numpy array stays an id; an integral float does not
+    check_trace([_frame([(1.0, 1.0)], fid=np.int64(0)),
+                 _frame([], fid=np.int32(2))], small_grid)
+    for fid, kind in ((np.float64(2.0), "float64"), (1.5, "float"),
+                      (True, "bool"), ("2", "str")):
+        with pytest.raises(ValueError) as info:
+            check_trace([_frame([(1.0, 1.0)], fid=fid)], small_grid)
+        assert str(info.value) == (f"frame {fid}: frame id must be an "
+                                   f"integer, not {kind}")

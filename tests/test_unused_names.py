@@ -32,7 +32,9 @@ function states what a run refuses, selection.check_run: only it and
 crowd.cover_rate raise `no persons in any frame`, and each run calls it
 once, so only run_ivs, run_avs, run_selection (for the random strategy)
 and cli.cmd_sweep (each value's check before any cell runs) call it, and
-cli.cmd_select does not."""
+cli.cmd_select does not. And one module says what a valid number is: only
+serialize.py defines `require_finite`, `require_real` and `require_int`,
+and only it calls `math.isfinite`."""
 
 import ast
 from pathlib import Path
@@ -199,6 +201,24 @@ def constant_holders(package: Path, value: str) -> list[str]:
                    if isinstance(node, ast.Constant) and node.value == value})
 
 
+def definers(package: Path, name: str) -> list[str]:
+    """The package modules that define a function `name`, at any depth."""
+    return sorted({where.split(".")[0] for where, fn in _functions(package)
+                   if fn.name == name})
+
+
+def math_isfinite_callers(package: Path) -> list[str]:
+    """The package modules that call `math.isfinite`, or `isfinite` by its
+    bare name."""
+    return sorted({path.stem for path in package.glob("*.py")
+                   for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.Call)
+                   and (getattr(node.func, "id", None) == "isfinite"
+                        or (getattr(node.func, "attr", None) == "isfinite"
+                            and getattr(node.func.value, "id", None)
+                            == "math"))})
+
+
 def test_every_public_name_is_used_or_exported():
     assert unused_public_names(PACKAGE) == []
 
@@ -301,3 +321,11 @@ def test_one_statement_of_what_a_run_refuses():
         "selection.run_selection"]
     # the walk does see a call in cmd_select
     assert "cli.cmd_select" in calling_functions(PACKAGE, "run_selection")
+
+
+def test_one_statement_of_a_valid_number():
+    for name in ("require_finite", "require_real", "require_int"):
+        assert definers(PACKAGE, name) == ["serialize"], name
+    assert math_isfinite_callers(PACKAGE) == ["serialize"]
+    # the walk does see a numpy isfinite call, which this rule allows
+    assert "crowd" in callers(PACKAGE, "isfinite")
