@@ -250,8 +250,8 @@ def floored_distance(x, y, point: tuple[float, float],
 @dataclass(frozen=True)
 class Scene:
     """Ground grid plus the calibrated candidate camera roster, with each
-    camera's footprint projected on construction and the one table of
-    camera geometry that scoring reads computed on first use."""
+    camera's footprint projected on construction and the camera geometry
+    that scoring reads computed on first use."""
 
     grid: GroundGrid
     cameras: tuple[CameraPose, ...]
@@ -264,18 +264,23 @@ class Scene:
         footprints = [project_footprint(c, self.grid) for c in self.cameras]
         object.__setattr__(self, "footprints", footprints)
         object.__setattr__(self, "_by_id", {
-            c.id: (c, f) for c, f in zip(self.cameras, footprints)})
-        object.__setattr__(self, "_pair_table", {})
+            c.id: (i, c, f)
+            for i, (c, f) in enumerate(zip(self.cameras, footprints))})
+        object.__setattr__(self, "_pair_rows", {})
 
     @property
     def camera_ids(self) -> list[str]:
         return [c.id for c in self.cameras]
 
     def camera(self, camera_id: str) -> CameraPose:
-        return self._by_id[camera_id][0]
+        return self._by_id[camera_id][1]
 
     def footprint(self, camera_id: str) -> FovFootprint:
-        return self._by_id[camera_id][1]
+        return self._by_id[camera_id][2]
+
+    def camera_index(self, camera_id: str) -> int:
+        """The camera's position in the roster, self.cameras."""
+        return self._by_id[camera_id][0]
 
     def footprint_window(self, camera_id: str
                          ) -> tuple[slice, slice, np.ndarray] | None:
@@ -292,18 +297,36 @@ class Scene:
         an empty footprint."""
         return self._camera_table[camera_id][1]
 
-    def pair_geometry(self, id_a: str, id_b: str) -> tuple[float, float] | None:
-        """The ground-axis dot product and ground distance of two cameras,
-        None when either looks straight down; each ordered pair's geometry
-        is computed on its first use."""
-        key = (id_a, id_b)
-        if key not in self._pair_table:
-            (ai, pi), (aj, pj) = (self._camera_table[id_a][2:],
-                                  self._camera_table[id_b][2:])
-            self._pair_table[key] = (
-                None if ai is None or aj is None
-                else (float(ai @ aj), float(np.linalg.norm(pi - pj))))
-        return self._pair_table[key]
+    def pair_row(self, camera_id: str) -> tuple[np.ndarray, np.ndarray]:
+        """The ground-axis dot products and ground distances of the camera
+        and each camera of the roster, in roster order, computed on the
+        camera's first use; read-only. A dot product is 0.0 where either
+        camera looks straight down. Each entry is one pair's own scalar
+        expression, so its bits do not depend on the rest of the roster."""
+        if camera_id not in self._pair_rows:
+            ai, pi = self._camera_table[camera_id][2:]
+            pairs = [(0.0 if ai is None or aj is None else float(ai @ aj),
+                      float(np.linalg.norm(pi - pj)))
+                     for _, _, aj, pj in self._camera_table.values()]
+            self._pair_rows[camera_id] = _read_only(*np.array(pairs).T)
+        return self._pair_rows[camera_id]
+
+    def footprint_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every camera's footprint mask along the last axis of one
+        (h, w, n_cameras) table, and each camera's covered-cell count and
+        footprint_mass, in roster order; built on first use and
+        read-only."""
+        return self._footprint_table
+
+    @cached_property
+    def _footprint_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # one copy of the stacked masks, transposed, is faster than a stack
+        # along the strided last axis
+        masks = np.array([f.mask for f in self.footprints])
+        return _read_only(
+            masks.transpose(1, 2, 0).copy(),
+            np.array([f.area_cells for f in self.footprints]),
+            np.array([self.footprint_mass(c.id) for c in self.cameras]))
 
     @cached_property
     def _camera_table(self) -> dict:

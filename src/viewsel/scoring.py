@@ -12,9 +12,13 @@ distance field:
     mask        binarized prediction         1
     density     binarized prediction         predicted density
 
-A greedy round keeps only its best candidate: round_winner screens every
-candidate from sums over its footprint window and gives score_round's exact
-score only to those within rounding of the best.
+A round is built by advancing an empty group one camera at a time: each
+camera adds its distance terms to the group field in place, its footprint
+to the FOV union and its row of diversity pair terms. A greedy round keeps
+only its best candidate: round_winner screens every candidate at once, as
+numpy vectors, and gives score_round's exact score only to those within
+rounding of the best. A greedy run's scorer (round_scorer) carries its
+round from one call to the next, so each camera joins the group once.
 """
 
 from __future__ import annotations
@@ -80,18 +84,22 @@ def _add_camera_term(field: np.ndarray, scene: Scene, camera_id: str,
                           / distance)
 
 
-def _pair_term(geometry: tuple[float, float] | None) -> float:
-    """Diversity term dot / (distance + EPSILON) of a pair's
-    Scene.pair_geometry; 0.0 when either camera looks straight down."""
-    return 0.0 if geometry is None else geometry[0] / (geometry[1] + EPSILON)
+def _positions(scene: Scene, camera_ids: list[str]) -> np.ndarray:
+    """The cameras' positions in the scene's roster."""
+    return np.array([scene.camera_index(cid) for cid in camera_ids],
+                    dtype=np.intp)
 
 
 class _Round:
-    """One greedy round's setup under strategy, built once: the group's
-    distance field, union and pair terms, and the strategy's region and
-    weight (the module docstring's table; the prediction is binarized here).
-    exact scores group + [c] on the full grid; screen gives the same total
-    from two sums, up to rounding (round_winner)."""
+    """A greedy round's state under strategy: the strategy's region and
+    weight (the module docstring's table; the prediction is binarized
+    here), and the distance field and pair-term rows of its group, ids,
+    built by advancing an empty group one camera at a time. For the
+    geometric strategy it also carries the group's FOV union and, for
+    every roster camera, the count of its footprint cells in that union.
+    exact scores ids + [c] on the full grid; screen gives every
+    candidate's total at once from vector sums, up to rounding
+    (round_winner)."""
 
     def __init__(self, group: list[str], scene: Scene, strategy: str,
                  prediction: DensityMap | None, sigma_mode,
@@ -109,44 +117,65 @@ class _Round:
             raise ValueError(f"strategy {strategy!r} has no score")
         self.scene, self.strategy, self.terms = scene, strategy, terms
         self.region, self.weight = region, weight
-        self.field = inverse_distance_field(group, scene, weight)
-        self.ids = group
-        self.union = scene.visibility_of(self.ids)
-        self.pairs = [[_pair_term(scene.pair_geometry(a, b))
-                       for b in self.ids[i + 1:]]
-                      for i, a in enumerate(self.ids)]
-        # a fixed region is counted once, a group's union once per candidate
-        scored = self.union if region is None else region
-        self.n_scored = int(np.count_nonzero(scored))
-        # the field is 0.0 off the union, so its sum over the union is its
-        # sum over the union of group + [c]
-        self.mass = float(self.field[scored].sum())
+        self.field = np.zeros(scene.grid.shape)
+        self.ids, self.positions, self.pair_terms = [], [], []
+        if region is None:
+            self.union = np.zeros(scene.grid.shape, dtype=bool)
+            self.overlap = np.zeros(len(scene.cameras), dtype=np.intp)
+        # a fixed region is counted once, a group's union as it grows
+        self.n_scored = (0 if region is None
+                         else int(np.count_nonzero(region)))
+        for cid in group:
+            self.advance(cid)
 
-    def diversity(self, camera_id: str) -> float:
-        """S_vd of group + [c], its pair terms summed in
-        itertools.combinations order: group camera i's pairs with the later
-        group cameras, then with c."""
-        acc = 0.0
-        for a, row in zip(self.ids, self.pairs):
-            for term in row:
-                acc += term
-            acc += _pair_term(self.scene.pair_geometry(a, camera_id))
-        return float(np.exp(-LAMBDA * acc))
+    def advance(self, cid: str) -> None:
+        """Append cid to the group: add its term to the field in place, in
+        the order a from-scratch field adds it, and keep its row of pair
+        terms with the roster; for the geometric strategy, also add its
+        footprint to the union and the newly covered cells to each roster
+        camera's overlap count."""
+        position = self.scene.camera_index(cid)
+        window = self.scene.footprint_window(cid)
+        dots, distances = self.scene.pair_row(cid)
+        _add_camera_term(self.field, self.scene, cid, self.weight)
+        self.ids.append(cid)
+        self.positions.append(position)
+        self.pair_terms.append(dots / (distances + EPSILON))
+        if self.region is None and window is not None:
+            rows, cols, _ = window
+            union = self.union[rows, cols]
+            new = self.scene.footprint(cid).mask[rows, cols] & ~union
+            union |= new
+            # each roster camera's footprint on the newly covered cells
+            covered = self.scene.footprint_table()[0][rows, cols][new]
+            self.overlap += covered.sum(axis=0, dtype=np.int32)
+            self.n_scored += len(covered)
 
-    def _total(self, s_sc: float, s_ad: float, s_vd: float) -> float:
-        """The product of the factors that terms picks; 0 on an empty
-        region."""
+    def diversity(self, positions: np.ndarray) -> np.ndarray:
+        """S_vd of ids + [c] for the candidates at the roster positions,
+        their pair terms summed in itertools.combinations order: group
+        camera i's pairs with the later group cameras, then with c."""
+        acc = np.zeros(len(positions))
+        for i, row in enumerate(self.pair_terms):
+            for later in self.positions[i + 1:]:
+                acc += row[later]
+            acc += row[positions]
+        return np.exp(-LAMBDA * acc)
+
+    def _total(self, s_sc, s_ad, s_vd):
+        """The product of the factors that terms picks, elementwise; 0 on
+        an empty region."""
         total = 1.0
         for term, factor in (("sc", s_sc), ("ad", s_ad), ("vd", s_vd)):
             if term in self.terms:
                 total *= factor
-        return total if s_sc else 0.0
+        return np.where(s_sc != 0, total, 0.0)
 
     def exact(self, cid: str, s_vd: float) -> ScoreBreakdown:
-        """The score of group + [cid], given its diversity: cid, last in
-        its group, adds only its own terms to a copy of the group's field,
-        in the order a from-scratch score of group + [cid] adds them, and
-        the field is summed over the whole scored region."""
+        """The score of ids + [cid], given its diversity: cid, last in its
+        group, adds only its own terms to a copy of the group's field, in
+        the order a from-scratch score of ids + [cid] adds them, and the
+        field is summed over the whole scored region."""
         field = self.field.copy()
         _add_camera_term(field, self.scene, cid, self.weight)
         scored, n_region = self.region, self.n_scored
@@ -156,28 +185,53 @@ class _Round:
         s_sc = n_region / self.scene.grid.n_cells
         s_ad = float(field[scored].sum()) / n_region if n_region else 0.0
         return ScoreBreakdown(s_sc=s_sc, s_ad=s_ad, s_vd=s_vd,
-                              total=self._total(s_sc, s_ad, s_vd),
+                              total=float(self._total(s_sc, s_ad, s_vd)),
                               variant=self.strategy)
 
-    def screen(self, cid: str, s_vd: float) -> float:
-        """exact(cid, s_vd).total up to rounding, from cid's footprint
-        window alone: the field's sum over the scored region is the
-        group's (self.mass) plus cid's own terms on that region, and a
-        union's count grows by cid's footprint cells outside it."""
-        n_region, mass = self.n_scored, 0.0
-        window = self.scene.footprint_window(cid)
-        if window is not None:
-            rows, cols, distance = window
-            if self.region is None:
-                fp = self.scene.footprint(cid).mask[rows, cols]
-                n_region += int(np.count_nonzero(fp & ~self.union[rows, cols]))
-                mass = self.scene.footprint_mass(cid)
-            else:
+    def screen(self, candidates: list[str], positions: np.ndarray,
+               s_vd: np.ndarray) -> np.ndarray:
+        """exact(c, s_vd).total up to rounding for every candidate at once:
+        the field's sum over the scored region is the group's, taken once,
+        plus c's own terms on that region. A geometric candidate adds its
+        footprint_mass, and its footprint cells outside the union to the
+        union's count; a mask or density candidate adds its terms on the
+        region's cells in its footprint window."""
+        scored = self.union if self.region is None else self.region
+        group_mass = float(self.field[scored].sum())
+        if self.region is None:
+            _, areas, masses = self.scene.footprint_table()
+            n_region = self.n_scored + areas[positions] - self.overlap[
+                positions]
+            mass = group_mass + masses[positions]
+        else:
+            n_region = np.full(len(candidates), self.n_scored)
+            own = []
+            for cid in candidates:
+                window = self.scene.footprint_window(cid)
+                if window is None:
+                    own.append(0.0)
+                    continue
+                rows, cols, distance = window
                 term = (1.0 if self.weight is None
                         else self.weight[rows, cols]) / distance
-                mass = float(term[self.region[rows, cols]].sum())
-        s_ad = (self.mass + mass) / n_region if n_region else 0.0
+                own.append(float(term[self.region[rows, cols]].sum()))
+            mass = group_mass + np.array(own)
+        s_ad = np.divide(mass, n_region, out=np.zeros(len(candidates)),
+                         where=n_region > 0)
         return self._total(n_region / self.scene.grid.n_cells, s_ad, s_vd)
+
+    def winner(self, candidates: list[str]) -> tuple[int, ScoreBreakdown]:
+        """round_winner's answer for ids + [c] over the candidates."""
+        positions = _positions(self.scene, candidates)
+        s_vd = self.diversity(positions)
+        screened = self.screen(candidates, positions, s_vd)
+        floor = screened.max() * (1.0 - SCREEN_TOL)
+        best = None
+        for i in np.flatnonzero(screened >= floor):
+            sb = self.exact(candidates[i], float(s_vd[i]))
+            if best is None or sb.total > best[1].total:
+                best = (int(i), sb)
+        return best
 
 
 def score_round(group: list[str], candidates: list[str], scene: Scene,
@@ -191,12 +245,37 @@ def score_round(group: list[str], candidates: list[str], scene: Scene,
     the factors multiplied into total, and an empty region scores 0. An
     unknown id raises KeyError; an unscored strategy, or a mask or density
     call without a prediction on the scene grid, ValueError (a DensityMap
-    holds only finite values, so its weight is finite). The round's setup
+    holds only finite values, so its weight is finite). The group's round
     is built once (_Round), and each score equals the from-scratch score
     of group + [c], whose footprint windows and pair geometry come from
-    the scene (Scene.footprint_window, Scene.pair_geometry)."""
+    the scene (Scene.footprint_window, Scene.pair_row)."""
     rnd = _Round(group, scene, strategy, prediction, sigma_mode, terms)
-    return [rnd.exact(cid, rnd.diversity(cid)) for cid in candidates]
+    s_vd = rnd.diversity(_positions(scene, candidates))
+    return [rnd.exact(cid, float(v)) for cid, v in zip(candidates, s_vd)]
+
+
+def round_scorer(scene: Scene, strategy: str,
+                 prediction: DensityMap | None = None, sigma_mode="mean",
+                 terms: tuple[str, ...] = ALL_TERMS):
+    """A function of (group, candidates) that returns round_winner's
+    answer with the other arguments bound, and keeps its round between
+    calls: a group that extends the round's group advances the round by
+    its new cameras, any other group starts a fresh round. A greedy run
+    hands it the last group plus the last winner, so the run adds each
+    camera's field term, footprint and pair-term row once."""
+    rnd = _Round([], scene, strategy, prediction, sigma_mode, terms)
+
+    def score_fn(group: list[str], candidates: list[str]
+                 ) -> tuple[int, ScoreBreakdown]:
+        nonlocal rnd
+        if not candidates:
+            raise ValueError("no candidates to score")
+        if list(group[:len(rnd.ids)]) != rnd.ids:
+            rnd = _Round([], scene, strategy, prediction, sigma_mode, terms)
+        for cid in group[len(rnd.ids):]:
+            rnd.advance(cid)
+        return rnd.winner(candidates)
+    return score_fn
 
 
 def round_winner(group: list[str], candidates: list[str], scene: Scene,
@@ -205,28 +284,17 @@ def round_winner(group: list[str], candidates: list[str], scene: Scene,
                  ) -> tuple[int, ScoreBreakdown]:
     """The index in candidates and the breakdown of the first maximum of
     score_round's totals, with score_round's arguments and errors, from
-    fewer full-grid scores. Each candidate is first screened: its total is
-    computed from the group field's sum over the scored region, taken once
-    per round, plus the candidate's own terms in its footprint window
-    (Scene.footprint_mass for the geometric strategy). Every summand is
-    finite and non-negative, so both sums are within a relative
-    (k + 2 log2 n_cells) * 2**-52 or so of the true one; only the
-    candidates screened within SCREEN_TOL of the best get score_round's
-    exact score, and the winner is the first of their maxima."""
-    if not candidates:
-        raise ValueError("no candidates to score")
-    rnd = _Round(group, scene, strategy, prediction, sigma_mode, terms)
-    diversity = [rnd.diversity(cid) for cid in candidates]
-    screened = [rnd.screen(cid, s_vd)
-                for cid, s_vd in zip(candidates, diversity)]
-    floor = max(screened) * (1.0 - SCREEN_TOL)
-    best = None
-    for i, total in enumerate(screened):
-        if total >= floor:
-            sb = rnd.exact(candidates[i], diversity[i])
-            if best is None or sb.total > best[1].total:
-                best = (i, sb)
-    return best
+    fewer full-grid scores. Every candidate is first screened at once: its
+    total is computed from the group field's sum over the scored region,
+    taken once per round, plus the candidate's own terms (its
+    Scene.footprint_mass for the geometric strategy, its window's sum on
+    the region otherwise). Every summand is finite and non-negative, so
+    both sums are within a relative (k + 2 log2 n_cells) * 2**-52 or so of
+    the true one; only the candidates screened within SCREEN_TOL of the
+    best get score_round's exact score, and the winner is the first of
+    their maxima."""
+    return round_scorer(scene, strategy, prediction, sigma_mode, terms)(
+        group, candidates)
 
 
 def binarize_density(density: DensityMap, sigma_mode) -> np.ndarray:

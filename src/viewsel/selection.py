@@ -20,7 +20,7 @@ from .crowd import (CrowdFrame, DensityMap, accumulate_density, check_trace,
 from .geometry import Scene
 from .predictor import (PredictorConfig, calibrate, noisy_draw,
                         noisy_predict, oracle_predict, training_mae)
-from .scoring import ALL_TERMS, ScoreBreakdown, round_winner
+from .scoring import ALL_TERMS, ScoreBreakdown, round_scorer
 from .serialize import (require_int, require_kind, require_object,
                         require_real, require_seed)
 
@@ -230,10 +230,10 @@ def add_view(state: SelectionState, score_fn) -> SelectionState:
 def _score_fn(scene: Scene, config: SelectionConfig,
               prediction: DensityMap | None = None):
     """add_view's score_fn: round_winner under the config's strategy, which
-    scores the prediction (None for geometric)."""
-    return lambda group, candidates: round_winner(
-        group, candidates, scene, config.strategy, prediction,
-        config.sigma_mode, config.terms)
+    scores the prediction (None for geometric), from one round carried
+    across the calls (round_scorer)."""
+    return round_scorer(scene, config.strategy, prediction,
+                        config.sigma_mode, config.terms)
 
 
 def mean_prediction(predictions: list[DensityMap],

@@ -9,6 +9,7 @@ from viewsel import (CameraPose, DensityMap, GroundGrid, Scene,
                      binarize_density, inverse_distance_field, score_round)
 from viewsel import scoring as scoring_module
 from viewsel.scoring import ALL_TERMS, round_winner
+from viewsel.selection import SelectionConfig, _score_fn
 
 from conftest import random_small_scene
 from reference import (ref_diversity, ref_full_grid_field,
@@ -465,6 +466,65 @@ def test_round_winner_is_the_first_maximum_of_score_round():
                                      pred, sigma_mode, terms)
             assert index == want
             assert _bits(sb) == _bits(full[want])
+
+
+def _other_groups(rng, scene, group):
+    """Groups that do not extend group: a shorter prefix, the reverse, and
+    group with its last camera swapped for another."""
+    others = [group[:int(rng.integers(len(group)))]]
+    if len(group) > 1:
+        others.append(group[::-1])
+    rest = sorted(set(scene.camera_ids) - set(group))
+    if len(rest) > 1:
+        others.append(group[:-1] + [rest[int(rng.integers(len(rest)))]])
+    return others
+
+
+def test_carried_rounds_equal_fresh_rounds():
+    # a greedy run's score_fn carries one round from call to call; each
+    # call returns round_winner's answer for a round built afresh, along a
+    # greedy chain, after a group that extends the chain by a camera other
+    # than the last winner, and after groups that do not extend it at all
+    rng = np.random.default_rng(25)
+    subsets = [t for n in range(len(ALL_TERMS) + 1)
+               for t in itertools.combinations(ALL_TERMS, n)]
+    scenes = [_edge_case_scene()] + [random_small_scene(rng)
+                                     for _ in range(25)]
+    kinds = set()
+    for scene in scenes:
+        scene = _with_twins(rng, scene)
+        pred = _random_density(rng, scene.grid)
+        for strategy in ("geometric", "mask", "density"):
+            terms = subsets[int(rng.integers(len(subsets)))]
+            sigma_mode = ("mean" if rng.random() < 0.5
+                          else float(rng.uniform(0.0, 1.0)))
+            score_fn = _score_fn(scene, SelectionConfig(
+                strategy=strategy, sigma_mode=sigma_mode, terms=terms), pred)
+
+            def check(group, kind):
+                kinds.add(kind)
+                candidates = sorted(set(scene.camera_ids) - set(group))
+                index, sb = round_winner(group, candidates, scene, strategy,
+                                         pred, sigma_mode, terms)
+                got_index, got = score_fn(list(group), candidates)
+                assert (got_index, _bits(got)) == (index, _bits(sb)), kind
+                return candidates[index]
+
+            group = [scene.camera_ids[int(rng.integers(len(scene.cameras)))]]
+            while len(group) < len(scene.cameras):
+                winner = check(group, "chain")
+                rest = sorted(set(scene.camera_ids) - set(group) - {winner})
+                if rest and rng.random() < 0.3:
+                    group.append(rest[int(rng.integers(len(rest)))])
+                    if len(group) < len(scene.cameras):
+                        check(group, "extended by another camera")
+                    continue
+                if rng.random() < 0.3:
+                    for other in _other_groups(rng, scene, group):
+                        check(other, "not extending")
+                    check(group, "chain")  # back on the chain, afresh
+                group.append(winner)
+    assert kinds == {"chain", "extended by another camera", "not extending"}
 
 
 def _mirrored_near_tie():

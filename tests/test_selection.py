@@ -383,32 +383,38 @@ def test_add_view_tie_goes_to_lowest_id():
     assert state.selected == ("first", "twin1")
 
 
-def test_run_ivs_builds_one_group_field_per_round(demo_scene, monkeypatch):
+def test_run_ivs_adds_each_camera_term_once(demo_scene, monkeypatch):
+    terms = _count_calls(monkeypatch, scoring_module, "_add_camera_term",
+                         key=lambda field, scene, camera_id, weight:
+                         camera_id)
+    exact = _count_calls(monkeypatch, scoring_module._Round, "exact",
+                         key=lambda self, cid, s_vd: cid)
     fields = _count_calls(monkeypatch, scoring_module,
                           "inverse_distance_field")
-    rounds = _count_calls(monkeypatch, selection_module, "round_winner")
     k = 5
     cfg = SelectionConfig(k_max=k, n_frames=4, strategy="geometric")
     state, _ = run_ivs(demo_scene, _trace(demo_scene), cfg)
     assert len(state.selected) == k
-    # one field per greedy round, not one per candidate
-    assert len(fields) == len(rounds) == k - 1
+    # the run carries one group field: each camera that joins the group
+    # adds its term once, and each contender scored exactly once more
+    assert sorted(terms) == sorted([*state.selected[:-1], *exact])
+    assert len(exact) >= k - 1 and fields == []
 
 
 def _exact_scores_per_round(monkeypatch):
     """The number of candidates each greedy round scores on the full grid,
     one list entry per round, filled as rounds run."""
     per_round = []
-    winner, exact = selection_module.round_winner, scoring_module._Round.exact
+    rounds, exact = selection_module.add_view, scoring_module._Round.exact
 
     def count_round(*args, **kwargs):
         per_round.append(0)
-        return winner(*args, **kwargs)
+        return rounds(*args, **kwargs)
 
     def count_exact(self, cid, s_vd):
         per_round[-1] += 1
         return exact(self, cid, s_vd)
-    monkeypatch.setattr(selection_module, "round_winner", count_round)
+    monkeypatch.setattr(selection_module, "add_view", count_round)
     monkeypatch.setattr(scoring_module._Round, "exact", count_exact)
     return per_round
 
