@@ -72,10 +72,16 @@ class GroundGrid:
 
     @cached_property
     def _cell_centers(self) -> tuple[np.ndarray, np.ndarray]:
+        return _read_only(*np.meshgrid(*self._cell_axes))
+
+    @cached_property
+    def _cell_axes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The x of each column's and the y of each row's cell centers: X
+        varies by column alone and Y by row alone."""
         ox, oy = self.origin
         xs = ox + (np.arange(self.width_cells) + 0.5) * self.cell_size_m
         ys = oy + (np.arange(self.height_cells) + 0.5) * self.cell_size_m
-        return _read_only(*np.meshgrid(xs, ys))
+        return _read_only(xs, ys)
 
     def world_to_cell(self, x, y):
         """Cell index (i, j) containing each world point, clamped in-bounds.
@@ -163,10 +169,12 @@ class CameraPose:
     def _frame_axes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         cy, sy = math.cos(self.yaw), math.sin(self.yaw)
         cp, sp = math.cos(self.pitch), math.sin(self.pitch)
-        forward = np.array([cp * cy, cp * sy, sp])
-        right = np.array([sy, -cy, 0.0])
-        up = np.cross(right, forward)
-        return _read_only(forward, right, up)
+        f = (cp * cy, cp * sy, sp)
+        r = (sy, -cy, 0.0)
+        u = (r[1] * f[2] - r[2] * f[1],  # right x forward
+             r[2] * f[0] - r[0] * f[2],
+             r[0] * f[1] - r[1] * f[0])
+        return _read_only(np.array(f), np.array(r), np.array(u))
 
     def to_config(self) -> dict:
         return {"id": self.id, "position": list(self.position_3d),
@@ -219,12 +227,27 @@ def project_footprint(camera: CameraPose, grid: GroundGrid) -> FovFootprint:
     A cell is covered iff its center is inside the (rectangular-pyramid)
     frustum through the four image corners and within max_range_m ground
     distance of the camera's ground position.
+
+    Only the box of rows and columns whose center lies within max_range_m
+    of the camera along that axis is tested: hypot(a, b) is never below
+    |a|, so every cell outside it fails the range test. Over the box each
+    term is a column term plus a row term plus a scalar, summed in the
+    order of the full-grid expression, so each cell's test has the bits of
+    the full-grid one.
     """
-    X, Y = grid.cell_centers()
+    xs, ys = grid._cell_axes
     cx, cy, cz = camera.position_3d
     forward, right, up = camera.frame_axes()
+    mask = np.zeros(grid.shape, dtype=bool)
+    vx, vy, vz = xs - cx, ys - cy, -cz
+    cols = np.flatnonzero(np.abs(vx) <= camera.max_range_m)
+    rows = np.flatnonzero(np.abs(vy) <= camera.max_range_m)
+    if not (cols.size and rows.size):
+        return FovFootprint(camera_id=camera.id, mask=mask)
+    box = np.s_[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
 
-    vx, vy, vz = X - cx, Y - cy, -cz
+    # over the box, vx varies along its columns and vy along its rows
+    vx, vy = vx[box[1]], vy[box[0], None]
     vf = forward[0] * vx + forward[1] * vy + forward[2] * vz
     vr = right[0] * vx + right[1] * vy + right[2] * vz
     vu = up[0] * vx + up[1] * vy + up[2] * vz
@@ -232,10 +255,10 @@ def project_footprint(camera: CameraPose, grid: GroundGrid) -> FovFootprint:
     tan_h = math.tan(camera.horizontal_fov_rad / 2.0)
     tan_v = math.tan(camera.vertical_fov_rad / 2.0)
     in_front = vf > 0
-    mask = (in_front
-            & (np.abs(vr) <= tan_h * vf)
-            & (np.abs(vu) <= tan_v * vf)
-            & (np.hypot(X - cx, Y - cy) <= camera.max_range_m))
+    mask[box] = (in_front
+                 & (np.abs(vr) <= tan_h * vf)
+                 & (np.abs(vu) <= tan_v * vf)
+                 & (np.hypot(vx, vy) <= camera.max_range_m))
     return FovFootprint(camera_id=camera.id, mask=mask)
 
 
@@ -259,6 +282,8 @@ class Scene:
 
     def __post_init__(self):
         object.__setattr__(self, "cameras", tuple(self.cameras))  # hashable
+        if not self.cameras:
+            raise ValueError("scene has no cameras")
         if len(set(self.camera_ids)) != len(self.cameras):
             raise ValueError("camera ids must be unique")
         footprints = [project_footprint(c, self.grid) for c in self.cameras]

@@ -235,6 +235,27 @@ def ref_frame_axes(cam):
     return np.array(f), np.array(r), np.array(u)
 
 
+def ref_project_footprint(camera, grid):
+    """The footprint mask as a full-grid vectorized test: every term over
+    all (h, w) cell centers, the range test included."""
+    X, Y = grid.cell_centers()
+    cx, cy, cz = camera.position_3d
+    forward, right, up = camera.frame_axes()
+
+    vx, vy, vz = X - cx, Y - cy, -cz
+    vf = forward[0] * vx + forward[1] * vy + forward[2] * vz
+    vr = right[0] * vx + right[1] * vy + right[2] * vz
+    vu = up[0] * vx + up[1] * vy + up[2] * vz
+
+    tan_h = math.tan(camera.horizontal_fov_rad / 2.0)
+    tan_v = math.tan(camera.vertical_fov_rad / 2.0)
+    in_front = vf > 0
+    return (in_front
+            & (np.abs(vr) <= tan_h * vf)
+            & (np.abs(vu) <= tan_v * vf)
+            & (np.hypot(X - cx, Y - cy) <= camera.max_range_m))
+
+
 def ref_world_to_cell(grid, x, y):
     ox, oy = grid.origin
     j = int(math.floor((x - ox) / grid.cell_size_m))

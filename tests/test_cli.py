@@ -160,6 +160,22 @@ def test_validate_catches_unknown_selection(artifacts, tmp_path):
                str(trace_path)) == EXIT_OK
 
 
+def test_validate_refuses_a_scene_without_cameras(artifacts, tmp_path,
+                                                 capsys):
+    scene_path, trace_path = artifacts
+    cfg = json.loads(scene_path.read_text())
+    cfg["cameras"] = []
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert run("validate", "--scene", str(empty)) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: scene has no cameras\n"
+    assert run("validate", "--scene", str(empty), "--trace",
+               str(trace_path)) == EXIT_VALIDATION
+
+
 def test_validate_names_the_first_off_grid_person(artifacts, tmp_path,
                                                   capsys):
     scene_path, _ = artifacts  # a 40x40 grid of 0.5 m cells: 20 m square

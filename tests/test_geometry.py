@@ -6,8 +6,9 @@ import pytest
 from viewsel import (CalibrationState, CameraPose, GroundGrid,
                      PredictorConfig, Scene, project_footprint)
 from viewsel.geometry import ground_axis_or_none
+from viewsel.synth import generate_scene
 
-from reference import ref_frame_axes, ref_world_to_cell
+from reference import ref_frame_axes, ref_project_footprint, ref_world_to_cell
 
 
 def test_grid_basic_properties(small_grid):
@@ -118,6 +119,82 @@ def test_footprint_matches_pointwise_frustum_test():
                     and math.hypot(X[i, j] - cx, Y[i, j] - cy)
                     <= cam.max_range_m)
                 assert fp.mask[i, j] == expected
+
+
+def _pose(x, y, *, z=6.0, yaw=0.4, pitch=-0.7, hfov=1.3, vfov=0.9,
+          max_range=12.0):
+    return CameraPose(id="c", position_3d=(x, y, z), yaw=yaw, pitch=pitch,
+                      horizontal_fov_rad=hfov, vertical_fov_rad=vfov,
+                      max_range_m=max_range)
+
+
+def _edge_poses(grid):
+    """Poses over, beside and far from the grid: off-grid ones whose range
+    box is empty or partial, ranges below one cell and above the grid
+    diagonal, straight-down and upward-looking ones."""
+    ox, oy = grid.origin
+    ex, ey = grid.extent_m
+    cs = grid.cell_size_m
+    mx, my = ox + ex / 2, oy + ey / 2
+    diag = math.hypot(ex, ey)
+    ccx = ox + (grid.width_cells // 2 + 0.5) * cs  # a cell center
+    ccy = oy + (grid.height_cells // 2 + 0.5) * cs
+    poses = [
+        _pose(ox - 50.0, my, yaw=0.0, max_range=5.0),       # empty box
+        _pose(mx, oy + ey + 40.0, yaw=-1.6, max_range=3.0),  # empty box
+        _pose(ox - 3.0, my, yaw=0.0, max_range=8.0),        # partial box
+        _pose(ox + ex + 2.0, oy - 2.0, yaw=2.4, max_range=ex / 2),
+        _pose(ox - 50.0, oy - 50.0, yaw=0.8, max_range=3 * diag),
+        _pose(ccx, ccy, pitch=-math.pi / 2, max_range=cs / 3),
+        _pose(ox + cs * 3, oy + cs * 2, pitch=-math.pi / 2,
+              max_range=cs / 3),                            # a cell corner
+        _pose(mx, my, pitch=-math.pi / 2, max_range=2 * diag),
+        _pose(mx, my, pitch=-math.pi / 2, hfov=3.0, vfov=3.0,
+              max_range=2 * diag),
+        _pose(mx, my, pitch=0.3, max_range=2 * diag),
+    ]
+    poses += [_pose(mx, my, yaw=yaw, pitch=pitch, max_range=r)
+              for yaw in (-math.pi, -2.0, 0.0, 0.7, math.pi / 2)
+              for pitch in (-1.5, -0.9, -0.2)
+              for r in (cs / 2, 4.0, diag)]
+    return poses
+
+
+@pytest.mark.parametrize("grid", [
+    GroundGrid(30, 30, 0.25), GroundGrid(30, 30, 0.37),
+    GroundGrid(30, 30, 1.0), GroundGrid(17, 41, 0.37, origin=(-12.5, 3.1)),
+    GroundGrid(33, 9, 0.25, origin=(1e3, -2e3)),
+    GroundGrid(1, 23, 1.0, origin=(0.5, -7.0))])
+def test_footprint_equals_full_grid_reference(grid):
+    """The range-box projection has the bits of the full-grid test."""
+    covered = 0
+    for cam in _edge_poses(grid):
+        mask = project_footprint(cam, grid).mask
+        assert mask.shape == grid.shape and mask.dtype == bool
+        assert np.array_equal(mask, ref_project_footprint(cam, grid)), cam
+        covered += bool(mask.any())
+    assert covered >= 10  # the poses do see the grid
+
+
+def test_footprint_equals_full_grid_reference_with_twins():
+    grid = GroundGrid(60, 45, 0.37, origin=(4.0, -9.5))
+    for seed in range(4):
+        scene = generate_scene(10, grid, seed=seed, twin_fraction=0.5,
+                               range_frac=(0.05, 1.2))
+        for cam, fp in zip(scene.cameras, scene.footprints, strict=True):
+            assert np.array_equal(fp.mask, ref_project_footprint(cam, grid))
+
+
+@pytest.mark.parametrize("seed", [0, 7919])
+@pytest.mark.parametrize("cells, n_cameras, seed_offset", [
+    (200, 40, 1000),    # the ivs_large benchmark roster
+    (120, 24, 3000)])   # the cli_eval_dense benchmark roster
+def test_footprint_equals_full_grid_reference_on_benchmark_rosters(
+        cells, n_cameras, seed_offset, seed):
+    grid = GroundGrid(cells, cells, 0.5)
+    scene = generate_scene(n_cameras, grid, seed=seed_offset + seed)
+    for cam, fp in zip(scene.cameras, scene.footprints, strict=True):
+        assert np.array_equal(fp.mask, ref_project_footprint(cam, grid))
 
 
 def test_frame_axes_orthonormal():
@@ -280,6 +357,13 @@ def test_visibility_of_no_cameras_is_all_false(demo_scene):
 def test_scene_rejects_duplicate_ids(small_grid, nadir_camera):
     with pytest.raises(ValueError):
         Scene(grid=small_grid, cameras=[nadir_camera, nadir_camera])
+
+
+def test_scene_rejects_an_empty_roster(small_grid):
+    with pytest.raises(ValueError, match="^scene has no cameras$"):
+        Scene(grid=small_grid, cameras=[])
+    with pytest.raises(ValueError, match="^scene has no cameras$"):
+        Scene.from_config({"grid": small_grid.to_config(), "cameras": []})
 
 
 def test_scene_lookup_by_id(demo_scene):

@@ -158,7 +158,8 @@ def test_oracle_predict_equals_loop_reference(data, sigma):
     references' visible people rasterized and masked."""
     grid, frame, mask = data
     vis = mask if mask is not None else np.ones(grid.shape, dtype=bool)
-    fast = oracle_predict(frame, vis, Scene(grid, []), sigma).values
+    fast = oracle_predict(frame, vis, generate_scene(1, grid, seed=0),
+                          sigma).values
     seen = ref_visible_persons(frame.positions.tolist(), vis, grid)
     assert np.array_equal(fast, ref_rasterize_density(seen, grid, sigma,
                                                       mask=vis))

@@ -20,7 +20,7 @@ from viewsel.selection import (SelectionState, _initial_state, add_view,
 from viewsel.serialize import canonical_json
 
 from conftest import assert_coverage_derived, random_small_scene
-from reference import ref_trace_from_csv
+from reference import ref_project_footprint, ref_trace_from_csv
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
@@ -42,7 +42,7 @@ def scenes(draw):
                           horizontal_fov_rad=draw(st.floats(0.05, 3.0)),
                           vertical_fov_rad=draw(st.floats(0.05, 3.0)),
                           max_range_m=draw(st.floats(0.1, 100.0)))
-               for i in range(draw(st.integers(0, 5)))]
+               for i in range(draw(st.integers(1, 5)))]
     return Scene(grid=grid, cameras=cameras)
 
 
@@ -56,6 +56,16 @@ def test_scene_config_round_trip(scene):
     for a, b in zip(back.footprints, scene.footprints):
         assert a.camera_id == b.camera_id
         assert np.array_equal(a.mask, b.mask)
+
+
+@given(scenes())
+@settings(max_examples=100, deadline=None)
+def test_footprints_equal_full_grid_reference(scene):
+    """Any origin and cell size, cameras on or off the grid: the range-box
+    projection has the bits of the full-grid test."""
+    for cam, fp in zip(scene.cameras, scene.footprints, strict=True):
+        assert np.array_equal(fp.mask,
+                              ref_project_footprint(cam, scene.grid))
 
 
 frames = st.lists(

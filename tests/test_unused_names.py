@@ -34,7 +34,9 @@ once, so only run_ivs, run_avs, run_selection (for the random strategy)
 and cli.cmd_sweep (each value's check before any cell runs) call it, and
 cli.cmd_select does not. And one module says what a valid number is: only
 serialize.py defines `require_finite`, `require_real` and `require_int`,
-and only it calls `math.isfinite`."""
+and only it calls `math.isfinite`. And full-grid coordinate work lives in
+one module: only geometry.py calls `project_footprint` or reads
+`cell_centers`."""
 
 import ast
 from pathlib import Path
@@ -329,3 +331,9 @@ def test_one_statement_of_a_valid_number():
     assert math_isfinite_callers(PACKAGE) == ["serialize"]
     # the walk does see a numpy isfinite call, which this rule allows
     assert "crowd" in callers(PACKAGE, "isfinite")
+
+
+def test_only_geometry_works_on_cell_centers():
+    assert callers(PACKAGE, "project_footprint") == ["geometry"]
+    reads = attribute_reads(PACKAGE, "cell_centers")
+    assert reads and all(r.startswith("geometry:") for r in reads)
