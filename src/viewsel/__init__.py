@@ -13,7 +13,7 @@ from .predictor import (CalibrationState, PredictorConfig, calibrate,
                         noisy_draw, noisy_predict, oracle_predict,
                         training_mae)
 from .scoring import (ScoreBreakdown, binarize_density, inverse_distance_field,
-                      round_winner, score_round)
+                      score_round)
 from .selection import (LabeledDataset, PseudoPair, SelectionConfig,
                         SelectionState, add_view, check_run,
                         make_modeltrain_pair, make_viewsel_pair,

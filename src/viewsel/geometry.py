@@ -50,6 +50,12 @@ class GroundGrid:
             raise ValueError("grid origin must have 2 entries")
         if self.cell_size_m <= 0:
             raise ValueError("cell_size_m must be positive")
+        # every cell center lies between the origin and the far corner
+        for cells, o in zip((self.width_cells, self.height_cells),
+                            self.origin):
+            extent = require_real(cells, "grid extent") * self.cell_size_m
+            require_real(extent, "grid extent")
+            require_real(o + extent, "grid far corner")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -65,19 +71,14 @@ class GroundGrid:
         return (self.width_cells * self.cell_size_m,
                 self.height_cells * self.cell_size_m)
 
-    def cell_centers(self) -> tuple[np.ndarray, np.ndarray]:
-        """World coordinates (X, Y) of all cell centers, each shaped (h, w);
-        computed once per grid and read-only."""
-        return self._cell_centers
-
-    @cached_property
-    def _cell_centers(self) -> tuple[np.ndarray, np.ndarray]:
-        return _read_only(*np.meshgrid(*self._cell_axes))
+    def cell_axes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The x of each column's and the y of each row's cell centers:
+        cell (i, j) is centered at (xs[j], ys[i]). Computed once per grid
+        and read-only."""
+        return self._cell_axes
 
     @cached_property
     def _cell_axes(self) -> tuple[np.ndarray, np.ndarray]:
-        """The x of each column's and the y of each row's cell centers: X
-        varies by column alone and Y by row alone."""
         ox, oy = self.origin
         xs = ox + (np.arange(self.width_cells) + 0.5) * self.cell_size_m
         ys = oy + (np.arange(self.height_cells) + 0.5) * self.cell_size_m
@@ -235,7 +236,7 @@ def project_footprint(camera: CameraPose, grid: GroundGrid) -> FovFootprint:
     order of the full-grid expression, so each cell's test has the bits of
     the full-grid one.
     """
-    xs, ys = grid._cell_axes
+    xs, ys = grid.cell_axes()
     cx, cy, cz = camera.position_3d
     forward, right, up = camera.frame_axes()
     mask = np.zeros(grid.shape, dtype=bool)
@@ -356,17 +357,19 @@ class Scene:
     @cached_property
     def _camera_table(self) -> dict:
         """Each camera's (footprint window, footprint mass, ground axis,
-        ground position) by id, for every camera on first use."""
-        X, Y = self.grid.cell_centers()
+        ground position) by id, for every camera on first use. A window's
+        distances are taken over the footprint's bounding box from the
+        grid's cell axes, X varying by column and Y by row."""
+        xs, ys = self.grid.cell_axes()
         table = {}
         for c, f in zip(self.cameras, self.footprints):
             window, mass = None, 0.0
-            rows, cols = np.nonzero(f.mask)
+            rows = np.flatnonzero(f.mask.any(axis=1))
             if rows.size:
-                box = np.s_[rows.min():rows.max() + 1,
-                            cols.min():cols.max() + 1]
-                distance = floored_distance(X[box], Y[box], c.ground_position,
-                                            self.grid)
+                cols = np.flatnonzero(f.mask.any(axis=0))
+                box = np.s_[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
+                distance = floored_distance(xs[box[1]], ys[box[0], None],
+                                            c.ground_position, self.grid)
                 window = (*box, *_read_only(
                     np.where(f.mask[box], distance, np.inf)))
                 mass = float((1.0 / window[2]).sum())

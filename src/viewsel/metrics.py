@@ -229,9 +229,11 @@ def extract_peaks(density: DensityMap, grid: GroundGrid, min_value: float,
     radius of an already-accepted peak, i.e. di**2 + dj**2 <=
     nms_radius_cells**2 in cells. Returns the world (x, y) of the accepted
     cell centers, in acceptance order, as an (n, 2) float array. A
-    non-finite min_value, or a radius that is not finite and at least one
-    cell, raises ValueError.
+    density off the grid's shape, a non-finite min_value, or a radius that
+    is not finite and at least one cell, raises ValueError.
     """
+    if density.values.shape != grid.shape:
+        raise ValueError("density does not match grid")
     require_real(min_value, "peak min_value")
     if require_real(nms_radius_cells, "nms_radius_cells") < 1:
         raise ValueError(f"nms_radius_cells must be finite and >= 1, got "
@@ -270,7 +272,5 @@ def extract_peaks(density: DensityMap, grid: GroundGrid, min_value: float,
     accepted = ~rivals.any(axis=1)
     for k in np.flatnonzero(~accepted).tolist():
         accepted[k] = not accepted[near[k][rivals[k]]].any()
-    ox, oy = grid.origin
-    cs = grid.cell_size_m
-    return np.stack((ox + (cj[accepted] + 0.5) * cs,
-                     oy + (ci[accepted] + 0.5) * cs), axis=1)
+    xs, ys = grid.cell_axes()
+    return np.stack((xs[cj[accepted]], ys[ci[accepted]]), axis=1)

@@ -15,10 +15,10 @@ distance field:
 A round is built by advancing an empty group one camera at a time: each
 camera adds its distance terms to the group field in place, its footprint
 to the FOV union and its row of diversity pair terms. A greedy round keeps
-only its best candidate: round_winner screens every candidate at once, as
-numpy vectors, and gives score_round's exact score only to those within
-rounding of the best. A greedy run's scorer (round_scorer) carries its
-round from one call to the next, so each camera joins the group once.
+only its best candidate: a greedy run's scorer (round_scorer) screens
+every candidate at once, as numpy vectors, and gives score_round's exact
+score only to those within rounding of the best. It carries its round
+from one call to the next, so each camera joins the group once.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ EPSILON = 1e-10
 
 ALL_TERMS = ("sc", "ad", "vd")
 
-# round_winner scores a candidate exactly when its screened total is at
+# round_scorer scores a candidate exactly when its screened total is at
 # least (1 - SCREEN_TOL) times the round's best screened total; rounding
 # moves a screened total by under 1e-13 of it on a 40k-cell grid
 SCREEN_TOL = 1e-9
@@ -99,7 +99,7 @@ class _Round:
     every roster camera, the count of its footprint cells in that union.
     exact scores ids + [c] on the full grid; screen gives every
     candidate's total at once from vector sums, up to rounding
-    (round_winner)."""
+    (round_scorer)."""
 
     def __init__(self, group: list[str], scene: Scene, strategy: str,
                  prediction: DensityMap | None, sigma_mode,
@@ -221,7 +221,7 @@ class _Round:
         return self._total(n_region / self.scene.grid.n_cells, s_ad, s_vd)
 
     def winner(self, candidates: list[str]) -> tuple[int, ScoreBreakdown]:
-        """round_winner's answer for ids + [c] over the candidates."""
+        """round_scorer's answer for ids + [c] over the candidates."""
         positions = _positions(self.scene, candidates)
         s_vd = self.diversity(positions)
         screened = self.screen(candidates, positions, s_vd)
@@ -257,12 +257,25 @@ def score_round(group: list[str], candidates: list[str], scene: Scene,
 def round_scorer(scene: Scene, strategy: str,
                  prediction: DensityMap | None = None, sigma_mode="mean",
                  terms: tuple[str, ...] = ALL_TERMS):
-    """A function of (group, candidates) that returns round_winner's
-    answer with the other arguments bound, and keeps its round between
-    calls: a group that extends the round's group advances the round by
-    its new cameras, any other group starts a fresh round. A greedy run
-    hands it the last group plus the last winner, so the run adds each
-    camera's field term, footprint and pair-term row once."""
+    """A function of (group, candidates) that returns the index in
+    candidates and the breakdown of the first maximum of score_round's
+    totals, with score_round's other arguments bound and its errors, from
+    fewer full-grid scores; no candidates raise ValueError.
+
+    Every candidate is first screened at once: its total is computed from
+    the group field's sum over the scored region, taken once per round,
+    plus the candidate's own terms (its Scene.footprint_mass for the
+    geometric strategy, its window's sum on the region otherwise). Every
+    summand is finite and non-negative, so both sums are within a relative
+    (k + 2 log2 n_cells) * 2**-52 or so of the true one; only the
+    candidates screened within SCREEN_TOL of the best get score_round's
+    exact score, and the winner is the first of their maxima.
+
+    The function keeps its round between calls: a group that extends the
+    round's group advances the round by its new cameras, any other group
+    starts a fresh round. A greedy run hands it the last group plus the
+    last winner, so the run adds each camera's field term, footprint and
+    pair-term row once."""
     rnd = _Round([], scene, strategy, prediction, sigma_mode, terms)
 
     def score_fn(group: list[str], candidates: list[str]
@@ -276,25 +289,6 @@ def round_scorer(scene: Scene, strategy: str,
             rnd.advance(cid)
         return rnd.winner(candidates)
     return score_fn
-
-
-def round_winner(group: list[str], candidates: list[str], scene: Scene,
-                 strategy: str, prediction: DensityMap | None = None,
-                 sigma_mode="mean", terms: tuple[str, ...] = ALL_TERMS
-                 ) -> tuple[int, ScoreBreakdown]:
-    """The index in candidates and the breakdown of the first maximum of
-    score_round's totals, with score_round's arguments and errors, from
-    fewer full-grid scores. Every candidate is first screened at once: its
-    total is computed from the group field's sum over the scored region,
-    taken once per round, plus the candidate's own terms (its
-    Scene.footprint_mass for the geometric strategy, its window's sum on
-    the region otherwise). Every summand is finite and non-negative, so
-    both sums are within a relative (k + 2 log2 n_cells) * 2**-52 or so of
-    the true one; only the candidates screened within SCREEN_TOL of the
-    best get score_round's exact score, and the winner is the first of
-    their maxima."""
-    return round_scorer(scene, strategy, prediction, sigma_mode, terms)(
-        group, candidates)
 
 
 def binarize_density(density: DensityMap, sigma_mode) -> np.ndarray:

@@ -229,9 +229,9 @@ def add_view(state: SelectionState, score_fn) -> SelectionState:
 
 def _score_fn(scene: Scene, config: SelectionConfig,
               prediction: DensityMap | None = None):
-    """add_view's score_fn: round_winner under the config's strategy, which
-    scores the prediction (None for geometric), from one round carried
-    across the calls (round_scorer)."""
+    """add_view's score_fn: the config's round_scorer, which scores the
+    prediction (None for geometric) and carries one round across the
+    calls."""
     return round_scorer(scene, config.strategy, prediction,
                         config.sigma_mode, config.terms)
 

@@ -16,9 +16,19 @@ from scipy.optimize import linear_sum_assignment
 from viewsel import CrowdFrame, cover_rate
 
 
+def ref_cell_centers(grid):
+    """World coordinates (X, Y) of every cell center, each shaped (h, w):
+    cell (i, j) is centered at origin + ((j + 0.5) * cell_size,
+    (i + 0.5) * cell_size)."""
+    ox, oy = grid.origin
+    h, w = grid.shape
+    return np.meshgrid(ox + (np.arange(w) + 0.5) * grid.cell_size_m,
+                       oy + (np.arange(h) + 0.5) * grid.cell_size_m)
+
+
 def ref_inverse_distance(cams, masks, grid):
     h, w = grid.shape
-    X, Y = grid.cell_centers()
+    X, Y = ref_cell_centers(grid)
     D = np.zeros((h, w))
     for cam, mask in zip(cams, masks):
         cx, cy = cam.ground_position
@@ -32,7 +42,7 @@ def ref_inverse_distance(cams, masks, grid):
 
 def ref_density_weighted(cams, masks, grid, density):
     h, w = grid.shape
-    X, Y = grid.cell_centers()
+    X, Y = ref_cell_centers(grid)
     D = np.zeros((h, w))
     for cam, mask in zip(cams, masks):
         cx, cy = cam.ground_position
@@ -47,7 +57,7 @@ def ref_density_weighted(cams, masks, grid, density):
 def ref_full_grid_field(cams, footprints, grid, weight=None):
     """Vectorized full-grid field: each camera's floored distance to every
     cell center, added as fp.mask * w / d in group order."""
-    X, Y = grid.cell_centers()
+    X, Y = ref_cell_centers(grid)
     field = np.zeros(grid.shape)
     for cam, fp in zip(cams, footprints):
         cx, cy = cam.ground_position
@@ -235,17 +245,22 @@ def ref_frame_axes(cam):
     return np.array(f), np.array(r), np.array(u)
 
 
-def ref_project_footprint(camera, grid):
+def ref_project_footprint(camera, grid, regrouped=()):
     """The footprint mask as a full-grid vectorized test: every term over
-    all (h, w) cell centers, the range test included."""
-    X, Y = grid.cell_centers()
+    all (h, w) cell centers, the range test included. Each of the frustum
+    terms vf, vr and vu sums its three products left to right, or, if
+    named in regrouped, as a[0] * vx + (a[1] * vy + a[2] * vz)."""
+    X, Y = ref_cell_centers(grid)
     cx, cy, cz = camera.position_3d
     forward, right, up = camera.frame_axes()
 
     vx, vy, vz = X - cx, Y - cy, -cz
-    vf = forward[0] * vx + forward[1] * vy + forward[2] * vz
-    vr = right[0] * vx + right[1] * vy + right[2] * vz
-    vu = up[0] * vx + up[1] * vy + up[2] * vz
+
+    def term(name, a):
+        if name in regrouped:
+            return a[0] * vx + (a[1] * vy + a[2] * vz)
+        return a[0] * vx + a[1] * vy + a[2] * vz
+    vf, vr, vu = term("vf", forward), term("vr", right), term("vu", up)
 
     tan_h = math.tan(camera.horizontal_fov_rad / 2.0)
     tan_v = math.tan(camera.vertical_fov_rad / 2.0)

@@ -233,6 +233,31 @@ def test_off_grid_person_is_validation_error(artifacts, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("h, cell_size, message", [
+    (40, 1e308, "grid extent must be finite, not inf"),
+    (10 ** 400, 0.5, "grid extent is too large for a float")])
+@pytest.mark.parametrize("command", ["validate", "select", "scene-gen"])
+def test_overflowing_grid_is_validation_error(artifacts, tmp_path, capsys,
+                                              command, h, cell_size, message):
+    # a grid whose extent in meters no float holds
+    scene_path, trace_path = artifacts
+    cfg = json.loads(scene_path.read_text())
+    cfg["grid"].update(h=h, cell_size_m=cell_size)
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    args = {"validate": ["--scene", str(huge)],
+            "select": ["--scene", str(huge), "--trace", str(trace_path),
+                       "--k", "2", "--frames", "2", "--out", str(out)],
+            "scene-gen": ["--cameras", "3", "--grid", f"{h}x40",
+                          "--cell-size", str(cell_size),
+                          "--out-dir", str(out)]}[command]
+    capsys.readouterr()
+    assert run(command, *args) == EXIT_VALIDATION
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
 def test_eval_rejects_unknown_trained_predictor_key(artifacts, tmp_path,
                                                     capsys):
     """eval --use-trained refuses a trained predictor with an unknown key,

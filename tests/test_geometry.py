@@ -8,7 +8,8 @@ from viewsel import (CalibrationState, CameraPose, GroundGrid,
 from viewsel.geometry import ground_axis_or_none
 from viewsel.synth import generate_scene
 
-from reference import ref_frame_axes, ref_project_footprint, ref_world_to_cell
+from reference import (ref_cell_centers, ref_frame_axes, ref_project_footprint,
+                       ref_world_to_cell)
 
 
 def test_grid_basic_properties(small_grid):
@@ -29,12 +30,23 @@ def test_grid_validation():
                      ({"origin": (0.0, "1")}, "grid origin must be a")):
         with pytest.raises(ValueError, match=what):
             GroundGrid(**{"height_cells": 4, "width_cells": 4, **kw})
+    # the extent and the far corner, origin + extent, must be finite
+    for kw, what in (({"cell_size_m": 1e308}, "grid extent must be finite"),
+                     ({"width_cells": 10 ** 400}, "grid extent is too large"),
+                     ({"cell_size_m": 1e307, "origin": (0.0, 1.7e308)},
+                      "grid far corner must be finite"),
+                     ({"cell_size_m": 1e307, "origin": (1.7e308, 0.0)},
+                      "grid far corner must be finite")):
+        with pytest.raises(ValueError, match=what):
+            GroundGrid(**{"height_cells": 4, "width_cells": 4, **kw})
+    grid = GroundGrid(4, 4, 1e307, origin=(-1.7e308, 1.3e308))
+    assert all(np.isfinite(axis).all() for axis in grid.cell_axes())
 
 
 def test_cell_centers_match_world_to_cell():
     grid = GroundGrid(height_cells=7, width_cells=9, cell_size_m=0.5,
                       origin=(3.0, -2.0))
-    X, Y = grid.cell_centers()
+    X, Y = ref_cell_centers(grid)
     for i in range(grid.height_cells):
         for j in range(grid.width_cells):
             assert grid.world_to_cell(X[i, j], Y[i, j]) == (i, j)
@@ -72,7 +84,7 @@ def test_nadir_footprint_exact_area(nadir_camera):
     grid = GroundGrid(height_cells=100, width_cells=100, cell_size_m=0.5)
     fp = project_footprint(nadir_camera, grid)
     assert fp.area_cells == 1600
-    X, Y = grid.cell_centers()
+    X, Y = ref_cell_centers(grid)
     inside = (np.abs(X - 10.0) <= 10.0) & (np.abs(Y - 10.0) <= 10.0)
     assert (fp.mask == inside).all()
 
@@ -84,7 +96,7 @@ def test_footprint_respects_range_cap(nadir_camera):
                         horizontal_fov_rad=math.pi / 2,
                         vertical_fov_rad=math.pi / 2, max_range_m=5.0)
     fp = project_footprint(capped, grid)
-    X, Y = grid.cell_centers()
+    X, Y = ref_cell_centers(grid)
     assert not fp.mask[np.hypot(X - 10.0, Y - 10.0) > 5.0].any()
 
 
@@ -104,7 +116,7 @@ def test_footprint_matches_pointwise_frustum_test():
         grid = GroundGrid(height_cells=20, width_cells=20, cell_size_m=1.0)
         fp = project_footprint(cam, grid)
         f, r, u = cam.frame_axes()
-        X, Y = grid.cell_centers()
+        X, Y = ref_cell_centers(grid)
         cx, cy, cz = cam.position_3d
         for i in range(20):
             for j in range(20):
@@ -197,6 +209,45 @@ def test_footprint_equals_full_grid_reference_on_benchmark_rosters(
         assert np.array_equal(fp.mask, ref_project_footprint(cam, grid))
 
 
+# poses with a cell center of ON_PLANE_GRID within rounding of a side
+# plane of the frustum: each hfov is 2 * atan(|vr| / vf), or each vfov
+# 2 * atan(|vu| / vf), of one center. They were found by searching drawn
+# poses for masks that change when the term named beside the pose sums its
+# products in another order
+ON_PLANE_GRID = GroundGrid(16, 16, 0.7, origin=(-3.1, 2.3))
+ON_PLANE_POSES = [
+    # (position, yaw, pitch, hfov, vfov), term
+    (((6.225614453718055, 5.715501043873253, 3.675586100950665),
+      0.887752357957684, -0.9302712333997736, 0.8884233574656308,
+      0.786667768906637), "vf"),
+    (((1.5441455127835124, 5.126216004033768, 6.978000145928249),
+      0.4640778821813889, -0.4980833712160596, 1.1092939830059851,
+      0.413756236419801), "vf"),
+    (((4.0339708980002875, -0.07838880584465269, 2.286814667553363),
+      3.049585685348907, -0.29596886499450603, 1.0778712106482238,
+      0.03370469545822833), "vu"),
+    (((4.955261455659491, -2.920892629335994, 7.3056570164949965),
+      2.379018857628417, -1.2273092536035177, 1.1360054829837543,
+      0.7421524076648224), "vu")]
+
+
+@pytest.mark.parametrize("pose, term", ON_PLANE_POSES)
+def test_footprint_keeps_the_frustum_sum_order(pose, term):
+    position, yaw, pitch, hfov, vfov = pose
+    cam = CameraPose(id="c", position_3d=position, yaw=yaw, pitch=pitch,
+                     horizontal_fov_rad=hfov, vertical_fov_rad=vfov,
+                     max_range_m=50.0)
+    got = project_footprint(cam, ON_PLANE_GRID).mask
+    assert np.array_equal(got, ref_project_footprint(cam, ON_PLANE_GRID))
+    # the pose is sharp: summed in another order, term moves a cell across
+    # the plane
+    assert not np.array_equal(got, ref_project_footprint(
+        cam, ON_PLANE_GRID, regrouped=(term,)))
+    # right is horizontal (right[2] == 0.0), so vr has one sum in any order
+    assert np.array_equal(got, ref_project_footprint(
+        cam, ON_PLANE_GRID, regrouped=("vr",)))
+
+
 def test_frame_axes_orthonormal():
     rng = np.random.default_rng(0)
     for _ in range(50):
@@ -228,22 +279,23 @@ def test_frame_axes_equal_fresh_transcription(nadir_camera):
             assert np.array_equal(g, want)
 
 
-def test_cell_centers_equal_fresh_meshgrid():
+def test_cell_axes_equal_the_arange_formula():
     for h, w, cs, origin in ((7, 9, 0.5, (3.0, -2.0)),
                              (1, 13, 0.3, (-1.7, 0.1)),
                              (40, 25, 1.25, (1e3, -2e3))):
         grid = GroundGrid(height_cells=h, width_cells=w, cell_size_m=cs,
                           origin=origin)
-        xs = origin[0] + (np.arange(w) + 0.5) * cs
-        ys = origin[1] + (np.arange(h) + 0.5) * cs
-        got = grid.cell_centers()
-        assert grid.cell_centers() is got  # computed once per grid
-        for g, want in zip(got, np.meshgrid(xs, ys), strict=True):
-            assert np.array_equal(g, want)
+        got = grid.cell_axes()
+        assert grid.cell_axes() is got  # computed once per grid
+        want = (origin[0] + (np.arange(w) + 0.5) * cs,
+                origin[1] + (np.arange(h) + 0.5) * cs)
+        for g, v in zip(got, want, strict=True):
+            assert g.dtype == np.float64 and np.array_equal(g, v)
+            assert not g.flags.writeable
 
 
 def test_cached_constants_are_read_only(small_grid, nadir_camera):
-    for arr in small_grid.cell_centers() + nadir_camera.frame_axes():
+    for arr in small_grid.cell_axes() + nadir_camera.frame_axes():
         with pytest.raises(ValueError):
             arr[0] = 1.0
     assert small_grid == GroundGrid(height_cells=40, width_cells=40,

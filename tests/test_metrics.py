@@ -284,6 +284,15 @@ def test_extract_peaks_rejects_bad_parameters(min_value, radius):
         extract_peaks(DensityMap(values=v), grid, min_value, radius)
 
 
+def test_extract_peaks_rejects_a_density_off_the_grid():
+    grid = GroundGrid(height_cells=5, width_cells=5, cell_size_m=1.0)
+    for shape in ((5, 6), (4, 5)):
+        v = np.zeros(shape)
+        v[2, 2] = 1.0
+        with pytest.raises(ValueError, match="density does not match grid"):
+            extract_peaks(DensityMap(values=v), grid, 0.1, 2.0)
+
+
 def test_extract_peaks_suppresses_at_exactly_the_radius():
     grid = GroundGrid(height_cells=9, width_cells=9, cell_size_m=1.0)
     v = np.zeros(grid.shape)

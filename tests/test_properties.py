@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from viewsel import (CalibrationState, CrowdFrame, DensityMap,
                      PredictorConfig, accumulate_density, binarize_density,
-                     calibrate, check_trace, cover_rate, kernel_table,
-                     noisy_predict, oracle_predict, rasterize_density,
-                     score_round)
+                     calibrate, check_trace, cover_rate, extract_peaks,
+                     kernel_table, noisy_predict, oracle_predict,
+                     rasterize_density, score_round)
 from viewsel.geometry import FovFootprint, GroundGrid, Scene
 from viewsel.selection import view_person_credit
 from viewsel.synth import generate_scene
@@ -392,3 +392,25 @@ def test_calibrate_epochs_equals_successive_calls(credit, n, labeled,
     for _ in range(n):
         stepwise = calibrate(stepwise, credit)
     assert calibrate(config, credit, epochs=n) == stepwise
+
+
+@given(st.integers(1, 25), st.integers(1, 25), st.floats(1e-3, 1e3),
+       st.floats(-1e4, 1e4), st.floats(-1e4, 1e4),
+       st.integers(0, 2 ** 31 - 1))
+@settings(max_examples=300, deadline=None)
+def test_peaks_are_cell_centers_by_the_grid_formula(h, w, cs, ox, oy, seed):
+    # peaks planted two or more cells apart each survive NMS, in descending
+    # value order, at exactly origin + (index + 0.5) * cell_size
+    grid = GroundGrid(h, w, cs, origin=(ox, oy))
+    rng = np.random.default_rng(seed)
+    planted = []
+    for i, j in zip(rng.integers(h, size=8), rng.integers(w, size=8)):
+        if all(max(abs(i - a), abs(j - b)) >= 2 for a, b in planted):
+            planted.append((int(i), int(j)))
+    values = np.zeros(grid.shape)
+    for (i, j), v in zip(planted, rng.permutation(len(planted)) + 1.0):
+        values[i, j] = v
+    planted.sort(key=lambda ij: -values[ij])
+    got = extract_peaks(DensityMap(values=values), grid, 0.5, 1.0)
+    assert got.tolist() == [[ox + (j + 0.5) * cs, oy + (i + 0.5) * cs]
+                            for i, j in planted]

@@ -8,11 +8,11 @@ import pytest
 from viewsel import (CameraPose, DensityMap, GroundGrid, Scene,
                      binarize_density, inverse_distance_field, score_round)
 from viewsel import scoring as scoring_module
-from viewsel.scoring import ALL_TERMS, round_winner
+from viewsel.scoring import ALL_TERMS, round_scorer
 from viewsel.selection import SelectionConfig, _score_fn
 
 from conftest import random_small_scene
-from reference import (ref_diversity, ref_full_grid_field,
+from reference import (ref_cell_centers, ref_diversity, ref_full_grid_field,
                        ref_score_density, ref_score_geometric, ref_score_mask,
                        ref_totals)
 
@@ -96,7 +96,7 @@ def test_inverse_distance_single_camera(small_grid):
                      vertical_fov_rad=1.0, max_range_m=30.0)
     scene = Scene(grid=small_grid, cameras=[cam])
     field = inverse_distance_field(["c"], scene)
-    X, Y = small_grid.cell_centers()
+    X, Y = ref_cell_centers(small_grid)
     d = np.maximum(np.hypot(X, Y), small_grid.cell_size_m / 2)
     mask = scene.footprints[0].mask
     assert np.allclose(field[mask], (1.0 / d)[mask])
@@ -336,7 +336,7 @@ def test_footprint_window_equals_full_grid_formula_exactly():
     scenes = [_edge_case_scene()] + [random_small_scene(rng)
                                      for _ in range(20)]
     for scene in scenes:
-        X, Y = scene.grid.cell_centers()
+        X, Y = ref_cell_centers(scene.grid)
         for cam in scene.cameras:
             mask = scene.footprint(cam.id).mask
             if not mask.any():
@@ -409,9 +409,10 @@ def test_score_names_cameras_by_id(demo_scene):
     for group, candidates in ((ids[:1], [unknown]), ([unknown], ids[1:]),
                               (ids[:1], demo_scene.cameras[1:2]),
                               (demo_scene.cameras[:1], ids[1:])):
-        for score in (score_round, round_winner):
-            with pytest.raises(KeyError):
-                score(group, candidates, demo_scene, "geometric")
+        with pytest.raises(KeyError):
+            score_round(group, candidates, demo_scene, "geometric")
+        with pytest.raises(KeyError):
+            round_scorer(demo_scene, "geometric")(group, candidates)
     with pytest.raises(KeyError):
         inverse_distance_field([unknown], demo_scene)
     assert score_round(ids[:1], ids[1:], demo_scene, "geometric")
@@ -440,7 +441,7 @@ def _with_twins(rng, scene):
     return Scene(grid=scene.grid, cameras=[*scene.cameras, *twins])
 
 
-def test_round_winner_is_the_first_maximum_of_score_round():
+def test_round_scorer_picks_the_first_maximum_of_score_round():
     # the screened round picks the full scan's first maximum, with its bits,
     # on every strategy, every subset of terms and both kinds of sigma_mode
     rng = np.random.default_rng(24)
@@ -462,8 +463,8 @@ def test_round_winner_is_the_first_maximum_of_score_round():
             full = score_round(group, candidates, scene, strategy, pred,
                                sigma_mode, terms)
             want = max(range(len(full)), key=lambda i: full[i].total)
-            index, sb = round_winner(group, candidates, scene, strategy,
-                                     pred, sigma_mode, terms)
+            index, sb = round_scorer(scene, strategy, pred, sigma_mode,
+                                     terms)(group, candidates)
             assert index == want
             assert _bits(sb) == _bits(full[want])
 
@@ -482,7 +483,7 @@ def _other_groups(rng, scene, group):
 
 def test_carried_rounds_equal_fresh_rounds():
     # a greedy run's score_fn carries one round from call to call; each
-    # call returns round_winner's answer for a round built afresh, along a
+    # call returns the answer of a round built afresh, along a
     # greedy chain, after a group that extends the chain by a camera other
     # than the last winner, and after groups that do not extend it at all
     rng = np.random.default_rng(25)
@@ -504,8 +505,8 @@ def test_carried_rounds_equal_fresh_rounds():
             def check(group, kind):
                 kinds.add(kind)
                 candidates = sorted(set(scene.camera_ids) - set(group))
-                index, sb = round_winner(group, candidates, scene, strategy,
-                                         pred, sigma_mode, terms)
+                index, sb = round_scorer(scene, strategy, pred, sigma_mode,
+                                         terms)(group, candidates)
                 got_index, got = score_fn(list(group), candidates)
                 assert (got_index, _bits(got)) == (index, _bits(sb)), kind
                 return candidates[index]
@@ -548,9 +549,9 @@ def test_screen_tolerance_covers_rounding_near_ties(monkeypatch):
     scene, group, candidates = _mirrored_near_tie()
     a, b = score_round(group, candidates, scene, "geometric")
     assert 0.0 < a.total - b.total <= 1e-15 * a.total
-    assert round_winner(group, candidates, scene, "geometric") == (0, a)
+    assert round_scorer(scene, "geometric")(group, candidates) == (0, a)
     # with no tolerance only the screen's top, b, is scored exactly
     monkeypatch.setattr(scoring_module, "SCREEN_TOL", 0.0)
-    assert round_winner(group, candidates, scene, "geometric") == (1, b)
+    assert round_scorer(scene, "geometric")(group, candidates) == (1, b)
     with pytest.raises(ValueError, match="no candidates"):
-        round_winner(group, [], scene, "geometric")
+        round_scorer(scene, "geometric")(group, [])

@@ -34,9 +34,10 @@ once, so only run_ivs, run_avs, run_selection (for the random strategy)
 and cli.cmd_sweep (each value's check before any cell runs) call it, and
 cli.cmd_select does not. And one module says what a valid number is: only
 serialize.py defines `require_finite`, `require_real` and `require_int`,
-and only it calls `math.isfinite`. And full-grid coordinate work lives in
-one module: only geometry.py calls `project_footprint` or reads
-`cell_centers`."""
+and only it calls `math.isfinite`. And where a cell center lies is stated
+once, by GroundGrid.cell_axes: no module calls `meshgrid` or reads
+`cell_centers`, only geometry.py and metrics.py (extract_peaks) read
+`cell_axes`, and only geometry.py calls `project_footprint`."""
 
 import ast
 from pathlib import Path
@@ -333,7 +334,10 @@ def test_one_statement_of_a_valid_number():
     assert "crowd" in callers(PACKAGE, "isfinite")
 
 
-def test_only_geometry_works_on_cell_centers():
+def test_one_statement_of_a_cell_center():
+    assert callers(PACKAGE, "meshgrid") == []
+    assert attribute_reads(PACKAGE, "cell_centers") == []
+    reads = attribute_reads(PACKAGE, "cell_axes")
+    assert sorted({r.split(":")[0] for r in reads}) == ["geometry",
+                                                        "metrics"]
     assert callers(PACKAGE, "project_footprint") == ["geometry"]
-    reads = attribute_reads(PACKAGE, "cell_centers")
-    assert reads and all(r.startswith("geometry:") for r in reads)
