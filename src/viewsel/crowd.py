@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import csv
 import math
+import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -322,36 +324,95 @@ _COLUMNS = ("frame_id", "person_idx", "x_m", "y_m")
 
 
 def trace_to_csv(frames: list[CrowdFrame], path) -> None:
+    """Write frames as a trace CSV, a row per person, in the bytes that
+    csv.writer writes: \r\n line endings, and an empty frame as one row
+    with empty person fields. The text is built before the file is opened,
+    so frames that cannot be written leave the file as it was."""
+    lines = [",".join(_COLUMNS)]
+    for frame in frames:
+        fid = frame.frame_id
+        if not len(frame.positions):
+            lines.append(f"{fid},,,")
+        # repr of Python floats: numpy 2 scalars print as np.float64(...)
+        lines += [f"{fid},{idx},{x!r},{y!r}"
+                  for idx, (x, y) in enumerate(frame.positions.tolist())]
+    lines.append("")
+    text = "\r\n".join(lines)
     with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(_COLUMNS)
-        for frame in frames:
-            if not len(frame.positions):
-                # one row with empty person fields keeps the frame
-                writer.writerow([frame.frame_id, "", "", ""])
-            # repr of Python floats: numpy 2 scalars print as np.float64(...)
-            for idx, (x, y) in enumerate(frame.positions.tolist()):
-                writer.writerow([frame.frame_id, idx, repr(x), repr(y)])
+        f.write(text)
+
+
+# a trace row as the bulk reader parses it; person_idx is parsed only so
+# that an empty one, an empty frame's row, sends the file to the loop
+_ROW = np.dtype([("frame_id", np.int64), ("person_idx", float),
+                 ("x_m", float), ("y_m", float)])
+
+
+# the ASCII bytes that send a file to the csv loop: a quote, as loadtxt
+# splits a quoted field that csv reads whole, and the separators \x1c-\x1f,
+# which loadtxt strips around a number and int() and float() refuse.
+# Non-ASCII text goes to the loop too: loadtxt has crashed the process on it
+_LOOP_ONLY = re.compile(rb'["\x1c-\x1f]')
 
 
 def trace_from_csv(path) -> list[CrowdFrame]:
     """The frames of a trace CSV in frame-id order. Columns are found by
     header name; blank lines are skipped; a row with an empty person_idx
     keeps its frame without adding a person. A row that cannot be read
-    raises ValueError naming its line."""
+    raises ValueError naming its line.
+
+    A file of ASCII text with no quote and no \\x1c-\\x1f separator is
+    parsed in bulk by one np.loadtxt call. Any other file, and one that
+    loadtxt refuses or warns of (an empty frame's row, a short row, a value
+    that only Python reads, no rows at all), is read by the csv loop, which
+    names a faulty line. Both read every file that both accept to the same
+    frames."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    if not raw.isascii() or _LOOP_ONLY.search(raw):
+        return _csv_trace(path)
+    with open(path, newline="") as f:
+        cols = _trace_columns(next(csv.reader(f), None))
+        if cols is None:
+            return []
+        try:
+            with warnings.catch_warnings():
+                # loadtxt warns of a body with no rows
+                warnings.simplefilter("error")
+                rows = np.loadtxt(f, dtype=_ROW, delimiter=",",
+                                  comments=None, usecols=cols, ndmin=1)
+        except (ValueError, Warning):
+            return _csv_trace(path)
+    order = np.argsort(rows["frame_id"], kind="stable")
+    fids, starts = np.unique(rows["frame_id"][order], return_index=True)
+    xy = np.column_stack((rows["x_m"][order], rows["y_m"][order]))
+    return [CrowdFrame(frame_id=fid, positions=part)
+            for fid, part in zip(fids.tolist(), np.split(xy, starts[1:]))]
+
+
+def _trace_columns(header: list[str] | None) -> tuple[int, ...] | None:
+    """The indices of the frame_id, person_idx, x_m and y_m columns of a
+    trace header (None: a file with no header)."""
+    if header is None:
+        return None
+    # the last column of a repeated name wins, as in csv.DictReader
+    col = {name: k for k, name in enumerate(header)}
+    missing = [c for c in _COLUMNS if c not in col]
+    if missing:
+        raise ValueError(f"trace header lacks columns {missing}")
+    return tuple(col[c] for c in _COLUMNS)
+
+
+def _csv_trace(path) -> list[CrowdFrame]:
+    """trace_from_csv by csv.reader, one row at a time."""
     by_frame: dict[int, list[tuple[float, float]]] = {}
     with open(path, newline="") as f:
         rows = csv.reader(f)
-        header = next(rows, None)
-        if header is None:
+        cols = _trace_columns(next(rows, None))
+        if cols is None:
             return []
-        # the last column of a repeated name wins, as in csv.DictReader
-        col = {name: k for k, name in enumerate(header)}
-        missing = [c for c in _COLUMNS if c not in col]
-        if missing:
-            raise ValueError(f"trace header lacks columns {missing}")
-        fi, pi, xi, yi = (col[c] for c in _COLUMNS)
-        width = max(fi, pi, xi, yi) + 1
+        fi, pi, xi, yi = cols
+        width = max(cols) + 1
         try:
             for row in rows:
                 if not row:

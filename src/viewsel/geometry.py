@@ -56,6 +56,11 @@ class GroundGrid:
             extent = require_real(cells, "grid extent") * self.cell_size_m
             require_real(extent, "grid extent")
             require_real(o + extent, "grid far corner")
+        # a flat cell index, and kernel_table's spare bin h*w, must fit in
+        # an index
+        if self.height_cells * self.width_cells + 1 > np.iinfo(np.intp).max:
+            raise ValueError(f"grid {self.height_cells}x{self.width_cells} "
+                             f"has more cells than an index can hold")
 
     @property
     def shape(self) -> tuple[int, int]:

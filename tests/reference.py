@@ -232,6 +232,18 @@ def ref_trace_from_csv(path):
             for fid in sorted(by_frame)]
 
 
+def ref_trace_to_csv(frames, path):
+    """A trace CSV written one csv.writer row at a time."""
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(("frame_id", "person_idx", "x_m", "y_m"))
+        for frame in frames:
+            if not len(frame.positions):
+                writer.writerow([frame.frame_id, "", "", ""])
+            for idx, (x, y) in enumerate(frame.positions.tolist()):
+                writer.writerow([frame.frame_id, idx, repr(x), repr(y)])
+
+
 def ref_frame_axes(cam):
     """(forward, right, up) of a pose, up written out as the cross product
     right x forward component by component."""

@@ -233,6 +233,17 @@ def test_off_grid_person_is_validation_error(artifacts, tmp_path, capsys,
     assert not out.exists()
 
 
+def test_scene_gen_refuses_a_grid_no_index_holds(tmp_path, capsys):
+    out = tmp_path / "scene"
+    assert run("scene-gen", "--cameras", "3", "--grid",
+               "10000000000x10000000000", "--out-dir",
+               str(out)) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "error: grid 10000000000x10000000000 has more cells than an index "
+        "can hold\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("h, cell_size, message", [
     (40, 1e308, "grid extent must be finite, not inf"),
     (10 ** 400, 0.5, "grid extent is too large for a float")])

@@ -237,6 +237,15 @@ def test_trace_csv_is_byte_stable(small_grid, tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_failed_trace_write_leaves_the_earlier_file(tmp_path):
+    path = tmp_path / "trace.csv"
+    trace_to_csv([_frame([(1.0, 2.0)])], path)
+    before = path.read_bytes()
+    with pytest.raises(AttributeError):
+        trace_to_csv([_frame([(3.0, 4.0)], fid=1), None], path)
+    assert path.read_bytes() == before
+
+
 def test_check_trace_names_the_first_fault_in_trace_order(small_grid):
     # a 40x40 grid of 0.5 m cells: the closed square [0, 20] x [0, 20]
     inside = [(0.0, 0.0), (20.0, 20.0), (20.0, 0.0), (10.0, 5.0)]

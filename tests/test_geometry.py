@@ -39,6 +39,13 @@ def test_grid_validation():
                       "grid far corner must be finite")):
         with pytest.raises(ValueError, match=what):
             GroundGrid(**{"height_cells": 4, "width_cells": 4, **kw})
+    # the spare bin h*w of kernel_table must be a valid index; the grid is
+    # refused before anything is allocated
+    top = np.iinfo(np.intp).max
+    for h, w in ((top, 1), (2 ** 62, 2), (10 ** 10, 10 ** 10)):
+        with pytest.raises(ValueError,
+                           match=f"grid {h}x{w} has more cells than"):
+            GroundGrid(height_cells=h, width_cells=w)
     grid = GroundGrid(4, 4, 1e307, origin=(-1.7e308, 1.3e308))
     assert all(np.isfinite(axis).all() for axis in grid.cell_axes())
 

@@ -37,7 +37,9 @@ serialize.py defines `require_finite`, `require_real` and `require_int`,
 and only it calls `math.isfinite`. And where a cell center lies is stated
 once, by GroundGrid.cell_axes: no module calls `meshgrid` or reads
 `cell_centers`, only geometry.py and metrics.py (extract_peaks) read
-`cell_axes`, and only geometry.py calls `project_footprint`."""
+`cell_axes`, and only geometry.py calls `project_footprint`. And the trace
+file format is known in one place: only crowd.py holds the column name
+`person_idx`, and only crowd.trace_from_csv calls `loadtxt`."""
 
 import ast
 from pathlib import Path
@@ -341,3 +343,8 @@ def test_one_statement_of_a_cell_center():
     assert sorted({r.split(":")[0] for r in reads}) == ["geometry",
                                                         "metrics"]
     assert callers(PACKAGE, "project_footprint") == ["geometry"]
+
+
+def test_one_statement_of_the_trace_format():
+    assert constant_holders(PACKAGE, "person_idx") == ["crowd"]
+    assert calling_functions(PACKAGE, "loadtxt") == ["crowd.trace_from_csv"]
