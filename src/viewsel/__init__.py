@@ -12,8 +12,7 @@ from .metrics import (CountingReport, LocalizationReport, counting_metrics,
 from .predictor import (CalibrationState, PredictorConfig, calibrate,
                         noisy_draw, noisy_predict, oracle_predict,
                         training_mae)
-from .scoring import (ScoreBreakdown, binarize_density, inverse_distance_field,
-                      score_round)
+from .scoring import ScoreBreakdown, binarize_density, score_round
 from .selection import (LabeledDataset, PseudoPair, SelectionConfig,
                         SelectionState, add_view, check_run,
                         make_modeltrain_pair, make_viewsel_pair,

@@ -322,12 +322,6 @@ class Scene:
         the footprint and exactly 0.0 elsewhere for any finite w."""
         return self._camera_table[camera_id][0]
 
-    def footprint_mass(self, camera_id: str) -> float:
-        """The sum of 1 / floored distance over the camera's footprint
-        (footprint_window), its unit-weight inverse-distance mass; 0.0 for
-        an empty footprint."""
-        return self._camera_table[camera_id][1]
-
     def pair_row(self, camera_id: str) -> tuple[np.ndarray, np.ndarray]:
         """The ground-axis dot products and ground distances of the camera
         and each camera of the roster, in roster order, computed on the
@@ -345,8 +339,9 @@ class Scene:
     def footprint_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every camera's footprint mask along the last axis of one
         (h, w, n_cameras) table, and each camera's covered-cell count and
-        footprint_mass, in roster order; built on first use and
-        read-only."""
+        unit-weight inverse-distance mass (the sum of 1 / floored distance
+        over its footprint_window, 0.0 for an empty footprint), in roster
+        order; built on first use and read-only."""
         return self._footprint_table
 
     @cached_property
@@ -357,7 +352,7 @@ class Scene:
         return _read_only(
             masks.transpose(1, 2, 0).copy(),
             np.array([f.area_cells for f in self.footprints]),
-            np.array([self.footprint_mass(c.id) for c in self.cameras]))
+            np.array([self._camera_table[c.id][1] for c in self.cameras]))
 
     @cached_property
     def _camera_table(self) -> dict:

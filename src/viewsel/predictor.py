@@ -53,6 +53,10 @@ class PredictorConfig:
             if f.name not in ("seed", "calibration"):
                 require_real(getattr(self, f.name), f"predictor {f.name}")
         require_seed(self.seed, "predictor seed")
+        if not isinstance(self.calibration, CalibrationState):
+            raise ValueError(f"predictor calibration must be a "
+                             f"CalibrationState, not "
+                             f"{type(self.calibration).__name__}")
         if not (0.0 <= self.miss_rate <= 1.0):
             raise ValueError("miss_rate must be in [0, 1]")
         if self.position_jitter_m < 0 or self.count_noise_rel < 0:

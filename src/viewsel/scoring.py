@@ -12,13 +12,14 @@ distance field:
     mask        binarized prediction         1
     density     binarized prediction         predicted density
 
-A round is built by advancing an empty group one camera at a time: each
-camera adds its distance terms to the group field in place, its footprint
-to the FOV union and its row of diversity pair terms. A greedy round keeps
-only its best candidate: a greedy run's scorer (round_scorer) screens
-every candidate at once, as numpy vectors, and gives score_round's exact
-score only to those within rounding of the best. It carries its round
-from one call to the next, so each camera joins the group once.
+A round (_Round) is the only builder of the distance field. It is built by
+advancing an empty group one camera at a time: each camera adds its
+distance terms to the group field in place, its footprint to the FOV union
+and its row of diversity pair terms. A greedy round keeps only its best
+candidate: a greedy run's scorer (round_scorer) screens every candidate
+at once, as numpy vectors, and gives score_round's exact score only to
+those within rounding of the best. It carries its round from one call to
+the next, so each camera joins the group once.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from .crowd import DensityMap
 from .geometry import Scene
-from .serialize import require_finite, require_real
+from .serialize import require_real
 
 # S_vd = exp(-LAMBDA * sum of dot / (distance + EPSILON)) over camera pairs
 LAMBDA = 0.1
@@ -52,38 +53,6 @@ class ScoreBreakdown:
     variant: str  # the strategy scored: "geometric" | "mask" | "density"
 
 
-def inverse_distance_field(group: list[str], scene: Scene,
-                           weight: np.ndarray | None = None) -> np.ndarray:
-    """Per-cell sum of weight / camera distance, each camera id in group
-    contributing only inside its own footprint; weight None means unit
-    weight, an empty group all zeros, and a non-finite weight ValueError.
-
-    Distances run from cell centers to the camera's ground position and are
-    floored at half a cell (Scene.footprint_window).
-    """
-    if weight is not None:
-        if weight.shape != scene.grid.shape:
-            raise ValueError("weight does not match grid")
-        require_finite(weight, "weight")
-    field = np.zeros(scene.grid.shape)
-    for cid in group:
-        _add_camera_term(field, scene, cid, weight)
-    return field
-
-
-def _add_camera_term(field: np.ndarray, scene: Scene, camera_id: str,
-                     weight: np.ndarray | None) -> None:
-    """Add one camera's finite weight / floored distance on its footprint
-    cells, through its window: the other cells of the box get exactly 0.0,
-    which leaves the field's non-negative, never -0.0 values unchanged."""
-    window = scene.footprint_window(camera_id)
-    if window is None:
-        return
-    rows, cols, distance = window
-    field[rows, cols] += ((1.0 if weight is None else weight[rows, cols])
-                          / distance)
-
-
 def _positions(scene: Scene, camera_ids: list[str]) -> np.ndarray:
     """The cameras' positions in the scene's roster."""
     return np.array([scene.camera_index(cid) for cid in camera_ids],
@@ -97,11 +66,12 @@ class _Round:
     built by advancing an empty group one camera at a time. For the
     geometric strategy it also carries the group's FOV union and, for
     every roster camera, the count of its footprint cells in that union.
-    exact scores ids + [c] on the full grid; screen gives every
-    candidate's total at once from vector sums, up to rounding
-    (round_scorer)."""
+    term is the one statement of a camera's distance term; advance adds
+    it to the field, exact scores ids + [c] on the full grid, and screen
+    gives every candidate's total at once from vector sums, up to
+    rounding (round_scorer)."""
 
-    def __init__(self, group: list[str], scene: Scene, strategy: str,
+    def __init__(self, scene: Scene, strategy: str,
                  prediction: DensityMap | None, sigma_mode,
                  terms: tuple[str, ...]):
         region = weight = None
@@ -125,8 +95,18 @@ class _Round:
         # a fixed region is counted once, a group's union as it grows
         self.n_scored = (0 if region is None
                          else int(np.count_nonzero(region)))
-        for cid in group:
-            self.advance(cid)
+
+    def term(self, cid: str) -> tuple[slice, slice, np.ndarray] | None:
+        """cid's footprint window rows and cols (Scene.footprint_window)
+        and its finite weight / floored distance over them, None for an
+        empty footprint: the window's other cells get exactly 0.0, which
+        leaves a field's non-negative, never -0.0 values unchanged."""
+        window = self.scene.footprint_window(cid)
+        if window is None:
+            return None
+        rows, cols, distance = window
+        return rows, cols, ((1.0 if self.weight is None
+                             else self.weight[rows, cols]) / distance)
 
     def advance(self, cid: str) -> None:
         """Append cid to the group: add its term to the field in place, in
@@ -135,14 +115,16 @@ class _Round:
         footprint to the union and the newly covered cells to each roster
         camera's overlap count."""
         position = self.scene.camera_index(cid)
-        window = self.scene.footprint_window(cid)
+        term = self.term(cid)
         dots, distances = self.scene.pair_row(cid)
-        _add_camera_term(self.field, self.scene, cid, self.weight)
         self.ids.append(cid)
         self.positions.append(position)
         self.pair_terms.append(dots / (distances + EPSILON))
-        if self.region is None and window is not None:
-            rows, cols, _ = window
+        if term is None:
+            return
+        rows, cols, values = term
+        self.field[rows, cols] += values
+        if self.region is None:
             union = self.union[rows, cols]
             new = self.scene.footprint(cid).mask[rows, cols] & ~union
             union |= new
@@ -176,8 +158,10 @@ class _Round:
         group, adds only its own terms to a copy of the group's field, in
         the order a from-scratch score of ids + [cid] adds them, and the
         field is summed over the whole scored region."""
-        field = self.field.copy()
-        _add_camera_term(field, self.scene, cid, self.weight)
+        field, term = self.field.copy(), self.term(cid)
+        if term is not None:
+            rows, cols, values = term
+            field[rows, cols] += values
         scored, n_region = self.region, self.n_scored
         if scored is None:
             scored = self.union | self.scene.footprint(cid).mask
@@ -193,9 +177,10 @@ class _Round:
         """exact(c, s_vd).total up to rounding for every candidate at once:
         the field's sum over the scored region is the group's, taken once,
         plus c's own terms on that region. A geometric candidate adds its
-        footprint_mass, and its footprint cells outside the union to the
-        union's count; a mask or density candidate adds its terms on the
-        region's cells in its footprint window."""
+        unit-weight mass (Scene.footprint_table), and its footprint cells
+        outside the union to the union's count; a mask or density
+        candidate adds its terms on the region's cells in its footprint
+        window."""
         scored = self.union if self.region is None else self.region
         group_mass = float(self.field[scored].sum())
         if self.region is None:
@@ -207,14 +192,12 @@ class _Round:
             n_region = np.full(len(candidates), self.n_scored)
             own = []
             for cid in candidates:
-                window = self.scene.footprint_window(cid)
-                if window is None:
+                term = self.term(cid)
+                if term is None:
                     own.append(0.0)
                     continue
-                rows, cols, distance = window
-                term = (1.0 if self.weight is None
-                        else self.weight[rows, cols]) / distance
-                own.append(float(term[self.region[rows, cols]].sum()))
+                rows, cols, values = term
+                own.append(float(values[self.region[rows, cols]].sum()))
             mass = group_mass + np.array(own)
         s_ad = np.divide(mass, n_region, out=np.zeros(len(candidates)),
                          where=n_region > 0)
@@ -249,7 +232,9 @@ def score_round(group: list[str], candidates: list[str], scene: Scene,
     is built once (_Round), and each score equals the from-scratch score
     of group + [c], whose footprint windows and pair geometry come from
     the scene (Scene.footprint_window, Scene.pair_row)."""
-    rnd = _Round(group, scene, strategy, prediction, sigma_mode, terms)
+    rnd = _Round(scene, strategy, prediction, sigma_mode, terms)
+    for cid in group:
+        rnd.advance(cid)
     s_vd = rnd.diversity(_positions(scene, candidates))
     return [rnd.exact(cid, float(v)) for cid, v in zip(candidates, s_vd)]
 
@@ -264,19 +249,20 @@ def round_scorer(scene: Scene, strategy: str,
 
     Every candidate is first screened at once: its total is computed from
     the group field's sum over the scored region, taken once per round,
-    plus the candidate's own terms (its Scene.footprint_mass for the
-    geometric strategy, its window's sum on the region otherwise). Every
-    summand is finite and non-negative, so both sums are within a relative
-    (k + 2 log2 n_cells) * 2**-52 or so of the true one; only the
-    candidates screened within SCREEN_TOL of the best get score_round's
-    exact score, and the winner is the first of their maxima.
+    plus the candidate's own terms (its unit-weight mass from
+    Scene.footprint_table for the geometric strategy, its window's sum on
+    the region otherwise). Every summand is finite and non-negative, so
+    both sums are within a relative (k + 2 log2 n_cells) * 2**-52 or so of
+    the true one; only the candidates screened within SCREEN_TOL of the
+    best get score_round's exact score, and the winner is the first of
+    their maxima.
 
     The function keeps its round between calls: a group that extends the
     round's group advances the round by its new cameras, any other group
     starts a fresh round. A greedy run hands it the last group plus the
     last winner, so the run adds each camera's field term, footprint and
     pair-term row once."""
-    rnd = _Round([], scene, strategy, prediction, sigma_mode, terms)
+    rnd = _Round(scene, strategy, prediction, sigma_mode, terms)
 
     def score_fn(group: list[str], candidates: list[str]
                  ) -> tuple[int, ScoreBreakdown]:
@@ -284,7 +270,7 @@ def round_scorer(scene: Scene, strategy: str,
         if not candidates:
             raise ValueError("no candidates to score")
         if list(group[:len(rnd.ids)]) != rnd.ids:
-            rnd = _Round([], scene, strategy, prediction, sigma_mode, terms)
+            rnd = _Round(scene, strategy, prediction, sigma_mode, terms)
         for cid in group[len(rnd.ids):]:
             rnd.advance(cid)
         return rnd.winner(candidates)

@@ -44,6 +44,7 @@ class SelectionConfig:
     pseudo_stages: str = "both"
 
     def __post_init__(self):
+        object.__setattr__(self, "terms", tuple(self.terms))  # hashable
         for name in ("k_max", "n_frames", "epochs"):
             require_int(getattr(self, name), name)
         require_seed(self.seed)
@@ -79,6 +80,9 @@ class SelectionState:
     non_converged: bool = False
 
     def __post_init__(self):
+        # hashable, and equal to the state built from tuples
+        object.__setattr__(self, "selected", tuple(self.selected))
+        object.__setattr__(self, "history", tuple(map(tuple, self.history)))
         if len(set(self.selected)) != len(self.selected):
             raise ValueError("selected views must be unique")
 
@@ -227,15 +231,6 @@ def add_view(state: SelectionState, score_fn) -> SelectionState:
                    history=state.history + ((best_id, best_score),))
 
 
-def _score_fn(scene: Scene, config: SelectionConfig,
-              prediction: DensityMap | None = None):
-    """add_view's score_fn: the config's round_scorer, which scores the
-    prediction (None for geometric) and carries one round across the
-    calls."""
-    return round_scorer(scene, config.strategy, prediction,
-                        config.sigma_mode, config.terms)
-
-
 def mean_prediction(predictions: list[DensityMap],
                     shape: tuple[int, int]) -> DensityMap:
     """The training gate's per-frame predictions, averaged in frame order
@@ -378,7 +373,9 @@ def run_ivs(scene: Scene, trace: list[CrowdFrame], config: SelectionConfig,
     frame_ids = select_frames(scene, [(frame, 1.0) for frame in trace],
                               config.n_frames, sigma)
     state = _initial_state(scene, _largest_fov_camera(scene))
-    score_fn = _score_fn(scene, config)
+    # one round_scorer carries its round across the run's add_view calls
+    score_fn = round_scorer(scene, config.strategy, None, config.sigma_mode,
+                            config.terms)
     while len(state.selected) < config.k_max:
         state = add_view(state, score_fn)
     return state, LabeledDataset(tuple(frame_ids))
@@ -432,7 +429,9 @@ def run_avs(scene: Scene, trace: list[CrowdFrame], config: SelectionConfig,
                  for frame in frames]
         if training_mae(preds, covered) <= config.tau:
             m_avg = mean_prediction(preds, scene.grid.shape)
-            state = add_view(state, _score_fn(scene, config, m_avg))
+            state = add_view(state, round_scorer(
+                scene, config.strategy, m_avg, config.sigma_mode,
+                config.terms))
             covered = covered_counts(state.combined_mask)
     if len(state.selected) < config.k_max:
         state = replace(state, non_converged=True)

@@ -21,8 +21,9 @@ def generate_scene(n_cameras: int, grid: GroundGrid, seed: int,
                    twin_fraction: float = 0.0) -> Scene:
     """Place candidate cameras around the scene perimeter, aimed at random
     interior targets, with randomized height, FOV, and range cap. Ranges are
-    fractions of the grid diagonal, deliberately short of full coverage so
-    that selection has something to trade off.
+    drawn from range_frac = (lo, hi), 0 < lo <= hi, as fractions of the
+    grid diagonal, deliberately short of full coverage so that selection
+    has something to trade off.
 
     twin_fraction > 0 replaces that fraction of the roster (the last cameras)
     with near-duplicates of earlier ones: same aim and optics, position nudged
@@ -32,8 +33,15 @@ def generate_scene(n_cameras: int, grid: GroundGrid, seed: int,
         raise ValueError("need at least one camera")
     if not (0.0 <= require_real(twin_fraction, "twin_fraction") < 1.0):
         raise ValueError("twin_fraction must be in [0, 1)")
-    for frac in range_frac:
-        require_real(frac, "range_frac")
+    try:
+        lo, hi = range_frac
+    except (TypeError, ValueError):
+        raise ValueError(f"range_frac must be a (lo, hi) pair, not "
+                         f"{range_frac!r}") from None
+    lo, hi = require_real(lo, "range_frac"), require_real(hi, "range_frac")
+    if not 0.0 < lo <= hi:
+        raise ValueError(f"range_frac must have 0 < lo <= hi, not "
+                         f"{range_frac!r}")
     rng = np.random.default_rng(require_seed(seed))
     ox, oy = grid.origin
     ex, ey = grid.extent_m
@@ -63,7 +71,7 @@ def generate_scene(n_cameras: int, grid: GroundGrid, seed: int,
             id=f"cam{idx:0{width}d}", position_3d=(x, y, z), yaw=yaw,
             pitch=pitch, horizontal_fov_rad=rng.uniform(*HFOV_RANGE),
             vertical_fov_rad=rng.uniform(*VFOV_RANGE),
-            max_range_m=diag * rng.uniform(*range_frac)))
+            max_range_m=diag * rng.uniform(lo, hi)))
     n_twins = int(twin_fraction * n_cameras)
     for k in range(n_twins):
         idx = n_cameras - n_twins + k

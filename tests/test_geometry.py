@@ -459,3 +459,20 @@ def test_equal_scenes_hash_alike(demo_scene, small_grid, nadir_camera):
     scene = Scene(small_grid, [nadir_camera])
     assert scene.cameras == (nadir_camera,)
     assert len({scene, Scene(small_grid, (nadir_camera,)), demo_scene}) == 2
+
+
+@pytest.mark.parametrize("range_frac", [
+    (0.5,), (), (0.2, 0.5, 0.9), (0.9, 0.2), (0.0, 0.5), (-0.1, 0.5), 0.5,
+    None])
+def test_generate_scene_refuses_a_range_frac_that_is_no_pair(range_frac):
+    # a (lo, hi) pair with 0 < lo <= hi, named when refused
+    with pytest.raises(ValueError, match="range_frac"):
+        generate_scene(3, GroundGrid(20, 20, 1.0), seed=0,
+                       range_frac=range_frac)
+
+
+def test_generate_scene_draws_ranges_from_range_frac():
+    grid = GroundGrid(20, 20, 1.0)
+    scene = generate_scene(3, grid, seed=0, range_frac=(0.4, 0.4))
+    assert {c.max_range_m for c in scene.cameras} == {
+        math.hypot(*grid.extent_m) * 0.4}

@@ -200,3 +200,12 @@ def test_config_validation_and_round_trip():
                           calibration=CalibrationState(10.0, 0.2))
     back = PredictorConfig.from_dict(asdict(cfg))
     assert back == cfg
+
+
+def test_config_refuses_a_calibration_that_is_no_state():
+    # a dict would pass until the first calibrate
+    for bad in ({"labeled_view_frames": 0.0, "quality": 0.0}, None,
+                (0.0, 0.0)):
+        with pytest.raises(ValueError, match="predictor calibration must be "
+                                             "a CalibrationState"):
+            PredictorConfig(calibration=bad)

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from viewsel import (CameraPose, DensityMap, GroundGrid, Scene,
-                     binarize_density, inverse_distance_field, score_round)
+                     binarize_density, score_round)
 from viewsel import scoring as scoring_module
-from viewsel.scoring import ALL_TERMS, round_scorer
-from viewsel.selection import SelectionConfig, _score_fn
+from viewsel.scoring import ALL_TERMS, _Round, round_scorer
 
 from conftest import random_small_scene
 from reference import (ref_cell_centers, ref_diversity, ref_full_grid_field,
@@ -27,6 +26,23 @@ def _random_density(rng, grid):
 
 def _ids(cams):
     return [c.id for c in cams]
+
+
+def _round(scene, weight=None):
+    """An empty round whose field has unit weight (the geometric strategy)
+    or weight (the density strategy, with weight as its prediction)."""
+    if weight is None:
+        return _Round(scene, "geometric", None, "mean", ALL_TERMS)
+    return _Round(scene, "density", DensityMap(values=weight), "mean",
+                  ALL_TERMS)
+
+
+def _field(ids, scene, weight=None):
+    """The distance field of the group ids, as a round builds it."""
+    rnd = _round(scene, weight)
+    for cid in ids:
+        rnd.advance(cid)
+    return rnd.field
 
 
 def test_geometric_matches_reference_on_random_scenes():
@@ -95,7 +111,7 @@ def test_inverse_distance_single_camera(small_grid):
                      pitch=-0.6, horizontal_fov_rad=1.2,
                      vertical_fov_rad=1.0, max_range_m=30.0)
     scene = Scene(grid=small_grid, cameras=[cam])
-    field = inverse_distance_field(["c"], scene)
+    field = _field(["c"], scene)
     X, Y = ref_cell_centers(small_grid)
     d = np.maximum(np.hypot(X, Y), small_grid.cell_size_m / 2)
     mask = scene.footprints[0].mask
@@ -109,7 +125,7 @@ def test_distance_floor_guards_singularity():
                      pitch=-math.pi / 2, horizontal_fov_rad=2.0,
                      vertical_fov_rad=2.0, max_range_m=10.0)
     scene = Scene(grid=grid, cameras=[cam])
-    field = inverse_distance_field(["c"], scene)
+    field = _field(["c"], scene)
     assert np.isfinite(field).all()
     assert field.max() <= 1.0 / (grid.cell_size_m / 2)
 
@@ -181,7 +197,7 @@ def test_combined_total_equals_sum_form(demo_scene):
     ids = demo_scene.camera_ids[:3]
     sb = score_round(ids[:-1], ids[-1:], demo_scene, "geometric", None,
                      "mean")[0]
-    field = inverse_distance_field(ids, demo_scene)
+    field = _field(ids, demo_scene)
     union = demo_scene.visibility_of(ids)
     alt = field[union].sum() / demo_scene.grid.n_cells * sb.s_vd
     assert sb.total == pytest.approx(alt, rel=1e-12)
@@ -191,8 +207,8 @@ def test_density_weighted_field_scales_with_prediction(demo_scene):
     ids = demo_scene.camera_ids[:2]
     base = np.abs(np.random.default_rng(3).normal(
         size=demo_scene.grid.shape))
-    one = inverse_distance_field(ids, demo_scene, base)
-    two = inverse_distance_field(ids, demo_scene, 2.0 * base)
+    one = _field(ids, demo_scene, base)
+    two = _field(ids, demo_scene, 2.0 * base)
     assert np.allclose(two, 2.0 * one)
 
 
@@ -214,6 +230,9 @@ def _edge_case_scene():
 
 
 def test_field_equals_full_grid_formula_exactly():
+    # the round is the only builder of the field: after each advance its
+    # field has the bits of the full-grid field of its group, under unit
+    # weight and under a density weight
     rng = np.random.default_rng(15)
     edge = _edge_case_scene()
     assert edge.footprint("away").area_cells == 0
@@ -227,10 +246,13 @@ def test_field_equals_full_grid_formula_exactly():
         weight = rng.uniform(0.0, 3.0, size=scene.grid.shape)
         weight[rng.random(scene.grid.shape) < 0.3] = 0.0
         for w in (None, weight):
-            assert np.array_equal(
-                inverse_distance_field(_ids(cams), scene, w),
-                ref_full_grid_field(cams, fps, scene.grid, w))
-    assert not inverse_distance_field([], edge).any()
+            rnd = _round(scene, w)
+            assert not rnd.field.any()
+            for n, cam in enumerate(cams, start=1):
+                rnd.advance(cam.id)
+                assert np.array_equal(
+                    rnd.field,
+                    ref_full_grid_field(cams[:n], fps[:n], scene.grid, w))
 
 
 def test_strategy_totals_equal_full_grid_formula_exactly():
@@ -329,6 +351,11 @@ def test_consecutive_rounds_equal_per_group_formula_exactly():
                 assert (sb.s_sc, sb.s_ad, sb.s_vd, sb.total) == want
 
 
+def _mass(scene, camera_id):
+    """The camera's unit-weight mass in the scene's footprint table."""
+    return scene.footprint_table()[2][scene.camera_index(camera_id)]
+
+
 def test_footprint_window_equals_full_grid_formula_exactly():
     # each window is the tight bounding box of its footprint and holds the
     # full-grid floored distance on the footprint, +inf elsewhere
@@ -352,20 +379,23 @@ def test_footprint_window_equals_full_grid_formula_exactly():
             want = np.where(mask, full, np.inf)[rows, cols]
             assert np.array_equal(got, want)
             assert np.array_equal(got[mask[rows, cols]], full[mask])
-            assert scene.footprint_mass(cam.id) == pytest.approx(
+            assert _mass(scene, cam.id) == pytest.approx(
                 math.fsum(1.0 / full[mask]), rel=1e-12)
             assert not got.flags.writeable
             with pytest.raises(ValueError):
                 got[...] = 0.0
     edge = scenes[0]
     assert edge.footprint_window("away") is None
-    assert edge.footprint_mass("away") == 0.0
+    assert _mass(edge, "away") == 0.0
     # the nadir camera sits above a cell center: its distance is the floor
     assert edge.footprint_window("nadir")[2].min() == 0.25
 
 
 def test_score_rejects_non_finite_weight(demo_scene):
-    ids = demo_scene.camera_ids[:3]
+    # a round's weight is its prediction's values
+    pred = DensityMap(values=np.ones(demo_scene.grid.shape))
+    assert _Round(demo_scene, "density", pred, "mean",
+                  ALL_TERMS).weight is pred.values
     for bad in (np.nan, np.inf, -np.inf):
         one = np.ones(demo_scene.grid.shape)
         one[0, 0] = bad  # off most footprints, so inf / inf would be nan
@@ -373,9 +403,6 @@ def test_score_rejects_non_finite_weight(demo_scene):
             # no prediction can carry the value: a DensityMap refuses it
             with pytest.raises(ValueError, match="nonnegative"):
                 DensityMap(values=weight)
-            # and the field refuses it as a raw array
-            with pytest.raises(ValueError, match="weight must be finite"):
-                inverse_distance_field(ids, demo_scene, weight)
 
 
 def test_score_rejects_mismatched_inputs(demo_scene):
@@ -385,8 +412,9 @@ def test_score_rejects_mismatched_inputs(demo_scene):
         for pred in (None, DensityMap(values=wrong)):
             with pytest.raises(ValueError, match="prediction on the scene"):
                 score_round(ids[:-1], ids[-1:], demo_scene, strategy, pred)
-    with pytest.raises(ValueError, match="weight"):
-        inverse_distance_field(ids, demo_scene, wrong)
+            # a greedy run's scorer refuses it before any round is scored
+            with pytest.raises(ValueError, match="prediction on the scene"):
+                round_scorer(demo_scene, strategy, pred)
 
 
 def test_score_round_takes_only_a_scored_strategy(demo_scene):
@@ -414,7 +442,7 @@ def test_score_names_cameras_by_id(demo_scene):
         with pytest.raises(KeyError):
             round_scorer(demo_scene, "geometric")(group, candidates)
     with pytest.raises(KeyError):
-        inverse_distance_field([unknown], demo_scene)
+        _round(demo_scene).advance(unknown)
     assert score_round(ids[:1], ids[1:], demo_scene, "geometric")
 
 
@@ -499,8 +527,7 @@ def test_carried_rounds_equal_fresh_rounds():
             terms = subsets[int(rng.integers(len(subsets)))]
             sigma_mode = ("mean" if rng.random() < 0.5
                           else float(rng.uniform(0.0, 1.0)))
-            score_fn = _score_fn(scene, SelectionConfig(
-                strategy=strategy, sigma_mode=sigma_mode, terms=terms), pred)
+            score_fn = round_scorer(scene, strategy, pred, sigma_mode, terms)
 
             def check(group, kind):
                 kinds.add(kind)

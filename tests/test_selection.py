@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from viewsel import (CalibrationState, CameraPose, CrowdFrame, GroundGrid,
-                     PredictorConfig, Scene, SelectionConfig, add_view,
-                     cover_rate, generate_crowd_trace, noisy_draw,
-                     noisy_predict, oracle_predict, random_select, run_avs,
-                     run_ivs, run_selection, score_round, select_first_view,
+                     PredictorConfig, Scene, SelectionConfig,
+                     SelectionState, add_view, cover_rate,
+                     generate_crowd_trace, noisy_draw, noisy_predict,
+                     oracle_predict, random_select, run_avs, run_ivs,
+                     run_selection, score_round, select_first_view,
                      select_frames, training_mae)
 from viewsel import crowd as crowd_module
 from viewsel import geometry as geometry_module
@@ -15,7 +16,8 @@ from viewsel import predictor as predictor_module
 from viewsel import scoring as scoring_module
 from viewsel import selection as selection_module
 from viewsel.evaluate import evaluate
-from viewsel.selection import (STRATEGIES, _initial_state, _score_fn,
+from viewsel.scoring import round_scorer
+from viewsel.selection import (STRATEGIES, _initial_state,
                                train_after_selection, view_person_credit)
 from viewsel.synth import generate_scene
 
@@ -378,27 +380,25 @@ def test_add_view_tie_goes_to_lowest_id():
                                       cam("twin1", 15.0, 2.0)])
     a, b = score_round(["first"], ["twin1", "twin2"], scene, "geometric")
     assert a == b and a.total > 0.0
-    score_fn = _score_fn(scene, SelectionConfig(strategy="geometric"))
+    score_fn = round_scorer(scene, "geometric")
     state = add_view(_initial_state(scene, "first"), score_fn)
     assert state.selected == ("first", "twin1")
 
 
 def test_run_ivs_adds_each_camera_term_once(demo_scene, monkeypatch):
-    terms = _count_calls(monkeypatch, scoring_module, "_add_camera_term",
-                         key=lambda field, scene, camera_id, weight:
-                         camera_id)
+    terms = _count_calls(monkeypatch, scoring_module._Round, "term",
+                         key=lambda self, cid: cid)
     exact = _count_calls(monkeypatch, scoring_module._Round, "exact",
                          key=lambda self, cid, s_vd: cid)
-    fields = _count_calls(monkeypatch, scoring_module,
-                          "inverse_distance_field")
+    rounds = _count_calls(monkeypatch, scoring_module._Round, "__init__")
     k = 5
     cfg = SelectionConfig(k_max=k, n_frames=4, strategy="geometric")
     state, _ = run_ivs(demo_scene, _trace(demo_scene), cfg)
     assert len(state.selected) == k
-    # the run carries one group field: each camera that joins the group
-    # adds its term once, and each contender scored exactly once more
+    # the run carries one round: each camera that joins its group states
+    # its term once, and each contender scored exactly once more
     assert sorted(terms) == sorted([*state.selected[:-1], *exact])
-    assert len(exact) >= k - 1 and fields == []
+    assert len(exact) >= k - 1 and len(rounds) == 1
 
 
 def _exact_scores_per_round(monkeypatch):
@@ -701,6 +701,22 @@ def test_selection_config_rejects_unknown_names():
         SelectionConfig(terms=("sc", "ad", "sc"))
     # no terms at all stays allowed
     assert SelectionConfig(terms=()).terms == ()
+
+
+def test_a_state_or_config_built_from_lists_is_the_tuple_form(demo_scene):
+    # lists are stored as tuples: the list-built state hashes, grows and
+    # compares as the tuple-built one, whose to_dict record it shares
+    first = demo_scene.camera_ids[0]
+    listed = SelectionState(selected=[first], scene=demo_scene,
+                            history=[[first, None]])
+    tupled = _initial_state(demo_scene, first)
+    assert listed.to_dict() == tupled.to_dict()
+    assert listed == tupled and hash(listed) == hash(tupled)
+    assert (add_view(listed, round_scorer(demo_scene, "geometric"))
+            == add_view(tupled, round_scorer(demo_scene, "geometric")))
+    config = SelectionConfig(terms=["sc", "ad"])
+    assert config == SelectionConfig(terms=("sc", "ad"))
+    assert hash(config) == hash(SelectionConfig(terms=("sc", "ad")))
 
 
 def test_one_dominant_camera_is_selected_first():
