@@ -15,9 +15,8 @@ from .predictor import (CalibrationState, PredictorConfig, calibrate,
 from .scoring import ScoreBreakdown, binarize_density, score_round
 from .selection import (LabeledDataset, PseudoPair, SelectionConfig,
                         SelectionState, add_view, check_run,
-                        make_modeltrain_pair, make_viewsel_pair,
-                        random_select, run_avs, run_ivs, run_selection,
-                        select_first_view, select_frames,
+                        make_pseudo_pair, random_select, run_avs, run_ivs,
+                        run_selection, select_first_view, select_frames,
                         train_after_selection)
 from .synth import generate_scene
 

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import GroundGrid, Scene, floored_distance
-from .serialize import require_finite, require_int, require_real, require_seed
+from .serialize import (require_finite, require_int, require_pair,
+                        require_real, require_seed)
 
 
 @dataclass(frozen=True)
@@ -145,7 +146,8 @@ def generate_crowd_trace(grid: GroundGrid, n_frames: int,
     """
     if require_int(n_frames, "n_frames") < 1:
         raise ValueError("n_frames must be >= 1")
-    lo, hi = (require_int(v, "count_range") for v in count_range)
+    lo, hi = (require_int(v, "count_range")
+              for v in require_pair(count_range, "count_range"))
     if lo < 0 or hi < lo:
         raise ValueError(f"bad count_range {count_range}")
     if not (0.0 <= require_real(clustering, "clustering") <= 1.0):

@@ -217,6 +217,16 @@ class _Round:
         return best
 
 
+def _require_distinct(group: list[str], candidates: list[str]) -> None:
+    """Refuse a camera that group and candidates name twice between them:
+    a score of group + [c] takes each camera's terms once."""
+    seen = set()
+    for cid in (*group, *candidates):
+        if cid in seen:
+            raise ValueError(f"camera {cid!r} is named twice in a score")
+        seen.add(cid)
+
+
 def score_round(group: list[str], candidates: list[str], scene: Scene,
                 strategy: str, prediction: DensityMap | None = None,
                 sigma_mode="mean", terms: tuple[str, ...] = ALL_TERMS
@@ -226,12 +236,14 @@ def score_round(group: list[str], candidates: list[str], scene: Scene,
     distance-field weight by the table of the module docstring; the
     prediction is binarized (binarize_density) once per call. terms picks
     the factors multiplied into total, and an empty region scores 0. An
-    unknown id raises KeyError; an unscored strategy, or a mask or density
-    call without a prediction on the scene grid, ValueError (a DensityMap
+    unknown id raises KeyError; a camera named twice across group and
+    candidates, an unscored strategy, or a mask or density call without
+    a prediction on the scene grid, ValueError (a DensityMap
     holds only finite values, so its weight is finite). The group's round
     is built once (_Round), and each score equals the from-scratch score
     of group + [c], whose footprint windows and pair geometry come from
     the scene (Scene.footprint_window, Scene.pair_row)."""
+    _require_distinct(group, candidates)
     rnd = _Round(scene, strategy, prediction, sigma_mode, terms)
     for cid in group:
         rnd.advance(cid)
@@ -269,6 +281,7 @@ def round_scorer(scene: Scene, strategy: str,
         nonlocal rnd
         if not candidates:
             raise ValueError("no candidates to score")
+        _require_distinct(group, candidates)
         if list(group[:len(rnd.ids)]) != rnd.ids:
             rnd = _Round(scene, strategy, prediction, sigma_mode, terms)
         for cid in group[len(rnd.ids):]:

@@ -2,10 +2,11 @@
 independent and active pipelines, and random baselines.
 
 Pseudo-label supervision mixes unselected views into training in two
-stages, whose pairs (make_viewsel_pair, make_modeltrain_pair) state the
-contract a pseudo-label pair meets. The pipelines build no pairs: they run
-the supervision as fractional view-frame credit (_epoch_credit). Both read
-a stage's count of unselected views from _pseudo_views.
+stages. One builder, make_pseudo_pair, states the contract a pair of
+either stage meets: its loss mask is where the selected group and the
+pair's inputs both see. The pipelines build no pairs: they run the
+supervision as fractional view-frame credit (_epoch_credit). Both read a
+stage's count of unselected views from _pseudo_views.
 """
 
 from __future__ import annotations
@@ -83,8 +84,13 @@ class SelectionState:
         # hashable, and equal to the state built from tuples
         object.__setattr__(self, "selected", tuple(self.selected))
         object.__setattr__(self, "history", tuple(map(tuple, self.history)))
+        known = set(self.scene.camera_ids)
+        missing = [cid for cid in self.selected if cid not in known]
+        if missing:
+            raise ValueError(f"selection names unknown cameras: {missing}")
         if len(set(self.selected)) != len(self.selected):
             raise ValueError("selected views must be unique")
+        require_kind(self.non_converged, bool, "non_converged")
 
     @cached_property
     def combined_mask(self) -> np.ndarray:
@@ -116,13 +122,8 @@ class SelectionState:
                                 "selection artifact 'selected'")
         for cid in selected:
             require_kind(cid, str, "selection artifact 'selected' entry")
-        missing = [cid for cid in selected if cid not in scene.camera_ids]
-        if missing:
-            raise ValueError(f"selection names unknown cameras: {missing}")
         return cls(selected=tuple(selected), scene=scene,
-                   non_converged=require_kind(
-                       data.get("non_converged", False), bool,
-                       "selection artifact 'non_converged'"))
+                   non_converged=data.get("non_converged", False))
 
 
 @dataclass(frozen=True)
@@ -267,8 +268,10 @@ def _camera_credit(scene: Scene, frames: list[CrowdFrame]
 
 
 def _pseudo_views(stage: str, k: int) -> int:
-    """The unselected views in a pair of stage ("viewsel" or "modeltrain")
-    on k selected views: the group plus one, or one selected plus k - 1."""
+    """The unselected views in a pair of stage on k selected views: the
+    group plus 1 ("viewsel"), or one selected plus k - 1 ("modeltrain")."""
+    if stage not in ("viewsel", "modeltrain"):
+        raise ValueError(f"unknown pseudo-label stage {stage!r}")
     return 1 if stage == "viewsel" else k - 1
 
 
@@ -302,47 +305,28 @@ class PseudoPair:
             raise ValueError("gt_density must be zero outside loss_mask")
 
 
-def make_viewsel_pair(state: SelectionState, frame: CrowdFrame,
-                      rng: np.random.Generator,
-                      kernel_sigma_cells: float = 1.0) -> PseudoPair:
-    """Selected group plus one random unselected view of state.scene; GT
-    is the group's oracle prediction, whose mask is the group's FOV union."""
-    unselected = sorted(set(state.scene.camera_ids) - set(state.selected))
-    if not unselected:
-        raise ValueError("no unselected cameras available")
-    extra = unselected[int(rng.integers(len(unselected)))]
-    gt = oracle_predict(frame, state.combined_mask, state.scene,
-                        kernel_sigma_cells)
-    return PseudoPair(input_view_ids=tuple(state.selected) + (extra,),
-                      gt_density=gt, loss_mask=state.combined_mask,
-                      stage="viewsel")
-
-
-def make_modeltrain_pair(state: SelectionState, frame: CrowdFrame,
-                         rng: np.random.Generator,
-                         kernel_sigma_cells: float = 1.0) -> PseudoPair:
-    """One random selected view plus K-1 random unselected views of
-    state.scene; GT is the K-selected-view oracle prediction, zeroed outside
-    the intersection of the selected and the pseudo inputs' FOV unions."""
+def make_pseudo_pair(state: SelectionState, frame: CrowdFrame,
+                     rng: np.random.Generator, stage: str,
+                     kernel_sigma_cells: float = 1.0) -> PseudoPair:
+    """A pair of stage on state.scene: the group ("viewsel") or one random
+    selected view ("modeltrain"), then _pseudo_views(stage, k) random
+    unselected views. Its loss mask is where the group and its inputs both
+    see; its GT is the group's oracle prediction, zeroed outside it."""
     k, scene = len(state.selected), state.scene
-    n_pseudo = _pseudo_views("modeltrain", k)
+    n_pseudo = _pseudo_views(stage, k)
     unselected = sorted(set(scene.camera_ids) - set(state.selected))
     if len(unselected) < n_pseudo:
         raise ValueError(f"need {n_pseudo} unselected cameras, have "
                          f"{len(unselected)}")
-    kept = state.selected[int(rng.integers(k))]
-    picks = [unselected[i]
-             for i in rng.choice(len(unselected), size=n_pseudo,
-                                 replace=False)]
-    inputs = (kept,) + tuple(picks)
-    pseudo_union = scene.visibility_of(list(inputs))
-    loss_mask = state.combined_mask & pseudo_union
-    # the loss mask lies inside the selected union, so every cell it keeps
-    # holds the prediction's bits
+    kept = (state.selected if stage == "viewsel"
+            else (state.selected[int(rng.integers(k))],))
+    inputs = kept + tuple(unselected[i] for i in rng.choice(
+        len(unselected), size=n_pseudo, replace=False))
+    loss_mask = state.combined_mask & scene.visibility_of(inputs)
     gt = oracle_predict(frame, state.combined_mask, scene, kernel_sigma_cells)
-    gt = DensityMap(values=np.where(loss_mask, gt.values, 0.0))
-    return PseudoPair(input_view_ids=inputs, gt_density=gt,
-                      loss_mask=loss_mask, stage="modeltrain")
+    return PseudoPair(input_view_ids=inputs, loss_mask=loss_mask,
+                      gt_density=DensityMap(values=np.where(
+                          loss_mask, gt.values, 0.0)), stage=stage)
 
 
 def check_run(scene: Scene, trace: list[CrowdFrame],

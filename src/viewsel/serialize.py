@@ -97,6 +97,16 @@ def require_real(value, what: str) -> float:
     return real
 
 
+def require_pair(value, what: str) -> tuple:
+    """The two items (lo, hi) of value, which must unpack into two."""
+    try:
+        lo, hi = value
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} must be a (lo, hi) pair, not "
+                         f"{value!r}") from None
+    return lo, hi
+
+
 def require_finite(values, what: str) -> np.ndarray:
     """values as a float array; raises ValueError if any entry is NaN or
     infinite, which would otherwise land silently in some grid cell."""

@@ -8,7 +8,8 @@ from dataclasses import replace
 import numpy as np
 
 from .geometry import CameraPose, GroundGrid, Scene
-from .serialize import require_int, require_real, require_seed
+from .serialize import (require_int, require_pair, require_real,
+                        require_seed)
 
 # the ranges a camera's height (m) and field of view (rad) are drawn from
 HEIGHT_RANGE = (4.0, 9.0)
@@ -33,19 +34,19 @@ def generate_scene(n_cameras: int, grid: GroundGrid, seed: int,
         raise ValueError("need at least one camera")
     if not (0.0 <= require_real(twin_fraction, "twin_fraction") < 1.0):
         raise ValueError("twin_fraction must be in [0, 1)")
-    try:
-        lo, hi = range_frac
-    except (TypeError, ValueError):
-        raise ValueError(f"range_frac must be a (lo, hi) pair, not "
-                         f"{range_frac!r}") from None
-    lo, hi = require_real(lo, "range_frac"), require_real(hi, "range_frac")
+    lo, hi = (require_real(v, "range_frac")
+              for v in require_pair(range_frac, "range_frac"))
     if not 0.0 < lo <= hi:
         raise ValueError(f"range_frac must have 0 < lo <= hi, not "
                          f"{range_frac!r}")
-    rng = np.random.default_rng(require_seed(seed))
     ox, oy = grid.origin
     ex, ey = grid.extent_m
     diag = math.hypot(ex, ey)
+    # no drawn range exceeds diag * hi
+    if diag * hi == math.inf:
+        raise ValueError(f"range_frac {range_frac!r} gives ranges too large "
+                         f"for a float on a {diag} m grid diagonal")
+    rng = np.random.default_rng(require_seed(seed))
     cameras = []
     width = len(str(max(n_cameras - 1, 1)))
     for idx in range(n_cameras):

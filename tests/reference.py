@@ -2,8 +2,11 @@
 
 These deliberately share no code with the library: plain per-cell loops and
 direct transcriptions of the score definitions, so agreement is meaningful.
-The exception is brute_force_best, criterion 3's exhaustive search over
-camera subsets, which scores each subset with the library's cover_rate.
+The exceptions are brute_force_best, criterion 3's exhaustive search over
+camera subsets, which scores each subset with the library's cover_rate,
+and ref_viewsel_pair and ref_modeltrain_pair, one pseudo-label pair
+builder per stage as the library had before make_pseudo_pair, which take
+their GT from the library's oracle_predict.
 """
 
 import csv
@@ -13,7 +16,8 @@ import math
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from viewsel import CrowdFrame, cover_rate
+from viewsel import (CrowdFrame, DensityMap, PseudoPair, cover_rate,
+                     oracle_predict)
 
 
 def ref_cell_centers(grid):
@@ -404,6 +408,43 @@ def ref_select_frames(scene, trace, predict, f):
         chosen.append(min(rest, key=lambda fid: max(
             cosine(feats[fid], feats[c]) for c in chosen)))
     return chosen
+
+
+def ref_viewsel_pair(state, frame, rng, kernel_sigma_cells=1.0):
+    """Selected group plus one random unselected view of state.scene; GT
+    is the group's oracle prediction, whose mask is the group's FOV union."""
+    unselected = sorted(set(state.scene.camera_ids) - set(state.selected))
+    if not unselected:
+        raise ValueError("no unselected cameras available")
+    extra = unselected[int(rng.integers(len(unselected)))]
+    gt = oracle_predict(frame, state.combined_mask, state.scene,
+                        kernel_sigma_cells)
+    return PseudoPair(input_view_ids=tuple(state.selected) + (extra,),
+                      gt_density=gt, loss_mask=state.combined_mask,
+                      stage="viewsel")
+
+
+def ref_modeltrain_pair(state, frame, rng, kernel_sigma_cells=1.0):
+    """One random selected view plus K-1 random unselected views of
+    state.scene; GT is the K-selected-view oracle prediction, zeroed outside
+    the intersection of the selected and the pseudo inputs' FOV unions."""
+    k, scene = len(state.selected), state.scene
+    n_pseudo = k - 1
+    unselected = sorted(set(scene.camera_ids) - set(state.selected))
+    if len(unselected) < n_pseudo:
+        raise ValueError(f"need {n_pseudo} unselected cameras, have "
+                         f"{len(unselected)}")
+    kept = state.selected[int(rng.integers(k))]
+    picks = [unselected[i]
+             for i in rng.choice(len(unselected), size=n_pseudo,
+                                 replace=False)]
+    inputs = (kept,) + tuple(picks)
+    pseudo_union = scene.visibility_of(list(inputs))
+    loss_mask = state.combined_mask & pseudo_union
+    gt = oracle_predict(frame, state.combined_mask, scene, kernel_sigma_cells)
+    gt = DensityMap(values=np.where(loss_mask, gt.values, 0.0))
+    return PseudoPair(input_view_ids=inputs, gt_density=gt,
+                      loss_mask=loss_mask, stage="modeltrain")
 
 
 def brute_force_best(scene, trace, k, budget=50_000):

@@ -14,8 +14,8 @@ import pytest
 
 from viewsel import (DensityMap, GroundGrid, PredictorConfig,
                      SelectionConfig, cover_rate,
-                     generate_crowd_trace, make_modeltrain_pair,
-                     make_viewsel_pair, match_points, localization_metrics,
+                     generate_crowd_trace, make_pseudo_pair,
+                     match_points, localization_metrics,
                      random_select, run_avs, run_ivs, score_round)
 from viewsel.cli import main as cli_main
 from viewsel.selection import add_view, train_after_selection
@@ -346,16 +346,14 @@ def test_criterion_7_pseudo_label_contracts():
     for n in range(1000):
         scene, trace, state = scenes[n % len(scenes)]
         frame = trace[n % len(trace)]
-        vp = make_viewsel_pair(state, frame, rng)
-        if vp.gt_density.values[~vp.loss_mask].any():
-            bad += 1
-        mp = make_modeltrain_pair(state, frame, rng)
-        if mp.gt_density.values[~mp.loss_mask].any():
-            bad += 1
-        expected = state.combined_mask & scene.visibility_of(
-            list(mp.input_view_ids))
-        if not (mp.loss_mask == expected).all():
-            bad += 1
+        for stage in ("viewsel", "modeltrain"):
+            pair = make_pseudo_pair(state, frame, rng, stage)
+            if pair.gt_density.values[~pair.loss_mask].any():
+                bad += 1
+            expected = state.combined_mask & scene.visibility_of(
+                list(pair.input_view_ids))
+            if not (pair.loss_mask == expected).all():
+                bad += 1
     ok = bad == 0
     _report(7, ok, f"pseudo-label contracts: {bad} violations over 1000 "
                    f"pair draws per stage")

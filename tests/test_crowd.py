@@ -66,6 +66,15 @@ def test_trace_validation(small_grid):
         generate_crowd_trace(small_grid, 1, (1, 2), 1.5, seed=0)
 
 
+@pytest.mark.parametrize("count_range", [
+    (1, 2, 3), (5,), (), 5, None, (1.0, 2), (1, "2")])
+def test_trace_refuses_a_count_range_that_is_no_pair(small_grid,
+                                                     count_range):
+    # a (lo, hi) pair of integers, named when refused
+    with pytest.raises(ValueError, match="count_range"):
+        generate_crowd_trace(small_grid, 1, count_range, 0.5, seed=0)
+
+
 def test_density_mass_equals_person_count(small_grid):
     # kernels are renormalized over their in-bounds window, so the unmasked
     # map preserves total mass exactly even for people near the border

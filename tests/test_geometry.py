@@ -463,9 +463,10 @@ def test_equal_scenes_hash_alike(demo_scene, small_grid, nadir_camera):
 
 @pytest.mark.parametrize("range_frac", [
     (0.5,), (), (0.2, 0.5, 0.9), (0.9, 0.2), (0.0, 0.5), (-0.1, 0.5), 0.5,
-    None])
+    None, (0.5, 1e308)])
 def test_generate_scene_refuses_a_range_frac_that_is_no_pair(range_frac):
-    # a (lo, hi) pair with 0 < lo <= hi, named when refused
+    # a (lo, hi) pair with 0 < lo <= hi whose ranges on the grid are
+    # finite, named when refused
     with pytest.raises(ValueError, match="range_frac"):
         generate_scene(3, GroundGrid(20, 20, 1.0), seed=0,
                        range_frac=range_frac)

@@ -1,16 +1,20 @@
-"""Pseudo-label supervision: the pairs each stage builds and the
-per-epoch credit that the pipelines run in their place."""
+"""Pseudo-label supervision: the pairs of each stage, which one builder
+makes, and the per-epoch credit that the pipelines run in their place."""
 
 import numpy as np
 import pytest
 
 from viewsel import (GroundGrid, PseudoPair, SelectionConfig,
                      accumulate_density, generate_crowd_trace, kernel_table,
-                     make_modeltrain_pair, make_viewsel_pair, random_select)
+                     make_pseudo_pair, random_select)
 from viewsel.crowd import DensityMap
 from viewsel.selection import (PSEUDO_CREDIT, PSEUDO_STAGES, _camera_credit,
                                _epoch_credit, _pseudo_views)
 from viewsel.synth import generate_scene
+
+from reference import ref_modeltrain_pair, ref_viewsel_pair
+
+STAGES = ("viewsel", "modeltrain")
 
 
 @pytest.fixture
@@ -23,7 +27,7 @@ def setup(demo_scene):
 def test_viewsel_pair_structure(setup):
     scene, trace, state = setup
     rng = np.random.default_rng(0)
-    pair = make_viewsel_pair(state, trace[0], rng)
+    pair = make_pseudo_pair(state, trace[0], rng, "viewsel")
     assert pair.stage == "viewsel"
     assert pair.input_view_ids[:-1] == state.selected
     assert pair.input_view_ids[-1] not in state.selected
@@ -34,7 +38,7 @@ def test_viewsel_pair_structure(setup):
 def test_modeltrain_pair_structure(setup):
     scene, trace, state = setup
     rng = np.random.default_rng(1)
-    pair = make_modeltrain_pair(state, trace[0], rng)
+    pair = make_pseudo_pair(state, trace[0], rng, "modeltrain")
     assert pair.stage == "modeltrain"
     k = len(state.selected)
     assert len(pair.input_view_ids) == k
@@ -58,16 +62,67 @@ def test_pair_rejects_gt_outside_mask(small_grid):
 def test_viewsel_pair_needs_unselected(setup):
     scene, trace, _ = setup
     full = random_select(scene, len(scene.cameras), seed=0)
-    with pytest.raises(ValueError):
-        make_viewsel_pair(full, trace[0], np.random.default_rng(0))
+    with pytest.raises(ValueError,
+                       match="need 1 unselected cameras, have 0"):
+        make_pseudo_pair(full, trace[0], np.random.default_rng(0), "viewsel")
 
 
-def test_pair_determinism(setup):
+@pytest.mark.parametrize("stage", STAGES)
+def test_pair_determinism(setup, stage):
     _, trace, state = setup
-    a = make_modeltrain_pair(state, trace[0], np.random.default_rng(9))
-    b = make_modeltrain_pair(state, trace[0], np.random.default_rng(9))
+    a = make_pseudo_pair(state, trace[0], np.random.default_rng(9), stage)
+    b = make_pseudo_pair(state, trace[0], np.random.default_rng(9), stage)
     assert a.input_view_ids == b.input_view_ids
     assert (a.gt_density.values == b.gt_density.values).all()
+
+
+@pytest.mark.parametrize("stage", ["none", "both", "Viewsel", ""])
+def test_pair_refuses_an_unknown_stage(setup, stage):
+    _, trace, state = setup
+    with pytest.raises(ValueError, match="unknown pseudo-label stage"):
+        make_pseudo_pair(state, trace[0], np.random.default_rng(0), stage)
+    with pytest.raises(ValueError, match="unknown pseudo-label stage"):
+        _pseudo_views(stage, 3)
+
+
+@pytest.mark.parametrize("sigma", [0.7, 1.0, 2.3])
+def test_pseudo_pair_equals_the_builder_of_each_stage(sigma):
+    # on the scenes of acceptance criterion 7 at every k with enough
+    # unselected cameras: a modeltrain pair is the reference's bit for bit
+    # for the same generator state; a viewsel pair keeps the group, and its
+    # loss mask and GT are the reference's (its extra view is drawn
+    # differently)
+    checked = 0
+    for i in range(10):
+        grid = GroundGrid(height_cells=30, width_cells=30, cell_size_m=0.5)
+        scene = generate_scene(8, grid, seed=50 + i)
+        trace = generate_crowd_trace(grid, 3, (15, 30), 0.7, seed=80 + i)
+        for k in range(1, 5):
+            state = random_select(scene, k, seed=i)
+            for frame in trace:
+                seed = [i, k, frame.frame_id]
+                got = make_pseudo_pair(state, frame,
+                                       np.random.default_rng(seed),
+                                       "modeltrain", sigma)
+                want = ref_modeltrain_pair(state, frame,
+                                           np.random.default_rng(seed), sigma)
+                assert got.input_view_ids == want.input_view_ids
+                assert got.loss_mask.tobytes() == want.loss_mask.tobytes()
+                assert (got.gt_density.values.tobytes()
+                        == want.gt_density.values.tobytes())
+                got = make_pseudo_pair(state, frame,
+                                       np.random.default_rng(seed),
+                                       "viewsel", sigma)
+                want = ref_viewsel_pair(state, frame,
+                                        np.random.default_rng(seed), sigma)
+                assert got.input_view_ids[:k] == state.selected
+                assert len(got.input_view_ids) == k + 1
+                assert got.loss_mask.tobytes() == (
+                    state.combined_mask.tobytes())
+                assert (got.gt_density.values.tobytes()
+                        == want.gt_density.values.tobytes())
+                checked += 1
+    assert checked == 10 * 4 * 3
 
 
 @pytest.mark.parametrize("sigma", [1.0, 0.7])
@@ -85,8 +140,8 @@ def test_pair_gt_is_the_selected_density_under_the_loss_mask(sigma):
         for frame in trace:
             seen = frame.positions[frame.seen(state.combined_mask, grid)]
             table = kernel_table(seen, grid, sigma)
-            for pair in (make_viewsel_pair(state, frame, rng, sigma),
-                         make_modeltrain_pair(state, frame, rng, sigma)):
+            for stage in STAGES:
+                pair = make_pseudo_pair(state, frame, rng, stage, sigma)
                 expected = accumulate_density(table, grid,
                                               mask=pair.loss_mask)
                 assert np.array_equal(pair.gt_density.values, expected)
@@ -127,10 +182,9 @@ def test_pseudo_views_count_the_unselected_inputs_of_each_pair(setup, k):
     rng = np.random.default_rng(k)
     assert (_pseudo_views("viewsel", k), _pseudo_views("modeltrain", k)) == (
         1, k - 1)
-    for stage, make in (("viewsel", make_viewsel_pair),
-                        ("modeltrain", make_modeltrain_pair)):
+    for stage in STAGES:
         for frame in trace:
-            pair = make(state, frame, rng)
+            pair = make_pseudo_pair(state, frame, rng, stage)
             assert pair.stage == stage
             assert sum(cid not in state.selected
                        for cid in pair.input_view_ids) == _pseudo_views(

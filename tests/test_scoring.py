@@ -446,6 +446,18 @@ def test_score_names_cameras_by_id(demo_scene):
     assert score_round(ids[:1], ids[1:], demo_scene, "geometric")
 
 
+def test_score_refuses_a_camera_named_twice(demo_scene):
+    # a score of group + [c] takes each camera's terms once: a camera in
+    # the group and the candidates, or twice in either, is refused by name
+    a, b = demo_scene.camera_ids[:2]
+    for group, candidates in (([a], [a, b]), ([a, a], [b]), ([b], [a, a])):
+        with pytest.raises(ValueError, match=f"'{a}' is named twice"):
+            score_round(group, candidates, demo_scene, "geometric")
+        with pytest.raises(ValueError, match=f"'{a}' is named twice"):
+            round_scorer(demo_scene, "geometric")(group, candidates)
+    assert score_round([a], [b], demo_scene, "geometric")[0].total > 0
+
+
 def test_binarize_refuses_a_non_finite_threshold():
     dm = DensityMap(values=np.array([[0.0, 1.0], [2.0, 3.0]]))
     for bad in (float("nan"), float("inf"), -float("inf")):

@@ -719,6 +719,19 @@ def test_a_state_or_config_built_from_lists_is_the_tuple_form(demo_scene):
     assert hash(config) == hash(SelectionConfig(terms=("sc", "ad")))
 
 
+def test_a_state_refuses_what_its_artifact_reader_refuses(demo_scene):
+    # a state names its scene's cameras and holds a bool flag, however it
+    # is built
+    first = demo_scene.camera_ids[0]
+    with pytest.raises(ValueError,
+                       match=r"selection names unknown cameras: \['nope'\]"):
+        SelectionState(selected=(first, "nope"), scene=demo_scene)
+    for flag in ("yes", 1, None):
+        with pytest.raises(ValueError, match="non_converged"):
+            SelectionState(selected=(first,), scene=demo_scene,
+                           non_converged=flag)
+
+
 def test_one_dominant_camera_is_selected_first():
     # one camera that sees the whole area must win the first greedy pick
     grid = GroundGrid(height_cells=30, width_cells=30, cell_size_m=0.5)

@@ -16,10 +16,12 @@ scoring.py calls `binarize_density`. And pseudo-label GT is the oracle
 prediction: a density is rasterized by the crowd layer and the predictor
 alone. Only crowd.py calls `rasterize_density`; only crowd.py, predictor.py
 and selection.py (whose first view is the largest predicted count) call
-`kernel_table`; cli.py calls no raster function, and neither do the pair
-builders, selection.make_viewsel_pair and make_modeltrain_pair, which take
-their GT from `oracle_predict`. And the pseudo-label stages are named in
-one module: only selection.py holds the string constant `modeltrain`. And a
+`kernel_table`; cli.py calls no raster function, and neither does the
+pair builder, selection.make_pseudo_pair, which takes its GT from
+`oracle_predict`. And a pseudo-label pair is built in one place: only
+make_pseudo_pair constructs a `PseudoPair`. And the pseudo-label stages
+are named in one module: only selection.py holds the string constant
+`modeltrain`. And a
 prediction picks the people a mask sees by row and never copies a frame:
 only crowd.py (the trace readers) and predictor.py (`noisy_draw`) construct
 a `CrowdFrame`. And a run depends on its arguments alone: no module reads
@@ -55,8 +57,7 @@ PACKAGE = TESTS.parent / "src" / "viewsel"
 # test module that calls it and what for
 OUTSIDE_CALLERS = {
     "scoring.score_round": ("test_acceptance", "criteria 1, 2 and 6"),
-    "selection.make_viewsel_pair": ("test_acceptance", "criterion 7"),
-    "selection.make_modeltrain_pair": ("test_acceptance", "criterion 7"),
+    "selection.make_pseudo_pair": ("test_acceptance", "criterion 7"),
 }
 
 
@@ -290,12 +291,17 @@ def test_only_crowd_and_predictor_rasterize_a_density():
     assert callers(PACKAGE, "rasterize_density") == ["crowd"]
     assert callers(PACKAGE, "kernel_table") == ["crowd", "predictor",
                                                 "selection"]
-    pair_builders = {"selection.make_viewsel_pair",
-                     "selection.make_modeltrain_pair"}
     for name in ("kernel_table", "accumulate_density", "rasterize_density"):
         assert "cli" not in callers(PACKAGE, name)
-        assert pair_builders.isdisjoint(calling_functions(PACKAGE, name))
-    assert pair_builders <= set(calling_functions(PACKAGE, "oracle_predict"))
+        assert "selection.make_pseudo_pair" not in calling_functions(
+            PACKAGE, name)
+    assert "selection.make_pseudo_pair" in calling_functions(
+        PACKAGE, "oracle_predict")
+
+
+def test_one_pseudo_label_pair_builder():
+    assert calling_functions(PACKAGE, "PseudoPair") == [
+        "selection.make_pseudo_pair"]
 
 
 def test_only_selection_names_the_pseudo_label_stages():
