@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import math
-import re
 import warnings
 from dataclasses import dataclass
 
@@ -120,13 +119,18 @@ class CrowdFrame:
 
 @dataclass(frozen=True)
 class DensityMap:
-    """Finite, nonnegative crowd density raster aligned to a GroundGrid."""
+    """Finite, nonnegative crowd density raster aligned to a GroundGrid,
+    a 2-D numpy array."""
 
     values: np.ndarray
 
     def __post_init__(self):
-        self.values.setflags(write=False)
         v = self.values
+        if not (isinstance(v, np.ndarray) and v.ndim == 2):
+            raise ValueError(f"density values must be a 2-D numpy array, "
+                             f"got {type(v).__name__}"
+                             f"{getattr(v, 'shape', '')}")
+        v.setflags(write=False)
         if not (np.isfinite(v).all() and (v >= 0).all()):
             raise ValueError("density values must be finite and nonnegative")
 
@@ -354,7 +358,7 @@ _ROW = np.dtype([("frame_id", np.int64), ("person_idx", float),
 # splits a quoted field that csv reads whole, and the separators \x1c-\x1f,
 # which loadtxt strips around a number and int() and float() refuse.
 # Non-ASCII text goes to the loop too: loadtxt has crashed the process on it
-_LOOP_ONLY = re.compile(rb'["\x1c-\x1f]')
+_LOOP_ONLY = (b'"', b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
 def trace_from_csv(path) -> list[CrowdFrame]:
@@ -371,7 +375,8 @@ def trace_from_csv(path) -> list[CrowdFrame]:
     frames."""
     with open(path, "rb") as f:
         raw = f.read()
-    if not raw.isascii() or _LOOP_ONLY.search(raw):
+    # `in` finds one byte by memchr, many times faster than a regex class
+    if not raw.isascii() or any(byte in raw for byte in _LOOP_ONLY):
         return _csv_trace(path)
     with open(path, newline="") as f:
         cols = _trace_columns(next(csv.reader(f), None))

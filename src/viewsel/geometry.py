@@ -337,20 +337,24 @@ class Scene:
         return self._pair_rows[camera_id]
 
     def footprint_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every camera's footprint mask along the last axis of one
-        (h, w, n_cameras) table, and each camera's covered-cell count and
-        unit-weight inverse-distance mass (the sum of 1 / floored distance
-        over its footprint_window, 0.0 for an empty footprint), in roster
-        order; built on first use and read-only."""
+        """Every camera's footprint mask packed along its cells, one
+        (n_cameras, words) uint64 row per camera (np.packbits of the
+        row-major mask, zero-padded to whole words), and each camera's
+        covered-cell count and unit-weight inverse-distance mass (the sum
+        of 1 / floored distance over its footprint_window, 0.0 for an
+        empty footprint), in roster order; built on first use and
+        read-only."""
         return self._footprint_table
 
     @cached_property
     def _footprint_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # one copy of the stacked masks, transposed, is faster than a stack
-        # along the strided last axis
-        masks = np.array([f.mask for f in self.footprints])
+        bits = np.packbits([f.mask.ravel() for f in self.footprints],
+                           axis=1)
+        words = np.zeros((len(bits), -(-bits.shape[1] // 8) * 8),
+                         dtype=np.uint8)
+        words[:, :bits.shape[1]] = bits
         return _read_only(
-            masks.transpose(1, 2, 0).copy(),
+            words.view(np.uint64),
             np.array([f.area_cells for f in self.footprints]),
             np.array([self._camera_table[c.id][1] for c in self.cameras]))
 

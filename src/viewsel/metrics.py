@@ -38,7 +38,9 @@ def counting_metrics(predicted_counts: list[float], gt_counts: list[float],
     """MAE, RMS error, and NAE of per-frame counts against scene-level GT.
 
     Zero-GT frames are excluded from NAE (division by zero) but kept in
-    MAE/MSE. cover_rate is computed elsewhere and carried through.
+    MAE/MSE. cover_rate is computed elsewhere and carried through. A count
+    that is not finite, or is negative, raises ValueError naming its list
+    and frame index.
     """
     if len(predicted_counts) != len(gt_counts):
         raise ValueError("predicted and gt count lists differ in length")
@@ -46,6 +48,11 @@ def counting_metrics(predicted_counts: list[float], gt_counts: list[float],
         raise ValueError("need at least one frame")
     p = np.asarray(predicted_counts, dtype=float)
     g = np.asarray(gt_counts, dtype=float)
+    for name, counts in (("predicted_counts", p), ("gt_counts", g)):
+        bad = np.flatnonzero(~(np.isfinite(counts) & (counts >= 0)))
+        if bad.size:
+            raise ValueError(f"{name}[{bad[0]}] is {float(counts[bad[0]])!r}"
+                             f": a count must be finite and non-negative")
     err = np.abs(p - g)
     mae = float(err.mean())
     mse = float(np.sqrt(((p - g) ** 2).mean()))
@@ -203,11 +210,20 @@ def _assign(cost: np.ndarray) -> np.ndarray:
 def localization_metrics(matches: list[tuple[int, int, float]], fp: int,
                          fn: int, gt_total: int,
                          threshold_m: float) -> LocalizationReport:
-    """MODA, MODP (mean normalized closeness of matches), P, R, F1."""
+    """MODA, MODP (mean normalized closeness of matches), P, R, F1.
+
+    The counts must be ones a matching produces: a negative fp or fn, or
+    a gt_total other than len(matches) + fn, raises ValueError."""
     require_match_threshold(threshold_m)
     if gt_total <= 0:
         raise ValueError("MODA undefined for zero ground-truth points")
     tp = len(matches)
+    if fp < 0 or fn < 0:
+        raise ValueError(f"fp and fn must be non-negative, got fp={fp!r}, "
+                         f"fn={fn!r}")
+    if tp + fn != gt_total:
+        raise ValueError(f"{tp} matches and fn={fn!r} do not add up to "
+                         f"gt_total={gt_total!r}")
     moda = 1.0 - (fp + fn) / gt_total
     modp = (sum(1.0 - d / threshold_m for _, _, d in matches) / tp
             if tp else 0.0)

@@ -64,8 +64,8 @@ class _Round:
     weight (the module docstring's table; the prediction is binarized
     here), and the distance field and pair-term rows of its group, ids,
     built by advancing an empty group one camera at a time. For the
-    geometric strategy it also carries the group's FOV union and, for
-    every roster camera, the count of its footprint cells in that union.
+    geometric strategy it also carries the group's FOV union, as a bool
+    mask and as words packed like Scene.footprint_table's rows.
     term is the one statement of a camera's distance term; advance adds
     it to the field, exact scores ids + [c] on the full grid, and screen
     gives every candidate's total at once from vector sums, up to
@@ -91,7 +91,7 @@ class _Round:
         self.ids, self.positions, self.pair_terms = [], [], []
         if region is None:
             self.union = np.zeros(scene.grid.shape, dtype=bool)
-            self.overlap = np.zeros(len(scene.cameras), dtype=np.intp)
+            self.union_bits = np.zeros_like(scene.footprint_table()[0][0])
         # a fixed region is counted once, a group's union as it grows
         self.n_scored = (0 if region is None
                          else int(np.count_nonzero(region)))
@@ -112,8 +112,7 @@ class _Round:
         """Append cid to the group: add its term to the field in place, in
         the order a from-scratch field adds it, and keep its row of pair
         terms with the roster; for the geometric strategy, also add its
-        footprint to the union and the newly covered cells to each roster
-        camera's overlap count."""
+        footprint to the union and count the union's cells."""
         position = self.scene.camera_index(cid)
         term = self.term(cid)
         dots, distances = self.scene.pair_row(cid)
@@ -125,13 +124,10 @@ class _Round:
         rows, cols, values = term
         self.field[rows, cols] += values
         if self.region is None:
-            union = self.union[rows, cols]
-            new = self.scene.footprint(cid).mask[rows, cols] & ~union
-            union |= new
-            # each roster camera's footprint on the newly covered cells
-            covered = self.scene.footprint_table()[0][rows, cols][new]
-            self.overlap += covered.sum(axis=0, dtype=np.int32)
-            self.n_scored += len(covered)
+            mask = self.scene.footprint(cid).mask
+            self.union[rows, cols] |= mask[rows, cols]
+            self.union_bits |= self.scene.footprint_table()[0][position]
+            self.n_scored = int(np.bitwise_count(self.union_bits).sum())
 
     def diversity(self, positions: np.ndarray) -> np.ndarray:
         """S_vd of ids + [c] for the candidates at the roster positions,
@@ -172,24 +168,34 @@ class _Round:
                               total=float(self._total(s_sc, s_ad, s_vd)),
                               variant=self.strategy)
 
+    def region_counts(self, positions: np.ndarray) -> np.ndarray:
+        """The cell count of the scored region of ids + [c] for the
+        candidates at the roster positions: a fixed region's, or the
+        union's plus c's area less its overlap with the union, the
+        popcount of c's packed row (Scene.footprint_table) AND the union's
+        words."""
+        if self.region is not None:
+            return np.full(len(positions), self.n_scored)
+        table, areas, _ = self.scene.footprint_table()
+        overlap = np.bitwise_count(table[positions] & self.union_bits
+                                   ).sum(axis=1, dtype=np.intp)
+        return self.n_scored + areas[positions] - overlap
+
     def screen(self, candidates: list[str], positions: np.ndarray,
                s_vd: np.ndarray) -> np.ndarray:
         """exact(c, s_vd).total up to rounding for every candidate at once:
         the field's sum over the scored region is the group's, taken once,
         plus c's own terms on that region. A geometric candidate adds its
         unit-weight mass (Scene.footprint_table), and its footprint cells
-        outside the union to the union's count; a mask or density
-        candidate adds its terms on the region's cells in its footprint
-        window."""
+        outside the union to the union's count (region_counts); a mask or
+        density candidate adds its terms on the region's cells in its
+        footprint window."""
         scored = self.union if self.region is None else self.region
         group_mass = float(self.field[scored].sum())
+        n_region = self.region_counts(positions)
         if self.region is None:
-            _, areas, masses = self.scene.footprint_table()
-            n_region = self.n_scored + areas[positions] - self.overlap[
-                positions]
-            mass = group_mass + masses[positions]
+            mass = group_mass + self.scene.footprint_table()[2][positions]
         else:
-            n_region = np.full(len(candidates), self.n_scored)
             own = []
             for cid in candidates:
                 term = self.term(cid)

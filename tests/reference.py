@@ -447,6 +447,16 @@ def ref_modeltrain_pair(state, frame, rng, kernel_sigma_cells=1.0):
                       loss_mask=loss_mask, stage="modeltrain")
 
 
+def ref_union_overlap(scene, group, candidates):
+    """Each candidate's count of footprint cells inside the bool union of
+    the group's footprints, one candidate at a time."""
+    union = np.zeros(scene.grid.shape, dtype=bool)
+    for cid in group:
+        union = union | scene.footprint(cid).mask
+    return [int(np.count_nonzero(union & scene.footprint(cid).mask))
+            for cid in candidates]
+
+
 def brute_force_best(scene, trace, k, budget=50_000):
     """Exhaustive maximization of the cover rate over all k-subsets (ties
     by lexicographic id)."""

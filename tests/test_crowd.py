@@ -162,6 +162,18 @@ def test_density_map_rejects_non_finite_values():
     assert DensityMap(values=np.array([[0.0, 1e308]])).total == 1e308
 
 
+@pytest.mark.parametrize("values", [
+    [1.0], [[1.0, 2.0]], np.float64(1.0), 1.0, None, np.ones(3),
+    np.ones((2, 2, 1)),
+], ids=["list", "nested-list", "numpy-scalar", "float", "none", "1-d",
+        "3-d"])
+def test_density_map_refuses_values_that_are_no_2d_array(values):
+    """A list failed with AttributeError on setflags, and a 0-d value was
+    accepted."""
+    with pytest.raises(ValueError, match="2-D numpy array"):
+        DensityMap(values=values)
+
+
 def test_seen_filters_by_cell(small_grid):
     vis = np.zeros(small_grid.shape, dtype=bool)
     vis[small_grid.world_to_cell(2.0, 3.0)] = True

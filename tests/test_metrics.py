@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -33,6 +35,23 @@ def test_counting_metrics_validation():
         counting_metrics([1.0], [1.0, 2.0])
     with pytest.raises(ValueError):
         counting_metrics([], [])
+
+
+@pytest.mark.parametrize("predicted, gt, message", [
+    ([math.nan], [1.0], "predicted_counts[0] is nan"),
+    ([1.0], [math.inf], "gt_counts[0] is inf"),
+    ([1.0, 2.0, -math.inf], [1.0, 2.0, 3.0], "predicted_counts[2] is -inf"),
+    ([1.0, 2.0], [3.0, -1.0], "gt_counts[1] is -1.0"),
+    ([-0.5], [0.0], "predicted_counts[0] is -0.5"),
+])
+def test_counting_metrics_refuses_a_count_that_is_no_count(predicted, gt,
+                                                            message):
+    """A non-finite or negative count would give a nan or inf error, with a
+    RuntimeWarning for nan; it is refused by list and frame index."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            counting_metrics(predicted, gt)
 
 
 def test_nine_tp_one_fp_one_fn_oracle():
@@ -219,6 +238,26 @@ def test_match_points_equals_exhaustive_oracle():
 def test_localization_metrics_zero_gt_rejected():
     with pytest.raises(ValueError):
         localization_metrics([], 0, 0, 0, 0.5)
+
+
+@pytest.mark.parametrize("matches, fp, fn, gt_total, message", [
+    ([], -1, 0, 1, "fp and fn must be non-negative"),
+    ([], 0, -1, 1, "fp and fn must be non-negative"),
+    ([], 0, 5, 1, "0 matches and fn=5 do not add up to gt_total=1"),
+    ([(0, 0, 0.1)], 0, 1, 1, "1 matches and fn=1 do not add up"),
+    ([(0, 0, 0.1)], 0, 0, 3, "1 matches and fn=0 do not add up"),
+])
+def test_localization_metrics_refuses_counts_no_matching_gives(
+        matches, fp, fn, gt_total, message):
+    """Such counts gave a MODA above 1 or below -1 and a precision of -0.0."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        localization_metrics(matches, fp, fn, gt_total, 0.5)
+
+
+def test_localization_metrics_keeps_the_zero_gt_refusal_first():
+    with pytest.raises(ValueError,
+                       match="MODA undefined for zero ground-truth points"):
+        localization_metrics([], -1, 0, 0, 0.5)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])

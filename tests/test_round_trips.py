@@ -239,6 +239,37 @@ def test_trace_loop_names_the_faulty_line(tmp_path, body, message,
     assert loadtxt.called == reaches_loadtxt
 
 
+BULK_READABLE = ("frame_id,person_idx,x_m,y_m\r\n0,0,1.0,2.0\r\n"
+                 "0,1,3.5,-4.25\r\n1,0,5.0,6.0\r\n")
+
+
+@pytest.mark.parametrize("where", ["start", "middle", "end"])
+@pytest.mark.parametrize("byte", ['"', "\x1c", "\x1d", "\x1e", "\x1f"])
+def test_a_loop_only_byte_anywhere_sends_the_file_to_the_loop(
+        tmp_path, byte, where):
+    """Each byte of crowd._LOOP_ONLY, at the start, middle or end of a file
+    that loadtxt otherwise reads, sends it to the csv loop unread by
+    loadtxt."""
+    path = tmp_path / "trace.csv"
+    at = {"start": 0, "middle": len(BULK_READABLE) // 2,
+          "end": len(BULK_READABLE)}[where]
+    path.write_text(BULK_READABLE[:at] + byte + BULK_READABLE[at:],
+                    encoding="ascii", newline="")
+    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt, \
+            mock.patch("viewsel.crowd._csv_trace") as loop:
+        assert trace_from_csv(path) is loop.return_value
+    loop.assert_called_once_with(path)
+    assert not loadtxt.called
+
+
+def test_the_file_without_a_loop_only_byte_is_read_in_bulk(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text(BULK_READABLE, encoding="ascii", newline="")
+    got, bulk, want = _read_both(path)
+    assert bulk
+    _same_frames(got, want)
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("text", ["frame_id,person_idx,x_m,y_m\r\n",
                                   "frame_id,person_idx,x_m,y_m",

@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from viewsel import (CameraPose, DensityMap, GroundGrid, Scene,
-                     binarize_density, score_round)
+                     binarize_density, generate_scene, score_round)
 from viewsel import scoring as scoring_module
 from viewsel.scoring import ALL_TERMS, _Round, round_scorer
 
 from conftest import random_small_scene
 from reference import (ref_cell_centers, ref_diversity, ref_full_grid_field,
                        ref_score_density, ref_score_geometric, ref_score_mask,
-                       ref_totals)
+                       ref_totals, ref_union_overlap)
 
 LAM, EPS = 0.1, 1e-10
 
@@ -389,6 +389,76 @@ def test_footprint_window_equals_full_grid_formula_exactly():
     assert _mass(edge, "away") == 0.0
     # the nadir camera sits above a cell center: its distance is the floor
     assert edge.footprint_window("nadir")[2].min() == 0.25
+
+
+def _with_empty_footprint(scene):
+    """scene plus a camera far off the grid that looks away from it."""
+    away = CameraPose(id="away", position_3d=(-20.0, -20.0, 4.0),
+                      yaw=math.pi * 1.25, pitch=-0.4,
+                      horizontal_fov_rad=1.2, vertical_fov_rad=1.0,
+                      max_range_m=5.0)
+    return Scene(grid=scene.grid, cameras=[*scene.cameras, away])
+
+
+def _overlap_scenes():
+    """Scenes whose cell counts are no multiple of 8 (7x9, 13x11) or of
+    64 (20x20), each with a camera of empty footprint, and the roster of
+    the large independent-selection benchmark (200x200 cells, 40
+    cameras)."""
+    scenes = [_with_empty_footprint(generate_scene(
+                  n, GroundGrid(height_cells=h, width_cells=w,
+                                cell_size_m=0.5), seed=seed))
+              for h, w, n, seed in ((7, 9, 5, 3), (13, 11, 8, 4),
+                                    (20, 20, 10, 5))]
+    scenes.append(generate_scene(40, GroundGrid(height_cells=200,
+                                                width_cells=200,
+                                                cell_size_m=0.5),
+                                 seed=1000))
+    return scenes
+
+
+def test_footprint_table_packs_each_mask_along_its_cells():
+    # row-major bits, zero-padded to whole uint64 words, read-only
+    for scene in _overlap_scenes():
+        table, areas, _ = scene.footprint_table()
+        n_cells = scene.grid.n_cells
+        assert table.dtype == np.uint64
+        assert table.shape == (len(scene.cameras), -(-n_cells // 64))
+        assert not table.flags.writeable
+        bits = np.unpackbits(table.view(np.uint8), axis=1)
+        for cam, row in zip(scene.cameras, bits):
+            mask = scene.footprint(cam.id).mask
+            assert np.array_equal(row[:n_cells].astype(bool), mask.ravel())
+            assert not row[n_cells:].any()
+        assert areas.tolist() == [
+            int(np.count_nonzero(scene.footprint(c.id).mask))
+            for c in scene.cameras]
+
+
+def test_screened_counts_equal_the_union_overlap_loop():
+    # after each advance of a greedy run, each candidate's screened count
+    # of ids + [c] is the union's count plus its area less its overlap with
+    # the union, counted by a loop over the bool masks
+    scenes = _overlap_scenes()
+    assert [s.grid.n_cells % 64 for s in scenes] == [63, 15, 16, 0]
+    assert not any(s.footprint("away").mask.any() for s in scenes[:3])
+    for scene in scenes:
+        rnd = _round(scene)
+        candidates = list(scene.camera_ids)
+        areas = scene.footprint_table()[1]
+        while candidates:
+            positions = np.array([scene.camera_index(c)
+                                  for c in candidates])
+            union = scene.visibility_of(rnd.ids)
+            n_union = int(np.count_nonzero(union))
+            assert rnd.n_scored == n_union
+            want = [n_union + areas[p] - o for p, o in zip(
+                positions, ref_union_overlap(scene, rnd.ids, candidates))]
+            assert rnd.region_counts(positions).tolist() == want
+            assert want == [int(np.count_nonzero(
+                union | scene.footprint(c).mask)) for c in candidates]
+            index, _ = rnd.winner(candidates)
+            rnd.advance(candidates.pop(index))
 
 
 def test_score_rejects_non_finite_weight(demo_scene):

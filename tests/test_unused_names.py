@@ -45,7 +45,10 @@ once, by GroundGrid.cell_axes: no module calls `meshgrid` or reads
 file format is known in one place: only crowd.py holds the column name
 `person_idx`, and only crowd.trace_from_csv calls `loadtxt`. And a
 camera's distance term is stated once, by the greedy round: only
-scoring._Round.term reads `footprint_window`."""
+scoring._Round.term reads `footprint_window`. And the packed footprint
+bits have one writer and one reader: only geometry.py calls `packbits`
+(Scene.footprint_table), and only scoring.py calls `bitwise_count` (the
+round's union and its candidates' overlap with it)."""
 
 import ast
 from pathlib import Path
@@ -380,3 +383,8 @@ def test_one_statement_of_a_camera_term():
     assert reading_functions(PACKAGE, "footprint_window") == ["scoring.term"]
     # the walk does see a method's attribute read
     assert "scoring.screen" in reading_functions(PACKAGE, "footprint_table")
+
+
+def test_one_writer_and_one_reader_of_the_packed_footprints():
+    assert callers(PACKAGE, "packbits") == ["geometry"]
+    assert callers(PACKAGE, "bitwise_count") == ["scoring"]
