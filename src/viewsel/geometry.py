@@ -346,6 +346,12 @@ class Scene:
         read-only."""
         return self._footprint_table
 
+    def unpack(self, words: np.ndarray) -> np.ndarray:
+        """The grid-shaped bool mask whose cells words holds packed as a
+        footprint_table row holds them: the inverse of that packing."""
+        return np.unpackbits(words.view(np.uint8), count=self.grid.n_cells
+                             ).view(bool).reshape(self.grid.shape)
+
     @cached_property
     def _footprint_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         bits = np.packbits([f.mask.ravel() for f in self.footprints],

@@ -64,8 +64,9 @@ class _Round:
     weight (the module docstring's table; the prediction is binarized
     here), and the distance field and pair-term rows of its group, ids,
     built by advancing an empty group one camera at a time. For the
-    geometric strategy it also carries the group's FOV union, as a bool
-    mask and as words packed like Scene.footprint_table's rows.
+    geometric strategy it also carries the group's FOV union, union_bits,
+    as words packed like Scene.footprint_table's rows; Scene.unpack reads
+    them back as the scored mask.
     term is the one statement of a camera's distance term; advance adds
     it to the field, exact scores ids + [c] on the full grid, and screen
     gives every candidate's total at once from vector sums, up to
@@ -90,7 +91,6 @@ class _Round:
         self.field = np.zeros(scene.grid.shape)
         self.ids, self.positions, self.pair_terms = [], [], []
         if region is None:
-            self.union = np.zeros(scene.grid.shape, dtype=bool)
             self.union_bits = np.zeros_like(scene.footprint_table()[0][0])
         # a fixed region is counted once, a group's union as it grows
         self.n_scored = (0 if region is None
@@ -111,8 +111,9 @@ class _Round:
     def advance(self, cid: str) -> None:
         """Append cid to the group: add its term to the field in place, in
         the order a from-scratch field adds it, and keep its row of pair
-        terms with the roster; for the geometric strategy, also add its
-        footprint to the union and count the union's cells."""
+        terms with the roster; for the geometric strategy, also OR its
+        packed footprint into the union's words and count the union's
+        cells."""
         position = self.scene.camera_index(cid)
         term = self.term(cid)
         dots, distances = self.scene.pair_row(cid)
@@ -124,8 +125,6 @@ class _Round:
         rows, cols, values = term
         self.field[rows, cols] += values
         if self.region is None:
-            mask = self.scene.footprint(cid).mask
-            self.union[rows, cols] |= mask[rows, cols]
             self.union_bits |= self.scene.footprint_table()[0][position]
             self.n_scored = int(np.bitwise_count(self.union_bits).sum())
 
@@ -153,15 +152,18 @@ class _Round:
         """The score of ids + [cid], given its diversity: cid, last in its
         group, adds only its own terms to a copy of the group's field, in
         the order a from-scratch score of ids + [cid] adds them, and the
-        field is summed over the whole scored region."""
+        field's sum over the whole scored region is divided by the region's
+        cell count from region_counts."""
         field, term = self.field.copy(), self.term(cid)
         if term is not None:
             rows, cols, values = term
             field[rows, cols] += values
-        scored, n_region = self.region, self.n_scored
+        position = self.scene.camera_index(cid)
+        n_region = int(self.region_counts(np.array([position]))[0])
+        scored = self.region
         if scored is None:
-            scored = self.union | self.scene.footprint(cid).mask
-            n_region = int(np.count_nonzero(scored))
+            scored = self.scene.unpack(
+                self.union_bits | self.scene.footprint_table()[0][position])
         s_sc = n_region / self.scene.grid.n_cells
         s_ad = float(field[scored].sum()) / n_region if n_region else 0.0
         return ScoreBreakdown(s_sc=s_sc, s_ad=s_ad, s_vd=s_vd,
@@ -190,7 +192,8 @@ class _Round:
         outside the union to the union's count (region_counts); a mask or
         density candidate adds its terms on the region's cells in its
         footprint window."""
-        scored = self.union if self.region is None else self.region
+        scored = (self.scene.unpack(self.union_bits) if self.region is None
+                  else self.region)
         group_mass = float(self.field[scored].sum())
         n_region = self.region_counts(positions)
         if self.region is None:

@@ -84,6 +84,8 @@ class SelectionState:
         # hashable, and equal to the state built from tuples
         object.__setattr__(self, "selected", tuple(self.selected))
         object.__setattr__(self, "history", tuple(map(tuple, self.history)))
+        if not self.selected:
+            raise ValueError("selection has no selected views")
         known = set(self.scene.camera_ids)
         missing = [cid for cid in self.selected if cid not in known]
         if missing:
@@ -111,9 +113,9 @@ class SelectionState:
     def from_dict(cls, data, scene: Scene) -> "SelectionState":
         """The state that a selection artifact (to_dict's keys plus any
         others) records on scene, without its history: `selected` must
-        name the scene's cameras, `non_converged`, if given, must be true
-        or false, `spec`, if given, a JSON object and `spec_hash`, if
-        given, a string."""
+        name at least one of the scene's cameras, `non_converged`, if
+        given, must be true or false, `spec`, if given, a JSON object and
+        `spec_hash`, if given, a string."""
         data = require_object(data, "selection artifact", ("selected",))
         require_kind(data.get("spec", {}), dict, "selection artifact 'spec'")
         require_kind(data.get("spec_hash", ""), str,

@@ -16,9 +16,9 @@ from viewsel import (DensityMap, GroundGrid, PredictorConfig,
                      SelectionConfig, cover_rate,
                      generate_crowd_trace, make_pseudo_pair,
                      match_points, localization_metrics,
-                     random_select, run_avs, run_ivs, score_round)
+                     random_select, run_ivs, run_selection, score_round)
 from viewsel.cli import main as cli_main
-from viewsel.selection import add_view, train_after_selection
+from viewsel.selection import add_view
 from viewsel.evaluate import evaluate
 from viewsel.synth import generate_scene
 
@@ -160,41 +160,22 @@ def test_criterion_4_strategy_ordering():
     mae = {k: [] for k in ("random", "ivs", "mask", "density")}
     cov = {k: [] for k in ("random", "ivs", "mask", "density")}
     views = {k: [] for k in ("random", "ivs", "mask", "density")}
+    # each pipeline's strategy and pseudo-label stages
+    pipelines = {"random": ("random", "none"),
+                 "ivs": ("geometric", "modeltrain"),
+                 "mask": ("mask", "both"), "density": ("density", "both")}
     for s in range(20):
         scene, trace = _ensemble_scene(s)
-        cfg = SelectionConfig(k_max=K, n_frames=F, strategy="random",
-                              tau=TAU, epochs=EPOCHS, pseudo_stages="none",
-                              seed=s)
-        state = random_select(scene, K, seed=s)
-        trained = train_after_selection(scene, trace[:F], state, cfg,
-                                        _ensemble_predictor(s))
-        rep = evaluate(scene, trace, state, trained)
-        mae["random"].append(rep.counting.mae)
-        cov["random"].append(rep.cover_rate)
-        views["random"].append(set(state.selected))
-
-        cfg = SelectionConfig(k_max=K, n_frames=F, strategy="geometric",
-                              tau=TAU, epochs=EPOCHS,
-                              pseudo_stages="modeltrain", seed=s)
-        state, dataset = run_ivs(scene, trace, cfg, _ensemble_predictor(s))
-        frames = [f for f in trace if f.frame_id in dataset.frame_ids]
-        trained = train_after_selection(scene, frames, state, cfg,
-                                        _ensemble_predictor(s))
-        rep = evaluate(scene, trace, state, trained)
-        mae["ivs"].append(rep.counting.mae)
-        cov["ivs"].append(rep.cover_rate)
-        views["ivs"].append(set(state.selected))
-
-        for strat in ("mask", "density"):
-            cfg = SelectionConfig(k_max=K, n_frames=F, strategy=strat,
+        for key, (strategy, stages) in pipelines.items():
+            cfg = SelectionConfig(k_max=K, n_frames=F, strategy=strategy,
                                   tau=TAU, epochs=EPOCHS,
-                                  pseudo_stages="both", seed=s)
-            state, _, trained = run_avs(scene, trace, cfg,
-                                        _ensemble_predictor(s))
+                                  pseudo_stages=stages, seed=s)
+            state, trained = run_selection(scene, trace, cfg,
+                                           _ensemble_predictor(s))
             rep = evaluate(scene, trace, state, trained)
-            mae[strat].append(rep.counting.mae)
-            cov[strat].append(rep.cover_rate)
-            views[strat].append(set(state.selected))
+            mae[key].append(rep.counting.mae)
+            cov[key].append(rep.cover_rate)
+            views[key].append(set(state.selected))
     m = {k: float(np.mean(v)) for k, v in mae.items()}
     c = {k: float(np.mean(v)) for k, v in cov.items()}
     ok = (c["random"] <= c["ivs"]

@@ -307,7 +307,8 @@ def test_eval_rejects_unknown_trained_predictor_key(artifacts, tmp_path,
           ("5", 5, "'selected' must be a JSON array, not int"),
           ("c0", "c0", "'selected' must be a JSON array, not str"),
           ("selected2", [0, 1],
-           "'selected' entry must be a string, not int"))),
+           "'selected' entry must be a string, not int"),
+          ("empty", [], "selection has no selected views"))),
     pytest.param([1], "must be a JSON object, not list", id="list"),
     pytest.param("c0", "must be a JSON object, not str", id="str"),
     pytest.param({"selected": ["cam0"], "spec": [1]},

@@ -108,12 +108,14 @@ def test_density_mask_zeroes_without_renormalizing(small_grid):
     assert masked.sum() < unmasked.sum()
 
 
-@pytest.mark.parametrize("sigma", [1.0, 2.3])
+@pytest.mark.parametrize("sigma", [0.5, 0.75, 1.0, 2.3])
 def test_kernel_table_at_every_edge_and_corner_equals_loop_reference(sigma):
     # window centers at every offset across each edge, in every row and
     # column combination, so each in-bounds block of r_in x c_in cells
     # (0 to 2r+1 each) appears; sigma 2.3 has 21 x 21 = 441-cell windows.
-    # The last person lies far off the grid
+    # Then a person far off the grid, and people exactly on the centers of
+    # corner, edge and interior cells: where 4 sigma is a whole number of
+    # cells, their windows hold cells exactly 4 sigma away, which count
     r = math.ceil(4.0 * sigma)
     h, w = 2 * r + 4, 2 * r + 9
     grid = GroundGrid(height_cells=h, width_cells=w, cell_size_m=0.5,
@@ -123,10 +125,16 @@ def test_kernel_table_at_every_edge_and_corner_equals_loop_reference(sigma):
     centers = np.array([(j, i) for i in rows for j in cols], dtype=float)
     rng = np.random.default_rng(11)
     cells = centers + 0.5 + rng.uniform(-0.45, 0.45, size=centers.shape)
+    on_centers = np.array([(0, 0), (w // 2, 0), (0, h // 2), (w - 1, h - 1),
+                           (w // 2, h - 1), (w // 2, h // 2)]) + 0.5
     pts = np.vstack([grid.origin + cells * grid.cell_size_m,
-                     [(-1e4, 2e4)]])
+                     [(-1e4, 2e4)],
+                     grid.origin + on_centers * grid.cell_size_m])
     frame = CrowdFrame(frame_id=0, positions=pts)
     table = kernel_table(frame.positions, grid, sigma)
+    if sigma == 1.0:
+        # the interior person's cells within 4 cells of it: 49 of 81
+        assert np.count_nonzero(table[1][-1]) == 49
     blocks = set(np.count_nonzero(table[0] < grid.n_cells, axis=1).tolist())
     assert blocks == {a * b for a in range(2 * r + 2)
                       for b in range(2 * r + 2)}

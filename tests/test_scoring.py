@@ -418,7 +418,10 @@ def _overlap_scenes():
 
 
 def test_footprint_table_packs_each_mask_along_its_cells():
-    # row-major bits, zero-padded to whole uint64 words, read-only
+    # row-major bits, zero-padded to whole uint64 words, read-only, which
+    # Scene.unpack reads back: each row as its footprint, and the OR of a
+    # group's rows as the group's union
+    rng = np.random.default_rng(5)
     for scene in _overlap_scenes():
         table, areas, _ = scene.footprint_table()
         n_cells = scene.grid.n_cells
@@ -426,10 +429,19 @@ def test_footprint_table_packs_each_mask_along_its_cells():
         assert table.shape == (len(scene.cameras), -(-n_cells // 64))
         assert not table.flags.writeable
         bits = np.unpackbits(table.view(np.uint8), axis=1)
-        for cam, row in zip(scene.cameras, bits):
+        for cam, row, words in zip(scene.cameras, bits, table):
             mask = scene.footprint(cam.id).mask
             assert np.array_equal(row[:n_cells].astype(bool), mask.ravel())
             assert not row[n_cells:].any()
+            unpacked = scene.unpack(words)
+            assert unpacked.dtype == bool and np.array_equal(unpacked, mask)
+        for _ in range(8):
+            group = rng.permutation(len(scene.cameras))[
+                :rng.integers(0, len(scene.cameras) + 1)]
+            union = np.bitwise_or.reduce(table[group], axis=0)
+            assert np.array_equal(
+                scene.unpack(union),
+                scene.visibility_of([scene.cameras[i].id for i in group]))
         assert areas.tolist() == [
             int(np.count_nonzero(scene.footprint(c.id).mask))
             for c in scene.cameras]

@@ -661,22 +661,12 @@ def test_criterion_4_traffic_rasterizes_each_frame_unmasked_once(
                                count_noise_rel=0.2, q_scale=400.0,
                                distance_falloff_m=6.0, crowding_half=0.5)
 
-    def config(strategy, stages):
-        return SelectionConfig(k_max=5, n_frames=5, strategy=strategy,
-                               tau=30.0, epochs=24, pseudo_stages=stages)
-    state = random_select(scene, 5, seed=0)
-    trained = train_after_selection(scene, trace[:5], state,
-                                    config("random", "none"), predictor())
-    evaluate(scene, trace, state, trained)
-    cfg = config("geometric", "modeltrain")
-    state, dataset = run_ivs(scene, trace, cfg, predictor())
-    frames = [f for f in trace if f.frame_id in dataset.frame_ids]
-    evaluate(scene, trace, state,
-             train_after_selection(scene, frames, state, cfg, predictor()))
-    for strategy in ("mask", "density"):
-        state, _, trained = run_avs(scene, trace, config(strategy, "both"),
-                                    predictor())
-        evaluate(scene, trace, state, trained)
+    for strategy, stages in (("random", "none"), ("geometric", "modeltrain"),
+                             ("mask", "both"), ("density", "both")):
+        config = SelectionConfig(k_max=5, n_frames=5, strategy=strategy,
+                                 tau=30.0, epochs=24, pseudo_stages=stages)
+        evaluate(scene, trace, *run_selection(scene, trace, config,
+                                              predictor()))
     assert sorted(unmasked) == [f.frame_id for f in trace]
 
 
@@ -720,9 +710,12 @@ def test_a_state_or_config_built_from_lists_is_the_tuple_form(demo_scene):
 
 
 def test_a_state_refuses_what_its_artifact_reader_refuses(demo_scene):
-    # a state names its scene's cameras and holds a bool flag, however it
-    # is built
+    # a state names at least one of its scene's cameras and holds a bool
+    # flag, however it is built
     first = demo_scene.camera_ids[0]
+    for selected in ((), []):
+        with pytest.raises(ValueError, match="no selected views"):
+            SelectionState(selected=selected, scene=demo_scene)
     with pytest.raises(ValueError,
                        match=r"selection names unknown cameras: \['nope'\]"):
         SelectionState(selected=(first, "nope"), scene=demo_scene)

@@ -45,10 +45,12 @@ once, by GroundGrid.cell_axes: no module calls `meshgrid` or reads
 file format is known in one place: only crowd.py holds the column name
 `person_idx`, and only crowd.trace_from_csv calls `loadtxt`. And a
 camera's distance term is stated once, by the greedy round: only
-scoring._Round.term reads `footprint_window`. And the packed footprint
-bits have one writer and one reader: only geometry.py calls `packbits`
-(Scene.footprint_table), and only scoring.py calls `bitwise_count` (the
-round's union and its candidates' overlap with it)."""
+scoring._Round.term reads `footprint_window`. And the packing of the
+footprint bits is known in one module: only geometry.py calls `packbits`
+(Scene.footprint_table) or `unpackbits` (Scene.unpack), and only
+scoring.py calls `bitwise_count`, on the packed words alone (the greedy
+round's union words and its candidates' overlap with them); scoring.py
+calls no `footprint`, so a round reads its union's mask from its words."""
 
 import ast
 from pathlib import Path
@@ -385,6 +387,10 @@ def test_one_statement_of_a_camera_term():
     assert "scoring.screen" in reading_functions(PACKAGE, "footprint_table")
 
 
-def test_one_writer_and_one_reader_of_the_packed_footprints():
+def test_one_module_knows_the_packed_footprints():
     assert callers(PACKAGE, "packbits") == ["geometry"]
+    assert callers(PACKAGE, "unpackbits") == ["geometry"]
     assert callers(PACKAGE, "bitwise_count") == ["scoring"]
+    assert "scoring" not in callers(PACKAGE, "footprint")
+    # the walk does see a footprint call
+    assert "selection" in callers(PACKAGE, "footprint")
