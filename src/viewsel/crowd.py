@@ -188,6 +188,16 @@ def generate_crowd_trace(grid: GroundGrid, n_frames: int,
     return frames
 
 
+def require_kernel_sigma(kernel_sigma_cells) -> None:
+    """Refuse, with ValueError, a sigma whose kernel, cut at 4 sigma, would
+    drop a person at a cell corner: (4 sigma)**2 must reach the corner's
+    squared distance to its nearest centers, 0.5 (sigma >= sqrt(2)/8)."""
+    sigma = require_real(kernel_sigma_cells, "kernel_sigma_cells")
+    if not (sigma > 0 and (4.0 * sigma) ** 2 >= 0.5):
+        raise ValueError(f"kernel_sigma_cells must be finite and at least "
+                         f"sqrt(2)/8 cells, not {kernel_sigma_cells}")
+
+
 def kernel_table(positions: np.ndarray, grid: GroundGrid,
                  kernel_sigma_cells: float) -> tuple[np.ndarray, np.ndarray]:
     """Each person's Gaussian kernel as one row of (2r+1)**2 flat cells and
@@ -200,9 +210,7 @@ def kernel_table(positions: np.ndarray, grid: GroundGrid,
     0.0, so accumulate_density of any subset of rows is the raster of that
     subset of people.
     """
-    if require_real(kernel_sigma_cells, "kernel_sigma_cells") <= 0:
-        raise ValueError(f"kernel_sigma_cells must be finite and positive, "
-                         f"not {kernel_sigma_cells}")
+    require_kernel_sigma(kernel_sigma_cells)
     h, w = grid.shape
     pos = require_finite(positions, "person positions")
     if pos.ndim != 2 or pos.shape[1] != 2:

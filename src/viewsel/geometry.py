@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -206,11 +207,6 @@ class FovFootprint:
     def __post_init__(self):
         self.mask.setflags(write=False)
 
-    @cached_property
-    def area_cells(self) -> int:
-        """The mask's covered-cell count, computed on first use."""
-        return np.count_nonzero(self.mask)
-
 
 def ground_axis_or_none(camera: CameraPose
                         ) -> tuple[np.ndarray | None, np.ndarray]:
@@ -276,11 +272,31 @@ def floored_distance(x, y, point: tuple[float, float],
                       grid.cell_size_m / 2.0)
 
 
+class CameraTable(NamedTuple):
+    """Each camera's scoring constants, in roster order; read-only.
+    windows: the slices of its footprint's bounding box and, over it, the
+    floored ground distance on the footprint and +inf elsewhere (so
+    w / window is w / distance there and 0.0 elsewhere); None if empty.
+    words: its footprint mask packed along its cells, zero-padded to whole
+    uint64 words (Scene.unpack reads a row back); areas: each row's
+    popcount; masses: the sum of 1 / window (0.0 if empty). dots,
+    distances: (n, n) ground-axis dot products (0.0 where either camera
+    looks straight down) and ground distances, each entry its pair's own
+    scalar expression, so its bits do not depend on the roster."""
+
+    windows: tuple[tuple[slice, slice, np.ndarray] | None, ...]
+    words: np.ndarray
+    areas: np.ndarray
+    masses: np.ndarray
+    dots: np.ndarray
+    distances: np.ndarray
+
+
 @dataclass(frozen=True)
 class Scene:
     """Ground grid plus the calibrated candidate camera roster, with each
-    camera's footprint projected on construction and the camera geometry
-    that scoring reads computed on first use."""
+    camera's footprint projected on construction and the camera table
+    that scoring reads built on first use."""
 
     grid: GroundGrid
     cameras: tuple[CameraPose, ...]
@@ -297,7 +313,6 @@ class Scene:
         object.__setattr__(self, "_by_id", {
             c.id: (i, c, f)
             for i, (c, f) in enumerate(zip(self.cameras, footprints))})
-        object.__setattr__(self, "_pair_rows", {})
 
     @property
     def camera_ids(self) -> list[str]:
@@ -313,67 +328,24 @@ class Scene:
         """The camera's position in the roster, self.cameras."""
         return self._by_id[camera_id][0]
 
-    def footprint_window(self, camera_id: str
-                         ) -> tuple[slice, slice, np.ndarray] | None:
-        """The row and column slices of the bounding box of the camera's
-        footprint, and over that box the floored ground distance from the
-        camera on its footprint cells and +inf on every other cell; None
-        for an empty footprint. Read-only: w / window adds w / distance on
-        the footprint and exactly 0.0 elsewhere for any finite w."""
-        return self._camera_table[camera_id][0]
-
-    def pair_row(self, camera_id: str) -> tuple[np.ndarray, np.ndarray]:
-        """The ground-axis dot products and ground distances of the camera
-        and each camera of the roster, in roster order, computed on the
-        camera's first use; read-only. A dot product is 0.0 where either
-        camera looks straight down. Each entry is one pair's own scalar
-        expression, so its bits do not depend on the rest of the roster."""
-        if camera_id not in self._pair_rows:
-            ai, pi = self._camera_table[camera_id][2:]
-            pairs = [(0.0 if ai is None or aj is None else float(ai @ aj),
-                      float(np.linalg.norm(pi - pj)))
-                     for _, _, aj, pj in self._camera_table.values()]
-            self._pair_rows[camera_id] = _read_only(*np.array(pairs).T)
-        return self._pair_rows[camera_id]
-
-    def footprint_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every camera's footprint mask packed along its cells, one
-        (n_cameras, words) uint64 row per camera (np.packbits of the
-        row-major mask, zero-padded to whole words), and each camera's
-        covered-cell count and unit-weight inverse-distance mass (the sum
-        of 1 / floored distance over its footprint_window, 0.0 for an
-        empty footprint), in roster order; built on first use and
-        read-only."""
-        return self._footprint_table
+    def camera_table(self) -> CameraTable:
+        """The cameras' scoring constants, built on first use."""
+        return self._camera_table
 
     def unpack(self, words: np.ndarray) -> np.ndarray:
         """The grid-shaped bool mask whose cells words holds packed as a
-        footprint_table row holds them: the inverse of that packing."""
+        camera_table().words row holds them: the inverse of that packing."""
         return np.unpackbits(words.view(np.uint8), count=self.grid.n_cells
                              ).view(bool).reshape(self.grid.shape)
 
     @cached_property
-    def _footprint_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        bits = np.packbits([f.mask.ravel() for f in self.footprints],
-                           axis=1)
-        words = np.zeros((len(bits), -(-bits.shape[1] // 8) * 8),
-                         dtype=np.uint8)
-        words[:, :bits.shape[1]] = bits
-        return _read_only(
-            words.view(np.uint64),
-            np.array([f.area_cells for f in self.footprints]),
-            np.array([self._camera_table[c.id][1] for c in self.cameras]))
-
-    @cached_property
-    def _camera_table(self) -> dict:
-        """Each camera's (footprint window, footprint mass, ground axis,
-        ground position) by id, for every camera on first use. A window's
-        distances are taken over the footprint's bounding box from the
-        grid's cell axes, X varying by column and Y by row."""
+    def _camera_table(self) -> CameraTable:
+        # a window's distances are taken over the footprint's bounding box
+        # from the grid's cell axes, X varying by column and Y by row
         xs, ys = self.grid.cell_axes()
-        table = {}
+        windows = []
         for c, f in zip(self.cameras, self.footprints):
-            window, mass = None, 0.0
+            window = None
             rows = np.flatnonzero(f.mask.any(axis=1))
             if rows.size:
                 cols = np.flatnonzero(f.mask.any(axis=0))
@@ -382,9 +354,25 @@ class Scene:
                                             c.ground_position, self.grid)
                 window = (*box, *_read_only(
                     np.where(f.mask[box], distance, np.inf)))
-                mass = float((1.0 / window[2]).sum())
-            table[c.id] = (window, mass, *ground_axis_or_none(c))
-        return table
+            windows.append(window)
+        masses = [0.0 if w is None else float((1.0 / w[2]).sum())
+                  for w in windows]
+        bits = np.packbits([f.mask.ravel() for f in self.footprints], axis=1)
+        words = np.zeros((len(bits), -(-bits.shape[1] // 8)), dtype=np.uint64)
+        words.view(np.uint8)[:, :bits.shape[1]] = bits
+        # each pair's own scalar expressions, for i <= j, mirrored
+        n = len(self.cameras)
+        dots, distances = np.zeros((n, n)), np.zeros((n, n))
+        ground = [ground_axis_or_none(c) for c in self.cameras]
+        for i, (ai, pi) in enumerate(ground):
+            for j, (aj, pj) in enumerate(ground[i:], start=i):
+                dots[i, j] = dots[j, i] = (
+                    0.0 if ai is None or aj is None else float(ai @ aj))
+                distances[i, j] = distances[j, i] = float(
+                    np.linalg.norm(pi - pj))
+        return CameraTable(tuple(windows), *_read_only(
+            words, np.bitwise_count(words).sum(axis=1, dtype=np.intp),
+            np.array(masses), dots, distances))
 
     def visibility_of(self, camera_ids: list[str]) -> np.ndarray:
         """Cellwise union of the cameras' footprints; no cameras give the

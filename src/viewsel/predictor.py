@@ -17,7 +17,8 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .crowd import CrowdFrame, DensityMap, accumulate_density, kernel_table
+from .crowd import (CrowdFrame, DensityMap, accumulate_density, kernel_table,
+                    require_kernel_sigma)
 from .geometry import Scene
 from .serialize import require_fields, require_int, require_real, require_seed
 
@@ -61,8 +62,9 @@ class PredictorConfig:
             raise ValueError("miss_rate must be in [0, 1]")
         if self.position_jitter_m < 0 or self.count_noise_rel < 0:
             raise ValueError("noise magnitudes must be nonnegative")
-        if self.kernel_sigma_cells <= 0 or self.q_scale <= 0:
-            raise ValueError("kernel_sigma_cells and q_scale must be positive")
+        require_kernel_sigma(self.kernel_sigma_cells)
+        if self.q_scale <= 0:
+            raise ValueError("q_scale must be positive")
         if self.distance_falloff_m <= 0 or self.crowding_half <= 0:
             raise ValueError("distance_falloff_m and crowding_half must be "
                              "positive")

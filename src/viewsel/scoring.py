@@ -12,10 +12,11 @@ distance field:
     mask        binarized prediction         1
     density     binarized prediction         predicted density
 
-A round (_Round) is the only builder of the distance field. It is built by
-advancing an empty group one camera at a time: each camera adds its
-distance terms to the group field in place, its footprint to the FOV union
-and its row of diversity pair terms. A greedy round keeps only its best
+A round (_Round) is the only builder of the distance field. It reads each
+camera's constants from the scene's camera table (Scene.camera_table) by
+roster position, and is built by advancing an empty group one camera at a
+time: each camera adds its distance terms to the group field in place and
+its footprint to the FOV union. A greedy round keeps only its best
 candidate: a greedy run's scorer (round_scorer) screens every candidate
 at once, as numpy vectors, and gives score_round's exact score only to
 those within rounding of the best. It carries its round from one call to
@@ -62,15 +63,15 @@ def _positions(scene: Scene, camera_ids: list[str]) -> np.ndarray:
 class _Round:
     """A greedy round's state under strategy: the strategy's region and
     weight (the module docstring's table; the prediction is binarized
-    here), and the distance field and pair-term rows of its group, ids,
-    built by advancing an empty group one camera at a time. For the
-    geometric strategy it also carries the group's FOV union, union_bits,
-    as words packed like Scene.footprint_table's rows; Scene.unpack reads
-    them back as the scored mask.
+    here), the scene's camera table and its pair terms, and the distance
+    field of its group, ids, built by advancing an empty group one camera
+    at a time. For the geometric strategy it also carries the group's FOV
+    union, union_bits, as words packed like the table's; Scene.unpack
+    reads them back as the scored mask.
     term is the one statement of a camera's distance term; advance adds
     it to the field, exact scores ids + [c] on the full grid, and screen
     gives every candidate's total at once from vector sums, up to
-    rounding (round_scorer)."""
+    rounding (round_scorer). A candidate is named by roster position."""
 
     def __init__(self, scene: Scene, strategy: str,
                  prediction: DensityMap | None, sigma_mode,
@@ -88,20 +89,22 @@ class _Round:
             raise ValueError(f"strategy {strategy!r} has no score")
         self.scene, self.strategy, self.terms = scene, strategy, terms
         self.region, self.weight = region, weight
+        self.table = scene.camera_table()
+        self.pair_terms = self.table.dots / (self.table.distances + EPSILON)
         self.field = np.zeros(scene.grid.shape)
-        self.ids, self.positions, self.pair_terms = [], [], []
+        self.ids, self.positions = [], []
         if region is None:
-            self.union_bits = np.zeros_like(scene.footprint_table()[0][0])
+            self.union_bits = np.zeros_like(self.table.words[0])
         # a fixed region is counted once, a group's union as it grows
         self.n_scored = (0 if region is None
                          else int(np.count_nonzero(region)))
 
-    def term(self, cid: str) -> tuple[slice, slice, np.ndarray] | None:
-        """cid's footprint window rows and cols (Scene.footprint_window)
+    def term(self, position: int) -> tuple[slice, slice, np.ndarray] | None:
+        """The footprint window rows and cols of the camera at position
         and its finite weight / floored distance over them, None for an
         empty footprint: the window's other cells get exactly 0.0, which
         leaves a field's non-negative, never -0.0 values unchanged."""
-        window = self.scene.footprint_window(cid)
+        window = self.table.windows[position]
         if window is None:
             return None
         rows, cols, distance = window
@@ -110,22 +113,19 @@ class _Round:
 
     def advance(self, cid: str) -> None:
         """Append cid to the group: add its term to the field in place, in
-        the order a from-scratch field adds it, and keep its row of pair
-        terms with the roster; for the geometric strategy, also OR its
-        packed footprint into the union's words and count the union's
-        cells."""
+        the order a from-scratch field adds it; for the geometric strategy,
+        also OR its packed footprint into the union's words and count the
+        union's cells."""
         position = self.scene.camera_index(cid)
-        term = self.term(cid)
-        dots, distances = self.scene.pair_row(cid)
+        term = self.term(position)
         self.ids.append(cid)
         self.positions.append(position)
-        self.pair_terms.append(dots / (distances + EPSILON))
         if term is None:
             return
         rows, cols, values = term
         self.field[rows, cols] += values
         if self.region is None:
-            self.union_bits |= self.scene.footprint_table()[0][position]
+            self.union_bits |= self.table.words[position]
             self.n_scored = int(np.bitwise_count(self.union_bits).sum())
 
     def diversity(self, positions: np.ndarray) -> np.ndarray:
@@ -133,7 +133,8 @@ class _Round:
         their pair terms summed in itertools.combinations order: group
         camera i's pairs with the later group cameras, then with c."""
         acc = np.zeros(len(positions))
-        for i, row in enumerate(self.pair_terms):
+        for i, position in enumerate(self.positions):
+            row = self.pair_terms[position]
             for later in self.positions[i + 1:]:
                 acc += row[later]
             acc += row[positions]
@@ -148,22 +149,21 @@ class _Round:
                 total *= factor
         return np.where(s_sc != 0, total, 0.0)
 
-    def exact(self, cid: str, s_vd: float) -> ScoreBreakdown:
-        """The score of ids + [cid], given its diversity: cid, last in its
-        group, adds only its own terms to a copy of the group's field, in
-        the order a from-scratch score of ids + [cid] adds them, and the
-        field's sum over the whole scored region is divided by the region's
-        cell count from region_counts."""
-        field, term = self.field.copy(), self.term(cid)
+    def exact(self, position: int, s_vd: float) -> ScoreBreakdown:
+        """The score of ids + [c], c at position, given its diversity: c,
+        last in its group, adds only its own terms to a copy of the group's
+        field, in the order a from-scratch score of ids + [c] adds them, and
+        the field's sum over the whole scored region is divided by the
+        region's cell count from region_counts."""
+        field, term = self.field.copy(), self.term(position)
         if term is not None:
             rows, cols, values = term
             field[rows, cols] += values
-        position = self.scene.camera_index(cid)
         n_region = int(self.region_counts(np.array([position]))[0])
         scored = self.region
         if scored is None:
             scored = self.scene.unpack(
-                self.union_bits | self.scene.footprint_table()[0][position])
+                self.union_bits | self.table.words[position])
         s_sc = n_region / self.scene.grid.n_cells
         s_ad = float(field[scored].sum()) / n_region if n_region else 0.0
         return ScoreBreakdown(s_sc=s_sc, s_ad=s_ad, s_vd=s_vd,
@@ -174,41 +174,39 @@ class _Round:
         """The cell count of the scored region of ids + [c] for the
         candidates at the roster positions: a fixed region's, or the
         union's plus c's area less its overlap with the union, the
-        popcount of c's packed row (Scene.footprint_table) AND the union's
-        words."""
+        popcount of c's packed row AND the union's words."""
         if self.region is not None:
             return np.full(len(positions), self.n_scored)
-        table, areas, _ = self.scene.footprint_table()
-        overlap = np.bitwise_count(table[positions] & self.union_bits
+        overlap = np.bitwise_count(self.table.words[positions]
+                                   & self.union_bits
                                    ).sum(axis=1, dtype=np.intp)
-        return self.n_scored + areas[positions] - overlap
+        return self.n_scored + self.table.areas[positions] - overlap
 
-    def screen(self, candidates: list[str], positions: np.ndarray,
-               s_vd: np.ndarray) -> np.ndarray:
-        """exact(c, s_vd).total up to rounding for every candidate at once:
-        the field's sum over the scored region is the group's, taken once,
-        plus c's own terms on that region. A geometric candidate adds its
-        unit-weight mass (Scene.footprint_table), and its footprint cells
-        outside the union to the union's count (region_counts); a mask or
-        density candidate adds its terms on the region's cells in its
-        footprint window."""
+    def screen(self, positions: np.ndarray, s_vd: np.ndarray) -> np.ndarray:
+        """exact(c, s_vd).total up to rounding for the candidates at the
+        roster positions at once: the field's sum over the scored region
+        is the group's, taken once, plus c's own terms on that region. A
+        geometric candidate adds its unit-weight mass, and its footprint
+        cells outside the union to the union's count (region_counts); a
+        mask or density candidate adds its terms on the region's cells in
+        its footprint window."""
         scored = (self.scene.unpack(self.union_bits) if self.region is None
                   else self.region)
         group_mass = float(self.field[scored].sum())
         n_region = self.region_counts(positions)
         if self.region is None:
-            mass = group_mass + self.scene.footprint_table()[2][positions]
+            mass = group_mass + self.table.masses[positions]
         else:
             own = []
-            for cid in candidates:
-                term = self.term(cid)
+            for position in positions:
+                term = self.term(position)
                 if term is None:
                     own.append(0.0)
                     continue
                 rows, cols, values = term
                 own.append(float(values[self.region[rows, cols]].sum()))
             mass = group_mass + np.array(own)
-        s_ad = np.divide(mass, n_region, out=np.zeros(len(candidates)),
+        s_ad = np.divide(mass, n_region, out=np.zeros(len(positions)),
                          where=n_region > 0)
         return self._total(n_region / self.scene.grid.n_cells, s_ad, s_vd)
 
@@ -216,11 +214,11 @@ class _Round:
         """round_scorer's answer for ids + [c] over the candidates."""
         positions = _positions(self.scene, candidates)
         s_vd = self.diversity(positions)
-        screened = self.screen(candidates, positions, s_vd)
+        screened = self.screen(positions, s_vd)
         floor = screened.max() * (1.0 - SCREEN_TOL)
         best = None
         for i in np.flatnonzero(screened >= floor):
-            sb = self.exact(candidates[i], float(s_vd[i]))
+            sb = self.exact(positions[i], float(s_vd[i]))
             if best is None or sb.total > best[1].total:
                 best = (int(i), sb)
         return best
@@ -251,13 +249,14 @@ def score_round(group: list[str], candidates: list[str], scene: Scene,
     holds only finite values, so its weight is finite). The group's round
     is built once (_Round), and each score equals the from-scratch score
     of group + [c], whose footprint windows and pair geometry come from
-    the scene (Scene.footprint_window, Scene.pair_row)."""
+    the scene's camera table (Scene.camera_table)."""
     _require_distinct(group, candidates)
     rnd = _Round(scene, strategy, prediction, sigma_mode, terms)
     for cid in group:
         rnd.advance(cid)
-    s_vd = rnd.diversity(_positions(scene, candidates))
-    return [rnd.exact(cid, float(v)) for cid, v in zip(candidates, s_vd)]
+    positions = _positions(scene, candidates)
+    s_vd = rnd.diversity(positions)
+    return [rnd.exact(p, float(v)) for p, v in zip(positions, s_vd)]
 
 
 def round_scorer(scene: Scene, strategy: str,
@@ -270,9 +269,9 @@ def round_scorer(scene: Scene, strategy: str,
 
     Every candidate is first screened at once: its total is computed from
     the group field's sum over the scored region, taken once per round,
-    plus the candidate's own terms (its unit-weight mass from
-    Scene.footprint_table for the geometric strategy, its window's sum on
-    the region otherwise). Every summand is finite and non-negative, so
+    plus the candidate's own terms (its unit-weight mass from the scene's
+    camera table for the geometric strategy, its window's sum on the
+    region otherwise). Every summand is finite and non-negative, so
     both sums are within a relative (k + 2 log2 n_cells) * 2**-52 or so of
     the true one; only the candidates screened within SCREEN_TOL of the
     best get score_round's exact score, and the winner is the first of
@@ -281,8 +280,8 @@ def round_scorer(scene: Scene, strategy: str,
     The function keeps its round between calls: a group that extends the
     round's group advances the round by its new cameras, any other group
     starts a fresh round. A greedy run hands it the last group plus the
-    last winner, so the run adds each camera's field term, footprint and
-    pair-term row once."""
+    last winner, so the run adds each camera's field term and footprint
+    once."""
     rnd = _Round(scene, strategy, prediction, sigma_mode, terms)
 
     def score_fn(group: list[str], candidates: list[str]

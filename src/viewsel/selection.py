@@ -142,8 +142,7 @@ def _initial_state(scene: Scene, first_id: str) -> SelectionState:
 
 
 def _largest_fov_camera(scene: Scene) -> str:
-    return min(scene.camera_ids,
-               key=lambda cid: (-scene.footprint(cid).area_cells, cid))
+    return min(zip(-scene.camera_table().areas, scene.camera_ids))[1]
 
 
 def _cosine(u: np.ndarray, nu: float, v: np.ndarray, nv: float) -> float:
@@ -205,15 +204,16 @@ def select_first_view(scene: Scene, drawn: list[tuple[CrowdFrame, float]],
     """
     if not drawn:
         raise ValueError("no frames to select the first view by")
-    totals = {cid: [] for cid in scene.camera_ids}
+    totals = dict.fromkeys(scene.camera_ids, 0.0)
     for noisy, scale in drawn:
         table = kernel_table(noisy.positions, scene.grid, kernel_sigma_cells)
-        for cid, counts in totals.items():
+        for cid in totals:
             fov = scene.footprint(cid).mask
             values = accumulate_density(table, scene.grid,
                                         noisy.seen(fov, scene.grid), fov)
-            counts.append(float((values * scale).sum()))
-    return min(scene.camera_ids, key=lambda cid: (-sum(totals[cid]), cid))
+            # in drawn's order on every Python (sum() compensates from 3.12)
+            totals[cid] += float((values * scale).sum())
+    return min(scene.camera_ids, key=lambda cid: (-totals[cid], cid))
 
 
 def add_view(state: SelectionState, score_fn) -> SelectionState:

@@ -282,7 +282,8 @@ def test_criterion_6_monotonicity_suites():
     # suite C: greedy prefix stability, K=3 prefix of K=5
     def greedy_sequence(scene, k):
         first = min(scene.camera_ids,
-                    key=lambda c: (-scene.footprint(c).area_cells, c))
+                    key=lambda c: (-np.count_nonzero(scene.footprint(c).mask),
+                                  c))
         from viewsel.selection import _initial_state
         state = _initial_state(scene, first)
 

@@ -403,7 +403,8 @@ def test_non_finite_threshold_is_validation_error(artifacts, selection,
 
 
 @pytest.mark.parametrize("flag", ["--epochs=-1", "--tau=nan", "--sigma=nan",
-                                  "--sigma=inf"])
+                                  "--sigma=inf", "--kernel-sigma=1e-200",
+                                  "--kernel-sigma=0.1"])
 @pytest.mark.parametrize("command", ["select", "sweep"])
 def test_bad_selection_number_is_validation_error(artifacts, tmp_path,
                                                   monkeypatch, command, flag):

@@ -150,10 +150,30 @@ def test_kernel_table_at_every_edge_and_corner_equals_loop_reference(sigma):
 
 
 def test_density_rejects_bad_sigma(small_grid):
-    # refused by name before the kernel radius, ceil(4 sigma), is taken
-    for bad in (0.0, -1.0, math.inf, math.nan):
+    # refused by name before the kernel radius, ceil(4 sigma), is taken,
+    # as is every sigma below sqrt(2)/8 cells, whose kernel would miss
+    # every cell center from a cell corner, down to sigmas whose
+    # 1 / (2 sigma**2) is infinite (1e-160) or divides by zero (1e-200)
+    for bad in (0.0, -1.0, math.inf, math.nan, 1e-200, 1e-160, 0.01, 0.17):
         with pytest.raises(ValueError, match="kernel_sigma_cells"):
             rasterize_density(_frame([(1, 1)]), small_grid, bad)
+
+
+def test_person_at_a_cell_corner_keeps_unit_mass_at_the_smallest_sigma(
+        small_grid):
+    # (1.0, 1.0) m is a cell corner of the 0.5 m grid, sqrt(0.5) cells from
+    # its four nearest centers: the smallest accepted sigma's kernel,
+    # truncated at 4 sigma, reaches those four and no other cell
+    sigma = math.sqrt(2) / 8
+    while (4.0 * math.nextafter(sigma, 0.0)) ** 2 >= 0.5:
+        sigma = math.nextafter(sigma, 0.0)
+    dm = rasterize_density(_frame([(1.0, 1.0)]), small_grid, sigma)
+    assert dm.total == 1.0
+    assert np.array_equal(np.argwhere(dm.values),
+                          [[1, 1], [1, 2], [2, 1], [2, 2]])
+    with pytest.raises(ValueError, match="kernel_sigma_cells"):
+        rasterize_density(_frame([(1.0, 1.0)]), small_grid,
+                          math.nextafter(sigma, 0.0))
 
 
 def test_density_map_nonnegative():

@@ -8,6 +8,7 @@ import pytest
 from viewsel import (CameraPose, DensityMap, GroundGrid, Scene,
                      binarize_density, generate_scene, score_round)
 from viewsel import scoring as scoring_module
+from viewsel.geometry import ground_axis_or_none
 from viewsel.scoring import ALL_TERMS, _Round, round_scorer
 
 from conftest import random_small_scene
@@ -235,7 +236,7 @@ def test_field_equals_full_grid_formula_exactly():
     # weight and under a density weight
     rng = np.random.default_rng(15)
     edge = _edge_case_scene()
-    assert edge.footprint("away").area_cells == 0
+    assert not edge.footprint("away").mask.any()
     assert edge.footprint("nadir").mask[5, 6]  # the cell under the camera
     scenes = [edge] + [random_small_scene(rng) for _ in range(20)]
     for scene in scenes:
@@ -351,12 +352,17 @@ def test_consecutive_rounds_equal_per_group_formula_exactly():
                 assert (sb.s_sc, sb.s_ad, sb.s_vd, sb.total) == want
 
 
+def _window(scene, camera_id):
+    """The camera's footprint window in the scene's camera table."""
+    return scene.camera_table().windows[scene.camera_index(camera_id)]
+
+
 def _mass(scene, camera_id):
-    """The camera's unit-weight mass in the scene's footprint table."""
-    return scene.footprint_table()[2][scene.camera_index(camera_id)]
+    """The camera's unit-weight mass in the scene's camera table."""
+    return scene.camera_table().masses[scene.camera_index(camera_id)]
 
 
-def test_footprint_window_equals_full_grid_formula_exactly():
+def test_table_windows_equal_full_grid_formula_exactly():
     # each window is the tight bounding box of its footprint and holds the
     # full-grid floored distance on the footprint, +inf elsewhere
     rng = np.random.default_rng(19)
@@ -367,9 +373,9 @@ def test_footprint_window_equals_full_grid_formula_exactly():
         for cam in scene.cameras:
             mask = scene.footprint(cam.id).mask
             if not mask.any():
-                assert scene.footprint_window(cam.id) is None
+                assert _window(scene, cam.id) is None
                 continue
-            rows, cols, got = scene.footprint_window(cam.id)
+            rows, cols, got = _window(scene, cam.id)
             ii, jj = np.nonzero(mask)
             assert (rows, cols) == (slice(ii.min(), ii.max() + 1),
                                     slice(jj.min(), jj.max() + 1))
@@ -385,10 +391,10 @@ def test_footprint_window_equals_full_grid_formula_exactly():
             with pytest.raises(ValueError):
                 got[...] = 0.0
     edge = scenes[0]
-    assert edge.footprint_window("away") is None
+    assert _window(edge, "away") is None
     assert _mass(edge, "away") == 0.0
     # the nadir camera sits above a cell center: its distance is the floor
-    assert edge.footprint_window("nadir")[2].min() == 0.25
+    assert _window(edge, "nadir")[2].min() == 0.25
 
 
 def _with_empty_footprint(scene):
@@ -417,13 +423,13 @@ def _overlap_scenes():
     return scenes
 
 
-def test_footprint_table_packs_each_mask_along_its_cells():
+def test_table_words_pack_each_mask_along_its_cells():
     # row-major bits, zero-padded to whole uint64 words, read-only, which
     # Scene.unpack reads back: each row as its footprint, and the OR of a
     # group's rows as the group's union
     rng = np.random.default_rng(5)
     for scene in _overlap_scenes():
-        table, areas, _ = scene.footprint_table()
+        table, areas = scene.camera_table().words, scene.camera_table().areas
         n_cells = scene.grid.n_cells
         assert table.dtype == np.uint64
         assert table.shape == (len(scene.cameras), -(-n_cells // 64))
@@ -447,6 +453,39 @@ def test_footprint_table_packs_each_mask_along_its_cells():
             for c in scene.cameras]
 
 
+def test_camera_table_pairs_are_each_pairs_own_expression():
+    # one table per scene, in roster order and read-only: each pair entry
+    # is that pair's own scalar expression, in either order, so both pair
+    # matrices are symmetric; a camera that looks straight down has no
+    # ground axis and a 0.0 dot product with every camera, itself included
+    edge = _edge_case_scene()
+    for scene in [edge, *_overlap_scenes()]:
+        table = scene.camera_table()
+        assert scene.camera_table() is table
+        n = len(scene.cameras)
+        assert len(table.windows) == n
+        for values in table[1:]:
+            assert len(values) == n and not values.flags.writeable
+            with pytest.raises(ValueError):
+                values[0] = 0
+        assert table.dots.shape == table.distances.shape == (n, n)
+        assert np.array_equal(table.dots, table.dots.T)
+        assert np.array_equal(table.distances, table.distances.T)
+        ground = [ground_axis_or_none(c) for c in scene.cameras]
+        for (i, (ai, pi)), (j, (aj, pj)) in itertools.product(
+                enumerate(ground), repeat=2):
+            dot = 0.0 if ai is None or aj is None else float(ai @ aj)
+            assert table.dots[i, j] == dot
+            assert table.distances[i, j] == float(np.linalg.norm(pi - pj))
+        assert table.areas.dtype == np.intp
+        assert table.areas.tolist() == [
+            np.count_nonzero(f.mask) for f in scene.footprints]
+    nadir = edge.camera_index("nadir")
+    assert ground_axis_or_none(edge.cameras[nadir])[0] is None
+    assert not edge.camera_table().dots[nadir].any()
+    assert not edge.camera_table().dots[:, nadir].any()
+
+
 def test_screened_counts_equal_the_union_overlap_loop():
     # after each advance of a greedy run, each candidate's screened count
     # of ids + [c] is the union's count plus its area less its overlap with
@@ -457,7 +496,7 @@ def test_screened_counts_equal_the_union_overlap_loop():
     for scene in scenes:
         rnd = _round(scene)
         candidates = list(scene.camera_ids)
-        areas = scene.footprint_table()[1]
+        areas = scene.camera_table().areas
         while candidates:
             positions = np.array([scene.camera_index(c)
                                   for c in candidates])

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -109,7 +110,7 @@ def test_select_frames_refuses_an_empty_request(demo_scene):
 def test_select_frames_first_has_largest_count(demo_scene):
     trace = _trace(demo_scene, n=10)
     v_max = max(demo_scene.camera_ids,
-                key=lambda c: demo_scene.footprint(c).area_cells)
+                key=lambda c: np.count_nonzero(demo_scene.footprint(c).mask))
     fov = demo_scene.footprint(v_max).mask
     ids = select_frames(demo_scene, _oracle_draws(trace), 3, 1.0)
     totals = {f.frame_id: oracle_predict(f, fov, demo_scene).total
@@ -126,6 +127,9 @@ def test_select_frames_norms_each_feature_once(demo_scene, monkeypatch):
     empty = CrowdFrame(frame_id=0, positions=np.zeros((0, 2)))
     trace = [replace(empty, frame_id=i) for i in (6, 9)] + base + [
         replace(base[i], frame_id=10 + i) for i in (1, 2, 4)]
+    # the scene's camera table, whose pair distances are norms too, is a
+    # scene constant: built here, before the count
+    demo_scene.camera_table()
     norms = _count_calls(monkeypatch, np.linalg, "norm")
     cosines = _count_calls(monkeypatch, selection_module, "_cosine")
     got = select_frames(demo_scene, _oracle_draws(trace), len(trace), 1.0)
@@ -188,7 +192,7 @@ def test_select_first_view_modes(demo_scene):
     trace = _trace(demo_scene, n=4)
     cfg = SelectionConfig(k_max=2, n_frames=4, strategy="geometric")
     by_fov = run_ivs(demo_scene, trace, cfg)[0].selected[0]
-    areas = {c: demo_scene.footprint(c).area_cells
+    areas = {c: np.count_nonzero(demo_scene.footprint(c).mask)
              for c in demo_scene.camera_ids}
     assert areas[by_fov] == max(areas.values())
     by_count = select_first_view(demo_scene, _oracle_draws(trace), 1.0)
@@ -387,9 +391,9 @@ def test_add_view_tie_goes_to_lowest_id():
 
 def test_run_ivs_adds_each_camera_term_once(demo_scene, monkeypatch):
     terms = _count_calls(monkeypatch, scoring_module._Round, "term",
-                         key=lambda self, cid: cid)
+                         key=lambda self, position: int(position))
     exact = _count_calls(monkeypatch, scoring_module._Round, "exact",
-                         key=lambda self, cid, s_vd: cid)
+                         key=lambda self, position, s_vd: int(position))
     rounds = _count_calls(monkeypatch, scoring_module._Round, "__init__")
     k = 5
     cfg = SelectionConfig(k_max=k, n_frames=4, strategy="geometric")
@@ -397,7 +401,8 @@ def test_run_ivs_adds_each_camera_term_once(demo_scene, monkeypatch):
     assert len(state.selected) == k
     # the run carries one round: each camera that joins its group states
     # its term once, and each contender scored exactly once more
-    assert sorted(terms) == sorted([*state.selected[:-1], *exact])
+    joined = [demo_scene.camera_index(c) for c in state.selected[:-1]]
+    assert sorted(terms) == sorted([*joined, *exact])
     assert len(exact) >= k - 1 and len(rounds) == 1
 
 
@@ -411,9 +416,9 @@ def _exact_scores_per_round(monkeypatch):
         per_round.append(0)
         return rounds(*args, **kwargs)
 
-    def count_exact(self, cid, s_vd):
+    def count_exact(self, position, s_vd):
         per_round[-1] += 1
-        return exact(self, cid, s_vd)
+        return exact(self, position, s_vd)
     monkeypatch.setattr(selection_module, "add_view", count_round)
     monkeypatch.setattr(scoring_module._Round, "exact", count_exact)
     return per_round
@@ -503,6 +508,37 @@ def test_select_first_view_equals_per_camera_reference():
             scene, [noisy_draw(frame, config) for frame in frames],
             config.kernel_sigma_cells) \
             == ref_select_first_view(scene, frames, predict)
+
+
+def test_select_first_view_sums_each_cameras_totals_left_to_right():
+    # two nadir cameras with disjoint footprints, and people on cell
+    # centers, whose kernel at sigma 0.18 is one cell of weight 1.0: each
+    # frame's count under a camera is its people there times the frame's
+    # power-of-two scale, exactly. "a" counts 2**53, 1, 1 and "b" 2**53,
+    # 2, 0: added one at a time in frame order, 2**53 + 1 rounds back to
+    # 2**53 and "b" leads by 2, while an exact sum (math.fsum, or the
+    # compensated sum() of Python 3.12) ties them and the tie goes to "a";
+    # added from the last frame, the two tie as well
+    grid = GroundGrid(height_cells=20, width_cells=20, cell_size_m=0.5)
+    cams = [CameraPose(id=cid, position_3d=(x, 5.0, 3.0), yaw=0.0,
+                       pitch=-np.pi / 2, horizontal_fov_rad=1.2,
+                       vertical_fov_rad=1.2, max_range_m=30.0)
+            for cid, x in (("a", 2.5), ("b", 7.5))]
+    scene = Scene(grid=grid, cameras=cams)
+    assert not (scene.footprint("a").mask & scene.footprint("b").mask).any()
+    in_a, in_b, also_b = (2.25, 5.25), (7.75, 5.25), (7.25, 4.75)
+    draws = [(CrowdFrame(0, [in_a, in_b]), 2.0 ** 53),
+             (CrowdFrame(1, [in_a, in_b, also_b]), 1.0),
+             (CrowdFrame(2, [in_a]), 1.0)]
+    counts = {"a": [2.0 ** 53, 1.0, 1.0], "b": [2.0 ** 53, 2.0, 0.0]}
+    for cid, want in counts.items():
+        fov = scene.footprint(cid).mask
+        assert [float(oracle_predict(frame, fov, scene, 0.18).total * scale)
+                for frame, scale in draws] == want
+    assert 2.0 ** 53 + 1.0 + 1.0 < 2.0 ** 53 + 2.0 + 0.0
+    assert math.fsum(counts["a"]) == math.fsum(counts["b"])
+    assert select_first_view(scene, draws, 0.18) == "b"
+    assert select_first_view(scene, draws[::-1], 0.18) == "a"
 
 
 def test_select_frames_equals_per_frame_reference():
@@ -730,7 +766,8 @@ def test_one_dominant_camera_is_selected_first():
     grid = GroundGrid(height_cells=30, width_cells=30, cell_size_m=0.5)
     scene = generate_scene(5, grid, seed=21)
     trace = generate_crowd_trace(grid, 4, (20, 40), 0.7, seed=1)
-    areas = {c: scene.footprint(c).area_cells for c in scene.camera_ids}
+    areas = {c: np.count_nonzero(scene.footprint(c).mask)
+             for c in scene.camera_ids}
     biggest = max(sorted(areas), key=lambda c: areas[c])
     cfg = SelectionConfig(k_max=1, n_frames=2, strategy="geometric")
     state, _ = run_ivs(scene, trace, cfg)

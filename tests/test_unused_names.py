@@ -44,12 +44,16 @@ once, by GroundGrid.cell_axes: no module calls `meshgrid` or reads
 `cell_axes`, and only geometry.py calls `project_footprint`. And the trace
 file format is known in one place: only crowd.py holds the column name
 `person_idx`, and only crowd.trace_from_csv calls `loadtxt`. And a
-camera's distance term is stated once, by the greedy round: only
-scoring._Round.term reads `footprint_window`. And the packing of the
-footprint bits is known in one module: only geometry.py calls `packbits`
-(Scene.footprint_table) or `unpackbits` (Scene.unpack), and only
-scoring.py calls `bitwise_count`, on the packed words alone (the greedy
-round's union words and its candidates' overlap with them); scoring.py
+camera's scoring constants are built once, in one table: only the greedy
+round (scoring._Round.__init__) and the widest camera's pick
+(selection._largest_fov_camera) read `camera_table`, only _Round.term
+reads its `windows`, and no module names `footprint_window`, `pair_row`,
+`footprint_table` or `area_cells`. And the packing of the footprint bits
+is known in one module: only geometry.py calls `packbits`
+(Scene.camera_table) or `unpackbits` (Scene.unpack), and only
+geometry.py and scoring.py call `bitwise_count`, on the packed words
+alone (the table's areas, the greedy round's union words and its
+candidates' overlap with them); scoring.py
 calls no `footprint`, so a round reads its union's mask from its words."""
 
 import ast
@@ -230,6 +234,17 @@ def constant_holders(package: Path, value: str) -> list[str]:
                    if isinstance(node, ast.Constant) and node.value == value})
 
 
+def namers(package: Path, name: str) -> list[str]:
+    """The package modules that name `name`: as a variable, an attribute,
+    an argument, or a function or class."""
+    return sorted({path.stem for path in package.glob("*.py")
+                   for node in ast.walk(ast.parse(path.read_text()))
+                   if name in (getattr(node, "id", None),
+                               getattr(node, "attr", None),
+                               getattr(node, "arg", None),
+                               getattr(node, "name", None))})
+
+
 def definers(package: Path, name: str) -> list[str]:
     """The package modules that define a function `name`, at any depth."""
     return sorted({where.split(".")[0] for where, fn in _functions(package)
@@ -382,15 +397,21 @@ def test_one_statement_of_the_trace_format():
 
 
 def test_one_statement_of_a_camera_term():
-    assert reading_functions(PACKAGE, "footprint_window") == ["scoring.term"]
-    # the walk does see a method's attribute read
-    assert "scoring.screen" in reading_functions(PACKAGE, "footprint_table")
+    assert reading_functions(PACKAGE, "camera_table") == [
+        "scoring.__init__", "selection._largest_fov_camera"]
+    assert reading_functions(PACKAGE, "windows") == ["scoring.term"]
+    for name in ("footprint_window", "pair_row", "footprint_table",
+                 "area_cells"):
+        assert namers(PACKAGE, name) == [], name
+    # the walk does see a method's definition and its attribute reads
+    assert namers(PACKAGE, "camera_table") == ["geometry", "scoring",
+                                               "selection"]
 
 
 def test_one_module_knows_the_packed_footprints():
     assert callers(PACKAGE, "packbits") == ["geometry"]
     assert callers(PACKAGE, "unpackbits") == ["geometry"]
-    assert callers(PACKAGE, "bitwise_count") == ["scoring"]
+    assert callers(PACKAGE, "bitwise_count") == ["geometry", "scoring"]
     assert "scoring" not in callers(PACKAGE, "footprint")
     # the walk does see a footprint call
     assert "selection" in callers(PACKAGE, "footprint")
