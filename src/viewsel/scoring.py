@@ -20,7 +20,9 @@ its footprint to the FOV union. A greedy round keeps only its best
 candidate: a greedy run's scorer (round_scorer) screens every candidate
 at once, as numpy vectors, and gives score_round's exact score only to
 those within rounding of the best. It carries its round from one call to
-the next, so each camera joins the group once.
+the next, so each camera joins the group once, and the round hands its
+winner's exact field and region sum to the next round, which adopts them
+when the winner joins: a winner's term is stated once, in exact.
 """
 
 from __future__ import annotations
@@ -71,7 +73,11 @@ class _Round:
     term is the one statement of a camera's distance term; advance adds
     it to the field, exact scores ids + [c] on the full grid, and screen
     gives every candidate's total at once from vector sums, up to
-    rounding (round_scorer). A candidate is named by roster position."""
+    rounding (round_scorer). A candidate is named by roster position.
+    mass is the field's sum over the group's scored region, 0.0 for the
+    empty group and None when unknown. exact leaves its candidate's
+    (position, field, region sum) as carry; winner keeps its winner's,
+    and the next advance adopts them if it adds that camera."""
 
     def __init__(self, scene: Scene, strategy: str,
                  prediction: DensityMap | None, sigma_mode,
@@ -93,6 +99,7 @@ class _Round:
         self.pair_terms = self.table.dots / (self.table.distances + EPSILON)
         self.field = np.zeros(scene.grid.shape)
         self.ids, self.positions = [], []
+        self.mass, self.carry = 0.0, None
         if region is None:
             self.union_bits = np.zeros_like(self.table.words[0])
         # a fixed region is counted once, a group's union as it grows
@@ -113,17 +120,24 @@ class _Round:
 
     def advance(self, cid: str) -> None:
         """Append cid to the group: add its term to the field in place, in
-        the order a from-scratch field adds it; for the geometric strategy,
-        also OR its packed footprint into the union's words and count the
-        union's cells."""
+        the order a from-scratch field adds it, or adopt the carry's field
+        and region sum if exact left them for cid (the same add on the
+        same inputs); for the geometric strategy, also OR its packed
+        footprint into the union's words and count the union's cells.
+        Every advance drops the carry."""
         position = self.scene.camera_index(cid)
-        term = self.term(position)
+        carry, self.carry = self.carry, None
         self.ids.append(cid)
         self.positions.append(position)
-        if term is None:
-            return
-        rows, cols, values = term
-        self.field[rows, cols] += values
+        if carry is not None and carry[0] == position:
+            _, self.field, self.mass = carry
+        else:
+            self.mass = None
+            term = self.term(position)
+            if term is None:
+                return
+            rows, cols, values = term
+            self.field[rows, cols] += values
         if self.region is None:
             self.union_bits |= self.table.words[position]
             self.n_scored = int(np.bitwise_count(self.union_bits).sum())
@@ -154,7 +168,8 @@ class _Round:
         last in its group, adds only its own terms to a copy of the group's
         field, in the order a from-scratch score of ids + [c] adds them, and
         the field's sum over the whole scored region is divided by the
-        region's cell count from region_counts."""
+        region's cell count from region_counts. The copy and the sum are
+        left as carry."""
         field, term = self.field.copy(), self.term(position)
         if term is not None:
             rows, cols, values = term
@@ -164,8 +179,10 @@ class _Round:
         if scored is None:
             scored = self.scene.unpack(
                 self.union_bits | self.table.words[position])
+        mass = float(field[scored].sum())
+        self.carry = (int(position), field, mass)
         s_sc = n_region / self.scene.grid.n_cells
-        s_ad = float(field[scored].sum()) / n_region if n_region else 0.0
+        s_ad = mass / n_region if n_region else 0.0
         return ScoreBreakdown(s_sc=s_sc, s_ad=s_ad, s_vd=s_vd,
                               total=float(self._total(s_sc, s_ad, s_vd)),
                               variant=self.strategy)
@@ -185,17 +202,18 @@ class _Round:
     def screen(self, positions: np.ndarray, s_vd: np.ndarray) -> np.ndarray:
         """exact(c, s_vd).total up to rounding for the candidates at the
         roster positions at once: the field's sum over the scored region
-        is the group's, taken once, plus c's own terms on that region. A
-        geometric candidate adds its unit-weight mass, and its footprint
-        cells outside the union to the union's count (region_counts); a
-        mask or density candidate adds its terms on the region's cells in
-        its footprint window."""
-        scored = (self.scene.unpack(self.union_bits) if self.region is None
-                  else self.region)
-        group_mass = float(self.field[scored].sum())
+        is the group's, mass, summed here only when unknown, plus c's own
+        terms on that region. A geometric candidate adds its unit-weight
+        mass, and its footprint cells outside the union to the union's
+        count (region_counts); a mask or density candidate adds its terms
+        on the region's cells in its footprint window."""
+        if self.mass is None:
+            scored = (self.scene.unpack(self.union_bits)
+                      if self.region is None else self.region)
+            self.mass = float(self.field[scored].sum())
         n_region = self.region_counts(positions)
         if self.region is None:
-            mass = group_mass + self.table.masses[positions]
+            mass = self.mass + self.table.masses[positions]
         else:
             own = []
             for position in positions:
@@ -205,7 +223,7 @@ class _Round:
                     continue
                 rows, cols, values = term
                 own.append(float(values[self.region[rows, cols]].sum()))
-            mass = group_mass + np.array(own)
+            mass = self.mass + np.array(own)
         s_ad = np.divide(mass, n_region, out=np.zeros(len(positions)),
                          where=n_region > 0)
         return self._total(n_region / self.scene.grid.n_cells, s_ad, s_vd)
@@ -216,11 +234,12 @@ class _Round:
         s_vd = self.diversity(positions)
         screened = self.screen(positions, s_vd)
         floor = screened.max() * (1.0 - SCREEN_TOL)
-        best = None
+        best = carry = None
         for i in np.flatnonzero(screened >= floor):
             sb = self.exact(positions[i], float(s_vd[i]))
             if best is None or sb.total > best[1].total:
-                best = (int(i), sb)
+                best, carry = (int(i), sb), self.carry
+        self.carry = carry
         return best
 
 
@@ -280,8 +299,10 @@ def round_scorer(scene: Scene, strategy: str,
     The function keeps its round between calls: a group that extends the
     round's group advances the round by its new cameras, any other group
     starts a fresh round. A greedy run hands it the last group plus the
-    last winner, so the run adds each camera's field term and footprint
-    once."""
+    last winner, so the run adds each camera's footprint once; the round
+    adopts the winner's field and region sum from its exact score, so
+    each winner's field term is stated once, in exact, and the group's
+    region sum is taken once per round."""
     rnd = _Round(scene, strategy, prediction, sigma_mode, terms)
 
     def score_fn(group: list[str], candidates: list[str]

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 from dataclasses import replace
@@ -642,11 +643,65 @@ def _other_groups(rng, scene, group):
     return others
 
 
+def _fresh_field_and_mass(scene, args, group):
+    """The field of a round advanced afresh over group, and its sum over
+    the group's scored region."""
+    rnd = _Round(scene, *args)
+    for cid in group:
+        rnd.advance(cid)
+    scored = (scene.unpack(rnd.union_bits) if rnd.region is None
+              else rnd.region)
+    return rnd.field, float(rnd.field[scored].sum())
+
+
+def _carried_chain(rng, scene, args, kinds):
+    """Greedy chains through one carried round_scorer under args: each call
+    returns the answer of a round built afresh, and the carried round then
+    holds a fresh round's field and region sum, bit for bit. Besides the
+    chain's own calls, a group may extend the chain by a camera other
+    than the last winner, by the winner and then another camera, or by
+    another camera and then the winner (the winner's carry must not be
+    adopted), or not extend it at all. kinds collects the kinds run."""
+    score_fn = round_scorer(scene, *args)
+
+    def check(group, kind):
+        kinds.add(kind)
+        candidates = sorted(set(scene.camera_ids) - set(group))
+        index, sb = round_scorer(scene, *args)(group, candidates)
+        got_index, got = score_fn(list(group), candidates)
+        assert (got_index, _bits(got)) == (index, _bits(sb)), kind
+        carried = inspect.getclosurevars(score_fn).nonlocals["rnd"]
+        field, mass = _fresh_field_and_mass(scene, args, group)
+        assert carried.field.tobytes() == field.tobytes(), kind
+        assert float(carried.mass).hex() == mass.hex(), kind
+        return candidates[index]
+
+    group = [scene.camera_ids[int(rng.integers(len(scene.cameras)))]]
+    while len(group) < len(scene.cameras):
+        winner = check(group, "chain")
+        rest = sorted(set(scene.camera_ids) - set(group) - {winner})
+        if rest and rng.random() < 0.3:
+            other = rest[int(rng.integers(len(rest)))]
+            kind, joined = [("extended by another camera", [other]),
+                            ("winner, then another camera", [winner, other]),
+                            ("another camera, then the winner",
+                             [other, winner])][int(rng.integers(3))]
+            group += joined
+            if len(group) < len(scene.cameras):
+                check(group, kind)
+            continue
+        if rng.random() < 0.3:
+            for other in _other_groups(rng, scene, group):
+                check(other, "not extending")
+            check(group, "chain")  # back on the chain, afresh
+        group.append(winner)
+
+
 def test_carried_rounds_equal_fresh_rounds():
-    # a greedy run's score_fn carries one round from call to call; each
-    # call returns the answer of a round built afresh, along a
-    # greedy chain, after a group that extends the chain by a camera other
-    # than the last winner, and after groups that do not extend it at all
+    # a greedy run's score_fn carries one round from call to call, and the
+    # round adopts its last winner's exact field and region sum; each call
+    # returns a fresh round's answer and leaves a fresh round's field and
+    # sum, on small scenes and on the large independent-selection roster
     rng = np.random.default_rng(25)
     subsets = [t for n in range(len(ALL_TERMS) + 1)
                for t in itertools.combinations(ALL_TERMS, n)]
@@ -660,32 +715,16 @@ def test_carried_rounds_equal_fresh_rounds():
             terms = subsets[int(rng.integers(len(subsets)))]
             sigma_mode = ("mean" if rng.random() < 0.5
                           else float(rng.uniform(0.0, 1.0)))
-            score_fn = round_scorer(scene, strategy, pred, sigma_mode, terms)
-
-            def check(group, kind):
-                kinds.add(kind)
-                candidates = sorted(set(scene.camera_ids) - set(group))
-                index, sb = round_scorer(scene, strategy, pred, sigma_mode,
-                                         terms)(group, candidates)
-                got_index, got = score_fn(list(group), candidates)
-                assert (got_index, _bits(got)) == (index, _bits(sb)), kind
-                return candidates[index]
-
-            group = [scene.camera_ids[int(rng.integers(len(scene.cameras)))]]
-            while len(group) < len(scene.cameras):
-                winner = check(group, "chain")
-                rest = sorted(set(scene.camera_ids) - set(group) - {winner})
-                if rest and rng.random() < 0.3:
-                    group.append(rest[int(rng.integers(len(rest)))])
-                    if len(group) < len(scene.cameras):
-                        check(group, "extended by another camera")
-                    continue
-                if rng.random() < 0.3:
-                    for other in _other_groups(rng, scene, group):
-                        check(other, "not extending")
-                    check(group, "chain")  # back on the chain, afresh
-                group.append(winner)
-    assert kinds == {"chain", "extended by another camera", "not extending"}
+            _carried_chain(rng, scene, (strategy, pred, sigma_mode, terms),
+                           kinds)
+    assert kinds == {"chain", "extended by another camera",
+                     "winner, then another camera",
+                     "another camera, then the winner", "not extending"}
+    large = _overlap_scenes()[-1]
+    pred = _random_density(rng, large.grid)
+    for strategy in ("geometric", "mask", "density"):
+        _carried_chain(rng, large, (strategy, pred, "mean", ALL_TERMS),
+                       set())
 
 
 def _mirrored_near_tie():
